@@ -4,10 +4,10 @@ Kind convention for a problem (f: A->B, g: A->C, apex D):
     alpha = required kind of f        beta  = required kind of g
     gamma = required kind of B->D     delta = required kind of C->D
 
-Search strategy: first quotients of the amalgamated sum B |_A C (glue
-f(a) ~ g(a), close under function congruence, complete the free cells with
-the bounded model finder); then general apex enumeration with constrained
-hom search.  "no" is only reported when the exhaustive phase completed.
+The solver searches first among quotients of the amalgamated sum B |_A C
+(glue f(a) ~ g(a), close under function congruence, complete the free cells
+with the bounded model finder); then general apex enumeration with
+constrained hom search.  "no" is only reported when the exhaustive phase completed.
 
 Strong amalgamation adds the disjointness condition: the out-maps may
 identify b in B with c in C only when b is in f(A) and c is in g(A)
@@ -21,13 +21,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import BudgetExceeded, StructureError
+from .errors import BudgetExceeded, PosmtError, StructureError
 from .finder import find_models
 from .morphisms import (
     HomConstraint, Morphism, MorphismKind, classify_morphism, enumerate_homs,
     identity, is_homomorphism, search_homs,
 )
-from .structures import FiniteStructure, Signature, enumerate_structures
+from .structures import (
+    ELEMENT_NAMES, FiniteStructure, Signature, element_names, enumerate_structures,
+)
 from .theories import Budget, Theory, Verdict, is_model, models, no, unknown
 
 
@@ -244,7 +246,7 @@ def _solve_quotient(p: AmalgamationProblem) -> Optional[AmalgamationSolution]:
 # Phase 2: general apex enumeration
 
 
-MAX_ENUM_APEX = 12  # size of the element-name pool for enumerated universes
+MAX_ENUM_APEX = len(ELEMENT_NAMES)  # enumerated universes use the default names
 ENUM_RAW_LIMIT = 10 ** 6  # raw interpretation count beyond which a size is skipped
 
 
@@ -314,18 +316,13 @@ def _solve_enumeration(p: AmalgamationProblem) -> Tuple[Optional[AmalgamationSol
     return None, exhaustive
 
 
-def solve_amalgamation(
-    p: AmalgamationProblem, strategy: str = "auto"
-) -> Union[AmalgamationSolution, Verdict]:
+def solve_amalgamation(p: AmalgamationProblem) -> Union[AmalgamationSolution, Verdict]:
     """A certified solution with |D| <= N, or a "no"/"unknown" verdict."""
     p.validate_in_kinds()
     try:
-        if strategy in ("auto", "quotient"):
-            sol = _solve_quotient(p)
-            if sol is not None:
-                return sol
-            if strategy == "quotient":
-                return no(p.budget, notes=("quotient phase exhausted",))
+        sol = _solve_quotient(p)
+        if sol is not None:
+            return sol
         sol, exhaustive = _solve_enumeration(p)
         if sol is not None:
             return sol
@@ -402,8 +399,7 @@ def check_basis(
 
 
 def _rand_subuniverse(rng: random.Random, max_size: int) -> Tuple[str, ...]:
-    from .structures import ELEMENT_NAMES
-    return ELEMENT_NAMES[: rng.randint(1, max_size)]
+    return element_names(max_size)[: rng.randint(1, max_size)]
 
 
 def random_structure(rng: random.Random, sig: Signature, max_size: int) -> FiniteStructure:
@@ -655,17 +651,16 @@ def verify_theorem(
 def _verify_inheritance(rng: random.Random, b: Budget, instances: int) -> Dict:
     """B an [h]-strong basis at bound and A immersed in B: A's [h]-strong
     instances should be solvable at bound too."""
+    if b.n < 2:
+        raise PosmtError("the inheritance harness needs n >= 2: B is A plus one point")
     t = poset_theory()
     rows = []
     witnessed = 0
     red_flags = []
     done = 0
     while done < instances:
-        a = random_poset(rng, max(1, b.n - 1))
-        incl = disjoint_poset_extension(rng, a, 1)
-        big = incl.target
-        if big.size() > b.n:
-            continue
+        a = random_poset(rng, b.n - 1)
+        big = disjoint_poset_extension(rng, a, 1).target
         done += 1
         f = random_hom_wing(rng, a, random_poset(rng, b.n))
         g = random_hom_wing(rng, a, random_poset(rng, b.n))

@@ -35,7 +35,7 @@ from .amalgamation import (
 from .errors import BudgetExceeded, ParseError, PosmtError
 from .formulas import pp_formula
 from .morphisms import MorphismKind, classify_morphism, enumerate_homs
-from .structures import FiniteStructure
+from .structures import FiniteStructure, element_names
 from .theories import (
     Budget, Verdict, companion_check_bounded, is_jc_bounded, is_pc_within,
     is_T_complete_pair, joint_consistency_bounded, jc_characterization_report,
@@ -79,7 +79,10 @@ def _add_common(p: argparse.ArgumentParser, files: bool = True) -> None:
                    help="require a common base preimage at strong collisions")
 
 
-def _budget(args: argparse.Namespace) -> Budget:
+def _budget(args: argparse.Namespace, *sizes: str) -> Budget:
+    """The budget the flags ask for.  `sizes` names the fields the command
+    uses as sizes of enumerated universes; they are checked against the
+    element-name pool before any search starts."""
     b = Budget(node_cap=_default_node_cap())
     updates = {}
     for flag, attr in (("n", "n"), ("N", "N"), ("k", "k"), ("node_cap", "node_cap")):
@@ -89,7 +92,10 @@ def _budget(args: argparse.Namespace) -> Budget:
                 raise PosmtError(f"budget field {flag} must be positive")
             updates[attr] = value
     from dataclasses import replace
-    return replace(b, **updates) if updates else b
+    b = replace(b, **updates) if updates else b
+    for attr in sizes:
+        element_names(getattr(b, attr))
+    return b
 
 
 def _workspace(args: argparse.Namespace) -> Workspace:
@@ -153,7 +159,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_models(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
+    b = _budget(args, "n")
     t = ws.theory(args.theory)
     ms = models(t, b)
     if args.json:
@@ -207,14 +213,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_pc(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
+    b = _budget(args, "n")
     v = is_pc_within(ws.structure(args.structure), ws.theory(args.theory), b)
     return _emit_verdict(v, args)
 
 
 def cmd_jc(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
+    b = _budget(args, "n", "N")
     theories = [ws.theory(name) for name in args.theory]
     if len(theories) == 1:
         v = is_jc_bounded(theories[0], b)
@@ -225,21 +231,21 @@ def cmd_jc(args: argparse.Namespace) -> int:
 
 def cmd_tcomplete(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
+    b = _budget(args, "n", "N")
     v = is_T_complete_pair(ws.theory(args.t1), ws.theory(args.t2), ws.theory(args.theory), b)
     return _emit_verdict(v, args)
 
 
 def cmd_companion(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
+    b = _budget(args, "n")
     v = companion_check_bounded(ws.theory(args.t1), ws.theory(args.t2), b)
     return _emit_verdict(v, args)
 
 
 def cmd_hull(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
+    b = _budget(args, "n")
     hull, tu = kaiser_hull_bounded(ws.theory(args.theory), b)
     if args.json:
         print(report_to_json({
@@ -305,7 +311,7 @@ def cmd_amalgamate(args: argparse.Namespace) -> int:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
+    b = _budget(args, "n")
     theory = ws.theory(args.theory) if args.theory else None
     report = check_basis(ws.structure(args.structure), args.kinds, theory, b,
                          strong=args.strong, strict_strong=args.strict_strong)
@@ -323,7 +329,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    b = _budget(args)
+    b = _budget(args, "n")
     report = verify_theorem(args.theorem, args.seed, b, args.instances)
     ok = report["rate"] == 1.0 and not report["red_flags"]
     if args.json:
@@ -337,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
+    b = _budget(args, "n", "N")
     rep = jc_characterization_report(ws.theory(args.theory), b)
     if args.json:
         print(report_to_json({"command": "report", "theory": args.theory, **rep}))

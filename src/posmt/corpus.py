@@ -156,15 +156,6 @@ class BoundedImplication:
         return Implication(fvars, side(self.premise), concl)
 
 
-def _canon_cq(pool: AtomPool, codes: Sequence[AtomCode]) -> Tuple[AtomCode, ...]:
-    best = None
-    for perm in itertools.permutations(range(pool.k)):
-        enc = tuple(sorted(pool.permute_atom(c, perm) for c in codes))
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
 def _canon_impl(
     pool: AtomPool, premise, conclusion, free
 ) -> Tuple[Tuple[AtomCode, ...], Tuple[AtomCode, ...], Tuple[int, ...]]:
@@ -191,7 +182,7 @@ def cq_corpus(sig: Signature, k: int, max_atoms: int = DEFAULT_MAX_ATOMS_CQ) -> 
     out: List[CQSentence] = []
     for r in range(1, max_atoms + 1):
         for combo in itertools.combinations(pool.atoms, r):
-            canon = _canon_cq(pool, combo)
+            canon = _canon_impl(pool, combo, (), ())[0]
             if canon in seen:
                 continue
             seen.add(canon)

@@ -18,7 +18,7 @@ from .formulas import (
     And, App, Atom, Const, EqAtom, Falsum, Implication, Or, PosEx, PosQF,
     RelAtom, Term, Truth, Var,
 )
-from .structures import ELEMENT_NAMES, FiniteStructure, Signature
+from .structures import FiniteStructure, Signature, element_names
 
 UNKNOWN = "unknown"
 
@@ -256,9 +256,10 @@ def models_up_to_size(
 ) -> List[FiniteStructure]:
     """Models with |universe| <= max_size, one per isomorphism class when
     up_to_iso, sorted by (size, canonical key)."""
+    names = element_names(max_size)
     out: List[FiniteStructure] = []
     for size in range(1, max_size + 1):
-        universe = ELEMENT_NAMES[:size]
+        universe = names[:size]
         seen = set()
         keyed = []
         for st in find_models(sig, universe, implications, node_cap=node_cap):

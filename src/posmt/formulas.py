@@ -1,4 +1,4 @@
-"""Formula ASTs, shape classification, CQ normal forms and evaluation.
+"""Formula ASTs, shape classification, evaluation and printing.
 
 The positive fragment: atoms (relation, equality, falsum, truth) combined
 with AND/OR, existentially quantified (PosEx).  H-inductive sentences are
@@ -11,13 +11,11 @@ arbitrary sentences can be classified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple, Union
 
-from .errors import BudgetExceeded, FormulaError
-from .structures import FiniteStructure, PointedStructure
-
-AUX_PREFIX = "_v"
+from .errors import FormulaError
+from .structures import FiniteStructure
 
 
 # ---------------------------------------------------------------------------
@@ -364,180 +362,6 @@ def as_implications(f: Formula) -> Tuple[Implication, ...]:
     if _is_posqf(f):
         return (Implication((), TRUE_POSEX, PosEx((), f)),)
     raise FormulaError(f"not encodable as h-inductive: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Conjunctive queries
-
-
-@dataclass(frozen=True)
-class CQ:
-    """Existentially quantified conjunction of flat atoms.
-
-    Atoms are RelAtom over Var/Const arguments, EqAtom between Var/Const, or
-    EqAtom with a single flat App on the left (a function fact).  The free
-    tuple may repeat variables.
-    """
-
-    free: Tuple[str, ...]
-    exist: Tuple[str, ...]
-    atoms: Tuple[Atom, ...]
-
-    def to_posex(self) -> PosEx:
-        matrix: PosQF
-        if not self.atoms:
-            matrix = Truth()
-        elif len(self.atoms) == 1:
-            matrix = self.atoms[0]
-        else:
-            matrix = And(self.atoms)
-        return PosEx(tuple(self.exist), matrix)
-
-    def sentence(self) -> PosEx:
-        """Existential closure of all variables."""
-        p = self.to_posex()
-        distinct_free = tuple(dict.fromkeys(self.free))
-        return PosEx(distinct_free + p.vars, p.matrix)
-
-
-def eval_cq(
-    s: FiniteStructure, q: CQ, args: Sequence[str] = ()
-) -> bool:
-    if len(args) != len(q.free):
-        raise FormulaError("CQ argument tuple length mismatch")
-    env: Dict[str, str] = {}
-    for v, a in zip(q.free, args):
-        if env.get(v, a) != a:
-            return False  # repeated free variable bound to two elements
-        env[v] = a
-    return eval_formula(s, q.to_posex(), env)
-
-
-def _flat(t: Term) -> bool:
-    return isinstance(t, (Var, Const))
-
-
-class _Flattener:
-    def __init__(self):
-        self.counter = 0
-        self.atoms: List[Atom] = []
-        self.aux: List[str] = []
-
-    def fresh(self) -> Var:
-        v = f"{AUX_PREFIX}{self.counter}"
-        self.counter += 1
-        self.aux.append(v)
-        return Var(v)
-
-    def flatten_term(self, t: Term) -> Term:
-        """Return a flat term denoting t, emitting defining function atoms."""
-        if _flat(t):
-            return t
-        args = tuple(self.flatten_term(a) for a in t.args)
-        v = self.fresh()
-        self.atoms.append(EqAtom(App(t.func, args), v))
-        return v
-
-    def flatten_atom(self, a: Atom) -> None:
-        if isinstance(a, Truth):
-            return
-        if isinstance(a, Falsum):
-            raise _FalsumSeen()
-        if isinstance(a, RelAtom):
-            self.atoms.append(RelAtom(a.name, tuple(self.flatten_term(t) for t in a.args)))
-            return
-        left, right = a.left, a.right
-        if isinstance(left, App) and not isinstance(right, App):
-            args = tuple(self.flatten_term(t) for t in left.args)
-            self.atoms.append(EqAtom(App(left.func, args), self.flatten_term(right)))
-        elif isinstance(right, App) and not isinstance(left, App):
-            args = tuple(self.flatten_term(t) for t in right.args)
-            self.atoms.append(EqAtom(App(right.func, args), self.flatten_term(left)))
-        elif isinstance(left, App) and isinstance(right, App):
-            flat_right = self.flatten_term(right)
-            args = tuple(self.flatten_term(t) for t in left.args)
-            self.atoms.append(EqAtom(App(left.func, args), flat_right))
-        else:
-            self.atoms.append(EqAtom(left, right))
-
-
-class _FalsumSeen(Exception):
-    pass
-
-
-def _matrix_dnf(f: PosQF, cap: int) -> List[Tuple[Atom, ...]]:
-    """Distribute OR over AND: list of conjunctions of atoms."""
-    if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)):
-        return [(f,)]
-    if isinstance(f, Or):
-        out: List[Tuple[Atom, ...]] = []
-        for p in f.parts:
-            out.extend(_matrix_dnf(p, cap))
-            if len(out) > cap:
-                raise BudgetExceeded(f"DNF blow-up beyond {cap} disjuncts")
-        return out
-    if isinstance(f, And):
-        out = [()]
-        for p in f.parts:
-            branch = _matrix_dnf(p, cap)
-            out = [c + d for c in out for d in branch]
-            if len(out) > cap:
-                raise BudgetExceeded(f"DNF blow-up beyond {cap} disjuncts")
-        return out
-    raise FormulaError(f"not a positive quantifier-free formula: {f!r}")
-
-
-def to_cq_dnf(p: PosEx, cap: int = 4096) -> List[CQ]:
-    """Equivalent list of CQs; empty list iff p is equivalent to falsum.
-
-    Function applications are flattened with fresh `_v` variables;
-    falsum-containing disjuncts are dropped.
-    """
-    fv = tuple(sorted(free_vars(p)))
-    cqs: List[CQ] = []
-    for conj in _matrix_dnf(p.matrix, cap):
-        fl = _Flattener()
-        try:
-            for a in conj:
-                fl.flatten_atom(a)
-        except _FalsumSeen:
-            continue
-        cqs.append(CQ(free=fv, exist=tuple(p.vars) + tuple(fl.aux), atoms=tuple(fl.atoms)))
-    return cqs
-
-
-# ---------------------------------------------------------------------------
-# Positive diagrams as CQs
-
-
-def pointed_positive_diagram(p: PointedStructure, subset: Sequence[str]) -> CQ:
-    """CQ collecting all atomic facts of the structure among `subset`, with
-    anchor positions free and the other subset elements existential."""
-    s = p.structure
-    sub = [e for e in s.universe if e in set(subset)]
-    sub_set = set(sub)
-    if not set(p.anchors) <= sub_set:
-        raise FormulaError("anchors must lie inside the subset")
-    var_of: Dict[str, Var] = {}
-    free_names: List[str] = []
-    for i, e in enumerate(sub):
-        var_of[e] = Var(f"x{i}" if e in set(p.anchors) else f"y{i}")
-    free = tuple(var_of[a].name for a in p.anchors)
-    anchor_elems = set(p.anchors)
-    exist = tuple(var_of[e].name for e in sub if e not in anchor_elems)
-    atoms: List[Atom] = []
-    for name, _ in s.signature.relations:
-        for tup in sorted(s.rel(name)):
-            if set(tup) <= sub_set:
-                atoms.append(RelAtom(name, tuple(var_of[e] for e in tup)))
-    for name, _ in s.signature.functions:
-        for args, val in sorted(s.functions[name].items()):
-            if set(args) <= sub_set and val in sub_set:
-                atoms.append(EqAtom(App(name, tuple(var_of[e] for e in args)), var_of[val]))
-    for c in s.signature.constants:
-        if s.const(c) in sub_set:
-            atoms.append(EqAtom(Const(c), var_of[s.const(c)]))
-    return CQ(free=free, exist=exist, atoms=tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Homomorphism search and classification into the four-kind hierarchy.
 
 Kind chain: Hom < Embedding < Immersion < StrongImmersion.  Immersion is
-decided exactly by the retraction criterion (valid over finite targets);
-strong immersion is a bounded decision over h-inductive sentences whose
-premises are pointed diagrams of target subsets of size <= k.
+decided exactly by the retraction criterion (valid over finite targets).
+Strong immersion is bounded by the number k of target elements an
+h-inductive sentence may mention, and is decided in closed form: a
+bijective homomorphism that reflects every relation tuple spanning <= k
+elements.  Bijectivity is forced because the target must model the
+source's surjectivity sentence and its parameter inequalities.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -147,10 +149,11 @@ def is_embedding(m: Morphism) -> bool:
     if not m.is_injective() or not is_homomorphism(m):
         return False
     a, b = m.source, m.target
-    for name, arity in a.signature.relations:
-        arel, brel = a.rel(name), b.rel(name)
-        for tup in itertools.product(a.universe, repeat=arity):
-            if m.apply(tup) in brel and tup not in arel:
+    inverse = {m.map[e]: e for e in a.universe}
+    for name, _ in a.signature.relations:
+        arel = a.rel(name)
+        for tup in b.rel(name):
+            if all(e in inverse for e in tup) and tuple(inverse[e] for e in tup) not in arel:
                 return False
     return True
 
@@ -285,13 +288,19 @@ def is_immersion(m: Morphism) -> bool:
 
 def is_strong_immersion(m: Morphism, k: Optional[int] = None) -> Tuple[bool, Optional[dict]]:
     """Bounded decision of `target models the h-inductive theory of the
-    source with parameters`.
+    source with parameters`, over sentences on at most k target elements
+    (default: the target size).
 
-    Enumerates h-inductive sentences whose premise is the pointed positive
-    diagram of a target subset W of size <= k (m-images named by source
-    constants) and whose conclusion is the strongest disjunction of pointed
-    source diagrams of size <= k.  Returns (True, None) at the bound or
-    (False, witness).
+    Decided in closed form: m is a bijective homomorphism whose inverse maps
+    every relation tuple of the target spanning <= k distinct elements into
+    the source.  The source's theory with parameters contains its
+    surjectivity sentence (every element equals a named one), which fails at
+    any target element outside the image, already on one element; it
+    contains `a = a' -> false` for distinct a, a', which fails at a
+    parameter with two preimages; and it contains `R(a1..ar) -> false` for
+    every tuple missing from R in the source.  Function and constant facts
+    pull back along a bijective homomorphism on their own.  Returns
+    (True, None) at the bound or (False, witness).
     """
     a, b = m.source, m.target
     if k is None:
@@ -300,83 +309,21 @@ def is_strong_immersion(m: Morphism, k: Optional[int] = None) -> Tuple[bool, Opt
         raise ValueError("k must be >= 1")
     if not is_homomorphism(m):
         return False, {"reason": "not a homomorphism"}
-    preimages: Dict[str, List[str]] = {}
+    inverse: Dict[str, str] = {}
     for e in a.universe:
-        preimages.setdefault(m.map[e], []).append(e)
-    image = set(preimages)
-
-    for size in range(1, min(k, len(b.universe)) + 1):
-        for w in itertools.combinations(b.universe, size):
-            wset = set(w)
-            params = [e for e in w if e in image]
-            xs = [e for e in w if e not in image]
-            # premise facts: all atomic facts of the target among W
-            facts = _subset_facts(b, wset)
-            # collapse constraint: all source preimages of one parameter are
-            # forced equal by the premise; in the source they differ
-            injective_here = all(len(preimages[p]) == 1 for p in params)
-
-            def a_sat(abar: Tuple[str, ...]) -> bool:
-                if not injective_here:
-                    return False
-                env = {p: preimages[p][0] for p in params}
-                env.update(zip(xs, abar))
-                return _facts_hold(a, facts, env, {c: a.const(c) for c in a.signature.constants})
-
-            sat_a = [abar for abar in itertools.product(a.universe, repeat=len(xs)) if a_sat(abar)]
-            good_images = set()
-            for abar in sat_a:
-                concl_universe = set(
-                    e for p in params for e in preimages[p]
-                ) | set(abar)
-                if len(concl_universe) <= k:
-                    good_images.add(tuple(m.map[e] for e in abar))
-
-            bconsts = {c: b.const(c) for c in b.signature.constants}
-            for bbar in itertools.product(b.universe, repeat=len(xs)):
-                env = {p: p for p in params}
-                env.update(zip(xs, bbar))
-                if not _facts_hold(b, facts, env, bconsts):
-                    continue
-                if bbar not in good_images:
-                    return False, {
-                        "premise_subset": list(w),
-                        "parameters": list(params),
-                        "witness": list(bbar),
-                        "bound": k,
-                    }
+        if m.map[e] in inverse:
+            return False, {"reason": "not injective", "witness": [inverse[m.map[e]], e]}
+        inverse[m.map[e]] = e
+    for e in b.universe:
+        if e not in inverse:
+            return False, {"reason": "not surjective", "witness": [e]}
+    for name, _ in b.signature.relations:
+        arel = a.rel(name)
+        for tup in sorted(b.rel(name)):
+            if len(set(tup)) <= k and tuple(inverse[e] for e in tup) not in arel:
+                return False, {"reason": "tuple not reflected", "relation": name,
+                               "witness": list(tup), "bound": k}
     return True, None
-
-
-def _subset_facts(s: FiniteStructure, subset: set) -> List[Tuple]:
-    facts = []
-    for name, _ in s.signature.relations:
-        for tup in sorted(s.rel(name)):
-            if set(tup) <= subset:
-                facts.append(("rel", name, tup))
-    for name, _ in s.signature.functions:
-        for args, val in sorted(s.functions[name].items()):
-            if set(args) <= subset and val in subset:
-                facts.append(("func", name, args + (val,)))
-    for c in s.signature.constants:
-        if s.const(c) in subset:
-            facts.append(("const", c, (s.const(c),)))
-    return facts
-
-
-def _facts_hold(s: FiniteStructure, facts, env: Mapping[str, str], consts: Mapping[str, str]) -> bool:
-    for kind, name, tup in facts:
-        img = tuple(env[e] for e in tup)
-        if kind == "rel":
-            if img not in s.rel(name):
-                return False
-        elif kind == "func":
-            if s.functions[name][img[:-1]] != img[-1]:
-                return False
-        else:
-            if consts[name] != img[0]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,15 @@ from .errors import BudgetExceeded, SignatureError, StructureError
 ELEMENT_NAMES = tuple("abcdefghijkl")
 
 
+def element_names(size: int) -> Tuple[str, ...]:
+    """The first `size` default element names."""
+    if size > len(ELEMENT_NAMES):
+        raise StructureError(
+            f"size {size} exceeds the {len(ELEMENT_NAMES)} default element names"
+        )
+    return ELEMENT_NAMES[:size]
+
+
 @dataclass(frozen=True)
 class Signature:
     """Relation, function and constant symbols with their arities.
@@ -181,18 +190,6 @@ class FiniteStructure:
                 best = enc
         return best
 
-    def atomic_facts(self) -> Iterator[Tuple]:
-        """All atomic facts: ("rel", R, tup), ("func", f, args, val),
-        ("const", c, elem)."""
-        for name, _ in self.signature.relations:
-            for tup in sorted(self.rel(name)):
-                yield ("rel", name, tup)
-        for name, _ in self.signature.functions:
-            for args, val in sorted(self.functions[name].items()):
-                yield ("func", name, args, val)
-        for c in self.signature.constants:
-            yield ("const", c, self.constants[c])
-
     def rename(self, mapping: Mapping[str, str]) -> "FiniteStructure":
         """Relabel elements injectively."""
         if len(set(mapping.values())) != len(self.universe):
@@ -213,20 +210,6 @@ class FiniteStructure:
             },
             constants={c: mapping[e] for c, e in self.constants.items()},
         )
-
-
-@dataclass(frozen=True)
-class PointedStructure:
-    """A structure with an ordered anchor tuple (repeats allowed)."""
-
-    structure: FiniteStructure
-    anchors: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        elems = set(self.structure.universe)
-        for a in self.anchors:
-            if a not in elems:
-                raise StructureError(f"anchor {a} not in universe")
 
 
 def induced_substructure(s: FiniteStructure, subset: Sequence[str]) -> FiniteStructure:
@@ -304,9 +287,10 @@ def enumerate_structures(
     """
     if max_size < 1:
         raise StructureError("max_size must be >= 1")
+    names = element_names(max_size)
     count = 0
     for size in range(1, max_size + 1):
-        universe = ELEMENT_NAMES[:size]
+        universe = names[:size]
         seen = set()
         for st in _raw_structures(sig, universe):
             if up_to_iso:

@@ -21,7 +21,7 @@ from .formulas import (
 )
 from .finder import find_models, models_up_to_size
 from .morphisms import Morphism, is_immersion, retraction, search_homs
-from .structures import ELEMENT_NAMES, FiniteStructure, Signature, disjoint_rename
+from .structures import FiniteStructure, Signature, disjoint_rename, element_names
 
 
 @dataclass(frozen=True)
@@ -362,10 +362,9 @@ def joint_consistency_bounded(sets: Sequence[Union[DiagramSet, Theory]], b: Budg
     refutation confirms it; otherwise "unknown"."""
     sig = _merge_signatures([s.signature for s in sets])
     implications = _all_implications(sets)
+    names = element_names(b.N)
     for size in range(1, b.N + 1):
-        for m in find_models(
-            sig, ELEMENT_NAMES[:size], implications, node_cap=b.node_cap
-        ):
+        for m in find_models(sig, names[:size], implications, node_cap=b.node_cap):
             return yes(b, {"model": m})
     refutation = _ground_refutation(sig, implications)
     if refutation is not None:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +148,22 @@ def test_verify_subcommand(capsys):
                     "--seed", "7", "--instances", "3", "--N", "8")
     assert code == 0
     assert "witnessed 3/3" in out
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("models", "data/unary.posmt", "--theory", "T_fix", "--n", "13"),
+    ("verify", "--theorem", "inheritance", "--n", "1", "--instances", "1"),
+], ids=["size-past-name-pool", "inheritance-n1"])
+def test_out_of_range_budget_exits_3_at_once(argv):
+    # a fresh process with a timeout, so that a search that never ends
+    # fails the test instead of hanging the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posmt.cli", *argv],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3, proc.stderr

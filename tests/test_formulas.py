@@ -8,10 +8,9 @@ from posmt.errors import FormulaError, ParseError
 from posmt.formulas import (
     And, EqAtom, Falsum, HInductiveSentence, HUniversalSentence, Implication,
     Or, PosEx, RelAtom, Truth, Var, as_implications, classify_sentence,
-    eval_cq, eval_formula, pointed_positive_diagram, pp_formula, to_cq_dnf,
+    eval_formula, pp_formula,
 )
 from posmt.parser import parse_formula, parse_sentences
-from posmt.structures import PointedStructure
 
 from conftest import SIG_LE
 
@@ -154,15 +153,3 @@ def test_eval_general_negation(chain2, antichain2):
     f = parse_formula("general: exists x y. !le(x,y) & !le(y,x)", SIG_LE)
     assert eval_formula(antichain2, f, {})
     assert not eval_formula(chain2, f, {})
-
-
-def test_to_cq_dnf_distributes():
-    p = parse_formula("positive: exists x. (le(x,x) | le(x,y)) & le(y,y)", SIG_LE)
-    cqs = to_cq_dnf(p)
-    assert len(cqs) == 2
-
-
-def test_pointed_positive_diagram(chain2, point):
-    cq = pointed_positive_diagram(PointedStructure(chain2, ("a",)), chain2.universe)
-    assert eval_cq(chain2, cq, ("a",))  # the diagram holds at its own anchor
-    assert eval_cq(point, cq, ("a",))  # positive facts survive the collapse

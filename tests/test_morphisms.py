@@ -3,17 +3,20 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from posmt.amalgamation import random_structure
 from posmt.errors import StructureError
 from posmt.morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, hom_exists,
     identity, is_embedding, is_homomorphism, is_immersion, is_strong_immersion,
     retraction, search_homs,
 )
-from posmt.structures import enumerate_structures
+from posmt.structures import FiniteStructure, Signature, enumerate_structures
 
 from conftest import SIG_F, SIG_LE
-from oracles import ImmersionOracle
+from oracles import ImmersionOracle, strong_immersion_reference
 
 
 def test_identity_is_strong_immersion(chain2):
@@ -113,3 +116,60 @@ def test_strong_immersion_certificate_reverifies(chain2, point):
     assert not strong
     # the witness names an implication true in the source, false in the target
     assert witness
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: closed-form strong immersion against the brute-force reference
+
+DIFF_SIGS = (
+    Signature.make(relations={"p": 1, "e": 2}),
+    Signature.make(relations={"t": 3}),
+    Signature.make(functions={"f": 1}, constants=["c"]),
+    Signature.make(relations={"e": 2}, functions={"g": 2}),
+    Signature.make(relations={"p": 1}, functions={"f": 1}, constants=["c"]),
+)
+
+
+@st.composite
+def maps_with_bound(draw):
+    """A random source of size <= 3 and a map into a target of size <= 4
+    that holds every image fact plus random extra tuples; injective maps are
+    drawn half the time, so bijections that add tuples are frequent.
+    Colliding function images make some maps non-homomorphisms."""
+    sig = draw(st.sampled_from(DIFF_SIGS))
+    rng = draw(st.randoms(use_true_random=False))
+    a = random_structure(rng, sig, 3)
+    size_b = max(1, a.size() + draw(st.integers(-1, 1)))
+    universe_b = tuple(f"u{i}" for i in range(size_b))
+    if size_b >= a.size() and draw(st.booleans()):
+        images = rng.sample(universe_b, a.size())
+    else:
+        images = [rng.choice(universe_b) for _ in a.universe]
+    mp = dict(zip(a.universe, images))
+    p_extra = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    relations = {}
+    for name, arity in sig.relations:
+        table = {tuple(mp[e] for e in tup) for tup in a.rel(name)}
+        table |= {
+            tup for tup in itertools.product(universe_b, repeat=arity) if rng.random() < p_extra
+        }
+        relations[name] = frozenset(table)
+    functions = {}
+    for name, arity in sig.functions:
+        forced = {}
+        for args, val in a.functions[name].items():
+            forced.setdefault(tuple(mp[e] for e in args), mp[val])
+        functions[name] = {
+            args: forced.get(args) or rng.choice(universe_b)
+            for args in itertools.product(universe_b, repeat=arity)
+        }
+    constants = {c: mp[a.const(c)] for c in sig.constants}
+    b = FiniteStructure(sig, universe_b, relations, functions, constants)
+    return Morphism(a, b, mp), draw(st.sampled_from([None, 1, 2, 3, 4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_with_bound())
+def test_strong_immersion_matches_reference(case):
+    m, k = case
+    assert is_strong_immersion(m, k)[0] == strong_immersion_reference(m, k), (m.map, k)

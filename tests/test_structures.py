@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from posmt.amalgamation import random_structure
 from posmt.errors import BudgetExceeded, SignatureError, StructureError
+from posmt.finder import models_up_to_size
 from posmt.structures import (
     FiniteStructure, Signature, are_isomorphic, disjoint_rename,
     enumerate_structures, generated_substructure, induced_substructure,
 )
+from posmt.theories import Budget, Theory, joint_consistency_bounded
 
 from conftest import SIG_F, SIG_LE
 
@@ -53,6 +58,19 @@ def test_enumeration_counts_up_to_iso():
 def test_enumeration_raw_counts():
     raw = list(enumerate_structures(SIG_LE, 2, up_to_iso=False))
     assert len(raw) == 2 + 16
+
+
+def test_sizes_past_element_name_pool_rejected():
+    # 12 default element names: size 13 must not silently repeat size 12
+    sig = Signature.make(constants=["c"])
+    with pytest.raises(StructureError):
+        list(enumerate_structures(sig, 14, up_to_iso=False))
+    with pytest.raises(StructureError):
+        models_up_to_size(sig, (), 13)
+    with pytest.raises(StructureError):
+        joint_consistency_bounded([Theory.make(sig, [])], Budget(N=13))
+    with pytest.raises(StructureError):
+        random_structure(random.Random(0), sig, 13)
 
 
 def test_enumeration_cap():
