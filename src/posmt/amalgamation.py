@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BudgetExceeded, PosmtError, StructureError
 from .finder import find_models
 from .morphisms import (
-    HomConstraint, Morphism, MorphismKind, classify_morphism, enumerate_homs,
-    identity, is_homomorphism, search_homs,
+    Morphism, MorphismKind, classify_morphism, enumerate_homs, is_homomorphism,
+    search_homs,
 )
 from .structures import (
-    ELEMENT_NAMES, FiniteStructure, Signature, element_names, enumerate_structures,
+    ELEMENT_NAMES, FiniteStructure, Signature, UnionFind, element_names,
+    enumerate_structures,
 )
 from .theories import Budget, Theory, Verdict, is_model, models, no, unknown
 
@@ -154,17 +155,8 @@ def _quotient_seed(p: AmalgamationProblem):
     b, c = p.f.target, p.g.target
     sig = b.signature
     elems = [("B", e) for e in b.universe] + [("C", e) for e in c.universe]
-    parent = {e: e for e in elems}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
+    uf = UnionFind(elems)
+    find, union = uf.find, uf.union
     for a in p.base.universe:
         union(("B", p.f(a)), ("C", p.g(a)))
     for cn in sig.constants:
@@ -308,8 +300,7 @@ def _solve_enumeration(p: AmalgamationProblem) -> Tuple[Optional[AmalgamationSol
             required = {p.g(a): out_b(p.f(a)) for a in p.base.universe}
             if any(required[p.g(a)] != out_b(p.f(a)) for a in p.base.universe):
                 continue  # g identifies base points whose B-images land apart
-            constraint = HomConstraint.make(required=required)
-            for out_c in enumerate_homs(p.g.target, d, constraint, kind=delta, node_cap=p.budget.node_cap):
+            for out_c in enumerate_homs(p.g.target, d, required, kind=delta, node_cap=p.budget.node_cap):
                 sol = _certify(p, d, out_b, out_c)
                 if sol is not None:
                     return sol, exhaustive

@@ -41,7 +41,7 @@ from .theories import (
     is_T_complete_pair, joint_consistency_bounded, jc_characterization_report,
     kaiser_hull_bounded, models,
 )
-from .textio import Workspace, jsonable, load_workspace, report_to_json, verdict_to_json
+from .textio import Workspace, load_workspace, report_to_json, verdict_to_json
 
 EXIT_YES = 0
 EXIT_NO = 1

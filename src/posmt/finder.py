@@ -15,8 +15,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
 from .formulas import (
-    And, App, Atom, Const, EqAtom, Falsum, Implication, Or, PosEx, PosQF,
-    RelAtom, Term, Truth, Var,
+    And, Const, EqAtom, Falsum, Implication, Or, PosEx, PosQF, RelAtom, Term,
+    Truth, Var,
 )
 from .structures import FiniteStructure, Signature, element_names
 

@@ -90,39 +90,6 @@ def identity(s: FiniteStructure) -> Morphism:
     return Morphism(s, s, {e: e for e in s.universe})
 
 
-@dataclass(frozen=True)
-class HomConstraint:
-    """Partial constraints for hom search.
-
-    required: forced assignments; distinct_pairs: source pairs that must get
-    distinct images; forbidden: (source, target) pairs that are disallowed.
-    """
-
-    required: Tuple[Tuple[str, str], ...] = ()
-    distinct_pairs: Tuple[Tuple[str, str], ...] = ()
-    forbidden: Tuple[Tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        seen: Dict[str, str] = {}
-        for s, t in self.required:
-            if seen.get(s, t) != t:
-                raise StructureError(f"conflicting required assignments for {s}")
-            seen[s] = t
-
-    @classmethod
-    def make(
-        cls,
-        required: Optional[Mapping[str, str]] = None,
-        distinct_pairs: Sequence[Tuple[str, str]] = (),
-        forbidden: Sequence[Tuple[str, str]] = (),
-    ) -> "HomConstraint":
-        return cls(
-            required=tuple(sorted((required or {}).items())),
-            distinct_pairs=tuple(distinct_pairs),
-            forbidden=tuple(forbidden),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Atomic preservation / reflection
 
@@ -176,24 +143,21 @@ def _source_facts(a: FiniteStructure):
 def search_homs(
     a: FiniteStructure,
     b: FiniteStructure,
-    constraint: Optional[HomConstraint] = None,
-    limit: Optional[int] = None,
+    required: Optional[Mapping[str, str]] = None,
     node_cap: Optional[int] = None,
 ) -> Iterator[Dict[str, str]]:
-    """All homomorphisms a -> b satisfying the constraint, by backtracking
-    in universe order.  Deterministic: images tried in target universe order."""
+    """All homomorphisms a -> b that send each key of `required` to its
+    value, by backtracking in universe order.  Deterministic: images tried in
+    target universe order."""
     if a.signature != b.signature:
         raise SignatureError("hom search across different signatures")
-    constraint = constraint or HomConstraint()
-    required = dict(constraint.required)
+    required = dict(required or {})
     for c in a.signature.constants:
         src = a.const(c)
         tgt = b.const(c)
         if required.get(src, tgt) != tgt:
             return
         required[src] = tgt
-    forbidden = set(constraint.forbidden)
-    distinct = list(constraint.distinct_pairs)
     facts = _source_facts(a)
     order = list(a.universe)
     pos = {e: i for i, e in enumerate(order)}
@@ -202,13 +166,9 @@ def search_homs(
     for kind, name, tup in facts:
         last = max(pos[e] for e in tup)
         facts_by_last[last].append((kind, name, tup))
-    distinct_by_last: List[List[Tuple[str, str]]] = [[] for _ in order]
-    for x, y in distinct:
-        distinct_by_last[max(pos[x], pos[y])].append((x, y))
 
     assignment: Dict[str, str] = {}
     nodes = 0
-    found = 0
 
     def ok_at(i: int) -> bool:
         for kind, name, tup in facts_by_last[i]:
@@ -219,31 +179,22 @@ def search_homs(
             else:
                 if b.functions[name][img[:-1]] != img[-1]:
                     return False
-        for x, y in distinct_by_last[i]:
-            if assignment[x] == assignment[y]:
-                return False
         return True
 
     def dfs(i: int) -> Iterator[Dict[str, str]]:
-        nonlocal nodes, found
+        nonlocal nodes
         if i == len(order):
-            found += 1
             yield dict(assignment)
             return
         e = order[i]
         candidates = [required[e]] if e in required else list(b.universe)
         for cand in candidates:
-            if (e, cand) in forbidden:
-                continue
             nodes += 1
             if node_cap is not None and nodes > node_cap:
                 raise BudgetExceeded(f"hom search exceeded node cap {node_cap}")
             assignment[e] = cand
             if ok_at(i):
                 yield from dfs(i + 1)
-                if limit is not None and found >= limit:
-                    del assignment[e]
-                    return
             del assignment[e]
 
     yield from dfs(0)
@@ -252,12 +203,10 @@ def search_homs(
 def find_hom(
     a: FiniteStructure,
     b: FiniteStructure,
-    constraint: Optional[HomConstraint] = None,
+    required: Optional[Mapping[str, str]] = None,
     node_cap: Optional[int] = None,
 ) -> Optional[Dict[str, str]]:
-    for m in search_homs(a, b, constraint, limit=1, node_cap=node_cap):
-        return m
-    return None
+    return next(search_homs(a, b, required, node_cap=node_cap), None)
 
 
 def hom_exists(a: FiniteStructure, b: FiniteStructure) -> bool:
@@ -273,7 +222,7 @@ def retraction(m: Morphism) -> Optional[Morphism]:
     if not m.is_injective():
         return None
     required = {m.map[e]: e for e in m.source.universe}
-    r = find_hom(m.target, m.source, HomConstraint.make(required=required))
+    r = find_hom(m.target, m.source, required)
     return Morphism(m.target, m.source, r) if r is not None else None
 
 
@@ -346,7 +295,7 @@ def classify_morphism(m: Morphism, k: Optional[int] = None) -> MorphismKind:
 def enumerate_homs(
     a: FiniteStructure,
     b: FiniteStructure,
-    constraint: Optional[HomConstraint] = None,
+    required: Optional[Mapping[str, str]] = None,
     kind: MorphismKind = MorphismKind.HOM,
     k: Optional[int] = None,
     node_cap: Optional[int] = None,
@@ -354,7 +303,7 @@ def enumerate_homs(
     """All morphisms of at least the requested kind, sorted by map encoding.
     Morphisms of kind >= Immersion carry their certificate."""
     out = []
-    for mp in search_homs(a, b, constraint, node_cap=node_cap):
+    for mp in search_homs(a, b, required, node_cap=node_cap):
         m = Morphism(a, b, mp)
         cert: Any = None
         if kind >= MorphismKind.EMBEDDING and not is_embedding(m):

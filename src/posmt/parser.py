@@ -1,6 +1,7 @@
 """Tokenizer and recursive-descent parser for the formula grammar.
 
 Grammar sketch:
+    sentences := ";"* [sentence (";"+ sentence)* ";"*]   (ends at "}" or eof)
     sentence  := "hinductive:" impl (";" impl)*
                | "huniversal:" "!" posex
                | "positive:" posex
@@ -20,13 +21,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, TypeVar
 
-from .errors import FormulaError, ParseError
+from .errors import ParseError
 from .formulas import (
     And, App, Const, EqAtom, Exists, Falsum, Forall, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
-    PosEx, RelAtom, Truth, Var, Formula, Term, free_vars,
+    PosEx, RelAtom, Truth, Var, Formula, Term,
 )
 from .structures import Signature
 
@@ -37,6 +38,15 @@ _TOKEN_RE = re.compile(
 )
 
 KEYWORDS = {"forall", "exists", "true", "false"}
+# sentence class prefix -> the Parser method that reads its formula
+SENTENCE_CLASSES = {
+    "hinductive": "parse_hinductive",
+    "huniversal": "parse_huniversal",
+    "positive": "parse_posex",
+    "general": "parse_general",
+}
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -70,6 +80,9 @@ def tokenize(text: str) -> List[Token]:
 
 
 class Parser:
+    """One token stream over a whole text; the workspace reader parses every
+    block from it, and `signature` is set to the theory's for its block."""
+
     def __init__(self, text: str, signature: Optional[Signature] = None):
         self.tokens = tokenize(text)
         self.pos = 0
@@ -99,15 +112,36 @@ class Parser:
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
-    def expect_name(self) -> Token:
+    def at_eof(self) -> bool:
+        return self.peek().kind == "eof"
+
+    def at_sentence(self) -> bool:
+        """At `<class>:`, the start of a class-prefixed sentence."""
+        return self.peek().text in SENTENCE_CLASSES and self.tokens[self.pos + 1].text == ":"
+
+    def expect_name(self) -> str:
         t = self.peek()
         if t.kind != "name":
             raise self.error(f"expected a name, found {t.text!r}")
-        return self.next()
+        return self.next().text
+
+    def expect_number(self) -> int:
+        t = self.peek()
+        if t.kind != "number":
+            raise self.error(f"expected a number, found {t.text!r}")
+        return int(self.next().text)
 
     def expect_eof(self) -> None:
-        if self.peek().kind != "eof":
+        if not self.at_eof():
             raise self.error(f"trailing input {self.peek().text!r}")
+
+    def sep_by(self, item: Callable[[], T], sep: str) -> List[T]:
+        """item (sep item)*"""
+        out = [item()]
+        while self.at(sep):
+            self.next()
+            out.append(item())
+        return out
 
     # -- grammar ----------------------------------------------------------
 
@@ -123,13 +157,11 @@ class Parser:
         return tuple(names)
 
     def parse_term(self) -> Term:
-        t = self.expect_name()
+        t = self.peek()
+        self.expect_name()
         if self.at("("):
             self.next()
-            args = [self.parse_term()]
-            while self.at(","):
-                self.next()
-                args.append(self.parse_term())
+            args = self.sep_by(self.parse_term, ",")
             self.expect(")")
             if self.signature is not None:
                 far = self.signature.function_arities
@@ -176,17 +208,11 @@ class Parser:
         raise ParseError(f"a bare term {t.text!r} is not an atom", t.line, t.col)
 
     def parse_and(self):
-        parts = [self.parse_atom()]
-        while self.at("&"):
-            self.next()
-            parts.append(self.parse_atom())
+        parts = self.sep_by(self.parse_atom, "&")
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_or(self):
-        parts = [self.parse_and()]
-        while self.at("|"):
-            self.next()
-            parts.append(self.parse_and())
+        parts = self.sep_by(self.parse_and, "|")
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_posex(self) -> PosEx:
@@ -209,7 +235,7 @@ class Parser:
                 self.next()
                 p = self.parse_posex()
                 self.expect(")")
-                if self.peek().text in ("->", ";") or self.peek().kind == "eof":
+                if self.peek().text in ("->", ";", "}") or self.at_eof():
                     return p
             except ParseError:
                 pass
@@ -232,10 +258,13 @@ class Parser:
         return Implication(names, premise, conclusion)
 
     def parse_hinductive(self) -> HInductiveSentence:
+        """Conjuncts separated by `;`; the list ends after a `;` that is
+        followed by another `;`, by `}`, by the end of input or by the next
+        class-prefixed sentence."""
         conjuncts = [self.parse_implication()]
         while self.at(";"):
             self.next()
-            if self.peek().kind == "eof":
+            if self.at(";") or self.at("}") or self.at_eof() or self.at_sentence():
                 break
             conjuncts.append(self.parse_implication())
         return HInductiveSentence(tuple(conjuncts))
@@ -269,17 +298,11 @@ class Parser:
         return left
 
     def parse_general_or(self) -> Formula:
-        parts = [self.parse_general_and()]
-        while self.at("|"):
-            self.next()
-            parts.append(self.parse_general_and())
+        parts = self.sep_by(self.parse_general_and, "|")
         return parts[0] if len(parts) == 1 else GOr(tuple(parts))
 
     def parse_general_and(self) -> Formula:
-        parts = [self.parse_general_unary()]
-        while self.at("&"):
-            self.next()
-            parts.append(self.parse_general_unary())
+        parts = self.sep_by(self.parse_general_unary, "&")
         return parts[0] if len(parts) == 1 else GAnd(tuple(parts))
 
     def parse_general_unary(self) -> Formula:
@@ -287,17 +310,40 @@ class Parser:
             self.next()
             return Not(self.parse_general_unary())
         if self.at("("):
-            save = self.pos
+            # "(x" could have been the start of a term; a term never parses
+            # as a general formula, so this branch is unambiguous
             self.next()
             inner = self.parse_general()
             self.expect(")")
-            # "(x" could have been the start of a term; a term never parses
-            # as a general formula, so this branch is unambiguous
-            del save
             return inner
         if self.at("forall") or self.at("exists"):
             return self.parse_general()
         return self.parse_atom()
+
+    # -- sentences --------------------------------------------------------
+
+    def parse_sentence(self) -> Formula:
+        """A `<class>:` prefix and the formula of that class."""
+        t = self.next()
+        self.expect(":")
+        if t.text not in SENTENCE_CLASSES:
+            raise ParseError(f"unknown formula class {t.text!r}", t.line, t.col)
+        return getattr(self, SENTENCE_CLASSES[t.text])()
+
+    def parse_sentences(self) -> List[Formula]:
+        """Class-prefixed sentences separated by runs of `;`, up to (not
+        including) `}` or the end of input.  None at all is an empty list."""
+        out: List[Formula] = []
+        while True:
+            while self.at(";"):
+                self.next()
+            if self.at("}") or self.at_eof():
+                return out
+            if out and self.tokens[self.pos - 1].text != ";":
+                raise self.error(f"expected ';', found {self.peek().text!r}")
+            if not self.at_sentence():
+                raise self.error("expected a class-prefixed sentence")
+            out.append(self.parse_sentence())
 
 
 def parse_formula(
@@ -310,71 +356,28 @@ def parse_formula(
     term if it is one.
     """
     p = Parser(text, signature)
-    t = p.peek()
-    if t.kind == "name" and p.tokens[p.pos + 1].text == ":":
-        keyword = p.next().text
-        p.next()  # ":"
-        if keyword == "hinductive":
-            out: Formula = p.parse_hinductive()
-        elif keyword == "huniversal":
-            out = p.parse_huniversal()
-        elif keyword == "positive":
-            out = p.parse_posex()
-            _check_no_shape_violation(out)
-        elif keyword == "general":
-            out = p.parse_general()
-        else:
-            raise ParseError(f"unknown formula class {keyword!r}", t.line, t.col)
+    if p.peek().kind == "name" and p.tokens[1].text == ":":
+        out = p.parse_sentence()
         p.expect_eof()
         return out
     # unprefixed: try a positive formula, else a bare term
     try:
-        q = Parser(text, signature)
-        out = q.parse_posex()
-        q.expect_eof()
+        out = p.parse_posex()
+        p.expect_eof()
         return out
     except ParseError:
-        q = Parser(text, signature)
-        term = q.parse_term()
-        q.expect_eof()
+        p.pos = 0
+        p.bound.clear()
+        term = p.parse_term()
+        p.expect_eof()
         return term  # type: ignore[return-value]
-
-
-def _check_no_shape_violation(f: Formula) -> None:
-    # parse_posex only builds positive nodes, so nothing further to check;
-    # kept as the single seam where shape errors would be reported
-    if isinstance(f, (Not, Implies)):
-        raise FormulaError("negation/implication inside a positive formula")
 
 
 def parse_sentences(text: str, signature: Optional[Signature] = None) -> List[Formula]:
     """Parse a `;`-separated list of class-prefixed sentences."""
-    out: List[Formula] = []
-    toks = tokenize(text)
-    starts = []
-    for i, t in enumerate(toks):
-        if (
-            t.kind == "name"
-            and t.text in ("hinductive", "huniversal", "positive", "general")
-            and i + 1 < len(toks)
-            and toks[i + 1].text == ":"
-            and (i == 0 or toks[i - 1].text == ";")
-        ):
-            starts.append(i)
-    if not starts:
+    p = Parser(text, signature)
+    out = p.parse_sentences()
+    p.expect_eof()
+    if not out:
         raise ParseError("expected a class-prefixed sentence", 1, 1)
-    lines = text.split("\n")
-
-    def offset(tok: Token) -> int:
-        return sum(len(l) + 1 for l in lines[: tok.line - 1]) + tok.col - 1
-
-    pieces = []
-    for j, st in enumerate(starts):
-        begin = offset(toks[st])
-        end = offset(toks[starts[j + 1]]) if j + 1 < len(starts) else len(text)
-        piece = text[begin:end].rstrip()
-        piece = piece.rstrip(";").rstrip()
-        pieces.append(piece)
-    for piece in pieces:
-        out.append(parse_formula(piece, signature))
     return out

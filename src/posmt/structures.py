@@ -359,3 +359,21 @@ def disjoint_rename(
     ra = a.rename({e: prefix_a + e for e in a.universe})
     rb = b.rename({e: prefix_b + e for e in b.universe})
     return ra, rb
+
+
+class UnionFind:
+    """Path-halving union-find over hashable items (a scratch table for
+    quotients; unlike the structures above, it is mutated in place)."""
+
+    def __init__(self, items: Sequence):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y) -> None:
+        self.parent[self.find(x)] = self.find(y)

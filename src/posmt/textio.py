@@ -20,10 +20,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError, PosmtError, SignatureError, StructureError
-from .formulas import Formula, pp_formula
+from .errors import ParseError, StructureError
+from .formulas import pp_formula
 from .morphisms import Morphism, MorphismKind
-from .parser import Token, parse_sentences, tokenize
+from .parser import Parser
 from .structures import FiniteStructure, Signature
 from .theories import Budget, Theory, Verdict
 
@@ -78,106 +78,31 @@ class Workspace:
         return next(iter(self.signatures.values()))
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
-        self.lines = text.split("\n")
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
-
-    def eof(self) -> bool:
-        return self.peek().kind == "eof"
-
-    def error(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
-
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise self.error(f"expected {text!r}, found {self.peek().text!r}")
-        return self.next()
-
-    def expect_name(self) -> str:
-        t = self.peek()
-        if t.kind != "name":
-            raise self.error(f"expected a name, found {t.text!r}")
-        return self.next().text
-
-    def expect_number(self) -> int:
-        t = self.peek()
-        if t.kind != "number":
-            raise self.error(f"expected a number, found {t.text!r}")
-        return int(self.next().text)
-
-    def offset(self, tok: Token) -> int:
-        return sum(len(l) + 1 for l in self.lines[: tok.line - 1]) + tok.col - 1
-
-    def slice_block_body(self) -> str:
-        """Raw text from the current token up to (not including) the matching
-        closing '}' of the enclosing block; consumes the body tokens."""
-        start = self.offset(self.peek())
-        depth = 0
-        while not self.eof():
-            t = self.peek()
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                if depth == 0:
-                    break
-                depth -= 1
-            self.next()
-        end = self.offset(self.peek())
-        return self.text[start:end].strip()
+def _name_arity(p: Parser) -> Tuple[str, int]:
+    name = p.expect_name()
+    p.expect("/")
+    return name, p.expect_number()
 
 
-def _parse_name_arity_list(sc: _Scanner) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    while True:
-        name = sc.expect_name()
-        sc.expect("/")
-        out[name] = sc.expect_number()
-        if sc.at(","):
-            sc.next()
-            continue
-        break
-    return out
-
-
-def _parse_signature(sc: _Scanner, ws: Workspace) -> None:
-    name = sc.expect_name()
-    sc.expect("{")
+def _parse_signature(p: Parser, ws: Workspace) -> None:
+    name = p.expect_name()
+    p.expect("{")
     relations: Dict[str, int] = {}
     functions: Dict[str, int] = {}
     constants: List[str] = []
-    while not sc.at("}"):
-        key = sc.expect_name()
-        sc.expect(":")
+    while not p.at("}"):
+        key = p.expect_name()
+        p.expect(":")
         if key == "relations":
-            relations.update(_parse_name_arity_list(sc))
+            relations.update(p.sep_by(lambda: _name_arity(p), ","))
         elif key == "functions":
-            functions.update(_parse_name_arity_list(sc))
+            functions.update(p.sep_by(lambda: _name_arity(p), ","))
         elif key == "constants":
-            while True:
-                constants.append(sc.expect_name())
-                if sc.at(","):
-                    sc.next()
-                    continue
-                break
+            constants.extend(p.sep_by(p.expect_name, ","))
         else:
-            raise sc.error(f"unknown signature field {key!r}")
-        sc.expect(";")
-    sc.expect("}")
+            raise p.error(f"unknown signature field {key!r}")
+        p.expect(";")
+    p.expect("}")
     if name in ws.signatures:
         raise StructureError(f"duplicate signature name {name!r}")
     ws.signatures[name] = Signature.make(
@@ -185,69 +110,51 @@ def _parse_signature(sc: _Scanner, ws: Workspace) -> None:
     )
 
 
-def _parse_tuple(sc: _Scanner) -> Tuple[str, ...]:
-    sc.expect("(")
-    items = [sc.expect_name()]
-    while sc.at(","):
-        sc.next()
-        items.append(sc.expect_name())
-    sc.expect(")")
+def _parse_tuple(p: Parser) -> Tuple[str, ...]:
+    p.expect("(")
+    items = p.sep_by(p.expect_name, ",")
+    p.expect(")")
     return tuple(items)
 
 
-def _parse_structure(sc: _Scanner, ws: Workspace) -> None:
-    name = sc.expect_name()
-    sc.expect("over")
-    signame = sc.expect_name()
+def _function_cell(p: Parser, name: str, arity: int) -> Tuple[Tuple[str, ...], str]:
+    args = _parse_tuple(p) if p.at("(") else (p.expect_name(),)
+    if len(args) != arity:
+        raise p.error(f"arity mismatch for function {name!r}")
+    p.expect("->")
+    return args, p.expect_name()
+
+
+def _parse_structure(p: Parser, ws: Workspace) -> None:
+    name = p.expect_name()
+    p.expect("over")
+    signame = p.expect_name()
     sig = ws.signature(signame)
-    sc.expect("{")
+    p.expect("{")
     universe: Tuple[str, ...] = ()
     relations = {rn: set() for rn, _ in sig.relations}
     functions: Dict[str, Dict[Tuple[str, ...], str]] = {fn: {} for fn, _ in sig.functions}
     constants: Dict[str, str] = {}
-    rel_names = {rn for rn, _ in sig.relations}
-    func_names = {fn for fn, _ in sig.functions}
     func_arity = sig.function_arities
-    while not sc.at("}"):
-        key = sc.expect_name()
+    while not p.at("}"):
+        key = p.expect_name()
         if key == "universe":
-            sc.expect(":")
-            items = [sc.expect_name()]
-            while sc.at(","):
-                sc.next()
-                items.append(sc.expect_name())
-            universe = tuple(items)
-        elif key in rel_names:
-            sc.expect(":")
-            if not sc.at(";"):
-                while True:
-                    relations[key].add(_parse_tuple(sc))
-                    if sc.at(","):
-                        sc.next()
-                        continue
-                    break
-        elif key in func_names:
-            sc.expect(":")
-            while True:
-                if sc.at("("):
-                    args = _parse_tuple(sc)
-                else:
-                    args = (sc.expect_name(),)
-                if len(args) != func_arity[key]:
-                    raise sc.error(f"arity mismatch for function {key!r}")
-                sc.expect("->")
-                functions[key][args] = sc.expect_name()
-                if sc.at(","):
-                    sc.next()
-                    continue
-                break
+            p.expect(":")
+            universe = tuple(p.sep_by(p.expect_name, ","))
+        elif key in relations:
+            p.expect(":")
+            if not p.at(";"):
+                relations[key].update(p.sep_by(lambda: _parse_tuple(p), ","))
+        elif key in functions:
+            p.expect(":")
+            functions[key].update(p.sep_by(lambda: _function_cell(p, key, func_arity[key]), ","))
         elif key in sig.constants:
-            sc.expect("=")
-            constants[key] = sc.expect_name()
+            p.expect("=")
+            constants[key] = p.expect_name()
         else:
-            raise sc.error(f"{key!r} is not a symbol of signature {signame!r}")
-        sc.expect(";")
-    sc.expect("}")
+            raise p.error(f"{key!r} is not a symbol of signature {signame!r}")
+        p.expect(";")
+    p.expect("}")
     if name in ws.structures:
         raise StructureError(f"duplicate structure name {name!r}")
     ws.structures[name] = FiniteStructure(
@@ -256,29 +163,28 @@ def _parse_structure(sc: _Scanner, ws: Workspace) -> None:
     ws.structure_signame[name] = signame
 
 
-def _parse_morphism(sc: _Scanner, ws: Workspace) -> None:
-    name = sc.expect_name()
-    sc.expect("from")
-    src = sc.expect_name()
-    sc.expect("to")
-    tgt = sc.expect_name()
-    sc.expect("{")
+def _map_pair(p: Parser) -> Tuple[str, str]:
+    e = p.expect_name()
+    p.expect("->")
+    return e, p.expect_name()
+
+
+def _parse_morphism(p: Parser, ws: Workspace) -> None:
+    name = p.expect_name()
+    p.expect("from")
+    src = p.expect_name()
+    p.expect("to")
+    tgt = p.expect_name()
+    p.expect("{")
     mapping: Dict[str, str] = {}
-    while not sc.at("}"):
-        key = sc.expect_name()
+    while not p.at("}"):
+        key = p.expect_name()
         if key != "map":
-            raise sc.error(f"unknown morphism field {key!r}")
-        sc.expect(":")
-        while True:
-            e = sc.expect_name()
-            sc.expect("->")
-            mapping[e] = sc.expect_name()
-            if sc.at(","):
-                sc.next()
-                continue
-            break
-        sc.expect(";")
-    sc.expect("}")
+            raise p.error(f"unknown morphism field {key!r}")
+        p.expect(":")
+        mapping.update(p.sep_by(lambda: _map_pair(p), ","))
+        p.expect(";")
+    p.expect("}")
     source = ws.structure(src)
     target = ws.structure(tgt)
     missing = [e for e in source.universe if e not in mapping]
@@ -292,70 +198,66 @@ def _parse_morphism(sc: _Scanner, ws: Workspace) -> None:
     ws.morphisms[name] = Morphism(source, target, mapping)
 
 
-def _parse_theory(sc: _Scanner, ws: Workspace) -> None:
-    name = sc.expect_name()
-    if sc.at("over"):
-        sc.next()
-        sig = ws.signature(sc.expect_name())
+def _parse_theory(p: Parser, ws: Workspace) -> None:
+    name = p.expect_name()
+    if p.at("over"):
+        p.next()
+        sig = ws.signature(p.expect_name())
     else:
         sig = ws.only_signature()
-    sc.expect("{")
-    body = sc.slice_block_body()
-    sc.expect("}")
-    sentences: List[Formula] = parse_sentences(body, sig) if body else []
+    p.expect("{")
+    p.signature = sig
+    sentences = p.parse_sentences()
+    p.expect("}")
     if name in ws.theories:
         raise StructureError(f"duplicate theory name {name!r}")
     ws.theories[name] = Theory.make(sig, sentences, name)
 
 
-def _parse_amalgamation(sc: _Scanner, ws: Workspace) -> None:
-    name = sc.expect_name()
-    sc.expect("{")
+def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
+    name = p.expect_name()
+    p.expect("{")
     fields: Dict[str, object] = {
         "base": None, "left": None, "right": None, "kinds": None,
         "theory": None, "strong": False, "strict_strong": False, "budget": {},
     }
-    while not sc.at("}"):
-        key = sc.expect_name()
-        sc.expect(":")
+    while not p.at("}"):
+        key = p.expect_name()
+        p.expect(":")
         if key in ("base", "left", "right"):
-            fields[key] = sc.expect_name()
+            fields[key] = p.expect_name()
         elif key == "kinds":
-            sc.expect("[")
-            letters = [sc.expect_name()]
-            while sc.at(","):
-                sc.next()
-                letters.append(sc.expect_name())
-            sc.expect("]")
-            fields["kinds"] = "".join(letters)
+            p.expect("[")
+            fields["kinds"] = "".join(p.sep_by(p.expect_name, ","))
+            p.expect("]")
         elif key == "class":
-            what = sc.expect_name()
+            what = p.expect_name()
             if what == "theory":
-                fields["theory"] = sc.expect_name()
+                fields["theory"] = p.expect_name()
             elif what != "all":
-                raise sc.error("class must be `theory <name>` or `all`")
+                raise p.error("class must be `theory <name>` or `all`")
         elif key in ("strong", "strict"):
-            value = sc.expect_name()
+            value = p.expect_name()
             if value not in ("true", "false"):
-                raise sc.error("expected true or false")
+                raise p.error("expected true or false")
             fields["strict_strong" if key == "strict" else "strong"] = value == "true"
         elif key == "budget":
-            sc.expect("{")
+            p.expect("{")
             budget: Dict[str, int] = {}
-            while not sc.at("}"):
-                bkey = sc.expect_name()
-                sc.expect(":")
-                budget[bkey] = sc.expect_number()
-                sc.expect(";")
-            sc.expect("}")
+            while not p.at("}"):
+                bkey = p.expect_name()
+                p.expect(":")
+                budget[bkey] = p.expect_number()
+                p.expect(";")
+            p.expect("}")
             fields["budget"] = budget
         else:
-            raise sc.error(f"unknown amalgamation field {key!r}")
-        sc.expect(";")
-    sc.expect("}")
+            raise p.error(f"unknown amalgamation field {key!r}")
+        p.expect(";")
     for required in ("base", "left", "right", "kinds"):
         if fields[required] is None:
-            raise ParseError(f"amalgamation block misses {required!r}", 1, 1)
+            raise p.error(f"amalgamation block misses {required!r}")
+    p.expect("}")
     if name in ws.problems:
         raise StructureError(f"duplicate problem name {name!r}")
     ws.problems[name] = RawProblem(
@@ -374,15 +276,16 @@ BLOCK_PARSERS = {
 
 
 def load_workspace(texts: List[str], workspace: Optional[Workspace] = None) -> Workspace:
+    """Read every block of every text, each text from one token stream."""
     ws = workspace or Workspace()
     for text in texts:
-        sc = _Scanner(text)
-        while not sc.eof():
-            kw = sc.expect_name()
+        p = Parser(text)
+        while not p.at_eof():
+            t = p.peek()
+            kw = p.expect_name()
             if kw not in BLOCK_PARSERS:
-                raise ParseError(f"unknown block kind {kw!r}", sc.tokens[sc.pos - 1].line,
-                                 sc.tokens[sc.pos - 1].col)
-            BLOCK_PARSERS[kw](sc, ws)
+                raise ParseError(f"unknown block kind {kw!r}", t.line, t.col)
+            BLOCK_PARSERS[kw](p, ws)
     return ws
 
 

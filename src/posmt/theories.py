@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from . import corpus
 from .errors import FormulaError, SignatureError, StructureError
 from .formulas import (
     App, Const, EqAtom, Formula, HInductiveSentence, HUniversalSentence,
-    Implication, Not, PosEx, RelAtom, as_implications, classify_sentence,
+    Implication, PosEx, RelAtom, as_implications, classify_sentence,
     eval_formula, pp_formula,
 )
 from .finder import find_models, models_up_to_size
-from .morphisms import Morphism, is_immersion, retraction, search_homs
-from .structures import FiniteStructure, Signature, disjoint_rename, element_names
+from .morphisms import Morphism, is_immersion, search_homs
+from .structures import FiniteStructure, Signature, UnionFind, disjoint_rename, element_names
 
 
 @dataclass(frozen=True)
@@ -284,18 +284,8 @@ def _ground_refutation(sig: Signature, implications: Sequence[Implication]) -> O
     def ground_const(t) -> Optional[str]:
         return t.name if isinstance(t, Const) else None
 
-    # union-find over constants
-    parent = {c: c for c in sig.constants}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: str, y: str) -> None:
-        parent[find(x)] = find(y)
-
+    uf = UnionFind(sig.constants)
+    find, union = uf.find, uf.union
     facts: Set[Tuple[str, Tuple[str, ...]]] = set()
     forbidden: List[Tuple] = []  # ("rel", name, consts) or ("eq", c1, c2)
     for imp in implications:
@@ -500,13 +490,15 @@ def kaiser_hull_bounded(t: Theory, b: Budget) -> Tuple[DiagramSet, DiagramSet]:
     """The bounded Kaiser hull T_k(T) (h-inductive sentences of size <= k
     true in every bounded-pc model), together with the bounded T_u(T)."""
     pool = corpus.atom_pool(t.signature, b.k)
+    hull_set = kaiser_hull_set(t, b)
+    tu_set = tu_of_theory_set(t, b)
     hull = tuple(
         HInductiveSentence((imp.to_implication(pool),))
         for imp in corpus.implication_corpus(t.signature, b.k)
-        if imp in kaiser_hull_set(t, b)
+        if imp in hull_set
     )
     tu = tuple(
-        c.negation(pool) for c in corpus.cq_corpus(t.signature, b.k) if c in tu_of_theory_set(t, b)
+        c.negation(pool) for c in corpus.cq_corpus(t.signature, b.k) if c in tu_set
     )
     return (
         DiagramSet("Tk", t.signature, hull, b.k),

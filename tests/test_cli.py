@@ -60,6 +60,35 @@ def test_check_parse_error(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
+def test_check_rejects_unprefixed_theory_sentence(tmp_path, capsys):
+    # a sentence without a class prefix is an error, not silently dropped
+    bad = tmp_path / "bad.posmt"
+    bad.write_text("signature S { relations: le/2; }\n"
+                   "theory T over S { le(x,x) & nonsense(y);"
+                   " hinductive: forall x. true -> le(x,x); }\n")
+    assert main(["check", str(bad)]) == 2
+    assert "OK theory T" not in capsys.readouterr().out
+
+
+def test_theory_parse_error_reports_file_position(tmp_path, capsys):
+    bad = tmp_path / "bad.posmt"
+    bad.write_text("signature S { relations: le/2; }\n"
+                   "theory T over S {\n"
+                   "  hinductive: forall x. true -> le(x,x);\n"
+                   "  positive: exists x. le(x,;\n"
+                   "}\n")
+    assert main(["check", str(bad)]) == 2
+    assert "parse error: 4:28:" in capsys.readouterr().err
+
+
+def test_amalgamation_missing_field_reports_block_end(tmp_path, capsys):
+    bad = tmp_path / "bad.posmt"
+    bad.write_text(DATA + "\namalgamation half {\n  base: point; left: inc; right: leg2;\n}\n")
+    assert main(["check", str(bad)]) == 2
+    end_line = len(DATA.split("\n")) + 3
+    assert f"parse error: {end_line}:1: amalgamation block misses 'kinds'" in capsys.readouterr().err
+
+
 def test_check_semantic_error(tmp_path, capsys):
     bad = tmp_path / "bad.posmt"
     bad.write_text("signature S { relations: le/2; }\n"

@@ -11,6 +11,7 @@ from posmt.formulas import (
     eval_formula, pp_formula,
 )
 from posmt.parser import parse_formula, parse_sentences
+from posmt.textio import load_workspace
 
 from conftest import SIG_LE
 
@@ -62,6 +63,28 @@ def test_parse_print_round_trip_huniversal(p):
     assert parse_formula(pp_formula(s), SIG_LE) == s
 
 
+# hypothesis: a theory block reads the same sentences as parse_formula
+
+closed_posexes = matrices.map(lambda m: PosEx(VARS, m))
+sentences = st.one_of(
+    closed_posexes,
+    closed_posexes.map(HUniversalSentence),
+    st.lists(
+        st.builds(Implication, st.just(VARS), posexes, posexes), min_size=1, max_size=3
+    ).map(lambda cs: HInductiveSentence(tuple(cs))),
+)
+
+
+@given(st.lists(sentences, max_size=4), st.booleans())
+@settings(max_examples=100)
+def test_theory_block_parses_like_parse_formula(sents, final_semicolon):
+    texts = [pp_formula(s) for s in sents]
+    body = ";\n  ".join(texts) + (";" if final_semicolon and texts else "")
+    ws = load_workspace([f"signature S {{ relations: le/2; }}\ntheory T over S {{\n  {body}\n}}\n"])
+    read = [ts.sentence for ts in ws.theory("T").sentences]
+    assert read == [parse_formula(t, SIG_LE) for t in texts] == sents
+
+
 # ---------------------------------------------------------------------------
 # parser details
 
@@ -90,6 +113,30 @@ def test_parse_sentences_splits_on_class_keywords():
     assert len(out) == 2
     assert isinstance(out[0], HInductiveSentence)
     assert isinstance(out[1], PosEx)
+
+
+def test_theory_block_loose_input():
+    ws = load_workspace([
+        "signature S { relations: le/2; }\n"
+        "theory E over S { }\n"
+        "theory P over S { hinductive: forall x. (true) -> (le(x,x)) }\n"
+        "theory R over S { ; positive: exists x. le(x,x);; hinductive: true -> true;\n"
+        "  forall x. true -> le(x,x);; }\n"
+    ])
+    assert ws.theory("E").sentences == ()
+    assert len(ws.theory("P").sentences) == 1
+    assert [len(ts.implications()) for ts in ws.theory("R").sentences] == [1, 2]
+    with pytest.raises(ParseError):
+        parse_sentences("", SIG_LE)
+
+
+def test_theory_sentences_need_separators():
+    with pytest.raises(ParseError) as exc:
+        load_workspace([
+            "signature S { relations: le/2; }\n"
+            "theory T over S {\n  positive: exists x. le(x,x)\n  positive: true;\n}\n"
+        ])
+    assert (exc.value.line, exc.value.column) == (4, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,25 @@ def test_kaiser_hull_contains_reflexivity(t_pos):
     )
 
 
+def test_kaiser_hull_computes_each_fragment_once(t_pos, monkeypatch):
+    # one kaiser_hull_set (models once, then once per pc check) and one
+    # tu_of_theory_set (models once), not one of each per corpus entry
+    from posmt import theories
+
+    b = Budget(n=2, N=2, k=2)
+    bound = len(models(t_pos, b)) + 2
+    real = theories.models
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(theories, "models", counting)
+    kaiser_hull_bounded(t_pos, b)
+    assert len(calls) <= bound
+
+
 def test_kaiser_hull_self_consistency():
     t = make_theory(SIG_F, "positive: exists x. f(x) = x;", "T_fix")
     b = Budget(n=2, N=2, k=2)
