@@ -254,20 +254,23 @@ def models_up_to_size(
     node_cap: Optional[int] = None,
     up_to_iso: bool = True,
 ) -> List[FiniteStructure]:
-    """Models with |universe| <= max_size, one per isomorphism class when
-    up_to_iso, sorted by (size, canonical key)."""
+    """Models with |universe| <= max_size, the first found of each
+    isomorphism class when up_to_iso, sorted stably by (size, canonical
+    key).  The models are grouped by `class_key`, so the canonical key is
+    computed once per class."""
     names = element_names(max_size)
     out: List[FiniteStructure] = []
     for size in range(1, max_size + 1):
         universe = names[:size]
-        seen = set()
+        canonical = {}
         keyed = []
         for st in find_models(sig, universe, implications, node_cap=node_cap):
-            ck = st.canonical_key()
-            if up_to_iso:
-                if ck in seen:
-                    continue
-                seen.add(ck)
+            cls = st.class_key()
+            ck = canonical.get(cls)
+            if ck is None:
+                ck = canonical[cls] = st.canonical_key()
+            elif up_to_iso:
+                continue
             keyed.append((ck, st))
         keyed.sort(key=lambda kv: kv[0])
         out.extend(st for _, st in keyed)

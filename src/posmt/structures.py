@@ -190,6 +190,55 @@ class FiniteStructure:
                 best = enc
         return best
 
+    def class_key(self):
+        """Complete isomorphism invariant: over one signature, equal exactly
+        for isomorphic structures.  Cheaper than `canonical_key`, whose
+        order it does not share.
+
+        Every fact is a tuple of element indices: a relation tuple, a
+        function entry (the arguments, then the value) or a constant's
+        element.  The elements are coloured by iterated refinement over the
+        facts, each colour ranked by value, so the ordered partition is
+        iso-invariant.  The key is the size and the least encoding, one
+        bitmask per symbol, over the relabellings that map each colour cell
+        onto its own block of positions.
+        """
+        n = len(self.universe)
+        index = {e: i for i, e in enumerate(self.universe)}.__getitem__
+        sig = self.signature
+        facts = [
+            [tuple(map(index, t)) for t in self.rel(name)] for name, _ in sig.relations
+        ]
+        facts += [
+            [tuple(map(index, args)) + (index(v),) for args, v in self.functions[name].items()]
+            for name, _ in sig.functions
+        ]
+        facts += [[(index(self.constants[c]),)] for c in sig.constants]
+        colour = _refine(n, facts)
+        cells = [[] for _ in range(max(colour) + 1)]
+        for e, c in enumerate(colour):
+            cells[c].append(e)
+        best = None
+        for blocks in itertools.product(*map(itertools.permutations, cells)):
+            pos = [0] * n
+            i = 0
+            for block in blocks:
+                for e in block:
+                    pos[e] = i
+                    i += 1
+            enc = []
+            for tuples in facts:
+                mask = 0
+                for t in tuples:
+                    code = 0
+                    for e in t:
+                        code = code * n + pos[e]
+                    mask |= 1 << code
+                enc.append(mask)
+            if best is None or enc < best:
+                best = enc
+        return (n, *best)
+
     def rename(self, mapping: Mapping[str, str]) -> "FiniteStructure":
         """Relabel elements injectively."""
         if len(set(mapping.values())) != len(self.universe):
@@ -210,6 +259,29 @@ class FiniteStructure:
             },
             constants={c: mapping[e] for c, e in self.constants.items()},
         )
+
+
+def _refine(n: int, facts) -> list:
+    """Colour rank of each element index, refined until stable: an
+    element's next colour ranks its colour with the sorted (position,
+    symbol, colours of the fact) of every fact it occurs in."""
+    colour = [0] * n
+    cells = 1
+    while cells < n:
+        occurs = [[] for _ in range(n)]
+        for s, tuples in enumerate(facts):
+            for t in tuples:
+                cols = (s, *[colour[e] for e in t])
+                for p, e in enumerate(t):
+                    occurs[e].append((p, cols))
+        keys = [(c, *sorted(o)) for c, o in zip(colour, occurs)]
+        ranked = sorted(set(keys))
+        if len(ranked) == cells:
+            break
+        rank = {k: r for r, k in enumerate(ranked)}
+        colour = [rank[k] for k in keys]
+        cells = len(ranked)
+    return colour
 
 
 def induced_substructure(s: FiniteStructure, subset: Sequence[str]) -> FiniteStructure:
@@ -281,8 +353,8 @@ def enumerate_structures(
 ) -> Iterator[FiniteStructure]:
     """All structures with |universe| <= max_size, in deterministic order.
 
-    With up_to_iso, one representative per isomorphism class (canonical-form
-    deduplication; exact, intended for size <= 6).  Raises BudgetExceeded
+    With up_to_iso, the first structure of each isomorphism class (exact
+    deduplication by `class_key`).  Raises BudgetExceeded
     when more than `cap` structures would be yielded.
     """
     if max_size < 1:
@@ -294,7 +366,7 @@ def enumerate_structures(
         seen = set()
         for st in _raw_structures(sig, universe):
             if up_to_iso:
-                ck = st.canonical_key()
+                ck = st.class_key()
                 if ck in seen:
                     continue
                 seen.add(ck)
@@ -349,7 +421,7 @@ def _raw_structures(sig: Signature, universe: Tuple[str, ...]) -> Iterator[Finit
 def are_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
     if a.signature != b.signature or a.size() != b.size():
         return False
-    return a.canonical_key() == b.canonical_key()
+    return a.class_key() == b.class_key()
 
 
 def disjoint_rename(

@@ -6,9 +6,12 @@ import pytest
 
 from posmt import corpus
 from posmt.errors import SignatureError
+from posmt.finder import find_models, models_up_to_size
 from posmt.formulas import HUniversalSentence
 from posmt.morphisms import Morphism, search_homs
-from posmt.structures import FiniteStructure, Signature, enumerate_structures
+from posmt.structures import (
+    ELEMENT_NAMES, FiniteStructure, Signature, enumerate_structures,
+)
 from posmt.theories import (
     Budget, Theory, bounded_pc_models, companion_check_bounded, diagram,
     diag_plus_star_set, expand_with_constants, is_T_complete_pair,
@@ -50,6 +53,41 @@ def test_models_agree_with_enumeration_filter(t_pos):
     assert sorted(filtered) == sorted(
         s.canonical_key() for s in models(t_pos, Budget(n=2))
     )
+
+
+def test_models_key_each_class_once(t_pos, monkeypatch):
+    # 242 labelled posets of size <= 4 in 1 + 2 + 5 + 16 classes: the least
+    # relabelling is computed once per class, not once per labelled model
+    assert len(models(t_pos, Budget(n=4), up_to_iso=False)) == 242
+    real = FiniteStructure.canonical_key
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FiniteStructure, "canonical_key", counting)
+    assert len(models(t_pos, Budget(n=4))) == 24
+    assert len(calls) == 24
+
+
+@pytest.mark.parametrize("up_to_iso", [True, False])
+def test_models_order_is_first_found_by_canonical_key(t_pos, up_to_iso):
+    # reference: key every labelled model by its own least relabelling,
+    # keep the first of each class, sort stably by (size, canonical key)
+    expected = []
+    for size in range(1, 5):
+        keyed, seen = [], set()
+        for st in find_models(SIG_LE, ELEMENT_NAMES[:size], t_pos.implications()):
+            ck = st.canonical_key()
+            if up_to_iso and ck in seen:
+                continue
+            seen.add(ck)
+            keyed.append((ck, st))
+        keyed.sort(key=lambda kv: kv[0])
+        expected += [st for _, st in keyed]
+    got = models_up_to_size(SIG_LE, t_pos.implications(), 4, up_to_iso=up_to_iso)
+    assert [st.key() for st in got] == [st.key() for st in expected]
 
 
 # ---------------------------------------------------------------------------
