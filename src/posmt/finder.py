@@ -1,150 +1,213 @@
 """Bounded model search for h-inductive sentences.
 
-A DFS over interpretation cells (constants, function entries, relation
-entries) with three-valued evaluation of the ground instances of the
-sentences: any instance that is definitely false prunes the branch.
-Supports a frozen partial seed (used for quotient completion and
-joint-consistency candidates).
+A DFS over interpretation cells: the unseeded constants, then the function
+entries (higher arity first), then the relation entries, each tried in
+universe order (relations false before true).  Every cell has a slot in
+one flat value list, `None` while unassigned; elements are their indices
+in the universe.
+
+Each implication is compiled once per search into closures over
+`(env, val)`: `env` holds the element indices of the variable slots
+(universal, then existential) and `val` is the value list.  The closures
+evaluate three-valued, with `None` for unknown.  A ground instance is the
+implication's status closure with one `env`, and it watches a static
+superset of the cells it can read: the exact cell where a symbol is
+applied to variables only, every cell of the symbol where a constant or a
+function term is an argument.  Assigning a cell re-checks only the
+still-unknown instances that watch it.  One that is definitely false
+prunes the branch; one that is definitely true stays marked satisfied
+until the DFS backtracks past that assignment.  Supports a frozen partial
+seed (used for quotient completion and joint-consistency candidates).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, FormulaError
 from .formulas import (
-    And, Const, EqAtom, Falsum, Implication, Or, PosEx, PosQF, RelAtom, Term,
-    Truth, Var,
+    FALSE_POSEX, TRUE_POSEX, And, Const, EqAtom, Falsum, Implication, Or, PosEx,
+    PosQF, RelAtom, Term, Truth, Var,
 )
 from .structures import FiniteStructure, Signature, element_names
 
-UNKNOWN = "unknown"
+# A compiled formula or term: (env, val) -> value, None while unknown.
+_Eval = Callable[[Tuple[int, ...], List], object]
 
 
-class _Partial:
-    """Mutable partial interpretation over a fixed universe."""
+class _Cells:
+    """Cell numbering of a signature over n elements: the constants, then
+    each function's entries, then each relation's entries, a symbol's
+    entries in `itertools.product` order of their arguments."""
 
-    def __init__(self, sig: Signature, universe: Tuple[str, ...]):
-        self.sig = sig
-        self.universe = universe
-        self.rel: Dict[Tuple[str, Tuple[str, ...]], Optional[bool]] = {}
-        self.func: Dict[Tuple[str, Tuple[str, ...]], Optional[str]] = {}
-        self.const: Dict[str, Optional[str]] = {}
-        for name, arity in sig.relations:
-            for tup in itertools.product(universe, repeat=arity):
-                self.rel[(name, tup)] = None
-        for name, arity in sig.functions:
-            for args in itertools.product(universe, repeat=arity):
-                self.func[(name, args)] = None
-        for c in sig.constants:
-            self.const[c] = None
-
-    def to_structure(self) -> FiniteStructure:
-        relations = {
-            name: frozenset(t for (n, t), v in self.rel.items() if n == name and v)
-            for name, _ in self.sig.relations
-        }
-        functions: Dict[str, Dict[Tuple[str, ...], str]] = {}
-        for (name, args), val in self.func.items():
-            assert val is not None
-            functions.setdefault(name, {})[args] = val
-        for name, _ in self.sig.functions:
-            functions.setdefault(name, {})
-        constants = {}
-        for c, v in self.const.items():
-            assert v is not None
-            constants[c] = v
-        return FiniteStructure(self.sig, self.universe, relations, functions, constants)
+    def __init__(self, sig: Signature, n: int):
+        self.n = n
+        self.const = {c: i for i, c in enumerate(sig.constants)}
+        self.block: Dict[str, Tuple[int, int]] = {}  # symbol -> (first cell, arity)
+        size = len(sig.constants)
+        for name, arity in sig.functions + sig.relations:
+            self.block[name] = (size, arity)
+            size += n ** arity
+        self.size = size
 
 
-def _eval3_term(ps: _Partial, t: Term, env: Mapping[str, str]) -> Optional[str]:
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Const):
-        return ps.const[t.name]
-    vals = []
-    for a in t.args:
-        v = _eval3_term(ps, a, env)
-        if v is None:
-            return None
-        vals.append(v)
-    return ps.func[(t.func, tuple(vals))]
+class _Compiler:
+    """Compiles the premise and conclusion of one implication, collecting
+    the cells they can read: `static` cells, read by every ground instance,
+    and `reads` patterns for a symbol applied to variables.  A pattern
+    (first cell, universal (slot, multiplier) pairs, offsets) reads the
+    cells first + sum(env[slot] * multiplier) + offset, one offset per
+    value of the existential variables among the arguments."""
+
+    def __init__(self, cells: _Cells, imp: Implication):
+        self.cells = cells
+        self.nvars = len(imp.vars)
+        self.universal = {v: i for i, v in enumerate(imp.vars)}
+        self.slots = self.universal  # the slots in scope
+        self.exts: List[Tuple[int, ...]] = [()]  # values of the existential slots
+        self.static: Set[int] = set()
+        self.reads: List[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, ...]]] = []
+
+    def posex(self, f: PosEx) -> _Eval:
+        self.slots = dict(self.universal)
+        self.slots.update((v, self.nvars + i) for i, v in enumerate(f.vars))
+        exts = self.exts = list(itertools.product(range(self.cells.n), repeat=len(f.vars)))
+        matrix = self.qf(f.matrix)
+        if not f.vars:
+            return matrix
+
+        def exists(env, val):
+            result = False
+            for e in exts:
+                v = matrix(env + e, val)
+                if v is True:
+                    return True
+                if v is None:
+                    result = None
+            return result
+        return exists
+
+    def qf(self, f: PosQF) -> _Eval:
+        if isinstance(f, Truth):
+            return lambda env, val: True
+        if isinstance(f, Falsum):
+            return lambda env, val: False
+        if isinstance(f, EqAtom):
+            if isinstance(f.left, Var) and isinstance(f.right, Var):
+                s, u = self.slots[f.left.name], self.slots[f.right.name]
+                return lambda env, val: env[s] == env[u]
+            left, right = self.term(f.left), self.term(f.right)
+
+            def eq(env, val):
+                a = left(env, val)
+                if a is None:
+                    return None
+                b = right(env, val)
+                if b is None:
+                    return None
+                return a == b
+            return eq
+        if isinstance(f, RelAtom):
+            return self.entry(f.name, f.args)
+        if isinstance(f, (And, Or)):
+            parts = [self.qf(p) for p in f.parts]
+            stop, rest = (False, True) if isinstance(f, And) else (True, False)
+            if len(parts) == 2:
+                first, second = parts
+
+                def pair(env, val):
+                    u = first(env, val)
+                    if u is stop:
+                        return stop
+                    v = second(env, val)
+                    if v is stop:
+                        return stop
+                    return None if u is None or v is None else rest
+                return pair
+
+            def junction(env, val):
+                result = rest
+                for p in parts:
+                    v = p(env, val)
+                    if v is stop:
+                        return stop
+                    if v is None:
+                        result = None
+                return result
+            return junction
+        raise TypeError(f"not a positive quantifier-free formula: {f!r}")
+
+    def term(self, t: Term) -> _Eval:
+        if isinstance(t, Var):
+            s = self.slots[t.name]
+            return lambda env, val: env[s]
+        if isinstance(t, Const):
+            c = self.cells.const[t.name]
+            self.static.add(c)
+            return lambda env, val: val[c]
+        return self.entry(t.func, t.args)
+
+    def entry(self, name: str, args: Tuple[Term, ...]) -> _Eval:
+        """The value of the cell of `name` at `args`: a function entry or
+        a relation's truth value."""
+        first, arity = self.cells.block[name]
+        n = self.cells.n
+        if len(args) != arity:
+            raise FormulaError(f"arity mismatch for {name}")
+        if all(isinstance(a, Var) for a in args):
+            ss = tuple(self.slots[a.name] for a in args)
+            pairs = [(s, n ** (arity - 1 - i)) for i, s in enumerate(ss)]
+            k = self.nvars
+            ex = [(s - k, m) for s, m in pairs if s >= k]
+            offsets = {sum(e[s] * m for s, m in ex) for e in self.exts} if ex else {0}
+            self.reads.append((first, tuple((s, m) for s, m in pairs if s < k), tuple(sorted(offsets))))
+            if arity == 1:
+                (s,) = ss
+                return lambda env, val: val[first + env[s]]
+            if arity == 2:
+                s, u = ss
+                return lambda env, val: val[first + env[s] * n + env[u]]
+        else:
+            self.static.update(range(first, first + n ** arity))
+        subs = [self.term(a) for a in args]
+
+        def apply(env, val):
+            i = 0
+            for sub in subs:
+                v = sub(env, val)
+                if v is None:
+                    return None
+                i = i * n + v
+            return val[first + i]
+        return apply
 
 
-def _eval3_qf(ps: _Partial, f: PosQF, env: Mapping[str, str]):
-    if isinstance(f, Truth):
-        return True
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, EqAtom):
-        lv = _eval3_term(ps, f.left, env)
-        rv = _eval3_term(ps, f.right, env)
-        if lv is None or rv is None:
-            return UNKNOWN
-        return lv == rv
-    if isinstance(f, RelAtom):
-        vals = []
-        for a in f.args:
-            v = _eval3_term(ps, a, env)
-            if v is None:
-                return UNKNOWN
-            vals.append(v)
-        v = ps.rel[(f.name, tuple(vals))]
-        return UNKNOWN if v is None else v
-    if isinstance(f, And):
-        result = True
-        for p in f.parts:
-            v = _eval3_qf(ps, p, env)
-            if v is False:
-                return False
-            if v is UNKNOWN:
-                result = UNKNOWN
-        return result
-    if isinstance(f, Or):
-        result = False
-        for p in f.parts:
-            v = _eval3_qf(ps, p, env)
-            if v is True:
-                return True
-            if v is UNKNOWN:
-                result = UNKNOWN
-        return result
-    raise TypeError(f"not a positive quantifier-free formula: {f!r}")
+def _compile(cells: _Cells, imp: Implication):
+    """The status closure of `imp` (True once satisfied, False once
+    violated, None while unknown) and its compiler's read sets."""
+    comp = _Compiler(cells, imp)
+    premise = comp.posex(imp.premise)
+    conclusion = comp.posex(imp.conclusion)
+    if imp.premise == TRUE_POSEX:
+        return conclusion, comp
+    if imp.conclusion == FALSE_POSEX:
+        def refuted(env, val):
+            p = premise(env, val)
+            return None if p is None else not p
+        return refuted, comp
 
-
-def _eval3_posex(ps: _Partial, f: PosEx, env: Mapping[str, str]):
-    if not f.vars:
-        return _eval3_qf(ps, f.matrix, env)
-    result = False
-    for vals in itertools.product(ps.universe, repeat=len(f.vars)):
-        e2 = dict(env)
-        e2.update(zip(f.vars, vals))
-        v = _eval3_qf(ps, f.matrix, e2)
-        if v is True:
-            return True
-        if v is UNKNOWN:
-            result = UNKNOWN
-    return result
-
-
-@dataclass
-class _Instance:
-    premise: PosEx
-    conclusion: PosEx
-    env: Dict[str, str]
-
-    def status(self, ps: _Partial):
-        p = _eval3_posex(ps, self.premise, self.env)
+    def status(env, val):
+        p = premise(env, val)
         if p is False:
             return True
-        c = _eval3_posex(ps, self.conclusion, self.env)
+        c = conclusion(env, val)
         if c is True:
             return True
         if p is True and c is False:
             return False
-        return UNKNOWN
+        return None
+    return status, comp
 
 
 def find_models(
@@ -164,87 +227,125 @@ def find_models(
     constants are fixed.  Deterministic order; raises BudgetExceeded past
     node_cap assignments.
     """
-    ps = _Partial(sig, universe)
-    cells: List[Tuple] = []
+    n = len(universe)
+    cells = _Cells(sig, n)
+    index = {e: i for i, e in enumerate(universe)}
+    val: List = [None] * cells.size
+    order: List[int] = []
     for c in sig.constants:
         if seed_constants and c in seed_constants:
-            ps.const[c] = seed_constants[c]
+            val[cells.const[c]] = index[seed_constants[c]]
         else:
-            cells.append(("const", c))
+            order.append(cells.const[c])
     # higher-arity functions first: their cells feed more constraints, so
     # pruning kicks in earlier (e.g. group mul before inv)
     for name, arity in sorted(sig.functions, key=lambda fa: (-fa[1], fa[0])):
         seeded = (seed_functions or {}).get(name, {})
-        for args in itertools.product(universe, repeat=arity):
+        first = cells.block[name][0]
+        for i, args in enumerate(itertools.product(universe, repeat=arity)):
             if args in seeded:
-                ps.func[(name, args)] = seeded[args]
+                val[first + i] = index[seeded[args]]
             else:
-                cells.append(("func", name, args))
+                order.append(first + i)
+    elements = tuple(range(n))
+    domains = [elements] * len(order)
     for name, arity in sig.relations:
         seeded_tuples = set(map(tuple, (seed_true_relations or {}).get(name, ())))
-        for tup in itertools.product(universe, repeat=arity):
+        first = cells.block[name][0]
+        for i, tup in enumerate(itertools.product(universe, repeat=arity)):
             if tup in seeded_tuples:
-                ps.rel[(name, tup)] = True
+                val[first + i] = True
             elif freeze_relations:
-                ps.rel[(name, tup)] = False
+                val[first + i] = False
             else:
-                cells.append(("rel", name, tup))
+                order.append(first + i)
+                domains.append((False, True))
 
-    instances: List[_Instance] = []
+    free = [False] * cells.size
+    for c in order:
+        free[c] = True
+    watch: List[List] = [[] for _ in range(cells.size)]
+    count = 0
     for imp in implications:
-        for vals in itertools.product(universe, repeat=len(imp.vars)):
-            instances.append(_Instance(imp.premise, imp.conclusion, dict(zip(imp.vars, vals))))
-
-    nodes = 0
-
-    def check(active: List[int]):
-        """Returns (pruned, still_active)."""
-        still = []
-        for idx in active:
-            st = instances[idx].status(ps)
+        status, comp = _compile(cells, imp)
+        static = [c for c in comp.static if free[c]]
+        for env in itertools.product(elements, repeat=len(imp.vars)):
+            st = status(env, val)
             if st is False:
-                return True, still
-            if st is UNKNOWN:
-                still.append(idx)
-        return False, still
+                return
+            if st is True:
+                continue
+            read = set(static)
+            for first, univ, offsets in comp.reads:
+                for s, m in univ:
+                    first += env[s] * m
+                for o in offsets:
+                    if free[first + o]:
+                        read.add(first + o)
+            entry = (count, status, env)
+            count += 1
+            for c in read:
+                watch[c].append(entry)
 
-    def dfs(i: int, active: List[int]) -> Iterator[FiniteStructure]:
-        nonlocal nodes
-        if i == len(cells):
-            if not active:
-                yield ps.to_structure()
-            else:
-                # all cells assigned: statuses must be definite
-                if all(instances[idx].status(ps) is True for idx in active):
-                    yield ps.to_structure()
-            return
-        cell = cells[i]
-        if cell[0] == "rel":
-            domain: Sequence = (False, True)
+    entries = {}
+    for name, arity in sig.functions + sig.relations:
+        first = cells.block[name][0]
+        entries[name] = list(enumerate(itertools.product(universe, repeat=arity), first))
+
+    def structure() -> FiniteStructure:
+        return FiniteStructure(
+            sig, universe,
+            {name: frozenset(t for c, t in entries[name] if val[c]) for name, _ in sig.relations},
+            {name: {args: universe[val[c]] for c, args in entries[name]} for name, _ in sig.functions},
+            {c: universe[val[cells.const[c]]] for c in sig.constants},
+        )
+
+    depth = len(order)
+    if not depth:
+        yield structure()
+        return
+    done = [False] * count  # instances satisfied by the current assignment
+    trail: List[int] = []  # satisfied instances, in the order they were marked
+    mark = [0] * depth  # trail length on entering each level
+    tried = [0] * depth  # values tried at each level
+    nodes = 0
+    i = 0
+    while True:
+        m = mark[i]
+        if len(trail) > m:
+            for j in trail[m:]:
+                done[j] = False
+            del trail[m:]
+        c = order[i]
+        domain = domains[i]
+        k = tried[i]
+        if k == len(domain):
+            val[c] = None
+            if not i:
+                return
+            i -= 1
+            continue
+        tried[i] = k + 1
+        nodes += 1
+        if node_cap is not None and nodes > node_cap:
+            raise BudgetExceeded(f"model search exceeded node cap {node_cap}")
+        val[c] = domain[k]
+        for j, status, env in watch[c]:
+            if not done[j]:
+                st = status(env, val)
+                if st is None:
+                    continue
+                if st is False:
+                    break
+                done[j] = True
+                trail.append(j)
         else:
-            domain = universe
-        for value in domain:
-            nodes += 1
-            if node_cap is not None and nodes > node_cap:
-                raise BudgetExceeded(f"model search exceeded node cap {node_cap}")
-            _set(ps, cell, value)
-            pruned, still = check(active)
-            if not pruned:
-                yield from dfs(i + 1, still)
-            _set(ps, cell, None)
-
-    pruned, active = check(list(range(len(instances))))
-    if not pruned:
-        yield from dfs(0, active)
-
-
-def _set(ps: _Partial, cell: Tuple, value) -> None:
-    if cell[0] == "const":
-        ps.const[cell[1]] = value
-    elif cell[0] == "func":
-        ps.func[(cell[1], cell[2])] = value
-    else:
-        ps.rel[(cell[1], cell[2])] = value
+            if i + 1 == depth:
+                yield structure()
+            else:
+                i += 1
+                tried[i] = 0
+                mark[i] = len(trail)
 
 
 def models_up_to_size(

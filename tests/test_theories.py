@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posmt import corpus
-from posmt.errors import SignatureError
+from posmt.errors import BudgetExceeded, SignatureError
 from posmt.finder import find_models, models_up_to_size
-from posmt.formulas import HUniversalSentence
+from posmt.formulas import (
+    And, App, Const, EqAtom, Falsum, HInductiveSentence, HUniversalSentence,
+    Implication, Or, PosEx, RelAtom, Truth, Var,
+)
 from posmt.morphisms import Morphism, search_homs
 from posmt.structures import (
     ELEMENT_NAMES, FiniteStructure, Signature, enumerate_structures,
@@ -20,7 +26,10 @@ from posmt.theories import (
     theory_from_diagram, tu_star_set, tu_ti_extremality_check,
 )
 
-from conftest import SIG_F, SIG_LE, make_theory
+from posmt.textio import load_workspace
+
+from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory
+from oracles import find_models_reference
 
 SMALL = Budget(n=2, N=2, k=2)
 
@@ -342,3 +351,187 @@ def test_remark_e_tu_star_inclusion_gives_jc(chain2, antichain2, point):
                 [da, db], Budget(n=2, N=n_bound, k=k, node_cap=10**7)
             )
             assert v.is_yes
+
+
+# ---------------------------------------------------------------------------
+# find_models against the tree-walking reference search and brute force
+
+def assert_matches_reference(sig, universe, implications, **seeds):
+    """find_models yields the reference's labelled models in its order and
+    spends the same number of nodes: it finishes within that many and
+    raises BudgetExceeded one node short of it."""
+    ref, nodes = find_models_reference(sig, universe, implications, **seeds)
+    got = list(find_models(sig, universe, implications, node_cap=nodes, **seeds))
+    assert [m.key() for m in got] == [m.key() for m in ref]
+    if nodes:
+        with pytest.raises(BudgetExceeded):
+            list(find_models(sig, universe, implications, node_cap=nodes - 1, **seeds))
+
+
+def _test_theories():
+    sig_rs = Signature.make(relations={"R": 1, "S": 1})
+    sig_g = Signature.make(functions={"mul": 2, "inv": 1}, constants=["e"])
+    group = (
+        "hinductive: forall x y z. true -> mul(mul(x,y),z) = mul(x,mul(y,z));"
+        "hinductive: forall x. true -> mul(e,x) = x;"
+        "hinductive: forall x. true -> mul(x,e) = x;"
+        "hinductive: forall x. true -> mul(inv(x),x) = e;"
+        "hinductive: forall x. true -> mul(x,inv(x)) = e;"
+    )
+    cases = [
+        ("T_pos", SIG_LE, POSET_AXIOMS, 4),
+        ("T_bot", SIG_LE, "hinductive: true -> false;", 2),
+        ("T_fix", SIG_F, "positive: exists x. f(x) = x;", 4),
+        ("T_f2", SIG_F, "positive: exists x. f(f(x)) = x;", 4),
+        ("T_f3", SIG_F, "positive: exists x. f(f(f(x))) = x;", 4),
+        ("T_g", sig_g, group, 3),
+        ("T1s", sig_rs, "positive: exists x. R(x); hinductive: forall x. S(x) -> false;", 3),
+        ("T_RS", sig_rs, "hinductive: forall x. R(x) & S(x) -> false;", 3),
+        ("T_B", Signature.make(relations={"B": 3}),
+         "hinductive: forall x y z. B(x,y,z) -> B(y,z,x);"
+         "hinductive: forall x. true -> exists y. B(x,y,y);", 2),
+    ]
+    for name, sig, text, max_size in cases:
+        yield pytest.param(make_theory(sig, text), max_size, id=name)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for path in sorted(root.glob("data/*.posmt")) + sorted(root.glob("perfbench/data/*.posmt")):
+        ws = load_workspace([path.read_text()])
+        for name, t in ws.theories.items():
+            yield pytest.param(t, 4, id=f"{path.relative_to(root)}:{name}")
+
+
+@pytest.mark.parametrize("theory,max_size", _test_theories())
+def test_find_models_matches_reference_on_known_theories(theory, max_size):
+    for size in range(1, max_size + 1):
+        assert_matches_reference(theory.signature, ELEMENT_NAMES[:size], theory.implications())
+
+
+SIG_RC = Signature.make(relations={"P": 1, "R": 2}, constants=["c"])
+
+
+def test_find_models_unseeded_constant_in_premise():
+    # R(c, x) reads every R cell and the cell of c; c is assigned first
+    t = make_theory(SIG_RC, "hinductive: forall x. R(c,x) -> P(x);"
+                            "hinductive: forall x. P(x) -> R(x,c);")
+    for size in (1, 2, 3):
+        assert_matches_reference(SIG_RC, ELEMENT_NAMES[:size], t.implications())
+
+
+def test_find_models_nested_function_term():
+    # f(f(x)) = x reads f(x) exactly and every f cell through the outer f
+    t = make_theory(SIG_F, "hinductive: forall x. true -> f(f(x)) = x;")
+    for size in (1, 2, 3, 4):
+        assert_matches_reference(SIG_F, ELEMENT_NAMES[:size], t.implications())
+    assert len(list(find_models(SIG_F, ELEMENT_NAMES[:4], t.implications()))) == 10
+
+
+def test_find_models_existential_conclusion():
+    # exists y R(x, y) watches the whole row of x
+    t = make_theory(SIG_RC, "hinductive: forall x. true -> exists y. R(x,y);"
+                            "hinductive: forall x y. R(x,y) & R(y,x) -> x = y;")
+    for size in (1, 2, 3):
+        assert_matches_reference(SIG_RC, ELEMENT_NAMES[:size], t.implications())
+
+
+@pytest.mark.parametrize("c", ["a", "b"])
+def test_find_models_fully_seeded(c):
+    sig = Signature.make(relations={"R": 2}, functions={"f": 1}, constants=["c"])
+    t = make_theory(sig, "hinductive: forall x. R(x,f(x)) -> x = c;")
+    seeds = dict(seed_true_relations={"R": [("a", "b")]},
+                 seed_functions={"f": {("a",): "b", ("b",): "a"}},
+                 seed_constants={"c": c}, freeze_relations=True)
+    assert_matches_reference(sig, ("a", "b"), t.implications(), **seeds)
+    got = list(find_models(sig, ("a", "b"), t.implications(), node_cap=0, **seeds))
+    assert len(got) == (c == "a")
+
+
+# Signatures for the differential tests, each with the largest universe
+# whose unpruned search stays small.
+FINDER_SIGS = [
+    (Signature.make(relations={"R": 2}), 3),
+    (Signature.make(relations={"P": 1}, functions={"f": 1}, constants=["c"]), 3),
+    (Signature.make(relations={"P": 1, "R": 2}, functions={"f": 1}, constants=["c"]), 2),
+    (Signature.make(relations={"R": 2}, functions={"f": 1}), 2),
+]
+
+
+@st.composite
+def _terms(draw, sig, scope, depth=2):
+    leaves = [Var(v) for v in scope] + [Const(c) for c in sig.constants]
+    if sig.functions and depth and draw(st.integers(0, 2)) == 0:
+        return App("f", (draw(_terms(sig, scope, depth - 1)),))
+    return draw(st.sampled_from(leaves))
+
+
+@st.composite
+def _positive_qf(draw, sig, scope, depth=2):
+    kind = draw(st.integers(0, 9 if depth else 7))
+    if kind >= 8:
+        parts = tuple(draw(st.lists(_positive_qf(sig, scope, depth - 1), min_size=1, max_size=3)))
+        return And(parts) if kind == 8 else Or(parts)
+    if kind == 0 or not (scope or sig.constants):
+        return draw(st.sampled_from([Truth(), Falsum()]))
+    if kind <= 3:
+        return EqAtom(draw(_terms(sig, scope)), draw(_terms(sig, scope)))
+    name, arity = draw(st.sampled_from(sig.relations))
+    return RelAtom(name, tuple(draw(_terms(sig, scope)) for _ in range(arity)))
+
+
+@st.composite
+def _positive_ex(draw, sig, scope):
+    bound = draw(st.sampled_from([(), (), ("y",), ("x",)]))  # ("x",) may shadow
+    return PosEx(bound, draw(_positive_qf(sig, tuple(scope) + bound)))
+
+
+@st.composite
+def _implications(draw, sig):
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        scope = draw(st.sampled_from([(), ("x",), ("x", "z")]))
+        out.append(Implication(scope, draw(_positive_ex(sig, scope)), draw(_positive_ex(sig, scope))))
+    return tuple(out)
+
+
+@st.composite
+def finder_cases(draw):
+    """A small signature, universe and theory, with a seed half of the time."""
+    sig, max_size = draw(st.sampled_from(FINDER_SIGS))
+    universe = ELEMENT_NAMES[:draw(st.integers(1, max_size))]
+    implications = draw(_implications(sig))
+    seeds = {}
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        seeds["seed_true_relations"] = {
+            name: [t for t in itertools.product(universe, repeat=arity) if rng.random() < 0.3]
+            for name, arity in sig.relations
+        }
+        seeds["seed_functions"] = {
+            name: {args: rng.choice(universe)
+                   for args in itertools.product(universe, repeat=arity) if rng.random() < 0.5}
+            for name, arity in sig.functions
+        }
+        seeds["seed_constants"] = {c: rng.choice(universe) for c in sig.constants
+                                   if rng.random() < 0.5}
+        seeds["freeze_relations"] = draw(st.booleans())
+    return sig, universe, implications, seeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(finder_cases())
+def test_find_models_matches_reference(case):
+    sig, universe, implications, seeds = case
+    assert_matches_reference(sig, universe, implications, **seeds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(finder_cases())
+def test_find_models_matches_brute_force(case):
+    sig, universe, implications, _ = case
+    t = Theory.make(sig, [HInductiveSentence(implications)])
+    expected = {
+        s.key() for s in enumerate_structures(sig, len(universe), up_to_iso=False)
+        if s.universe == universe and is_model(s, t)
+    }
+    got = [s.key() for s in find_models(sig, universe, implications)]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
