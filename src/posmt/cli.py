@@ -39,7 +39,7 @@ from .structures import FiniteStructure, element_names
 from .theories import (
     Budget, Verdict, companion_check_bounded, is_jc_bounded, is_pc_within,
     is_T_complete_pair, joint_consistency_bounded, jc_characterization_report,
-    kaiser_hull_bounded, models,
+    kaiser_hull_bounded, models, unknown,
 )
 from .textio import Workspace, load_workspace, report_to_json, verdict_to_json
 
@@ -447,6 +447,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
+        if args.json:
+            _emit_verdict(unknown(_budget(args), notes=(str(exc),)), args)
         return EXIT_UNKNOWN
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -2,8 +2,11 @@
 
 A corpus is parameterized by a variable pool v0..v(k-1) and an atom-count
 cap per side.  CQ size is measured in variables; the atom cap keeps the
-corpora finite at desk scale.  Entries are canonicalized under variable
-permutations so each corpus lists one representative per renaming class.
+corpora finite at desk scale.  Each corpus lists one representative per
+renaming class: the least member of its orbit under variable permutations.
+The orbits are walked over tuples of pool indices, with one table per
+permutation giving the index of each atom's image, so each class is
+permuted once.
 
 Satisfaction is computed against a per-structure table of all total
 assignments of the pool, with the atoms true under each assignment encoded
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .formulas import (
     FALSE_POSEX, And, App, Atom, Const, EqAtom, HUniversalSentence,
@@ -156,76 +159,70 @@ class BoundedImplication:
         return Implication(fvars, side(self.premise), concl)
 
 
-def _canon_impl(
-    pool: AtomPool, premise, conclusion, free
-) -> Tuple[Tuple[AtomCode, ...], Tuple[AtomCode, ...], Tuple[int, ...]]:
-    best = None
+def _subsets(n: int, most: int) -> List[Tuple[int, ...]]:
+    """The subsets of range(n) with at most `most` members, by size."""
+    return [c for r in range(most + 1) for c in itertools.combinations(range(n), r)]
+
+
+def _least_members(pool: AtomPool, sides: Sequence[Tuple[int, ...]], candidates: Iterable[Tuple]) -> List[Tuple]:
+    """The least member of each renaming orbit met in `candidates`, in the
+    order first met, with atom codes for pool indices.  A candidate is
+    (premise, conclusion, free): two of `sides` (sorted tuples of indices
+    into the sorted `pool.atoms`, so they order as their codes do; the
+    conclusion may be None) and a sorted tuple of variables."""
+    frees = _subsets(pool.k, pool.k)
+    tables = []  # per variable permutation: the image of each side and free set
     for perm in itertools.permutations(range(pool.k)):
-        enc = (
-            tuple(sorted(pool.permute_atom(c, perm) for c in premise)),
-            None if conclusion is None else tuple(sorted(pool.permute_atom(c, perm) for c in conclusion)),
-            tuple(sorted(perm[i] for i in free)),
-        )
-        if best is None or enc < best:
-            best = enc
-    return best
+        img = [pool.index[pool.permute_atom(c, perm)] for c in pool.atoms]
+        side_img = {s: tuple(sorted(img[i] for i in s)) for s in sides}
+        side_img[None] = None
+        tables.append((side_img, {f: tuple(sorted(perm[i] for i in f)) for f in frees}))
+    seen = set()
+    least: List[Tuple] = []
+    for cand in candidates:
+        if cand in seen:
+            continue
+        orbit = {(s[cand[0]], s[cand[1]], f[cand[2]]) for s, f in tables}
+        seen |= orbit
+        premise, conclusion, free = min(orbit)
+        codes = None if conclusion is None else tuple(pool.atoms[i] for i in conclusion)
+        least.append((tuple(pool.atoms[i] for i in premise), codes, free))
+    return least
 
 
 @lru_cache(maxsize=64)
-def cq_corpus(sig: Signature, k: int, max_atoms: int = DEFAULT_MAX_ATOMS_CQ) -> Tuple[CQSentence, ...]:
-    """All CQ sentences with <= k variables and <= max_atoms atoms, one per
-    renaming class, in deterministic order.  Includes the empty conjunction
-    only implicitly (it is trivially true everywhere) -- entries are
-    nonempty."""
+def cq_corpus(sig: Signature, k: int) -> Tuple[CQSentence, ...]:
+    """All CQ sentences with <= k variables and <= DEFAULT_MAX_ATOMS_CQ
+    atoms, one per renaming class, in deterministic order.  Includes the
+    empty conjunction only implicitly (it is trivially true everywhere) --
+    entries are nonempty."""
     pool = atom_pool(sig, k)
-    seen = set()
-    out: List[CQSentence] = []
-    for r in range(1, max_atoms + 1):
-        for combo in itertools.combinations(pool.atoms, r):
-            canon = _canon_impl(pool, combo, (), ())[0]
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(CQSentence(canon))
+    subsets = _subsets(len(pool.atoms), DEFAULT_MAX_ATOMS_CQ)
+    least = _least_members(pool, subsets, ((s, (), ()) for s in subsets[1:]))
+    out = [CQSentence(codes) for codes, _, _ in least]
     out.sort(key=lambda c: (len(c.codes), c.codes))
     return tuple(out)
 
 
 @lru_cache(maxsize=64)
-def implication_corpus(
-    sig: Signature, k: int, max_atoms: int = DEFAULT_MAX_ATOMS_IMPL
-) -> Tuple[BoundedImplication, ...]:
+def implication_corpus(sig: Signature, k: int) -> Tuple[BoundedImplication, ...]:
     """All bounded h-inductive sentences forall F (exists P -> exists Q) with
-    <= k pool variables and <= max_atoms atoms per side, one per renaming
-    class."""
+    <= k pool variables and <= DEFAULT_MAX_ATOMS_IMPL atoms per side, one
+    per renaming class."""
     pool = atom_pool(sig, k)
-    subsets: List[Tuple[AtomCode, ...]] = [()]
-    for r in range(1, max_atoms + 1):
-        subsets.extend(itertools.combinations(pool.atoms, r))
-    frees = [tuple(c) for r in range(k + 1) for c in itertools.combinations(range(k), r)]
+    subsets = _subsets(len(pool.atoms), DEFAULT_MAX_ATOMS_IMPL)
+    frees = _subsets(k, k)
     if len(subsets) ** 2 * len(frees) > CORPUS_CAP:
         raise BudgetExceeded(
             f"implication corpus over {sig} at k={k} would exceed "
             f"{CORPUS_CAP} candidates; lower k or the atom cap"
         )
-    seen = set()
-    out: List[BoundedImplication] = []
-    for premise in subsets:
-        for conclusion in subsets:
-            if premise == conclusion:
-                continue  # tautology
-            for free in frees:
-                canon = _canon_impl(pool, premise, conclusion, free)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                out.append(BoundedImplication(*canon))
-    # h-universal entries: premise -> falsum, necessarily with no free vars
-    for premise in subsets[1:]:
-        canon = _canon_impl(pool, premise, None, ())
-        if canon not in seen:
-            seen.add(canon)
-            out.append(BoundedImplication(*canon))
+    candidates = itertools.chain(
+        ((p, q, f) for p in subsets for q in subsets if p != q for f in frees),  # p == q: tautology
+        # h-universal entries: premise -> falsum, necessarily with no free vars
+        ((p, None, ()) for p in subsets[1:]),
+    )
+    out = [BoundedImplication(*m) for m in _least_members(pool, subsets, candidates)]
     out.sort(key=lambda b: (b.premise, b.conclusion is None, b.conclusion or (), b.free))
     return tuple(out)
 
@@ -307,20 +304,20 @@ def evaluator(sig: Signature, k: int, structure: FiniteStructure) -> CorpusEvalu
 # -- corpus-relative theory fragments ---------------------------------------
 
 
-def diag_plus_star(s: FiniteStructure, k: int, max_atoms: int = DEFAULT_MAX_ATOMS_CQ) -> Tuple[CQSentence, ...]:
+def diag_plus_star(s: FiniteStructure, k: int) -> Tuple[CQSentence, ...]:
     """Positive sentences (over the base language) of CQ-size <= k true in s."""
     ev = evaluator(s.signature, k, s)
-    return tuple(c for c in cq_corpus(s.signature, k, max_atoms) if ev.cq_true(c))
+    return tuple(c for c in cq_corpus(s.signature, k) if ev.cq_true(c))
 
 
-def tu_star(s: FiniteStructure, k: int, max_atoms: int = DEFAULT_MAX_ATOMS_CQ) -> Tuple[CQSentence, ...]:
+def tu_star(s: FiniteStructure, k: int) -> Tuple[CQSentence, ...]:
     """The h-universal fragment, listed by the positive sentences REFUTED by
     s (their negations are the h-universal sentences true in s)."""
     ev = evaluator(s.signature, k, s)
-    return tuple(c for c in cq_corpus(s.signature, k, max_atoms) if not ev.cq_true(c))
+    return tuple(c for c in cq_corpus(s.signature, k) if not ev.cq_true(c))
 
 
-def ti_star(s: FiniteStructure, k: int, max_atoms: int = DEFAULT_MAX_ATOMS_IMPL) -> Tuple[BoundedImplication, ...]:
+def ti_star(s: FiniteStructure, k: int) -> Tuple[BoundedImplication, ...]:
     """Bounded h-inductive sentences (base language) true in s."""
     ev = evaluator(s.signature, k, s)
-    return tuple(b for b in implication_corpus(s.signature, k, max_atoms) if ev.impl_true(b))
+    return tuple(b for b in implication_corpus(s.signature, k) if ev.impl_true(b))

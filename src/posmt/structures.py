@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, SignatureError, StructureError
@@ -61,12 +62,12 @@ class Signature:
             constants=tuple(constants),
         )
 
-    @property
-    def relation_arities(self) -> Dict[str, int]:
+    @cached_property
+    def relation_arities(self) -> Mapping[str, int]:
         return dict(self.relations)
 
-    @property
-    def function_arities(self) -> Dict[str, int]:
+    @cached_property
+    def function_arities(self) -> Mapping[str, int]:
         return dict(self.functions)
 
     def has_symbol(self, name: str) -> bool:

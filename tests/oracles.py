@@ -18,6 +18,10 @@ evaluates the ground instances by walking the formula trees over a partial
 interpretation, re-checking every unknown instance after every assigned
 cell.  It must visit the same nodes and yield the same models in the same
 order.
+
+The corpus references canonicalise every candidate sentence on its own,
+trying every variable permutation and keeping the least image.  The
+corpora built by walking orbits must equal them tuple for tuple.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from posmt.corpus import (
+    CORPUS_CAP, DEFAULT_MAX_ATOMS_CQ, DEFAULT_MAX_ATOMS_IMPL, AtomCode, AtomPool,
+    BoundedImplication, CQSentence, atom_pool,
+)
 from posmt.errors import BudgetExceeded
 from posmt.formulas import (
     And, Const, EqAtom, Falsum, Implication, Or, PosEx, PosQF, RelAtom, Term,
@@ -382,3 +390,75 @@ def _set(ps: _Partial, cell: Tuple, value) -> None:
         ps.func[(cell[1], cell[2])] = value
     else:
         ps.rel[(cell[1], cell[2])] = value
+
+
+def _canon_impl(
+    pool: AtomPool, premise, conclusion, free
+) -> Tuple[Tuple[AtomCode, ...], Tuple[AtomCode, ...], Tuple[int, ...]]:
+    best = None
+    for perm in itertools.permutations(range(pool.k)):
+        enc = (
+            tuple(sorted(pool.permute_atom(c, perm) for c in premise)),
+            None if conclusion is None else tuple(sorted(pool.permute_atom(c, perm) for c in conclusion)),
+            tuple(sorted(perm[i] for i in free)),
+        )
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def cq_corpus_reference(sig: Signature, k: int, max_atoms: int = DEFAULT_MAX_ATOMS_CQ) -> Tuple[CQSentence, ...]:
+    """All CQ sentences with <= k variables and <= max_atoms atoms, one per
+    renaming class, in deterministic order.  Includes the empty conjunction
+    only implicitly (it is trivially true everywhere) -- entries are
+    nonempty."""
+    pool = atom_pool(sig, k)
+    seen = set()
+    out: List[CQSentence] = []
+    for r in range(1, max_atoms + 1):
+        for combo in itertools.combinations(pool.atoms, r):
+            canon = _canon_impl(pool, combo, (), ())[0]
+            if canon in seen:
+                continue
+            seen.add(canon)
+            out.append(CQSentence(canon))
+    out.sort(key=lambda c: (len(c.codes), c.codes))
+    return tuple(out)
+
+
+def implication_corpus_reference(
+    sig: Signature, k: int, max_atoms: int = DEFAULT_MAX_ATOMS_IMPL
+) -> Tuple[BoundedImplication, ...]:
+    """All bounded h-inductive sentences forall F (exists P -> exists Q) with
+    <= k pool variables and <= max_atoms atoms per side, one per renaming
+    class."""
+    pool = atom_pool(sig, k)
+    subsets: List[Tuple[AtomCode, ...]] = [()]
+    for r in range(1, max_atoms + 1):
+        subsets.extend(itertools.combinations(pool.atoms, r))
+    frees = [tuple(c) for r in range(k + 1) for c in itertools.combinations(range(k), r)]
+    if len(subsets) ** 2 * len(frees) > CORPUS_CAP:
+        raise BudgetExceeded(
+            f"implication corpus over {sig} at k={k} would exceed "
+            f"{CORPUS_CAP} candidates; lower k or the atom cap"
+        )
+    seen = set()
+    out: List[BoundedImplication] = []
+    for premise in subsets:
+        for conclusion in subsets:
+            if premise == conclusion:
+                continue  # tautology
+            for free in frees:
+                canon = _canon_impl(pool, premise, conclusion, free)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                out.append(BoundedImplication(*canon))
+    # h-universal entries: premise -> falsum, necessarily with no free vars
+    for premise in subsets[1:]:
+        canon = _canon_impl(pool, premise, None, ())
+        if canon not in seen:
+            seen.add(canon)
+            out.append(BoundedImplication(*canon))
+    out.sort(key=lambda b: (b.premise, b.conclusion is None, b.conclusion or (), b.free))
+    return tuple(out)

@@ -165,6 +165,18 @@ def test_report_schema(ws_file, capsys):
     assert data["budget"]["N"] == 1
 
 
+def test_budget_exhaustion_prints_unknown_verdict_with_json(ws_file, capsys):
+    code = main(["jc", ws_file, "--theory", "T_pos", "--N", "4", "--node-cap", "200", "--json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "unknown: model search exceeded node cap 200\n"
+    data = json.loads(captured.out)
+    assert data["schema"] == "posmt-report/1"
+    assert data["verdict"] == "unknown"
+    assert data["budget"] == {"n": 3, "N": 4, "k": 3, "node_cap": 200}
+    assert data["notes"] == ["model search exceeded node cap 200"]
+
+
 def test_jobs_flag_does_not_change_output(ws_file, capsys):
     _, out1 = run(capsys, "models", ws_file, "--theory", "T_pos", "--n", "2", "--json")
     _, out2 = run(capsys, "models", ws_file, "--theory", "T_pos", "--n", "2",

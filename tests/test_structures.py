@@ -251,3 +251,12 @@ def test_class_key_relabelling_invariant(case):
 def test_class_key_matches_canonical_key(case):
     s, t, _ = case
     assert (s.class_key() == t.class_key()) == (s.canonical_key() == t.canonical_key())
+
+
+def test_signature_arities_computed_once():
+    sig = Signature.make(relations={"r": 2}, functions={"f": 1})
+    assert sig.relation_arities is sig.relation_arities
+    assert sig.function_arities is sig.function_arities
+    assert sig.relation_arities == {"r": 2}
+    other = Signature.make(relations={"r": 2}, functions={"f": 1})
+    assert sig == other and hash(sig) == hash(other)
