@@ -618,7 +618,8 @@ def verify_theorem(
         done += 1
         result = solve_amalgamation(p)
         if isinstance(result, AmalgamationSolution):
-            assert verify_solution(p, result)
+            if not verify_solution(p, result):
+                raise PosmtError("a solver solution failed its certificate re-check")
             witnessed += 1
             rows.append({"outcome": "witnessed", "apex_size": result.apex.size()})
         else:
@@ -668,7 +669,8 @@ def _verify_inheritance(rng: random.Random, b: Budget, instances: int) -> Dict:
         result = solve_amalgamation(p)
         ok = isinstance(result, AmalgamationSolution)
         if ok:
-            assert verify_solution(p, result)
+            if not verify_solution(p, result):
+                raise PosmtError("a solver solution failed its certificate re-check")
             witnessed += 1
         elif premise_ok and result.status == "no":
             red_flags.append({"instance": done, "notes": result.notes})

@@ -215,7 +215,7 @@ def implication_corpus(sig: Signature, k: int) -> Tuple[BoundedImplication, ...]
     if len(subsets) ** 2 * len(frees) > CORPUS_CAP:
         raise BudgetExceeded(
             f"implication corpus over {sig} at k={k} would exceed "
-            f"{CORPUS_CAP} candidates; lower k or the atom cap"
+            f"{CORPUS_CAP} candidates; lower k"
         )
     candidates = itertools.chain(
         ((p, q, f) for p in subsets for q in subsets if p != q for f in frees),  # p == q: tautology

@@ -5,14 +5,16 @@ with AND/OR, existentially quantified (PosEx).  H-inductive sentences are
 conjunctions of universally closed implications between positive formulas;
 h-universal sentences are negations of positive sentences.  A small general
 fragment (Not / Implies / Forall over anything) exists only so that
-arbitrary sentences can be classified.
+arbitrary sentences can be classified.  Evaluation compiles each formula
+once into closures over one mutable variable environment (`compile_formula`),
+independently of the model finder.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import FormulaError
 from .structures import FiniteStructure
@@ -50,23 +52,6 @@ def term_vars(t: Term) -> List[str]:
     for a in t.args:
         out.extend(term_vars(a))
     return out
-
-
-def evaluate_term(s: FiniteStructure, t: Term, env: Mapping[str, str]) -> str:
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise FormulaError(f"unbound variable {t.name}")
-        return env[t.name]
-    if isinstance(t, Const):
-        if t.name not in s.signature.constants:
-            raise FormulaError(f"unknown constant {t.name}")
-        return s.const(t.name)
-    arities = s.signature.function_arities
-    if t.func not in arities:
-        raise FormulaError(f"unknown function symbol {t.func}")
-    if len(t.args) != arities[t.func]:
-        raise FormulaError(f"arity mismatch for {t.func}")
-    return s.func(t.func, tuple(evaluate_term(s, a, env) for a in t.args))
 
 
 # ---------------------------------------------------------------------------
@@ -220,63 +205,116 @@ def free_vars(f: Formula) -> frozenset:
 # Evaluation (Tarskian, quantifiers range over the finite universe)
 
 
-def _eval_atom(s: FiniteStructure, f: Atom, env: Mapping[str, str]) -> bool:
-    if isinstance(f, Truth):
-        return True
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, EqAtom):
-        return evaluate_term(s, f.left, env) == evaluate_term(s, f.right, env)
-    if f.name not in s.signature.relation_arities:
-        raise FormulaError(f"unknown relation symbol {f.name}")
-    if len(f.args) != s.signature.relation_arities[f.name]:
-        raise FormulaError(f"arity mismatch for {f.name}")
-    return tuple(evaluate_term(s, a, env) for a in f.args) in s.rel(f.name)
+_Check = Callable[[FiniteStructure, Dict[str, str]], bool]
+
+
+class _Compiler:
+    """Closures (s, env) -> value over one mutable env dict.  Records each
+    symbol used as (kind, name, arity) for the per-call signature check."""
+
+    def __init__(self):
+        self.symbols: Dict[Tuple[str, str, int], None] = {}
+
+    def term(self, t: Term) -> Callable:
+        if isinstance(t, Var):
+            return lambda s, env, v=t.name: env[v]
+        if isinstance(t, Const):
+            self.symbols["constant", t.name, 0] = None
+            return lambda s, env, c=t.name: s.constants[c]
+        vals = self.values("function symbol", t.func, t.args)
+        return lambda s, env, fn=t.func: s.functions[fn][vals(s, env)]
+
+    def values(self, kind: str, name: str, args: Tuple[Term, ...]) -> Callable:
+        self.symbols[kind, name, len(args)] = None
+        if len(args) > 1 and all(isinstance(a, Var) for a in args):
+            return lambda s, env, get=itemgetter(*(a.name for a in args)): get(env)
+        subs = [self.term(a) for a in args]
+        return lambda s, env: tuple(t(s, env) for t in subs)
+
+    def formula(self, f: Formula) -> _Check:
+        if isinstance(f, (Truth, Falsum)):
+            return lambda s, env, b=isinstance(f, Truth): b
+        if isinstance(f, EqAtom):
+            left, right = self.term(f.left), self.term(f.right)
+            return lambda s, env: left(s, env) == right(s, env)
+        if isinstance(f, RelAtom):
+            vals = self.values("relation symbol", f.name, f.args)
+            return lambda s, env, r=f.name: vals(s, env) in s.rel(r)
+        if isinstance(f, (Or, GOr)):
+            parts = [self.formula(p) for p in f.parts]
+            return lambda s, env: any(p(s, env) for p in parts)
+        if isinstance(f, (And, GAnd, HInductiveSentence)):
+            return _all([self.formula(p) for p in (f.conjuncts if isinstance(f, HInductiveSentence) else f.parts)])
+        if isinstance(f, (Not, HUniversalSentence)):
+            sub = self.formula(f.sub if isinstance(f, Not) else f.inner)
+            return lambda s, env: not sub(s, env)
+        if isinstance(f, Implies):
+            return _implies(self.formula(f.left), self.formula(f.right))
+        if isinstance(f, Forall):
+            return self.formula(Implication(f.vars, TRUE_POSEX, PosEx((), f.sub)))
+        if isinstance(f, (PosEx, Exists)):  # as not forall x. (body -> false), to share its loops
+            body = f.matrix if isinstance(f, PosEx) else f.sub
+            return self.formula(Not(Implication(f.vars, PosEx((), body), FALSE_POSEX)) if f.vars else body)
+        if not isinstance(f, Implication):
+            raise FormulaError(f"cannot evaluate {f!r}")
+        # One loop per variable.  A premise without existentials is split
+        # into conjuncts, each tested as soon as its last variable is bound,
+        # so a false one skips the loops below it.
+        vs, m = f.vars, f.premise.matrix
+        guards: List[List[_Check]] = [[] for _ in range(len(vs) + 1)]
+        for c in (f.premise,) if f.premise.vars else m.parts if isinstance(m, And) else (m,):
+            depth = max((i + 1 for i, v in enumerate(vs) if v in free_vars(c)), default=0)
+            guards[depth].append(self.formula(c))
+        run = self.formula(f.conclusion)
+        for i in reversed(range(len(vs) + 1)):
+            run = _implies(_all(guards[i]), run) if guards[i] else run
+            run = _loop(vs[i - 1], run) if i else run
+        return run
+
+
+def _all(parts: List[_Check]) -> _Check:
+    return parts[0] if len(parts) == 1 else lambda s, env: all(p(s, env) for p in parts)
+
+
+def _implies(premise: _Check, conclusion: _Check) -> _Check:
+    return lambda s, env: not premise(s, env) or conclusion(s, env)
+
+
+def _loop(v: str, body: _Check) -> _Check:
+    """body for every value of v; v's outer binding is restored after."""
+    def loop(s, env):
+        outer = {v: env[v]} if v in env else {}
+        ok = all(body(s, env) for env[v] in s.universe)
+        del env[v]
+        env.update(outer)
+        return ok
+    return loop
+
+
+def compile_formula(f: Formula) -> _Check:
+    """f compiled once into check(s, env), its truth in s under env.  Each call
+    first checks f's symbols and free variables against s and env."""
+    comp = _Compiler()
+    run, free = comp.formula(f), free_vars(f)
+
+    def check(s: FiniteStructure, env: Mapping[str, str]) -> bool:
+        sig = s.signature
+        tables = {"relation symbol": sig.relation_arities, "function symbol": sig.function_arities,
+                  "constant": dict.fromkeys(sig.constants, 0)}
+        for kind, name, arity in comp.symbols:
+            known = tables[kind].get(name)
+            if known != arity:
+                raise FormulaError(f"unknown {kind} {name}" if known is None else f"arity mismatch for {name}")
+        if not free <= env.keys():
+            raise FormulaError(f"unbound variable {min(free - env.keys())}")
+        return run(s, dict(env))
+    return check
 
 
 def eval_formula(
     s: FiniteStructure, f: Formula, env: Optional[Mapping[str, str]] = None
 ) -> bool:
-    env = env or {}
-    if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)):
-        return _eval_atom(s, f, env)
-    if isinstance(f, (And, GAnd)):
-        return all(eval_formula(s, p, env) for p in f.parts)
-    if isinstance(f, (Or, GOr)):
-        return any(eval_formula(s, p, env) for p in f.parts)
-    if isinstance(f, (PosEx, Exists)):
-        body = f.matrix if isinstance(f, PosEx) else f.sub
-        if not f.vars:
-            return eval_formula(s, body, env)
-        for vals in itertools.product(s.universe, repeat=len(f.vars)):
-            e2 = dict(env)
-            e2.update(zip(f.vars, vals))
-            if eval_formula(s, body, e2):
-                return True
-        return False
-    if isinstance(f, Implication):
-        for vals in itertools.product(s.universe, repeat=len(f.vars)):
-            e2 = dict(env)
-            e2.update(zip(f.vars, vals))
-            if eval_formula(s, f.premise, e2) and not eval_formula(s, f.conclusion, e2):
-                return False
-        return True
-    if isinstance(f, HInductiveSentence):
-        return all(eval_formula(s, c, env) for c in f.conjuncts)
-    if isinstance(f, HUniversalSentence):
-        return not eval_formula(s, f.inner, env)
-    if isinstance(f, Not):
-        return not eval_formula(s, f.sub, env)
-    if isinstance(f, Implies):
-        return (not eval_formula(s, f.left, env)) or eval_formula(s, f.right, env)
-    if isinstance(f, Forall):
-        for vals in itertools.product(s.universe, repeat=len(f.vars)):
-            e2 = dict(env)
-            e2.update(zip(f.vars, vals))
-            if not eval_formula(s, f.sub, e2):
-                return False
-        return True
-    raise FormulaError(f"cannot evaluate {f!r}")
+    return compile_formula(f)(s, env or {})
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class FiniteStructure:
     `relations` maps each relation symbol to a frozenset of tuples,
     `functions` maps each function symbol to a total table (arg tuple ->
     element), `constants` maps each constant symbol to an element.  The
-    dict fields are treated as immutable; use `key()` for hashing.
+    dict fields are never mutated, so `key()` is built once; use it for hashing.
     """
 
     signature: Signature
@@ -145,15 +145,17 @@ class FiniteStructure:
 
     def key(self):
         """Hashable encoding of the labelled structure (not iso-invariant)."""
-        return (
-            self.universe,
-            tuple((n, tuple(sorted(self.rel(n)))) for n, _ in self.signature.relations),
-            tuple(
-                (n, tuple(sorted(self.functions[n].items())))
-                for n, _ in self.signature.functions
-            ),
-            tuple((c, self.constants[c]) for c in self.signature.constants),
-        )
+        if "_key" not in self.__dict__:
+            self.__dict__["_key"] = (
+                self.universe,
+                tuple((n, tuple(sorted(self.rel(n)))) for n, _ in self.signature.relations),
+                tuple(
+                    (n, tuple(sorted(self.functions[n].items())))
+                    for n, _ in self.signature.functions
+                ),
+                tuple((c, self.constants[c]) for c in self.signature.constants),
+            )
+        return self.__dict__["_key"]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteStructure):

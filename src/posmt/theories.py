@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from . import corpus
 from .errors import FormulaError, SignatureError, StructureError
 from .formulas import (
     App, Const, EqAtom, Formula, HInductiveSentence, HUniversalSentence,
     Implication, PosEx, RelAtom, as_implications, classify_sentence,
-    eval_formula, pp_formula,
+    compile_formula, pp_formula,
 )
 from .finder import find_models, models_up_to_size
 from .morphisms import Morphism, is_immersion, search_homs
@@ -31,6 +32,10 @@ class TaggedSentence:
 
     def implications(self) -> Tuple[Implication, ...]:
         return as_implications(self.sentence)
+
+    @cached_property
+    def check(self) -> Callable[[FiniteStructure, Dict[str, str]], bool]:
+        return compile_formula(self.sentence)
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,8 @@ class Verdict:
     notes: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        assert self.status in ("yes", "no", "unknown")
+        if self.status not in ("yes", "no", "unknown"):
+            raise ValueError(f"unknown verdict status {self.status!r}")
 
     @property
     def is_yes(self) -> bool:
@@ -123,7 +129,7 @@ def models(t: Theory, b: Budget, up_to_iso: bool = True) -> List[FiniteStructure
 
 
 def is_model(s: FiniteStructure, t: Theory) -> bool:
-    return all(eval_formula(s, ts.sentence, {}) for ts in t.sentences)
+    return all(ts.check(s, {}) for ts in t.sentences)
 
 
 # ---------------------------------------------------------------------------

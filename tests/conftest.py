@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from posmt.parser import parse_sentences
@@ -18,6 +23,17 @@ hinductive: forall x y. le(x,y) & le(y,x) -> x = y;
 
 def make_theory(sig: Signature, text: str, name: str = "T") -> Theory:
     return Theory.make(sig, parse_sentences(text, sig), name)
+
+
+def run_optimised(script: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -O -c script args` in a fresh process, with the package on its path."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script, *args],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,10 @@ order.
 The corpus references canonicalise every candidate sentence on its own,
 trying every variable permutation and keeping the least image.  The
 corpora built by walking orbits must equal them tuple for tuple.
+
+The evaluation reference walks the formula tree per assignment, copying
+the environment at every quantifier.  The compiled evaluator behind
+`formulas.eval_formula` must return the same truth value.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ from posmt.corpus import (
     CORPUS_CAP, DEFAULT_MAX_ATOMS_CQ, DEFAULT_MAX_ATOMS_IMPL, AtomCode, AtomPool,
     BoundedImplication, CQSentence, atom_pool,
 )
-from posmt.errors import BudgetExceeded
+from posmt.errors import BudgetExceeded, FormulaError
 from posmt.formulas import (
-    And, Const, EqAtom, Falsum, Implication, Or, PosEx, PosQF, RelAtom, Term,
-    Truth, Var,
+    And, Atom, Const, EqAtom, Exists, Falsum, Forall, Formula, GAnd, GOr,
+    HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
+    PosEx, PosQF, RelAtom, Term, Truth, Var,
 )
 from posmt.morphisms import Morphism, is_homomorphism, search_homs
 from posmt.structures import FiniteStructure, Signature, enumerate_structures
@@ -462,3 +467,83 @@ def implication_corpus_reference(
             out.append(BoundedImplication(*canon))
     out.sort(key=lambda b: (b.premise, b.conclusion is None, b.conclusion or (), b.free))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Two-valued evaluation by walking the formula tree
+
+
+def evaluate_term(s: FiniteStructure, t: Term, env: Mapping[str, str]) -> str:
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise FormulaError(f"unbound variable {t.name}")
+        return env[t.name]
+    if isinstance(t, Const):
+        if t.name not in s.signature.constants:
+            raise FormulaError(f"unknown constant {t.name}")
+        return s.const(t.name)
+    arities = s.signature.function_arities
+    if t.func not in arities:
+        raise FormulaError(f"unknown function symbol {t.func}")
+    if len(t.args) != arities[t.func]:
+        raise FormulaError(f"arity mismatch for {t.func}")
+    return s.func(t.func, tuple(evaluate_term(s, a, env) for a in t.args))
+
+
+def _eval_atom(s: FiniteStructure, f: Atom, env: Mapping[str, str]) -> bool:
+    if isinstance(f, Truth):
+        return True
+    if isinstance(f, Falsum):
+        return False
+    if isinstance(f, EqAtom):
+        return evaluate_term(s, f.left, env) == evaluate_term(s, f.right, env)
+    if f.name not in s.signature.relation_arities:
+        raise FormulaError(f"unknown relation symbol {f.name}")
+    if len(f.args) != s.signature.relation_arities[f.name]:
+        raise FormulaError(f"arity mismatch for {f.name}")
+    return tuple(evaluate_term(s, a, env) for a in f.args) in s.rel(f.name)
+
+
+def eval_formula_reference(
+    s: FiniteStructure, f: Formula, env: Optional[Mapping[str, str]] = None
+) -> bool:
+    env = env or {}
+    if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)):
+        return _eval_atom(s, f, env)
+    if isinstance(f, (And, GAnd)):
+        return all(eval_formula_reference(s, p, env) for p in f.parts)
+    if isinstance(f, (Or, GOr)):
+        return any(eval_formula_reference(s, p, env) for p in f.parts)
+    if isinstance(f, (PosEx, Exists)):
+        body = f.matrix if isinstance(f, PosEx) else f.sub
+        if not f.vars:
+            return eval_formula_reference(s, body, env)
+        for vals in itertools.product(s.universe, repeat=len(f.vars)):
+            e2 = dict(env)
+            e2.update(zip(f.vars, vals))
+            if eval_formula_reference(s, body, e2):
+                return True
+        return False
+    if isinstance(f, Implication):
+        for vals in itertools.product(s.universe, repeat=len(f.vars)):
+            e2 = dict(env)
+            e2.update(zip(f.vars, vals))
+            if eval_formula_reference(s, f.premise, e2) and not eval_formula_reference(s, f.conclusion, e2):
+                return False
+        return True
+    if isinstance(f, HInductiveSentence):
+        return all(eval_formula_reference(s, c, env) for c in f.conjuncts)
+    if isinstance(f, HUniversalSentence):
+        return not eval_formula_reference(s, f.inner, env)
+    if isinstance(f, Not):
+        return not eval_formula_reference(s, f.sub, env)
+    if isinstance(f, Implies):
+        return (not eval_formula_reference(s, f.left, env)) or eval_formula_reference(s, f.right, env)
+    if isinstance(f, Forall):
+        for vals in itertools.product(s.universe, repeat=len(f.vars)):
+            e2 = dict(env)
+            e2.update(zip(f.vars, vals))
+            if not eval_formula_reference(s, f.sub, e2):
+                return False
+        return True
+    raise FormulaError(f"cannot evaluate {f!r}")

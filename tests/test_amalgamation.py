@@ -15,7 +15,7 @@ from posmt.morphisms import Morphism, MorphismKind, identity, search_homs
 from posmt.structures import FiniteStructure, Signature, enumerate_structures
 from posmt.theories import Budget
 
-from conftest import SIG_LE
+from conftest import SIG_LE, run_optimised
 
 SIG_R = Signature.make(relations={"R": 2})
 
@@ -184,3 +184,27 @@ def test_verify_theorem_ids_known():
     with pytest.raises(ValueError):
         verify_theorem("no-such-theorem", seed=0, b=Budget(), instances=1)
     assert "ii-hh-strong" in THEOREM_IDS
+
+
+# Under `python -O` a failed certificate re-check must still stop the
+# harness: the child exits 0 only if verify_theorem raises.
+RECHECK_UNDER_O = """
+import sys
+import posmt.amalgamation as am
+from posmt.errors import PosmtError
+from posmt.theories import Budget
+am.verify_solution = lambda p, sol: False
+try:
+    am.verify_theorem(sys.argv[1], seed=11, b=Budget(N=8), instances=4)
+except PosmtError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("theorem", ["si-si-strong", "inheritance"])
+def test_failed_recheck_raises_under_python_O(theorem):
+    proc = run_optimised(RECHECK_UNDER_O, theorem)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "re-check" in proc.stdout

@@ -125,3 +125,12 @@ def test_each_corpus_built_once_per_hull(t_pos):
     kaiser_hull_bounded(t_pos, Budget(k=2))
     assert corpus.cq_corpus.cache_info().misses == 1
     assert corpus.implication_corpus.cache_info().misses == 1
+
+
+def test_implication_corpus_cap_advises_lowering_k():
+    # the atom caps are constants, so lowering k is the only advice a caller can act on
+    with pytest.raises(BudgetExceeded) as exc:
+        corpus.implication_corpus(SIG_LE, 5)
+    assert str(exc.value) == (
+        f"implication corpus over {SIG_LE} at k=5 would exceed {corpus.CORPUS_CAP} candidates; lower k"
+    )

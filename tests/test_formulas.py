@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posmt.errors import FormulaError, ParseError
 from posmt.formulas import (
-    And, EqAtom, Falsum, HInductiveSentence, HUniversalSentence, Implication,
-    Or, PosEx, RelAtom, Truth, Var, as_implications, classify_sentence,
-    eval_formula, pp_formula,
+    And, App, Const, EqAtom, Exists, Falsum, Forall, GAnd, GOr,
+    HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
+    PosEx, RelAtom, Truth, Var, as_implications, classify_sentence,
+    eval_formula, free_vars, pp_formula,
 )
 from posmt.parser import parse_formula, parse_sentences
+from posmt.structures import FiniteStructure, Signature
 from posmt.textio import load_workspace
 
 from conftest import SIG_LE
+from oracles import eval_formula_reference
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +206,138 @@ def test_eval_general_negation(chain2, antichain2):
     f = parse_formula("general: exists x y. !le(x,y) & !le(y,x)", SIG_LE)
     assert eval_formula(antichain2, f, {})
     assert not eval_formula(chain2, f, {})
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the compiled evaluator against the tree-walking reference
+
+SIG_MIX = Signature.make(
+    relations={"P": 1, "R": 2, "T": 3}, functions={"f": 1, "g": 2}, constants=["c", "d"]
+)
+
+
+def mixed_structure(seed: int) -> FiniteStructure:
+    rng = random.Random(seed)
+    u = tuple("abc"[: rng.randint(1, 3)])
+    return FiniteStructure(
+        SIG_MIX, u,
+        {n: frozenset(t for t in itertools.product(u, repeat=ar) if rng.random() < 0.5)
+         for n, ar in SIG_MIX.relations},
+        {n: {args: rng.choice(u) for args in itertools.product(u, repeat=ar)}
+         for n, ar in SIG_MIX.functions},
+        {c: rng.choice(u) for c in SIG_MIX.constants},
+    )
+
+
+leaves = st.one_of(st.sampled_from(VARS).map(Var), st.sampled_from(("c", "d")).map(Const))
+terms = st.one_of(
+    leaves,
+    leaves.map(lambda a: App("f", (a,))),
+    leaves.map(lambda a: App("f", (App("f", (a,)),))),
+    st.builds(lambda a, b: App("g", (a, b)), leaves, leaves),
+)
+mixed_atoms = st.one_of(
+    st.just(Truth()),
+    st.just(Falsum()),
+    st.builds(EqAtom, terms, terms),
+    st.builds(lambda a: RelAtom("P", (a,)), terms),
+    st.builds(lambda a, b: RelAtom("R", (a, b)), terms, terms),
+    st.builds(lambda a, b, c: RelAtom("T", (a, b, c)), terms, terms, terms),
+)
+mixed_ands = st.lists(mixed_atoms, max_size=3).map(lambda xs: And(tuple(xs)))
+mixed_qf = st.one_of(
+    mixed_atoms,
+    mixed_ands,
+    st.lists(st.one_of(mixed_atoms, mixed_ands), max_size=3).map(lambda xs: Or(tuple(xs))),
+)
+# binders may repeat a name and may shadow one bound further out
+binders = st.lists(st.sampled_from(VARS), max_size=2).map(tuple)
+mixed_posex = st.builds(PosEx, st.one_of(st.just(()), binders), mixed_qf)
+mixed_implications = st.builds(
+    Implication, st.lists(st.sampled_from(VARS), max_size=3).map(tuple), mixed_posex, mixed_posex
+)
+
+
+def general(sub):
+    return st.one_of(
+        sub,
+        st.builds(Not, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Forall, binders, sub),
+        st.builds(Exists, binders, sub),
+        st.lists(sub, max_size=2).map(lambda xs: GAnd(tuple(xs))),
+        st.lists(sub, max_size=2).map(lambda xs: GOr(tuple(xs))),
+    )
+
+
+mixed_formulas = general(general(st.one_of(
+    mixed_qf, mixed_posex, mixed_implications, st.builds(HUniversalSentence, mixed_posex),
+    st.lists(mixed_implications, min_size=1, max_size=2).map(lambda cs: HInductiveSentence(tuple(cs))),
+)))
+
+
+@given(st.integers(0, 2 ** 32), mixed_formulas, st.data())
+@settings(max_examples=300, deadline=None)
+def test_compiled_evaluator_matches_reference(seed, f, data):
+    s = mixed_structure(seed)
+    elems = st.sampled_from(s.universe)
+    # the outer env binds every free variable, and sometimes more
+    env = data.draw(st.dictionaries(st.sampled_from(VARS), elems))
+    env.update({v: data.draw(elems) for v in sorted(free_vars(f)) if v not in env})
+    before = dict(env)
+    assert eval_formula(s, f, env) == eval_formula_reference(s, f, env)
+    assert env == before
+    closed = Forall(tuple(sorted(free_vars(f))), f)
+    assert eval_formula(s, closed, {}) == eval_formula_reference(s, closed, {})
+
+
+def le(a: str, b: str) -> RelAtom:
+    return RelAtom("le", (Var(a), Var(b)))
+
+
+def test_existential_shadows_universal():
+    # the inner y ranges anew; the outer y is back for the last conjunct
+    f = Forall(("x", "y"), Implies(le("x", "y"), GAnd((Exists(("y",), le("y", "x")), le("x", "y")))))
+    g = Implication(("x", "y"), PosEx((), le("x", "y")), PosEx(("y",), le("y", "x")))
+    edge = FiniteStructure(SIG_LE, ("a", "b"), {"le": frozenset({("a", "b"), ("b", "b")})})
+    assert not eval_formula(edge, f, {}) and not eval_formula(edge, g, {})
+    assert eval_formula(edge, f, {"y": "a"}) == eval_formula_reference(edge, f, {"y": "a"})
+    loop = FiniteStructure(SIG_LE, ("a",), {"le": frozenset({("a", "a")})})
+    assert eval_formula(loop, f, {}) and eval_formula(loop, g, {})
+    # the witness y = b of the inner exists must not leak into le(x, y)
+    h = GAnd((Exists(("y",), le("y", "x")), le("x", "y")))
+    s = FiniteStructure(SIG_LE, ("a", "b", "c"), {"le": frozenset({("a", "c"), ("b", "a")})})
+    assert eval_formula(s, h, {"x": "a", "y": "c"})
+
+
+def test_premise_conjunct_prunes_inner_loops():
+    # le(x,y) is tested once per (x, y), before z is bound: on the empty
+    # relation the z loop never runs
+    tested = []
+
+    class Counting(frozenset):
+        def __contains__(self, item):
+            tested.append(item)
+            return super().__contains__(item)
+
+    s = FiniteStructure(SIG_LE, ("a", "b", "c"), {"le": Counting()})
+    trans = parse_formula("hinductive: forall x y z. le(x,y) & le(y,z) -> le(x,z)", SIG_LE)
+    assert eval_formula(s, trans, {})
+    assert len(tested) == 9
+
+
+@pytest.mark.parametrize("f,env,message", [
+    (PosEx(("x",), RelAtom("Q", (Var("x"),))), {}, "unknown relation symbol Q"),
+    (PosEx(("x",), RelAtom("le", (Var("x"),) * 3)), {}, "arity mismatch for le"),
+    (PosEx(("x",), EqAtom(App("h", (Var("x"),)), Var("x"))), {}, "unknown function symbol h"),
+    (PosEx(("x",), EqAtom(App("f", (Var("x"),) * 2), Var("x"))), {}, "arity mismatch for f"),
+    (PosEx(("x",), EqAtom(Var("x"), Const("e"))), {}, "unknown constant e"),
+    (PosEx((), EqAtom(Var("x"), Var("y"))), {"x": "a"}, "unbound variable y"),
+])
+def test_ill_formed_evaluation_raises(f, env, message):
+    s = FiniteStructure(Signature.make(relations={"le": 2}, functions={"f": 1}), ("a",),
+                        {"le": frozenset()}, {"f": {("a",): "a"}})
+    with pytest.raises(FormulaError, match=message):
+        eval_formula(s, f, env)
+    with pytest.raises(FormulaError, match=message):
+        eval_formula_reference(s, f, env)

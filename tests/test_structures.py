@@ -260,3 +260,21 @@ def test_signature_arities_computed_once():
     assert sig.relation_arities == {"r": 2}
     other = Signature.make(relations={"r": 2}, functions={"f": 1})
     assert sig == other and hash(sig) == hash(other)
+
+
+def test_structure_key_built_once_per_instance():
+    sig = Signature.make(relations={"r": 2}, functions={"f": 1}, constants=["c"])
+    parts = (("a", "b"), {"r": frozenset({("b", "a"), ("a", "a")})}, {"f": {("b",): "a", ("a",): "b"}},
+             {"c": "b"})
+    s, twin = FiniteStructure(sig, *parts), FiniteStructure(sig, *parts)
+    expected = (
+        ("a", "b"),
+        (("r", (("a", "a"), ("b", "a"))),),
+        (("f", ((("a",), "b"), (("b",), "a"))),),
+        (("c", "b"),),
+    )
+    assert s.key() == expected and s.key() is s.key()
+    # equality and hashing see the same key whether or not it was built yet
+    assert s == twin and twin == s and hash(s) == hash(twin) == hash((sig, expected))
+    other = FiniteStructure(sig, *parts[:3], {"c": "a"})
+    assert s != other and other.key() is other.key()

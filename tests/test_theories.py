@@ -28,8 +28,8 @@ from posmt.theories import (
 
 from posmt.textio import load_workspace
 
-from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory
-from oracles import find_models_reference
+from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory, run_optimised
+from oracles import eval_formula_reference, find_models_reference
 
 SMALL = Budget(n=2, N=2, k=2)
 
@@ -406,6 +406,28 @@ def test_find_models_matches_reference_on_known_theories(theory, max_size):
         assert_matches_reference(theory.signature, ELEMENT_NAMES[:size], theory.implications())
 
 
+def reference_is_model(s: FiniteStructure, t: Theory) -> bool:
+    return all(eval_formula_reference(s, ts.sentence, {}) for ts in t.sentences)
+
+
+@pytest.mark.parametrize("theory,max_size", _test_theories())
+def test_is_model_matches_reference_on_known_theories(theory, max_size):
+    # every labelled structure on <= 2 elements, then the theory's models
+    probes = list(enumerate_structures(theory.signature, 2, up_to_iso=False))
+    found = models(theory, Budget(n=min(max_size, 3)))
+    assert [is_model(s, theory) for s in probes] == [reference_is_model(s, theory) for s in probes]
+    assert all(is_model(m, theory) and reference_is_model(m, theory) for m in found)
+    assert all(ts.check is ts.check for ts in theory.sentences)  # compiled once per sentence
+
+
+def test_is_model_matches_reference_on_digraphs(t_pos):
+    # all labelled digraphs on <= 3 elements: posets and non-transitive ones alike
+    probes = list(enumerate_structures(SIG_LE, 3, up_to_iso=False))
+    verdicts = [is_model(s, t_pos) for s in probes]
+    assert verdicts == [reference_is_model(s, t_pos) for s in probes]
+    assert sum(verdicts) == 1 + 3 + 19  # labelled posets on 1, 2 and 3 points
+
+
 SIG_RC = Signature.make(relations={"P": 1, "R": 2}, constants=["c"])
 
 
@@ -535,3 +557,13 @@ def test_find_models_matches_brute_force(case):
     got = [s.key() for s in find_models(sig, universe, implications)]
     assert len(got) == len(set(got))
     assert set(got) == expected
+
+
+def test_verdict_status_checked_under_python_O():
+    script = (
+        "from posmt.theories import Budget, Verdict\n"
+        "try:\n    Verdict('maybe', Budget())\nexcept ValueError:\n    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = run_optimised(script)
+    assert proc.returncode == 0, proc.stderr
