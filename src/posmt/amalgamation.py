@@ -28,7 +28,7 @@ from .morphisms import (
     search_homs,
 )
 from .structures import (
-    ELEMENT_NAMES, FiniteStructure, Signature, UnionFind, element_names,
+    ELEMENT_NAMES, FiniteStructure, Orbits, Signature, UnionFind, element_names,
     enumerate_structures,
 )
 from .theories import Budget, Theory, Verdict, is_model, models, no, unknown
@@ -242,23 +242,13 @@ MAX_ENUM_APEX = len(ELEMENT_NAMES)  # enumerated universes use the default names
 ENUM_RAW_LIMIT = 10 ** 6  # raw interpretation count beyond which a size is skipped
 
 
-def _raw_count(sig: Signature, size: int) -> int:
-    total = 1
-    for _, arity in sig.relations:
-        total *= 2 ** (size ** arity)
-    for _, arity in sig.functions:
-        total *= size ** (size ** arity)
-    total *= size ** len(sig.constants)
-    return total
-
-
 def _enum_sizes(p: AmalgamationProblem) -> Tuple[int, bool]:
     """Largest feasible apex size to enumerate, and whether that makes the
     search exhaustive up to budget N."""
     sig = p.f.target.signature
     top = 0
     for size in range(1, min(p.budget.N, MAX_ENUM_APEX) + 1):
-        if _raw_count(sig, size) > ENUM_RAW_LIMIT:
+        if Orbits(sig, size).count > ENUM_RAW_LIMIT:
             break
         top = size
     return top, top == p.budget.N
@@ -526,7 +516,9 @@ THEOREM_IDS = (
 )
 
 
-def _gen_instance(theorem: str, rng: random.Random, b: Budget) -> Optional[AmalgamationProblem]:
+def _gen_instance(
+    theorem: str, rng: random.Random, b: Budget, t_pos: Theory
+) -> Optional[AmalgamationProblem]:
     if theorem == "si-si-strong":
         # A immersed in B, strongly immersed in C (finite: an isomorphism)
         a = random_structure(rng, POSET_SIG, b.n)
@@ -535,31 +527,28 @@ def _gen_instance(theorem: str, rng: random.Random, b: Budget) -> Optional[Amalg
             parse_kinds("issi"), None, strong=True, budget=b,
         )
     if theorem == "ii-hh-strong":
-        t = poset_theory()
         a = random_poset(rng, b.n)
         f = disjoint_poset_extension(rng, a, 2)
         g = disjoint_poset_extension(rng, a, 2)
-        return AmalgamationProblem(f, g, parse_kinds("iihh"), t, strong=True, budget=b)
+        return AmalgamationProblem(f, g, parse_kinds("iihh"), t_pos, strong=True, budget=b)
     if theorem == "ih-ih-strong":
         # per the proof: A immersed in B, continued in C; apex models
         # T_i(C) u Diag+(B), i.e. C lands by an immersion, B by a hom
-        t = poset_theory()
         a = random_poset(rng, b.n)
         f = disjoint_poset_extension(rng, a, 2)
         g = random_hom_wing(rng, a, random_poset(rng, b.n))
         if g is None:
             return None
-        return AmalgamationProblem(f, g, parse_kinds("ihhi"), t, strong=True, budget=b)
+        return AmalgamationProblem(f, g, parse_kinds("ihhi"), t_pos, strong=True, budget=b)
     if theorem in ("h-strong-pc", "example-5"):
         # the point is pc for T_pos; example 5 is the non-strong statement
-        t = poset_theory()
         point = FiniteStructure(POSET_SIG, ("a",), {"le": frozenset({("a", "a")})}, {}, {})
         f = random_hom_wing(rng, point, random_poset(rng, b.n))
         g = random_hom_wing(rng, point, random_poset(rng, b.n))
         if f is None or g is None:
             return None
         return AmalgamationProblem(
-            f, g, parse_kinds("hhhh"), t, strong=(theorem == "h-strong-pc"), budget=b
+            f, g, parse_kinds("hhhh"), t_pos, strong=(theorem == "h-strong-pc"), budget=b
         )
     if theorem == "example-1":
         # [i,h,s,h]: the immersed wing absorbs the hom wing through its
@@ -602,17 +591,18 @@ def verify_theorem(
     be infinite)."""
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}")
-    rng = random.Random(seed)
-    if theorem == "inheritance":
-        return _verify_inheritance(rng, b, instances)
     if theorem == "example-6":
         return _verify_local_ring(b)
+    rng = random.Random(seed)
+    t_pos = poset_theory()
+    if theorem == "inheritance":
+        return _verify_inheritance(rng, b, instances, t_pos)
     rows = []
     witnessed = 0
     red_flags = []
     done = 0
     while done < instances:
-        p = _gen_instance(theorem, rng, b)
+        p = _gen_instance(theorem, rng, b, t_pos)
         if p is None:
             continue
         done += 1
@@ -640,12 +630,11 @@ def verify_theorem(
     }
 
 
-def _verify_inheritance(rng: random.Random, b: Budget, instances: int) -> Dict:
+def _verify_inheritance(rng: random.Random, b: Budget, instances: int, t: Theory) -> Dict:
     """B an [h]-strong basis at bound and A immersed in B: A's [h]-strong
     instances should be solvable at bound too."""
     if b.n < 2:
         raise PosmtError("the inheritance harness needs n >= 2: B is A plus one point")
-    t = poset_theory()
     rows = []
     witnessed = 0
     red_flags = []

@@ -30,7 +30,7 @@ from .formulas import (
     FALSE_POSEX, TRUE_POSEX, And, Const, EqAtom, Falsum, Implication, Or, PosEx,
     PosQF, RelAtom, Term, Truth, Var,
 )
-from .structures import FiniteStructure, Signature, element_names
+from .structures import FiniteStructure, Orbits, Signature, element_names
 
 # A compiled formula or term: (env, val) -> value, None while unknown.
 _Eval = Callable[[Tuple[int, ...], List], object]
@@ -357,19 +357,23 @@ def models_up_to_size(
 ) -> List[FiniteStructure]:
     """Models with |universe| <= max_size, the first found of each
     isomorphism class when up_to_iso, sorted stably by (size, canonical
-    key).  The models are grouped by `class_key`, so the canonical key is
-    computed once per class."""
+    key).  The first model met in a class has its canonical key computed
+    and its whole orbit of codes (`Orbits`) mapped to that key, so the
+    canonical key is computed once per class."""
     names = element_names(max_size)
     out: List[FiniteStructure] = []
     for size in range(1, max_size + 1):
         universe = names[:size]
+        orbits = Orbits(sig, size)
         canonical = {}
         keyed = []
         for st in find_models(sig, universe, implications, node_cap=node_cap):
-            cls = st.class_key()
-            ck = canonical.get(cls)
+            code = orbits.pack(st)
+            ck = canonical.get(code)
             if ck is None:
-                ck = canonical[cls] = st.canonical_key()
+                ck = st.canonical_key()
+                for image in orbits.images(code):
+                    canonical[image] = ck
             elif up_to_iso:
                 continue
             keyed.append((ck, st))

@@ -3,6 +3,13 @@
 Universes are nonempty, finite and ordered.  Element identifiers are opaque
 strings.  All types are immutable after construction and safe to share for
 concurrent reads.
+
+Isomorphism classes are told apart by orbits: `Orbits` packs the structures
+of one signature over n elements into int codes and lists a code's images
+under the n! permutations of the elements.  Enumeration and the model
+lists keep the first structure met in each class and mark its whole orbit,
+so every later member is skipped.  `canonical_key`, the lexicographically
+least relabelling, orders the model lists.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import getitem
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, SignatureError, StructureError
@@ -193,55 +201,6 @@ class FiniteStructure:
                 best = enc
         return best
 
-    def class_key(self):
-        """Complete isomorphism invariant: over one signature, equal exactly
-        for isomorphic structures.  Cheaper than `canonical_key`, whose
-        order it does not share.
-
-        Every fact is a tuple of element indices: a relation tuple, a
-        function entry (the arguments, then the value) or a constant's
-        element.  The elements are coloured by iterated refinement over the
-        facts, each colour ranked by value, so the ordered partition is
-        iso-invariant.  The key is the size and the least encoding, one
-        bitmask per symbol, over the relabellings that map each colour cell
-        onto its own block of positions.
-        """
-        n = len(self.universe)
-        index = {e: i for i, e in enumerate(self.universe)}.__getitem__
-        sig = self.signature
-        facts = [
-            [tuple(map(index, t)) for t in self.rel(name)] for name, _ in sig.relations
-        ]
-        facts += [
-            [tuple(map(index, args)) + (index(v),) for args, v in self.functions[name].items()]
-            for name, _ in sig.functions
-        ]
-        facts += [[(index(self.constants[c]),)] for c in sig.constants]
-        colour = _refine(n, facts)
-        cells = [[] for _ in range(max(colour) + 1)]
-        for e, c in enumerate(colour):
-            cells[c].append(e)
-        best = None
-        for blocks in itertools.product(*map(itertools.permutations, cells)):
-            pos = [0] * n
-            i = 0
-            for block in blocks:
-                for e in block:
-                    pos[e] = i
-                    i += 1
-            enc = []
-            for tuples in facts:
-                mask = 0
-                for t in tuples:
-                    code = 0
-                    for e in t:
-                        code = code * n + pos[e]
-                    mask |= 1 << code
-                enc.append(mask)
-            if best is None or enc < best:
-                best = enc
-        return (n, *best)
-
     def rename(self, mapping: Mapping[str, str]) -> "FiniteStructure":
         """Relabel elements injectively."""
         if len(set(mapping.values())) != len(self.universe):
@@ -262,29 +221,6 @@ class FiniteStructure:
             },
             constants={c: mapping[e] for c, e in self.constants.items()},
         )
-
-
-def _refine(n: int, facts) -> list:
-    """Colour rank of each element index, refined until stable: an
-    element's next colour ranks its colour with the sorted (position,
-    symbol, colours of the fact) of every fact it occurs in."""
-    colour = [0] * n
-    cells = 1
-    while cells < n:
-        occurs = [[] for _ in range(n)]
-        for s, tuples in enumerate(facts):
-            for t in tuples:
-                cols = (s, *[colour[e] for e in t])
-                for p, e in enumerate(t):
-                    occurs[e].append((p, cols))
-        keys = [(c, *sorted(o)) for c, o in zip(colour, occurs)]
-        ranked = sorted(set(keys))
-        if len(ranked) == cells:
-            break
-        rank = {k: r for r, k in enumerate(ranked)}
-        colour = [rank[k] for k in keys]
-        cells = len(ranked)
-    return colour
 
 
 def induced_substructure(s: FiniteStructure, subset: Sequence[str]) -> FiniteStructure:
@@ -341,11 +277,101 @@ def generated_substructure(
     return sub, {e: e for e in sub.universe}
 
 
-def _relation_spaces(sig: Signature, universe: Tuple[str, ...]):
-    return [
-        (name, list(itertools.product(universe, repeat=arity)))
-        for name, arity in sig.relations
-    ]
+class Orbits:
+    """Structures of one signature over n elements packed into int codes,
+    and each code's images under the n! permutations of the elements.
+
+    A code is `bits * tail + digits`.  `bits` has one bit per relation
+    cell: relation j's cells, in `itertools.product` order of their element
+    indices, from bit `offsets[j]` up.  `digits` reads the function tables
+    (each function's entries in product order), then the constants, as
+    base-n element indices, the first most significant.  So counting
+    through `range(tail)` walks them in `itertools.product` order of
+    their values, and there are `count` codes in all.
+    """
+
+    def __init__(self, sig: Signature, n: int):
+        self.sig, self.n = sig, n
+        self.cells = [n ** arity for _, arity in sig.relations]
+        self.offsets = list(itertools.accumulate(self.cells, initial=0))
+        self.digits = sum(n ** arity for _, arity in sig.functions) + len(sig.constants)
+        self.tail = n ** self.digits
+        self.count = self.tail << self.offsets[-1]
+
+    def _cell(self, t) -> int:
+        cell = 0
+        for e in t:
+            cell = cell * self.n + e
+        return cell
+
+    def pack(self, s: FiniteStructure) -> int:
+        index = {e: i for i, e in enumerate(s.universe)}.__getitem__
+        bits = 0
+        for (name, _), offset in zip(self.sig.relations, self.offsets):
+            for t in s.rel(name):
+                bits |= 1 << (offset + self._cell(map(index, t)))
+        values = [index(s.functions[name][args]) for name, arity in self.sig.functions
+                  for args in itertools.product(s.universe, repeat=arity)]
+        values += [index(s.constants[c]) for c in self.sig.constants]
+        return bits * self.tail + self._cell(values)
+
+    def unpack(self, code: int) -> Tuple[int, list]:
+        """The relation bits and the list of digits of a code."""
+        bits, rest = divmod(code, self.tail)
+        values = [0] * self.digits
+        for i in reversed(range(self.digits)):
+            rest, values[i] = divmod(rest, self.n)
+        return bits, values
+
+    def codes(self) -> Iterator[int]:
+        """Every code in enumeration order: each relation's cell sets by
+        size, then as `itertools.combinations` of its cells (the first
+        relation outermost), then the digits counting up."""
+        last, tail = len(self.cells) - 1, self.tail
+
+        def walk(j: int, bits: int) -> Iterator[int]:
+            cells = [1 << (self.offsets[j] + i) for i in range(self.cells[j])]
+            for r in range(len(cells) + 1):
+                for combo in itertools.combinations(cells, r):
+                    if j < last:
+                        yield from walk(j + 1, bits | sum(combo))
+                    else:
+                        yield bits | sum(combo)
+        return itertools.chain.from_iterable(
+            range(b * tail, (b + 1) * tail) for b in (walk(0, 0) if self.cells else [0])
+        )
+
+    def images(self, code: int) -> Iterator[int]:
+        """The code of the structure relabelled by each permutation of the
+        elements, repeated once per automorphism."""
+        bits, values = self.unpack(code)
+        ones = [i for i in range(bits.bit_length()) if bits >> i & 1]
+        for bit_images, digit_images in self._tables:
+            yield sum(map(bit_images.__getitem__, ones)) + sum(map(getitem, digit_images, values))
+
+    @cached_property
+    def _tables(self):
+        """Per permutation p: the code weight of the image of each relation
+        bit, and per digit the code weight of p[v] at the digit's image
+        position, for each value v."""
+        n, tail = self.n, self.tail
+        weights = [n ** (self.digits - 1 - i) for i in range(self.digits)]
+        tables = []
+        for p in itertools.permutations(range(n)):
+            bit_images = tuple(
+                tail << (offset + self._cell(p[e] for e in t))
+                for (_, arity), offset in zip(self.sig.relations, self.offsets)
+                for t in itertools.product(range(n), repeat=arity)
+            )
+            positions, start = [], 0
+            for _, arity in self.sig.functions:
+                positions += [start + self._cell(p[e] for e in args)
+                              for args in itertools.product(range(n), repeat=arity)]
+                start += n ** arity
+            positions += range(start, self.digits)
+            digit_images = [tuple(weights[q] * v for v in p) for q in positions]
+            tables.append((bit_images, digit_images))
+        return tables
 
 
 def enumerate_structures(
@@ -354,11 +380,16 @@ def enumerate_structures(
     up_to_iso: bool = True,
     cap: Optional[int] = None,
 ) -> Iterator[FiniteStructure]:
-    """All structures with |universe| <= max_size, in deterministic order.
+    """All structures with |universe| <= max_size, in deterministic order:
+    by size, then each relation's tuple sets by size and then as
+    combinations of its tuples (the first relation outermost), then the
+    function tables and constants in `itertools.product` order.
 
-    With up_to_iso, the first structure of each isomorphism class (exact
-    deduplication by `class_key`).  Raises BudgetExceeded
-    when more than `cap` structures would be yielded.
+    With up_to_iso, the first structure of each isomorphism class: codes
+    (`Orbits`) are walked in that order, one byte per code marks the orbit
+    of each structure yielded, and a structure is built only for an
+    unmarked code.  Raises BudgetExceeded when more than `cap` structures
+    would be yielded.
     """
     if max_size < 1:
         raise StructureError("max_size must be >= 1")
@@ -366,65 +397,38 @@ def enumerate_structures(
     count = 0
     for size in range(1, max_size + 1):
         universe = names[:size]
-        seen = set()
-        for st in _raw_structures(sig, universe):
-            if up_to_iso:
-                ck = st.class_key()
-                if ck in seen:
-                    continue
-                seen.add(ck)
+        orbits = Orbits(sig, size)
+        spaces = [list(itertools.product(universe, repeat=a)) for _, a in sig.relations]
+        args = [list(itertools.product(universe, repeat=a)) for _, a in sig.functions]
+        marked = bytearray(orbits.count if up_to_iso else 0)
+        for code in orbits.codes():
+            if up_to_iso and marked[code]:
+                continue
             count += 1
             if cap is not None and count > cap:
                 raise BudgetExceeded(f"enumeration exceeded cap {cap}")
-            yield st
-
-
-def _raw_structures(sig: Signature, universe: Tuple[str, ...]) -> Iterator[FiniteStructure]:
-    rel_spaces = _relation_spaces(sig, universe)
-    func_spaces = [
-        (name, list(itertools.product(universe, repeat=arity)))
-        for name, arity in sig.functions
-    ]
-    def rel_subsets(space):
-        # lazy powerset in subset-size order (avoids materializing 2^|space|)
-        for r in range(len(space) + 1):
-            for combo in itertools.combinations(space, r):
-                yield frozenset(combo)
-
-    def lazy_product(factories, depth=0, prefix=()):
-        if depth == len(factories):
-            yield prefix
-            return
-        for value in factories[depth]():
-            yield from lazy_product(factories, depth + 1, prefix + (value,))
-
-    n_rel = len(rel_spaces)
-    n_func = len(func_spaces)
-    factories = (
-        [(lambda sp=space: rel_subsets(sp)) for _, space in rel_spaces]
-        + [
-            (lambda sp=space: (dict(zip(sp, values)) for values in itertools.product(universe, repeat=len(sp))))
-            for _, space in func_spaces
-        ]
-        + [(lambda: iter(universe)) for _ in sig.constants]
-    )
-    for combo in lazy_product(factories):
-        rels = combo[:n_rel]
-        funcs = combo[n_rel:n_rel + n_func]
-        consts = combo[n_rel + n_func:]
-        yield FiniteStructure(
-            signature=sig,
-            universe=universe,
-            relations={name: rels[i] for i, (name, _) in enumerate(rel_spaces)},
-            functions={name: funcs[i] for i, (name, _) in enumerate(func_spaces)},
-            constants={c: consts[i] for i, c in enumerate(sig.constants)},
-        )
+            bits, digits = orbits.unpack(code)
+            values = iter([universe[v] for v in digits])
+            yield FiniteStructure(
+                signature=sig,
+                universe=universe,
+                relations={
+                    name: frozenset(t for i, t in enumerate(space) if bits >> (offset + i) & 1)
+                    for (name, _), space, offset in zip(sig.relations, spaces, orbits.offsets)
+                },
+                functions={name: dict(zip(a, values)) for (name, _), a in zip(sig.functions, args)},
+                constants={c: next(values) for c in sig.constants},
+            )
+            if up_to_iso:
+                for image in orbits.images(code):
+                    marked[image] = 1
 
 
 def are_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
     if a.signature != b.signature or a.size() != b.size():
         return False
-    return a.class_key() == b.class_key()
+    orbits = Orbits(a.signature, a.size())
+    return orbits.pack(b) in orbits.images(orbits.pack(a))
 
 
 def disjoint_rename(

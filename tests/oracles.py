@@ -26,26 +26,34 @@ corpora built by walking orbits must equal them tuple for tuple.
 The evaluation reference walks the formula tree per assignment, copying
 the environment at every quantifier.  The compiled evaluator behind
 `formulas.eval_formula` must return the same truth value.
+
+The deduplication references build every labelled structure (or take
+every model the finder yields) and group them by `class_key`, a complete
+isomorphism invariant computed per structure by colour refinement and a
+least encoding over the relabellings that keep each colour class
+together.  The orbit-marking enumeration and model lists must equal them
+tuple for tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from posmt.corpus import (
     CORPUS_CAP, DEFAULT_MAX_ATOMS_CQ, DEFAULT_MAX_ATOMS_IMPL, AtomCode, AtomPool,
     BoundedImplication, CQSentence, atom_pool,
 )
-from posmt.errors import BudgetExceeded, FormulaError
+from posmt.errors import BudgetExceeded, FormulaError, StructureError
 from posmt.formulas import (
     And, Atom, Const, EqAtom, Exists, Falsum, Forall, Formula, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
     PosEx, PosQF, RelAtom, Term, Truth, Var,
 )
 from posmt.morphisms import Morphism, is_homomorphism, search_homs
-from posmt.structures import FiniteStructure, Signature, enumerate_structures
+from posmt.finder import find_models
+from posmt.structures import FiniteStructure, Signature, element_names, enumerate_structures
 
 
 class ImmersionOracle:
@@ -547,3 +555,186 @@ def eval_formula_reference(
                 return False
         return True
     raise FormulaError(f"cannot evaluate {f!r}")
+
+
+def class_key(s: FiniteStructure):
+    """Complete isomorphism invariant: over one signature, equal exactly
+    for isomorphic structures.  Cheaper than `canonical_key`, whose
+    order it does not share.
+
+    Every fact is a tuple of element indices: a relation tuple, a
+    function entry (the arguments, then the value) or a constant's
+    element.  The elements are coloured by iterated refinement over the
+    facts, each colour ranked by value, so the ordered partition is
+    iso-invariant.  The key is the size and the least encoding, one
+    bitmask per symbol, over the relabellings that map each colour cell
+    onto its own block of positions.
+    """
+    n = len(s.universe)
+    index = {e: i for i, e in enumerate(s.universe)}.__getitem__
+    sig = s.signature
+    facts = [
+        [tuple(map(index, t)) for t in s.rel(name)] for name, _ in sig.relations
+    ]
+    facts += [
+        [tuple(map(index, args)) + (index(v),) for args, v in s.functions[name].items()]
+        for name, _ in sig.functions
+    ]
+    facts += [[(index(s.constants[c]),)] for c in sig.constants]
+    colour = _refine(n, facts)
+    cells = [[] for _ in range(max(colour) + 1)]
+    for e, c in enumerate(colour):
+        cells[c].append(e)
+    best = None
+    for blocks in itertools.product(*map(itertools.permutations, cells)):
+        pos = [0] * n
+        i = 0
+        for block in blocks:
+            for e in block:
+                pos[e] = i
+                i += 1
+        enc = []
+        for tuples in facts:
+            mask = 0
+            for t in tuples:
+                code = 0
+                for e in t:
+                    code = code * n + pos[e]
+                mask |= 1 << code
+            enc.append(mask)
+        if best is None or enc < best:
+            best = enc
+    return (n, *best)
+
+
+def _refine(n: int, facts) -> list:
+    """Colour rank of each element index, refined until stable: an
+    element's next colour ranks its colour with the sorted (position,
+    symbol, colours of the fact) of every fact it occurs in."""
+    colour = [0] * n
+    cells = 1
+    while cells < n:
+        occurs = [[] for _ in range(n)]
+        for s, tuples in enumerate(facts):
+            for t in tuples:
+                cols = (s, *[colour[e] for e in t])
+                for p, e in enumerate(t):
+                    occurs[e].append((p, cols))
+        keys = [(c, *sorted(o)) for c, o in zip(colour, occurs)]
+        ranked = sorted(set(keys))
+        if len(ranked) == cells:
+            break
+        rank = {k: r for r, k in enumerate(ranked)}
+        colour = [rank[k] for k in keys]
+        cells = len(ranked)
+    return colour
+
+
+def _relation_spaces(sig: Signature, universe: Tuple[str, ...]):
+    return [
+        (name, list(itertools.product(universe, repeat=arity)))
+        for name, arity in sig.relations
+    ]
+
+
+def enumerate_structures_reference(
+    sig: Signature,
+    max_size: int,
+    up_to_iso: bool = True,
+    cap: Optional[int] = None,
+) -> Iterator[FiniteStructure]:
+    """All structures with |universe| <= max_size, in deterministic order.
+
+    With up_to_iso, the first structure of each isomorphism class (exact
+    deduplication by `class_key`).  Raises BudgetExceeded
+    when more than `cap` structures would be yielded.
+    """
+    if max_size < 1:
+        raise StructureError("max_size must be >= 1")
+    names = element_names(max_size)
+    count = 0
+    for size in range(1, max_size + 1):
+        universe = names[:size]
+        seen = set()
+        for st in _raw_structures(sig, universe):
+            if up_to_iso:
+                ck = class_key(st)
+                if ck in seen:
+                    continue
+                seen.add(ck)
+            count += 1
+            if cap is not None and count > cap:
+                raise BudgetExceeded(f"enumeration exceeded cap {cap}")
+            yield st
+
+
+def _raw_structures(sig: Signature, universe: Tuple[str, ...]) -> Iterator[FiniteStructure]:
+    rel_spaces = _relation_spaces(sig, universe)
+    func_spaces = [
+        (name, list(itertools.product(universe, repeat=arity)))
+        for name, arity in sig.functions
+    ]
+    def rel_subsets(space):
+        # lazy powerset in subset-size order (avoids materializing 2^|space|)
+        for r in range(len(space) + 1):
+            for combo in itertools.combinations(space, r):
+                yield frozenset(combo)
+
+    def lazy_product(factories, depth=0, prefix=()):
+        if depth == len(factories):
+            yield prefix
+            return
+        for value in factories[depth]():
+            yield from lazy_product(factories, depth + 1, prefix + (value,))
+
+    n_rel = len(rel_spaces)
+    n_func = len(func_spaces)
+    factories = (
+        [(lambda sp=space: rel_subsets(sp)) for _, space in rel_spaces]
+        + [
+            (lambda sp=space: (dict(zip(sp, values)) for values in itertools.product(universe, repeat=len(sp))))
+            for _, space in func_spaces
+        ]
+        + [(lambda: iter(universe)) for _ in sig.constants]
+    )
+    for combo in lazy_product(factories):
+        rels = combo[:n_rel]
+        funcs = combo[n_rel:n_rel + n_func]
+        consts = combo[n_rel + n_func:]
+        yield FiniteStructure(
+            signature=sig,
+            universe=universe,
+            relations={name: rels[i] for i, (name, _) in enumerate(rel_spaces)},
+            functions={name: funcs[i] for i, (name, _) in enumerate(func_spaces)},
+            constants={c: consts[i] for i, c in enumerate(sig.constants)},
+        )
+
+
+def models_up_to_size_reference(
+    sig: Signature,
+    implications: Sequence[Implication],
+    max_size: int,
+    node_cap: Optional[int] = None,
+    up_to_iso: bool = True,
+) -> List[FiniteStructure]:
+    """Models with |universe| <= max_size, the first found of each
+    isomorphism class when up_to_iso, sorted stably by (size, canonical
+    key).  The models are grouped by `class_key`, so the canonical key is
+    computed once per class."""
+    names = element_names(max_size)
+    out: List[FiniteStructure] = []
+    for size in range(1, max_size + 1):
+        universe = names[:size]
+        canonical = {}
+        keyed = []
+        for st in find_models(sig, universe, implications, node_cap=node_cap):
+            cls = class_key(st)
+            ck = canonical.get(cls)
+            if ck is None:
+                ck = canonical[cls] = st.canonical_key()
+            elif up_to_iso:
+                continue
+            keyed.append((ck, st))
+        keyed.sort(key=lambda kv: kv[0])
+        out.extend(st for _, st in keyed)
+    return out

@@ -13,8 +13,8 @@ import time
 from posmt import corpus
 from posmt.amalgamation import (
     AmalgamationProblem, AmalgamationSolution, _gen_instance,
-    _solve_enumeration, _solve_quotient, parse_kinds, solve_amalgamation,
-    verify_solution,
+    _solve_enumeration, _solve_quotient, parse_kinds, poset_theory,
+    solve_amalgamation, verify_solution,
 )
 from posmt.errors import StructureError
 from posmt.morphisms import (
@@ -188,11 +188,12 @@ def test_criterion_9_amalgamation_theorems():
     start = time.monotonic()
     from dataclasses import replace
 
+    t_pos = poset_theory()
     for theorem in ("si-si-strong", "ii-hh-strong"):
         rng = random.Random(7)
         done = 0
         while done < 50:
-            p = _gen_instance(theorem, rng, Budget(n=3))
+            p = _gen_instance(theorem, rng, Budget(n=3), t_pos)
             if p is None:
                 continue
             done += 1

@@ -149,6 +149,21 @@ def test_solution_kind_monotone(point, chain2, t_pos):
 # generators, basis, harness
 
 
+@pytest.mark.parametrize("theorem", ["ii-hh-strong", "ih-ih-strong", "h-strong-pc", "inheritance"])
+def test_verify_builds_poset_theory_once(monkeypatch, theorem):
+    from posmt import amalgamation
+    real, calls = amalgamation.poset_theory, []
+
+    def counting():
+        calls.append(theorem)
+        return real()
+
+    monkeypatch.setattr(amalgamation, "poset_theory", counting)
+    report = verify_theorem(theorem, 0, Budget(n=3, N=6), instances=5)
+    assert report["instances"] == 5
+    assert len(calls) == 1
+
+
 def test_random_poset_is_model():
     t = poset_theory()
     rng = random.Random(3)

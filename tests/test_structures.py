@@ -18,7 +18,8 @@ from posmt.structures import (
 )
 from posmt.theories import Budget, Theory, joint_consistency_bounded, models
 
-from conftest import SIG_F, SIG_LE
+from conftest import SIG_F, SIG_LE, make_theory
+from oracles import class_key, enumerate_structures_reference
 
 
 def test_signature_rejects_duplicate_symbols():
@@ -60,7 +61,7 @@ def _counts_by_size(structures):
 def test_enumeration_counts_up_to_iso():
     # iso classes per size, OEIS A000595 (binary relations) and A001372
     # (mappings of a set into itself)
-    assert _counts_by_size(enumerate_structures(SIG_LE, 3)) == [2, 10, 104]
+    assert _counts_by_size(enumerate_structures(SIG_LE, 4)) == [2, 10, 104, 3044]
     assert _counts_by_size(enumerate_structures(SIG_F, 4)) == [1, 3, 7, 19]
 
 
@@ -128,6 +129,69 @@ def test_disjoint_rename(chain2):
     assert are_isomorphic(ra, chain2) and are_isomorphic(rb, chain2)
 
 
+def _keys_until_cap(structures):
+    """Keys of the structures yielded, and whether the cap was hit."""
+    keys = []
+    try:
+        for s in structures:
+            keys.append(s.key())
+    except BudgetExceeded:
+        return keys, True
+    return keys, False
+
+
+def _raw_total(sig: Signature, max_size: int) -> int:
+    return sum(
+        2 ** sum(n ** a for _, a in sig.relations)
+        * n ** (sum(n ** a for _, a in sig.functions) + len(sig.constants))
+        for n in range(1, max_size + 1)
+    )
+
+
+@st.composite
+def enumeration_cases(draw):
+    """A small signature, a size bound <= 6 with at most 5 * 10**4
+    labelled structures, up_to_iso, and a cap (None half of the time)."""
+    relations = draw(st.lists(st.integers(1, 3), max_size=2))
+    functions = draw(st.lists(st.integers(1, 2), max_size=2))
+    sig = Signature.make(
+        relations={f"r{i}": a for i, a in enumerate(relations)},
+        functions={f"f{i}": a for i, a in enumerate(functions)},
+        constants=[f"c{i}" for i in range(draw(st.integers(0, 2)))],
+    )
+    largest = 1
+    while largest < 6 and _raw_total(sig, largest + 1) <= 5 * 10 ** 4:
+        largest += 1
+    max_size = draw(st.integers(1, largest))
+    cap = draw(st.none() | st.integers(0, 300))
+    return sig, max_size, draw(st.booleans()), cap
+
+
+@settings(max_examples=30, deadline=None)
+@given(enumeration_cases())
+def test_enumeration_matches_class_key_reference(case):
+    sig, max_size, up_to_iso, cap = case
+    got = _keys_until_cap(enumerate_structures(sig, max_size, up_to_iso, cap))
+    assert got == _keys_until_cap(enumerate_structures_reference(sig, max_size, up_to_iso, cap))
+
+
+def test_permutation_tables_built_only_for_sizes_with_models(monkeypatch):
+    # every model has one element, so no size from 2 to 9 may build the
+    # tables of its n! element permutations
+    theory = make_theory(SIG_LE, "hinductive: forall x y. true -> x = y;")
+    real, lengths = itertools.permutations, []
+
+    def counting(iterable, r=None):
+        for p in real(iterable, r):
+            lengths.append(len(p))
+            yield p
+
+    monkeypatch.setattr(itertools, "permutations", counting)
+    found = models_up_to_size(SIG_LE, theory.implications(), 9)
+    assert [m.rel("le") for m in found] == [frozenset(), frozenset({("a", "a")})]
+    assert lengths and max(lengths) == 1
+
+
 def test_enumeration_deterministic():
     first = [s.key() for s in enumerate_structures(SIG_LE, 2)]
     second = [s.key() for s in enumerate_structures(SIG_LE, 2)]
@@ -147,14 +211,15 @@ def test_class_key_separates_what_refinement_cannot():
     # every element of a union of directed cycles keeps one colour, so the
     # key rests on the least encoding alone
     c6, two_c3 = _directed_cycles(6), _directed_cycles(3, 3)
-    assert c6.class_key() != two_c3.class_key()
+    assert class_key(c6) != class_key(two_c3)
     shuffled = c6.rename({f"v{i}": f"w{(5 * i + 2) % 6}" for i in range(6)})
-    assert c6.class_key() == shuffled.class_key()
+    assert class_key(c6) == class_key(shuffled)
     assert are_isomorphic(c6, shuffled) and not are_isomorphic(c6, two_c3)
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: class_key against the brute-force least relabelling
+# hypothesis: the class_key oracle and are_isomorphic against the
+# brute-force least relabelling
 
 KEY_SIGS = (  # (signature, largest size)
     (Signature.make(relations={"p": 1, "e": 2}), 5),
@@ -243,14 +308,22 @@ def structure_pairs(draw):
 @given(structure_pairs())
 def test_class_key_relabelling_invariant(case):
     s, _, rng = case
-    assert s.class_key() == _relabel(rng, s).class_key()
+    assert class_key(s) == class_key(_relabel(rng, s))
 
 
 @settings(max_examples=300, deadline=None)
 @given(structure_pairs())
 def test_class_key_matches_canonical_key(case):
     s, t, _ = case
-    assert (s.class_key() == t.class_key()) == (s.canonical_key() == t.canonical_key())
+    assert (class_key(s) == class_key(t)) == (s.canonical_key() == t.canonical_key())
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure_pairs())
+def test_are_isomorphic_matches_canonical_key(case):
+    s, t, _ = case
+    assert are_isomorphic(s, t) == (s.canonical_key() == t.canonical_key())
+    assert are_isomorphic(t, s) == are_isomorphic(s, t)
 
 
 def test_signature_arities_computed_once():

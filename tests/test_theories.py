@@ -29,7 +29,7 @@ from posmt.theories import (
 from posmt.textio import load_workspace
 
 from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory, run_optimised
-from oracles import eval_formula_reference, find_models_reference
+from oracles import eval_formula_reference, find_models_reference, models_up_to_size_reference
 
 SMALL = Budget(n=2, N=2, k=2)
 
@@ -404,6 +404,14 @@ def _test_theories():
 def test_find_models_matches_reference_on_known_theories(theory, max_size):
     for size in range(1, max_size + 1):
         assert_matches_reference(theory.signature, ELEMENT_NAMES[:size], theory.implications())
+
+
+@pytest.mark.parametrize("theory,max_size", _test_theories())
+@pytest.mark.parametrize("up_to_iso", [True, False])
+def test_models_up_to_size_matches_reference_on_known_theories(theory, max_size, up_to_iso):
+    args = (theory.signature, theory.implications(), max_size)
+    got = models_up_to_size(*args, up_to_iso=up_to_iso)
+    assert [m.key() for m in got] == [m.key() for m in models_up_to_size_reference(*args, up_to_iso=up_to_iso)]
 
 
 def reference_is_model(s: FiniteStructure, t: Theory) -> bool:
