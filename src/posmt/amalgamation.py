@@ -344,7 +344,7 @@ def check_basis(
             raise StructureError("the base is not a model of the theory")
         wings = models(theory, b)
     else:
-        wings = enumerate_structures(a.signature, b.n)
+        wings = list(enumerate_structures(a.signature, b.n))
     instances: List[Dict] = []
     statuses: List[str] = []
     for bw in wings:
@@ -352,10 +352,12 @@ def check_basis(
         if not fs:
             continue
         for cw in wings:
-            gs = enumerate_homs(a, cw, kind=beta, node_cap=b.node_cap) if cw is not bw else fs
+            if cw is bw and alpha == beta:
+                gs = fs
+            else:
+                gs = enumerate_homs(a, cw, kind=beta, node_cap=b.node_cap)
             for f in fs:
                 for g in gs:
-                    g = Morphism(a, cw, g.map) if g.target is not cw else g
                     problem = AmalgamationProblem(f, g, kinds, theory, strong, strict_strong, b)
                     result = solve_amalgamation(problem)
                     solved = isinstance(result, AmalgamationSolution)
@@ -591,6 +593,8 @@ def verify_theorem(
     be infinite)."""
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}")
+    if instances < 1:
+        raise PosmtError("the instance count must be positive")
     if theorem == "example-6":
         return _verify_local_ring(b)
     rng = random.Random(seed)
@@ -622,7 +626,7 @@ def verify_theorem(
         "theorem": theorem,
         "instances": done,
         "witnessed": witnessed,
-        "rate": witnessed / done if done else 1.0,
+        "rate": witnessed / done,
         "red_flags": red_flags,
         "rows": rows,
         "budget": b.as_dict(),
@@ -666,7 +670,7 @@ def _verify_inheritance(rng: random.Random, b: Budget, instances: int, t: Theory
         rows.append({"outcome": "witnessed" if ok else "budget-exhausted", "premise_ok": premise_ok})
     return {
         "theorem": "inheritance", "instances": done, "witnessed": witnessed,
-        "rate": witnessed / done if done else 1.0, "red_flags": red_flags,
+        "rate": witnessed / done, "red_flags": red_flags,
         "rows": rows, "budget": b.as_dict(),
     }
 

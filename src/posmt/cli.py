@@ -179,7 +179,7 @@ def cmd_homs(args: argparse.Namespace) -> int:
     src = ws.structure(args.src)
     tgt = ws.structure(args.tgt)
     kind = MorphismKind.from_letter(args.kind)
-    homs = enumerate_homs(src, tgt, kind=kind, k=b.k, node_cap=b.node_cap)
+    homs = enumerate_homs(src, tgt, kind=kind, node_cap=b.node_cap)
     if args.json:
         print(report_to_json({"command": "homs", "from": args.src, "to": args.tgt,
                               "kind": kind.letter, "count": len(homs),
@@ -196,7 +196,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     ws = _workspace(args)
     b = _budget(args)
     m = ws.morphism(args.morphism)
-    kind = classify_morphism(m, b.k)
+    kind = classify_morphism(m)
     names = {
         MorphismKind.HOM: "homomorphism",
         MorphismKind.EMBEDDING: "embedding",

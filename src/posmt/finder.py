@@ -218,14 +218,12 @@ def find_models(
     seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]] = None,
     seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]] = None,
     seed_constants: Optional[Mapping[str, str]] = None,
-    freeze_relations: bool = False,
 ) -> Iterator[FiniteStructure]:
     """All total interpretations on `universe` satisfying the implications.
 
-    Seeded relation facts are fixed true (others stay free unless
-    freeze_relations, which fixes them false).  Seeded function entries and
-    constants are fixed.  Deterministic order; raises BudgetExceeded past
-    node_cap assignments.
+    Seeded relation facts are fixed true, and every other relation fact
+    stays free.  Seeded function entries and constants are fixed.
+    Deterministic order; raises BudgetExceeded past node_cap assignments.
     """
     n = len(universe)
     cells = _Cells(sig, n)
@@ -255,8 +253,6 @@ def find_models(
         for i, tup in enumerate(itertools.product(universe, repeat=arity)):
             if tup in seeded_tuples:
                 val[first + i] = True
-            elif freeze_relations:
-                val[first + i] = False
             else:
                 order.append(first + i)
                 domains.append((False, True))
@@ -353,30 +349,24 @@ def models_up_to_size(
     implications: Sequence[Implication],
     max_size: int,
     node_cap: Optional[int] = None,
-    up_to_iso: bool = True,
 ) -> List[FiniteStructure]:
     """Models with |universe| <= max_size, the first found of each
-    isomorphism class when up_to_iso, sorted stably by (size, canonical
-    key).  The first model met in a class has its canonical key computed
-    and its whole orbit of codes (`Orbits`) mapped to that key, so the
-    canonical key is computed once per class."""
+    isomorphism class, sorted stably by (size, canonical key).  The first
+    model met in a class has its whole orbit of codes (`Orbits`) marked, so
+    the canonical key is computed once per class."""
     names = element_names(max_size)
     out: List[FiniteStructure] = []
     for size in range(1, max_size + 1):
         universe = names[:size]
         orbits = Orbits(sig, size)
-        canonical = {}
+        marked = set()
         keyed = []
         for st in find_models(sig, universe, implications, node_cap=node_cap):
             code = orbits.pack(st)
-            ck = canonical.get(code)
-            if ck is None:
-                ck = st.canonical_key()
-                for image in orbits.images(code):
-                    canonical[image] = ck
-            elif up_to_iso:
+            if code in marked:
                 continue
-            keyed.append((ck, st))
+            marked.update(orbits.images(code))
+            keyed.append((st.canonical_key(), st))
         keyed.sort(key=lambda kv: kv[0])
         out.extend(st for _, st in keyed)
     return out

@@ -335,9 +335,7 @@ def _is_positive(f: Formula) -> bool:
     if isinstance(f, (PosEx, Exists)):
         body = f.matrix if isinstance(f, PosEx) else f.sub
         return _is_positive(body)
-    if isinstance(f, (And, Or, GAnd, GOr)):
-        # nested quantifiers inside connectives are outside our fragment
-        return all(_is_posqf(p) for p in f.parts)
+    # nested quantifiers inside connectives are outside our fragment
     return False
 
 
@@ -374,7 +372,7 @@ def classify_sentence(f: Formula) -> str:
     outside, for a closed formula."""
     if free_vars(f):
         raise FormulaError("classification requires a closed formula")
-    if _is_positive(f) or (isinstance(f, PosEx) and _is_positive(f.matrix)):
+    if _is_positive(f):
         return "positive"
     if isinstance(f, HUniversalSentence):
         return "h-universal"

@@ -1,19 +1,23 @@
 """Homomorphism search and classification into the four-kind hierarchy.
 
-Kind chain: Hom < Embedding < Immersion < StrongImmersion.  Immersion is
-decided exactly by the retraction criterion (valid over finite targets).
-Strong immersion is bounded by the number k of target elements an
-h-inductive sentence may mention, and is decided in closed form: a
-bijective homomorphism that reflects every relation tuple spanning <= k
-elements.  Bijectivity is forced because the target must model the
-source's surjectivity sentence and its parameter inequalities.
+Kind chain: Hom < Embedding < Immersion < StrongImmersion, decided in one
+place, `classify_morphism`.  Immersion is decided exactly by the retraction
+criterion (valid over finite targets).  In the chain, a strong immersion is
+a surjective embedding: an embedding reflects every tuple inside its image,
+so a bijective one is an isomorphism, which is a strong immersion at every
+bound.  The bound k on the number of target elements an h-inductive
+sentence may mention applies only to the standalone `is_strong_immersion`,
+which is decided in closed form: a bijective homomorphism that reflects
+every relation tuple spanning <= k elements.  Bijectivity is forced
+because the target must model the source's surjectivity sentence and its
+parameter inequalities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, SignatureError, StructureError
 from .structures import FiniteStructure
@@ -42,7 +46,6 @@ class Morphism:
     source: FiniteStructure
     target: FiniteStructure
     map: Mapping[str, str]
-    certificate: Any = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.source.signature != self.target.signature:
@@ -279,17 +282,16 @@ def is_strong_immersion(m: Morphism, k: Optional[int] = None) -> Tuple[bool, Opt
 # Classification and enumeration
 
 
-def classify_morphism(m: Morphism, k: Optional[int] = None) -> MorphismKind:
-    """Strongest kind in the chain that holds (strong immersion at bound k,
-    defaulting to the target size)."""
+def classify_morphism(m: Morphism) -> MorphismKind:
+    """Strongest kind in the chain that holds.  A surjective embedding is an
+    isomorphism, hence a strong immersion at every bound."""
     if not is_homomorphism(m):
         raise StructureError("not a homomorphism")
     if not is_embedding(m):
         return MorphismKind.HOM
-    if not is_immersion(m):
-        return MorphismKind.EMBEDDING
-    strong, _ = is_strong_immersion(m, k)
-    return MorphismKind.STRONG_IMMERSION if strong else MorphismKind.IMMERSION
+    if len(set(m.map.values())) == len(m.target.universe):
+        return MorphismKind.STRONG_IMMERSION
+    return MorphismKind.IMMERSION if retraction(m) is not None else MorphismKind.EMBEDDING
 
 
 def enumerate_homs(
@@ -297,28 +299,11 @@ def enumerate_homs(
     b: FiniteStructure,
     required: Optional[Mapping[str, str]] = None,
     kind: MorphismKind = MorphismKind.HOM,
-    k: Optional[int] = None,
     node_cap: Optional[int] = None,
 ) -> List[Morphism]:
-    """All morphisms of at least the requested kind, sorted by map encoding.
-    Morphisms of kind >= Immersion carry their certificate."""
-    out = []
-    for mp in search_homs(a, b, required, node_cap=node_cap):
-        m = Morphism(a, b, mp)
-        cert: Any = None
-        if kind >= MorphismKind.EMBEDDING and not is_embedding(m):
-            continue
-        if kind >= MorphismKind.IMMERSION:
-            r = retraction(m)
-            if r is None:
-                continue
-            cert = {"retraction": dict(r.map)}
-        if kind >= MorphismKind.STRONG_IMMERSION:
-            strong, _ = is_strong_immersion(m, k)
-            if not strong:
-                continue
-            cert = dict(cert or {})
-            cert["strong_bound"] = k if k is not None else len(b.universe)
-        out.append(Morphism(a, b, mp, certificate=cert))
+    """All morphisms of at least the requested kind, sorted by map encoding."""
+    out = [Morphism(a, b, mp) for mp in search_homs(a, b, required, node_cap=node_cap)]
+    if kind > MorphismKind.HOM:
+        out = [m for m in out if classify_morphism(m) >= kind]
     out.sort(key=lambda m: m.map_key())
     return out

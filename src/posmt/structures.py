@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import getitem
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, SignatureError, StructureError
+from .errors import SignatureError, StructureError
 
 # Default element names used by enumeration, large enough for size <= 12.
 ELEMENT_NAMES = tuple("abcdefghijkl")
@@ -374,39 +374,29 @@ class Orbits:
         return tables
 
 
-def enumerate_structures(
-    sig: Signature,
-    max_size: int,
-    up_to_iso: bool = True,
-    cap: Optional[int] = None,
-) -> Iterator[FiniteStructure]:
-    """All structures with |universe| <= max_size, in deterministic order:
-    by size, then each relation's tuple sets by size and then as
-    combinations of its tuples (the first relation outermost), then the
-    function tables and constants in `itertools.product` order.
+def enumerate_structures(sig: Signature, max_size: int) -> Iterator[FiniteStructure]:
+    """The first structure of each isomorphism class with |universe| <=
+    max_size, in deterministic order: by size, then each relation's tuple
+    sets by size and then as combinations of its tuples (the first relation
+    outermost), then the function tables and constants in
+    `itertools.product` order.
 
-    With up_to_iso, the first structure of each isomorphism class: codes
-    (`Orbits`) are walked in that order, one byte per code marks the orbit
-    of each structure yielded, and a structure is built only for an
-    unmarked code.  Raises BudgetExceeded when more than `cap` structures
-    would be yielded.
+    Codes (`Orbits`) are walked in that order, one byte per code marks the
+    orbit of each structure yielded, and a structure is built only for an
+    unmarked code.
     """
     if max_size < 1:
         raise StructureError("max_size must be >= 1")
     names = element_names(max_size)
-    count = 0
     for size in range(1, max_size + 1):
         universe = names[:size]
         orbits = Orbits(sig, size)
         spaces = [list(itertools.product(universe, repeat=a)) for _, a in sig.relations]
         args = [list(itertools.product(universe, repeat=a)) for _, a in sig.functions]
-        marked = bytearray(orbits.count if up_to_iso else 0)
+        marked = bytearray(orbits.count)
         for code in orbits.codes():
-            if up_to_iso and marked[code]:
+            if marked[code]:
                 continue
-            count += 1
-            if cap is not None and count > cap:
-                raise BudgetExceeded(f"enumeration exceeded cap {cap}")
             bits, digits = orbits.unpack(code)
             values = iter([universe[v] for v in digits])
             yield FiniteStructure(
@@ -419,9 +409,8 @@ def enumerate_structures(
                 functions={name: dict(zip(a, values)) for (name, _), a in zip(sig.functions, args)},
                 constants={c: next(values) for c in sig.constants},
             )
-            if up_to_iso:
-                for image in orbits.images(code):
-                    marked[image] = 1
+            for image in orbits.images(code):
+                marked[image] = 1
 
 
 def are_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
@@ -431,12 +420,10 @@ def are_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
     return orbits.pack(b) in orbits.images(orbits.pack(a))
 
 
-def disjoint_rename(
-    a: FiniteStructure, b: FiniteStructure, prefix_a: str = "L.", prefix_b: str = "R."
-) -> Tuple[FiniteStructure, FiniteStructure]:
+def disjoint_rename(a: FiniteStructure, b: FiniteStructure) -> Tuple[FiniteStructure, FiniteStructure]:
     """Rename the two universes apart (used when forming sums)."""
-    ra = a.rename({e: prefix_a + e for e in a.universe})
-    rb = b.rename({e: prefix_b + e for e in b.universe})
+    ra = a.rename({e: "L." + e for e in a.universe})
+    rb = b.rename({e: "R." + e for e in b.universe})
     return ra, rb
 
 

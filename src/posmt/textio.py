@@ -47,7 +47,6 @@ class RawProblem:
 class Workspace:
     signatures: Dict[str, Signature] = field(default_factory=dict)
     structures: Dict[str, FiniteStructure] = field(default_factory=dict)
-    structure_signame: Dict[str, str] = field(default_factory=dict)
     morphisms: Dict[str, Morphism] = field(default_factory=dict)
     theories: Dict[str, Theory] = field(default_factory=dict)
     problems: Dict[str, RawProblem] = field(default_factory=dict)
@@ -160,7 +159,6 @@ def _parse_structure(p: Parser, ws: Workspace) -> None:
     ws.structures[name] = FiniteStructure(
         sig, universe, {k: frozenset(v) for k, v in relations.items()}, functions, constants
     )
-    ws.structure_signame[name] = signame
 
 
 def _map_pair(p: Parser) -> Tuple[str, str]:
@@ -275,9 +273,9 @@ BLOCK_PARSERS = {
 }
 
 
-def load_workspace(texts: List[str], workspace: Optional[Workspace] = None) -> Workspace:
+def load_workspace(texts: List[str]) -> Workspace:
     """Read every block of every text, each text from one token stream."""
-    ws = workspace or Workspace()
+    ws = Workspace()
     for text in texts:
         p = Parser(text)
         while not p.at_eof():

@@ -122,10 +122,10 @@ class DiagramSet:
 # Models
 
 
-def models(t: Theory, b: Budget, up_to_iso: bool = True) -> List[FiniteStructure]:
+def models(t: Theory, b: Budget) -> List[FiniteStructure]:
     """All models of t with universe size <= b.n, up to isomorphism,
     deterministic order."""
-    return models_up_to_size(t.signature, t.implications(), b.n, node_cap=b.node_cap, up_to_iso=up_to_iso)
+    return models_up_to_size(t.signature, t.implications(), b.n, node_cap=b.node_cap)
 
 
 def is_model(s: FiniteStructure, t: Theory) -> bool:
@@ -141,14 +141,12 @@ def constant_name_for(element: str) -> str:
 
 
 def expand_with_constants(
-    a: FiniteStructure, base: Optional[Signature] = None, elements: Optional[Sequence[str]] = None
+    a: FiniteStructure, elements: Optional[Sequence[str]] = None
 ) -> Tuple[Signature, FiniteStructure]:
     """L(A): adjoin one fresh constant per element of a (or per element of
     `elements`), re-interpreting a so each new constant names its element.
     Colliding names are suffixed with primes encoded as underscores."""
-    base = base or a.signature
-    if base != a.signature:
-        raise SignatureError("structure is not over the given base signature")
+    base = a.signature
     elems = tuple(elements) if elements is not None else a.universe
     for e in elems:
         if e not in a.universe:

@@ -27,6 +27,11 @@ The evaluation reference walks the formula tree per assignment, copying
 the environment at every quantifier.  The compiled evaluator behind
 `formulas.eval_formula` must return the same truth value.
 
+The kind references decide the four-kind chain as it was decided before
+`morphisms.classify_morphism` became the one place: embedding, then a
+retraction, then the bounded strong immersion at k.  They keep the bound
+k, which cannot change a kind once a map is an embedding.
+
 The deduplication references build every labelled structure (or take
 every model the finder yields) and group them by `class_key`, a complete
 isomorphism invariant computed per structure by colour refinement and a
@@ -51,7 +56,10 @@ from posmt.formulas import (
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
     PosEx, PosQF, RelAtom, Term, Truth, Var,
 )
-from posmt.morphisms import Morphism, is_homomorphism, search_homs
+from posmt.morphisms import (
+    Morphism, MorphismKind, is_embedding, is_homomorphism, is_immersion,
+    is_strong_immersion, retraction, search_homs,
+)
 from posmt.finder import find_models
 from posmt.structures import FiniteStructure, Signature, element_names, enumerate_structures
 
@@ -137,6 +145,47 @@ def strong_immersion_reference(m: Morphism, k: Optional[int] = None) -> bool:
                 if _facts_hold(b, facts, env, b_consts) and bbar not in good_images:
                     return False
     return True
+
+
+def classify_morphism_reference(m: Morphism, k: Optional[int] = None) -> MorphismKind:
+    """Strongest kind in the chain that holds (strong immersion at bound k,
+    defaulting to the target size)."""
+    if not is_homomorphism(m):
+        raise StructureError("not a homomorphism")
+    if not is_embedding(m):
+        return MorphismKind.HOM
+    if not is_immersion(m):
+        return MorphismKind.EMBEDDING
+    strong, _ = is_strong_immersion(m, k)
+    return MorphismKind.STRONG_IMMERSION if strong else MorphismKind.IMMERSION
+
+
+def enumerate_homs_reference(
+    a: FiniteStructure,
+    b: FiniteStructure,
+    required: Optional[Mapping[str, str]] = None,
+    kind: MorphismKind = MorphismKind.HOM,
+    k: Optional[int] = None,
+    node_cap: Optional[int] = None,
+) -> List[Morphism]:
+    """All morphisms of at least the requested kind, sorted by map encoding,
+    filtered kind by kind: embedding, retraction, strong immersion at k."""
+    out = []
+    for mp in search_homs(a, b, required, node_cap=node_cap):
+        m = Morphism(a, b, mp)
+        if kind >= MorphismKind.EMBEDDING and not is_embedding(m):
+            continue
+        if kind >= MorphismKind.IMMERSION:
+            r = retraction(m)
+            if r is None:
+                continue
+        if kind >= MorphismKind.STRONG_IMMERSION:
+            strong, _ = is_strong_immersion(m, k)
+            if not strong:
+                continue
+        out.append(m)
+    out.sort(key=lambda m: m.map_key())
+    return out
 
 
 def _subset_facts(s: FiniteStructure, subset: set) -> List[Tuple]:

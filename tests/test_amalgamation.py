@@ -11,9 +11,11 @@ from posmt.amalgamation import (
     _solve_enumeration, _solve_quotient,
 )
 from posmt.errors import StructureError
-from posmt.morphisms import Morphism, MorphismKind, identity, search_homs
+from posmt.morphisms import (
+    Morphism, MorphismKind, classify_morphism, enumerate_homs, identity, search_homs,
+)
 from posmt.structures import FiniteStructure, Signature, enumerate_structures
-from posmt.theories import Budget
+from posmt.theories import Budget, models
 
 from conftest import SIG_LE, run_optimised
 
@@ -186,6 +188,31 @@ def test_check_basis_point_hhhh(point, t_pos):
     report = check_basis(point, "hhhh", t_pos, Budget(n=2, N=4))
     assert report.verdict.is_yes
     assert report.instances
+
+
+@pytest.mark.parametrize("kinds", ["hihh", "ihhh"])
+def test_check_basis_maps_each_wing_at_its_own_kind(chain2, t_pos, kinds):
+    # with B = C the left maps stand in for the right ones only when the
+    # two in-kinds agree
+    b = Budget(n=2, N=4)
+    alpha, beta = parse_kinds(kinds)[:2]
+    report = check_basis(chain2, kinds, t_pos, b)
+    wings = models(t_pos, b)
+    expected = sum(len(enumerate_homs(chain2, bw, kind=alpha)) * len(enumerate_homs(chain2, cw, kind=beta))
+                   for bw in wings for cw in wings)
+    assert len(report.instances) == expected == 6
+    for inst in report.instances:
+        assert classify_morphism(Morphism(chain2, inst["B"], inst["f"])) >= alpha
+        assert classify_morphism(Morphism(chain2, inst["C"], inst["g"])) >= beta
+
+
+def test_check_basis_without_theory_pairs_every_wing(point):
+    # the wings over all structures are read once per B and once per C
+    b = Budget(n=2, N=3)
+    report = check_basis(point, "hhhh", None, b)
+    homs = [len(enumerate_homs(point, w)) for w in enumerate_structures(SIG_LE, 2)]
+    assert len(report.instances) == sum(homs) ** 2 == 121
+    assert len({inst["B"].key() for inst in report.instances}) == sum(1 for h in homs if h)
 
 
 def test_verify_theorem_small():

@@ -191,6 +191,21 @@ def test_verify_subcommand(capsys):
     assert "witnessed 3/3" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_instance_count_below_one(count, capsys):
+    code, out = run(capsys, "verify", "--theorem", "ii-hh-strong", "--instances", count, "--json")
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["s", "i"])
+@pytest.mark.parametrize("src", ["chain2", "point"])
+def test_homs_output_does_not_depend_on_k(ws_file, capsys, src, kind):
+    outs = [run(capsys, "homs", ws_file, "--from", src, "--to", "chain2", "--kind", kind,
+                "--json", "--k", k) for k in ("1", "2", "3")]
+    assert outs[0] == outs[1] == outs[2]
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 

@@ -16,7 +16,10 @@ from posmt.morphisms import (
 from posmt.structures import FiniteStructure, Signature, enumerate_structures
 
 from conftest import SIG_F, SIG_LE
-from oracles import ImmersionOracle, strong_immersion_reference
+from oracles import (
+    ImmersionOracle, classify_morphism_reference, enumerate_homs_reference,
+    strong_immersion_reference,
+)
 
 
 def test_identity_is_strong_immersion(chain2):
@@ -173,3 +176,24 @@ def maps_with_bound(draw):
 def test_strong_immersion_matches_reference(case):
     m, k = case
     assert is_strong_immersion(m, k)[0] == strong_immersion_reference(m, k), (m.map, k)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the one kind decision against the kind-by-kind chain at bound k
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_with_bound())
+def test_kinds_match_reference_at_every_bound(case):
+    m, _ = case
+    a, b = m.source, m.target
+    hom = is_homomorphism(m)
+    if not hom:
+        with pytest.raises(StructureError):
+            classify_morphism(m)
+    got = {kind: [h.map_key() for h in enumerate_homs(a, b, kind=kind)] for kind in MorphismKind}
+    for k in (None, 1, 2, 3):
+        if hom:
+            assert classify_morphism(m) == classify_morphism_reference(m, k), (m.map, k)
+        for kind in MorphismKind:
+            assert got[kind] == [h.map_key() for h in enumerate_homs_reference(a, b, kind=kind, k=k)]

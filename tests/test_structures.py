@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posmt.amalgamation import random_structure
-from posmt.errors import BudgetExceeded, SignatureError, StructureError
+from posmt.errors import SignatureError, StructureError
 from posmt.finder import models_up_to_size
 from posmt.structures import (
     FiniteStructure, Signature, are_isomorphic, disjoint_rename,
@@ -71,7 +71,7 @@ def test_poset_counts_match_oeis(t_pos):
 
 
 def test_enumeration_raw_counts():
-    raw = list(enumerate_structures(SIG_LE, 2, up_to_iso=False))
+    raw = list(enumerate_structures_reference(SIG_LE, 2, up_to_iso=False))
     assert len(raw) == 2 + 16
 
 
@@ -79,18 +79,13 @@ def test_sizes_past_element_name_pool_rejected():
     # 12 default element names: size 13 must not silently repeat size 12
     sig = Signature.make(constants=["c"])
     with pytest.raises(StructureError):
-        list(enumerate_structures(sig, 14, up_to_iso=False))
+        list(enumerate_structures(sig, 14))
     with pytest.raises(StructureError):
         models_up_to_size(sig, (), 13)
     with pytest.raises(StructureError):
         joint_consistency_bounded([Theory.make(sig, [])], Budget(N=13))
     with pytest.raises(StructureError):
         random_structure(random.Random(0), sig, 13)
-
-
-def test_enumeration_cap():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_structures(SIG_LE, 3, cap=5))
 
 
 def test_canonical_key_iso_invariant(chain2):
@@ -129,17 +124,6 @@ def test_disjoint_rename(chain2):
     assert are_isomorphic(ra, chain2) and are_isomorphic(rb, chain2)
 
 
-def _keys_until_cap(structures):
-    """Keys of the structures yielded, and whether the cap was hit."""
-    keys = []
-    try:
-        for s in structures:
-            keys.append(s.key())
-    except BudgetExceeded:
-        return keys, True
-    return keys, False
-
-
 def _raw_total(sig: Signature, max_size: int) -> int:
     return sum(
         2 ** sum(n ** a for _, a in sig.relations)
@@ -150,8 +134,8 @@ def _raw_total(sig: Signature, max_size: int) -> int:
 
 @st.composite
 def enumeration_cases(draw):
-    """A small signature, a size bound <= 6 with at most 5 * 10**4
-    labelled structures, up_to_iso, and a cap (None half of the time)."""
+    """A small signature and a size bound <= 6 with at most 5 * 10**4
+    labelled structures."""
     relations = draw(st.lists(st.integers(1, 3), max_size=2))
     functions = draw(st.lists(st.integers(1, 2), max_size=2))
     sig = Signature.make(
@@ -162,17 +146,15 @@ def enumeration_cases(draw):
     largest = 1
     while largest < 6 and _raw_total(sig, largest + 1) <= 5 * 10 ** 4:
         largest += 1
-    max_size = draw(st.integers(1, largest))
-    cap = draw(st.none() | st.integers(0, 300))
-    return sig, max_size, draw(st.booleans()), cap
+    return sig, draw(st.integers(1, largest))
 
 
 @settings(max_examples=30, deadline=None)
 @given(enumeration_cases())
 def test_enumeration_matches_class_key_reference(case):
-    sig, max_size, up_to_iso, cap = case
-    got = _keys_until_cap(enumerate_structures(sig, max_size, up_to_iso, cap))
-    assert got == _keys_until_cap(enumerate_structures_reference(sig, max_size, up_to_iso, cap))
+    sig, max_size = case
+    got = [s.key() for s in enumerate_structures(sig, max_size)]
+    assert got == [s.key() for s in enumerate_structures_reference(sig, max_size)]
 
 
 def test_permutation_tables_built_only_for_sizes_with_models(monkeypatch):

@@ -29,7 +29,10 @@ from posmt.theories import (
 from posmt.textio import load_workspace
 
 from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory, run_optimised
-from oracles import eval_formula_reference, find_models_reference, models_up_to_size_reference
+from oracles import (
+    class_key, enumerate_structures_reference, eval_formula_reference,
+    find_models_reference, models_up_to_size_reference,
+)
 
 SMALL = Budget(n=2, N=2, k=2)
 
@@ -67,7 +70,9 @@ def test_models_agree_with_enumeration_filter(t_pos):
 def test_models_key_each_class_once(t_pos, monkeypatch):
     # 242 labelled posets of size <= 4 in 1 + 2 + 5 + 16 classes: the least
     # relabelling is computed once per class, not once per labelled model
-    assert len(models(t_pos, Budget(n=4), up_to_iso=False)) == 242
+    labelled = sum(len(list(find_models(SIG_LE, ELEMENT_NAMES[:n], t_pos.implications())))
+                   for n in range(1, 5))
+    assert labelled == 242
     real = FiniteStructure.canonical_key
     calls = []
 
@@ -80,22 +85,30 @@ def test_models_key_each_class_once(t_pos, monkeypatch):
     assert len(calls) == 24
 
 
-@pytest.mark.parametrize("up_to_iso", [True, False])
-def test_models_order_is_first_found_by_canonical_key(t_pos, up_to_iso):
+def _first_of_each(items, key):
+    """The items whose key has not occurred before, in order."""
+    seen, out = set(), []
+    for x in items:
+        if key(x) not in seen:
+            seen.add(key(x))
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("dedup_before_sort", [True, False])
+def test_models_order_is_first_found_by_canonical_key(t_pos, dedup_before_sort):
     # reference: key every labelled model by its own least relabelling,
-    # keep the first of each class, sort stably by (size, canonical key)
+    # keep the first of each class, sort stably by (size, canonical key);
+    # keeping the first of each class after the stable sort is the same
     expected = []
     for size in range(1, 5):
-        keyed, seen = [], set()
-        for st in find_models(SIG_LE, ELEMENT_NAMES[:size], t_pos.implications()):
-            ck = st.canonical_key()
-            if up_to_iso and ck in seen:
-                continue
-            seen.add(ck)
-            keyed.append((ck, st))
+        keyed = [(st.canonical_key(), st)
+                 for st in find_models(SIG_LE, ELEMENT_NAMES[:size], t_pos.implications())]
+        if dedup_before_sort:
+            keyed = _first_of_each(keyed, lambda kv: kv[0])
         keyed.sort(key=lambda kv: kv[0])
-        expected += [st for _, st in keyed]
-    got = models_up_to_size(SIG_LE, t_pos.implications(), 4, up_to_iso=up_to_iso)
+        expected += [st for _, st in _first_of_each(keyed, lambda kv: kv[0])]
+    got = models_up_to_size(SIG_LE, t_pos.implications(), 4)
     assert [st.key() for st in got] == [st.key() for st in expected]
 
 
@@ -407,11 +420,15 @@ def test_find_models_matches_reference_on_known_theories(theory, max_size):
 
 
 @pytest.mark.parametrize("theory,max_size", _test_theories())
-@pytest.mark.parametrize("up_to_iso", [True, False])
-def test_models_up_to_size_matches_reference_on_known_theories(theory, max_size, up_to_iso):
+@pytest.mark.parametrize("reference_up_to_iso", [True, False])
+def test_models_up_to_size_matches_reference_on_known_theories(theory, max_size, reference_up_to_iso):
+    # the labelled reference list is sorted stably by canonical key, so the
+    # first model of each class in it is the first found
     args = (theory.signature, theory.implications(), max_size)
-    got = models_up_to_size(*args, up_to_iso=up_to_iso)
-    assert [m.key() for m in got] == [m.key() for m in models_up_to_size_reference(*args, up_to_iso=up_to_iso)]
+    expected = models_up_to_size_reference(*args, up_to_iso=reference_up_to_iso)
+    if not reference_up_to_iso:
+        expected = _first_of_each(expected, class_key)
+    assert [m.key() for m in models_up_to_size(*args)] == [m.key() for m in expected]
 
 
 def reference_is_model(s: FiniteStructure, t: Theory) -> bool:
@@ -421,7 +438,7 @@ def reference_is_model(s: FiniteStructure, t: Theory) -> bool:
 @pytest.mark.parametrize("theory,max_size", _test_theories())
 def test_is_model_matches_reference_on_known_theories(theory, max_size):
     # every labelled structure on <= 2 elements, then the theory's models
-    probes = list(enumerate_structures(theory.signature, 2, up_to_iso=False))
+    probes = list(enumerate_structures_reference(theory.signature, 2, up_to_iso=False))
     found = models(theory, Budget(n=min(max_size, 3)))
     assert [is_model(s, theory) for s in probes] == [reference_is_model(s, theory) for s in probes]
     assert all(is_model(m, theory) and reference_is_model(m, theory) for m in found)
@@ -430,7 +447,7 @@ def test_is_model_matches_reference_on_known_theories(theory, max_size):
 
 def test_is_model_matches_reference_on_digraphs(t_pos):
     # all labelled digraphs on <= 3 elements: posets and non-transitive ones alike
-    probes = list(enumerate_structures(SIG_LE, 3, up_to_iso=False))
+    probes = list(enumerate_structures_reference(SIG_LE, 3, up_to_iso=False))
     verdicts = [is_model(s, t_pos) for s in probes]
     assert verdicts == [reference_is_model(s, t_pos) for s in probes]
     assert sum(verdicts) == 1 + 3 + 19  # labelled posets on 1, 2 and 3 points
@@ -465,11 +482,11 @@ def test_find_models_existential_conclusion():
 
 @pytest.mark.parametrize("c", ["a", "b"])
 def test_find_models_fully_seeded(c):
-    sig = Signature.make(relations={"R": 2}, functions={"f": 1}, constants=["c"])
-    t = make_theory(sig, "hinductive: forall x. R(x,f(x)) -> x = c;")
-    seeds = dict(seed_true_relations={"R": [("a", "b")]},
-                 seed_functions={"f": {("a",): "b", ("b",): "a"}},
-                 seed_constants={"c": c}, freeze_relations=True)
+    # no relations, every function entry and constant seeded: no free cell
+    sig = Signature.make(functions={"f": 1}, constants=["c", "d"])
+    t = make_theory(sig, "hinductive: forall x. f(x) = d -> x = c;")
+    seeds = dict(seed_functions={"f": {("a",): "b", ("b",): "a"}},
+                 seed_constants={"c": c, "d": "b"})
     assert_matches_reference(sig, ("a", "b"), t.implications(), **seeds)
     got = list(find_models(sig, ("a", "b"), t.implications(), node_cap=0, **seeds))
     assert len(got) == (c == "a")
@@ -542,7 +559,6 @@ def finder_cases(draw):
         }
         seeds["seed_constants"] = {c: rng.choice(universe) for c in sig.constants
                                    if rng.random() < 0.5}
-        seeds["freeze_relations"] = draw(st.booleans())
     return sig, universe, implications, seeds
 
 
@@ -559,7 +575,7 @@ def test_find_models_matches_brute_force(case):
     sig, universe, implications, _ = case
     t = Theory.make(sig, [HInductiveSentence(implications)])
     expected = {
-        s.key() for s in enumerate_structures(sig, len(universe), up_to_iso=False)
+        s.key() for s in enumerate_structures_reference(sig, len(universe), up_to_iso=False)
         if s.universe == universe and is_model(s, t)
     }
     got = [s.key() for s in find_models(sig, universe, implications)]
