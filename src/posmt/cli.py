@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .amalgamation import (
@@ -91,7 +92,6 @@ def _budget(args: argparse.Namespace, *sizes: str) -> Budget:
             if value <= 0:
                 raise PosmtError(f"budget field {flag} must be positive")
             updates[attr] = value
-    from dataclasses import replace
     b = replace(b, **updates) if updates else b
     for attr in sizes:
         element_names(getattr(b, attr))
@@ -151,7 +151,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         g = ws.morphism(raw.right)
         if f.source.key() != base.key() or g.source.key() != base.key():
             raise PosmtError(f"problem {raw.name!r}: wings do not start at the base")
-        parse_kinds(raw.kinds)
         if raw.theory is not None:
             ws.theory(raw.theory)
     return EXIT_YES
@@ -268,9 +267,6 @@ def _problem_from_workspace(ws: Workspace, name: str, args: argparse.Namespace,
     if name not in ws.problems:
         raise PosmtError(f"unknown amalgamation problem {name!r}")
     raw = ws.problems[name]
-    from dataclasses import replace
-    overrides = {key: val for key, val in raw.budget_overrides.items()
-                 if key in ("n", "N", "k", "node_cap")}
     return AmalgamationProblem(
         f=ws.morphism(raw.left),
         g=ws.morphism(raw.right),
@@ -278,7 +274,7 @@ def _problem_from_workspace(ws: Workspace, name: str, args: argparse.Namespace,
         theory=ws.theory(raw.theory) if raw.theory else None,
         strong=raw.strong,
         strict_strong=raw.strict_strong or args.strict_strong,
-        budget=replace(b, **overrides) if overrides else b,
+        budget=replace(b, **raw.budget_overrides),
     )
 
 
@@ -422,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="is the structure a basis for the given kinds?")
     _add_common(p)
     p.add_argument("--structure", required=True)
-    p.add_argument("--kinds", required=True, help="4 letters from {h,e,i,s}, e.g. iihh")
+    p.add_argument("--kinds", required=True, type=parse_kinds,
+                   help="4 letters from {h,e,i,s}, e.g. iihh")
     p.add_argument("--theory", default=None)
     p.add_argument("--strong", action="store_true")
     p.set_defaults(fn=cmd_basis)

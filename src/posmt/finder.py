@@ -2,9 +2,9 @@
 
 A DFS over interpretation cells: the unseeded constants, then the function
 entries (higher arity first), then the relation entries, each tried in
-universe order (relations false before true).  Every cell has a slot in
-one flat value list, `None` while unassigned; elements are their indices
-in the universe.
+universe order (relations false before true).  The cells are numbered as
+`Orbits` lays a structure out; each has a slot in one flat value list,
+`None` while unassigned, and elements are their indices in the universe.
 
 Each implication is compiled once per search into closures over
 `(env, val)`: `env` holds the element indices of the variable slots
@@ -23,7 +23,7 @@ seed (used for quotient completion and joint-consistency candidates).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, FormulaError
 from .formulas import (
@@ -36,22 +36,6 @@ from .structures import FiniteStructure, Orbits, Signature, element_names
 _Eval = Callable[[Tuple[int, ...], List], object]
 
 
-class _Cells:
-    """Cell numbering of a signature over n elements: the constants, then
-    each function's entries, then each relation's entries, a symbol's
-    entries in `itertools.product` order of their arguments."""
-
-    def __init__(self, sig: Signature, n: int):
-        self.n = n
-        self.const = {c: i for i, c in enumerate(sig.constants)}
-        self.block: Dict[str, Tuple[int, int]] = {}  # symbol -> (first cell, arity)
-        size = len(sig.constants)
-        for name, arity in sig.functions + sig.relations:
-            self.block[name] = (size, arity)
-            size += n ** arity
-        self.size = size
-
-
 class _Compiler:
     """Compiles the premise and conclusion of one implication, collecting
     the cells they can read: `static` cells, read by every ground instance,
@@ -60,8 +44,8 @@ class _Compiler:
     cells first + sum(env[slot] * multiplier) + offset, one offset per
     value of the existential variables among the arguments."""
 
-    def __init__(self, cells: _Cells, imp: Implication):
-        self.cells = cells
+    def __init__(self, orbits: Orbits, imp: Implication):
+        self.orbits = orbits
         self.nvars = len(imp.vars)
         self.universal = {v: i for i, v in enumerate(imp.vars)}
         self.slots = self.universal  # the slots in scope
@@ -72,7 +56,7 @@ class _Compiler:
     def posex(self, f: PosEx) -> _Eval:
         self.slots = dict(self.universal)
         self.slots.update((v, self.nvars + i) for i, v in enumerate(f.vars))
-        exts = self.exts = list(itertools.product(range(self.cells.n), repeat=len(f.vars)))
+        exts = self.exts = list(itertools.product(range(self.orbits.n), repeat=len(f.vars)))
         matrix = self.qf(f.matrix)
         if not f.vars:
             return matrix
@@ -143,7 +127,7 @@ class _Compiler:
             s = self.slots[t.name]
             return lambda env, val: env[s]
         if isinstance(t, Const):
-            c = self.cells.const[t.name]
+            c = self.orbits.blocks[t.name][0]
             self.static.add(c)
             return lambda env, val: val[c]
         return self.entry(t.func, t.args)
@@ -151,8 +135,8 @@ class _Compiler:
     def entry(self, name: str, args: Tuple[Term, ...]) -> _Eval:
         """The value of the cell of `name` at `args`: a function entry or
         a relation's truth value."""
-        first, arity = self.cells.block[name]
-        n = self.cells.n
+        first, arity = self.orbits.blocks[name]
+        n = self.orbits.n
         if len(args) != arity:
             raise FormulaError(f"arity mismatch for {name}")
         if all(isinstance(a, Var) for a in args):
@@ -183,10 +167,10 @@ class _Compiler:
         return apply
 
 
-def _compile(cells: _Cells, imp: Implication):
+def _compile(orbits: Orbits, imp: Implication):
     """The status closure of `imp` (True once satisfied, False once
     violated, None while unknown) and its compiler's read sets."""
-    comp = _Compiler(cells, imp)
+    comp = _Compiler(orbits, imp)
     premise = comp.posex(imp.premise)
     conclusion = comp.posex(imp.conclusion)
     if imp.premise == TRUE_POSEX:
@@ -226,20 +210,20 @@ def find_models(
     Deterministic order; raises BudgetExceeded past node_cap assignments.
     """
     n = len(universe)
-    cells = _Cells(sig, n)
+    orbits = Orbits(sig, n)
     index = {e: i for i, e in enumerate(universe)}
-    val: List = [None] * cells.size
+    val: List = [None] * orbits.size
     order: List[int] = []
     for c in sig.constants:
         if seed_constants and c in seed_constants:
-            val[cells.const[c]] = index[seed_constants[c]]
+            val[orbits.blocks[c][0]] = index[seed_constants[c]]
         else:
-            order.append(cells.const[c])
+            order.append(orbits.blocks[c][0])
     # higher-arity functions first: their cells feed more constraints, so
     # pruning kicks in earlier (e.g. group mul before inv)
     for name, arity in sorted(sig.functions, key=lambda fa: (-fa[1], fa[0])):
         seeded = (seed_functions or {}).get(name, {})
-        first = cells.block[name][0]
+        first = orbits.blocks[name][0]
         for i, args in enumerate(itertools.product(universe, repeat=arity)):
             if args in seeded:
                 val[first + i] = index[seeded[args]]
@@ -249,7 +233,7 @@ def find_models(
     domains = [elements] * len(order)
     for name, arity in sig.relations:
         seeded_tuples = set(map(tuple, (seed_true_relations or {}).get(name, ())))
-        first = cells.block[name][0]
+        first = orbits.blocks[name][0]
         for i, tup in enumerate(itertools.product(universe, repeat=arity)):
             if tup in seeded_tuples:
                 val[first + i] = True
@@ -257,13 +241,13 @@ def find_models(
                 order.append(first + i)
                 domains.append((False, True))
 
-    free = [False] * cells.size
+    free = [False] * orbits.size
     for c in order:
         free[c] = True
-    watch: List[List] = [[] for _ in range(cells.size)]
+    watch: List[List] = [[] for _ in range(orbits.size)]
     count = 0
     for imp in implications:
-        status, comp = _compile(cells, imp)
+        status, comp = _compile(orbits, imp)
         static = [c for c in comp.static if free[c]]
         for env in itertools.product(elements, repeat=len(imp.vars)):
             st = status(env, val)
@@ -283,22 +267,10 @@ def find_models(
             for c in read:
                 watch[c].append(entry)
 
-    entries = {}
-    for name, arity in sig.functions + sig.relations:
-        first = cells.block[name][0]
-        entries[name] = list(enumerate(itertools.product(universe, repeat=arity), first))
-
-    def structure() -> FiniteStructure:
-        return FiniteStructure(
-            sig, universe,
-            {name: frozenset(t for c, t in entries[name] if val[c]) for name, _ in sig.relations},
-            {name: {args: universe[val[c]] for c, args in entries[name]} for name, _ in sig.functions},
-            {c: universe[val[cells.const[c]]] for c in sig.constants},
-        )
-
+    build = orbits.builder(universe)
     depth = len(order)
     if not depth:
-        yield structure()
+        yield build(val)
         return
     done = [False] * count  # instances satisfied by the current assignment
     trail: List[int] = []  # satisfied instances, in the order they were marked
@@ -337,7 +309,7 @@ def find_models(
                 trail.append(j)
         else:
             if i + 1 == depth:
-                yield structure()
+                yield build(val)
             else:
                 i += 1
                 tried[i] = 0
@@ -352,8 +324,8 @@ def models_up_to_size(
 ) -> List[FiniteStructure]:
     """Models with |universe| <= max_size, the first found of each
     isomorphism class, sorted stably by (size, canonical key).  The first
-    model met in a class has its whole orbit of codes (`Orbits`) marked, so
-    the canonical key is computed once per class."""
+    model met in a class has its whole orbit of codes (`Orbits`) marked and
+    is keyed once, by the least image of its code (`Orbits.least`)."""
     names = element_names(max_size)
     out: List[FiniteStructure] = []
     for size in range(1, max_size + 1):
@@ -366,7 +338,7 @@ def models_up_to_size(
             if code in marked:
                 continue
             marked.update(orbits.images(code))
-            keyed.append((st.canonical_key(), st))
+            keyed.append((orbits.least(code), st))
         keyed.sort(key=lambda kv: kv[0])
         out.extend(st for _, st in keyed)
     return out

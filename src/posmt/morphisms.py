@@ -82,16 +82,6 @@ class Morphism:
         vals = [self.map[e] for e in self.source.universe]
         return len(set(vals)) == len(vals)
 
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self after other: (self . other)(x) = self(other(x))."""
-        if other.target != self.source:
-            raise StructureError("composition endpoints do not match")
-        return Morphism(other.source, self.target, {e: self.map[other.map[e]] for e in other.source.universe})
-
-
-def identity(s: FiniteStructure) -> Morphism:
-    return Morphism(s, s, {e: e for e in s.universe})
-
 
 # ---------------------------------------------------------------------------
 # Atomic preservation / reflection
@@ -210,10 +200,6 @@ def find_hom(
     node_cap: Optional[int] = None,
 ) -> Optional[Dict[str, str]]:
     return next(search_homs(a, b, required, node_cap=node_cap), None)
-
-
-def hom_exists(a: FiniteStructure, b: FiniteStructure) -> bool:
-    return find_hom(a, b) is not None
 
 
 # ---------------------------------------------------------------------------

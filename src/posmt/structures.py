@@ -4,12 +4,13 @@ Universes are nonempty, finite and ordered.  Element identifiers are opaque
 strings.  All types are immutable after construction and safe to share for
 concurrent reads.
 
-Isomorphism classes are told apart by orbits: `Orbits` packs the structures
-of one signature over n elements into int codes and lists a code's images
-under the n! permutations of the elements.  Enumeration and the model
-lists keep the first structure met in each class and mark its whole orbit,
-so every later member is skipped.  `canonical_key`, the lexicographically
-least relabelling, orders the model lists.
+`Orbits` is the one encoding of a structure over (signature, n): it lays
+the structure out in cells, packs it into an int code, builds structures
+back from cell values and lists a code's images under the n! permutations
+of the elements.  Enumeration and the model lists keep the first structure
+met in each class and mark its whole orbit, so every later member is
+skipped.  The least image of a code (`Orbits.least`) orders the model
+lists; `key()` and `canonical_key()` are read off the same codes.
 """
 
 from __future__ import annotations
@@ -152,17 +153,10 @@ class FiniteStructure:
     # -- identity ---------------------------------------------------------
 
     def key(self):
-        """Hashable encoding of the labelled structure (not iso-invariant)."""
+        """Hashable encoding of the labelled structure (not iso-invariant):
+        the universe and the structure's `Orbits` code over it."""
         if "_key" not in self.__dict__:
-            self.__dict__["_key"] = (
-                self.universe,
-                tuple((n, tuple(sorted(self.rel(n)))) for n, _ in self.signature.relations),
-                tuple(
-                    (n, tuple(sorted(self.functions[n].items())))
-                    for n, _ in self.signature.functions
-                ),
-                tuple((c, self.constants[c]) for c in self.signature.constants),
-            )
+            self.__dict__["_key"] = (self.universe, Orbits(self.signature, len(self.universe)).pack(self))
         return self.__dict__["_key"]
 
     def __eq__(self, other) -> bool:
@@ -174,32 +168,10 @@ class FiniteStructure:
         return hash((self.signature, self.key()))
 
     def canonical_key(self):
-        """Iso-invariant encoding: lexicographically least relabelling."""
-        n = len(self.universe)
-        best = None
-        for perm in itertools.permutations(range(n)):
-            # perm[i] is the new index of the i-th universe element
-            idx = {e: perm[i] for i, e in enumerate(self.universe)}
-            enc = (
-                n,
-                tuple(
-                    tuple(sorted(tuple(idx[e] for e in tup) for tup in self.rel(name)))
-                    for name, _ in self.signature.relations
-                ),
-                tuple(
-                    tuple(
-                        sorted(
-                            (tuple(idx[e] for e in args), idx[val])
-                            for args, val in self.functions[name].items()
-                        )
-                    )
-                    for name, _ in self.signature.functions
-                ),
-                tuple(idx[self.constants[c]] for c in self.signature.constants),
-            )
-            if best is None or enc < best:
-                best = enc
-        return best
+        """Iso-invariant encoding: the size and the least image of the
+        structure's code (`Orbits.least`)."""
+        orbits = Orbits(self.signature, len(self.universe))
+        return len(self.universe), orbits.least(orbits.pack(self))
 
     def rename(self, mapping: Mapping[str, str]) -> "FiniteStructure":
         """Relabel elements injectively."""
@@ -281,13 +253,16 @@ class Orbits:
     """Structures of one signature over n elements packed into int codes,
     and each code's images under the n! permutations of the elements.
 
-    A code is `bits * tail + digits`.  `bits` has one bit per relation
-    cell: relation j's cells, in `itertools.product` order of their element
-    indices, from bit `offsets[j]` up.  `digits` reads the function tables
-    (each function's entries in product order), then the constants, as
-    base-n element indices, the first most significant.  So counting
-    through `range(tail)` walks them in `itertools.product` order of
-    their values, and there are `count` codes in all.
+    A structure is laid out in `size` cells.  Relation j's cell i is
+    `offsets[j] + i`, its element indices read as a base-n number, so a
+    relation's cells come in `itertools.product` order.  Each function's
+    entries in product order, then the constants, follow as the digits;
+    `blocks` maps every symbol to its (first cell, arity).  A code is
+    `bits * tail + digits`: `bits` has bit c set when relation cell c is
+    true, and the digits are base-n element indices, the first most
+    significant.  So counting through `range(tail)` walks them in
+    `itertools.product` order of their values, and there are `count` codes
+    in all.
     """
 
     def __init__(self, sig: Signature, n: int):
@@ -295,8 +270,16 @@ class Orbits:
         self.cells = [n ** arity for _, arity in sig.relations]
         self.offsets = list(itertools.accumulate(self.cells, initial=0))
         self.digits = sum(n ** arity for _, arity in sig.functions) + len(sig.constants)
+        self.size = self.offsets[-1] + self.digits
         self.tail = n ** self.digits
         self.count = self.tail << self.offsets[-1]
+
+    @cached_property
+    def blocks(self) -> Dict[str, Tuple[int, int]]:
+        """Symbol -> (first cell, arity); a constant has arity 0."""
+        symbols = self.sig.relations + self.sig.functions + tuple((c, 0) for c in self.sig.constants)
+        firsts = itertools.accumulate((self.n ** arity for _, arity in symbols), initial=0)
+        return {name: (first, arity) for (name, arity), first in zip(symbols, firsts)}
 
     def _cell(self, t) -> int:
         cell = 0
@@ -323,6 +306,32 @@ class Orbits:
             rest, values[i] = divmod(rest, self.n)
         return bits, values
 
+    def values(self, code: int) -> list:
+        """The cell values of a code: relation cells 0 or 1, then the digits."""
+        bits, digits = self.unpack(code)
+        return [bits >> c & 1 for c in range(self.offsets[-1])] + digits
+
+    def builder(self, universe: Tuple[str, ...]):
+        """The function from a list of cell values (relation cells true or
+        false, the others element indices) to the structure on `universe`.
+        Every structure it builds shares the same argument tuples."""
+        sig = self.sig
+
+        def entries(name, arity):
+            return list(enumerate(itertools.product(universe, repeat=arity), self.blocks[name][0]))
+        relations = [(name, entries(name, arity)) for name, arity in sig.relations]
+        functions = [(name, entries(name, arity)) for name, arity in sig.functions]
+        constants = [(c, self.blocks[c][0]) for c in sig.constants]
+
+        def build(val) -> FiniteStructure:
+            return FiniteStructure(
+                sig, universe,
+                {name: frozenset(t for c, t in cells if val[c]) for name, cells in relations},
+                {name: {args: universe[val[c]] for c, args in cells} for name, cells in functions},
+                {name: universe[val[c]] for name, c in constants},
+            )
+        return build
+
     def codes(self) -> Iterator[int]:
         """Every code in enumeration order: each relation's cell sets by
         size, then as `itertools.combinations` of its cells (the first
@@ -348,6 +357,20 @@ class Orbits:
         ones = [i for i in range(bits.bit_length()) if bits >> i & 1]
         for bit_images, digit_images in self._tables:
             yield sum(map(bit_images.__getitem__, ones)) + sum(map(getitem, digit_images, values))
+
+    def least(self, code: int):
+        """The least image of a code, read as (each relation's set cells, the
+        digits).  Cells order as their index tuples in product order, and a
+        function table lists every argument tuple, so this orders codes as
+        the least relabelling's sorted tuples and tables would."""
+        return min(map(self._read, self.images(code)))
+
+    def _read(self, code: int):
+        bits, digits = self.unpack(code)
+        return tuple(
+            tuple(i for i in range(cells) if bits >> (offset + i) & 1)
+            for cells, offset in zip(self.cells, self.offsets)
+        ), tuple(digits)
 
     @cached_property
     def _tables(self):
@@ -389,26 +412,13 @@ def enumerate_structures(sig: Signature, max_size: int) -> Iterator[FiniteStruct
         raise StructureError("max_size must be >= 1")
     names = element_names(max_size)
     for size in range(1, max_size + 1):
-        universe = names[:size]
         orbits = Orbits(sig, size)
-        spaces = [list(itertools.product(universe, repeat=a)) for _, a in sig.relations]
-        args = [list(itertools.product(universe, repeat=a)) for _, a in sig.functions]
+        build = orbits.builder(names[:size])
         marked = bytearray(orbits.count)
         for code in orbits.codes():
             if marked[code]:
                 continue
-            bits, digits = orbits.unpack(code)
-            values = iter([universe[v] for v in digits])
-            yield FiniteStructure(
-                signature=sig,
-                universe=universe,
-                relations={
-                    name: frozenset(t for i, t in enumerate(space) if bits >> (offset + i) & 1)
-                    for (name, _), space, offset in zip(sig.relations, spaces, orbits.offsets)
-                },
-                functions={name: dict(zip(a, values)) for (name, _), a in zip(sig.functions, args)},
-                constants={c: next(values) for c in sig.constants},
-            )
+            yield build(orbits.values(code))
             for image in orbits.images(code):
                 marked[image] = 1
 

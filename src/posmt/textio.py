@@ -212,6 +212,12 @@ def _parse_theory(p: Parser, ws: Workspace) -> None:
     ws.theories[name] = Theory.make(sig, sentences, name)
 
 
+def _kind_letter(p: Parser) -> str:
+    if p.peek().text not in ("h", "e", "i", "s"):
+        raise p.error(f"expected a morphism kind letter h, e, i or s, found {p.peek().text!r}")
+    return p.expect_name()
+
+
 def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
     name = p.expect_name()
     p.expect("{")
@@ -226,7 +232,9 @@ def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
             fields[key] = p.expect_name()
         elif key == "kinds":
             p.expect("[")
-            fields["kinds"] = "".join(p.sep_by(p.expect_name, ","))
+            fields["kinds"] = "".join(p.sep_by(lambda: _kind_letter(p), ","))
+            if len(fields["kinds"]) != 4:
+                raise p.error("amalgamation kinds must be 4 letters")
             p.expect("]")
         elif key == "class":
             what = p.expect_name()
@@ -243,8 +251,12 @@ def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
             p.expect("{")
             budget: Dict[str, int] = {}
             while not p.at("}"):
+                if p.peek().text not in ("n", "N", "k", "node_cap"):
+                    raise p.error(f"unknown budget field {p.peek().text!r}")
                 bkey = p.expect_name()
                 p.expect(":")
+                if p.peek().kind == "number" and int(p.peek().text) < 1:
+                    raise p.error(f"budget field {bkey} must be positive")
                 budget[bkey] = p.expect_number()
                 p.expect(";")
             p.expect("}")

@@ -420,16 +420,20 @@ def _common_continuation(
     return None
 
 
+def _continuation_verdict(t: Theory, b: Budget, pairs: Sequence[Tuple]) -> Verdict:
+    """yes iff every pair has a common continuation that is a model of t
+    of size <= N; no with the first pair, in order, that has none."""
+    candidates = models(t, replace(b, n=b.N))
+    for a, bst in pairs:
+        if _common_continuation(a, bst, candidates, b.node_cap) is None:
+            return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
+    return yes(b, {"pairs_checked": len(pairs)})
+
+
 def is_jc_bounded(t: Theory, b: Budget) -> Verdict:
     """yes iff every pair of models of size <= n has a common continuation
     that is a model of t of size <= N."""
-    small = models(t, b)
-    candidates = models(t, replace(b, n=b.N))
-    for a, bst in itertools.combinations_with_replacement(small, 2):
-        found = _common_continuation(a, bst, candidates, b.node_cap)
-        if found is None:
-            return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
-    return yes(b, {"pairs_checked": len(small) * (len(small) + 1) // 2})
+    return _continuation_verdict(t, b, list(itertools.combinations_with_replacement(models(t, b), 2)))
 
 
 def is_T_complete_pair(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
@@ -437,15 +441,7 @@ def is_T_complete_pair(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
     common continuation modelling t with size <= N."""
     if not (t1.signature == t2.signature == t.signature):
         raise SignatureError("T-completeness requires a shared signature")
-    ms1 = models(t1, b)
-    ms2 = models(t2, b)
-    candidates = models(t, replace(b, n=b.N))
-    for a in ms1:
-        for bst in ms2:
-            found = _common_continuation(a, bst, candidates, b.node_cap)
-            if found is None:
-                return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
-    return yes(b, {"pairs_checked": len(ms1) * len(ms2)})
+    return _continuation_verdict(t, b, list(itertools.product(models(t1, b), models(t2, b))))
 
 
 # ---------------------------------------------------------------------------

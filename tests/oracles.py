@@ -32,6 +32,11 @@ The kind references decide the four-kind chain as it was decided before
 retraction, then the bounded strong immersion at k.  They keep the bound
 k, which cannot change a kind once a map is an embedding.
 
+The canonical-key reference relabels a structure by every permutation of
+its elements, encodes each image as sorted tuples of element indices and
+keeps the least.  `FiniteStructure.canonical_key`, the least image of an
+`Orbits` code, must order every pair of structures as it does.
+
 The deduplication references build every labelled structure (or take
 every model the finder yields) and group them by `class_key`, a complete
 isomorphism invariant computed per structure by colour refinement and a
@@ -606,10 +611,39 @@ def eval_formula_reference(
     raise FormulaError(f"cannot evaluate {f!r}")
 
 
+def canonical_key_reference(s: FiniteStructure):
+    """Iso-invariant encoding: lexicographically least relabelling."""
+    n = len(s.universe)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        # perm[i] is the new index of the i-th universe element
+        idx = {e: perm[i] for i, e in enumerate(s.universe)}
+        enc = (
+            n,
+            tuple(
+                tuple(sorted(tuple(idx[e] for e in tup) for tup in s.rel(name)))
+                for name, _ in s.signature.relations
+            ),
+            tuple(
+                tuple(
+                    sorted(
+                        (tuple(idx[e] for e in args), idx[val])
+                        for args, val in s.functions[name].items()
+                    )
+                )
+                for name, _ in s.signature.functions
+            ),
+            tuple(idx[s.constants[c]] for c in s.signature.constants),
+        )
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
 def class_key(s: FiniteStructure):
     """Complete isomorphism invariant: over one signature, equal exactly
-    for isomorphic structures.  Cheaper than `canonical_key`, whose
-    order it does not share.
+    for isomorphic structures.  Cheaper than `canonical_key_reference`,
+    whose order it does not share.
 
     Every fact is a tuple of element indices: a relation tuple, a
     function entry (the arguments, then the value) or a constant's
@@ -780,7 +814,7 @@ def models_up_to_size_reference(
             cls = class_key(st)
             ck = canonical.get(cls)
             if ck is None:
-                ck = canonical[cls] = st.canonical_key()
+                ck = canonical[cls] = canonical_key_reference(st)
             elif up_to_iso:
                 continue
             keyed.append((ck, st))

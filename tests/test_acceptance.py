@@ -18,7 +18,7 @@ from posmt.amalgamation import (
 )
 from posmt.errors import StructureError
 from posmt.morphisms import (
-    Morphism, MorphismKind, classify_morphism, hom_exists, is_embedding,
+    Morphism, MorphismKind, classify_morphism, find_hom, is_embedding,
     is_homomorphism, is_immersion, is_strong_immersion, search_homs,
 )
 from posmt.structures import Signature, enumerate_structures
@@ -141,7 +141,7 @@ def test_criterion_6_remark_suite():
     for a, b in pairs:
         tu_a, tu_b = tu_star_set(a, k), tu_star_set(b, k)
         # (a) a hom A -> B reverses Tu* inclusion
-        if hom_exists(a, b):
+        if find_hom(a, b) is not None:
             assert tu_b <= tu_a
         # (b) an immersion A -> B makes the bounded Tu* agree
         if any(is_immersion(Morphism(a, b, mp)) for mp in search_homs(a, b)):

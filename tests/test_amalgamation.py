@@ -12,7 +12,7 @@ from posmt.amalgamation import (
 )
 from posmt.errors import StructureError
 from posmt.morphisms import (
-    Morphism, MorphismKind, classify_morphism, enumerate_homs, identity, search_homs,
+    Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
 )
 from posmt.structures import FiniteStructure, Signature, enumerate_structures
 from posmt.theories import Budget, models
@@ -33,15 +33,16 @@ def test_parse_kinds():
 
 
 def test_problem_requires_shared_base(chain2, point):
-    f = identity(chain2)
-    g = identity(point)
+    f = Morphism(chain2, chain2, {"a": "a", "b": "b"})
+    g = Morphism(point, point, {"a": "a"})
     with pytest.raises(StructureError):
         AmalgamationProblem(f, g, parse_kinds("hhhh"))
 
 
 def test_identity_wings_solve(point, t_pos):
     p = AmalgamationProblem(
-        identity(point), identity(point), parse_kinds("ssss"), t_pos, budget=Budget()
+        Morphism(point, point, {"a": "a"}), Morphism(point, point, {"a": "a"}), parse_kinds("ssss"),
+        t_pos, budget=Budget(),
     )
     sol = solve_amalgamation(p)
     assert isinstance(sol, AmalgamationSolution)
@@ -68,7 +69,7 @@ def test_strong_condition_rejects_collapse(chain2, point):
     assert not check_strong_condition(out, out, inc, inc)
     # with surjective wings every collision sits over the base, but only the
     # strict mode insists on a common preimage
-    ident = identity(chain2)
+    ident = Morphism(chain2, chain2, {"a": "a", "b": "b"})
     assert check_strong_condition(out, out, ident, ident)
     assert not check_strong_condition(out, out, ident, ident, strict=True)
 

@@ -223,3 +223,44 @@ def test_out_of_range_budget_exits_3_at_once(argv):
         cwd=REPO, env=env, capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == 3, proc.stderr
+
+
+@pytest.mark.parametrize("kinds", ["iih", "hhhx"])
+def test_malformed_basis_kinds_is_a_usage_error(ws_file, capsys, kinds):
+    # exit 1 is the "no" code, so a bad --kinds must not end there
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", ws_file, "--structure", "point", "--kinds", kinds, "--theory", "T_pos"])
+    assert exc.value.code == 2
+    assert "--kinds" in capsys.readouterr().err
+
+
+def _with_problem_line(tmp_path, old: str, new: str) -> tuple[str, int, int]:
+    """The workspace with one line of the problem block replaced, and the
+    line and column where `new` starts."""
+    assert old in DATA
+    text = DATA.replace(old, new)
+    before = text[:text.index(new)]
+    path = tmp_path / "ws.posmt"
+    path.write_text(text)
+    return str(path), before.count("\n") + 1, len(before) - before.rfind("\n")
+
+
+@pytest.mark.parametrize("command", ["check", "amalgamate"])
+@pytest.mark.parametrize("kinds, at", [("[i, i, h]", "]"), ("[i, i, h, x]", "x")],
+                         ids=["three-letters", "bad-letter"])
+def test_malformed_problem_kinds_is_a_parse_error(tmp_path, capsys, command, kinds, at):
+    path, line, col = _with_problem_line(tmp_path, "[i, i, h, h]", kinds)
+    assert main([command, path, "--problem", "glue"] if command == "amalgamate" else [command, path]) == 2
+    out, err = capsys.readouterr()
+    assert f"parse error: {line}:{col + kinds.index(at)}:" in err
+    assert "OK" not in out
+
+
+@pytest.mark.parametrize("budget, at", [("{ M: 2; }", "M"), ("{ N: 0; }", "0")],
+                         ids=["unknown-key", "zero"])
+def test_problem_budget_rejects_unknown_keys_and_zero(tmp_path, capsys, budget, at):
+    # an unknown key would otherwise run at the default budget, and 0 crashed
+    path, line, col = _with_problem_line(tmp_path, "{ N: 6; }", budget)
+    assert main(["amalgamate", path, "--problem", "glue", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"parse error: {line}:{col + budget.index(at)}:" in err

@@ -12,14 +12,14 @@ from posmt.amalgamation import random_structure
 from posmt.errors import SignatureError, StructureError
 from posmt.finder import models_up_to_size
 from posmt.structures import (
-    FiniteStructure, Signature, are_isomorphic, disjoint_rename,
+    FiniteStructure, Orbits, Signature, are_isomorphic, disjoint_rename,
     element_names, enumerate_structures, generated_substructure,
     induced_substructure,
 )
 from posmt.theories import Budget, Theory, joint_consistency_bounded, models
 
 from conftest import SIG_F, SIG_LE, make_theory
-from oracles import class_key, enumerate_structures_reference
+from oracles import canonical_key_reference, class_key, enumerate_structures_reference
 
 
 def test_signature_rejects_duplicate_symbols():
@@ -300,6 +300,28 @@ def test_class_key_matches_canonical_key(case):
     assert (class_key(s) == class_key(t)) == (s.canonical_key() == t.canonical_key())
 
 
+@settings(max_examples=300, deadline=None)
+@given(structure_pairs())
+def test_canonical_key_orders_as_reference(case):
+    # the least image of a code must order every pair as the least
+    # relabelling's sorted tuples did, so the model lists keep their order
+    s, t, _ = case
+    got = (s.canonical_key(), t.canonical_key())
+    ref = (canonical_key_reference(s), canonical_key_reference(t))
+    assert (got[0] < got[1], got[0] == got[1], got[1] < got[0]) == (
+        ref[0] < ref[1], ref[0] == ref[1], ref[1] < ref[0])
+
+
+@pytest.mark.parametrize("sig, n", [
+    (Signature.make(relations={"p": 1, "e": 2}), 2),
+    (Signature.make(relations={"p": 1}, functions={"f": 1, "g": 2}, constants=["c"]), 2),
+])
+def test_orbit_codes_round_trip_through_builder(sig, n):
+    orbits = Orbits(sig, n)
+    build = orbits.builder(element_names(n))
+    assert [orbits.pack(build(orbits.values(c))) for c in range(orbits.count)] == list(range(orbits.count))
+
+
 @settings(max_examples=200, deadline=None)
 @given(structure_pairs())
 def test_are_isomorphic_matches_canonical_key(case):
@@ -322,12 +344,8 @@ def test_structure_key_built_once_per_instance():
     parts = (("a", "b"), {"r": frozenset({("b", "a"), ("a", "a")})}, {"f": {("b",): "a", ("a",): "b"}},
              {"c": "b"})
     s, twin = FiniteStructure(sig, *parts), FiniteStructure(sig, *parts)
-    expected = (
-        ("a", "b"),
-        (("r", (("a", "a"), ("b", "a"))),),
-        (("f", ((("a",), "b"), (("b",), "a"))),),
-        (("c", "b"),),
-    )
+    # r's cells (a,a), (b,a) are bits 0 and 2; the digits f(a), f(b), c read 1, 0, 1
+    expected = (("a", "b"), 0b101 * 2 ** 3 + 0b101)
     assert s.key() == expected and s.key() is s.key()
     # equality and hashing see the same key whether or not it was built yet
     assert s == twin and twin == s and hash(s) == hash(twin) == hash((sig, expected))

@@ -16,7 +16,7 @@ from posmt.formulas import (
 )
 from posmt.morphisms import Morphism, search_homs
 from posmt.structures import (
-    ELEMENT_NAMES, FiniteStructure, Signature, enumerate_structures,
+    ELEMENT_NAMES, FiniteStructure, Orbits, Signature, enumerate_structures,
 )
 from posmt.theories import (
     Budget, Theory, bounded_pc_models, companion_check_bounded, diagram,
@@ -69,18 +69,18 @@ def test_models_agree_with_enumeration_filter(t_pos):
 
 def test_models_key_each_class_once(t_pos, monkeypatch):
     # 242 labelled posets of size <= 4 in 1 + 2 + 5 + 16 classes: the least
-    # relabelling is computed once per class, not once per labelled model
+    # image of a code is computed once per class, not once per labelled model
     labelled = sum(len(list(find_models(SIG_LE, ELEMENT_NAMES[:n], t_pos.implications())))
                    for n in range(1, 5))
     assert labelled == 242
-    real = FiniteStructure.canonical_key
+    real = Orbits.least
     calls = []
 
-    def counting(self):
-        calls.append(self)
-        return real(self)
+    def counting(self, code):
+        calls.append(code)
+        return real(self, code)
 
-    monkeypatch.setattr(FiniteStructure, "canonical_key", counting)
+    monkeypatch.setattr(Orbits, "least", counting)
     assert len(models(t_pos, Budget(n=4))) == 24
     assert len(calls) == 24
 
