@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BudgetExceeded, PosmtError, StructureError
@@ -27,6 +26,7 @@ from .morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, is_homomorphism,
     search_homs,
 )
+from .records import record
 from .structures import (
     ELEMENT_NAMES, FiniteStructure, Orbits, Signature, UnionFind, element_names,
     enumerate_structures,
@@ -46,7 +46,7 @@ def parse_kinds(spec: Union[str, Sequence]) -> Tuple[MorphismKind, ...]:
     return kinds
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AmalgamationProblem:
     f: Morphism  # A -> B
     g: Morphism  # A -> C
@@ -72,7 +72,7 @@ class AmalgamationProblem:
             raise StructureError(f"right map is not a {beta.letter}-hom")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AmalgamationSolution:
     apex: FiniteStructure
     out_b: Morphism  # B -> D
@@ -318,7 +318,7 @@ def solve_amalgamation(p: AmalgamationProblem) -> Union[AmalgamationSolution, Ve
 # Basis checking
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BasisReport:
     structure: FiniteStructure
     kinds: Tuple[MorphismKind, ...]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from .amalgamation import (
@@ -36,6 +35,7 @@ from .amalgamation import (
 from .errors import BudgetExceeded, ParseError, PosmtError
 from .formulas import pp_formula
 from .morphisms import MorphismKind, classify_morphism, enumerate_homs
+from .records import replace
 from .structures import FiniteStructure, element_names
 from .theories import (
     Budget, Verdict, companion_check_bounded, is_jc_bounded, is_pc_within,
@@ -200,7 +200,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         MorphismKind.HOM: "homomorphism",
         MorphismKind.EMBEDDING: "embedding",
         MorphismKind.IMMERSION: "immersion",
-        MorphismKind.STRONG_IMMERSION: "strong immersion (at bound)",
+        MorphismKind.STRONG_IMMERSION: "strong immersion",
     }
     if args.json:
         print(report_to_json({"command": "classify", "morphism": args.morphism,

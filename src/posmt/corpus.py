@@ -16,7 +16,6 @@ as a bitmask; sentence truth then reduces to subset tests over projections.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -25,6 +24,7 @@ from .formulas import (
     Implication, PosEx, RelAtom, Truth, Var,
 )
 from .errors import BudgetExceeded
+from .records import record
 from .structures import FiniteStructure, Signature
 
 # Atom codes: ("rel", name, argcodes) | ("feq", name, argcodes, rescode)
@@ -109,7 +109,7 @@ class AtomPool:
         return EqAtom(self._term(code[1]), self._term(code[2]))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CQSentence:
     """Existential closure of a conjunction of pool atoms."""
 
@@ -131,7 +131,7 @@ class CQSentence:
         return HUniversalSentence(self.to_posex(pool))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoundedImplication:
     """forall F (exists rest premise -> exists rest conclusion).
 

@@ -325,7 +325,7 @@ def models_up_to_size(
     """Models with |universe| <= max_size, the first found of each
     isomorphism class, sorted stably by (size, canonical key).  The first
     model met in a class has its whole orbit of codes (`Orbits`) marked and
-    is keyed once, by the least image of its code (`Orbits.least`)."""
+    is keyed once, by the least of the same images (`Orbits.least`)."""
     names = element_names(max_size)
     out: List[FiniteStructure] = []
     for size in range(1, max_size + 1):
@@ -337,8 +337,9 @@ def models_up_to_size(
             code = orbits.pack(st)
             if code in marked:
                 continue
-            marked.update(orbits.images(code))
-            keyed.append((orbits.least(code), st))
+            images = list(orbits.images(code))
+            marked.update(images)
+            keyed.append((orbits.least(images), st))
         keyed.sort(key=lambda kv: kv[0])
         out.extend(st for _, st in keyed)
     return out

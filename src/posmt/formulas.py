@@ -12,11 +12,11 @@ independently of the model finder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import FormulaError
+from .records import record
 from .structures import FiniteStructure
 
 
@@ -24,17 +24,17 @@ from .structures import FiniteStructure
 # Terms
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class App:
     func: str
     args: Tuple["Term", ...]
@@ -58,24 +58,24 @@ def term_vars(t: Term) -> List[str]:
 # Atoms and positive formulas
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RelAtom:
     name: str
     args: Tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EqAtom:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Falsum:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Truth:
     pass
 
@@ -83,12 +83,12 @@ class Truth:
 Atom = Union[RelAtom, EqAtom, Falsum, Truth]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And:
     parts: Tuple["PosQF", ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or:
     parts: Tuple["PosQF", ...]
 
@@ -96,7 +96,7 @@ class Or:
 PosQF = Union[RelAtom, EqAtom, Falsum, Truth, And, Or]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PosEx:
     """Existentially quantified positive formula exists x... . matrix."""
 
@@ -104,7 +104,7 @@ class PosEx:
     matrix: PosQF
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Implication:
     """Universal closure of premise -> conclusion (both positive)."""
 
@@ -113,7 +113,7 @@ class Implication:
     conclusion: PosEx
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HInductiveSentence:
     conjuncts: Tuple[Implication, ...]
 
@@ -122,7 +122,7 @@ class HInductiveSentence:
             raise FormulaError("h-inductive sentence needs at least one conjunct")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HUniversalSentence:
     """Negation of a closed positive formula."""
 
@@ -132,35 +132,35 @@ class HUniversalSentence:
 # General fragment, for classification only.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Forall:
     vars: Tuple[str, ...]
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Exists:
     vars: Tuple[str, ...]
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GAnd:
     parts: Tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GOr:
     parts: Tuple["Formula", ...]
 

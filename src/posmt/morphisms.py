@@ -15,11 +15,11 @@ parameter inequalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, SignatureError, StructureError
+from .records import record
 from .structures import FiniteStructure
 
 
@@ -41,7 +41,7 @@ class MorphismKind(IntEnum):
         return "heis"[int(self)]
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Morphism:
     source: FiniteStructure
     target: FiniteStructure

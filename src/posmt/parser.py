@@ -20,7 +20,6 @@ Names are [a-z][a-zA-Z0-9_]*; user variables may not begin with "_".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from .errors import ParseError
@@ -29,6 +28,7 @@ from .formulas import (
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
     PosEx, RelAtom, Truth, Var, Formula, Term,
 )
+from .records import record
 from .structures import Signature
 
 _TOKEN_RE = re.compile(
@@ -49,7 +49,7 @@ SENTENCE_CLASSES = {
 T = TypeVar("T")
 
 
-@dataclass
+@record
 class Token:
     kind: str  # "name" | "punct" | "arrow" | "eof"
     text: str

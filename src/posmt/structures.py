@@ -16,12 +16,12 @@ lists; `key()` and `canonical_key()` are read off the same codes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import getitem
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import SignatureError, StructureError
+from .records import field, record
 
 # Default element names used by enumeration, large enough for size <= 12.
 ELEMENT_NAMES = tuple("abcdefghijkl")
@@ -36,7 +36,7 @@ def element_names(size: int) -> Tuple[str, ...]:
     return ELEMENT_NAMES[:size]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Signature:
     """Relation, function and constant symbols with their arities.
 
@@ -94,7 +94,7 @@ class Signature:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class FiniteStructure:
     """A finite interpretation of a signature.
 
@@ -171,7 +171,7 @@ class FiniteStructure:
         """Iso-invariant encoding: the size and the least image of the
         structure's code (`Orbits.least`)."""
         orbits = Orbits(self.signature, len(self.universe))
-        return len(self.universe), orbits.least(orbits.pack(self))
+        return len(self.universe), orbits.least(orbits.images(orbits.pack(self)))
 
     def rename(self, mapping: Mapping[str, str]) -> "FiniteStructure":
         """Relabel elements injectively."""
@@ -358,12 +358,13 @@ class Orbits:
         for bit_images, digit_images in self._tables:
             yield sum(map(bit_images.__getitem__, ones)) + sum(map(getitem, digit_images, values))
 
-    def least(self, code: int):
-        """The least image of a code, read as (each relation's set cells, the
-        digits).  Cells order as their index tuples in product order, and a
-        function table lists every argument tuple, so this orders codes as
-        the least relabelling's sorted tuples and tables would."""
-        return min(map(self._read, self.images(code)))
+    def least(self, images: Iterable[int]):
+        """The least of a code's images (`images(code)`), read as (each
+        relation's set cells, the digits).  Cells order as their index
+        tuples in product order, and a function table lists every argument
+        tuple, so this orders codes as the least relabelling's sorted tuples
+        and tables would."""
+        return min(map(self._read, images))
 
     def _read(self, code: int):
         bits, digits = self.unpack(code)

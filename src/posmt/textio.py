@@ -17,20 +17,20 @@ Verdicts and reports serialize to JSON as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError, StructureError
 from .formulas import pp_formula
 from .morphisms import Morphism, MorphismKind
 from .parser import Parser
+from .records import field, record
 from .structures import FiniteStructure, Signature
 from .theories import Budget, Theory, Verdict
 
 SCHEMA = "posmt-report/1"
 
 
-@dataclass
+@record
 class RawProblem:
     name: str
     base: str
@@ -43,7 +43,7 @@ class RawProblem:
     budget_overrides: Dict[str, int]
 
 
-@dataclass
+@record
 class Workspace:
     signatures: Dict[str, Signature] = field(default_factory=dict)
     structures: Dict[str, FiniteStructure] = field(default_factory=dict)
@@ -225,8 +225,12 @@ def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
         "base": None, "left": None, "right": None, "kinds": None,
         "theory": None, "strong": False, "strict_strong": False, "budget": {},
     }
+    seen = set()  # a repeated key would silently overwrite the first
     while not p.at("}"):
+        if p.peek().text in seen:
+            raise p.error(f"repeated amalgamation field {p.peek().text!r}")
         key = p.expect_name()
+        seen.add(key)
         p.expect(":")
         if key in ("base", "left", "right"):
             fields[key] = p.expect_name()
@@ -253,6 +257,8 @@ def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
             while not p.at("}"):
                 if p.peek().text not in ("n", "N", "k", "node_cap"):
                     raise p.error(f"unknown budget field {p.peek().text!r}")
+                if p.peek().text in budget:
+                    raise p.error(f"repeated budget field {p.peek().text!r}")
                 bkey = p.expect_name()
                 p.expect(":")
                 if p.peek().kind == "number" and int(p.peek().text) < 1:

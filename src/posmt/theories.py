@@ -9,7 +9,6 @@ sentence corpora.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
@@ -22,10 +21,11 @@ from .formulas import (
 )
 from .finder import find_models, models_up_to_size
 from .morphisms import Morphism, is_immersion, search_homs
+from .records import field, record, replace
 from .structures import FiniteStructure, Signature, UnionFind, disjoint_rename, element_names
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TaggedSentence:
     tag: str  # "h-inductive" | "h-universal" | "positive"
     sentence: Formula
@@ -38,7 +38,7 @@ class TaggedSentence:
         return compile_formula(self.sentence)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Theory:
     signature: Signature
     sentences: Tuple[TaggedSentence, ...]
@@ -61,7 +61,7 @@ class Theory:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Budget:
     n: int = 3          # model-size bound
     N: int = 6          # continuation-size bound
@@ -76,7 +76,7 @@ class Budget:
         return {"n": self.n, "N": self.N, "k": self.k, "node_cap": self.node_cap}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     status: str  # "yes" | "no" | "unknown"
     budget: Budget
@@ -104,7 +104,7 @@ def unknown(b: Budget, certificate: Optional[Dict] = None, notes: Tuple[str, ...
     return Verdict("unknown", b, certificate or {}, notes)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiagramSet:
     kind: str  # Diag | Diag+ | Diag+* | Tu | Ti | Tu* | Ti* | Tu(A|B) | Ti(A|B) | Tk | Tu(T)
     signature: Signature
@@ -384,9 +384,14 @@ def is_pc_within(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
     must be an immersion.  Counterexamples carry the offending hom."""
     if not is_model(m, t):
         raise StructureError("structure is not a model of the theory")
+    return _pc_within(m, models(t, b), b)
+
+
+def _pc_within(m: FiniteStructure, candidates: Sequence[FiniteStructure], b: Budget) -> Verdict:
+    """`is_pc_within` over the listed models `candidates` of t."""
     checked_models = 0
     checked_homs = 0
-    for other in models(t, b):
+    for other in candidates:
         checked_models += 1
         for hmap in search_homs(m, other, node_cap=b.node_cap):
             checked_homs += 1
@@ -398,7 +403,13 @@ def is_pc_within(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
 
 def bounded_pc_models(t: Theory, b: Budget) -> List[FiniteStructure]:
     """Models of t (size <= n, up to iso) that are pc within the bound."""
-    return [m for m in models(t, b) if is_pc_within(m, t, b).is_yes]
+    return _pc_models(models(t, b), b)
+
+
+def _pc_models(ms: Sequence[FiniteStructure], b: Budget) -> List[FiniteStructure]:
+    """The members of `ms`, the listed models of a theory, that are pc
+    within the bound: each one checked against the same list."""
+    return [m for m in ms if _pc_within(m, ms, b).is_yes]
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +431,11 @@ def _common_continuation(
     return None
 
 
-def _continuation_verdict(t: Theory, b: Budget, pairs: Sequence[Tuple]) -> Verdict:
-    """yes iff every pair has a common continuation that is a model of t
-    of size <= N; no with the first pair, in order, that has none."""
-    candidates = models(t, replace(b, n=b.N))
+def _continuation_verdict(
+    b: Budget, pairs: Sequence[Tuple], candidates: Sequence[FiniteStructure]
+) -> Verdict:
+    """yes iff every pair has a common continuation among `candidates`, the
+    models of t of size <= N; no with the first pair, in order, that has none."""
     for a, bst in pairs:
         if _common_continuation(a, bst, candidates, b.node_cap) is None:
             return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
@@ -433,7 +445,8 @@ def _continuation_verdict(t: Theory, b: Budget, pairs: Sequence[Tuple]) -> Verdi
 def is_jc_bounded(t: Theory, b: Budget) -> Verdict:
     """yes iff every pair of models of size <= n has a common continuation
     that is a model of t of size <= N."""
-    return _continuation_verdict(t, b, list(itertools.combinations_with_replacement(models(t, b), 2)))
+    pairs = list(itertools.combinations_with_replacement(models(t, b), 2))
+    return _continuation_verdict(b, pairs, models(t, replace(b, n=b.N)))
 
 
 def is_T_complete_pair(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
@@ -441,7 +454,8 @@ def is_T_complete_pair(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
     common continuation modelling t with size <= N."""
     if not (t1.signature == t2.signature == t.signature):
         raise SignatureError("T-completeness requires a shared signature")
-    return _continuation_verdict(t, b, list(itertools.product(models(t1, b), models(t2, b))))
+    pairs = list(itertools.product(models(t1, b), models(t2, b)))
+    return _continuation_verdict(b, pairs, models(t, replace(b, n=b.N)))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +477,13 @@ def ti_star_set(a: FiniteStructure, k: int) -> FrozenSet:
 def tu_of_theory_set(t: Theory, b: Budget) -> FrozenSet:
     """Bounded T_u(T): CQ sentences refuted by every model of size <= n.
     This overapproximates true h-universal consequence (documented)."""
+    return _tu_of_models(t, models(t, b), b)
+
+
+def _tu_of_models(t: Theory, ms: Sequence[FiniteStructure], b: Budget) -> FrozenSet:
+    """`tu_of_theory_set` over the listed models `ms` of t."""
     out: Optional[FrozenSet] = None
-    for m in models(t, b):
+    for m in ms:
         s = tu_star_set(m, b.k)
         out = s if out is None else (out & s)
         if not out:
@@ -477,8 +496,13 @@ def tu_of_theory_set(t: Theory, b: Budget) -> FrozenSet:
 def kaiser_hull_set(t: Theory, b: Budget) -> FrozenSet:
     """Bounded Kaiser hull: corpus implications true in every bounded-pc
     model of t."""
+    return _hull_of_pc_models(t, bounded_pc_models(t, b), b)
+
+
+def _hull_of_pc_models(t: Theory, pcs: Sequence[FiniteStructure], b: Budget) -> FrozenSet:
+    """`kaiser_hull_set` over the listed bounded-pc models `pcs` of t."""
     out: Optional[FrozenSet] = None
-    for m in bounded_pc_models(t, b):
+    for m in pcs:
         s = ti_star_set(m, b.k)
         out = s if out is None else (out & s)
     if out is None:
@@ -490,8 +514,9 @@ def kaiser_hull_bounded(t: Theory, b: Budget) -> Tuple[DiagramSet, DiagramSet]:
     """The bounded Kaiser hull T_k(T) (h-inductive sentences of size <= k
     true in every bounded-pc model), together with the bounded T_u(T)."""
     pool = corpus.atom_pool(t.signature, b.k)
-    hull_set = kaiser_hull_set(t, b)
-    tu_set = tu_of_theory_set(t, b)
+    ms = models(t, b)
+    hull_set = _hull_of_pc_models(t, _pc_models(ms, b), b)
+    tu_set = _tu_of_models(t, ms, b)
     hull = tuple(
         HInductiveSentence((imp.to_implication(pool),))
         for imp in corpus.implication_corpus(t.signature, b.k)
@@ -540,16 +565,16 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
         s1 & s2 for s1, s2 in itertools.combinations(sat_big.values(), 2)
     ) if len(sat_big) > 1 else True
     # (3) some model attains the bounded T_u(T)
-    tu_t = tu_of_theory_set(t, b)
+    tu_t = _tu_of_models(t, ms_n, b)
     cond3 = any(tu_star_set(m, b.k) == tu_t for m in ms_n) if ms_n else True
     # (4) some model attains the bounded Kaiser hull
-    hull = kaiser_hull_set(t, b)
+    pcs = _pc_models(ms_n, b)
+    hull = _hull_of_pc_models(t, pcs, b)
     cond4 = any(ti_star_set(m, b.k) == hull for m in ms_n) if ms_n else True
     # (5) bounded-pc models share T_u*
-    pcs = bounded_pc_models(t, b)
     tu_sets = {tu_star_set(m, b.k) for m in pcs}
     cond5 = len(tu_sets) <= 1
-    jc = is_jc_bounded(t, b)
+    jc = _continuation_verdict(b, list(itertools.combinations_with_replacement(ms_n, 2)), ms_big)
     conditions = {"cond1": cond1, "cond2": cond2, "cond3": cond3, "cond4": cond4, "cond5": cond5}
     return {
         "conditions": conditions,
@@ -563,7 +588,7 @@ def tu_ti_extremality_check(t: Theory, b: Budget) -> Verdict:
     """For every bounded-pc model A and model B of t: T_u*(A) is minimal
     and T_i*(A) is maximal among the bounded fragments of models of t."""
     ms = models(t, b)
-    pcs = bounded_pc_models(t, b)
+    pcs = _pc_models(ms, b)
     for a in pcs:
         tu_a = tu_star_set(a, b.k)
         ti_a = ti_star_set(a, b.k)

@@ -186,7 +186,7 @@ def test_criterion_8_companionship_lemma(loop):
 @criterion(9)
 def test_criterion_9_amalgamation_theorems():
     start = time.monotonic()
-    from dataclasses import replace
+    from posmt.records import replace
 
     t_pos = poset_theory()
     for theorem in ("si-si-strong", "ii-hh-strong"):

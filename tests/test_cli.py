@@ -117,6 +117,15 @@ def test_classify(ws_file, capsys):
     assert code == 0 and "immersion" in out
 
 
+def test_classify_labels_an_isomorphism_strong_immersion_without_a_bound(tmp_path, capsys):
+    # no bound enters the kind, so the label names none
+    path = tmp_path / "ws.posmt"
+    path.write_text(DATA + "\nmorphism same from chain2 to chain2 { map: a -> a, b -> b; }\n")
+    assert run(capsys, "classify", str(path), "--morphism", "same") == (0, "same: strong immersion\n")
+    code, out = run(capsys, "classify", str(path), "--morphism", "same", "--json")
+    assert code == 0 and json.loads(out)["kind"] == "s"
+
+
 def test_pc_exit_codes(ws_file, capsys):
     assert main(["pc", ws_file, "--structure", "point", "--theory", "T_pos", "--n", "3"]) == 0
     capsys.readouterr()
@@ -264,3 +273,18 @@ def test_problem_budget_rejects_unknown_keys_and_zero(tmp_path, capsys, budget, 
     assert main(["amalgamate", path, "--problem", "glue", "--json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"parse error: {line}:{col + budget.index(at)}:" in err
+
+
+@pytest.mark.parametrize("old, new, at", [
+    ("{ N: 6; }", "{ N: 6; N: 2; }", "N: 2"),
+    ("kinds: [i, i, h, h];", "kinds: [i, i, h, h]; kinds: [h, h, h, h];", "kinds: [h"),
+    ("base: point;", "base: point; base: chain2;", "base: chain2"),
+    ("class: theory T_pos;", "class: theory T_pos; class: all;", "class: all"),
+    ("strong: true;", "strong: true; strong: false;", "strong: false"),
+], ids=["budget-N", "kinds", "base", "class", "strong"])
+def test_repeated_problem_key_is_a_parse_error(tmp_path, capsys, old, new, at):
+    # the last of a repeated key used to win without a word: N: 2 answered
+    path, line, col = _with_problem_line(tmp_path, old, new)
+    assert main(["amalgamate", path, "--problem", "glue", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"parse error: {line}:{col + new.index(at)}: repeated" in err

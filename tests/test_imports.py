@@ -1,4 +1,5 @@
-"""Every name a posmt module imports is read somewhere in that module."""
+"""Import rules for posmt modules: every name a module imports is read
+somewhere in it, and no module imports `dataclasses`."""
 
 from __future__ import annotations
 
@@ -31,3 +32,19 @@ def unused_imports(path: Path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def imported_modules(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # `posmt.records` stands in for it: dataclasses and the inspect module
+    # it loads cost every posmt process its start-up
+    assert "dataclasses" not in set(imported_modules(path))

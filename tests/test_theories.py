@@ -288,6 +288,48 @@ def test_kaiser_hull_computes_each_fragment_once(t_pos, monkeypatch):
     assert len(calls) <= bound
 
 
+# each verdict lists each model set it needs once: (call, listings); a pc
+# check used to list the models again for every model it checked
+LISTINGS = [
+    (lambda t, n: kaiser_hull_bounded(t, Budget(n=n, k=2)), 1),
+    (lambda t, n: companion_check_bounded(t, t, Budget(n=n, k=2)), 2),
+    (lambda t, n: tu_ti_extremality_check(t, Budget(n=n, k=2)), 1),
+    (lambda t, n: is_jc_bounded(t, Budget(n=n - 1, N=n)), 2),
+    (lambda t, n: jc_characterization_report(t, Budget(n=n - 1, N=n, k=2)), 2),
+]
+
+
+@pytest.fixture()
+def listed(monkeypatch):
+    """The size bound of every `models_up_to_size` call from `theories`."""
+    from posmt import theories
+
+    real = theories.models_up_to_size
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(theories, "models_up_to_size", counting)
+    return calls
+
+
+@pytest.mark.parametrize("verdict, listings", LISTINGS,
+                         ids=["hull", "companion", "extremality", "jc", "report"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_each_verdict_lists_each_model_set_once(t_pos, listed, verdict, listings, n):
+    verdict(t_pos, n)
+    assert len(listed) == listings
+
+
+def test_kaiser_hull_at_five_lists_the_models_once(t_pos, listed):
+    # 89 listings before: one, then one per pc check of the 87 classes and
+    # one more for the bounded T_u(T)
+    kaiser_hull_bounded(t_pos, Budget(n=5, k=2))
+    assert listed == [5]
+
+
 def test_kaiser_hull_self_consistency():
     t = make_theory(SIG_F, "positive: exists x. f(x) = x;", "T_fix")
     b = Budget(n=2, N=2, k=2)
