@@ -7,7 +7,9 @@ Kind convention for a problem (f: A->B, g: A->C, apex D):
 The solver searches first among quotients of the amalgamated sum B |_A C
 (glue f(a) ~ g(a), close under function congruence, complete the free cells
 with the bounded model finder); then general apex enumeration with
-constrained hom search.  "no" is only reported when the exhaustive phase completed.
+constrained hom search, over a pool of apexes listed a size at a time as
+far as the search reads.  "no" is only reported when the exhaustive phase
+completed.
 
 Strong amalgamation adds the disjointness condition: the out-maps may
 identify b in B with c in C only when b is in f(A) and c is in g(A)
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BudgetExceeded, PosmtError, StructureError
 from .finder import find_models
@@ -257,17 +259,22 @@ def _enum_sizes(p: AmalgamationProblem) -> Tuple[int, bool]:
 _CANDIDATE_CACHE: Dict[Tuple, Tuple[FiniteStructure, ...]] = {}
 
 
-def _apex_candidates(p: AmalgamationProblem, cap: int) -> Tuple[FiniteStructure, ...]:
-    key = (p.theory, p.f.target.signature, cap, p.budget.node_cap)
-    if key not in _CANDIDATE_CACHE:
-        if len(_CANDIDATE_CACHE) > 64:
-            _CANDIDATE_CACHE.clear()
-        if p.theory is not None:
-            found = models(p.theory, Budget(n=cap, N=cap, k=p.budget.k, node_cap=p.budget.node_cap))
-        else:
-            found = list(enumerate_structures(p.f.target.signature, cap))
-        _CANDIDATE_CACHE[key] = tuple(found)
-    return _CANDIDATE_CACHE[key]
+def _apex_candidates(p: AmalgamationProblem, cap: int) -> Iterator[FiniteStructure]:
+    """The apex pool up to size `cap` in order: the models of the problem's
+    theory, or every structure, up to isomorphism.  Each size is listed
+    only when the solver reads that far, and kept per size."""
+    sig = p.f.target.signature
+    for size in range(1, cap + 1):
+        key = (p.theory, sig, size, p.budget.node_cap)
+        if key not in _CANDIDATE_CACHE:
+            if len(_CANDIDATE_CACHE) > 64:
+                _CANDIDATE_CACHE.clear()
+            if p.theory is not None:
+                found = models(p.theory, Budget(n=size, N=size, k=p.budget.k, node_cap=p.budget.node_cap))
+            else:
+                found = enumerate_structures(sig, size)
+            _CANDIDATE_CACHE[key] = tuple(d for d in found if d.size() == size)
+        yield from _CANDIDATE_CACHE[key]
 
 
 def _solve_enumeration(p: AmalgamationProblem) -> Tuple[Optional[AmalgamationSolution], bool]:

@@ -66,14 +66,17 @@ def _default_node_cap() -> int:
     return cap
 
 
-def _add_common(p: argparse.ArgumentParser, files: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, files: bool = True, k: bool = True) -> None:
+    """The flags every subcommand shares.  With `k` false, `--k` is left
+    out and so a usage error: no bound k enters a morphism's kind."""
     if files:
         p.add_argument("files", nargs="+", help="workspace files to load")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--jobs", type=int, default=1, help="worker count (output-invariant)")
     p.add_argument("--n", type=int, default=None, help="model-size bound")
     p.add_argument("--N", type=int, default=None, help="continuation-size bound")
-    p.add_argument("--k", type=int, default=None, help="cq-size bound")
+    if k:
+        p.add_argument("--k", type=int, default=None, help="cq-size bound")
     p.add_argument("--node-cap", type=int, default=None, help="search node cap")
     p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.add_argument("--strict-strong", action="store_true",
@@ -203,8 +206,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         MorphismKind.STRONG_IMMERSION: "strong immersion",
     }
     if args.json:
+        budget = {key: v for key, v in b.as_dict().items() if key != "k"}
         print(report_to_json({"command": "classify", "morphism": args.morphism,
-                              "kind": kind.letter, "budget": b.as_dict()}))
+                              "kind": kind.letter, "budget": budget}))
     else:
         print(f"{args.morphism}: {names[kind]}")
     return EXIT_YES
@@ -368,15 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True)
     p.set_defaults(fn=cmd_models)
 
-    p = sub.add_parser("homs", help="enumerate morphisms between two structures")
-    _add_common(p)
+    # no abbreviations, so that `--k` cannot pass for `--kind`
+    p = sub.add_parser("homs", help="enumerate morphisms between two structures",
+                       allow_abbrev=False)
+    _add_common(p, k=False)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="tgt", required=True)
     p.add_argument("--kind", default="h", choices=["h", "e", "i", "s"])
     p.set_defaults(fn=cmd_homs)
 
     p = sub.add_parser("classify", help="classify a morphism in the kind chain")
-    _add_common(p)
+    _add_common(p, k=False)
     p.add_argument("--morphism", required=True)
     p.set_defaults(fn=cmd_classify)
 

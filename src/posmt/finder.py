@@ -1,6 +1,6 @@
 """Bounded model search for h-inductive sentences.
 
-A DFS over interpretation cells: the unseeded constants, then the function
+A DFS over interpretation cells: the free constants, then the function
 entries (higher arity first), then the relation entries, each tried in
 universe order (relations false before true).  The cells are numbered as
 `Orbits` lays a structure out; each has a slot in one flat value list,
@@ -16,14 +16,22 @@ applied to variables only, every cell of the symbol where a constant or a
 function term is an argument.  Assigning a cell re-checks only the
 still-unknown instances that watch it.  One that is definitely false
 prunes the branch; one that is definitely true stays marked satisfied
-until the DFS backtracks past that assignment.  Supports a frozen partial
-seed (used for quotient completion and joint-consistency candidates).
+until the DFS backtracks past that assignment.
+
+One cell-level search, `_search`, takes fixed cells: a map from a cell to
+its preset value (true, false, or an element index) that the DFS never
+assigns.  `find_models` turns its seeds (facts fixed true, function entries
+and constants) into fixed cells and builds a structure per model; the
+quotient phase of amalgamation seeds it that way.  `models_up_to_size`
+codes the models it meets and builds only each class's representative; for
+a universal relational theory it fixes a smaller model's cells, true and
+false, and searches only a new element's cells.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, FormulaError
 from .formulas import (
@@ -194,52 +202,40 @@ def _compile(orbits: Orbits, imp: Implication):
     return status, comp
 
 
-def find_models(
-    sig: Signature,
-    universe: Tuple[str, ...],
+def _search(
+    orbits: Orbits,
     implications: Sequence[Implication],
+    fixed: Mapping[int, object],
     node_cap: Optional[int] = None,
-    seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]] = None,
-    seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]] = None,
-    seed_constants: Optional[Mapping[str, str]] = None,
-) -> Iterator[FiniteStructure]:
-    """All total interpretations on `universe` satisfying the implications.
+    spent: int = 0,
+) -> Generator[List, None, int]:
+    """Every assignment of the cells not in `fixed` under which the
+    implications hold; `fixed` maps a cell to its preset value (True,
+    False, or an element index).  The free cells are searched in order:
+    the constants, the function entries (higher arity first), then the
+    relation cells, each cell's values in universe order (false before
+    true).  Yields the live value list in the lexicographic order of the
+    free cells' values, so read it before resuming.
 
-    Seeded relation facts are fixed true, and every other relation fact
-    stays free.  Seeded function entries and constants are fixed.
-    Deterministic order; raises BudgetExceeded past node_cap assignments.
-    """
-    n = len(universe)
-    orbits = Orbits(sig, n)
-    index = {e: i for i, e in enumerate(universe)}
+    Counts assignments on from `spent` and returns the count, so that
+    consecutive searches can share one cap; raises BudgetExceeded past
+    node_cap."""
+    sig, n = orbits.sig, orbits.n
     val: List = [None] * orbits.size
-    order: List[int] = []
-    for c in sig.constants:
-        if seed_constants and c in seed_constants:
-            val[orbits.blocks[c][0]] = index[seed_constants[c]]
-        else:
-            order.append(orbits.blocks[c][0])
+    for c, v in fixed.items():
+        val[c] = v
+    order = [orbits.blocks[c][0] for c in sig.constants]
     # higher-arity functions first: their cells feed more constraints, so
     # pruning kicks in earlier (e.g. group mul before inv)
     for name, arity in sorted(sig.functions, key=lambda fa: (-fa[1], fa[0])):
-        seeded = (seed_functions or {}).get(name, {})
         first = orbits.blocks[name][0]
-        for i, args in enumerate(itertools.product(universe, repeat=arity)):
-            if args in seeded:
-                val[first + i] = index[seeded[args]]
-            else:
-                order.append(first + i)
+        order.extend(range(first, first + n ** arity))
+    order = [c for c in order if c not in fixed]
     elements = tuple(range(n))
     domains = [elements] * len(order)
-    for name, arity in sig.relations:
-        seeded_tuples = set(map(tuple, (seed_true_relations or {}).get(name, ())))
-        first = orbits.blocks[name][0]
-        for i, tup in enumerate(itertools.product(universe, repeat=arity)):
-            if tup in seeded_tuples:
-                val[first + i] = True
-            else:
-                order.append(first + i)
-                domains.append((False, True))
+    relation_cells = [c for c in range(orbits.offsets[-1]) if c not in fixed]
+    order += relation_cells
+    domains += [(False, True)] * len(relation_cells)
 
     free = [False] * orbits.size
     for c in order:
@@ -252,7 +248,7 @@ def find_models(
         for env in itertools.product(elements, repeat=len(imp.vars)):
             st = status(env, val)
             if st is False:
-                return
+                return spent
             if st is True:
                 continue
             read = set(static)
@@ -267,16 +263,15 @@ def find_models(
             for c in read:
                 watch[c].append(entry)
 
-    build = orbits.builder(universe)
     depth = len(order)
     if not depth:
-        yield build(val)
-        return
+        yield val
+        return spent
     done = [False] * count  # instances satisfied by the current assignment
     trail: List[int] = []  # satisfied instances, in the order they were marked
     mark = [0] * depth  # trail length on entering each level
     tried = [0] * depth  # values tried at each level
-    nodes = 0
+    nodes = spent
     i = 0
     while True:
         m = mark[i]
@@ -290,7 +285,7 @@ def find_models(
         if k == len(domain):
             val[c] = None
             if not i:
-                return
+                return nodes
             i -= 1
             continue
         tried[i] = k + 1
@@ -309,11 +304,71 @@ def find_models(
                 trail.append(j)
         else:
             if i + 1 == depth:
-                yield build(val)
+                yield val
             else:
                 i += 1
                 tried[i] = 0
                 mark[i] = len(trail)
+
+
+def find_models(
+    sig: Signature,
+    universe: Tuple[str, ...],
+    implications: Sequence[Implication],
+    node_cap: Optional[int] = None,
+    seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]] = None,
+    seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]] = None,
+    seed_constants: Optional[Mapping[str, str]] = None,
+) -> Iterator[FiniteStructure]:
+    """All total interpretations on `universe` satisfying the implications.
+
+    Seeded relation facts are fixed true, and every other relation fact
+    stays free.  Seeded function entries and constants are fixed.
+    Deterministic order; raises BudgetExceeded past node_cap assignments.
+    """
+    orbits = Orbits(sig, len(universe))
+    index = {e: i for i, e in enumerate(universe)}.__getitem__
+    fixed: Dict[int, object] = {}
+    for name, tuples in (seed_true_relations or {}).items():
+        first = orbits.blocks[name][0]
+        fixed.update((first + orbits.cell(map(index, t)), True) for t in tuples)
+    for name, table in (seed_functions or {}).items():
+        first = orbits.blocks[name][0]
+        fixed.update((first + orbits.cell(map(index, args)), index(e)) for args, e in table.items())
+    for name, e in (seed_constants or {}).items():
+        fixed[orbits.blocks[name][0]] = index(e)
+    build = orbits.builder(universe)
+    for val in _search(orbits, implications, fixed, node_cap):
+        yield build(val)
+
+
+def _first_in_cell_order(codes: Sequence[int]) -> int:
+    """The relation-only code whose cell values come first in cell order,
+    false before true: the first of them an unseeded search meets."""
+    best = codes[0]
+    for code in codes:
+        diff = code ^ best
+        if diff & -diff & best:  # they first differ at a cell true in best
+            best = code
+    return best
+
+
+def _extensions(
+    orbits: Orbits, implications: Sequence[Implication], reps: Sequence[int],
+    node_cap: Optional[int],
+) -> Iterator[List]:
+    """The models on n elements whose first n - 1 carry one of `reps`
+    (codes of relation-only structures on n - 1 elements): one search per
+    code, with its cells fixed, true and false, and one node cap over all
+    of them, as over one search of every cell."""
+    below = Orbits(orbits.sig, orbits.n - 1)
+    lift = [(orbits.offsets[j] + orbits.cell(t), below.offsets[j] + below.cell(t))
+            for j, (_, arity) in enumerate(orbits.sig.relations)
+            for t in itertools.product(range(below.n), repeat=arity)]
+    spent = 0
+    for code in reps:
+        fixed = {c: bool(code >> d & 1) for c, d in lift}
+        spent = yield from _search(orbits, implications, fixed, node_cap, spent)
 
 
 def models_up_to_size(
@@ -322,24 +377,43 @@ def models_up_to_size(
     max_size: int,
     node_cap: Optional[int] = None,
 ) -> List[FiniteStructure]:
-    """Models with |universe| <= max_size, the first found of each
-    isomorphism class, sorted stably by (size, canonical key).  The first
-    model met in a class has its whole orbit of codes (`Orbits`) marked and
-    is keyed once, by the least of the same images (`Orbits.least`)."""
+    """Models with |universe| <= max_size, one per isomorphism class,
+    sorted by (size, canonical key).  A class is represented by its least
+    image in search order, the first of its models an unseeded search on
+    that size meets.
+
+    Each model met is coded (`Orbits.code`); the first met in a class has
+    its whole orbit of codes marked and is keyed once, by the least of the
+    same images (`Orbits.least`), and only representatives are built.
+
+    A universal relational theory (relations only, and no conclusion with
+    an existential quantifier) is closed under induced substructures, so
+    every model on n elements extends a representative on the first n - 1.
+    Size n is then searched once per representative of size n - 1, with
+    its cells fixed (true and false) and only the new element's free.  Any
+    other theory gets one search over every cell per size."""
     names = element_names(max_size)
+    extend = not sig.functions and not sig.constants and all(
+        not imp.conclusion.vars for imp in implications)
     out: List[FiniteStructure] = []
+    reps: List[int] = []
     for size in range(1, max_size + 1):
-        universe = names[:size]
         orbits = Orbits(sig, size)
-        marked = set()
-        keyed = []
-        for st in find_models(sig, universe, implications, node_cap=node_cap):
-            code = orbits.pack(st)
+        if extend and size > 1:
+            found = _extensions(orbits, implications, reps, node_cap)
+        else:
+            found = _search(orbits, implications, {}, node_cap)
+        marked: Set[int] = set()
+        classes = []
+        for val in found:
+            code = orbits.code(val)
             if code in marked:
                 continue
             images = list(orbits.images(code))
             marked.update(images)
-            keyed.append((orbits.least(images), st))
-        keyed.sort(key=lambda kv: kv[0])
-        out.extend(st for _, st in keyed)
+            classes.append((orbits.least(images), _first_in_cell_order(images) if extend else code))
+        classes.sort()
+        reps = [code for _, code in classes]
+        build = orbits.builder(names[:size])
+        out.extend(build(orbits.values(code)) for code in reps)
     return out

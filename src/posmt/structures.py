@@ -7,10 +7,10 @@ concurrent reads.
 `Orbits` is the one encoding of a structure over (signature, n): it lays
 the structure out in cells, packs it into an int code, builds structures
 back from cell values and lists a code's images under the n! permutations
-of the elements.  Enumeration and the model lists keep the first structure
-met in each class and mark its whole orbit, so every later member is
-skipped.  The least image of a code (`Orbits.least`) orders the model
-lists; `key()` and `canonical_key()` are read off the same codes.
+of the elements.  Enumeration and the model lists mark the whole orbit of
+the first structure met in each class, so every later member is skipped.
+The least image of a code (`Orbits.least`) orders the model lists; `key()`
+and `canonical_key()` are read off the same codes.
 """
 
 from __future__ import annotations
@@ -281,7 +281,9 @@ class Orbits:
         firsts = itertools.accumulate((self.n ** arity for _, arity in symbols), initial=0)
         return {name: (first, arity) for (name, arity), first in zip(symbols, firsts)}
 
-    def _cell(self, t) -> int:
+    def cell(self, t) -> int:
+        """The element indices `t` read as a base-n number: the cell of
+        the tuple `t` within its symbol's block."""
         cell = 0
         for e in t:
             cell = cell * self.n + e
@@ -292,11 +294,11 @@ class Orbits:
         bits = 0
         for (name, _), offset in zip(self.sig.relations, self.offsets):
             for t in s.rel(name):
-                bits |= 1 << (offset + self._cell(map(index, t)))
+                bits |= 1 << (offset + self.cell(map(index, t)))
         values = [index(s.functions[name][args]) for name, arity in self.sig.functions
                   for args in itertools.product(s.universe, repeat=arity)]
         values += [index(s.constants[c]) for c in self.sig.constants]
-        return bits * self.tail + self._cell(values)
+        return bits * self.tail + self.cell(values)
 
     def unpack(self, code: int) -> Tuple[int, list]:
         """The relation bits and the list of digits of a code."""
@@ -310,6 +312,13 @@ class Orbits:
         """The cell values of a code: relation cells 0 or 1, then the digits."""
         bits, digits = self.unpack(code)
         return [bits >> c & 1 for c in range(self.offsets[-1])] + digits
+
+    def code(self, values) -> int:
+        """The code of a list of cell values (the inverse of `values`):
+        relation cells true or false, then element indices."""
+        nrel = self.offsets[-1]
+        bits = sum(1 << c for c, v in enumerate(values[:nrel]) if v)
+        return bits * self.tail + self.cell(values[nrel:])
 
     def builder(self, universe: Tuple[str, ...]):
         """The function from a list of cell values (relation cells true or
@@ -363,8 +372,33 @@ class Orbits:
         relation's set cells, the digits).  Cells order as their index
         tuples in product order, and a function table lists every argument
         tuple, so this orders codes as the least relabelling's sorted tuples
-        and tables would."""
-        return min(map(self._read, images))
+        and tables would.
+
+        Codes are compared before they are read.  Where two first differ
+        in a relation cell, the one with the cell set reads first, unless
+        the other has a later set cell of the same relation (then its
+        tuples run out first); equal relation bits compare by the digits."""
+        tail, ends = self.tail, self._ends
+        images = iter(images)
+        best = next(images)
+        best_bits, best_digits = divmod(best, tail)
+        for code in images:
+            bits, digits = divmod(code, tail)
+            diff = bits ^ best_bits
+            if diff:
+                low = diff & -diff
+                later = ends[low.bit_length() - 1] - (low << 1)
+                before = best_bits & later if bits & low else not bits & later
+            else:
+                before = digits < best_digits
+            if before:
+                best, best_bits, best_digits = code, bits, digits
+        return self._read(best)
+
+    @cached_property
+    def _ends(self):
+        """Per relation cell: the relation bit just past its relation's cells."""
+        return [1 << end for cells, end in zip(self.cells, self.offsets[1:]) for _ in range(cells)]
 
     def _read(self, code: int):
         bits, digits = self.unpack(code)
@@ -383,13 +417,13 @@ class Orbits:
         tables = []
         for p in itertools.permutations(range(n)):
             bit_images = tuple(
-                tail << (offset + self._cell(p[e] for e in t))
+                tail << (offset + self.cell(p[e] for e in t))
                 for (_, arity), offset in zip(self.sig.relations, self.offsets)
                 for t in itertools.product(range(n), repeat=arity)
             )
             positions, start = [], 0
             for _, arity in self.sig.functions:
-                positions += [start + self._cell(p[e] for e in args)
+                positions += [start + self.cell(p[e] for e in args)
                               for args in itertools.product(range(n), repeat=arity)]
                 start += n ** arity
             positions += range(start, self.digits)

@@ -43,10 +43,15 @@ isomorphism invariant computed per structure by colour refinement and a
 least encoding over the relabellings that keep each colour class
 together.  The orbit-marking enumeration and model lists must equal them
 tuple for tuple.
+
+The apex-pool reference lists every size of the amalgamation solver's
+pool at once, up front, as the solver read it before it listed each size
+only on reaching it.  Verdicts and first-found apexes must not change.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -821,3 +826,14 @@ def models_up_to_size_reference(
         keyed.sort(key=lambda kv: kv[0])
         out.extend(st for _, st in keyed)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def apex_candidates_reference(theory, sig: Signature, cap: int, node_cap: int) -> Tuple[FiniteStructure, ...]:
+    """The apex pool up to size `cap`, every size listed at once: the
+    models of `theory`, or every structure over `sig` when it is None, up
+    to isomorphism."""
+    from posmt.theories import Budget, models
+    if theory is not None:
+        return tuple(models(theory, Budget(n=cap, N=cap, node_cap=node_cap)))
+    return tuple(enumerate_structures(sig, cap))

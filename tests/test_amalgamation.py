@@ -18,6 +18,7 @@ from posmt.structures import FiniteStructure, Signature, enumerate_structures
 from posmt.theories import Budget, models
 
 from conftest import SIG_LE, run_optimised
+from oracles import apex_candidates_reference
 
 SIG_R = Signature.make(relations={"R": 2})
 
@@ -146,6 +147,82 @@ def test_solution_kind_monotone(point, chain2, t_pos):
     assert isinstance(sol, AmalgamationSolution)
     # a solution with immersion out-maps certifies the weaker problem as well
     assert verify_solution(weak, sol)
+
+
+# ---------------------------------------------------------------------------
+# the apex pool, listed a size at a time
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The size bound of every apex-pool listing, from an empty pool cache."""
+    from posmt import amalgamation
+    sizes = []
+    real_enumerate, real_models = amalgamation.enumerate_structures, amalgamation.models
+
+    def enumerating(sig, max_size):
+        sizes.append(max_size)
+        return real_enumerate(sig, max_size)
+
+    def listing(t, b):
+        sizes.append(b.n)
+        return real_models(t, b)
+
+    monkeypatch.setattr(amalgamation, "enumerate_structures", enumerating)
+    monkeypatch.setattr(amalgamation, "models", listing)
+    monkeypatch.setattr(amalgamation, "_CANDIDATE_CACHE", {})
+    return sizes
+
+
+@pytest.mark.parametrize("seed", [0, 20])
+def test_example_1_lists_no_size_4_pool(pool_sizes, seed):
+    # every instance finds its apex among sizes <= 3 (the cap is 4)
+    report = verify_theorem("example-1", seed, Budget(N=8), instances=25)
+    assert report["rate"] == 1.0
+    assert pool_sizes and max(pool_sizes) <= 3
+
+
+@pytest.mark.parametrize("N,status,cap", [(2, "no", 2), (8, "unknown", 4)])
+def test_unsolved_problem_lists_every_pool_size(pool_sizes, N, status, cap):
+    # strong immersions force |D| = |B| = |C|, and the wings differ in size:
+    # an exhaustive "no" and a truncated "unknown" read the whole pool, every
+    # size up to the cap (2^25 labelled digraphs on 5 points pass the limit)
+    a = FiniteStructure(SIG_R, ("a",), {"R": frozenset()})
+    b = FiniteStructure(SIG_R, ("a", "b"), {"R": frozenset({("a", "b"), ("b", "a")})})
+    p = AmalgamationProblem(Morphism(a, a, {"a": "a"}), Morphism(a, b, {"a": "a"}),
+                            parse_kinds("hhss"), budget=Budget(N=N))
+    assert solve_amalgamation(p).status == status
+    assert pool_sizes == list(range(1, cap + 1))
+
+
+def _outcome(result):
+    if isinstance(result, AmalgamationSolution):
+        return "yes", result.apex.key(), dict(result.out_b.map), dict(result.out_c.map)
+    return result.status, result.notes
+
+
+@pytest.mark.parametrize("theorem", ["example-1", "inheritance"])
+def test_lazy_pool_answers_as_the_eager_pool(monkeypatch, theorem):
+    from posmt import amalgamation
+
+    def outcomes():
+        real, seen = amalgamation.solve_amalgamation, []
+
+        def recording(p):
+            result = real(p)
+            seen.append(_outcome(result))
+            return result
+        with monkeypatch.context() as m:
+            m.setattr(amalgamation, "solve_amalgamation", recording)
+            m.setattr(amalgamation, "_CANDIDATE_CACHE", {})
+            verify_theorem(theorem, 0, Budget(N=8), instances=25)
+        return seen
+
+    lazy = outcomes()
+    monkeypatch.setattr(amalgamation, "_apex_candidates", lambda p, cap: apex_candidates_reference(
+        p.theory, p.f.target.signature, cap, p.budget.node_cap))
+    assert outcomes() == lazy
+    assert any(o[0] == "yes" for o in lazy)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,15 @@ def test_budget_exhaustion_prints_unknown_verdict_with_json(ws_file, capsys):
     assert data["notes"] == ["model search exceeded node cap 200"]
 
 
+def test_models_past_node_cap_prints_unknown(ws_file, capsys):
+    # one size's one-point extensions share the cap, as one search would
+    code = main(["models", ws_file, "--theory", "T_pos", "--n", "4", "--node-cap", "20", "--json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "unknown: model search exceeded node cap 20\n"
+    assert json.loads(captured.out)["verdict"] == "unknown"
+
+
 def test_jobs_flag_does_not_change_output(ws_file, capsys):
     _, out1 = run(capsys, "models", ws_file, "--theory", "T_pos", "--n", "2", "--json")
     _, out2 = run(capsys, "models", ws_file, "--theory", "T_pos", "--n", "2",
@@ -209,10 +218,26 @@ def test_verify_rejects_instance_count_below_one(count, capsys):
 
 @pytest.mark.parametrize("kind", ["s", "i"])
 @pytest.mark.parametrize("src", ["chain2", "point"])
-def test_homs_output_does_not_depend_on_k(ws_file, capsys, src, kind):
-    outs = [run(capsys, "homs", ws_file, "--from", src, "--to", "chain2", "--kind", kind,
-                "--json", "--k", k) for k in ("1", "2", "3")]
-    assert outs[0] == outs[1] == outs[2]
+def test_homs_rejects_k(ws_file, capsys, src, kind):
+    # no bound enters a morphism's kind, so a --k would be silently ignored;
+    # it is a usage error, and cannot pass for an abbreviated --kind either
+    base = ["homs", ws_file, "--from", src, "--to", "chain2", "--kind", kind, "--json"]
+    for extra in (["--k", "2"], ["--k", kind]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+    assert main(base) in (0, 1)  # yes or no: the homs were listed
+
+
+def test_classify_rejects_k_and_reports_no_k(ws_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", ws_file, "--morphism", "inc", "--k", "1"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+    code, out = run(capsys, "classify", ws_file, "--morphism", "inc", "--json")
+    assert code == 0
+    assert json.loads(out)["budget"] == {"n": 3, "N": 6, "node_cap": 10 ** 6}
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -66,8 +66,9 @@ def test_enumeration_counts_up_to_iso():
 
 
 def test_poset_counts_match_oeis(t_pos):
-    # A000112: posets up to isomorphism
-    assert _counts_by_size(models(t_pos, Budget(n=5))) == [1, 2, 5, 16, 63]
+    # A000112: posets up to isomorphism; each size past 1 is listed by
+    # extending the posets one point smaller
+    assert _counts_by_size(models(t_pos, Budget(n=6))) == [1, 2, 5, 16, 63, 318]
 
 
 def test_enumeration_raw_counts():
@@ -320,6 +321,18 @@ def test_orbit_codes_round_trip_through_builder(sig, n):
     orbits = Orbits(sig, n)
     build = orbits.builder(element_names(n))
     assert [orbits.pack(build(orbits.values(c))) for c in range(orbits.count)] == list(range(orbits.count))
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumeration_cases(), st.randoms(use_true_random=False))
+def test_orbit_codes_compare_and_round_trip_as_their_values(case, rng):
+    # `least` compares codes without reading each; it must pick the code
+    # whose reading is least, for any set of codes, not only an orbit
+    sig, n = case
+    orbits = Orbits(sig, n)
+    codes = [rng.randrange(orbits.count) for _ in range(rng.randint(1, 8))]
+    assert orbits.least(codes) == min(map(orbits._read, codes))
+    assert [orbits.code(orbits.values(c)) for c in codes] == codes
 
 
 @settings(max_examples=200, deadline=None)

@@ -113,6 +113,106 @@ def test_models_order_is_first_found_by_canonical_key(t_pos, dedup_before_sort):
 
 
 # ---------------------------------------------------------------------------
+# model lists by one-point extension
+
+
+@pytest.mark.parametrize("name", ["T_pos", "T_fix"])
+def test_representative_is_the_first_model_the_full_search_meets(t_pos, name):
+    t = t_pos if name == "T_pos" else make_theory(SIG_F, "positive: exists x. f(x) = x;")
+    got = models_up_to_size(t.signature, t.implications(), 5)
+    for size in range(1, 6):
+        orbits, first = Orbits(t.signature, size), {}
+        for m in find_models(t.signature, ELEMENT_NAMES[:size], t.implications()):
+            first.setdefault(orbits.least(orbits.images(orbits.pack(m))), m)
+        assert [m.key() for m in got if m.size() == size] == [first[k].key() for k in sorted(first)]
+
+
+def test_tiny_node_cap_raises(t_pos):
+    with pytest.raises(BudgetExceeded):
+        models_up_to_size(SIG_LE, t_pos.implications(), 3, node_cap=5)
+    with pytest.raises(BudgetExceeded):
+        models(t_pos, Budget(n=2, node_cap=1))
+
+
+SIG_R2 = Signature.make(relations={"R": 2})
+
+
+@pytest.mark.parametrize("theory,max_size,extends", [
+    pytest.param(make_theory(SIG_LE, POSET_AXIOMS), 4, True, id="T_pos"),
+    pytest.param(make_theory(SIG_R2, "huniversal: ! exists x y. R(x,y) & R(y,x);"), 3, True,
+                 id="huniversal"),
+    pytest.param(make_theory(SIG_R2, "hinductive: forall x y z. R(x,y) & R(x,z) -> y = z | R(y,z);"),
+                 3, True, id="disjunctive-equality"),
+    pytest.param(make_theory(SIG_R2, "hinductive: forall x. exists y. R(x,y) & R(y,x) -> R(x,x);"),
+                 3, True, id="existential-premise"),
+    pytest.param(make_theory(SIG_F, "positive: exists x. f(x) = x;"), 4, False, id="T_fix"),
+    pytest.param(make_theory(SIG_R2, "hinductive: forall x. true -> exists y. R(x,y);"
+                                     "hinductive: forall x y. R(x,y) & R(y,x) -> x = y;"), 3, False,
+                 id="existential-conclusion"),
+])
+def test_only_universal_relational_theories_extend(monkeypatch, theory, max_size, extends):
+    from posmt import finder
+    real, sizes = finder._extensions, []
+
+    def recording(orbits, *args):
+        sizes.append(orbits.n)
+        return real(orbits, *args)
+
+    monkeypatch.setattr(finder, "_extensions", recording)
+    args = (theory.signature, theory.implications(), max_size)
+    assert [m.key() for m in models_up_to_size(*args)] == \
+        [m.key() for m in models_up_to_size_reference(*args)]
+    assert sizes == (list(range(2, max_size + 1)) if extends else [])
+
+
+# Relational signatures for the differential, each with the largest size
+# whose labelled reference listing stays small.
+RELATIONAL_SIGS = [
+    (Signature.make(relations={"P": 1}), 4),
+    (Signature.make(relations={"P": 1, "Q": 1}), 4),
+    (Signature.make(relations={"R": 2}), 3),
+    (Signature.make(relations={"P": 1, "R": 2}), 3),
+]
+
+
+@st.composite
+def _quantifier_free_conclusions(draw, sig, scope):
+    """`false`, an atom, or `x = y | ...` over the universal variables."""
+    def atom():
+        name, arity = draw(st.sampled_from(sig.relations))
+        return RelAtom(name, tuple(Var(draw(st.sampled_from(scope))) for _ in range(arity)))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return PosEx((), Falsum())
+    if kind == 1:
+        return PosEx((), atom())
+    x, y = (Var(draw(st.sampled_from(scope))) for _ in range(2))
+    return PosEx((), Or((EqAtom(x, y),) + tuple(atom() for _ in range(draw(st.integers(0, 2))))))
+
+
+@st.composite
+def universal_relational_cases(draw):
+    """A relational signature, a size bound and implications whose
+    conclusions have no existential quantifier; premises may have one."""
+    sig, max_size = draw(st.sampled_from(RELATIONAL_SIGS))
+    implications = []
+    for _ in range(draw(st.integers(1, 3))):
+        scope = draw(st.sampled_from([("x",), ("x", "z")]))
+        implications.append(Implication(scope, draw(_positive_ex(sig, scope)),
+                                        draw(_quantifier_free_conclusions(sig, scope))))
+    return sig, tuple(implications), draw(st.integers(1, max_size))
+
+
+@settings(max_examples=80, deadline=None)
+@given(universal_relational_cases())
+def test_one_point_extension_matches_reference(case):
+    sig, implications, max_size = case
+    got = models_up_to_size(sig, implications, max_size)
+    expected = models_up_to_size_reference(sig, implications, max_size)
+    assert [m.key() for m in got] == [m.key() for m in expected]
+
+
+# ---------------------------------------------------------------------------
 # diagrams
 
 
