@@ -352,17 +352,15 @@ def check_basis(
         wings = models(theory, b)
     else:
         wings = list(enumerate_structures(a.signature, b.n))
+    # each wing's maps are listed once; the beta lists only if some alpha
+    # list is not empty, as no instance reads them otherwise
+    left = [enumerate_homs(a, w, kind=alpha, node_cap=b.node_cap) for w in wings]
+    right = left if beta == alpha or not any(left) else [
+        enumerate_homs(a, w, kind=beta, node_cap=b.node_cap) for w in wings]
     instances: List[Dict] = []
     statuses: List[str] = []
-    for bw in wings:
-        fs = enumerate_homs(a, bw, kind=alpha, node_cap=b.node_cap)
-        if not fs:
-            continue
-        for cw in wings:
-            if cw is bw and alpha == beta:
-                gs = fs
-            else:
-                gs = enumerate_homs(a, cw, kind=beta, node_cap=b.node_cap)
+    for bw, fs in zip(wings, left):
+        for cw, gs in zip(wings, right):
             for f in fs:
                 for g in gs:
                     problem = AmalgamationProblem(f, g, kinds, theory, strong, strict_strong, b)

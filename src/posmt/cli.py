@@ -9,8 +9,8 @@
     posmt tcomplete FILE... --t1 T1 --t2 T2 --theory T
     posmt companion FILE... --t1 T1 --t2 T2
     posmt hull FILE... --theory T
-    posmt amalgamate FILE... --problem P
-    posmt basis FILE... --structure A --kinds iihh [--theory T] [--strong]
+    posmt amalgamate FILE... --problem P [--strict-strong]
+    posmt basis FILE... --structure A --kinds iihh [--theory T] [--strong] [--strict-strong]
     posmt verify --theorem ii-hh-strong [--seed S] [--instances K]
     posmt report FILE... --theory T
 
@@ -68,7 +68,9 @@ def _default_node_cap() -> int:
 
 def _add_common(p: argparse.ArgumentParser, files: bool = True, k: bool = True) -> None:
     """The flags every subcommand shares.  With `k` false, `--k` is left
-    out and so a usage error: no bound k enters a morphism's kind."""
+    out and so a usage error: no bound k enters a morphism's kind.  A flag
+    only some subcommands read (`--seed`, `--strict-strong`) is added by
+    those alone, so that elsewhere it is a usage error, not ignored."""
     if files:
         p.add_argument("files", nargs="+", help="workspace files to load")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -78,7 +80,9 @@ def _add_common(p: argparse.ArgumentParser, files: bool = True, k: bool = True) 
     if k:
         p.add_argument("--k", type=int, default=None, help="cq-size bound")
     p.add_argument("--node-cap", type=int, default=None, help="search node cap")
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
+
+
+def _add_strict_strong(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strict-strong", action="store_true",
                    help="require a common base preimage at strong collisions")
 
@@ -418,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("amalgamate", help="solve a declared amalgamation problem")
     _add_common(p)
+    _add_strict_strong(p)
     p.add_argument("--problem", required=True)
     p.set_defaults(fn=cmd_amalgamate)
 
@@ -428,12 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="4 letters from {h,e,i,s}, e.g. iihh")
     p.add_argument("--theory", default=None)
     p.add_argument("--strong", action="store_true")
+    _add_strict_strong(p)
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("verify", help="run the theorem-verification harness")
     _add_common(p, files=False)
     p.add_argument("--theorem", required=True, choices=list(THEOREM_IDS))
     p.add_argument("--instances", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="JC characterization report for a theory")

@@ -1,13 +1,18 @@
-"""Formula ASTs, shape classification, evaluation and printing.
+"""Formula ASTs, one normal form, evaluation and printing.
 
 The positive fragment: atoms (relation, equality, falsum, truth) combined
 with AND/OR, existentially quantified (PosEx).  H-inductive sentences are
 conjunctions of universally closed implications between positive formulas;
-h-universal sentences are negations of positive sentences.  A small general
-fragment (Not / Implies / Forall over anything) exists only so that
-arbitrary sentences can be classified.  Evaluation compiles each formula
-once into closures over one mutable variable environment (`compile_formula`),
-independently of the model finder.
+h-universal sentences are negations of positive sentences.  The general
+fragment (Not / Implies / Forall / Exists / GAnd / GOr over anything) holds
+what a `general:` sentence parses to.  One normal form decides what a
+theory may hold: `_positive_form` turns a formula into one positive
+existential formula or None, `as_implications` builds on it to encode every
+h-inductive shape as implications (and rejects any other), and
+`classify_sentence` reads a sentence's class off the same two.  Evaluation
+compiles each formula once into closures over one mutable variable
+environment (`compile_formula`), independently of the model finder and of
+the encoding.
 """
 
 from __future__ import annotations
@@ -318,53 +323,62 @@ def eval_formula(
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Normal form, encoding and classification
 
 
-def _is_posqf(f: Formula) -> bool:
-    if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)):
-        return True
-    if isinstance(f, (And, Or, GAnd, GOr)):
-        return all(_is_posqf(p) for p in f.parts)
-    return False
-
-
-def _is_positive(f: Formula) -> bool:
-    if _is_posqf(f):
-        return True
+def _positive_form(f: Formula) -> Optional[PosEx]:
+    """f as one positive existential formula `exists xs. matrix`, or None.
+    Quantifiers may only lead (a connective over a quantified part is not
+    positive here), and GAnd / GOr become And / Or."""
     if isinstance(f, (PosEx, Exists)):
-        body = f.matrix if isinstance(f, PosEx) else f.sub
-        return _is_positive(body)
-    # nested quantifiers inside connectives are outside our fragment
-    return False
+        body = _positive_form(f.matrix if isinstance(f, PosEx) else f.sub)
+        return None if body is None else PosEx(f.vars + body.vars, body.matrix)
+    if isinstance(f, (And, Or, GAnd, GOr)):
+        parts = [None if isinstance(p, (PosEx, Exists)) else _positive_form(p) for p in f.parts]
+        if any(p is None for p in parts):
+            return None
+        return PosEx((), (And if isinstance(f, (And, GAnd)) else Or)(tuple(p.matrix for p in parts)))
+    return PosEx((), f) if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)) else None
 
 
-def _is_hinductive(f: Formula) -> bool:
-    if isinstance(f, HInductiveSentence):
-        return True
+def _negated(f: Formula) -> Optional[PosEx]:
+    """phi in positive form when f is the negation of a positive phi."""
     if isinstance(f, HUniversalSentence):
-        return True
-    if _is_positive(f):
-        return True
-    if isinstance(f, Not):
-        return _is_positive(f.sub)
+        return _positive_form(f.inner)
+    return _positive_form(f.sub) if isinstance(f, Not) else None
+
+
+def _universal(vs: Tuple[str, ...], f: Formula) -> Optional[Implication]:
+    """forall vs. f as one implication, when f is positive, positive ->
+    positive, or a universal closure of these."""
+    if isinstance(f, Forall):
+        return _universal(vs + f.vars, f.sub)
+    if isinstance(f, Implies):
+        premise, conclusion = _positive_form(f.left), _positive_form(f.right)
+        return None if premise is None or conclusion is None else Implication(vs, premise, conclusion)
+    conclusion = _positive_form(f)
+    return None if conclusion is None else Implication(vs, TRUE_POSEX, conclusion)
+
+
+def as_implications(f: Formula) -> Tuple[Implication, ...]:
+    """The implications an h-inductive sentence encodes as: positive phi is
+    true -> phi, a negated one phi -> false, a universal closure of
+    positive -> positive is one implication, and a conjunction of
+    h-inductive parts the implications of its parts.  Any other shape is a
+    FormulaError."""
+    if isinstance(f, HInductiveSentence):
+        return f.conjuncts
     if isinstance(f, Implication):
-        return True
-    if isinstance(f, Implies):
-        return _is_positive(f.left) and _is_positive(f.right)
-    if isinstance(f, Forall):
-        return _is_hinductive_body(f.sub)
-    if isinstance(f, (GAnd, And)):
-        return all(_is_hinductive(p) for p in f.parts)
-    return False
-
-
-def _is_hinductive_body(f: Formula) -> bool:
-    if isinstance(f, Implies):
-        return _is_positive(f.left) and _is_positive(f.right)
-    if isinstance(f, Forall):
-        return _is_hinductive_body(f.sub)
-    return _is_positive(f)
+        return (f,)
+    inner = _negated(f)
+    if inner is not None:
+        return (Implication(inner.vars, PosEx((), inner.matrix), FALSE_POSEX),)
+    imp = _universal((), f)
+    if imp is not None:
+        return (imp,)
+    if isinstance(f, (And, GAnd)):
+        return tuple(i for p in f.parts for i in as_implications(p))
+    raise FormulaError(f"not encodable as h-inductive: {f!r}")
 
 
 def classify_sentence(f: Formula) -> str:
@@ -372,32 +386,15 @@ def classify_sentence(f: Formula) -> str:
     outside, for a closed formula."""
     if free_vars(f):
         raise FormulaError("classification requires a closed formula")
-    if _is_positive(f):
+    if _positive_form(f) is not None:
         return "positive"
-    if isinstance(f, HUniversalSentence):
+    if _negated(f) is not None:
         return "h-universal"
-    if isinstance(f, Not) and _is_positive(f.sub):
-        return "h-universal"
-    if _is_hinductive(f):
-        return "h-inductive"
-    return "outside"
-
-
-def as_implications(f: Formula) -> Tuple[Implication, ...]:
-    """Encode a positive / h-universal / h-inductive sentence as implications
-    (positive phi becomes T -> phi; h-universal !phi becomes phi -> falsum)."""
-    if isinstance(f, HInductiveSentence):
-        return f.conjuncts
-    if isinstance(f, Implication):
-        return (f,)
-    if isinstance(f, HUniversalSentence):
-        inner = f.inner
-        return (Implication(inner.vars, PosEx((), inner.matrix), FALSE_POSEX),)
-    if isinstance(f, PosEx):
-        return (Implication((), TRUE_POSEX, f),)
-    if _is_posqf(f):
-        return (Implication((), TRUE_POSEX, PosEx((), f)),)
-    raise FormulaError(f"not encodable as h-inductive: {f!r}")
+    try:
+        as_implications(f)
+    except FormulaError:
+        return "outside"
+    return "h-inductive"
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +445,4 @@ def pp_formula(f: Formula) -> str:
         return f"huniversal: ! {_pp_posex(f.inner)}"
     if isinstance(f, PosEx):
         return f"positive: {_pp_posex(f)}"
-    if _is_posqf(f):
-        return f"positive: {_pp_qf(f)}"
-    raise FormulaError(f"cannot print {f!r}")
+    return f"positive: {_pp_qf(f)}"

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import corpus
 from .errors import FormulaError, SignatureError, StructureError
 from .formulas import (
     App, Const, EqAtom, Formula, HInductiveSentence, HUniversalSentence,
-    Implication, PosEx, RelAtom, as_implications, classify_sentence,
-    compile_formula, pp_formula,
+    Implication, PosEx, RelAtom, as_implications, compile_formula, free_vars,
 )
 from .finder import find_models, models_up_to_size
 from .morphisms import Morphism, is_immersion, search_homs
@@ -27,15 +26,21 @@ from .structures import FiniteStructure, Signature, UnionFind, disjoint_rename, 
 
 @record(frozen=True)
 class TaggedSentence:
-    tag: str  # "h-inductive" | "h-universal" | "positive"
+    """A sentence of a theory tagged with the implications it encodes as,
+    made once by `Theory.make`.  `check` evaluates the sentence itself, so
+    `is_model` does not rest on the encoding."""
     sentence: Formula
-
-    def implications(self) -> Tuple[Implication, ...]:
-        return as_implications(self.sentence)
+    implications: Tuple[Implication, ...]
 
     @cached_property
     def check(self) -> Callable[[FiniteStructure, Dict[str, str]], bool]:
         return compile_formula(self.sentence)
+
+
+def _joined(encodings: Iterable[Tuple[Implication, ...]]) -> Tuple[Implication, ...]:
+    """Sentences' implications, one after the other: the one way a set of
+    sentences reaches the model finder."""
+    return tuple(itertools.chain.from_iterable(encodings))
 
 
 @record(frozen=True)
@@ -46,19 +51,21 @@ class Theory:
 
     @staticmethod
     def make(signature: Signature, sentences: Sequence[Formula], name: str = "T") -> "Theory":
-        tagged = []
-        for s in sentences:
-            cls = classify_sentence(s)
-            if cls not in ("positive", "h-universal", "h-inductive"):
-                raise FormulaError(f"not an h-inductive-encodable sentence: {pp_formula(s)}")
-            tagged.append(TaggedSentence(cls, s))
-        return Theory(signature, tuple(tagged), name)
+        """The theory of `sentences`.  A sentence belongs in it iff it is
+        closed and encodes as implications (`as_implications`)."""
+        encoded = []
+        for i, s in enumerate(sentences, 1):
+            free = free_vars(s)
+            if free:
+                raise FormulaError(f"theory {name!r}: sentence {i} has a free variable {min(free)}")
+            try:
+                encoded.append(TaggedSentence(s, as_implications(s)))
+            except FormulaError:
+                raise FormulaError(f"theory {name!r}: sentence {i} is not h-inductive") from None
+        return Theory(signature, tuple(encoded), name)
 
     def implications(self) -> Tuple[Implication, ...]:
-        out: List[Implication] = []
-        for ts in self.sentences:
-            out.extend(ts.implications())
-        return tuple(out)
+        return _joined(ts.implications for ts in self.sentences)
 
 
 @record(frozen=True)
@@ -112,10 +119,7 @@ class DiagramSet:
     bound: Optional[int] = None
 
     def implications(self) -> Tuple[Implication, ...]:
-        out: List[Implication] = []
-        for s in self.sentences:
-            out.extend(as_implications(s))
-        return tuple(out)
+        return _joined(map(as_implications, self.sentences))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +277,6 @@ def _merge_signatures(sigs: Sequence[Signature]) -> Signature:
     return Signature.make(relations=rels, functions=funcs, constants=consts)
 
 
-def _all_implications(sets: Sequence[Union[DiagramSet, Theory]]) -> Tuple[Implication, ...]:
-    out: List[Implication] = []
-    for s in sets:
-        out.extend(s.implications())
-    return tuple(out)
-
-
 def _ground_refutation(sig: Signature, implications: Sequence[Implication]) -> Optional[Dict]:
     """Congruence closure over ground constant facts: detect an atomic clash
     between unconditional positive facts and ground h-universal constraints.
@@ -355,7 +352,7 @@ def joint_consistency_bounded(sets: Sequence[Union[DiagramSet, Theory]], b: Budg
     reported only when the exhaustive search completed and a ground atomic
     refutation confirms it; otherwise "unknown"."""
     sig = _merge_signatures([s.signature for s in sets])
-    implications = _all_implications(sets)
+    implications = _joined(s.implications() for s in sets)
     names = element_names(b.N)
     for size in range(1, b.N + 1):
         for m in find_models(sig, names[:size], implications, node_cap=b.node_cap):

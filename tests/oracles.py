@@ -44,6 +44,11 @@ least encoding over the relabellings that keep each colour class
 together.  The orbit-marking enumeration and model lists must equal them
 tuple for tuple.
 
+The sentence-class reference is the classifier that decided which
+sentences a theory accepts before `formulas._positive_form` and
+`formulas.as_implications` decided it: four predicates over the syntax
+tree.  `classify_sentence` must give every closed formula the same class.
+
 The apex-pool reference lists every size of the amalgamation solver's
 pool at once, up front, as the solver read it before it listed each size
 only on reaching it.  Verdicts and first-found apexes must not change.
@@ -64,7 +69,7 @@ from posmt.errors import BudgetExceeded, FormulaError, StructureError
 from posmt.formulas import (
     And, Atom, Const, EqAtom, Exists, Falsum, Forall, Formula, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
-    PosEx, PosQF, RelAtom, Term, Truth, Var,
+    PosEx, PosQF, RelAtom, Term, Truth, Var, free_vars,
 )
 from posmt.morphisms import (
     Morphism, MorphismKind, is_embedding, is_homomorphism, is_immersion,
@@ -837,3 +842,69 @@ def apex_candidates_reference(theory, sig: Signature, cap: int, node_cap: int) -
     if theory is not None:
         return tuple(models(theory, Budget(n=cap, N=cap, node_cap=node_cap)))
     return tuple(enumerate_structures(sig, cap))
+
+
+# ---------------------------------------------------------------------------
+# Sentence classes, as decided before one normal form decided them
+
+
+def _is_posqf(f: Formula) -> bool:
+    if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)):
+        return True
+    if isinstance(f, (And, Or, GAnd, GOr)):
+        return all(_is_posqf(p) for p in f.parts)
+    return False
+
+
+def _is_positive(f: Formula) -> bool:
+    if _is_posqf(f):
+        return True
+    if isinstance(f, (PosEx, Exists)):
+        body = f.matrix if isinstance(f, PosEx) else f.sub
+        return _is_positive(body)
+    # nested quantifiers inside connectives are outside our fragment
+    return False
+
+
+def _is_hinductive(f: Formula) -> bool:
+    if isinstance(f, HInductiveSentence):
+        return True
+    if isinstance(f, HUniversalSentence):
+        return True
+    if _is_positive(f):
+        return True
+    if isinstance(f, Not):
+        return _is_positive(f.sub)
+    if isinstance(f, Implication):
+        return True
+    if isinstance(f, Implies):
+        return _is_positive(f.left) and _is_positive(f.right)
+    if isinstance(f, Forall):
+        return _is_hinductive_body(f.sub)
+    if isinstance(f, (GAnd, And)):
+        return all(_is_hinductive(p) for p in f.parts)
+    return False
+
+
+def _is_hinductive_body(f: Formula) -> bool:
+    if isinstance(f, Implies):
+        return _is_positive(f.left) and _is_positive(f.right)
+    if isinstance(f, Forall):
+        return _is_hinductive_body(f.sub)
+    return _is_positive(f)
+
+
+def classify_sentence_reference(f: Formula) -> str:
+    """Most specific class among positive / h-universal / h-inductive /
+    outside, for a closed formula."""
+    if free_vars(f):
+        raise FormulaError("classification requires a closed formula")
+    if _is_positive(f):
+        return "positive"
+    if isinstance(f, HUniversalSentence):
+        return "h-universal"
+    if isinstance(f, Not) and _is_positive(f.sub):
+        return "h-universal"
+    if _is_hinductive(f):
+        return "h-inductive"
+    return "outside"

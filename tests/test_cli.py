@@ -243,19 +243,21 @@ def test_classify_rejects_k_and_reports_no_k(ws_file, capsys):
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _cli(*argv, timeout: float = 60) -> subprocess.CompletedProcess:
+    """`posmt argv` in a fresh process, so that a crash shows as a traceback
+    and a search that never ends fails the test instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "posmt.cli", *argv],
+                          cwd=REPO, env=env, capture_output=True, text=True, timeout=timeout)
+
+
 @pytest.mark.parametrize("argv", [
     ("models", "data/unary.posmt", "--theory", "T_fix", "--n", "13"),
     ("verify", "--theorem", "inheritance", "--n", "1", "--instances", "1"),
 ], ids=["size-past-name-pool", "inheritance-n1"])
 def test_out_of_range_budget_exits_3_at_once(argv):
-    # a fresh process with a timeout, so that a search that never ends
-    # fails the test instead of hanging the suite
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "posmt.cli", *argv],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=20,
-    )
+    proc = _cli(*argv, timeout=20)
     assert proc.returncode == 3, proc.stderr
 
 
@@ -313,3 +315,65 @@ def test_repeated_problem_key_is_a_parse_error(tmp_path, capsys, old, new, at):
     assert main(["amalgamate", path, "--problem", "glue", "--json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"parse error: {line}:{col + new.index(at)}: repeated" in err
+
+
+# ---------------------------------------------------------------------------
+# general: sentences are accepted exactly when they encode as h-inductive
+
+ONE_THEORY = "signature S {{ relations: le/2; constants: c; }}\ntheory T over S {{ {} }}\n"
+
+
+def test_general_sentence_lists_the_models_of_its_hinductive_twin(tmp_path, capsys):
+    outs = []
+    for prefix in ("hinductive", "general"):
+        path = tmp_path / f"{prefix}.posmt"
+        path.write_text(ONE_THEORY.format(f"{prefix}: forall x. true -> le(x,x);"))
+        code, out = run(capsys, "models", str(path), "--theory", "T", "--n", "2", "--json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_general_conjunction_of_atoms_lists_the_models_of_its_positive_twin(tmp_path):
+    outs = []
+    for prefix in ("positive", "general"):
+        path = tmp_path / f"{prefix}.posmt"
+        path.write_text(ONE_THEORY.format(f"{prefix}: le(c,c) & le(c,c);"))
+        proc = _cli("models", str(path), "--theory", "T", "--n", "2")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("9 model(s) of T")
+
+
+@pytest.mark.parametrize("sentence, why", [
+    # no h-inductive encoding, and no printed form
+    ("general: exists x. !le(x,x);", "is not h-inductive"),
+    ("positive: le(x,c);", "has a free variable x"),
+], ids=["outside", "open"])
+def test_sentence_outside_a_theory_is_rejected_at_load(tmp_path, capsys, sentence, why):
+    path = tmp_path / "ws.posmt"
+    path.write_text(ONE_THEORY.format("hinductive: forall x. true -> le(x,x); " + sentence))
+    assert main(["check", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert "OK theory" not in out
+    assert f"error: theory 'T': sentence 2 {why}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("models", "--theory", "T_pos", "--seed", "3"),
+    ("pc", "--structure", "point", "--theory", "T_pos", "--strict-strong"),
+    ("jc", "--theory", "T_pos", "--seed", "3"),
+    ("basis", "--structure", "point", "--kinds", "hhhh", "--theory", "T_pos", "--seed", "3"),
+], ids=["models-seed", "pc-strict-strong", "jc-seed", "basis-seed"])
+def test_flags_are_taken_only_where_they_are_read(ws_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], ws_file, *argv[1:]])
+    assert exc.value.code == 2
+    flag = next(a for a in argv if a in ("--seed", "--strict-strong"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_strict_strong_is_taken_by_amalgamate_and_basis(ws_file, capsys):
+    assert main(["amalgamate", ws_file, "--problem", "glue", "--strict-strong"]) == 0
+    assert main(["basis", ws_file, "--structure", "point", "--kinds", "hhhh", "--theory", "T_pos",
+                 "--n", "2", "--strong", "--strict-strong"]) == 0

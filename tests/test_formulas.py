@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posmt.errors import FormulaError, ParseError
+from posmt.finder import find_models
 from posmt.formulas import (
     And, App, Const, EqAtom, Exists, Falsum, Forall, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
@@ -19,7 +20,7 @@ from posmt.structures import FiniteStructure, Signature
 from posmt.textio import load_workspace
 
 from conftest import SIG_LE
-from oracles import eval_formula_reference
+from oracles import classify_sentence_reference, eval_formula_reference
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_theory_block_loose_input():
     ])
     assert ws.theory("E").sentences == ()
     assert len(ws.theory("P").sentences) == 1
-    assert [len(ts.implications()) for ts in ws.theory("R").sentences] == [1, 2]
+    assert [len(ts.implications) for ts in ws.theory("R").sentences] == [1, 2]
     with pytest.raises(ParseError):
         parse_sentences("", SIG_LE)
 
@@ -289,6 +290,38 @@ def test_compiled_evaluator_matches_reference(seed, f, data):
     assert env == before
     closed = Forall(tuple(sorted(free_vars(f))), f)
     assert eval_formula(s, closed, {}) == eval_formula_reference(s, closed, {})
+
+
+# hypothesis: one normal form classifies and encodes every sentence, as the
+# old classifier classified it
+
+ONE_ELEMENT = [
+    FiniteStructure(
+        SIG_MIX, ("a",),
+        {n: frozenset({("a",) * ar} if bit else ()) for (n, ar), bit in zip(SIG_MIX.relations, bits)},
+        {n: {("a",) * ar: "a"} for n, ar in SIG_MIX.functions},
+        dict.fromkeys(SIG_MIX.constants, "a"),
+    )
+    for bits in itertools.product((False, True), repeat=len(SIG_MIX.relations))
+]
+
+
+@given(st.integers(0, 2 ** 32), mixed_formulas)
+@settings(max_examples=300, deadline=None)
+def test_classes_and_encodings_agree_with_the_old_classifier(seed, f):
+    free = tuple(sorted(free_vars(f)))
+    f = Forall(free, f) if free else f
+    cls = classify_sentence(f)
+    assert cls == classify_sentence_reference(f)
+    if cls == "outside":
+        with pytest.raises(FormulaError):
+            as_implications(f)
+        return
+    imps = as_implications(f)
+    s = mixed_structure(seed)
+    assert eval_formula(s, f) == all(eval_formula(s, imp) for imp in imps)
+    found = {m.key() for m in find_models(SIG_MIX, ("a",), imps)}
+    assert found == {m.key() for m in ONE_ELEMENT if eval_formula(m, f)}
 
 
 def le(a: str, b: str) -> RelAtom:
