@@ -15,8 +15,10 @@
     posmt report FILE... --theory T
 
 Exit codes: 0 yes/success, 1 no/counterexample, 2 parse error,
-3 semantic error, 4 unknown/budget-exhausted.  Budgets default to
-(n=3, N=6, k=3, node cap 10^6); `POSMT_NODE_CAP` overrides the cap default.
+3 semantic error, 4 unknown/budget-exhausted; a reader that closes stdout
+early ends the process by SIGPIPE, as it ends other Unix filters.
+Budgets default to (n=3, N=6, k=3, node cap 10^6); `POSMT_NODE_CAP`
+overrides the cap default.
 All work runs in a single process; `--jobs` is accepted for interface
 stability and does not affect output.
 """
@@ -451,10 +453,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _die_by_sigpipe() -> None:
+    """End quietly, as a Unix filter whose reader closed the pipe does
+    (`posmt models ... | head -1`): killed by SIGPIPE, with stdout on
+    /dev/null so that nothing is flushed into the closed pipe."""
+    import signal  # here, as its enums cost every start-up a millisecond
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGPIPE)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        _die_by_sigpipe()
+        raise  # only where there is no SIGPIPE
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         if args.json:

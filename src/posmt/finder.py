@@ -6,21 +6,25 @@ universe order (relations false before true).  The cells are numbered as
 `Orbits` lays a structure out; each has a slot in one flat value list,
 `None` while unassigned, and elements are their indices in the universe.
 
-Each implication is compiled once per search into closures over
-`(env, val)`: `env` holds the element indices of the variable slots
-(universal, then existential) and `val` is the value list.  The closures
-evaluate three-valued, with `None` for unknown.  A ground instance is the
-implication's status closure with one `env`, and it watches a static
-superset of the cells it can read: the exact cell where a symbol is
-applied to variables only, every cell of the symbol where a constant or a
-function term is an argument.  Assigning a cell re-checks only the
-still-unknown instances that watch it.  One that is definitely false
-prunes the branch; one that is definitely true stays marked satisfied
-until the DFS backtracks past that assignment.
+Each implication is compiled into closures over `(env, val)`: `env` holds
+the element indices of the variable slots (universal, then existential)
+and `val` is the value list.  The closures evaluate three-valued, with
+`None` for unknown.  A ground instance is the implication's status closure
+with one `env`, and it watches a static superset of the cells it can read:
+the exact cell where a symbol is applied to variables only, every cell of
+the symbol where a constant or a function term is an argument.  None of
+that depends on a search's seeds, so it is done once per (signature, size,
+implications) into a ground program (`_ground`) that every search of that
+size shares.  Assigning a cell re-checks only the still-unknown instances
+that watch it.  One that is definitely false prunes the branch; one that
+is definitely true stays marked satisfied until the DFS backtracks past
+that assignment.
 
 One cell-level search, `_search`, takes fixed cells: a map from a cell to
 its preset value (true, false, or an element index) that the DFS never
-assigns.  `find_models` turns its seeds (facts fixed true, function entries
+assigns.  It first re-checks the instances that watch a fixed cell: a
+false one leaves no model, and a true one stays satisfied for the whole
+search.  `find_models` turns its seeds (facts fixed true, function entries
 and constants) into fixed cells and builds a structure per model; the
 quotient phase of amalgamation seeds it that way.  `models_up_to_size`
 codes the models it meets and builds only each class's representative; for
@@ -202,6 +206,61 @@ def _compile(orbits: Orbits, imp: Implication):
     return status, comp
 
 
+class _Program:
+    """The ground instances of implications over one (signature, size), as
+    every search of that size starts from them.  `watch[c]` lists the
+    instances that read cell c as (number, status closure, env), in
+    instance order: implication order, then `itertools.product` order of
+    `env`.  Instances already true with no cell assigned are left out, and
+    `count` is the number of the rest.  `watch` is None when an instance is
+    false with no cell assigned: that size has no model, for any seed."""
+
+    __slots__ = ("count", "watch")
+
+    def __init__(self, orbits: Orbits, implications: Sequence[Implication]):
+        val = [None] * orbits.size
+        elements = range(orbits.n)
+        watch: List[List] = [[] for _ in val]
+        count = 0
+        for imp in implications:
+            status, comp = _compile(orbits, imp)
+            for env in itertools.product(elements, repeat=len(imp.vars)):
+                st = status(env, val)
+                if st is False:
+                    self.count, self.watch = 0, None
+                    return
+                if st is True:
+                    continue
+                read = set(comp.static)
+                for first, univ, offsets in comp.reads:
+                    for s, m in univ:
+                        first += env[s] * m
+                    read.update(first + o for o in offsets)
+                entry = (count, status, env)
+                count += 1
+                for c in read:
+                    watch[c].append(entry)
+        self.count, self.watch = count, watch
+
+
+# Ground programs by (signature, size, implications), emptied in one go
+# when full.
+_PROGRAMS: Dict[Tuple, _Program] = {}
+
+
+def _ground(orbits: Orbits, implications: Sequence[Implication]) -> _Program:
+    """The ground program of `implications` over `orbits`' layout, made
+    once per (signature, size, implications)."""
+    implications = tuple(implications)
+    key = (orbits.sig, orbits.n, implications)
+    program = _PROGRAMS.get(key)
+    if program is None:
+        if len(_PROGRAMS) >= 64:
+            _PROGRAMS.clear()
+        program = _PROGRAMS[key] = _Program(orbits, implications)
+    return program
+
+
 def _search(
     orbits: Orbits,
     implications: Sequence[Implication],
@@ -220,10 +279,25 @@ def _search(
     Counts assignments on from `spent` and returns the count, so that
     consecutive searches can share one cap; raises BudgetExceeded past
     node_cap."""
+    program = _ground(orbits, implications)
+    watch = program.watch
+    if watch is None:
+        return spent
     sig, n = orbits.sig, orbits.n
     val: List = [None] * orbits.size
     for c, v in fixed.items():
         val[c] = v
+    done = [False] * program.count  # instances satisfied by the current assignment
+    # the instances that read a fixed cell: a false one leaves no model, and
+    # a true one stays satisfied for the whole search, off the trail
+    for c in fixed:
+        for j, status, env in watch[c]:
+            if not done[j]:
+                st = status(env, val)
+                if st is False:
+                    return spent
+                if st:
+                    done[j] = True
     order = [orbits.blocks[c][0] for c in sig.constants]
     # higher-arity functions first: their cells feed more constraints, so
     # pruning kicks in earlier (e.g. group mul before inv)
@@ -237,37 +311,10 @@ def _search(
     order += relation_cells
     domains += [(False, True)] * len(relation_cells)
 
-    free = [False] * orbits.size
-    for c in order:
-        free[c] = True
-    watch: List[List] = [[] for _ in range(orbits.size)]
-    count = 0
-    for imp in implications:
-        status, comp = _compile(orbits, imp)
-        static = [c for c in comp.static if free[c]]
-        for env in itertools.product(elements, repeat=len(imp.vars)):
-            st = status(env, val)
-            if st is False:
-                return spent
-            if st is True:
-                continue
-            read = set(static)
-            for first, univ, offsets in comp.reads:
-                for s, m in univ:
-                    first += env[s] * m
-                for o in offsets:
-                    if free[first + o]:
-                        read.add(first + o)
-            entry = (count, status, env)
-            count += 1
-            for c in read:
-                watch[c].append(entry)
-
     depth = len(order)
     if not depth:
         yield val
         return spent
-    done = [False] * count  # instances satisfied by the current assignment
     trail: List[int] = []  # satisfied instances, in the order they were marked
     mark = [0] * depth  # trail length on entering each level
     tried = [0] * depth  # values tried at each level

@@ -17,6 +17,7 @@ the encoding.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -116,6 +117,14 @@ class Implication:
     vars: Tuple[str, ...]
     premise: PosEx
     conclusion: PosEx
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vars, self.premise, self.conclusion))
+
+
+# hashed once each: the finder keys its ground programs by implications
+Implication.__hash__ = lambda self: self._hash
 
 
 @record(frozen=True)

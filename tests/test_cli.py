@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -377,3 +378,29 @@ def test_strict_strong_is_taken_by_amalgamate_and_basis(ws_file, capsys):
     assert main(["amalgamate", ws_file, "--problem", "glue", "--strict-strong"]) == 0
     assert main(["basis", ws_file, "--structure", "point", "--kinds", "hhhh", "--theory", "T_pos",
                  "--n", "2", "--strong", "--strict-strong"]) == 0
+
+
+def test_reader_closing_the_pipe_is_not_a_parse_error():
+    # `posmt models ... | head -1`: 0.5 MB of JSON fills the pipe, so the
+    # writer meets the closed pipe; that is no parse error (exit 2)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "posmt.cli", "models", "data/posets.posmt", "--theory", "T_pos",
+         "--n", "6", "--json"],
+        cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert code != 2 and "error:" not in err, (code, err)
+    assert code == -signal.SIGPIPE, err  # killed by SIGPIPE, as other filters are
+
+
+def test_missing_file_is_still_exit_2():
+    proc = _cli("models", "data/no-such-file.posmt", "--theory", "T_pos")
+    assert proc.returncode == 2
+    assert "No such file" in proc.stderr

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posmt import corpus
+from posmt import amalgamation, corpus, finder
 from posmt.errors import BudgetExceeded, SignatureError
 from posmt.finder import find_models, models_up_to_size
 from posmt.formulas import (
@@ -151,7 +151,6 @@ SIG_R2 = Signature.make(relations={"R": 2})
                  id="existential-conclusion"),
 ])
 def test_only_universal_relational_theories_extend(monkeypatch, theory, max_size, extends):
-    from posmt import finder
     real, sizes = finder._extensions, []
 
     def recording(orbits, *args):
@@ -632,6 +631,137 @@ def test_find_models_fully_seeded(c):
     assert_matches_reference(sig, ("a", "b"), t.implications(), **seeds)
     got = list(find_models(sig, ("a", "b"), t.implications(), node_cap=0, **seeds))
     assert len(got) == (c == "a")
+
+
+# ---------------------------------------------------------------------------
+# the ground program: one per (signature, size, implications)
+
+def _count_compiles(monkeypatch):
+    """Start with an empty program cache and count `finder._compile` calls."""
+    monkeypatch.setattr(finder, "_PROGRAMS", {})
+    calls = []
+    compile_ = finder._compile
+
+    def counting(orbits, imp):
+        calls.append((orbits.n, imp))
+        return compile_(orbits, imp)
+    monkeypatch.setattr(finder, "_compile", counting)
+    return calls
+
+
+SIG_PF = Signature.make(relations={"P": 1}, functions={"f": 1}, constants=["c"])
+
+
+@pytest.mark.parametrize("sig,text,seeds", [
+    (SIG_LE, POSET_AXIOMS, [
+        {"seed_true_relations": {"le": [("a", "b")]}},
+        {},
+        {"seed_true_relations": {"le": [("a", "b"), ("b", "c"), ("d", "d")]}},
+        {"seed_true_relations": {"le": [("a", "b"), ("b", "a")]}},
+        {"seed_true_relations": {"le": [("a", "b")]}},
+    ]),
+    (SIG_PF, "hinductive: forall x. P(x) -> P(f(x)); hinductive: forall x. f(x) = c -> P(x);", [
+        {"seed_constants": {"c": "b"}},
+        {"seed_functions": {"f": {("a",): "b"}}, "seed_true_relations": {"P": [("c",)]}},
+        {},
+        {"seed_functions": {"f": {("a",): "a", ("b",): "c", ("c",): "a", ("d",): "d"}},
+         "seed_constants": {"c": "a"}},
+        {"seed_constants": {"c": "b"}},
+    ]),
+], ids=["T_pos", "function-and-constant"])
+def test_one_ground_program_serves_every_seed(monkeypatch, sig, text, seeds):
+    # one (signature, universe, implications), a run of seeds: each search
+    # matches the reference, and the implications are compiled once
+    compiled = _count_compiles(monkeypatch)
+    implications = make_theory(sig, text).implications()
+    for seed in seeds:
+        assert_matches_reference(sig, ELEMENT_NAMES[:4], implications, **seed)
+    assert len(compiled) == len(implications)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("seeded", [False, True])
+def test_instance_false_on_the_bare_universe(size, seeded):
+    # x = y is false at two distinct elements with no cell assigned, so
+    # every size past 1 has no model, seeded or not
+    t = make_theory(SIG_LE, "hinductive: forall x. true -> le(x,x);"
+                            "hinductive: forall x y. true -> x = y;")
+    universe = ELEMENT_NAMES[:size]
+    seeds = {"seed_true_relations": {"le": [(universe[-1], universe[0])]}} if seeded else {}
+    assert_matches_reference(SIG_LE, universe, t.implications(), **seeds)
+    assert len(list(find_models(SIG_LE, universe, t.implications(), **seeds))) == (size == 1)
+    assert (finder._ground(Orbits(SIG_LE, size), t.implications()).watch is None) == (size > 1)
+
+
+def test_search_again_after_the_cache_was_emptied(monkeypatch, t_pos):
+    monkeypatch.setattr(finder, "_PROGRAMS", {})
+    imps = t_pos.implications()
+    seeds = {"seed_true_relations": {"le": [("a", "b")]}}
+    expected, _ = find_models_reference(SIG_LE, ELEMENT_NAMES[:3], imps, **seeds)
+    first = [m.key() for m in find_models(SIG_LE, ELEMENT_NAMES[:3], imps, **seeds)]
+    key = (SIG_LE, 3, imps)
+    assert key in finder._PROGRAMS
+    # fill the cache with other programs until it empties itself
+    for copies in range(2, 1000):
+        finder._ground(Orbits(SIG_LE, 1), imps * copies)
+        if key not in finder._PROGRAMS:
+            break
+    assert key not in finder._PROGRAMS and len(finder._PROGRAMS) < copies
+    again = [m.key() for m in find_models(SIG_LE, ELEMENT_NAMES[:3], imps, **seeds)]
+    assert first == again == [m.key() for m in expected]
+
+
+def _drained(run):
+    """Runs `run()` with `finder._search` counting: the models it yields
+    and the node count each `_search` call returns."""
+    returned = []
+    search = finder._search
+
+    def counting(*args):
+        nodes = yield from search(*args)
+        returned.append(nodes)
+        return nodes
+    finder._search = counting
+    try:
+        found = run()
+    finally:
+        finder._search = search
+    return found, returned
+
+
+def test_node_counts_pinned(monkeypatch, t_pos, chain2):
+    # node counts as _search returned them before the ground program
+    quotient = []
+    real = amalgamation.find_models
+
+    def spy(*args, **kwargs):
+        quotient.append((args, kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(amalgamation, "find_models", spy)
+    monkeypatch.setattr(amalgamation, "_CANDIDATE_CACHE", {})
+    amalgamation.check_basis(chain2, "hhhh", t_pos, Budget())
+    args, kwargs = quotient[-1]
+    kwargs = {k: v for k, v in kwargs.items() if k != "node_cap"}
+    found, returned = _drained(lambda: list(find_models(*args, **kwargs)))
+    assert (len(quotient), len(args[1]), len(found), returned) == (841, 5, 4231, [28304])
+
+    t_fix = make_theory(SIG_F, "positive: exists x. f(x) = x;")
+    found, returned = _drained(lambda: list(finder._search(Orbits(SIG_F, 4), t_fix.implications(), {})))
+    assert (len(found), returned) == (175, [340])
+
+    found, returned = _drained(lambda: models_up_to_size(SIG_LE, t_pos.implications(), 5))
+    assert len(found) == 87
+    assert returned == [2, 12, 34, 72, 72, 156, 240, 324, 424, 130, 284, 436, 596, 790, 942,
+                        1104, 1258, 1440, 1610, 1794, 1992, 2172, 2336, 2534, 2776]
+
+
+def test_check_basis_compiles_each_size_once(monkeypatch, t_pos, chain2):
+    # 841 quotient searches and the wing lists, sizes 1 to 5: each
+    # (size, implication) is compiled once, not once per search
+    compiled = _count_compiles(monkeypatch)
+    monkeypatch.setattr(amalgamation, "_CANDIDATE_CACHE", {})
+    amalgamation.check_basis(chain2, "hhhh", t_pos, Budget())
+    assert len(compiled) == len(set(compiled)) == 3 * 5
 
 
 # Signatures for the differential tests, each with the largest universe
