@@ -25,8 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 from .errors import BudgetExceeded, PosmtError, StructureError
 from .finder import find_models
 from .morphisms import (
-    Morphism, MorphismKind, classify_morphism, enumerate_homs, is_homomorphism,
-    search_homs,
+    Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
 )
 from .records import record
 from .structures import (
@@ -68,9 +67,9 @@ class AmalgamationProblem:
 
     def validate_in_kinds(self) -> None:
         alpha, beta = self.kinds[0], self.kinds[1]
-        if classify_morphism(self.f) < alpha:
+        if classify_morphism(self.f, alpha) < alpha:
             raise StructureError(f"left map is not a {alpha.letter}-hom")
-        if classify_morphism(self.g) < beta:
+        if classify_morphism(self.g, beta) < beta:
             raise StructureError(f"right map is not a {beta.letter}-hom")
 
 
@@ -127,12 +126,13 @@ def _certify(p: AmalgamationProblem, d: FiniteStructure, out_b: Morphism, out_c:
     table = _commutation_table(p, out_b, out_c)
     if table is None:
         return None
-    if not (is_homomorphism(out_b) and is_homomorphism(out_c)):
+    try:  # a map that is no homomorphism rejects the candidate
+        kb = classify_morphism(out_b)
+        if kb < gamma:
+            return None
+        kc = classify_morphism(out_c)
+    except StructureError:
         return None
-    kb = classify_morphism(out_b)
-    if kb < gamma:
-        return None
-    kc = classify_morphism(out_c)
     if kc < delta:
         return None
     strong_ok = None

@@ -10,15 +10,16 @@ theory may hold: `_positive_form` turns a formula into one positive
 existential formula or None, `as_implications` builds on it to encode every
 h-inductive shape as implications (and rejects any other), and
 `classify_sentence` reads a sentence's class off the same two.  Evaluation
-compiles each formula once into closures over one mutable variable
-environment (`compile_formula`), independently of the model finder and of
-the encoding.
+generates one Python function per formula and compiles it once
+(`compile_formula`): one `for` loop per quantified variable, each bound to
+a local of its own, and each premise conjunct tested as soon as its last
+variable is bound.  It is independent of the model finder and of the
+encoding.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import FormulaError
@@ -219,109 +220,164 @@ def free_vars(f: Formula) -> frozenset:
 # Evaluation (Tarskian, quantifiers range over the finite universe)
 
 
-_Check = Callable[[FiniteStructure, Dict[str, str]], bool]
+_Check = Callable[[FiniteStructure, Mapping[str, str]], bool]
 
 
-class _Compiler:
-    """Closures (s, env) -> value over one mutable env dict.  Records each
-    symbol used as (kind, name, arity) for the per-call signature check."""
+def _guards(vs: Tuple[str, ...], premise: Optional[PosEx]) -> List[List[Formula]]:
+    """A premise's tests by the depth (number of variables of vs bound) at
+    which each can run.  A premise without existentials is split into its
+    conjuncts, each tested as soon as its last variable is bound, so a false
+    one skips the loops below it."""
+    guards: List[List[Formula]] = [[] for _ in range(len(vs) + 1)]
+    if premise is None:
+        return guards
+    m = premise.matrix
+    for c in (premise,) if premise.vars else m.parts if isinstance(m, And) else (m,):
+        if not isinstance(c, Truth):
+            depth = max((i + 1 for i, v in enumerate(vs) if v in free_vars(c)), default=0)
+            guards[depth].append(c)
+    return guards
+
+
+class _Source:
+    """The body of one generated function `run(s, env)`.  Every symbol table
+    is read once per call into a local (t0, t1, ...), every variable binding
+    is a local of its own (v0, v1, ...), and a symbol or variable name enters
+    the source only through `repr`.  Records each symbol used as (kind, name,
+    arity) for the per-call signature check."""
 
     def __init__(self):
-        self.symbols: Dict[Tuple[str, str, int], None] = {}
+        self.symbols: Dict[Tuple[str, str, int], str] = {}  # -> local holding its table
+        self.scope: Dict[str, str] = {}  # variable -> local of its innermost binding
+        self.lines: List[str] = []
+        self.bound = 0
 
-    def term(self, t: Term) -> Callable:
+    def bind(self, v: str) -> str:
+        self.scope[v] = local = f"v{self.bound}"
+        self.bound += 1
+        return local
+
+    def table(self, kind: str, name: str, arity: int) -> str:
+        return self.symbols.setdefault((kind, name, arity), f"t{len(self.symbols)}")
+
+    def term(self, t: Term) -> str:
         if isinstance(t, Var):
-            return lambda s, env, v=t.name: env[v]
+            return self.scope[t.name]
         if isinstance(t, Const):
-            self.symbols["constant", t.name, 0] = None
-            return lambda s, env, c=t.name: s.constants[c]
-        vals = self.values("function symbol", t.func, t.args)
-        return lambda s, env, fn=t.func: s.functions[fn][vals(s, env)]
+            return self.table("constant", t.name, 0)
+        return f"{self.table('function symbol', t.func, len(t.args))}[{self.args(t.args)}]"
 
-    def values(self, kind: str, name: str, args: Tuple[Term, ...]) -> Callable:
-        self.symbols[kind, name, len(args)] = None
-        if len(args) > 1 and all(isinstance(a, Var) for a in args):
-            return lambda s, env, get=itemgetter(*(a.name for a in args)): get(env)
-        subs = [self.term(a) for a in args]
-        return lambda s, env: tuple(t(s, env) for t in subs)
+    def args(self, args: Tuple[Term, ...]) -> str:
+        return f"({''.join(self.term(a) + ', ' for a in args)})"
 
-    def formula(self, f: Formula) -> _Check:
+    def expr(self, f: Formula) -> str:
+        """A Python expression for f's truth under the current bindings."""
         if isinstance(f, (Truth, Falsum)):
-            return lambda s, env, b=isinstance(f, Truth): b
+            return str(isinstance(f, Truth))
         if isinstance(f, EqAtom):
-            left, right = self.term(f.left), self.term(f.right)
-            return lambda s, env: left(s, env) == right(s, env)
+            return f"({self.term(f.left)} == {self.term(f.right)})"
         if isinstance(f, RelAtom):
-            vals = self.values("relation symbol", f.name, f.args)
-            return lambda s, env, r=f.name: vals(s, env) in s.rel(r)
-        if isinstance(f, (Or, GOr)):
-            parts = [self.formula(p) for p in f.parts]
-            return lambda s, env: any(p(s, env) for p in parts)
-        if isinstance(f, (And, GAnd, HInductiveSentence)):
-            return _all([self.formula(p) for p in (f.conjuncts if isinstance(f, HInductiveSentence) else f.parts)])
+            return f"({self.args(f.args)} in {self.table('relation symbol', f.name, len(f.args))})"
+        if isinstance(f, (And, GAnd, HInductiveSentence, Or, GOr)):
+            parts = f.conjuncts if isinstance(f, HInductiveSentence) else f.parts
+            disjunction = isinstance(f, (Or, GOr))
+            if not parts:
+                return str(not disjunction)
+            return f"({(' or ' if disjunction else ' and ').join(map(self.expr, parts))})"
         if isinstance(f, (Not, HUniversalSentence)):
-            sub = self.formula(f.sub if isinstance(f, Not) else f.inner)
-            return lambda s, env: not sub(s, env)
+            return f"(not {self.expr(f.sub if isinstance(f, Not) else f.inner)})"
         if isinstance(f, Implies):
-            return _implies(self.formula(f.left), self.formula(f.right))
-        if isinstance(f, Forall):
-            return self.formula(Implication(f.vars, TRUE_POSEX, PosEx((), f.sub)))
+            return f"(not {self.expr(f.left)} or {self.expr(f.right)})"
         if isinstance(f, (PosEx, Exists)):  # as not forall x. (body -> false), to share its loops
             body = f.matrix if isinstance(f, PosEx) else f.sub
-            return self.formula(Not(Implication(f.vars, PosEx((), body), FALSE_POSEX)) if f.vars else body)
-        if not isinstance(f, Implication):
-            raise FormulaError(f"cannot evaluate {f!r}")
-        # One loop per variable.  A premise without existentials is split
-        # into conjuncts, each tested as soon as its last variable is bound,
-        # so a false one skips the loops below it.
-        vs, m = f.vars, f.premise.matrix
-        guards: List[List[_Check]] = [[] for _ in range(len(vs) + 1)]
-        for c in (f.premise,) if f.premise.vars else m.parts if isinstance(m, And) else (m,):
-            depth = max((i + 1 for i, v in enumerate(vs) if v in free_vars(c)), default=0)
-            guards[depth].append(self.formula(c))
-        run = self.formula(f.conclusion)
-        for i in reversed(range(len(vs) + 1)):
-            run = _implies(_all(guards[i]), run) if guards[i] else run
-            run = _loop(vs[i - 1], run) if i else run
-        return run
+            return f"(not {self.forall(f.vars, PosEx((), body), Falsum())})" if f.vars else self.expr(body)
+        if isinstance(f, Forall):
+            return self.forall(f.vars, None, f.sub)
+        if isinstance(f, Implication):
+            return self.forall(f.vars, f.premise, f.conclusion)
+        raise FormulaError(f"cannot evaluate {f!r}")
 
+    def forall(self, vs: Tuple[str, ...], premise: Optional[PosEx], conclusion: Formula) -> str:
+        """forall vs. premise -> conclusion as one generator expression: one
+        `for` per variable, each guard as an `if` at its depth, and `all`
+        stops at the first instance whose conclusion fails."""
+        guards, outer = _guards(vs, premise), dict(self.scope)
+        clauses = []
+        for i, v in enumerate(vs):
+            clauses.append(f" for {self.bind(v)} in U")
+            if guards[i + 1]:
+                clauses.append(f" if {self.conjunction(guards[i + 1])}")
+        run = f"all({self.expr(conclusion)}{''.join(clauses)})" if vs else self.expr(conclusion)
+        self.scope = outer
+        return f"(not {self.conjunction(guards[0])} or {run})" if guards[0] else run
 
-def _all(parts: List[_Check]) -> _Check:
-    return parts[0] if len(parts) == 1 else lambda s, env: all(p(s, env) for p in parts)
+    def conjunction(self, parts: List[Formula]) -> str:
+        return f"({' and '.join(map(self.expr, parts))})"
 
+    def line(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
 
-def _implies(premise: _Check, conclusion: _Check) -> _Check:
-    return lambda s, env: not premise(s, env) or conclusion(s, env)
+    def require(self, f: Formula, depth: int = 1) -> None:
+        """Statements that return False when f is false: the conjuncts of a
+        conjunction one after the other, and a universal closure as one
+        `for` loop per variable with each guard at its depth."""
+        if isinstance(f, HInductiveSentence) or isinstance(f, (And, GAnd)) and f.parts:
+            for p in f.conjuncts if isinstance(f, HInductiveSentence) else f.parts:
+                self.require(p, depth)
+            return
+        if not isinstance(f, (Implication, Forall)):
+            self.line(depth, f"if not {self.expr(f)}:")
+            self.line(depth + 1, "return False")
+            return
+        premise, conclusion = (f.premise, f.conclusion) if isinstance(f, Implication) else (None, f.sub)
+        guards, outer = _guards(f.vars, premise), dict(self.scope)
+        if guards[0]:
+            self.line(depth, f"if {self.conjunction(guards[0])}:")
+            depth += 1
+        for i, v in enumerate(f.vars):
+            self.line(depth, f"for {self.bind(v)} in U:")
+            depth += 1
+            if guards[i + 1]:
+                self.line(depth, f"if not {self.conjunction(guards[i + 1])}:")
+                self.line(depth + 1, "continue")
+        self.require(conclusion, depth)
+        self.scope = outer
 
-
-def _loop(v: str, body: _Check) -> _Check:
-    """body for every value of v; v's outer binding is restored after."""
-    def loop(s, env):
-        outer = {v: env[v]} if v in env else {}
-        ok = all(body(s, env) for env[v] in s.universe)
-        del env[v]
-        env.update(outer)
-        return ok
-    return loop
+    def source(self, free: List[Tuple[str, str]]) -> str:
+        reads = {"relation symbol": "s.rel({!r})", "function symbol": "s.functions[{!r}]",
+                 "constant": "s.constants[{!r}]"}
+        head = ["def run(s, env):", "    U = s.universe"]
+        head += [f"    {local} = {reads[kind].format(name)}" for (kind, name, _), local in self.symbols.items()]
+        head += [f"    {local} = env[{v!r}]" for v, local in free]
+        return "\n".join(head + self.lines + ["    return True"])
 
 
 def compile_formula(f: Formula) -> _Check:
-    """f compiled once into check(s, env), its truth in s under env.  Each call
-    first checks f's symbols and free variables against s and env."""
-    comp = _Compiler()
-    run, free = comp.formula(f), free_vars(f)
+    """f compiled once into check(s, env), its truth in s under env: one
+    generated Python function (`_Source`).  Each call first checks f's
+    symbols and free variables against s and env."""
+    src, free = _Source(), free_vars(f)
+    params = [(v, src.bind(v)) for v in sorted(free)]
+    src.require(f)
+    namespace: Dict[str, Callable] = {}
+    exec(compile(src.source(params), "<formula>", "exec"), namespace)
+    run = namespace["run"]
+    checked = None  # the signature last found to hold f's symbols
 
     def check(s: FiniteStructure, env: Mapping[str, str]) -> bool:
+        nonlocal checked
         sig = s.signature
-        tables = {"relation symbol": sig.relation_arities, "function symbol": sig.function_arities,
-                  "constant": dict.fromkeys(sig.constants, 0)}
-        for kind, name, arity in comp.symbols:
-            known = tables[kind].get(name)
-            if known != arity:
-                raise FormulaError(f"unknown {kind} {name}" if known is None else f"arity mismatch for {name}")
+        if sig is not checked:
+            tables = {"relation symbol": sig.relation_arities, "function symbol": sig.function_arities,
+                      "constant": dict.fromkeys(sig.constants, 0)}
+            for kind, name, arity in src.symbols:
+                known = tables[kind].get(name)
+                if known != arity:
+                    raise FormulaError(f"unknown {kind} {name}" if known is None else f"arity mismatch for {name}")
+            checked = sig
         if not free <= env.keys():
             raise FormulaError(f"unbound variable {min(free - env.keys())}")
-        return run(s, dict(env))
+        return run(s, env)
     return check
 
 

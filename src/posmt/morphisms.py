@@ -1,11 +1,12 @@
 """Homomorphism search and classification into the four-kind hierarchy.
 
 Kind chain: Hom < Embedding < Immersion < StrongImmersion, decided in one
-place, `classify_morphism`.  Immersion is decided exactly by the retraction
-criterion (valid over finite targets).  In the chain, a strong immersion is
-a surjective embedding: an embedding reflects every tuple inside its image,
-so a bijective one is an isomorphism, which is a strong immersion at every
-bound.  The bound k on the number of target elements an h-inductive
+place, `classify_morphism`: it checks for a homomorphism once, then goes up
+the chain only as far as its caller needs.  Immersion is decided exactly by
+the retraction criterion (valid over finite targets).  In the chain, a
+strong immersion is a surjective embedding: an embedding reflects every
+tuple inside its image, so a bijective one is an isomorphism, which is a
+strong immersion at every bound.  The bound k on the number of target elements an h-inductive
 sentence may mention applies only to the standalone `is_strong_immersion`,
 which is decided in closed form: a bijective homomorphism that reflects
 every relation tuple spanning <= k elements.  Bijectivity is forced
@@ -106,7 +107,13 @@ def is_homomorphism(m: Morphism) -> bool:
 
 
 def is_embedding(m: Morphism) -> bool:
-    if not m.is_injective() or not is_homomorphism(m):
+    return is_homomorphism(m) and _embeds(m)
+
+
+def _embeds(m: Morphism) -> bool:
+    """Whether homomorphism m is an embedding: injective, and every target
+    tuple inside its image pulls back into the source."""
+    if not m.is_injective():
         return False
     a, b = m.source, m.target
     inverse = {m.map[e]: e for e in a.universe}
@@ -268,15 +275,19 @@ def is_strong_immersion(m: Morphism, k: Optional[int] = None) -> Tuple[bool, Opt
 # Classification and enumeration
 
 
-def classify_morphism(m: Morphism) -> MorphismKind:
-    """Strongest kind in the chain that holds.  A surjective embedding is an
-    isomorphism, hence a strong immersion at every bound."""
+def classify_morphism(m: Morphism, need: MorphismKind = MorphismKind.STRONG_IMMERSION) -> MorphismKind:
+    """Strongest kind in the chain that holds, decided only as far as `need`
+    asks: min(kind, need), so the default is the exact kind.  A non-hom is a
+    StructureError.  A surjective embedding is an isomorphism, hence a
+    strong immersion at every bound."""
     if not is_homomorphism(m):
         raise StructureError("not a homomorphism")
-    if not is_embedding(m):
+    if need == MorphismKind.HOM or not _embeds(m):
         return MorphismKind.HOM
+    if need == MorphismKind.EMBEDDING:
+        return need
     if len(set(m.map.values())) == len(m.target.universe):
-        return MorphismKind.STRONG_IMMERSION
+        return need
     return MorphismKind.IMMERSION if retraction(m) is not None else MorphismKind.EMBEDDING
 
 
@@ -290,6 +301,6 @@ def enumerate_homs(
     """All morphisms of at least the requested kind, sorted by map encoding."""
     out = [Morphism(a, b, mp) for mp in search_homs(a, b, required, node_cap=node_cap)]
     if kind > MorphismKind.HOM:
-        out = [m for m in out if classify_morphism(m) >= kind]
+        out = [m for m in out if classify_morphism(m, kind) >= kind]
     out.sort(key=lambda m: m.map_key())
     return out

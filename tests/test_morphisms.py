@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posmt import morphisms
 from posmt.amalgamation import random_structure
 from posmt.errors import StructureError
 from posmt.morphisms import (
@@ -190,11 +191,25 @@ def test_kinds_match_reference_at_every_bound(case):
     a, b = m.source, m.target
     hom = is_homomorphism(m)
     if not hom:
-        with pytest.raises(StructureError):
-            classify_morphism(m)
+        for need in MorphismKind:
+            with pytest.raises(StructureError):
+                classify_morphism(m, need)
+    else:
+        # decided only as far as asked: exact below `need`, `need` at or above
+        assert [classify_morphism(m, need) for need in MorphismKind] == [
+            min(classify_morphism(m), need) for need in MorphismKind]
     got = {kind: [h.map_key() for h in enumerate_homs(a, b, kind=kind)] for kind in MorphismKind}
     for k in (None, 1, 2, 3):
         if hom:
             assert classify_morphism(m) == classify_morphism_reference(m, k), (m.map, k)
         for kind in MorphismKind:
             assert got[kind] == [h.map_key() for h in enumerate_homs_reference(a, b, kind=kind, k=k)]
+
+
+def test_classify_morphism_checks_for_a_homomorphism_once(monkeypatch, point, chain2):
+    calls = []
+    real = morphisms.is_homomorphism
+    monkeypatch.setattr(morphisms, "is_homomorphism", lambda m: calls.append(m) or real(m))
+    inclusion = Morphism(point, chain2, {"a": "a"})
+    assert classify_morphism(inclusion) == MorphismKind.IMMERSION
+    assert calls == [inclusion]
