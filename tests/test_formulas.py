@@ -427,15 +427,15 @@ def test_premise_conjunct_prunes_inner_loops():
 
 @pytest.mark.parametrize("f,env,message", [
     (PosEx(("x",), RelAtom("Q", (Var("x"),))), {}, "unknown relation symbol Q"),
-    (PosEx(("s",), RelAtom("lambda", (Var("s"),))), {}, "unknown relation symbol lambda"),
-    (PosEx(("x",), RelAtom("it's\n", (Var("x"),))), {}, "unknown relation symbol it's\n"),
-    (PosEx(("env",), EqAtom(Var("env"), Const("U"))), {}, "unknown constant U"),
-    (PosEx((), EqAtom(Var("x"), Var("a'\n"))), {"x": "a"}, "unbound variable a'\n"),
     (PosEx(("x",), RelAtom("le", (Var("x"),) * 3)), {}, "arity mismatch for le"),
     (PosEx(("x",), EqAtom(App("h", (Var("x"),)), Var("x"))), {}, "unknown function symbol h"),
     (PosEx(("x",), EqAtom(App("f", (Var("x"),) * 2), Var("x"))), {}, "arity mismatch for f"),
     (PosEx(("x",), EqAtom(Var("x"), Const("e"))), {}, "unknown constant e"),
     (PosEx((), EqAtom(Var("x"), Var("y"))), {"x": "a"}, "unbound variable y"),
+    (PosEx(("s",), RelAtom("lambda", (Var("s"),))), {}, "unknown relation symbol lambda"),
+    (PosEx(("x",), RelAtom("it's\n", (Var("x"),))), {}, "unknown relation symbol it's\n"),
+    (PosEx(("env",), EqAtom(Var("env"), Const("U"))), {}, "unknown constant U"),
+    (PosEx((), EqAtom(Var("x"), Var("a'\n"))), {"x": "a"}, "unbound variable a'\n"),
 ])
 def test_ill_formed_evaluation_raises(f, env, message):
     s = FiniteStructure(Signature.make(relations={"le": 2}, functions={"f": 1}), ("a",),
