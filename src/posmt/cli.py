@@ -15,7 +15,8 @@
     posmt report FILE... --theory T
 
 Exit codes: 0 yes/success, 1 no/counterexample, 2 parse error,
-3 semantic error, 4 unknown/budget-exhausted; a reader that closes stdout
+3 semantic error, 4 unknown/budget-exhausted, 5 internal error (with its
+traceback on stderr, so that no crash reads as "no"); a reader that closes stdout
 early ends the process by SIGPIPE, as it ends other Unix filters.
 Budgets default to (n=3, N=6, k=3, node cap 10^6); `POSMT_NODE_CAP`
 overrides the cap default.
@@ -51,6 +52,7 @@ EXIT_NO = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_UNKNOWN = 4
+EXIT_INTERNAL = 5
 
 _STATUS_CODE = {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 
@@ -487,6 +489,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PosmtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except Exception:
+        import traceback  # here, as only a crash needs it
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

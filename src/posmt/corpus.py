@@ -1,23 +1,25 @@
 """Bounded corpora of positive and h-inductive sentences.
 
 A corpus is parameterized by a variable pool v0..v(k-1) and an atom-count
-cap per side.  CQ size is measured in variables; the atom cap keeps the
-corpora finite at desk scale.  Each corpus lists one representative per
-renaming class: the least member of its orbit under variable permutations.
-The orbits are walked over tuples of pool indices, with one table per
-permutation giving the index of each atom's image, so each class is
-permuted once.
+cap per side; CQ size is measured in variables, and the atom cap keeps the
+corpora finite at desk scale.  Each corpus lists the least member of each
+orbit under variable permutations.  Sides and free sets are numbered in
+corpus order, each permutation is a table of the numbers of the images,
+and a candidate is kept when no permutation lowers its premise, none fixing
+the premise lowers its conclusion and none fixing both lowers its free set:
+a walk down a stabilizer chain that emits each corpus in order.
 
-Satisfaction is computed against a per-structure table of all total
-assignments of the pool, with the atoms true under each assignment encoded
-as a bitmask; sentence truth then reduces to subset tests over projections.
+Satisfaction is columnar: one int bitset per pool atom over the n^k total
+assignments of the pool.  A CQ holds when the AND of its atoms' bitsets is
+nonzero; an implication holds when its premise, projected onto the free
+variables, lies inside its projected conclusion.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
     FALSE_POSEX, And, App, Atom, Const, EqAtom, HUniversalSentence,
@@ -44,21 +46,13 @@ class AtomPool:
         self.k = k
         args: List[Tuple] = [("v", i) for i in range(k)]
         args += [("c", c) for c in sig.constants]
-        atoms: List[AtomCode] = []
-        for name, arity in sig.relations:
-            for tup in itertools.product(args, repeat=arity):
-                atoms.append(("rel", name, tup))
-        for name, arity in sig.functions:
-            for tup in itertools.product(args, repeat=arity):
-                for res in args:
-                    atoms.append(("feq", name, tup, res))
-        for i, a in enumerate(args):
-            for b_ in args[i + 1:]:
-                if a[0] == "c" and b_[0] == "c":
-                    continue
-                # store the orientation permute_atom normalizes to
-                lo, hi = (a, b_) if a <= b_ else (b_, a)
-                atoms.append(("eq", lo, hi))
+        atoms = [("rel", name, tup) for name, arity in sig.relations for tup in itertools.product(args, repeat=arity)]
+        atoms += [
+            ("feq", name, tup, res)
+            for name, arity in sig.functions for tup in itertools.product(args, repeat=arity) for res in args
+        ]
+        pairs = itertools.combinations(args, 2)  # those with a variable, oriented as permute_atom does
+        atoms += [("eq",) + tuple(sorted(p)) for p in pairs if "v" in (p[0][0], p[1][0])]
         self.atoms: Tuple[AtomCode, ...] = tuple(sorted(atoms))
         self.index: Dict[AtomCode, int] = {a: i for i, a in enumerate(self.atoms)}
 
@@ -68,35 +62,9 @@ class AtomPool:
         def pa(arg):
             return ("v", perm[arg[1]]) if arg[0] == "v" else arg
 
-        if code[0] == "rel":
-            return ("rel", code[1], tuple(pa(a) for a in code[2]))
-        if code[0] == "feq":
-            return ("feq", code[1], tuple(pa(a) for a in code[2]), pa(code[3]))
-        a, b = pa(code[1]), pa(code[2])
-        if b < a:
-            a, b = b, a
-        return ("eq", a, b)
-
-    def atom_vars(self, code: AtomCode) -> FrozenSet[int]:
-        out = set()
-
-        def grab(arg):
-            if arg[0] == "v":
-                out.add(arg[1])
-
-        if code[0] == "rel":
-            for a in code[2]:
-                grab(a)
-        elif code[0] == "feq":
-            for a in code[2]:
-                grab(a)
-            grab(code[3])
-        else:
-            grab(code[1])
-            grab(code[2])
-        return frozenset(out)
-
-    # -- AST conversion ---------------------------------------------------
+        if code[0] == "eq":
+            return ("eq",) + tuple(sorted((pa(code[1]), pa(code[2]))))
+        return code[:2] + (tuple(pa(a) for a in code[2]),) + tuple(pa(a) for a in code[3:])
 
     def _term(self, arg) -> "Var | Const":
         return Var(f"v{arg[1]}") if arg[0] == "v" else Const(arg[1])
@@ -109,23 +77,28 @@ class AtomPool:
         return EqAtom(self._term(code[1]), self._term(code[2]))
 
 
+def _args(code: AtomCode) -> Tuple:
+    """The argument codes of an atom, a function atom's result last."""
+    return code[1:] if code[0] == "eq" else code[2] + code[3:]
+
+
+def _posex(pool: AtomPool, codes: Tuple[AtomCode, ...], free: Sequence[int] = ()) -> PosEx:
+    """The conjunction of `codes` closed existentially over its variables
+    outside `free`."""
+    used = {a[1] for c in codes for a in _args(c) if a[0] == "v"}
+    atoms = tuple(pool.atom_ast(c) for c in codes)
+    matrix = Truth() if not atoms else (atoms[0] if len(atoms) == 1 else And(atoms))
+    return PosEx(tuple(f"v{i}" for i in sorted(used.difference(free))), matrix)
+
+
 @record(frozen=True)
 class CQSentence:
     """Existential closure of a conjunction of pool atoms."""
 
     codes: Tuple[AtomCode, ...]
 
-    def vars(self, pool: AtomPool) -> FrozenSet[int]:
-        out: FrozenSet[int] = frozenset()
-        for c in self.codes:
-            out |= pool.atom_vars(c)
-        return out
-
     def to_posex(self, pool: AtomPool) -> PosEx:
-        vs = tuple(f"v{i}" for i in sorted(self.vars(pool)))
-        atoms = tuple(pool.atom_ast(c) for c in self.codes)
-        matrix = Truth() if not atoms else (atoms[0] if len(atoms) == 1 else And(atoms))
-        return PosEx(vs, matrix)
+        return _posex(pool, self.codes)
 
     def negation(self, pool: AtomPool) -> HUniversalSentence:
         return HUniversalSentence(self.to_posex(pool))
@@ -143,20 +116,21 @@ class BoundedImplication:
     free: Tuple[int, ...]
 
     def to_implication(self, pool: AtomPool) -> Implication:
-        fset = set(self.free)
-        fvars = tuple(f"v{i}" for i in sorted(fset))
+        concl = FALSE_POSEX if self.conclusion is None else _posex(pool, self.conclusion, self.free)
+        return Implication(tuple(f"v{i}" for i in sorted(self.free)), _posex(pool, self.premise, self.free), concl)
 
-        def side(codes: Tuple[AtomCode, ...]) -> PosEx:
-            used = set()
-            for c in codes:
-                used |= pool.atom_vars(c)
-            vs = tuple(f"v{i}" for i in sorted(used - fset))
-            atoms = tuple(pool.atom_ast(c) for c in codes)
-            matrix = Truth() if not atoms else (atoms[0] if len(atoms) == 1 else And(atoms))
-            return PosEx(vs, matrix)
 
-        concl = FALSE_POSEX if self.conclusion is None else side(self.conclusion)
-        return Implication(fvars, side(self.premise), concl)
+def _hash_once(imp: BoundedImplication) -> int:
+    """The record's hash, computed on first use: fragments are frozensets of
+    thousands of entries, built again and again (`cached_property` would
+    take a lock per first use on Python 3.11)."""
+    h = imp.__dict__.get("_hash")
+    if h is None:
+        h = imp.__dict__["_hash"] = hash((imp.premise, imp.conclusion, imp.free))
+    return h
+
+
+BoundedImplication.__hash__ = _hash_once
 
 
 def _subsets(n: int, most: int) -> List[Tuple[int, ...]]:
@@ -164,66 +138,80 @@ def _subsets(n: int, most: int) -> List[Tuple[int, ...]]:
     return [c for r in range(most + 1) for c in itertools.combinations(range(n), r)]
 
 
-def _least_members(pool: AtomPool, sides: Sequence[Tuple[int, ...]], candidates: Iterable[Tuple]) -> List[Tuple]:
-    """The least member of each renaming orbit met in `candidates`, in the
-    order first met, with atom codes for pool indices.  A candidate is
-    (premise, conclusion, free): two of `sides` (sorted tuples of indices
-    into the sorted `pool.atoms`, so they order as their codes do; the
-    conclusion may be None) and a sorted tuple of variables."""
-    frees = _subsets(pool.k, pool.k)
-    tables = []  # per variable permutation: the image of each side and free set
-    for perm in itertools.permutations(range(pool.k)):
-        img = [pool.index[pool.permute_atom(c, perm)] for c in pool.atoms]
-        side_img = {s: tuple(sorted(img[i] for i in s)) for s in sides}
-        side_img[None] = None
-        tables.append((side_img, {f: tuple(sorted(perm[i] for i in f)) for f in frees}))
-    seen = set()
-    least: List[Tuple] = []
-    for cand in candidates:
-        if cand in seen:
-            continue
-        orbit = {(s[cand[0]], s[cand[1]], f[cand[2]]) for s, f in tables}
-        seen |= orbit
-        premise, conclusion, free = min(orbit)
-        codes = None if conclusion is None else tuple(pool.atoms[i] for i in conclusion)
-        least.append((tuple(pool.atoms[i] for i in premise), codes, free))
+def _image_ranks(sets: Sequence[Tuple[int, ...]], maps: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Per map (a list giving each member's image), the rank of each set's
+    image, where `sets` are sorted tuples listed in rank order and closed
+    under every map."""
+    rank = {s: r for r, s in enumerate(sets)}
+    return [[rank[tuple(sorted(m[i] for i in s))] for s in sets] for m in maps]
+
+
+def _atom_maps(pool: AtomPool) -> List[List[int]]:
+    """Per variable permutation, identity first: the pool index of each atom's image."""
+    return [[pool.index[pool.permute_atom(c, p)] for c in pool.atoms] for p in itertools.permutations(range(pool.k))]
+
+
+def _least(tables: Sequence[Sequence[int]]) -> Callable[[Tuple[int, ...]], List[Tuple[int, Tuple[int, ...]]]]:
+    """A function from a group (a tuple of indices into `tables`) to the
+    ranks that no member of the group lowers, each with its stabilizer in
+    the group, in rank order.  Groups are met again, so answers are kept."""
+
+    @lru_cache(maxsize=None)
+    def least(group: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...]]]:
+        out = []
+        for r in range(len(tables[0])):
+            stab = []
+            for g in group:
+                image = tables[g][r]
+                if image < r:
+                    break
+                if image == r:
+                    stab.append(g)
+            else:
+                out.append((r, tuple(stab)))
+        return out
+
     return least
 
 
 @lru_cache(maxsize=64)
 def cq_corpus(sig: Signature, k: int) -> Tuple[CQSentence, ...]:
     """All CQ sentences with <= k variables and <= DEFAULT_MAX_ATOMS_CQ
-    atoms, one per renaming class, in deterministic order.  Includes the
-    empty conjunction only implicitly (it is trivially true everywhere) --
-    entries are nonempty."""
+    atoms, one per renaming class, ordered by size and then by codes.
+    Includes the empty conjunction only implicitly (it is trivially true
+    everywhere) -- entries are nonempty."""
     pool = atom_pool(sig, k)
-    subsets = _subsets(len(pool.atoms), DEFAULT_MAX_ATOMS_CQ)
-    least = _least_members(pool, subsets, ((s, (), ()) for s in subsets[1:]))
-    out = [CQSentence(codes) for codes, _, _ in least]
-    out.sort(key=lambda c: (len(c.codes), c.codes))
-    return tuple(out)
+    sides = _subsets(len(pool.atoms), DEFAULT_MAX_ATOMS_CQ)  # in corpus order
+    maps = _atom_maps(pool)
+    least = _least(_image_ranks(sides, maps))(tuple(range(len(maps))))
+    return tuple(CQSentence(tuple(pool.atoms[i] for i in sides[r])) for r, _ in least[1:])  # [0]: the empty side
 
 
 @lru_cache(maxsize=64)
 def implication_corpus(sig: Signature, k: int) -> Tuple[BoundedImplication, ...]:
     """All bounded h-inductive sentences forall F (exists P -> exists Q) with
     <= k pool variables and <= DEFAULT_MAX_ATOMS_IMPL atoms per side, one
-    per renaming class."""
+    per renaming class, ordered by premise, then conclusion (falsum last),
+    then free set."""
     pool = atom_pool(sig, k)
-    subsets = _subsets(len(pool.atoms), DEFAULT_MAX_ATOMS_IMPL)
-    frees = _subsets(k, k)
-    if len(subsets) ** 2 * len(frees) > CORPUS_CAP:
+    sides = sorted(_subsets(len(pool.atoms), DEFAULT_MAX_ATOMS_IMPL))
+    frees = sorted(_subsets(k, k))
+    if len(sides) ** 2 * len(frees) > CORPUS_CAP:
         raise BudgetExceeded(
             f"implication corpus over {sig} at k={k} would exceed "
             f"{CORPUS_CAP} candidates; lower k"
         )
-    candidates = itertools.chain(
-        ((p, q, f) for p in subsets for q in subsets if p != q for f in frees),  # p == q: tautology
-        # h-universal entries: premise -> falsum, necessarily with no free vars
-        ((p, None, ()) for p in subsets[1:]),
-    )
-    out = [BoundedImplication(*m) for m in _least_members(pool, subsets, candidates)]
-    out.sort(key=lambda b: (b.premise, b.conclusion is None, b.conclusion or (), b.free))
+    perms = list(itertools.permutations(range(k)))
+    least_side = _least(_image_ranks(sides, _atom_maps(pool)))
+    least_free = _least(_image_ranks(frees, perms))
+    codes = [tuple(pool.atoms[i] for i in s) for s in sides]
+    out: List[BoundedImplication] = []
+    for p, fix_p in least_side(tuple(range(len(perms)))):
+        for q, fix_pq in least_side(fix_p):
+            if q != p:  # p == q: tautology
+                out.extend(BoundedImplication(codes[p], codes[q], frees[f]) for f, _ in least_free(fix_pq))
+        if p:  # h-universal entries: premise -> falsum, necessarily with no free vars
+            out.append(BoundedImplication(codes[p], None, ()))
     return tuple(out)
 
 
@@ -233,72 +221,83 @@ def atom_pool(sig: Signature, k: int) -> AtomPool:
 
 
 class CorpusEvaluator:
-    """Fast satisfaction of corpus entries over one structure."""
+    """Satisfaction of corpus entries over one structure.
+
+    Bit j of a bitset stands for the j-th total assignment of the pool in
+    `itertools.product(universe, repeat=k)` order: variable i is digit i of
+    j in base n, most significant first."""
 
     def __init__(self, pool: AtomPool, structure: FiniteStructure):
         self.pool = pool
         self.structure = structure
-        k = pool.k
-        self.assignments = list(itertools.product(structure.universe, repeat=k))
-        self.masks: List[int] = []
-        for t in self.assignments:
-            mask = 0
-            for i, code in enumerate(pool.atoms):
-                if self._atom_true(code, t):
-                    mask |= 1 << i
-            self.masks.append(mask)
-        self._proj: Dict[Tuple[int, ...], List[Tuple[str, ...]]] = {}
+        n, k = structure.size(), pool.k
+        self.full = full = (1 << n ** k) - 1
+        self.strides = [n ** (k - 1 - i) for i in range(k)]
+        # digit[i][a]: the assignments giving variable i the a-th element
+        self.digit = []
+        for s in self.strides:
+            period = full // ((1 << n * s) - 1)  # one bit every n*s
+            self.digit.append([period * (((1 << s) - 1) << (a * s)) for a in range(n)])
+        elem = {e: a for a, e in enumerate(structure.universe)}
+        rows = {name: [tuple(elem[e] for e in t) for t in structure.rel(name)] for name, _ in pool.sig.relations}
+        for name, _ in pool.sig.functions:
+            rows[name] = [tuple(elem[e] for e in args + (value,)) for args, value in structure.functions[name].items()]
 
-    def _elem(self, arg, t) -> str:
-        return t[arg[1]] if arg[0] == "v" else self.structure.const(arg[1])
+        def column(arg) -> List[int]:
+            """Per element, the assignments giving the argument that element."""
+            if arg[0] == "v":
+                return self.digit[arg[1]]
+            c = elem[structure.const(arg[1])]
+            return [full if a == c else 0 for a in range(n)]
 
-    def _atom_true(self, code: AtomCode, t) -> bool:
-        s = self.structure
-        if code[0] == "rel":
-            return tuple(self._elem(a, t) for a in code[2]) in s.rel(code[1])
-        if code[0] == "feq":
-            args = tuple(self._elem(a, t) for a in code[2])
-            return s.func(code[1], args) == self._elem(code[3], t)
-        return self._elem(code[1], t) == self._elem(code[2], t)
+        self.bits: Dict[AtomCode, int] = {}
+        for code in pool.atoms:
+            cols = [column(a) for a in _args(code)]
+            bits = 0
+            for row in rows[code[1]] if code[0] != "eq" else [(a, a) for a in range(n)]:
+                x = full
+                for col, a in zip(cols, row):
+                    x &= col[a]
+                bits |= x
+            self.bits[code] = bits
+        self._sides: Dict[Tuple, int] = {}
 
-    def _projections(self, free: Tuple[int, ...]) -> List[Tuple[str, ...]]:
-        if free not in self._proj:
-            self._proj[free] = [tuple(t[i] for i in free) for t in self.assignments]
-        return self._proj[free]
-
-    def _codes_mask(self, codes: Sequence[AtomCode]) -> int:
-        mask = 0
-        for c in codes:
-            mask |= 1 << self.pool.index[c]
-        return mask
+    def _side(self, codes: Tuple[AtomCode, ...], free: Tuple[int, ...]) -> int:
+        """The assignments satisfying every atom of `codes` projected onto
+        the variables `free`: each other variable is quantified out and set
+        to digit 0."""
+        key = (codes, free)
+        bits = self._sides.get(key)
+        if bits is None:
+            bits = self.full
+            for c in codes:
+                bits &= self.bits[c]
+            for i, s in enumerate(self.strides):
+                if bits and i not in free:
+                    zero, out = self.digit[i][0], 0
+                    for a in range(len(self.digit[i])):
+                        out |= (bits >> (a * s)) & zero
+                    bits = out
+            self._sides[key] = bits
+        return bits
 
     def cq_true(self, cq: CQSentence) -> bool:
-        need = self._codes_mask(cq.codes)
-        return any(need & ~m == 0 for m in self.masks)
+        bits = self.full
+        for c in cq.codes:
+            bits &= self.bits[c]
+        return bits != 0
 
     def impl_true(self, imp: BoundedImplication) -> bool:
-        p = self._codes_mask(imp.premise)
-        if imp.conclusion is None:
-            return all(p & ~m for m in self.masks)
-        q = self._codes_mask(imp.conclusion)
-        proj = self._projections(imp.free)
-        sat_p = {proj[i] for i, m in enumerate(self.masks) if p & ~m == 0}
-        if not sat_p:
+        p = self._side(imp.premise, imp.free)
+        if not p:
             return True
-        sat_q = {proj[i] for i, m in enumerate(self.masks) if q & ~m == 0}
-        return sat_p <= sat_q
-
-
-_EVALUATORS: Dict[Tuple, CorpusEvaluator] = {}
+        if imp.conclusion is None:
+            return False
+        return not p & ~self._side(imp.conclusion, imp.free)
 
 
 def evaluator(sig: Signature, k: int, structure: FiniteStructure) -> CorpusEvaluator:
-    key = (sig, k, structure.key())
-    if key not in _EVALUATORS:
-        if len(_EVALUATORS) > 4096:
-            _EVALUATORS.clear()
-        _EVALUATORS[key] = CorpusEvaluator(atom_pool(sig, k), structure)
-    return _EVALUATORS[key]
+    return CorpusEvaluator(atom_pool(sig, k), structure)
 
 
 # -- corpus-relative theory fragments ---------------------------------------
@@ -306,18 +305,15 @@ def evaluator(sig: Signature, k: int, structure: FiniteStructure) -> CorpusEvalu
 
 def diag_plus_star(s: FiniteStructure, k: int) -> Tuple[CQSentence, ...]:
     """Positive sentences (over the base language) of CQ-size <= k true in s."""
-    ev = evaluator(s.signature, k, s)
-    return tuple(c for c in cq_corpus(s.signature, k) if ev.cq_true(c))
+    return tuple(filter(evaluator(s.signature, k, s).cq_true, cq_corpus(s.signature, k)))
 
 
 def tu_star(s: FiniteStructure, k: int) -> Tuple[CQSentence, ...]:
     """The h-universal fragment, listed by the positive sentences REFUTED by
     s (their negations are the h-universal sentences true in s)."""
-    ev = evaluator(s.signature, k, s)
-    return tuple(c for c in cq_corpus(s.signature, k) if not ev.cq_true(c))
+    return tuple(itertools.filterfalse(evaluator(s.signature, k, s).cq_true, cq_corpus(s.signature, k)))
 
 
 def ti_star(s: FiniteStructure, k: int) -> Tuple[BoundedImplication, ...]:
     """Bounded h-inductive sentences (base language) true in s."""
-    ev = evaluator(s.signature, k, s)
-    return tuple(b for b in implication_corpus(s.signature, k) if ev.impl_true(b))
+    return tuple(filter(evaluator(s.signature, k, s).impl_true, implication_corpus(s.signature, k)))

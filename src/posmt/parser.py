@@ -14,7 +14,8 @@ Grammar sketch:
     term      := NAME ["(" term ("," term)* ")"]
 
 Names are [a-z][a-zA-Z0-9_]*; user variables may not begin with "_".
-"#" starts a line comment.
+"#" starts a line comment.  Formulas nest at most MAX_DEPTH levels deep
+(parentheses, negations, quantifiers and implications of `general:`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ _TOKEN_RE = re.compile(
 )
 
 KEYWORDS = {"forall", "exists", "true", "false"}
+# deeper nesting is a parse error, well before the recursion could exhaust
+# Python's stack in the parser or in the passes over the formula tree
+MAX_DEPTH = 100
 # sentence class prefix -> the Parser method that reads its formula
 SENTENCE_CLASSES = {
     "hinductive": "parse_hinductive",
@@ -88,6 +92,7 @@ class Parser:
         self.pos = 0
         self.signature = signature
         self.bound: List[str] = []
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
@@ -135,6 +140,27 @@ class Parser:
         if not self.at_eof():
             raise self.error(f"trailing input {self.peek().text!r}")
 
+    def nested(self, item: Callable[[], T]) -> T:
+        """item() one nesting level down; past MAX_DEPTH levels the current
+        token is a parse error."""
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"formula nested more than {MAX_DEPTH} levels deep")
+        self.depth += 1
+        try:
+            return item()
+        finally:
+            self.depth -= 1
+
+    def parenthesized(self, item: Callable[[], T]) -> T:
+        """"(" item ")", one nesting level down."""
+        def group() -> T:
+            self.expect("(")
+            out = item()
+            self.expect(")")
+            return out
+
+        return self.nested(group)
+
     def sep_by(self, item: Callable[[], T], sep: str) -> List[T]:
         """item (sep item)*"""
         out = [item()]
@@ -160,9 +186,7 @@ class Parser:
         t = self.peek()
         self.expect_name()
         if self.at("("):
-            self.next()
-            args = self.sep_by(self.parse_term, ",")
-            self.expect(")")
+            args = self.parenthesized(lambda: self.sep_by(self.parse_term, ","))
             if self.signature is not None:
                 far = self.signature.function_arities
                 if t.text in far and far[t.text] != len(args):
@@ -185,10 +209,7 @@ class Parser:
             self.next()
             return Falsum()
         if t.text == "(":
-            self.next()
-            inner = self.parse_or()
-            self.expect(")")
-            return inner
+            return self.parenthesized(self.parse_or)
         term = self.parse_term()
         if self.at("="):
             self.next()
@@ -232,9 +253,7 @@ class Parser:
         if self.at("("):
             save = self.pos
             try:
-                self.next()
-                p = self.parse_posex()
-                self.expect(")")
+                p = self.parenthesized(self.parse_posex)
                 if self.peek().text in ("->", ";", "}") or self.at_eof():
                     return p
             except ParseError:
@@ -280,7 +299,7 @@ class Parser:
             names = self.parse_names()
             self.expect(".")
             self.bound.extend(names)
-            sub = self.parse_general()
+            sub = self.nested(self.parse_general)
             del self.bound[-len(names):]
             return Forall(names, sub)
         if self.at("exists"):
@@ -288,13 +307,13 @@ class Parser:
             names = self.parse_names()
             self.expect(".")
             self.bound.extend(names)
-            sub = self.parse_general()
+            sub = self.nested(self.parse_general)
             del self.bound[-len(names):]
             return Exists(names, sub)
         left = self.parse_general_or()
         if self.at("->"):
             self.next()
-            return Implies(left, self.parse_general())
+            return Implies(left, self.nested(self.parse_general))
         return left
 
     def parse_general_or(self) -> Formula:
@@ -308,14 +327,11 @@ class Parser:
     def parse_general_unary(self) -> Formula:
         if self.at("!"):
             self.next()
-            return Not(self.parse_general_unary())
+            return Not(self.nested(self.parse_general_unary))
         if self.at("("):
             # "(x" could have been the start of a term; a term never parses
             # as a general formula, so this branch is unambiguous
-            self.next()
-            inner = self.parse_general()
-            self.expect(")")
-            return inner
+            return self.parenthesized(self.parse_general)
         if self.at("forall") or self.at("exists"):
             return self.parse_general()
         return self.parse_atom()

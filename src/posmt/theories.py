@@ -216,44 +216,23 @@ def diagram(
             return DiagramSet("Diag+", sig2, tuple(true_atoms))
         negs: List[Formula] = [HUniversalSentence(PosEx((), f)) for f in false_atoms]
         return DiagramSet("Diag", sig2, tuple(true_atoms) + tuple(negs))
-    pool_of = corpus.atom_pool
+    # the unstarred kinds are the starred fragments of an expansion
+    if kind in ("Tu", "Ti"):
+        a = expand_with_constants(a)[1]
+    elif kind in ("Tu(A|B)", "Ti(A|B)"):
+        if subset is None:
+            raise ValueError("relative diagram kinds require a subset")
+        a = expand_with_constants(a, elements=subset)[1]
+    elif kind not in ("Diag+*", "Tu*", "Ti*"):
+        raise ValueError(f"unknown diagram kind {kind!r}")
+    pool = corpus.atom_pool(a.signature, b.k)
     if kind == "Diag+*":
-        pool = pool_of(a.signature, b.k)
         sents = tuple(c.to_posex(pool) for c in corpus.diag_plus_star(a, b.k))
-        return DiagramSet("Diag+*", a.signature, sents, b.k)
-    if kind == "Tu*":
-        pool = pool_of(a.signature, b.k)
+    elif kind.startswith("Tu"):
         sents = tuple(c.negation(pool) for c in corpus.tu_star(a, b.k))
-        return DiagramSet("Tu*", a.signature, sents, b.k)
-    if kind == "Ti*":
-        pool = pool_of(a.signature, b.k)
-        sents = tuple(
-            HInductiveSentence((imp.to_implication(pool),)) for imp in corpus.ti_star(a, b.k)
-        )
-        return DiagramSet("Ti*", a.signature, sents, b.k)
-    if kind in ("Tu", "Ti", "Tu(A|B)", "Ti(A|B)"):
-        if kind in ("Tu", "Ti"):
-            elems = a.universe
-        else:
-            if subset is None:
-                raise ValueError("relative diagram kinds require a subset")
-            elems = tuple(subset)
-        sig2, a2 = expand_with_constants(a, elements=elems)
-        pool = pool_of(sig2, b.k)
-        if kind.startswith("Tu"):
-            ev = corpus.evaluator(sig2, b.k, a2)
-            sents = tuple(
-                c.negation(pool) for c in corpus.cq_corpus(sig2, b.k) if not ev.cq_true(c)
-            )
-        else:
-            ev = corpus.evaluator(sig2, b.k, a2)
-            sents = tuple(
-                HInductiveSentence((imp.to_implication(pool),))
-                for imp in corpus.implication_corpus(sig2, b.k)
-                if ev.impl_true(imp)
-            )
-        return DiagramSet(kind, sig2, sents, b.k)
-    raise ValueError(f"unknown diagram kind {kind!r}")
+    else:
+        sents = tuple(HInductiveSentence((imp.to_implication(pool),)) for imp in corpus.ti_star(a, b.k))
+    return DiagramSet(kind, a.signature, sents, b.k)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +521,10 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
     cqs = corpus.cq_corpus(t.signature, b.k)
 
     def realized(structures: Sequence[FiniteStructure]) -> Dict:
+        evs = [corpus.evaluator(t.signature, b.k, m) for m in structures]
         sat: Dict = {}
         for c in cqs:
-            who = frozenset(
-                i for i, m in enumerate(structures) if corpus.evaluator(t.signature, b.k, m).cq_true(c)
-            )
+            who = frozenset(i for i, ev in enumerate(evs) if ev.cq_true(c))
             if who:
                 sat[c] = who
         return sat

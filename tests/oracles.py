@@ -23,6 +23,12 @@ The corpus references canonicalise every candidate sentence on its own,
 trying every variable permutation and keeping the least image.  The
 corpora built by walking orbits must equal them tuple for tuple.
 
+The corpus-evaluator reference tabulates every total assignment of the
+variable pool with the pool atoms true under it as one bitmask per row,
+and decides a sentence by subset tests over projections of the rows.
+`corpus.CorpusEvaluator`, which keeps one bitset per atom over the
+assignments instead, must give every corpus entry the same truth value.
+
 The evaluation reference walks the formula tree per assignment, copying
 the environment at every quantifier.  The compiled evaluator behind
 `formulas.eval_formula` must return the same truth value.
@@ -539,6 +545,72 @@ def implication_corpus_reference(
             out.append(BoundedImplication(*canon))
     out.sort(key=lambda b: (b.premise, b.conclusion is None, b.conclusion or (), b.free))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise corpus satisfaction
+
+
+class CorpusEvaluatorReference:
+    """Satisfaction of corpus entries over one structure, row by row: one
+    bitmask of true pool atoms per total assignment of the pool."""
+
+    def __init__(self, pool: AtomPool, structure: FiniteStructure):
+        self.pool = pool
+        self.structure = structure
+        k = pool.k
+        self.assignments = list(itertools.product(structure.universe, repeat=k))
+        self.masks: List[int] = []
+        for t in self.assignments:
+            mask = 0
+            for i, code in enumerate(pool.atoms):
+                if self._atom_true(code, t):
+                    mask |= 1 << i
+            self.masks.append(mask)
+        self._proj: Dict[Tuple[int, ...], List[Tuple[str, ...]]] = {}
+
+    def _elem(self, arg, t) -> str:
+        return t[arg[1]] if arg[0] == "v" else self.structure.const(arg[1])
+
+    def _atom_true(self, code: AtomCode, t) -> bool:
+        s = self.structure
+        if code[0] == "rel":
+            return tuple(self._elem(a, t) for a in code[2]) in s.rel(code[1])
+        if code[0] == "feq":
+            args = tuple(self._elem(a, t) for a in code[2])
+            return s.func(code[1], args) == self._elem(code[3], t)
+        return self._elem(code[1], t) == self._elem(code[2], t)
+
+    def _projections(self, free: Tuple[int, ...]) -> List[Tuple[str, ...]]:
+        if free not in self._proj:
+            self._proj[free] = [tuple(t[i] for i in free) for t in self.assignments]
+        return self._proj[free]
+
+    def _codes_mask(self, codes: Sequence[AtomCode]) -> int:
+        mask = 0
+        for c in codes:
+            mask |= 1 << self.pool.index[c]
+        return mask
+
+    def cq_true(self, cq: CQSentence) -> bool:
+        need = self._codes_mask(cq.codes)
+        return any(need & ~m == 0 for m in self.masks)
+
+    def impl_true(self, imp: BoundedImplication) -> bool:
+        p = self._codes_mask(imp.premise)
+        if imp.conclusion is None:
+            return all(p & ~m for m in self.masks)
+        q = self._codes_mask(imp.conclusion)
+        proj = self._projections(imp.free)
+        sat_p = {proj[i] for i, m in enumerate(self.masks) if p & ~m == 0}
+        if not sat_p:
+            return True
+        sat_q = {proj[i] for i, m in enumerate(self.masks) if q & ~m == 0}
+        return sat_p <= sat_q
+
+
+def corpus_evaluator_reference(sig: Signature, k: int, structure: FiniteStructure) -> CorpusEvaluatorReference:
+    return CorpusEvaluatorReference(atom_pool(sig, k), structure)
 
 
 # ---------------------------------------------------------------------------

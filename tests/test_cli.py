@@ -404,3 +404,39 @@ def test_missing_file_is_still_exit_2():
     proc = _cli("models", "data/no-such-file.posmt", "--theory", "T_pos")
     assert proc.returncode == 2
     assert "No such file" in proc.stderr
+
+
+def _nested_positive(tmp_path, depth: int) -> str:
+    """A theory whose one sentence is `exists x.` and `p(x)` inside `depth`
+    pairs of parentheses."""
+    path = tmp_path / f"nested{depth}.posmt"
+    path.write_text("signature S { relations: p/1; }\n"
+                    f"theory T over S {{\n  positive: exists x. {'(' * depth}p(x){')' * depth};\n}}\n")
+    return str(path)
+
+
+def test_too_deep_a_formula_is_a_parse_error_at_its_token(tmp_path):
+    # 200 levels used to end in a RecursionError, and exit 1 reads as "no"
+    proc = _cli("check", _nested_positive(tmp_path, 200))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    # the 101st nesting level is the parenthesis at column 23 + 100
+    assert "parse error: 3:123: formula nested more than 100 levels deep" in proc.stderr
+
+
+def test_formula_within_the_depth_bound_still_parses(tmp_path, capsys):
+    assert main(["check", _nested_positive(tmp_path, 99)]) == 0
+    assert "OK theory T" in capsys.readouterr().out
+
+
+def test_crash_in_a_subcommand_is_an_internal_error(ws_file, capsys, monkeypatch):
+    # any exception but the four handled ones exits 5, never 1 ("no")
+    import posmt.cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(posmt.cli, "cmd_check", crash)
+    assert main(["check", ws_file]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from math import comb
 from pathlib import Path
 
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from posmt import corpus
 from posmt.errors import BudgetExceeded
-from posmt.structures import Signature
+from posmt.structures import FiniteStructure, Signature, element_names
 from posmt.textio import load_workspace
 from posmt.theories import Budget, kaiser_hull_bounded
 
 from conftest import SIG_F, SIG_LE
-from oracles import cq_corpus_reference, implication_corpus_reference
+from oracles import corpus_evaluator_reference, cq_corpus_reference, implication_corpus_reference
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -134,3 +135,65 @@ def test_implication_corpus_cap_advises_lowering_k():
     assert str(exc.value) == (
         f"implication corpus over {SIG_LE} at k=5 would exceed {corpus.CORPUS_CAP} candidates; lower k"
     )
+
+
+def test_equal_entries_hash_equal():
+    # each entry hashes once; a rebuilt equal entry must still hash equal
+    imps = corpus.implication_corpus(SIG_LE, 2)
+    fragment = frozenset(imps)
+    for b in imps:
+        twin = corpus.BoundedImplication(
+            tuple(list(b.premise)), None if b.conclusion is None else tuple(list(b.conclusion)), tuple(list(b.free))
+        )
+        assert twin is not b and twin == b and hash(twin) == hash(b)
+        assert twin in fragment
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: columnar evaluator against the row-wise reference
+
+# the row-wise reference spends some microseconds per entry, so k is lowered
+# until the implication corpus has at most this many candidates
+EVALUATOR_LIMIT = 10_000
+
+
+@st.composite
+def structures_at_k(draw):
+    relations = {f"r{i}": draw(st.integers(1, 3)) for i in range(draw(st.integers(1, 2)))}
+    functions = {"f": 1} if draw(st.booleans()) else {}
+    constants = ["c"] if draw(st.booleans()) else []
+    sig = Signature.make(relations, functions, constants)
+    universe = element_names(draw(st.integers(1, 4)))
+    elems = st.sampled_from(universe)
+    s = FiniteStructure(
+        sig, universe,
+        relations={
+            name: draw(st.frozensets(st.sampled_from(list(itertools.product(universe, repeat=arity)))))
+            for name, arity in sig.relations
+        },
+        functions={name: {(a,): draw(elems) for a in universe} for name, _ in sig.functions},
+        constants={name: draw(elems) for name in sig.constants},
+    )
+    k = draw(st.integers(1, 3))
+    while k > 1:
+        atoms = len(corpus.atom_pool(sig, k).atoms)
+        if (1 + atoms + comb(atoms, 2)) ** 2 * 2 ** k <= EVALUATOR_LIMIT:
+            break
+        k -= 1
+    return s, k
+
+
+@settings(max_examples=30, deadline=None)
+@given(structures_at_k())
+def test_evaluator_matches_rowwise_reference(case):
+    s, k = case
+    sig = s.signature
+    ev, ref = corpus.evaluator(sig, k, s), corpus_evaluator_reference(sig, k, s)
+    cqs, imps = corpus.cq_corpus(sig, k), corpus.implication_corpus(sig, k)
+    cq_truth = [ref.cq_true(c) for c in cqs]
+    impl_truth = [ref.impl_true(b) for b in imps]
+    assert [ev.cq_true(c) for c in cqs] == cq_truth
+    assert [ev.impl_true(b) for b in imps] == impl_truth
+    assert corpus.diag_plus_star(s, k) == tuple(itertools.compress(cqs, cq_truth))
+    assert corpus.tu_star(s, k) == tuple(c for c, t in zip(cqs, cq_truth) if not t)
+    assert corpus.ti_star(s, k) == tuple(itertools.compress(imps, impl_truth))
