@@ -46,7 +46,9 @@ class AtomPool:
         self.k = k
         args: List[Tuple] = [("v", i) for i in range(k)]
         args += [("c", c) for c in sig.constants]
-        atoms = [("rel", name, tup) for name, arity in sig.relations for tup in itertools.product(args, repeat=arity)]
+        atoms = [
+            ("rel", name, tup) for name, arity in sig.relations for tup in itertools.product(args, repeat=arity)
+        ]
         atoms += [
             ("feq", name, tup, res)
             for name, arity in sig.functions for tup in itertools.product(args, repeat=arity) for res in args
