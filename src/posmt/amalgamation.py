@@ -78,7 +78,8 @@ class AmalgamationSolution:
     apex: FiniteStructure
     out_b: Morphism  # B -> D
     out_c: Morphism  # C -> D
-    kinds: Tuple[MorphismKind, MorphismKind]  # certified kinds of out_b, out_c
+    # each out-map's kind decided up to the required one: min(kind, required)
+    kinds: Tuple[MorphismKind, MorphismKind]
     commutation: Tuple[Tuple[str, str, str], ...]  # (a, via_B, via_C) rows
     strong_ok: Optional[bool] = None
 
@@ -127,10 +128,10 @@ def _certify(p: AmalgamationProblem, d: FiniteStructure, out_b: Morphism, out_c:
     if table is None:
         return None
     try:  # a map that is no homomorphism rejects the candidate
-        kb = classify_morphism(out_b)
+        kb = classify_morphism(out_b, gamma)
         if kb < gamma:
             return None
-        kc = classify_morphism(out_c)
+        kc = classify_morphism(out_c, delta)
     except StructureError:
         return None
     if kc < delta:

@@ -413,34 +413,38 @@ def _negated(f: Formula) -> Optional[PosEx]:
     return _positive_form(f.sub) if isinstance(f, Not) else None
 
 
-def _universal(vs: Tuple[str, ...], f: Formula) -> Optional[Implication]:
-    """forall vs. f as one implication, when f is positive, positive ->
-    positive, or a universal closure of these."""
+def _universal(vs: Tuple[str, ...], f: Formula) -> Optional[Tuple[Implication, ...]]:
+    """forall vs. f as implications, when f is positive (true -> f), positive
+    -> positive, the negation of a positive (phi -> false), a conjunction of
+    these (the implications of its parts), or a universal closure of these."""
     if isinstance(f, Forall):
         return _universal(vs + f.vars, f.sub)
     if isinstance(f, Implies):
         premise, conclusion = _positive_form(f.left), _positive_form(f.right)
-        return None if premise is None or conclusion is None else Implication(vs, premise, conclusion)
+        return None if premise is None or conclusion is None else (Implication(vs, premise, conclusion),)
+    inner = _negated(f)
+    if inner is not None:
+        return (Implication(vs + inner.vars, PosEx((), inner.matrix), FALSE_POSEX),)
     conclusion = _positive_form(f)
-    return None if conclusion is None else Implication(vs, TRUE_POSEX, conclusion)
+    if conclusion is not None:
+        return (Implication(vs, TRUE_POSEX, conclusion),)
+    if isinstance(f, (And, GAnd)):
+        parts = [_universal(vs, p) for p in f.parts]
+        return None if None in parts else tuple(i for p in parts for i in p)
+    return None
 
 
 def as_implications(f: Formula) -> Tuple[Implication, ...]:
-    """The implications an h-inductive sentence encodes as: positive phi is
-    true -> phi, a negated one phi -> false, a universal closure of
-    positive -> positive is one implication, and a conjunction of
-    h-inductive parts the implications of its parts.  Any other shape is a
-    FormulaError."""
+    """The implications an h-inductive sentence encodes as: those of
+    `_universal`, and a conjunction of h-inductive parts the implications of
+    its parts.  Any other shape is a FormulaError."""
     if isinstance(f, HInductiveSentence):
         return f.conjuncts
     if isinstance(f, Implication):
         return (f,)
-    inner = _negated(f)
-    if inner is not None:
-        return (Implication(inner.vars, PosEx((), inner.matrix), FALSE_POSEX),)
-    imp = _universal((), f)
-    if imp is not None:
-        return (imp,)
+    imps = _universal((), f)
+    if imps is not None:
+        return imps
     if isinstance(f, (And, GAnd)):
         return tuple(i for p in f.parts for i in as_implications(p))
     raise FormulaError(f"not encodable as h-inductive: {f!r}")

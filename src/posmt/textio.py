@@ -17,6 +17,7 @@ Verdicts and reports serialize to JSON as
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError, StructureError
@@ -390,5 +391,40 @@ def verdict_to_json(v: Verdict) -> Dict:
     }
 
 
+def _write(value, head: str, indent: str, out: List[str]) -> None:
+    """Append `value` to `out` as `json.dumps(indent=2, sort_keys=True)`
+    prints it: `head` is what precedes it, `indent` the newline and
+    indentation of its own nesting level.  Each scalar is one chunk with its
+    separators and key before it, each closing bracket a chunk of its own."""
+    if isinstance(value, str):
+        out.append(head + encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append(head + "{}")
+            return
+        inner = indent + "  "
+        sep = head + "{" + inner
+        for key, item in sorted(value.items()):
+            _write(item, sep + encode_basestring_ascii(key) + ": ", inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append(head + "[]")
+            return
+        inner = indent + "  "
+        sep = head + "[" + inner
+        for item in value:
+            _write(item, sep, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(head + json.dumps(value))
+
+
 def report_to_json(report: Dict) -> str:
-    return json.dumps({"schema": SCHEMA, **jsonable(report)}, indent=2, sort_keys=True)
+    """The report as `json.dumps(..., indent=2, sort_keys=True)` prints it,
+    byte for byte; that encoder is pure Python whenever `indent` is set."""
+    out: List[str] = []
+    _write({"schema": SCHEMA, **jsonable(report)}, "", "\n", out)
+    return "".join(out)

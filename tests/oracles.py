@@ -963,6 +963,12 @@ def _is_hinductive_body(f: Formula) -> bool:
         return _is_positive(f.left) and _is_positive(f.right)
     if isinstance(f, Forall):
         return _is_hinductive_body(f.sub)
+    if isinstance(f, Not):
+        return _is_positive(f.sub)
+    if isinstance(f, HUniversalSentence):
+        return True
+    if isinstance(f, (GAnd, And)):
+        return all(_is_hinductive_body(p) for p in f.parts)
     return _is_positive(f)
 
 

@@ -129,6 +129,23 @@ def test_certificate_checks_each_out_map_for_a_homomorphism_once(monkeypatch, po
     assert sol.kinds == (MorphismKind.IMMERSION, MorphismKind.IMMERSION)
 
 
+def test_certificate_decides_out_map_kinds_only_up_to_the_required_ones(monkeypatch, point, chain2, t_pos):
+    # the quotient glues two chains at their base point: both out-maps are
+    # embeddings that are not onto, whose exact kind needs a retraction search
+    inclusion = Morphism(point, chain2, {"a": "a"})
+    p = AmalgamationProblem(inclusion, inclusion, parse_kinds("hhhh"), t_pos)
+    calls = []
+    real = morphisms.retraction
+    monkeypatch.setattr(morphisms, "retraction", lambda m: calls.append(m) or real(m))
+    sol = solve_amalgamation(p)
+    assert isinstance(sol, AmalgamationSolution) and verify_solution(p, sol)
+    assert calls == []
+    assert sol.kinds == (MorphismKind.HOM, MorphismKind.HOM)
+    assert classify_morphism(sol.out_b, MorphismKind.EMBEDDING) == MorphismKind.EMBEDDING
+    assert classify_morphism(sol.out_c, MorphismKind.EMBEDDING) == MorphismKind.EMBEDDING
+    assert sol.apex.size() > chain2.size()
+
+
 def test_certificate_rejects_an_out_map_that_is_no_homomorphism(point, chain2, antichain2):
     inclusion = Morphism(point, chain2, {"a": "a"})
     p = AmalgamationProblem(inclusion, inclusion, parse_kinds("hhhh"))

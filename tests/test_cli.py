@@ -161,6 +161,17 @@ def test_amalgamate_json_certificate_reverifies(ws_file, capsys):
     assert verify_solution(problem, sol)
 
 
+def test_amalgamate_json_reports_the_exact_kinds_of_the_out_maps(capsys):
+    # glue_chains asks h for both out-maps; the report names their exact kind
+    code, out = run(capsys, "amalgamate", str(REPO / "data" / "posets.posmt"),
+                    "--problem", "glue_chains", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "yes"
+    assert data["certificate"]["kinds"] == ["i", "i"]
+    assert '"kinds": [\n      "i",\n      "i"\n    ]' in out
+
+
 def test_unknown_name_is_semantic_error(ws_file, capsys):
     assert main(["models", ws_file, "--theory", "nope"]) == 3
 
@@ -331,6 +342,22 @@ def test_general_sentence_lists_the_models_of_its_hinductive_twin(tmp_path, caps
         path.write_text(ONE_THEORY.format(f"{prefix}: forall x. true -> le(x,x);"))
         code, out = run(capsys, "models", str(path), "--theory", "T", "--n", "2", "--json")
         assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("general, twin", [
+    ("forall x. !le(x,x)", "huniversal: !exists x. le(x,x)"),
+    ("forall x. (le(x,x) -> le(x,c)) & true", "hinductive: forall x. le(x,x) -> le(x,c)"),
+], ids=["negation", "conjunction"])
+def test_general_universal_shape_lists_the_models_of_its_twin(tmp_path, capsys, general, twin):
+    outs = []
+    for name, sentence in (("general", f"general: {general}"), ("twin", twin)):
+        path = tmp_path / f"{name}.posmt"
+        path.write_text(ONE_THEORY.format(sentence + ";"))
+        code = main(["models", str(path), "--theory", "T", "--n", "2", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
         outs.append(out)
     assert outs[0] == outs[1]
 

@@ -1,0 +1,51 @@
+from __future__ import annotations
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from posmt.textio import SCHEMA, jsonable, report_to_json
+
+# hypothesis: the report writer prints the bytes of
+# json.dumps(indent=2, sort_keys=True), which the benchmark reference pins
+
+AWKWARD_TEXT = ["", "é", "naïve ∀x", '"', "\\", 'a"b\\c', "\n\t\r\x00\x1f\x7f", " ﻿", "\U0001f600"]
+
+texts = st.one_of(st.text(), st.sampled_from(AWKWARD_TEXT))
+floats = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e-7, 1e300, -1e300, float("nan"),
+                                                 float("inf"), float("-inf")]))
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, texts)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+def nest(value, keys):
+    """value under one list (key None) or one-key dict per entry of keys."""
+    for key in keys:
+        value = [value] if key is None else {key: value}
+    return value
+
+
+deep = st.builds(nest, st.one_of(values, st.just({}), st.just([])),
+                 st.lists(st.one_of(st.none(), texts), min_size=5, max_size=8))
+
+
+@given(st.dictionaries(texts, st.one_of(values, deep), max_size=5))
+@settings(max_examples=150, deadline=None)
+@example({})
+@example({"b": [True, False, 1, 0, None], "e": [{}, [], {"x": []}]})
+@example({"f": [-0.0, 1e-7, 1e300, float("nan"), float("inf"), float("-inf")]})
+@example({"s": ['"\\\n\x00é∀', {"é": {"\n": "\U0001f600"}}]})
+def test_report_writer_prints_the_bytes_of_json_dumps(report):
+    expected = json.dumps({"schema": SCHEMA, **jsonable(report)}, indent=2, sort_keys=True)
+    assert report_to_json(report) == expected
+
+
+def test_report_writer_prints_bools_as_json_literals():
+    assert report_to_json({"b": True, "n": 1}) == (
+        '{\n  "b": true,\n  "n": 1,\n  "schema": "posmt-report/1"\n}')
