@@ -13,7 +13,17 @@ completed.
 
 Strong amalgamation adds the disjointness condition: the out-maps may
 identify b in B with c in C only when b is in f(A) and c is in g(A)
-(strict mode additionally demands a common preimage in A).
+(strict mode additionally demands a common preimage in A; it applies only
+to a strong problem).
+
+Every candidate is certified in full (`_certify`), but the conditions that
+the out-maps alone settle are decided before any search: the quotient
+phase completes no quotient whose fixed out-maps are not injective where
+kind e or more is asked, or not onto where kind s is; the enumeration
+phase skips an apex that is not isomorphic by size and tuple counts to a
+wing asked to be strongly immersed, and, for a strong problem, an out_b
+that already breaks the disjointness condition, and lists out_c only among
+maps that send C outside g(A) off out_b's image.
 """
 
 from __future__ import annotations
@@ -60,6 +70,8 @@ class AmalgamationProblem:
     def __post_init__(self):
         if self.f.source is not self.g.source and self.f.source.key() != self.g.source.key():
             raise StructureError("the two wing maps must share their source")
+        if self.strict_strong and not self.strong:
+            raise StructureError("strict mode refines strong amalgamation; the problem is not strong")
 
     @property
     def base(self) -> FiniteStructure:
@@ -215,11 +227,14 @@ def _solve_quotient(p: AmalgamationProblem) -> Optional[AmalgamationSolution]:
     out_b_map = {e: cls[("B", e)] for e in p.f.target.universe}
     out_c_map = {e: cls[("C", e)] for e in p.g.target.universe}
     # the quotient out-maps are fixed; if a required kind needs injectivity
-    # the glued maps cannot provide, every completion would fail
-    if p.kinds[2] >= MorphismKind.EMBEDDING and len(set(out_b_map.values())) < len(out_b_map):
-        return None
-    if p.kinds[3] >= MorphismKind.EMBEDDING and len(set(out_c_map.values())) < len(out_c_map):
-        return None
+    # (e and up) or a bijection (s) the glued maps cannot provide, every
+    # completion would fail
+    for kind, out_map in ((p.kinds[2], out_b_map), (p.kinds[3], out_c_map)):
+        image = len(set(out_map.values()))
+        if kind >= MorphismKind.EMBEDDING and image < len(out_map):
+            return None
+        if kind >= MorphismKind.STRONG_IMMERSION and image < len(universe):
+            return None
     tried = 0
     for d in find_models(
         sig, universe, implications,
@@ -278,27 +293,59 @@ def _apex_candidates(p: AmalgamationProblem, cap: int) -> Iterator[FiniteStructu
         yield from _CANDIDATE_CACHE[key]
 
 
+def _tuple_counts(s: FiniteStructure) -> Tuple[int, ...]:
+    return tuple(len(s.rel(name)) for name, _ in s.signature.relations)
+
+
+def _apex_fits(d: FiniteStructure, wing: FiniteStructure, kind: MorphismKind) -> bool:
+    """Whether some map of `kind` from the wing into apex d can exist, by
+    sizes and tuple counts alone."""
+    if kind >= MorphismKind.STRONG_IMMERSION:
+        # a strong immersion between finite structures is a bijective
+        # embedding (the target models the source's surjectivity sentence),
+        # so an isomorphism: equal size and equal tuple counts
+        return d.size() == wing.size() and _tuple_counts(d) == _tuple_counts(wing)
+    return kind < MorphismKind.EMBEDDING or d.size() >= wing.size()
+
+
+def _disjoint_targets(p: AmalgamationProblem, out_b: Morphism,
+                      required: Dict[str, str]) -> Optional[Set[str]]:
+    """The strong condition for out_b and any out_c that sends g(A) to
+    `required`: the targets the C elements outside g(A) must avoid (out_b's
+    image), or None when out_b alone breaks it.  It does when a B element
+    outside f(A) lands on a required image, or, in strict mode, when some
+    b in f(A) and c in g(A) meet without a common preimage in A."""
+    f_image = set(p.f.map.values())
+    met = set(required.values())
+    if any(out_b(e) in met for e in out_b.source.universe if e not in f_image):
+        return None
+    if p.strict_strong:
+        pairs = {(p.f(a), p.g(a)) for a in p.base.universe}
+        if any((b_el, c_el) not in pairs for c_el, img in required.items()
+               for b_el in f_image if out_b(b_el) == img):
+            return None
+    return set(out_b.map.values())
+
+
 def _solve_enumeration(p: AmalgamationProblem) -> Tuple[Optional[AmalgamationSolution], bool]:
     gamma, delta = p.kinds[2], p.kinds[3]
     cap, exhaustive = _enum_sizes(p)
     if cap == 0:
         return None, False
     for d in _apex_candidates(p, cap):
-        if gamma >= MorphismKind.EMBEDDING and d.size() < p.f.target.size():
-            continue
-        if delta >= MorphismKind.EMBEDDING and d.size() < p.g.target.size():
-            continue
-        # a bounded strong immersion between finite structures forces equal
-        # size (the target models the source's surjectivity sentence)
-        if gamma >= MorphismKind.STRONG_IMMERSION and d.size() != p.f.target.size():
-            continue
-        if delta >= MorphismKind.STRONG_IMMERSION and d.size() != p.g.target.size():
+        if not (_apex_fits(d, p.f.target, gamma) and _apex_fits(d, p.g.target, delta)):
             continue
         for out_b in enumerate_homs(p.f.target, d, kind=gamma, node_cap=p.budget.node_cap):
             required = {p.g(a): out_b(p.f(a)) for a in p.base.universe}
             if any(required[p.g(a)] != out_b(p.f(a)) for a in p.base.universe):
                 continue  # g identifies base points whose B-images land apart
-            for out_c in enumerate_homs(p.g.target, d, required, kind=delta, node_cap=p.budget.node_cap):
+            forbidden = None
+            if p.strong:
+                forbidden = _disjoint_targets(p, out_b, required)
+                if forbidden is None:
+                    continue  # out_b alone breaks the strong condition
+            for out_c in enumerate_homs(p.g.target, d, required, kind=delta,
+                                        node_cap=p.budget.node_cap, forbidden=forbidden):
                 sol = _certify(p, d, out_b, out_c)
                 if sol is not None:
                     return sol, exhaustive

@@ -17,7 +17,7 @@ parameter inequalities.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, SignatureError, StructureError
 from .records import record
@@ -145,17 +145,20 @@ def search_homs(
     b: FiniteStructure,
     required: Optional[Mapping[str, str]] = None,
     node_cap: Optional[int] = None,
+    forbidden: Optional[Collection[str]] = None,
 ) -> Iterator[Dict[str, str]]:
     """All homomorphisms a -> b that send each key of `required` to its
-    value, by backtracking in universe order.  Deterministic: images tried in
-    target universe order."""
+    value and no other element into `forbidden`, by backtracking in universe
+    order.  Deterministic: images tried in target universe order."""
     if a.signature != b.signature:
         raise SignatureError("hom search across different signatures")
-    required = dict(required or {})
+    pinned = required or {}
+    required = dict(pinned)
+    free = [e for e in b.universe if e not in forbidden] if forbidden else list(b.universe)
     for c in a.signature.constants:
         src = a.const(c)
         tgt = b.const(c)
-        if required.get(src, tgt) != tgt:
+        if required.get(src, tgt) != tgt or (src not in pinned and tgt not in free):
             return
         required[src] = tgt
     facts = _source_facts(a)
@@ -187,7 +190,7 @@ def search_homs(
             yield dict(assignment)
             return
         e = order[i]
-        candidates = [required[e]] if e in required else list(b.universe)
+        candidates = [required[e]] if e in required else free
         for cand in candidates:
             nodes += 1
             if node_cap is not None and nodes > node_cap:
@@ -297,9 +300,11 @@ def enumerate_homs(
     required: Optional[Mapping[str, str]] = None,
     kind: MorphismKind = MorphismKind.HOM,
     node_cap: Optional[int] = None,
+    forbidden: Optional[Collection[str]] = None,
 ) -> List[Morphism]:
-    """All morphisms of at least the requested kind, sorted by map encoding."""
-    out = [Morphism(a, b, mp) for mp in search_homs(a, b, required, node_cap=node_cap)]
+    """All morphisms of at least the requested kind, sorted by map encoding;
+    `required` and `forbidden` restrict the maps as in `search_homs`."""
+    out = [Morphism(a, b, mp) for mp in search_homs(a, b, required, node_cap, forbidden)]
     if kind > MorphismKind.HOM:
         out = [m for m in out if classify_morphism(m, kind) >= kind]
     out.sort(key=lambda m: m.map_key())

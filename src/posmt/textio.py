@@ -353,24 +353,31 @@ def structure_from_json(data: Dict) -> FiniteStructure:
     )
 
 
-def jsonable(value):
+def jsonable(value, seen: Optional[Dict[int, Dict]] = None):
+    """`value` as plain JSON data.  `seen` keeps each structure's JSON by
+    identity, so a structure that a report names many times (a basis
+    report's wings) is converted once; the output shares that dict."""
+    if seen is None:
+        seen = {}
     if isinstance(value, FiniteStructure):
-        return {"structure": structure_to_json(value)}
+        if id(value) not in seen:
+            seen[id(value)] = {"structure": structure_to_json(value)}
+        return seen[id(value)]
     if isinstance(value, Morphism):
         return {"map": dict(value.map)}
     if isinstance(value, MorphismKind):
         return value.letter
     if isinstance(value, Verdict):
-        return verdict_to_json(value)
+        return verdict_to_json(value, seen)
     if isinstance(value, Budget):
         return value.as_dict()
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v, seen) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = list(value)
         if isinstance(value, (set, frozenset)):
             items = sorted(items, key=repr)
-        return [jsonable(v) for v in items]
+        return [jsonable(v, seen) for v in items]
     if hasattr(value, "conjuncts") or hasattr(value, "inner") or hasattr(value, "matrix"):
         try:
             return pp_formula(value)
@@ -381,12 +388,12 @@ def jsonable(value):
     return repr(value)
 
 
-def verdict_to_json(v: Verdict) -> Dict:
+def verdict_to_json(v: Verdict, seen: Optional[Dict[int, Dict]] = None) -> Dict:
     return {
         "schema": SCHEMA,
         "verdict": v.status,
         "budget": v.budget.as_dict(),
-        "certificate": jsonable(v.certificate),
+        "certificate": jsonable(v.certificate, seen),
         "notes": list(v.notes),
     }
 

@@ -58,6 +58,12 @@ tree.  `classify_sentence` must give every closed formula the same class.
 The apex-pool reference lists every size of the amalgamation solver's
 pool at once, up front, as the solver read it before it listed each size
 only on reaching it.  Verdicts and first-found apexes must not change.
+
+The amalgamation-solver reference is the solver as it was before it
+rejected candidates from their out-maps alone: it completes every quotient
+and lists every out-map pair, and leaves the strong-immersion kinds and the
+strong condition to the certificate check.  `solve_amalgamation` must give
+the same status and notes, or the same apex and out-maps.
 """
 
 from __future__ import annotations
@@ -914,6 +920,89 @@ def apex_candidates_reference(theory, sig: Signature, cap: int, node_cap: int) -
     if theory is not None:
         return tuple(models(theory, Budget(n=cap, N=cap, node_cap=node_cap)))
     return tuple(enumerate_structures(sig, cap))
+
+
+# ---------------------------------------------------------------------------
+# Amalgamation solver, certifying every candidate it builds
+
+
+def _solve_quotient_reference(p):
+    from posmt.amalgamation import QUOTIENT_COMPLETION_LIMIT, _certify, _quotient_seed
+    cls, universe, seed_rels, seed_funcs, seed_consts = _quotient_seed(p)
+    if len(universe) > p.budget.N:
+        return None
+    sig = p.f.target.signature
+    implications = p.theory.implications() if p.theory is not None else ()
+    out_b_map = {e: cls[("B", e)] for e in p.f.target.universe}
+    out_c_map = {e: cls[("C", e)] for e in p.g.target.universe}
+    # the quotient out-maps are fixed; if a required kind needs injectivity
+    # the glued maps cannot provide, every completion would fail
+    if p.kinds[2] >= MorphismKind.EMBEDDING and len(set(out_b_map.values())) < len(out_b_map):
+        return None
+    if p.kinds[3] >= MorphismKind.EMBEDDING and len(set(out_c_map.values())) < len(out_c_map):
+        return None
+    tried = 0
+    for d in find_models(
+        sig, universe, implications,
+        node_cap=p.budget.node_cap,
+        seed_true_relations={k: sorted(v) for k, v in seed_rels.items()},
+        seed_functions=seed_funcs,
+        seed_constants=seed_consts,
+    ):
+        sol = _certify(p, d, Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map))
+        if sol is not None:
+            return sol
+        tried += 1
+        if tried >= QUOTIENT_COMPLETION_LIMIT:
+            break
+    return None
+
+
+def _solve_enumeration_reference(p):
+    from posmt.amalgamation import _apex_candidates, _certify, _enum_sizes
+    from posmt.morphisms import enumerate_homs
+    gamma, delta = p.kinds[2], p.kinds[3]
+    cap, exhaustive = _enum_sizes(p)
+    if cap == 0:
+        return None, False
+    for d in _apex_candidates(p, cap):
+        if gamma >= MorphismKind.EMBEDDING and d.size() < p.f.target.size():
+            continue
+        if delta >= MorphismKind.EMBEDDING and d.size() < p.g.target.size():
+            continue
+        # a bounded strong immersion between finite structures forces equal
+        # size (the target models the source's surjectivity sentence)
+        if gamma >= MorphismKind.STRONG_IMMERSION and d.size() != p.f.target.size():
+            continue
+        if delta >= MorphismKind.STRONG_IMMERSION and d.size() != p.g.target.size():
+            continue
+        for out_b in enumerate_homs(p.f.target, d, kind=gamma, node_cap=p.budget.node_cap):
+            required = {p.g(a): out_b(p.f(a)) for a in p.base.universe}
+            if any(required[p.g(a)] != out_b(p.f(a)) for a in p.base.universe):
+                continue  # g identifies base points whose B-images land apart
+            for out_c in enumerate_homs(p.g.target, d, required, kind=delta, node_cap=p.budget.node_cap):
+                sol = _certify(p, d, out_b, out_c)
+                if sol is not None:
+                    return sol, exhaustive
+    return None, exhaustive
+
+
+def solve_amalgamation_reference(p):
+    """A certified solution with |D| <= N, or a "no"/"unknown" verdict."""
+    from posmt.theories import no, unknown
+    p.validate_in_kinds()
+    try:
+        sol = _solve_quotient_reference(p)
+        if sol is not None:
+            return sol
+        sol, exhaustive = _solve_enumeration_reference(p)
+        if sol is not None:
+            return sol
+        if not exhaustive:
+            return unknown(p.budget, notes=("apex enumeration truncated below N",))
+        return no(p.budget, notes=("exhaustive apex search below N completed empty",))
+    except BudgetExceeded as exc:
+        return unknown(p.budget, notes=(str(exc),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posmt import amalgamation, morphisms
 from posmt.amalgamation import (
-    AmalgamationProblem, AmalgamationSolution, check_basis,
-    check_strong_condition, inflate, parse_kinds, poset_theory, random_poset,
+    POSET_SIG, AmalgamationProblem, AmalgamationSolution, check_basis,
+    check_strong_condition, disjoint_poset_extension, embedding_extension, inflate,
+    iso_copy, parse_kinds, poset_theory, random_hom_wing, random_poset, random_structure,
     solve_amalgamation, verify_solution, verify_theorem, THEOREM_IDS,
     _solve_enumeration, _solve_quotient,
 )
@@ -19,9 +23,16 @@ from posmt.structures import FiniteStructure, Signature, enumerate_structures
 from posmt.theories import Budget, models
 
 from conftest import SIG_LE, run_optimised
-from oracles import apex_candidates_reference
+from oracles import apex_candidates_reference, solve_amalgamation_reference
 
 SIG_R = Signature.make(relations={"R": 2})
+
+
+def test_strict_mode_needs_a_strong_problem(point):
+    identity = Morphism(point, point, {"a": "a"})
+    with pytest.raises(StructureError, match="not strong"):
+        AmalgamationProblem(identity, identity, parse_kinds("hhhh"), strict_strong=True)
+    AmalgamationProblem(identity, identity, parse_kinds("hhhh"), strong=True, strict_strong=True)
 
 
 def test_parse_kinds():
@@ -232,6 +243,128 @@ def test_solution_kind_monotone(point, chain2, t_pos):
 
 
 # ---------------------------------------------------------------------------
+# candidates rejected from their out-maps alone
+
+
+WING_MAKERS = {
+    "inflate": lambda rng, a: inflate(rng, a, rng.randint(1, 2)),
+    "iso": lambda rng, a: iso_copy(a),
+    "embed": lambda rng, a: embedding_extension(rng, a, 1),
+    "disjoint": lambda rng, a: disjoint_poset_extension(rng, a, 1),
+    "hom": lambda rng, a: random_hom_wing(rng, a, random_poset(rng, 3)) or iso_copy(a),
+    "hom-any": lambda rng, a: random_hom_wing(rng, a, random_structure(rng, POSET_SIG, 3)) or iso_copy(a),
+}
+
+
+def _random_problem(kinds, theory, mode, makers, N, rng):
+    """Wings made from a random base by the named makers; each in-kind is
+    lowered to its wing's kind, so that every problem is well posed."""
+    t = poset_theory() if theory else None
+    base = random_poset(rng, 2) if theory else random_structure(rng, POSET_SIG, 2)
+    f, g = (WING_MAKERS[m](rng, base) for m in makers)
+    kinds = parse_kinds(kinds)
+    kinds = (min(kinds[0], classify_morphism(f)), min(kinds[1], classify_morphism(g))) + kinds[2:]
+    return AmalgamationProblem(f, g, kinds, t, strong=mode != "plain",
+                               strict_strong=mode == "strict", budget=Budget(N=N))
+
+
+def _outcome(result):
+    if isinstance(result, AmalgamationSolution):
+        return ("yes", result.apex.key(), result.out_b.map_key(), result.out_c.map_key(),
+                result.kinds, result.commutation, result.strong_ok)
+    return result.status, result.notes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.text("heis", min_size=4, max_size=4),
+    theory=st.booleans(),
+    mode=st.sampled_from(["plain", "strong", "strict"]),
+    makers=st.tuples(st.sampled_from(sorted(WING_MAKERS)), st.sampled_from(sorted(WING_MAKERS))),
+    N=st.integers(2, 3),
+    rng=st.randoms(use_true_random=False),
+)
+def test_solver_answers_as_the_reference_that_certifies_every_candidate(kinds, theory, mode, makers, N, rng):
+    # the solver rejects candidates from their out-maps alone (kind s onto
+    # the quotient, an apex isomorphic to an s wing, the strong condition
+    # while out_c is listed); the answers must not change
+    p = _random_problem(kinds, theory, mode, makers, N, rng)
+    assert _outcome(solve_amalgamation(p)) == _outcome(solve_amalgamation_reference(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    strict=st.booleans(),
+    makers=st.tuples(st.sampled_from(sorted(WING_MAKERS)), st.sampled_from(sorted(WING_MAKERS))),
+    size=st.integers(1, 3),
+    rng=st.randoms(use_true_random=False),
+)
+def test_disjoint_targets_keep_exactly_the_out_maps_that_meet_the_strong_condition(
+        strict, makers, size, rng):
+    # into an apex that holds every tuple each map is a homomorphism, so
+    # every out-map pair is weighed
+    p = _random_problem("hhhh", False, "strict" if strict else "strong", makers, 3, rng)
+    universe = ("a", "b", "c")[:size]
+    full = FiniteStructure(POSET_SIG, universe, {"le": frozenset(itertools.product(universe, repeat=2))})
+    for out_b in enumerate_homs(p.f.target, full):
+        required = {p.g(a): out_b(p.f(a)) for a in p.base.universe}
+        if any(required[p.g(a)] != out_b(p.f(a)) for a in p.base.universe):
+            continue
+        meeting = [out_c for out_c in enumerate_homs(p.g.target, full, required)
+                   if check_strong_condition(out_b, out_c, p.f, p.g, strict)]
+        forbidden = amalgamation._disjoint_targets(p, out_b, required)
+        if forbidden is None:
+            assert meeting == []
+        else:
+            assert enumerate_homs(p.g.target, full, required, forbidden=forbidden) == meeting
+
+
+def test_example_1_completes_no_quotient(monkeypatch):
+    # "hish" asks a strong immersion of B onto the apex, and the immersed
+    # wing C = A plus a clone puts a class outside B's image into every
+    # quotient: no completion is listed.  B maps only into apexes with its
+    # own tuple count, as only those can be isomorphic to it
+    completions, apex_counts = [], []
+    real_find, real_homs = amalgamation.find_models, amalgamation.enumerate_homs
+
+    def listing(a, b, *args, **kwargs):
+        if kwargs.get("kind") == MorphismKind.STRONG_IMMERSION:
+            apex_counts.append((len(a.rel("le")), len(b.rel("le"))))
+        return real_homs(a, b, *args, **kwargs)
+    monkeypatch.setattr(amalgamation, "find_models", lambda *a, **k: completions.append(a) or real_find(*a, **k))
+    monkeypatch.setattr(amalgamation, "enumerate_homs", listing)
+    report = verify_theorem("example-1", 0, Budget(N=8), instances=25)
+    assert report["rate"] == 1.0
+    assert completions == []
+    assert apex_counts and all(wing == apex for wing, apex in apex_counts)
+
+
+def test_inheritance_certifies_no_out_map_pair_that_breaks_disjointness(monkeypatch):
+    # the strong condition is decided while out_c is listed, so no phase-2
+    # certificate check fails on it
+    phase, outcomes = [], []
+    real_enumeration, real_check = amalgamation._solve_enumeration, amalgamation.check_strong_condition
+
+    def enumeration(p):
+        phase.append(2)
+        try:
+            return real_enumeration(p)
+        finally:
+            phase.pop()
+
+    def check(*args):
+        ok = real_check(*args)
+        if phase:
+            outcomes.append(ok)
+        return ok
+    monkeypatch.setattr(amalgamation, "_solve_enumeration", enumeration)
+    monkeypatch.setattr(amalgamation, "check_strong_condition", check)
+    report = verify_theorem("inheritance", 0, Budget(N=8), instances=200)
+    assert report["red_flags"] == []
+    assert outcomes and all(outcomes)
+
+
+# ---------------------------------------------------------------------------
 # the apex pool, listed a size at a time
 
 
@@ -275,12 +408,6 @@ def test_unsolved_problem_lists_every_pool_size(pool_sizes, N, status, cap):
                             parse_kinds("hhss"), budget=Budget(N=N))
     assert solve_amalgamation(p).status == status
     assert pool_sizes == list(range(1, cap + 1))
-
-
-def _outcome(result):
-    if isinstance(result, AmalgamationSolution):
-        return "yes", result.apex.key(), dict(result.out_b.map), dict(result.out_c.map)
-    return result.status, result.notes
 
 
 @pytest.mark.parametrize("theorem", ["example-1", "inheritance"])

@@ -407,6 +407,21 @@ def test_strict_strong_is_taken_by_amalgamate_and_basis(ws_file, capsys):
                  "--n", "2", "--strong", "--strict-strong"]) == 0
 
 
+def test_strict_strong_on_a_problem_that_is_not_strong_is_a_semantic_error(ws_file, tmp_path, capsys):
+    # strict mode refines the strong condition; without it the flag was
+    # silently dropped and the non-strong problem solved
+    assert main(["basis", ws_file, "--structure", "point", "--kinds", "hhhh",
+                 "--theory", "T_pos", "--n", "2", "--strict-strong"]) == 3
+    assert "not strong" in capsys.readouterr().err
+    path, _, _ = _with_problem_line(tmp_path, "strong: true;", "strong: false;")
+    assert main(["amalgamate", path, "--problem", "glue", "--strict-strong"]) == 3
+    assert "not strong" in capsys.readouterr().err
+    path, _, _ = _with_problem_line(tmp_path, "strong: true;", "strict: true;")
+    assert main(["amalgamate", path, "--problem", "glue"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "not strong" in err
+
+
 def test_reader_closing_the_pipe_is_not_a_parse_error():
     # `posmt models ... | head -1`: 0.5 MB of JSON fills the pipe, so the
     # writer meets the closed pipe; that is no parse error (exit 2)

@@ -173,6 +173,21 @@ def maps_with_bound(draw):
     return Morphism(a, b, mp), draw(st.sampled_from([None, 1, 2, 3, 4]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DIFF_SIGS), st.randoms(use_true_random=False))
+def test_forbidden_targets_drop_exactly_the_maps_that_use_them(sig, rng):
+    # elements outside `required` (constants included) may not land in
+    # `forbidden`; the maps left come in the unrestricted search's order
+    a, b = random_structure(rng, sig, 3), random_structure(rng, sig, 3)
+    required = {e: rng.choice(b.universe) for e in a.universe if rng.random() < 0.3}
+    forbidden = {e for e in b.universe if rng.random() < 0.4}
+    expected = [h for h in search_homs(a, b, required)
+                if all(h[e] not in forbidden for e in a.universe if e not in required)]
+    assert list(search_homs(a, b, required, forbidden=forbidden)) == expected
+    assert [m.map_key() for m in enumerate_homs(a, b, required, forbidden=forbidden)] == sorted(
+        tuple((e, h[e]) for e in a.universe) for h in expected)
+
+
 @settings(max_examples=300, deadline=None)
 @given(maps_with_bound())
 def test_strong_immersion_matches_reference(case):

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from posmt import textio
+from posmt.cli import main
 from posmt.textio import SCHEMA, jsonable, report_to_json
+
+REPO = Path(__file__).resolve().parents[1]
 
 # hypothesis: the report writer prints the bytes of
 # json.dumps(indent=2, sort_keys=True), which the benchmark reference pins
@@ -49,3 +56,18 @@ def test_report_writer_prints_the_bytes_of_json_dumps(report):
 def test_report_writer_prints_bools_as_json_literals():
     assert report_to_json({"b": True, "n": 1}) == (
         '{\n  "b": true,\n  "n": 1,\n  "schema": "posmt-report/1"\n}')
+
+
+def test_a_basis_report_converts_each_structure_once(monkeypatch):
+    # the 841 wing instances of chain2 name 8 structures; each is
+    # converted to JSON once, not twice per instance
+    calls = []
+    real = textio.structure_to_json
+    monkeypatch.setattr(textio, "structure_to_json", lambda s: calls.append(s) or real(s))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["basis", str(REPO / "data" / "posets.posmt"), "--structure", "chain2",
+                     "--kinds", "hhhh", "--theory", "T_pos", "--json"]) == 0
+    report = json.loads(out.getvalue())
+    named = {json.dumps(inst[wing], sort_keys=True) for inst in report["instances"] for wing in "BC"}
+    assert len(calls) == len({id(s) for s in calls}) == len(named) == 8
