@@ -9,7 +9,9 @@ The solver searches first among quotients of the amalgamated sum B |_A C
 with the bounded model finder); then general apex enumeration with
 constrained hom search, over a pool of apexes listed a size at a time as
 far as the search reads.  "no" is only reported when the exhaustive phase
-completed.
+completed.  The glued sum itself (every unseeded fact false, every unseeded
+entry the first element) is certified before the completions are searched:
+when it is in the class it is the first completion the finder would yield.
 
 Strong amalgamation adds the disjointness condition: the out-maps may
 identify b in B with c in C only when b is in f(A) and c is in g(A)
@@ -33,7 +35,7 @@ import random
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BudgetExceeded, PosmtError, StructureError
-from .finder import find_models
+from .finder import find_models, least_completion
 from .morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
 )
@@ -235,15 +237,23 @@ def _solve_quotient(p: AmalgamationProblem) -> Optional[AmalgamationSolution]:
             return None
         if kind >= MorphismKind.STRONG_IMMERSION and image < len(universe):
             return None
+    seeds = {"seed_true_relations": {k: sorted(v) for k, v in seed_rels.items()},
+             "seed_functions": seed_funcs, "seed_constants": seed_consts}
+
+    def certify(d: FiniteStructure) -> Optional[AmalgamationSolution]:
+        return _certify(p, d, Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map))
+
+    # the glued sum, each unseeded cell at its least value, is the first
+    # completion the search meets whenever it is in the class (None past
+    # the node cap, which the search would hit before meeting it)
+    glued = least_completion(sig, universe, p.budget.node_cap, **seeds)
+    if glued is not None:
+        sol = certify(glued)
+        if sol is not None:
+            return sol
     tried = 0
-    for d in find_models(
-        sig, universe, implications,
-        node_cap=p.budget.node_cap,
-        seed_true_relations={k: sorted(v) for k, v in seed_rels.items()},
-        seed_functions=seed_funcs,
-        seed_constants=seed_consts,
-    ):
-        sol = _certify(p, d, Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map))
+    for d in find_models(sig, universe, implications, node_cap=p.budget.node_cap, **seeds):
+        sol = certify(d)
         if sol is not None:
             return sol
         tried += 1

@@ -74,7 +74,8 @@ def _add_common(p: argparse.ArgumentParser, files: bool = True, k: bool = True) 
     """The flags every subcommand shares.  With `k` false, `--k` is left
     out and so a usage error: no bound k enters a morphism's kind.  A flag
     only some subcommands read (`--seed`, `--strict-strong`) is added by
-    those alone, so that elsewhere it is a usage error, not ignored."""
+    those alone (see `_COMMANDS`), so that elsewhere it is a usage error,
+    not ignored."""
     if files:
         p.add_argument("files", nargs="+", help="workspace files to load")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -84,11 +85,6 @@ def _add_common(p: argparse.ArgumentParser, files: bool = True, k: bool = True) 
     if k:
         p.add_argument("--k", type=int, default=None, help="cq-size bound")
     p.add_argument("--node-cap", type=int, default=None, help="search node cap")
-
-
-def _add_strict_strong(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strict-strong", action="store_true",
-                   help="require a common base preimage at strong collisions")
 
 
 def _budget(args: argparse.Namespace, *sizes: str) -> Budget:
@@ -367,92 +363,69 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_STRICT_STRONG = ("--strict-strong", {"action": "store_true",
+                                      "help": "require a common base preimage at strong collisions"})
+
+# Each subcommand: its help line, the switches of its parser (`files` and
+# `k` of `_add_common`, `abbrev` for argparse's allow_abbrev) and the
+# arguments it adds after the common ones, in order.  Subcommand x runs
+# `cmd_x`, looked up when the parser is built.
+_COMMANDS = {
+    "check": ("parse and validate workspace files", {}, ()),
+    "models": ("models of a theory up to size n", {}, (("--theory", _REQUIRED),)),
+    # no abbreviations, so that `--k` cannot pass for `--kind`
+    "homs": ("enumerate morphisms between two structures", {"k": False, "abbrev": False}, (
+        ("--from", {"dest": "src", "required": True}),
+        ("--to", {"dest": "tgt", "required": True}),
+        ("--kind", {"default": "h", "choices": ["h", "e", "i", "s"]}),
+    )),
+    "classify": ("classify a morphism in the kind chain", {"k": False},
+                 (("--morphism", _REQUIRED),)),
+    "pc": ("is the structure bounded-pc for the theory?", {},
+           (("--structure", _REQUIRED), ("--theory", _REQUIRED))),
+    "jc": ("bounded joint consistency", {}, (
+        ("--theory", {"action": "append", "required": True,
+                      "help": "repeat to test joint consistency of several theories"}),
+    )),
+    "tcomplete": ("bounded T-completeness of a theory pair", {},
+                  (("--t1", _REQUIRED), ("--t2", _REQUIRED), ("--theory", _REQUIRED))),
+    "companion": ("bounded companionship of two theories", {},
+                  (("--t1", _REQUIRED), ("--t2", _REQUIRED))),
+    "hull": ("bounded Kaiser hull of a theory", {}, (("--theory", _REQUIRED),)),
+    "amalgamate": ("solve a declared amalgamation problem", {},
+                   (_STRICT_STRONG, ("--problem", _REQUIRED))),
+    "basis": ("is the structure a basis for the given kinds?", {}, (
+        ("--structure", _REQUIRED),
+        ("--kinds", {"required": True, "type": parse_kinds,
+                     "help": "4 letters from {h,e,i,s}, e.g. iihh"}),
+        ("--theory", {"default": None}),
+        ("--strong", {"action": "store_true"}),
+        _STRICT_STRONG,
+    )),
+    "verify": ("run the theorem-verification harness", {"files": False}, (
+        ("--theorem", {"required": True, "choices": list(THEOREM_IDS)}),
+        ("--instances", {"type": int, "default": 50}),
+        ("--seed", {"type": int, "default": 0, "help": "rng seed"}),
+    )),
+    "report": ("JC characterization report for a theory", {}, (("--theory", _REQUIRED),)),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when `command` names one, of
+    that one alone: it parses that subcommand's command lines as the full
+    parser does."""
     ap = argparse.ArgumentParser(prog="posmt", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="parse and validate workspace files")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("models", help="models of a theory up to size n")
-    _add_common(p)
-    p.add_argument("--theory", required=True)
-    p.set_defaults(fn=cmd_models)
-
-    # no abbreviations, so that `--k` cannot pass for `--kind`
-    p = sub.add_parser("homs", help="enumerate morphisms between two structures",
-                       allow_abbrev=False)
-    _add_common(p, k=False)
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="tgt", required=True)
-    p.add_argument("--kind", default="h", choices=["h", "e", "i", "s"])
-    p.set_defaults(fn=cmd_homs)
-
-    p = sub.add_parser("classify", help="classify a morphism in the kind chain")
-    _add_common(p, k=False)
-    p.add_argument("--morphism", required=True)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("pc", help="is the structure bounded-pc for the theory?")
-    _add_common(p)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--theory", required=True)
-    p.set_defaults(fn=cmd_pc)
-
-    p = sub.add_parser("jc", help="bounded joint consistency")
-    _add_common(p)
-    p.add_argument("--theory", action="append", required=True,
-                   help="repeat to test joint consistency of several theories")
-    p.set_defaults(fn=cmd_jc)
-
-    p = sub.add_parser("tcomplete", help="bounded T-completeness of a theory pair")
-    _add_common(p)
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    p.add_argument("--theory", required=True)
-    p.set_defaults(fn=cmd_tcomplete)
-
-    p = sub.add_parser("companion", help="bounded companionship of two theories")
-    _add_common(p)
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    p.set_defaults(fn=cmd_companion)
-
-    p = sub.add_parser("hull", help="bounded Kaiser hull of a theory")
-    _add_common(p)
-    p.add_argument("--theory", required=True)
-    p.set_defaults(fn=cmd_hull)
-
-    p = sub.add_parser("amalgamate", help="solve a declared amalgamation problem")
-    _add_common(p)
-    _add_strict_strong(p)
-    p.add_argument("--problem", required=True)
-    p.set_defaults(fn=cmd_amalgamate)
-
-    p = sub.add_parser("basis", help="is the structure a basis for the given kinds?")
-    _add_common(p)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--kinds", required=True, type=parse_kinds,
-                   help="4 letters from {h,e,i,s}, e.g. iihh")
-    p.add_argument("--theory", default=None)
-    p.add_argument("--strong", action="store_true")
-    _add_strict_strong(p)
-    p.set_defaults(fn=cmd_basis)
-
-    p = sub.add_parser("verify", help="run the theorem-verification harness")
-    _add_common(p, files=False)
-    p.add_argument("--theorem", required=True, choices=list(THEOREM_IDS))
-    p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("report", help="JC characterization report for a theory")
-    _add_common(p)
-    p.add_argument("--theory", required=True)
-    p.set_defaults(fn=cmd_report)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        summary, switches, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary, allow_abbrev=switches.get("abbrev", True))
+        _add_common(p, files=switches.get("files", True), k=switches.get("k", True))
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=globals()[f"cmd_{name}"])
     return ap
 
 
@@ -468,7 +441,9 @@ def _die_by_sigpipe() -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -26,10 +26,12 @@ assigns.  It first re-checks the instances that watch a fixed cell: a
 false one leaves no model, and a true one stays satisfied for the whole
 search.  `find_models` turns its seeds (facts fixed true, function entries
 and constants) into fixed cells and builds a structure per model; the
-quotient phase of amalgamation seeds it that way.  `models_up_to_size`
-codes the models it meets and builds only each class's representative; for
-a universal relational theory it fixes a smaller model's cells, true and
-false, and searches only a new element's cells.
+quotient phase of amalgamation seeds it that way, after it has tried
+`least_completion`, the seeds with every free cell at its least value,
+which is the first model such a search yields whenever it is one at all.
+`models_up_to_size` codes the models it meets and builds only each class's
+representative; for a universal relational theory it fixes a smaller
+model's cells, true and false, and searches only a new element's cells.
 """
 
 from __future__ import annotations
@@ -374,6 +376,21 @@ def find_models(
     Deterministic order; raises BudgetExceeded past node_cap assignments.
     """
     orbits = Orbits(sig, len(universe))
+    fixed = _seeded(orbits, universe, seed_true_relations, seed_functions, seed_constants)
+    build = orbits.builder(universe)
+    for val in _search(orbits, implications, fixed, node_cap):
+        yield build(val)
+
+
+def _seeded(
+    orbits: Orbits,
+    universe: Tuple[str, ...],
+    seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]],
+    seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]],
+    seed_constants: Optional[Mapping[str, str]],
+) -> Dict[int, object]:
+    """The cells the seeds fix: facts true, entries and constants at the
+    index of their element."""
     index = {e: i for i, e in enumerate(universe)}.__getitem__
     fixed: Dict[int, object] = {}
     for name, tuples in (seed_true_relations or {}).items():
@@ -384,9 +401,30 @@ def find_models(
         fixed.update((first + orbits.cell(map(index, args)), index(e)) for args, e in table.items())
     for name, e in (seed_constants or {}).items():
         fixed[orbits.blocks[name][0]] = index(e)
-    build = orbits.builder(universe)
-    for val in _search(orbits, implications, fixed, node_cap):
-        yield build(val)
+    return fixed
+
+
+def least_completion(
+    sig: Signature,
+    universe: Tuple[str, ...],
+    node_cap: Optional[int] = None,
+    seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]] = None,
+    seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]] = None,
+    seed_constants: Optional[Mapping[str, str]] = None,
+) -> Optional[FiniteStructure]:
+    """The seeds with every free cell at its least value: each unseeded
+    fact false, each unseeded entry the first element.  When that structure
+    satisfies the implications, it is the first that `find_models` with the
+    same seeds yields, after one node per free cell; None when those nodes
+    exceed node_cap, as that search would raise BudgetExceeded first."""
+    orbits = Orbits(sig, len(universe))
+    fixed = _seeded(orbits, universe, seed_true_relations, seed_functions, seed_constants)
+    if node_cap is not None and orbits.size - len(fixed) > node_cap:
+        return None
+    val: List = [False] * orbits.offsets[-1] + [0] * orbits.digits
+    for c, v in fixed.items():
+        val[c] = v
+    return orbits.builder(universe)(val)
 
 
 def _first_in_cell_order(codes: Sequence[int]) -> int:

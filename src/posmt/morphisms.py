@@ -17,7 +17,7 @@ parameter inequalities.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, SignatureError, StructureError
 from .records import record
@@ -146,10 +146,13 @@ def search_homs(
     required: Optional[Mapping[str, str]] = None,
     node_cap: Optional[int] = None,
     forbidden: Optional[Collection[str]] = None,
+    injective: bool = False,
 ) -> Iterator[Dict[str, str]]:
     """All homomorphisms a -> b that send each key of `required` to its
     value and no other element into `forbidden`, by backtracking in universe
-    order.  Deterministic: images tried in target universe order."""
+    order; with `injective`, only the injective ones, each image taken at
+    most once along a branch.  Deterministic: images tried in target
+    universe order."""
     if a.signature != b.signature:
         raise SignatureError("hom search across different signatures")
     pinned = required or {}
@@ -171,6 +174,7 @@ def search_homs(
         facts_by_last[last].append((kind, name, tup))
 
     assignment: Dict[str, str] = {}
+    used: Set[str] = set()  # the images taken, for an injective search
     nodes = 0
 
     def ok_at(i: int) -> bool:
@@ -192,12 +196,17 @@ def search_homs(
         e = order[i]
         candidates = [required[e]] if e in required else free
         for cand in candidates:
+            if cand in used:
+                continue
             nodes += 1
             if node_cap is not None and nodes > node_cap:
                 raise BudgetExceeded(f"hom search exceeded node cap {node_cap}")
             assignment[e] = cand
+            if injective:
+                used.add(cand)
             if ok_at(i):
                 yield from dfs(i + 1)
+            used.discard(cand)
             del assignment[e]
 
     yield from dfs(0)
@@ -303,8 +312,13 @@ def enumerate_homs(
     forbidden: Optional[Collection[str]] = None,
 ) -> List[Morphism]:
     """All morphisms of at least the requested kind, sorted by map encoding;
-    `required` and `forbidden` restrict the maps as in `search_homs`."""
-    out = [Morphism(a, b, mp) for mp in search_homs(a, b, required, node_cap, forbidden)]
+    `required` and `forbidden` restrict the maps as in `search_homs`.  From
+    kind e up only injective maps are searched, and kind s, a bijection in
+    the chain, needs equal sizes."""
+    if kind == MorphismKind.STRONG_IMMERSION and len(a.universe) != len(b.universe):
+        return []
+    injective = kind >= MorphismKind.EMBEDDING
+    out = [Morphism(a, b, mp) for mp in search_homs(a, b, required, node_cap, forbidden, injective)]
     if kind > MorphismKind.HOM:
         out = [m for m in out if classify_morphism(m, kind) >= kind]
     out.sort(key=lambda m: m.map_key())

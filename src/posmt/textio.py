@@ -398,23 +398,29 @@ def verdict_to_json(v: Verdict, seen: Optional[Dict[int, Dict]] = None) -> Dict:
     }
 
 
-def _write(value, head: str, indent: str, out: List[str]) -> None:
+def _write(value, head: str, indent: str, out: List[str], shared: Dict[int, Dict[str, str]]) -> None:
     """Append `value` to `out` as `json.dumps(indent=2, sort_keys=True)`
     prints it: `head` is what precedes it, `indent` the newline and
     indentation of its own nesting level.  Each scalar is one chunk with its
-    separators and key before it, each closing bracket a chunk of its own."""
+    separators and key before it, each closing bracket a chunk of its own.
+    `shared` maps the id of a dict that the report holds many times to its
+    text by indent, so that it is rendered once per nesting depth."""
     if isinstance(value, str):
         out.append(head + encode_basestring_ascii(value))
     elif isinstance(value, dict):
         if not value:
             out.append(head + "{}")
             return
-        inner = indent + "  "
-        sep = head + "{" + inner
-        for key, item in sorted(value.items()):
-            _write(item, sep + encode_basestring_ascii(key) + ": ", inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
+        texts = shared.get(id(value))
+        if texts is not None:
+            text = texts.get(indent)
+            if text is None:
+                chunks: List[str] = []
+                _write_dict(value, "", indent, chunks, shared)
+                text = texts[indent] = "".join(chunks)
+            out.append(head + text)
+            return
+        _write_dict(value, head, indent, out, shared)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append(head + "[]")
@@ -422,16 +428,30 @@ def _write(value, head: str, indent: str, out: List[str]) -> None:
         inner = indent + "  "
         sep = head + "[" + inner
         for item in value:
-            _write(item, sep, inner, out)
+            _write(item, sep, inner, out, shared)
             sep = "," + inner
         out.append(indent + "]")
     else:
         out.append(head + json.dumps(value))
 
 
+def _write_dict(value: Dict, head: str, indent: str, out: List[str],
+                shared: Dict[int, Dict[str, str]]) -> None:
+    inner = indent + "  "
+    sep = head + "{" + inner
+    for key, item in sorted(value.items()):
+        _write(item, sep + encode_basestring_ascii(key) + ": ", inner, out, shared)
+        sep = "," + inner
+    out.append(indent + "}")
+
+
 def report_to_json(report: Dict) -> str:
     """The report as `json.dumps(..., indent=2, sort_keys=True)` prints it,
-    byte for byte; that encoder is pure Python whenever `indent` is set."""
+    byte for byte; that encoder is pure Python whenever `indent` is set.
+    Each structure's JSON, which `jsonable` shares, is rendered once per
+    nesting depth it occurs at."""
+    seen: Dict[int, Dict] = {}
+    data = {"schema": SCHEMA, **jsonable(report, seen)}
     out: List[str] = []
-    _write({"schema": SCHEMA, **jsonable(report)}, "", "\n", out)
+    _write(data, "", "\n", out, {id(d): {} for d in seen.values()})
     return "".join(out)

@@ -15,15 +15,16 @@ from posmt.amalgamation import (
     solve_amalgamation, verify_solution, verify_theorem, THEOREM_IDS,
     _solve_enumeration, _solve_quotient,
 )
-from posmt.errors import StructureError
+from posmt.errors import BudgetExceeded, StructureError
 from posmt.morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
 )
+from posmt.records import replace
 from posmt.structures import FiniteStructure, Signature, enumerate_structures
 from posmt.theories import Budget, models
 
 from conftest import SIG_LE, run_optimised
-from oracles import apex_candidates_reference, solve_amalgamation_reference
+from oracles import _solve_quotient_reference, apex_candidates_reference, solve_amalgamation_reference
 
 SIG_R = Signature.make(relations={"R": 2})
 
@@ -246,26 +247,51 @@ def test_solution_kind_monotone(point, chain2, t_pos):
 # candidates rejected from their out-maps alone
 
 
+def point_beside(rng, a: FiniteStructure, above: bool) -> Morphism:
+    """Embedding of a into a plus a point z above (or below) a random pivot
+    p: u <= z exactly when u <= p (z <= u exactly when p <= u), so a poset
+    stays a poset.  Wings with z above in one and below in the other glue
+    to a sum that needs a transitive closure to be a poset."""
+    pivot, z = rng.choice(a.universe), "z"
+    le = set(a.rel("le")) | {(z, z)}
+    le |= {(u, z) for u, v in a.rel("le") if v == pivot} if above else {
+        (z, v) for u, v in a.rel("le") if u == pivot}
+    b = FiniteStructure(POSET_SIG, a.universe + (z,), {"le": frozenset(le)})
+    return Morphism(a, b, {e: e for e in a.universe})
+
+
 WING_MAKERS = {
     "inflate": lambda rng, a: inflate(rng, a, rng.randint(1, 2)),
     "iso": lambda rng, a: iso_copy(a),
     "embed": lambda rng, a: embedding_extension(rng, a, 1),
     "disjoint": lambda rng, a: disjoint_poset_extension(rng, a, 1),
     "hom": lambda rng, a: random_hom_wing(rng, a, random_poset(rng, 3)) or iso_copy(a),
-    "hom-any": lambda rng, a: random_hom_wing(rng, a, random_structure(rng, POSET_SIG, 3)) or iso_copy(a),
+    "hom-any": lambda rng, a: random_hom_wing(rng, a, random_structure(rng, a.signature, 3)) or iso_copy(a),
+    "above": lambda rng, a: point_beside(rng, a, True),
+    "below": lambda rng, a: point_beside(rng, a, False),
 }
+# the makers that take any signature and add elements of their own, so
+# that the glued sum has classes of B alone and of C alone
+ANY_SIGNATURE_MAKERS = ("embed", "inflate")
+# a binary function leaves the entries at a B-only and a C-only class
+# unseeded in the glued sum; every unary entry and constant is seeded
+FUNC_SIG = Signature.make(relations={"le": 2}, functions={"f": 1, "m": 2}, constants=["c"])
+# node caps from below a glued sum's free-cell count to above it; None is
+# the default cap
+NODE_CAPS = st.one_of(st.none(), st.integers(1, 60))
 
 
-def _random_problem(kinds, theory, mode, makers, N, rng):
+def _random_problem(kinds, theory, mode, makers, N, rng, node_cap=None, sig=POSET_SIG):
     """Wings made from a random base by the named makers; each in-kind is
     lowered to its wing's kind, so that every problem is well posed."""
     t = poset_theory() if theory else None
-    base = random_poset(rng, 2) if theory else random_structure(rng, POSET_SIG, 2)
+    base = random_poset(rng, 2) if theory else random_structure(rng, sig, 2)
     f, g = (WING_MAKERS[m](rng, base) for m in makers)
     kinds = parse_kinds(kinds)
     kinds = (min(kinds[0], classify_morphism(f)), min(kinds[1], classify_morphism(g))) + kinds[2:]
+    budget = Budget(N=N) if node_cap is None else Budget(N=N, node_cap=node_cap)
     return AmalgamationProblem(f, g, kinds, t, strong=mode != "plain",
-                               strict_strong=mode == "strict", budget=Budget(N=N))
+                               strict_strong=mode == "strict", budget=budget)
 
 
 def _outcome(result):
@@ -275,6 +301,37 @@ def _outcome(result):
     return result.status, result.notes
 
 
+def _out_of_nodes(outcome) -> bool:
+    return outcome is not None and outcome[0] == "unknown" and "node cap" in outcome[1][0]
+
+
+def _quotient_outcome(solve, p: AmalgamationProblem):
+    try:
+        sol = solve(p)
+    except BudgetExceeded as exc:
+        return "unknown", (str(exc),)
+    return None if sol is None else _outcome(sol)
+
+
+def _answers_as_the_reference(p: AmalgamationProblem) -> None:
+    """The solver answers as the reference at the same node cap.  Where the
+    reference runs out of nodes, the solver may have skipped that search
+    (one whose every candidate fails on its out-maps alone): it then runs
+    out of nodes too, or answers as the reference at the default cap.  The
+    quotient phase skips only a quotient that its glued out-maps cannot
+    make onto where kind s is asked; any other quotient it answers as the
+    reference does, out of nodes included."""
+    got = _quotient_outcome(_solve_quotient, p)
+    expected = _quotient_outcome(_solve_quotient_reference, p)
+    if not (got is None and MorphismKind.STRONG_IMMERSION in p.kinds[2:] and _out_of_nodes(expected)):
+        assert got == expected
+    got, expected = _outcome(solve_amalgamation(p)), _outcome(solve_amalgamation_reference(p))
+    if got != expected:
+        assert _out_of_nodes(expected), (got, expected)
+        uncapped = replace(p, budget=replace(p.budget, node_cap=Budget().node_cap))
+        assert _out_of_nodes(got) or got == _outcome(solve_amalgamation_reference(uncapped))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     kinds=st.text("heis", min_size=4, max_size=4),
@@ -282,14 +339,96 @@ def _outcome(result):
     mode=st.sampled_from(["plain", "strong", "strict"]),
     makers=st.tuples(st.sampled_from(sorted(WING_MAKERS)), st.sampled_from(sorted(WING_MAKERS))),
     N=st.integers(2, 3),
+    node_cap=NODE_CAPS,
     rng=st.randoms(use_true_random=False),
 )
-def test_solver_answers_as_the_reference_that_certifies_every_candidate(kinds, theory, mode, makers, N, rng):
+def test_solver_answers_as_the_reference_that_certifies_every_candidate(
+        kinds, theory, mode, makers, N, node_cap, rng):
     # the solver rejects candidates from their out-maps alone (kind s onto
     # the quotient, an apex isomorphic to an s wing, the strong condition
-    # while out_c is listed); the answers must not change
-    p = _random_problem(kinds, theory, mode, makers, N, rng)
+    # while out_c is listed) and certifies the glued sum before searching
+    # its completions, which it reaches within the same node cap; the
+    # answers must not change
+    _answers_as_the_reference(_random_problem(kinds, theory, mode, makers, N, rng, node_cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kinds=st.text("heis", min_size=4, max_size=4),
+    mode=st.sampled_from(["plain", "strong", "strict"]),
+    makers=st.tuples(st.sampled_from(ANY_SIGNATURE_MAKERS), st.sampled_from(ANY_SIGNATURE_MAKERS)),
+    N=st.integers(3, 4),
+    node_cap=NODE_CAPS,
+    rng=st.randoms(use_true_random=False),
+)
+def test_solver_answers_as_the_reference_with_functions_and_constants(kinds, mode, makers, N, node_cap, rng):
+    # the glued sum sets each unseeded function entry to the first element,
+    # as the completion search tries it first
+    _answers_as_the_reference(_random_problem(kinds, False, mode, makers, N, rng, node_cap, FUNC_SIG))
+
+
+def _searches(monkeypatch) -> list:
+    """The quotient phase's completion searches, one entry per call."""
+    calls = []
+    real = amalgamation.find_models
+    monkeypatch.setattr(amalgamation, "find_models", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_glued_sum_outside_the_class_falls_back_to_the_search(monkeypatch, point, t_pos):
+    # B puts x above a and C puts y below it: the glued sum has y <= a <= x
+    # but not y <= x, so it is no poset, and the first completion adds y <= x
+    above = FiniteStructure(POSET_SIG, ("a", "x"), {"le": frozenset({("a", "a"), ("a", "x"), ("x", "x")})})
+    below = FiniteStructure(POSET_SIG, ("a", "y"), {"le": frozenset({("a", "a"), ("y", "a"), ("y", "y")})})
+    p = AmalgamationProblem(Morphism(point, above, {"a": "a"}), Morphism(point, below, {"a": "a"}),
+                            parse_kinds("hhhh"), t_pos)
+    searches = _searches(monkeypatch)
+    sol = _solve_quotient(p)
+    assert len(searches) == 1
+    assert (sol.out_c("y"), sol.out_b("x")) in sol.apex.rel("le")
     assert _outcome(solve_amalgamation(p)) == _outcome(solve_amalgamation_reference(p))
+
+
+def test_glued_sum_sets_unseeded_entries_to_the_first_element(monkeypatch):
+    # each wing adds a clone to a one-point base, so m(x0 of B, x0 of C) is
+    # no entry of either wing; the glued sum is the first completion
+    base = FiniteStructure(FUNC_SIG, ("a",), {"le": frozenset()},
+                           {"f": {("a",): "a"}, "m": {("a", "a"): "a"}}, {"c": "a"})
+    rng = random.Random(0)
+    f, g = inflate(rng, base, 1), inflate(rng, base, 1)
+    p = AmalgamationProblem(f, g, parse_kinds("hhhh"))
+    searches = _searches(monkeypatch)
+    sol = _solve_quotient(p)
+    assert searches == []
+    cross = (sol.out_b("x0"), sol.out_c("x0"))
+    assert sol.apex.func("m", cross) == sol.apex.universe[0]
+    assert _outcome(sol) == _outcome(solve_amalgamation_reference(p))
+
+
+@pytest.mark.parametrize("node_cap,status", [(3, "unknown"), (4, "yes")])
+def test_glued_sum_is_taken_only_within_the_node_cap(monkeypatch, point, chain2, t_pos, node_cap, status):
+    # two chains glued at their bottom: 5 of the 9 cells seeded, 4 free, and
+    # the search meets the glued sum (a poset) after 4 nodes; a smaller cap
+    # stops the search first
+    f = Morphism(point, chain2, {"a": "a"})
+    p = AmalgamationProblem(f, f, parse_kinds("hhhh"), t_pos, budget=Budget(node_cap=node_cap))
+    searches = _searches(monkeypatch)
+    result = solve_amalgamation(p)
+    assert _outcome(result)[0] == status
+    assert _outcome(result) == _outcome(solve_amalgamation_reference(p))
+    assert len(searches) == (status == "unknown")
+    if status == "unknown":
+        assert result.notes == ("model search exceeded node cap 3",)
+
+
+@pytest.mark.parametrize("theorem,searched", [("ii-hh-strong", 0), ("h-strong-pc", 21)])
+def test_quotient_searches_pinned(monkeypatch, theorem, searched):
+    # of the 200 quotients at seed 0, all but `searched` certify their
+    # glued sum and list no completion
+    searches = _searches(monkeypatch)
+    report = verify_theorem(theorem, 0, Budget(N=8), instances=200)
+    assert report["witnessed"] == 200
+    assert len(searches) == searched
 
 
 @settings(max_examples=150, deadline=None)
@@ -323,20 +462,34 @@ def test_example_1_completes_no_quotient(monkeypatch):
     # "hish" asks a strong immersion of B onto the apex, and the immersed
     # wing C = A plus a clone puts a class outside B's image into every
     # quotient: no completion is listed.  B maps only into apexes with its
-    # own tuple count, as only those can be isomorphic to it
-    completions, apex_counts = [], []
+    # own tuple count, as only those can be isomorphic to it, and its hom
+    # search lists only injective maps: 28, where all maps were 334
+    completions, apex_counts, listed, strong = [], [], [], []
     real_find, real_homs = amalgamation.find_models, amalgamation.enumerate_homs
+    real_search = morphisms.search_homs
 
     def listing(a, b, *args, **kwargs):
-        if kwargs.get("kind") == MorphismKind.STRONG_IMMERSION:
-            apex_counts.append((len(a.rel("le")), len(b.rel("le"))))
-        return real_homs(a, b, *args, **kwargs)
+        if kwargs.get("kind") != MorphismKind.STRONG_IMMERSION:
+            return real_homs(a, b, *args, **kwargs)
+        apex_counts.append((len(a.rel("le")), len(b.rel("le"))))
+        strong.append(True)
+        try:
+            return real_homs(a, b, *args, **kwargs)
+        finally:
+            strong.pop()
+
+    def searching(*args, **kwargs):
+        for mp in real_search(*args, **kwargs):
+            listed.extend(strong)
+            yield mp
     monkeypatch.setattr(amalgamation, "find_models", lambda *a, **k: completions.append(a) or real_find(*a, **k))
     monkeypatch.setattr(amalgamation, "enumerate_homs", listing)
+    monkeypatch.setattr(morphisms, "search_homs", searching)
     report = verify_theorem("example-1", 0, Budget(N=8), instances=25)
     assert report["rate"] == 1.0
     assert completions == []
     assert apex_counts and all(wing == apex for wing, apex in apex_counts)
+    assert len(listed) == 28
 
 
 def test_inheritance_certifies_no_out_map_pair_that_breaks_disjointness(monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from posmt import cli
 from posmt.cli import main
 from posmt.textio import load_workspace, structure_from_json, structure_to_json
 
@@ -482,3 +483,38 @@ def test_crash_in_a_subcommand_is_an_internal_error(ws_file, capsys, monkeypatch
     assert main(["check", ws_file]) == 5
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# ---------------------------------------------------------------------------
+# one subparser per run
+
+
+def _parse_to_exit(parser, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_subcommand_parser_alone_prints_what_the_full_parser_prints(name, capsys):
+    for argv in ([name, "--help"], [name], [name, "--no-such-flag"]):
+        assert _parse_to_exit(cli.build_parser(name), argv, capsys) == _parse_to_exit(
+            cli.build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["models", "--help"], ["models"]), (["verify"], ["verify"]),
+    (["--help"], list(cli._COMMANDS)), ([], list(cli._COMMANDS)),
+    (["no-such-command"], list(cli._COMMANDS)), (["-h"], list(cli._COMMANDS)),
+])
+def test_main_builds_the_named_subparser_alone(monkeypatch, capsys, argv, built):
+    parsers = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: parsers.append(real(command)) or parsers[-1])
+    with pytest.raises(SystemExit):
+        main(argv)
+    (parser,) = parsers
+    assert "{" + ",".join(built) + "}" in parser.format_usage()
+    if argv == ["--help"]:
+        assert capsys.readouterr().out == real().format_help()

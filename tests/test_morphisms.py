@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from posmt import morphisms
 from posmt.amalgamation import random_structure
-from posmt.errors import StructureError
+from posmt.errors import BudgetExceeded, StructureError
 from posmt.morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, find_hom,
     is_embedding, is_homomorphism, is_immersion, is_strong_immersion,
@@ -219,6 +219,44 @@ def test_kinds_match_reference_at_every_bound(case):
             assert classify_morphism(m) == classify_morphism_reference(m, k), (m.map, k)
         for kind in MorphismKind:
             assert got[kind] == [h.map_key() for h in enumerate_homs_reference(a, b, kind=kind, k=k)]
+
+
+def _least_cap(search) -> int:
+    """The least node cap under which `search(cap)` does not run out."""
+    cap = 1
+    while True:
+        try:
+            search(cap)
+            return cap
+        except BudgetExceeded:
+            cap += 1
+
+
+SIG_MIXED = Signature.make(relations={"R": 2}, functions={"f": 1}, constants=["c"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sig=st.sampled_from([SIG_LE, SIG_F, SIG_MIXED]),
+    kind=st.sampled_from(list(MorphismKind)),
+    pinned=st.floats(0, 0.5),
+    rng=st.randoms(use_true_random=False),
+)
+def test_injective_search_lists_the_reference_maps_within_its_node_cap(sig, kind, pinned, rng):
+    # from kind e up only injective maps are searched, and kind s needs
+    # equal sizes: the same maps in the same order, in no more nodes
+    a, b = random_structure(rng, sig, 3), random_structure(rng, sig, 3)
+    required = {e: rng.choice(b.universe) for e in a.universe if rng.random() < pinned}
+    cap = _least_cap(lambda cap: enumerate_homs_reference(a, b, required, kind, node_cap=cap))
+    expected = [m.map_key() for m in enumerate_homs_reference(a, b, required, kind)]
+    assert [m.map_key() for m in enumerate_homs(a, b, required, kind, node_cap=cap)] == expected
+
+
+def test_strong_immersions_between_sizes_that_differ_are_not_searched(monkeypatch, point, chain2):
+    calls = []
+    monkeypatch.setattr(morphisms, "search_homs", lambda *a, **k: calls.append(a) or iter(()))
+    assert enumerate_homs(point, chain2, kind=MorphismKind.STRONG_IMMERSION) == []
+    assert calls == []
 
 
 def test_classify_morphism_checks_for_a_homomorphism_once(monkeypatch, point, chain2):

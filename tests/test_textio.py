@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from posmt import textio
 from posmt.cli import main
+from posmt.structures import FiniteStructure, Signature
 from posmt.textio import SCHEMA, jsonable, report_to_json
 
 REPO = Path(__file__).resolve().parents[1]
@@ -53,6 +54,26 @@ def test_report_writer_prints_the_bytes_of_json_dumps(report):
     assert report_to_json(report) == expected
 
 
+SHARED = [
+    FiniteStructure(Signature.make(relations={"le": 2}), ("a", "b"),
+                    {"le": frozenset({("a", "a"), ("a", "b"), ("b", "b")})}),
+    FiniteStructure(Signature.make(relations={"P": 1}, functions={"f": 1}, constants=["c"]), ("é",),
+                    {"P": frozenset({("é",)})}, {"f": {("é",): "é"}}, {"c": "é"}),
+]
+keys = st.lists(st.one_of(st.none(), texts), max_size=4)
+
+
+@given(st.sampled_from(SHARED), keys, keys, st.dictionaries(texts, values, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_report_writer_prints_a_structure_shared_at_two_depths(structure, outer, inner, rest):
+    # jsonable shares one dict per structure; the writer renders it once
+    # per depth and reuses that text wherever it meets the dict again
+    report = {**rest, "x": nest(structure, outer), "y": nest([structure, nest(structure, inner)], outer),
+              "z": [nest(structure, inner), structure]}
+    expected = json.dumps({"schema": SCHEMA, **jsonable(report)}, indent=2, sort_keys=True)
+    assert report_to_json(report) == expected
+
+
 def test_report_writer_prints_bools_as_json_literals():
     assert report_to_json({"b": True, "n": 1}) == (
         '{\n  "b": true,\n  "n": 1,\n  "schema": "posmt-report/1"\n}')
@@ -60,10 +81,13 @@ def test_report_writer_prints_bools_as_json_literals():
 
 def test_a_basis_report_converts_each_structure_once(monkeypatch):
     # the 841 wing instances of chain2 name 8 structures; each is
-    # converted to JSON once, not twice per instance
-    calls = []
-    real = textio.structure_to_json
+    # converted to JSON once, not twice per instance, and rendered once, as
+    # every wing sits at the same depth
+    calls, rendered = [], []
+    real, real_write = textio.structure_to_json, textio._write_dict
     monkeypatch.setattr(textio, "structure_to_json", lambda s: calls.append(s) or real(s))
+    monkeypatch.setattr(textio, "_write_dict", lambda value, *rest: (
+        list(value) == ["structure"] and rendered.append(id(value)), real_write(value, *rest)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["basis", str(REPO / "data" / "posets.posmt"), "--structure", "chain2",
@@ -71,3 +95,4 @@ def test_a_basis_report_converts_each_structure_once(monkeypatch):
     report = json.loads(out.getvalue())
     named = {json.dumps(inst[wing], sort_keys=True) for inst in report["instances"] for wing in "BC"}
     assert len(calls) == len({id(s) for s in calls}) == len(named) == 8
+    assert len(rendered) == len(set(rendered)) == 8
