@@ -9,10 +9,18 @@ and a candidate is kept when no permutation lowers its premise, none fixing
 the premise lowers its conclusion and none fixing both lowers its free set:
 a walk down a stabilizer chain that emits each corpus in order.
 
+The implication corpus is kept as one integer table per (signature, k):
+each entry's premise rank, conclusion rank (-1 for falsum) and free-set
+rank.  The records of `implication_corpus` are built from it only when a
+caller lists entries.
+
 Satisfaction is columnar: one int bitset per pool atom over the n^k total
 assignments of the pool.  A CQ holds when the AND of its atoms' bitsets is
 nonzero; an implication holds when its premise, projected onto the free
-variables, lies inside its projected conclusion.
+variables, lies inside its projected conclusion.  A structure's bounded
+h-inductive fragment is one int over the table, bit i set when entry i
+holds (`CorpusEvaluator.ti_mask`), so hulls are ANDs and comparisons are
+int equality.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ class AtomPool:
         atoms += [("eq",) + tuple(sorted(p)) for p in pairs if "v" in (p[0][0], p[1][0])]
         self.atoms: Tuple[AtomCode, ...] = tuple(sorted(atoms))
         self.index: Dict[AtomCode, int] = {a: i for i, a in enumerate(self.atoms)}
+        self.asts: Dict[AtomCode, Atom] = {a: self.atom_ast(a) for a in self.atoms}  # shared by every sentence
 
     # -- permutation action -----------------------------------------------
 
@@ -88,7 +97,7 @@ def _posex(pool: AtomPool, codes: Tuple[AtomCode, ...], free: Sequence[int] = ()
     """The conjunction of `codes` closed existentially over its variables
     outside `free`."""
     used = {a[1] for c in codes for a in _args(c) if a[0] == "v"}
-    atoms = tuple(pool.atom_ast(c) for c in codes)
+    atoms = tuple(pool.asts[c] for c in codes)
     matrix = Truth() if not atoms else (atoms[0] if len(atoms) == 1 else And(atoms))
     return PosEx(tuple(f"v{i}" for i in sorted(used.difference(free))), matrix)
 
@@ -120,19 +129,6 @@ class BoundedImplication:
     def to_implication(self, pool: AtomPool) -> Implication:
         concl = FALSE_POSEX if self.conclusion is None else _posex(pool, self.conclusion, self.free)
         return Implication(tuple(f"v{i}" for i in sorted(self.free)), _posex(pool, self.premise, self.free), concl)
-
-
-def _hash_once(imp: BoundedImplication) -> int:
-    """The record's hash, computed on first use: fragments are frozensets of
-    thousands of entries, built again and again (`cached_property` would
-    take a lock per first use on Python 3.11)."""
-    h = imp.__dict__.get("_hash")
-    if h is None:
-        h = imp.__dict__["_hash"] = hash((imp.premise, imp.conclusion, imp.free))
-    return h
-
-
-BoundedImplication.__hash__ = _hash_once
 
 
 def _subsets(n: int, most: int) -> List[Tuple[int, ...]]:
@@ -190,14 +186,15 @@ def cq_corpus(sig: Signature, k: int) -> Tuple[CQSentence, ...]:
 
 
 @lru_cache(maxsize=64)
-def implication_corpus(sig: Signature, k: int) -> Tuple[BoundedImplication, ...]:
-    """All bounded h-inductive sentences forall F (exists P -> exists Q) with
-    <= k pool variables and <= DEFAULT_MAX_ATOMS_IMPL atoms per side, one
-    per renaming class, ordered by premise, then conclusion (falsum last),
-    then free set."""
+def implication_table(
+    sig: Signature, k: int
+) -> Tuple[List[Tuple[AtomCode, ...]], List[Tuple[int, ...]], Tuple[Tuple[int, int, int], ...]]:
+    """The implication corpus by ranks: the side codes and the free sets in
+    rank order, and per entry (premise rank, conclusion rank or -1 for
+    falsum, free-set rank)."""
     pool = atom_pool(sig, k)
     sides = sorted(_subsets(len(pool.atoms), DEFAULT_MAX_ATOMS_IMPL))
-    frees = sorted(_subsets(k, k))
+    frees = sorted(_subsets(k, k))  # frees[0] == ()
     if len(sides) ** 2 * len(frees) > CORPUS_CAP:
         raise BudgetExceeded(
             f"implication corpus over {sig} at k={k} would exceed "
@@ -206,15 +203,29 @@ def implication_corpus(sig: Signature, k: int) -> Tuple[BoundedImplication, ...]
     perms = list(itertools.permutations(range(k)))
     least_side = _least(_image_ranks(sides, _atom_maps(pool)))
     least_free = _least(_image_ranks(frees, perms))
-    codes = [tuple(pool.atoms[i] for i in s) for s in sides]
-    out: List[BoundedImplication] = []
+    rows: List[Tuple[int, int, int]] = []
     for p, fix_p in least_side(tuple(range(len(perms)))):
         for q, fix_pq in least_side(fix_p):
             if q != p:  # p == q: tautology
-                out.extend(BoundedImplication(codes[p], codes[q], frees[f]) for f, _ in least_free(fix_pq))
+                rows.extend((p, q, f) for f, _ in least_free(fix_pq))
         if p:  # h-universal entries: premise -> falsum, necessarily with no free vars
-            out.append(BoundedImplication(codes[p], None, ()))
-    return tuple(out)
+            rows.append((p, -1, 0))
+    return [tuple(pool.atoms[i] for i in s) for s in sides], frees, tuple(rows)
+
+
+@lru_cache(maxsize=64)
+def implication_corpus(sig: Signature, k: int) -> Tuple[BoundedImplication, ...]:
+    """All bounded h-inductive sentences forall F (exists P -> exists Q) with
+    <= k pool variables and <= DEFAULT_MAX_ATOMS_IMPL atoms per side, one
+    per renaming class, ordered by premise, then conclusion (falsum last),
+    then free set."""
+    codes, frees, rows = implication_table(sig, k)
+    return tuple(BoundedImplication(codes[p], codes[q] if q >= 0 else None, frees[f]) for p, q, f in rows)
+
+
+def compress(entries: Sequence, mask: int) -> Tuple:
+    """The entries whose bit is set in `mask` (bit i for entry i), in order."""
+    return tuple(itertools.compress(entries, map("1".__eq__, reversed(bin(mask)))))
 
 
 @lru_cache(maxsize=64)
@@ -262,40 +273,50 @@ class CorpusEvaluator:
                     x &= col[a]
                 bits |= x
             self.bits[code] = bits
-        self._sides: Dict[Tuple, int] = {}
 
-    def _side(self, codes: Tuple[AtomCode, ...], free: Tuple[int, ...]) -> int:
-        """The assignments satisfying every atom of `codes` projected onto
-        the variables `free`: each other variable is quantified out and set
-        to digit 0."""
-        key = (codes, free)
-        bits = self._sides.get(key)
-        if bits is None:
-            bits = self.full
-            for c in codes:
-                bits &= self.bits[c]
-            for i, s in enumerate(self.strides):
-                if bits and i not in free:
-                    zero, out = self.digit[i][0], 0
-                    for a in range(len(self.digit[i])):
-                        out |= (bits >> (a * s)) & zero
-                    bits = out
-            self._sides[key] = bits
+    def _conj(self, codes: Tuple[AtomCode, ...]) -> int:
+        """The assignments satisfying every atom of `codes`."""
+        bits = self.full
+        for c in codes:
+            bits &= self.bits[c]
+        return bits
+
+    def _project(self, bits: int, free: Tuple[int, ...]) -> int:
+        """`bits` projected onto the variables `free`: each other variable
+        is quantified out and set to digit 0."""
+        for i, s in enumerate(self.strides):
+            if bits and i not in free:
+                zero, out = self.digit[i][0], 0
+                for a in range(len(self.digit[i])):
+                    out |= (bits >> (a * s)) & zero
+                bits = out
         return bits
 
     def cq_true(self, cq: CQSentence) -> bool:
-        bits = self.full
-        for c in cq.codes:
-            bits &= self.bits[c]
-        return bits != 0
+        return self._conj(cq.codes) != 0
 
     def impl_true(self, imp: BoundedImplication) -> bool:
-        p = self._side(imp.premise, imp.free)
+        p = self._project(self._conj(imp.premise), imp.free)
         if not p:
             return True
         if imp.conclusion is None:
             return False
-        return not p & ~self._side(imp.conclusion, imp.free)
+        return not p & ~self._project(self._conj(imp.conclusion), imp.free)
+
+    def ti_mask(self) -> int:
+        """The entries of `implication_corpus` that hold, bit i for entry i."""
+        codes, frees, rows = implication_table(self.pool.sig, self.pool.k)
+        nf = len(frees)
+        projected = []  # side r onto free set f at r * nf + f
+        for c in codes:
+            bits = self._conj(c)
+            projected.extend(self._project(bits, free) for free in frees)
+        holds = bytearray(b"0") * len(rows)
+        for i, (p, q, f) in enumerate(rows):
+            premise = projected[p * nf + f]
+            if not premise or q >= 0 and not premise & ~projected[q * nf + f]:
+                holds[i] = 49  # "1"
+        return int(b"0" + holds[::-1], 2)
 
 
 def evaluator(sig: Signature, k: int, structure: FiniteStructure) -> CorpusEvaluator:
@@ -318,4 +339,4 @@ def tu_star(s: FiniteStructure, k: int) -> Tuple[CQSentence, ...]:
 
 def ti_star(s: FiniteStructure, k: int) -> Tuple[BoundedImplication, ...]:
     """Bounded h-inductive sentences (base language) true in s."""
-    return tuple(filter(evaluator(s.signature, k, s).impl_true, implication_corpus(s.signature, k)))
+    return compress(implication_corpus(s.signature, k), evaluator(s.signature, k, s).ti_mask())

@@ -9,7 +9,7 @@ sentence corpora.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import corpus
@@ -435,15 +435,12 @@ def is_T_complete_pair(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Bounded theory fragments (sets of corpus entries, for fast comparison)
+# Bounded theory fragments: sets of corpus entries, or for T_i* masks over
+# the implication corpus (`corpus.CorpusEvaluator.ti_mask`)
 
 
 def tu_star_set(a: FiniteStructure, k: int) -> FrozenSet:
     return frozenset(corpus.tu_star(a, k))
-
-
-def diag_plus_star_set(a: FiniteStructure, k: int) -> FrozenSet:
-    return frozenset(corpus.diag_plus_star(a, k))
 
 
 def ti_star_set(a: FiniteStructure, k: int) -> FrozenSet:
@@ -472,17 +469,22 @@ def _tu_of_models(t: Theory, ms: Sequence[FiniteStructure], b: Budget) -> Frozen
 def kaiser_hull_set(t: Theory, b: Budget) -> FrozenSet:
     """Bounded Kaiser hull: corpus implications true in every bounded-pc
     model of t."""
-    return _hull_of_pc_models(t, bounded_pc_models(t, b), b)
+    hull = _hull_of_pc_models(t, bounded_pc_models(t, b), b)
+    return frozenset(corpus.compress(corpus.implication_corpus(t.signature, b.k), hull))
 
 
-def _hull_of_pc_models(t: Theory, pcs: Sequence[FiniteStructure], b: Budget) -> FrozenSet:
-    """`kaiser_hull_set` over the listed bounded-pc models `pcs` of t."""
-    out: Optional[FrozenSet] = None
+def _ti_mask(m: FiniteStructure, k: int) -> int:
+    """T_i*(m) as a mask over `corpus.implication_corpus(m.signature, k)`."""
+    return corpus.evaluator(m.signature, k, m).ti_mask()
+
+
+def _hull_of_pc_models(t: Theory, pcs: Sequence[FiniteStructure], b: Budget,
+                       ti: Callable[[FiniteStructure, int], int] = _ti_mask) -> int:
+    """`kaiser_hull_set` over the listed bounded-pc models `pcs` of t, as a
+    mask over the implication corpus: all ones when there are none."""
+    out = (1 << len(corpus.implication_table(t.signature, b.k)[2])) - 1
     for m in pcs:
-        s = ti_star_set(m, b.k)
-        out = s if out is None else (out & s)
-    if out is None:
-        return frozenset(corpus.implication_corpus(t.signature, b.k))
+        out &= ti(m, b.k)
     return out
 
 
@@ -491,12 +493,11 @@ def kaiser_hull_bounded(t: Theory, b: Budget) -> Tuple[DiagramSet, DiagramSet]:
     true in every bounded-pc model), together with the bounded T_u(T)."""
     pool = corpus.atom_pool(t.signature, b.k)
     ms = models(t, b)
-    hull_set = _hull_of_pc_models(t, _pc_models(ms, b), b)
+    hull_mask = _hull_of_pc_models(t, _pc_models(ms, b), b)
     tu_set = _tu_of_models(t, ms, b)
     hull = tuple(
         HInductiveSentence((imp.to_implication(pool),))
-        for imp in corpus.implication_corpus(t.signature, b.k)
-        if imp in hull_set
+        for imp in corpus.compress(corpus.implication_corpus(t.signature, b.k), hull_mask)
     )
     tu = tuple(
         c.negation(pool) for c in corpus.cq_corpus(t.signature, b.k) if c in tu_set
@@ -544,8 +545,9 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
     cond3 = any(tu_star_set(m, b.k) == tu_t for m in ms_n) if ms_n else True
     # (4) some model attains the bounded Kaiser hull
     pcs = _pc_models(ms_n, b)
-    hull = _hull_of_pc_models(t, pcs, b)
-    cond4 = any(ti_star_set(m, b.k) == hull for m in ms_n) if ms_n else True
+    ti = lru_cache(maxsize=None)(_ti_mask)  # each model's mask once
+    hull = _hull_of_pc_models(t, pcs, b, ti)
+    cond4 = any(ti(m, b.k) == hull for m in ms_n) if ms_n else True
     # (5) bounded-pc models share T_u*
     tu_sets = {tu_star_set(m, b.k) for m in pcs}
     cond5 = len(tu_sets) <= 1
@@ -557,24 +559,6 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
         "agreement": {name: (value == jc.is_yes) for name, value in conditions.items()},
         "budget": b.as_dict(),
     }
-
-
-def tu_ti_extremality_check(t: Theory, b: Budget) -> Verdict:
-    """For every bounded-pc model A and model B of t: T_u*(A) is minimal
-    and T_i*(A) is maximal among the bounded fragments of models of t."""
-    ms = models(t, b)
-    pcs = _pc_models(ms, b)
-    for a in pcs:
-        tu_a = tu_star_set(a, b.k)
-        ti_a = ti_star_set(a, b.k)
-        for other in ms:
-            tu_b = tu_star_set(other, b.k)
-            if tu_b <= tu_a and tu_a != tu_b:
-                return no(b, {"pc": a, "model": other, "violated": "Tu* minimality"})
-            ti_b = ti_star_set(other, b.k)
-            if ti_a <= ti_b and ti_a != ti_b:
-                return no(b, {"pc": a, "model": other, "violated": "Ti* maximality"})
-    return yes(b, {"pc_models": len(pcs), "models": len(ms)})
 
 
 def companion_check_bounded(t1: Theory, t2: Theory, b: Budget) -> Verdict:

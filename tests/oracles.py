@@ -59,6 +59,14 @@ The apex-pool reference lists every size of the amalgamation solver's
 pool at once, up front, as the solver read it before it listed each size
 only on reaching it.  Verdicts and first-found apexes must not change.
 
+The theory-fragment references hold each bounded fragment as a frozenset
+of corpus entries, as `theories` did before it held T_i* as a mask over
+the implication corpus: the Kaiser hull is an intersection of sets and
+report condition 4 an equality of sets.  `kaiser_hull_bounded` and
+`jc_characterization_report` must give the same sentences and conditions.
+The extremality check and `diag_plus_star_set`, which only tests call,
+live here too.
+
 The amalgamation-solver reference is the solver as it was before it
 rejected candidates from their out-maps alone: it completes every quotient
 and lists every out-map pair, and leaves the strong-immersion kinds and the
@@ -87,8 +95,14 @@ from posmt.morphisms import (
     Morphism, MorphismKind, is_embedding, is_homomorphism, is_immersion,
     is_strong_immersion, retraction, search_homs,
 )
+from posmt import corpus
 from posmt.finder import find_models
 from posmt.structures import FiniteStructure, Signature, element_names, enumerate_structures
+from posmt.records import replace
+from posmt.theories import (
+    Budget, DiagramSet, Theory, Verdict, _continuation_verdict, _pc_models, models, no,
+    ti_star_set, tu_star_set, yes,
+)
 
 
 class ImmersionOracle:
@@ -617,6 +631,121 @@ class CorpusEvaluatorReference:
 
 def corpus_evaluator_reference(sig: Signature, k: int, structure: FiniteStructure) -> CorpusEvaluatorReference:
     return CorpusEvaluatorReference(atom_pool(sig, k), structure)
+
+
+# ---------------------------------------------------------------------------
+# Theory fragments as frozensets of corpus entries
+
+
+def diag_plus_star_set(a: FiniteStructure, k: int) -> FrozenSet:
+    return frozenset(corpus.diag_plus_star(a, k))
+
+
+def _tu_of_models_reference(t: Theory, ms: Sequence[FiniteStructure], b: Budget) -> FrozenSet:
+    """`tu_of_theory_set` over the listed models `ms` of t."""
+    out: Optional[FrozenSet] = None
+    for m in ms:
+        s = tu_star_set(m, b.k)
+        out = s if out is None else (out & s)
+        if not out:
+            break
+    if out is None:  # inconsistent at bound: all sentences are consequences
+        return frozenset(corpus.cq_corpus(t.signature, b.k))
+    return out
+
+
+def _hull_of_pc_models_reference(t: Theory, pcs: Sequence[FiniteStructure], b: Budget) -> FrozenSet:
+    """`kaiser_hull_set` over the listed bounded-pc models `pcs` of t."""
+    out: Optional[FrozenSet] = None
+    for m in pcs:
+        s = ti_star_set(m, b.k)
+        out = s if out is None else (out & s)
+    if out is None:
+        return frozenset(corpus.implication_corpus(t.signature, b.k))
+    return out
+
+
+def kaiser_hull_bounded_reference(t: Theory, b: Budget) -> Tuple[DiagramSet, DiagramSet]:
+    """`theories.kaiser_hull_bounded` over frozenset fragments."""
+    pool = atom_pool(t.signature, b.k)
+    ms = models(t, b)
+    hull_set = _hull_of_pc_models_reference(t, _pc_models(ms, b), b)
+    tu_set = _tu_of_models_reference(t, ms, b)
+    hull = tuple(
+        HInductiveSentence((imp.to_implication(pool),))
+        for imp in corpus.implication_corpus(t.signature, b.k)
+        if imp in hull_set
+    )
+    tu = tuple(
+        c.negation(pool) for c in corpus.cq_corpus(t.signature, b.k) if c in tu_set
+    )
+    return (
+        DiagramSet("Tk", t.signature, hull, b.k),
+        DiagramSet("Tu(T)", t.signature, tu, b.k),
+    )
+
+
+def jc_characterization_report_reference(t: Theory, b: Budget) -> Dict:
+    """`theories.jc_characterization_report` over frozenset fragments."""
+    ms_n = models(t, b)
+    ms_big = models(t, replace(b, n=b.N))
+    cqs = corpus.cq_corpus(t.signature, b.k)
+
+    def realized(structures: Sequence[FiniteStructure]) -> Dict:
+        evs = [corpus.evaluator(t.signature, b.k, m) for m in structures]
+        sat: Dict = {}
+        for c in cqs:
+            who = frozenset(i for i, ev in enumerate(evs) if ev.cq_true(c))
+            if who:
+                sat[c] = who
+        return sat
+
+    # (1) prime disjunction over models of size <= n
+    sat_n = realized(ms_n)
+    cond1 = all(
+        s1 & s2 for s1, s2 in itertools.combinations(sat_n.values(), 2)
+    ) if len(sat_n) > 1 else True
+    # (2) pairwise consistency of positive extensions, at bound N
+    sat_big = realized(ms_big)
+    cond2 = all(
+        s1 & s2 for s1, s2 in itertools.combinations(sat_big.values(), 2)
+    ) if len(sat_big) > 1 else True
+    # (3) some model attains the bounded T_u(T)
+    tu_t = _tu_of_models_reference(t, ms_n, b)
+    cond3 = any(tu_star_set(m, b.k) == tu_t for m in ms_n) if ms_n else True
+    # (4) some model attains the bounded Kaiser hull
+    pcs = _pc_models(ms_n, b)
+    hull = _hull_of_pc_models_reference(t, pcs, b)
+    cond4 = any(ti_star_set(m, b.k) == hull for m in ms_n) if ms_n else True
+    # (5) bounded-pc models share T_u*
+    tu_sets = {tu_star_set(m, b.k) for m in pcs}
+    cond5 = len(tu_sets) <= 1
+    jc = _continuation_verdict(b, list(itertools.combinations_with_replacement(ms_n, 2)), ms_big)
+    conditions = {"cond1": cond1, "cond2": cond2, "cond3": cond3, "cond4": cond4, "cond5": cond5}
+    return {
+        "conditions": conditions,
+        "is_jc": jc.status,
+        "agreement": {name: (value == jc.is_yes) for name, value in conditions.items()},
+        "budget": b.as_dict(),
+    }
+
+
+def tu_ti_extremality_check(t: Theory, b: Budget) -> Verdict:
+    """For every bounded-pc model A and model B of t: T_u*(A) is minimal
+    and T_i*(A) is maximal among the bounded fragments of models of t."""
+    ms = models(t, b)
+    pcs = _pc_models(ms, b)
+    for a in pcs:
+        tu_a = tu_star_set(a, b.k)
+        ti_a = ti_star_set(a, b.k)
+        for other in ms:
+            tu_b = tu_star_set(other, b.k)
+            if tu_b <= tu_a and tu_a != tu_b:
+                return no(b, {"pc": a, "model": other, "violated": "Tu* minimality"})
+            ti_b = ti_star_set(other, b.k)
+            if ti_a <= ti_b and ti_a != ti_b:
+                return no(b, {"pc": a, "model": other, "violated": "Ti* maximality"})
+    return yes(b, {"pc_models": len(pcs), "models": len(ms)})
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,13 @@ from posmt.morphisms import (
 from posmt.structures import Signature, enumerate_structures
 from posmt.theories import (
     Budget, bounded_pc_models, companion_check_bounded, diagram,
-    diag_plus_star_set, is_jc_bounded, is_pc_within, jc_characterization_report,
+    is_jc_bounded, is_pc_within, jc_characterization_report,
     joint_consistency_bounded, models, pair_diagrams, theory_from_diagram,
     tu_star_set,
 )
 
 from conftest import SIG_F, make_theory
-from oracles import ImmersionOracle
+from oracles import ImmersionOracle, diag_plus_star_set
 
 
 def criterion(n: int):

@@ -12,7 +12,7 @@ from posmt import corpus
 from posmt.errors import BudgetExceeded
 from posmt.structures import FiniteStructure, Signature, element_names
 from posmt.textio import load_workspace
-from posmt.theories import Budget, kaiser_hull_bounded
+from posmt.theories import Budget, jc_characterization_report, kaiser_hull_bounded
 
 from conftest import SIG_F, SIG_LE
 from oracles import corpus_evaluator_reference, cq_corpus_reference, implication_corpus_reference
@@ -128,6 +128,24 @@ def test_each_corpus_built_once_per_hull(t_pos):
     assert corpus.implication_corpus.cache_info().misses == 1
 
 
+def test_report_lists_no_implication_corpus(t_pos, monkeypatch):
+    # report compares T_i* masks over the integer table: it builds no
+    # implication records and computes each model's mask once
+    real = corpus.CorpusEvaluator.ti_mask
+    evaluated = []
+
+    def counting(ev):
+        evaluated.append(ev.structure)
+        return real(ev)
+
+    monkeypatch.setattr(corpus.CorpusEvaluator, "ti_mask", counting)
+    corpus.implication_corpus.cache_clear()
+    rep = jc_characterization_report(t_pos, Budget(N=4))
+    assert all(rep["conditions"].values())
+    assert corpus.implication_corpus.cache_info().misses == 0
+    assert evaluated and len(evaluated) == len(set(evaluated))
+
+
 def test_implication_corpus_cap_advises_lowering_k():
     # the atom caps are constants, so lowering k is the only advice a caller can act on
     with pytest.raises(BudgetExceeded) as exc:
@@ -138,7 +156,7 @@ def test_implication_corpus_cap_advises_lowering_k():
 
 
 def test_equal_entries_hash_equal():
-    # each entry hashes once; a rebuilt equal entry must still hash equal
+    # an entry hashes by its value: a rebuilt equal entry hashes equal
     imps = corpus.implication_corpus(SIG_LE, 2)
     fragment = frozenset(imps)
     for b in imps:
@@ -194,6 +212,8 @@ def test_evaluator_matches_rowwise_reference(case):
     impl_truth = [ref.impl_true(b) for b in imps]
     assert [ev.cq_true(c) for c in cqs] == cq_truth
     assert [ev.impl_true(b) for b in imps] == impl_truth
+    mask = ev.ti_mask()
+    assert [mask >> i & 1 == 1 for i in range(len(imps))] == impl_truth and mask >> len(imps) == 0
     assert corpus.diag_plus_star(s, k) == tuple(itertools.compress(cqs, cq_truth))
     assert corpus.tu_star(s, k) == tuple(c for c, t in zip(cqs, cq_truth) if not t)
     assert corpus.ti_star(s, k) == tuple(itertools.compress(imps, impl_truth))

@@ -4,7 +4,7 @@ import itertools
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posmt import amalgamation, corpus, finder
@@ -20,18 +20,19 @@ from posmt.structures import (
 )
 from posmt.theories import (
     Budget, Theory, bounded_pc_models, companion_check_bounded, diagram,
-    diag_plus_star_set, expand_with_constants, is_T_complete_pair,
-    is_jc_bounded, is_model, is_pc_within, jc_characterization_report,
-    joint_consistency_bounded, kaiser_hull_bounded, models, pair_diagrams,
-    theory_from_diagram, tu_star_set, tu_ti_extremality_check,
+    expand_with_constants, is_T_complete_pair, is_jc_bounded, is_model,
+    is_pc_within, jc_characterization_report, joint_consistency_bounded,
+    kaiser_hull_bounded, kaiser_hull_set, models, pair_diagrams, theory_from_diagram,
+    tu_star_set,
 )
 
 from posmt.textio import load_workspace
 
 from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory, run_optimised
 from oracles import (
-    class_key, enumerate_structures_reference, eval_formula_reference,
-    find_models_reference, models_up_to_size_reference,
+    _hull_of_pc_models_reference, class_key, diag_plus_star_set, enumerate_structures_reference,
+    eval_formula_reference, find_models_reference, jc_characterization_report_reference,
+    kaiser_hull_bounded_reference, models_up_to_size_reference, tu_ti_extremality_check,
 )
 
 SMALL = Budget(n=2, N=2, k=2)
@@ -435,6 +436,49 @@ def test_kaiser_hull_self_consistency():
     hull, _ = kaiser_hull_bounded(t, b)
     for m in bounded_pc_models(t, b):
         assert all(is_model(m, Theory.make(SIG_F, [s], "s")) for s in hull.sentences)
+
+
+SIG_PR = Signature.make(relations={"p": 1, "r": 2})
+# no model at any size, so no pc model: the hull is the whole corpus
+T_EMPTY = make_theory(SIG_LE, "hinductive: forall x. true -> false;", "T_empty")
+# two one-point pc models, p and r(a,a), and no model attains their common
+# T_i*: condition 4 is false
+T_SPLIT = make_theory(SIG_PR, "hinductive: forall x y. p(x) & r(x,y) -> false;", "T_split")
+
+
+@st.composite
+def small_universal_theories(draw):
+    """Up to three sentences `forall x y. premise -> conclusion` over {le/2}
+    or {p/1, r/2}, the conclusion an atom, `x = y` or `false`."""
+    sig = draw(st.sampled_from([SIG_LE, SIG_PR]))
+
+    def atom():
+        name, arity = draw(st.sampled_from(sig.relations))
+        return f"{name}({','.join(draw(st.sampled_from('xy')) for _ in range(arity))})"
+
+    sentences = []
+    for _ in range(draw(st.integers(1, 3))):
+        premise = " & ".join(atom() for _ in range(draw(st.integers(0, 2)))) or "true"
+        conclusion = draw(st.sampled_from([atom(), "x = y", "false"]))
+        sentences.append(f"hinductive: forall x y. {premise} -> {conclusion};")
+    return make_theory(sig, "\n".join(sentences), "T_random")
+
+
+def test_empty_theory_has_no_pc_model():
+    assert models(T_EMPTY, Budget(n=3)) == [] and bounded_pc_models(T_EMPTY, Budget(n=3)) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_universal_theories(), st.integers(1, 3), st.integers(0, 1), st.integers(1, 2))
+@example(T_EMPTY, 2, 1, 2)
+@example(T_SPLIT, 1, 0, 1)
+def test_fragment_masks_match_frozenset_reference(t, n, extra, k):
+    # the hull as an AND of masks and cond4 as mask equality give the
+    # sentences and conditions of the frozenset fragments
+    b = Budget(n=n, N=min(n + extra, 3), k=k)
+    assert kaiser_hull_set(t, b) == _hull_of_pc_models_reference(t, bounded_pc_models(t, b), b)
+    assert kaiser_hull_bounded(t, b) == kaiser_hull_bounded_reference(t, b)
+    assert jc_characterization_report(t, b) == jc_characterization_report_reference(t, b)
 
 
 # ---------------------------------------------------------------------------
