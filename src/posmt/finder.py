@@ -6,19 +6,19 @@ universe order (relations false before true).  The cells are numbered as
 `Orbits` lays a structure out; each has a slot in one flat value list,
 `None` while unassigned, and elements are their indices in the universe.
 
-Each implication is compiled into closures over `(env, val)`: `env` holds
-the element indices of the variable slots (universal, then existential)
-and `val` is the value list.  The closures evaluate three-valued, with
-`None` for unknown.  A ground instance is the implication's status closure
-with one `env`, and it watches a static superset of the cells it can read:
-the exact cell where a symbol is applied to variables only, every cell of
-the symbol where a constant or a function term is an argument.  None of
-that depends on a search's seeds, so it is done once per (signature, size,
-implications) into a ground program (`_ground`) that every search of that
-size shares.  Assigning a cell re-checks only the still-unknown instances
-that watch it.  One that is definitely false prunes the branch; one that
-is definitely true stays marked satisfied until the DFS backtracks past
-that assignment.
+Each implication is generated into one Python function, `status(env,
+val)` (`_compile`): `env` holds the element indices of the universal
+variables and `val` is the value list.  It evaluates three-valued: True once
+the implication holds, False once it fails, None while unknown.  A ground
+instance is the status function with one `env`, and it watches a static
+superset of the cells it can read: the exact cell where a symbol is applied
+to variables only, every cell of the symbol where a constant or a function
+term is an argument.  None of that depends on a search's seeds, so it is
+done once per (signature, size, implications) into a ground program
+(`_ground`) that every search of that size shares.  Assigning a cell
+re-checks only the still-unknown instances that watch it.  One that is
+definitely false prunes the branch; one that is definitely true stays
+marked satisfied until the DFS backtracks past that assignment.
 
 One cell-level search, `_search`, takes fixed cells: a map from a cell to
 its preset value (true, false, or an element index) that the DFS never
@@ -37,26 +37,27 @@ model's cells, true and false, and searches only a new element's cells.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, FormulaError
 from .formulas import (
-    FALSE_POSEX, TRUE_POSEX, And, Const, EqAtom, Falsum, Implication, Or, PosEx,
-    PosQF, RelAtom, Term, Truth, Var,
+    And, Const, EqAtom, Falsum, Implication, Or, PosEx, PosQF, RelAtom, Term, Truth, Var,
 )
 from .structures import FiniteStructure, Orbits, Signature, element_names
 
-# A compiled formula or term: (env, val) -> value, None while unknown.
-_Eval = Callable[[Tuple[int, ...], List], object]
-
 
 class _Compiler:
-    """Compiles the premise and conclusion of one implication, collecting
-    the cells they can read: `static` cells, read by every ground instance,
-    and `reads` patterns for a symbol applied to variables.  A pattern
-    (first cell, universal (slot, multiplier) pairs, offsets) reads the
-    cells first + sum(env[slot] * multiplier) + offset, one offset per
-    value of the existential variables among the arguments."""
+    """Writes the premise and conclusion of one implication as Python
+    expressions over the slot locals (v0, v1, ...: universal, then
+    existential), the value list `val` and `U = range(n)`, three-valued: True,
+    False, or None while unknown.  A subterm that may be unknown is bound to a
+    temporary (t0, t1, ...) by a step `(tK := ...) is None`, and its atom is
+    None when any of its steps is.  Collects the cells the expressions can
+    read: `static` cells, read by every ground instance, and `reads` patterns
+    for a symbol applied to variables.  A pattern (first cell, universal
+    (slot, multiplier) pairs, offsets) reads the cells first + sum(env[slot] *
+    multiplier) + offset, one offset per value of the existential variables
+    among the arguments."""
 
     def __init__(self, orbits: Orbits, imp: Implication):
         self.orbits = orbits
@@ -66,152 +67,117 @@ class _Compiler:
         self.exts: List[Tuple[int, ...]] = [()]  # values of the existential slots
         self.static: Set[int] = set()
         self.reads: List[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, ...]]] = []
+        self.temps = 0
 
-    def posex(self, f: PosEx) -> _Eval:
+    def watched(self, env: Tuple[int, ...]) -> Set[int]:
+        """The cells the instance at `env` can read."""
+        read = set(self.static)
+        for first, univ, offsets in self.reads:
+            for s, m in univ:
+                first += env[s] * m
+            read.update(first + o for o in offsets)
+        return read
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+    def posex(self, f: PosEx) -> str:
         self.slots = dict(self.universal)
         self.slots.update((v, self.nvars + i) for i, v in enumerate(f.vars))
-        exts = self.exts = list(itertools.product(range(self.orbits.n), repeat=len(f.vars)))
+        self.exts = list(itertools.product(range(self.orbits.n), repeat=len(f.vars)))
         matrix = self.qf(f.matrix)
         if not f.vars:
             return matrix
+        loops = " ".join(f"for v{self.nvars + i} in U" for i in range(len(f.vars)))
+        seen = self.temp()
+        return f"True if True in ({seen} := {{{matrix} {loops}}}) else None if None in {seen} else False"
 
-        def exists(env, val):
-            result = False
-            for e in exts:
-                v = matrix(env + e, val)
-                if v is True:
-                    return True
-                if v is None:
-                    result = None
-            return result
-        return exists
-
-    def qf(self, f: PosQF) -> _Eval:
-        if isinstance(f, Truth):
-            return lambda env, val: True
-        if isinstance(f, Falsum):
-            return lambda env, val: False
-        if isinstance(f, EqAtom):
-            if isinstance(f.left, Var) and isinstance(f.right, Var):
-                s, u = self.slots[f.left.name], self.slots[f.right.name]
-                return lambda env, val: env[s] == env[u]
-            left, right = self.term(f.left), self.term(f.right)
-
-            def eq(env, val):
-                a = left(env, val)
-                if a is None:
-                    return None
-                b = right(env, val)
-                if b is None:
-                    return None
-                return a == b
-            return eq
-        if isinstance(f, RelAtom):
-            return self.entry(f.name, f.args)
+    def qf(self, f: PosQF) -> str:
+        if isinstance(f, (Truth, Falsum)):
+            return str(isinstance(f, Truth))
+        if isinstance(f, (EqAtom, RelAtom)):
+            steps: List[str] = []
+            if isinstance(f, EqAtom):
+                atom = f"{self.term(f.left, steps)} == {self.term(f.right, steps)}"
+            else:
+                atom = self.entry(f.name, f.args, steps)
+            return f"None if {' or '.join(steps)} else {atom}" if steps else atom
         if isinstance(f, (And, Or)):
-            parts = [self.qf(p) for p in f.parts]
-            stop, rest = (False, True) if isinstance(f, And) else (True, False)
-            if len(parts) == 2:
-                first, second = parts
-
-                def pair(env, val):
-                    u = first(env, val)
-                    if u is stop:
-                        return stop
-                    v = second(env, val)
-                    if v is stop:
-                        return stop
-                    return None if u is None or v is None else rest
-                return pair
-
-            def junction(env, val):
-                result = rest
-                for p in parts:
-                    v = p(env, val)
-                    if v is stop:
-                        return stop
-                    if v is None:
-                        result = None
-                return result
-            return junction
+            stop, rest = ("False", "True") if isinstance(f, And) else ("True", "False")
+            if not f.parts:
+                return rest
+            temps = [self.temp() for _ in f.parts]
+            first = " or ".join(f"({t} := {self.qf(p)}) is {stop}" for t, p in zip(temps, f.parts))
+            unknown = " or ".join(f"{t} is None" for t in temps)
+            return f"{stop} if {first} else None if {unknown} else {rest}"
         raise TypeError(f"not a positive quantifier-free formula: {f!r}")
 
-    def term(self, t: Term) -> _Eval:
+    def term(self, t: Term, steps: List[str]) -> str:
+        """A name holding t's element: its slot's local, or a temporary bound
+        by a step appended to `steps`."""
         if isinstance(t, Var):
-            s = self.slots[t.name]
-            return lambda env, val: env[s]
+            return f"v{self.slots[t.name]}"
         if isinstance(t, Const):
             c = self.orbits.blocks[t.name][0]
             self.static.add(c)
-            return lambda env, val: val[c]
-        return self.entry(t.func, t.args)
+            cell = f"val[{c}]"
+        else:
+            cell = self.entry(t.func, t.args, steps)
+        name = self.temp()
+        steps.append(f"({name} := {cell}) is None")
+        return name
 
-    def entry(self, name: str, args: Tuple[Term, ...]) -> _Eval:
-        """The value of the cell of `name` at `args`: a function entry or
-        a relation's truth value."""
+    def entry(self, name: str, args: Tuple[Term, ...], steps: List[str]) -> str:
+        """`val` at the cell of `name` at `args`: a function entry or a
+        relation's truth value."""
         first, arity = self.orbits.blocks[name]
         n = self.orbits.n
         if len(args) != arity:
             raise FormulaError(f"arity mismatch for {name}")
         if all(isinstance(a, Var) for a in args):
-            ss = tuple(self.slots[a.name] for a in args)
-            pairs = [(s, n ** (arity - 1 - i)) for i, s in enumerate(ss)]
+            pairs = [(self.slots[a.name], n ** (arity - 1 - i)) for i, a in enumerate(args)]
             k = self.nvars
             ex = [(s - k, m) for s, m in pairs if s >= k]
             offsets = {sum(e[s] * m for s, m in ex) for e in self.exts} if ex else {0}
             self.reads.append((first, tuple((s, m) for s, m in pairs if s < k), tuple(sorted(offsets))))
-            if arity == 1:
-                (s,) = ss
-                return lambda env, val: val[first + env[s]]
-            if arity == 2:
-                s, u = ss
-                return lambda env, val: val[first + env[s] * n + env[u]]
         else:
             self.static.update(range(first, first + n ** arity))
-        subs = [self.term(a) for a in args]
-
-        def apply(env, val):
-            i = 0
-            for sub in subs:
-                v = sub(env, val)
-                if v is None:
-                    return None
-                i = i * n + v
-            return val[first + i]
-        return apply
+        index = [str(first)] if first else []
+        for i, a in enumerate(args):
+            m = n ** (arity - 1 - i)
+            index.append(self.term(a, steps) + (f" * {m}" if m > 1 else ""))
+        return f"val[{' + '.join(index) or '0'}]"
 
 
 def _compile(orbits: Orbits, imp: Implication):
-    """The status closure of `imp` (True once satisfied, False once
-    violated, None while unknown) and its compiler's read sets."""
+    """The generated status function of `imp`, `status(env, val)`: True once
+    satisfied, False once violated, None while unknown, with `env` the
+    element indices of the universal slots.  Returned with its compiler's
+    read sets."""
     comp = _Compiler(orbits, imp)
     premise = comp.posex(imp.premise)
     conclusion = comp.posex(imp.conclusion)
-    if imp.premise == TRUE_POSEX:
-        return conclusion, comp
-    if imp.conclusion == FALSE_POSEX:
-        def refuted(env, val):
-            p = premise(env, val)
-            return None if p is None else not p
-        return refuted, comp
-
-    def status(env, val):
-        p = premise(env, val)
-        if p is False:
-            return True
-        c = conclusion(env, val)
-        if c is True:
-            return True
-        if p is True and c is False:
-            return False
-        return None
-    return status, comp
+    source = (
+        "def status(env, val):\n"
+        f"    ({''.join(f'v{i}, ' for i in range(comp.nvars))}) = env\n"
+        f"    p = {premise}\n"
+        "    if p is False:\n"
+        "        return True\n"
+        f"    c = {conclusion}\n"
+        "    if c is True:\n"
+        "        return True\n"
+        "    return None if p is None or c is None else False\n"
+    )
+    namespace: Dict[str, object] = {"U": range(orbits.n)}
+    exec(compile(source, "<implication>", "exec"), namespace)
+    return namespace["status"], comp
 
 
 class _Program:
     """The ground instances of implications over one (signature, size), as
     every search of that size starts from them.  `watch[c]` lists the
-    instances that read cell c as (number, status closure, env), in
+    instances that read cell c as (number, status function, env), in
     instance order: implication order, then `itertools.product` order of
     `env`.  Instances already true with no cell assigned are left out, and
     `count` is the number of the rest.  `watch` is None when an instance is
@@ -233,14 +199,9 @@ class _Program:
                     return
                 if st is True:
                     continue
-                read = set(comp.static)
-                for first, univ, offsets in comp.reads:
-                    for s, m in univ:
-                        first += env[s] * m
-                    read.update(first + o for o in offsets)
                 entry = (count, status, env)
                 count += 1
-                for c in read:
+                for c in comp.watched(env):
                     watch[c].append(entry)
         self.count, self.watch = count, watch
 

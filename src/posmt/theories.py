@@ -9,13 +9,13 @@ sentence corpora.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import corpus
 from .errors import FormulaError, SignatureError, StructureError
 from .formulas import (
-    App, Const, EqAtom, Formula, HInductiveSentence, HUniversalSentence,
+    TRUE_POSEX, And, App, Const, EqAtom, Falsum, Formula, HInductiveSentence, HUniversalSentence,
     Implication, PosEx, RelAtom, as_implications, compile_formula, free_vars,
 )
 from .finder import find_models, models_up_to_size
@@ -306,17 +306,14 @@ def _ground_refutation(sig: Signature, implications: Sequence[Implication]) -> O
 
 
 def _is_truth(p: PosEx) -> bool:
-    from .formulas import Truth
-    return isinstance(p.matrix, Truth) and not p.vars
+    return p == TRUE_POSEX
 
 
 def _is_falsum_conclusion(imp: Implication) -> bool:
-    from .formulas import Falsum
-    return isinstance(imp.conclusion.matrix, Falsum)
+    return isinstance(imp.conclusion.matrix, Falsum)  # `exists x. false` counts too
 
 
 def _conj_atoms(matrix) -> List:
-    from .formulas import And
     if isinstance(matrix, And):
         out = []
         for p in matrix.parts:
@@ -469,7 +466,7 @@ def _tu_of_models(t: Theory, ms: Sequence[FiniteStructure], b: Budget) -> Frozen
 def kaiser_hull_set(t: Theory, b: Budget) -> FrozenSet:
     """Bounded Kaiser hull: corpus implications true in every bounded-pc
     model of t."""
-    hull = _hull_of_pc_models(t, bounded_pc_models(t, b), b)
+    hull = _hull_of_pc_models(t, (_ti_mask(m, b.k) for m in bounded_pc_models(t, b)), b)
     return frozenset(corpus.compress(corpus.implication_corpus(t.signature, b.k), hull))
 
 
@@ -478,13 +475,13 @@ def _ti_mask(m: FiniteStructure, k: int) -> int:
     return corpus.evaluator(m.signature, k, m).ti_mask()
 
 
-def _hull_of_pc_models(t: Theory, pcs: Sequence[FiniteStructure], b: Budget,
-                       ti: Callable[[FiniteStructure, int], int] = _ti_mask) -> int:
-    """`kaiser_hull_set` over the listed bounded-pc models `pcs` of t, as a
-    mask over the implication corpus: all ones when there are none."""
+def _hull_of_pc_models(t: Theory, masks: Iterable[int], b: Budget) -> int:
+    """`kaiser_hull_set` over the T_i* masks (`_ti_mask`) of the listed
+    bounded-pc models of t, as a mask over the implication corpus: all ones
+    when there are none."""
     out = (1 << len(corpus.implication_table(t.signature, b.k)[2])) - 1
-    for m in pcs:
-        out &= ti(m, b.k)
+    for mask in masks:
+        out &= mask
     return out
 
 
@@ -493,7 +490,7 @@ def kaiser_hull_bounded(t: Theory, b: Budget) -> Tuple[DiagramSet, DiagramSet]:
     true in every bounded-pc model), together with the bounded T_u(T)."""
     pool = corpus.atom_pool(t.signature, b.k)
     ms = models(t, b)
-    hull_mask = _hull_of_pc_models(t, _pc_models(ms, b), b)
+    hull_mask = _hull_of_pc_models(t, (_ti_mask(m, b.k) for m in _pc_models(ms, b)), b)
     tu_set = _tu_of_models(t, ms, b)
     hull = tuple(
         HInductiveSentence((imp.to_implication(pool),))
@@ -545,9 +542,10 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
     cond3 = any(tu_star_set(m, b.k) == tu_t for m in ms_n) if ms_n else True
     # (4) some model attains the bounded Kaiser hull
     pcs = _pc_models(ms_n, b)
-    ti = lru_cache(maxsize=None)(_ti_mask)  # each model's mask once
-    hull = _hull_of_pc_models(t, pcs, b, ti)
-    cond4 = any(ti(m, b.k) == hull for m in ms_n) if ms_n else True
+    ti = {m: _ti_mask(m, b.k) for m in pcs}  # each model's mask once
+    hull = _hull_of_pc_models(t, ti.values(), b)
+    cond4 = not ms_n or hull in ti.values() or any(
+        _ti_mask(m, b.k) == hull for m in ms_n if m not in ti)
     # (5) bounded-pc models share T_u*
     tu_sets = {tu_star_set(m, b.k) for m in pcs}
     cond5 = len(tu_sets) <= 1

@@ -17,7 +17,8 @@ The model-finder reference runs the same DFS as `finder.find_models` but
 evaluates the ground instances by walking the formula trees over a partial
 interpretation, re-checking every unknown instance after every assigned
 cell.  It must visit the same nodes and yield the same models in the same
-order.
+order, and an instance's status (`_Instance.status`) must equal the
+finder's generated status function on any partial value list.
 
 The corpus references canonicalise every candidate sentence on its own,
 trying every variable permutation and keeping the least image.  The

@@ -30,9 +30,10 @@ from posmt.textio import load_workspace
 
 from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory, run_optimised
 from oracles import (
-    _hull_of_pc_models_reference, class_key, diag_plus_star_set, enumerate_structures_reference,
-    eval_formula_reference, find_models_reference, jc_characterization_report_reference,
-    kaiser_hull_bounded_reference, models_up_to_size_reference, tu_ti_extremality_check,
+    UNKNOWN, _hull_of_pc_models_reference, _Instance, _Partial, class_key, diag_plus_star_set,
+    enumerate_structures_reference, eval_formula_reference, find_models_reference,
+    jc_characterization_report_reference, kaiser_hull_bounded_reference, models_up_to_size_reference,
+    tu_ti_extremality_check,
 )
 
 SMALL = Budget(n=2, N=2, k=2)
@@ -835,7 +836,7 @@ def _terms(draw, sig, scope, depth=2):
 def _positive_qf(draw, sig, scope, depth=2):
     kind = draw(st.integers(0, 9 if depth else 7))
     if kind >= 8:
-        parts = tuple(draw(st.lists(_positive_qf(sig, scope, depth - 1), min_size=1, max_size=3)))
+        parts = tuple(draw(st.lists(_positive_qf(sig, scope, depth - 1), min_size=0, max_size=3)))
         return And(parts) if kind == 8 else Or(parts)
     if kind == 0 or not (scope or sig.constants):
         return draw(st.sampled_from([Truth(), Falsum()]))
@@ -902,6 +903,73 @@ def test_find_models_matches_brute_force(case):
     got = [s.key() for s in find_models(sig, universe, implications)]
     assert len(got) == len(set(got))
     assert set(got) == expected
+
+
+@st.composite
+def status_cases(draw):
+    """A small signature and size, implications, and a partial value list in
+    `Orbits`' layout: each cell unassigned or set at random, independently,
+    so in orders the DFS never assigns them."""
+    sig, max_size = draw(st.sampled_from(FINDER_SIGS))
+    orbits = Orbits(sig, draw(st.integers(1, max_size)))
+    domains = [(False, True)] * orbits.offsets[-1] + [tuple(range(orbits.n))] * orbits.digits
+    val = [draw(st.sampled_from((None,) + d)) for d in domains]
+    return orbits, draw(_implications(sig)), val, domains
+
+
+def _partial(orbits, val):
+    """The oracle's partial interpretation of a value list."""
+    names = ELEMENT_NAMES[:orbits.n]
+    ps = _Partial(orbits.sig, names)
+    for name, (first, arity) in orbits.blocks.items():
+        for t in itertools.product(range(orbits.n), repeat=arity):
+            v = val[first + orbits.cell(t)]
+            args = tuple(names[i] for i in t)
+            if (name, arity) in orbits.sig.relations:
+                ps.rel[(name, args)] = v
+            elif arity:
+                ps.func[(name, args)] = None if v is None else names[v]
+            else:
+                ps.const[name] = None if v is None else names[v]
+    return ps
+
+
+def _identifiers(code):
+    """Every name and string constant in a code object and the code objects
+    nested in it."""
+    out = set(code.co_names + code.co_varnames + code.co_cellvars + code.co_freevars)
+    for const in code.co_consts:
+        if isinstance(const, str):
+            out.add(const)
+        elif hasattr(const, "co_names"):
+            out |= _identifiers(const)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(status_cases())
+def test_generated_status_matches_three_valued_oracle(case):
+    # each ground instance's generated status equals the tree-walking oracle's
+    # on a partial value list, and no cell it does not watch can move it
+    orbits, implications, val, domains = case
+    ps, names = _partial(orbits, val), ELEMENT_NAMES[:orbits.n]
+    for imp in implications:
+        status, comp = finder._compile(orbits, imp)
+        # the source holds only the template's names, slot locals (v0, v1, ...)
+        # and temporaries (t0, t1, ...), never a symbol or variable name
+        assert all(name in {"env", "val", "U", "p", "c", ".0"} or
+                   name[0] in "vt" and name[1:].isdigit() for name in _identifiers(status.__code__))
+        for env in itertools.product(range(orbits.n), repeat=len(imp.vars)):
+            got = status(env, val)
+            expected = _Instance(imp.premise, imp.conclusion,
+                                 {v: names[e] for v, e in zip(imp.vars, env)}).status(ps)
+            assert got == (None if expected == UNKNOWN else expected), (imp, env)
+            watched = comp.watched(env)
+            for c, domain in enumerate(domains):
+                if c not in watched:
+                    for v in (None,) + domain:
+                        moved = val[:c] + [v] + val[c + 1:]
+                        assert status(env, moved) == got, (imp, env, c, v)
 
 
 def test_verdict_status_checked_under_python_O():
