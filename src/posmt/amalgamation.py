@@ -18,6 +18,10 @@ identify b in B with c in C only when b is in f(A) and c is in g(A)
 (strict mode additionally demands a common preimage in A; it applies only
 to a strong problem).
 
+A basis check (`check_basis`) solves one instance per symmetry class when
+both out-kinds are h: instances that differ by wing automorphisms or by the
+B/C swap share a "yes" or an exhaustive "no".
+
 Every candidate is certified in full (`_certify`), but the conditions that
 the out-maps alone settle are decided before any search: the quotient
 phase completes no quotient whose fixed out-maps are not injective where
@@ -35,7 +39,7 @@ import random
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BudgetExceeded, PosmtError, StructureError
-from .finder import find_models, least_completion
+from .finder import find_models
 from .morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
 )
@@ -168,66 +172,59 @@ def verify_solution(p: AmalgamationProblem, sol: AmalgamationSolution) -> bool:
 
 def _quotient_seed(p: AmalgamationProblem):
     """Glue f(a) ~ g(a) in B |_| C and close under function congruence and
-    constant agreement.  Returns (class-of dict, class names, seeds)."""
+    constant agreement, on indices: B's elements, then C's, by name.  The
+    classes are q0, q1, ... in order of their least index.  Returns their
+    layout, names, both out-maps, and the cells B and C fix."""
     b, c = p.f.target, p.g.target
     sig = b.signature
-    elems = [("B", e) for e in b.universe] + [("C", e) for e in c.universe]
-    uf = UnionFind(elems)
+    index_b = {e: i for i, e in enumerate(sorted(b.universe))}
+    index_c = {e: i for i, e in enumerate(sorted(c.universe), len(index_b))}
+    sides = ((b, index_b), (c, index_c))
+    uf = UnionFind(range(len(index_b) + len(index_c)))
     find, union = uf.find, uf.union
     for a in p.base.universe:
-        union(("B", p.f(a)), ("C", p.g(a)))
+        union(index_b[p.f(a)], index_c[p.g(a)])
     for cn in sig.constants:
-        union(("B", b.const(cn)), ("C", c.const(cn)))
+        union(index_b[b.const(cn)], index_c[c.const(cn)])
     # function congruence: equal argument classes force equal value classes
-    changed = True
+    entries = [(name, tuple(map(index.__getitem__, args)), index[v])
+               for s, index in sides for name, table in s.functions.items() for args, v in table.items()]
+    changed = bool(entries)
     while changed:
         changed = False
-        for name, _ in sig.functions:
-            cells: Dict[Tuple, Tuple] = {}
-            for side, s in (("B", b), ("C", c)):
-                for args, val in s.functions.get(name, {}).items():
-                    key = (name,) + tuple(find((side, e)) for e in args)
-                    v = find((side, val))
-                    if key in cells:
-                        if cells[key] != v:
-                            union(cells[key], v)
-                            changed = True
-                    else:
-                        cells[key] = v
-    classes: Dict[Tuple, List[Tuple]] = {}
-    for e in elems:
-        classes.setdefault(find(e), []).append(e)
-    order = sorted(classes, key=lambda r: min(classes[r]))
-    name_of = {root: f"q{i}" for i, root in enumerate(order)}
-    cls = {e: name_of[find(e)] for e in elems}
-    universe = tuple(name_of[r] for r in order)
-
-    seed_rels: Dict[str, Set[Tuple[str, ...]]] = {name: set() for name, _ in sig.relations}
-    seed_funcs: Dict[str, Dict[Tuple[str, ...], str]] = {name: {} for name, _ in sig.functions}
-    seed_consts: Dict[str, str] = {}
-    for side, s in (("B", b), ("C", c)):
+        cells: Dict[Tuple, int] = {}
+        for name, args, v in entries:
+            w = find(cells.setdefault((name, *map(find, args)), v))
+            if w != find(v):
+                union(w, v)
+                changed = True
+    number: Dict[int, int] = {}
+    cls = [number.setdefault(find(i), len(number)) for i in range(len(uf.parent))]
+    orbits = Orbits(sig, len(number))
+    universe = tuple(f"q{i}" for i in range(len(number)))
+    fixed: Dict[int, object] = {}
+    for s, index in sides:
+        q = {e: cls[i] for e, i in index.items()}.__getitem__
         for name, _ in sig.relations:
-            for tup in s.rel(name):
-                seed_rels[name].add(tuple(cls[(side, e)] for e in tup))
-        for name, entries in s.functions.items():
-            for args, val in entries.items():
-                seed_funcs[name][tuple(cls[(side, e)] for e in args)] = cls[(side, val)]
+            first = orbits.blocks[name][0]
+            fixed.update((first + orbits.cell(map(q, t)), True) for t in s.rel(name))
+        for name, table in s.functions.items():
+            first = orbits.blocks[name][0]
+            fixed.update((first + orbits.cell(map(q, args)), q(v)) for args, v in table.items())
         for cn in sig.constants:
-            seed_consts[cn] = cls[(side, s.const(cn))]
-    return cls, universe, seed_rels, seed_funcs, seed_consts
+            fixed[orbits.blocks[cn][0]] = q(s.const(cn))
+    out_b, out_c = ({e: universe[cls[i]] for e, i in index.items()} for _, index in sides)
+    return orbits, universe, out_b, out_c, fixed
 
 
 QUOTIENT_COMPLETION_LIMIT = 64
 
 
 def _solve_quotient(p: AmalgamationProblem) -> Optional[AmalgamationSolution]:
-    cls, universe, seed_rels, seed_funcs, seed_consts = _quotient_seed(p)
+    orbits, universe, out_b_map, out_c_map, fixed = _quotient_seed(p)
     if len(universe) > p.budget.N:
         return None
-    sig = p.f.target.signature
     implications = p.theory.implications() if p.theory is not None else ()
-    out_b_map = {e: cls[("B", e)] for e in p.f.target.universe}
-    out_c_map = {e: cls[("C", e)] for e in p.g.target.universe}
     # the quotient out-maps are fixed; if a required kind needs injectivity
     # (e and up) or a bijection (s) the glued maps cannot provide, every
     # completion would fail
@@ -237,22 +234,21 @@ def _solve_quotient(p: AmalgamationProblem) -> Optional[AmalgamationSolution]:
             return None
         if kind >= MorphismKind.STRONG_IMMERSION and image < len(universe):
             return None
-    seeds = {"seed_true_relations": {k: sorted(v) for k, v in seed_rels.items()},
-             "seed_functions": seed_funcs, "seed_constants": seed_consts}
 
     def certify(d: FiniteStructure) -> Optional[AmalgamationSolution]:
         return _certify(p, d, Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map))
 
-    # the glued sum, each unseeded cell at its least value, is the first
-    # completion the search meets whenever it is in the class (None past
-    # the node cap, which the search would hit before meeting it)
-    glued = least_completion(sig, universe, p.budget.node_cap, **seeds)
-    if glued is not None:
-        sol = certify(glued)
+    # the glued sum, each free cell at its least value (false, or the first
+    # element), is the first completion the search meets whenever it is in
+    # the class, after one node per free cell; past the node cap the search
+    # stops before meeting it
+    if orbits.size - len(fixed) <= p.budget.node_cap:
+        glued = [fixed.get(c, False if c < orbits.offsets[-1] else 0) for c in range(orbits.size)]
+        sol = certify(orbits.builder(universe)(glued))
         if sol is not None:
             return sol
     tried = 0
-    for d in find_models(sig, universe, implications, node_cap=p.budget.node_cap, **seeds):
+    for d in find_models(orbits.sig, universe, implications, node_cap=p.budget.node_cap, fixed=fixed):
         sol = certify(d)
         if sol is not None:
             return sol
@@ -392,6 +388,16 @@ class BasisReport:
     verdict: Verdict
 
 
+def _pointed_keys(wings: Sequence[FiniteStructure], maps: Sequence[List[Morphism]]) -> List[List[Tuple]]:
+    """Each (wing, map) pair's class under the wing's automorphisms: the
+    wing's index and the least of the map's image tuples under them."""
+    keys = []
+    for i, (w, ms) in enumerate(zip(wings, maps)):
+        autos = [s.map for s in enumerate_homs(w, w, kind=MorphismKind.STRONG_IMMERSION)] if ms else []
+        keys.append([(i, min(tuple(s[m.map[a]] for a in m.source.universe) for s in autos)) for m in ms])
+    return keys
+
+
 def check_basis(
     a: FiniteStructure,
     kinds: Union[str, Sequence],
@@ -401,7 +407,16 @@ def check_basis(
     strict_strong: bool = False,
 ) -> BasisReport:
     """Iterate all wings B, C in the class (size <= n, up to iso) and all
-    maps of the required in-kinds from a; report solvability of each."""
+    maps of the required in-kinds from a; report solvability of each.
+
+    With out-kinds h h, status and apex size are isomorphism invariants:
+    every completion of the glued quotient certifies or none does, and the
+    apex pool is searched a whole size at a time.  So instances that differ
+    by wing automorphisms, or by swapping (B, f) with (C, g) when alpha =
+    beta, share a "yes" or an exhaustive "no"; an "unknown" depends on the
+    labelling under the node cap.  Under out-kinds e, i and s the first
+    completion that certifies (of QUOTIENT_COMPLETION_LIMIT) depends on the
+    labelling, so each instance is solved on its own."""
     kinds = parse_kinds(kinds)
     alpha, beta = kinds[0], kinds[1]
     if theory is not None:
@@ -415,22 +430,26 @@ def check_basis(
     left = [enumerate_homs(a, w, kind=alpha, node_cap=b.node_cap) for w in wings]
     right = left if beta == alpha or not any(left) else [
         enumerate_homs(a, w, kind=beta, node_cap=b.node_cap) for w in wings]
+    shared = kinds[2] == kinds[3] == MorphismKind.HOM
+    left_keys = _pointed_keys(wings, left)
+    right_keys = left_keys if right is left else _pointed_keys(wings, right)
+    answers: Dict[Tuple, Tuple[str, Optional[int]]] = {}
     instances: List[Dict] = []
-    statuses: List[str] = []
-    for bw, fs in zip(wings, left):
-        for cw, gs in zip(wings, right):
-            for f in fs:
-                for g in gs:
-                    problem = AmalgamationProblem(f, g, kinds, theory, strong, strict_strong, b)
-                    result = solve_amalgamation(problem)
-                    solved = isinstance(result, AmalgamationSolution)
-                    status = "yes" if solved else result.status
-                    statuses.append(status)
-                    instances.append({
-                        "B": bw, "C": cw, "f": dict(f.map), "g": dict(g.map),
-                        "status": status,
-                        "apex_size": result.apex.size() if solved else None,
-                    })
+    for bw, fs, f_keys in zip(wings, left, left_keys):
+        for cw, gs, g_keys in zip(wings, right, right_keys):
+            for f, f_key in zip(fs, f_keys):
+                for g, g_key in zip(gs, g_keys):
+                    key = min((f_key, g_key), (g_key, f_key)) if alpha == beta else (f_key, g_key)
+                    answer = answers.get(key)
+                    if answer is None:
+                        result = solve_amalgamation(AmalgamationProblem(f, g, kinds, theory, strong, strict_strong, b))
+                        solved = isinstance(result, AmalgamationSolution)
+                        answer = ("yes", result.apex.size()) if solved else (result.status, None)
+                        if shared and answer[0] != "unknown":
+                            answers[key] = answer
+                    instances.append({"B": bw, "C": cw, "f": dict(f.map), "g": dict(g.map),
+                                      "status": answer[0], "apex_size": answer[1]})
+    statuses = [inst["status"] for inst in instances]
     if all(s == "yes" for s in statuses):
         agg = Verdict("yes", b, {"instances": len(statuses)})
     elif any(s == "no" for s in statuses):

@@ -25,10 +25,9 @@ its preset value (true, false, or an element index) that the DFS never
 assigns.  It first re-checks the instances that watch a fixed cell: a
 false one leaves no model, and a true one stays satisfied for the whole
 search.  `find_models` turns its seeds (facts fixed true, function entries
-and constants) into fixed cells and builds a structure per model; the
-quotient phase of amalgamation seeds it that way, after it has tried
-`least_completion`, the seeds with every free cell at its least value,
-which is the first model such a search yields whenever it is one at all.
+and constants) into fixed cells, or takes fixed cells as they are, and
+builds a structure per model; the quotient phase of amalgamation passes
+the cells its gluing fixes.
 `models_up_to_size` codes the models it meets and builds only each class's
 representative; for a universal relational theory it fixes a smaller
 model's cells, true and false, and searches only a new element's cells.
@@ -48,34 +47,35 @@ from .structures import FiniteStructure, Orbits, Signature, element_names
 
 class _Compiler:
     """Writes the premise and conclusion of one implication as Python
-    expressions over the slot locals (v0, v1, ...: universal, then
-    existential), the value list `val` and `U = range(n)`, three-valued: True,
-    False, or None while unknown.  A subterm that may be unknown is bound to a
+    expressions over the universal slot locals (v0, v1, ...) and the value
+    list `val`, three-valued: True, False, or None while unknown.  An
+    existential quantifier is unrolled into a disjunction of its matrix at
+    every value of its variables, written as integer literals, so the first
+    true witness stops it.  A subterm that may be unknown is bound to a
     temporary (t0, t1, ...) by a step `(tK := ...) is None`, and its atom is
     None when any of its steps is.  Collects the cells the expressions can
-    read: `static` cells, read by every ground instance, and `reads` patterns
-    for a symbol applied to variables.  A pattern (first cell, universal
-    (slot, multiplier) pairs, offsets) reads the cells first + sum(env[slot] *
-    multiplier) + offset, one offset per value of the existential variables
-    among the arguments."""
+    read: `static` cells, read by every ground instance, and `reads`
+    patterns for a symbol applied to variables.  A pattern (first cell,
+    universal (slot, multiplier) pairs) reads the cell first +
+    sum(env[slot] * multiplier)."""
 
     def __init__(self, orbits: Orbits, imp: Implication):
         self.orbits = orbits
         self.nvars = len(imp.vars)
         self.universal = {v: i for i, v in enumerate(imp.vars)}
         self.slots = self.universal  # the slots in scope
-        self.exts: List[Tuple[int, ...]] = [()]  # values of the existential slots
+        self.bound: Dict[int, int] = {}  # existential slot -> its value in this disjunct
         self.static: Set[int] = set()
-        self.reads: List[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, ...]]] = []
+        self.reads: Set[Tuple[int, Tuple[Tuple[int, int], ...]]] = set()
         self.temps = 0
 
     def watched(self, env: Tuple[int, ...]) -> Set[int]:
         """The cells the instance at `env` can read."""
         read = set(self.static)
-        for first, univ, offsets in self.reads:
+        for first, univ in self.reads:
             for s, m in univ:
                 first += env[s] * m
-            read.update(first + o for o in offsets)
+            read.add(first)
         return read
 
     def temp(self) -> str:
@@ -85,13 +85,19 @@ class _Compiler:
     def posex(self, f: PosEx) -> str:
         self.slots = dict(self.universal)
         self.slots.update((v, self.nvars + i) for i, v in enumerate(f.vars))
-        self.exts = list(itertools.product(range(self.orbits.n), repeat=len(f.vars)))
-        matrix = self.qf(f.matrix)
-        if not f.vars:
-            return matrix
-        loops = " ".join(f"for v{self.nvars + i} in U" for i in range(len(f.vars)))
-        seen = self.temp()
-        return f"True if True in ({seen} := {{{matrix} {loops}}}) else None if None in {seen} else False"
+        parts = []
+        for ext in itertools.product(range(self.orbits.n), repeat=len(f.vars)):
+            self.bound = dict(enumerate(ext, self.nvars))
+            parts.append(self.qf(f.matrix))
+        return parts[0] if len(parts) == 1 else self.join(parts, "True", "False")
+
+    def join(self, parts: List[str], stop: str, rest: str) -> str:
+        """The three-valued conjunction (stop False) or disjunction (stop
+        True) of the expressions `parts`, left to right."""
+        temps = [self.temp() for _ in parts]
+        first = " or ".join(f"({t} := {p}) is {stop}" for t, p in zip(temps, parts))
+        unknown = " or ".join(f"{t} is None" for t in temps)
+        return f"{stop} if {first} else None if {unknown} else {rest}"
 
     def qf(self, f: PosQF) -> str:
         if isinstance(f, (Truth, Falsum)):
@@ -105,19 +111,15 @@ class _Compiler:
             return f"None if {' or '.join(steps)} else {atom}" if steps else atom
         if isinstance(f, (And, Or)):
             stop, rest = ("False", "True") if isinstance(f, And) else ("True", "False")
-            if not f.parts:
-                return rest
-            temps = [self.temp() for _ in f.parts]
-            first = " or ".join(f"({t} := {self.qf(p)}) is {stop}" for t, p in zip(temps, f.parts))
-            unknown = " or ".join(f"{t} is None" for t in temps)
-            return f"{stop} if {first} else None if {unknown} else {rest}"
+            return self.join([self.qf(p) for p in f.parts], stop, rest) if f.parts else rest
         raise TypeError(f"not a positive quantifier-free formula: {f!r}")
 
     def term(self, t: Term, steps: List[str]) -> str:
-        """A name holding t's element: its slot's local, or a temporary bound
-        by a step appended to `steps`."""
+        """A name or literal holding t's element: its slot's local or value,
+        or a temporary bound by a step appended to `steps`."""
         if isinstance(t, Var):
-            return f"v{self.slots[t.name]}"
+            s = self.slots[t.name]
+            return str(self.bound[s]) if s in self.bound else f"v{s}"
         if isinstance(t, Const):
             c = self.orbits.blocks[t.name][0]
             self.static.add(c)
@@ -137,10 +139,8 @@ class _Compiler:
             raise FormulaError(f"arity mismatch for {name}")
         if all(isinstance(a, Var) for a in args):
             pairs = [(self.slots[a.name], n ** (arity - 1 - i)) for i, a in enumerate(args)]
-            k = self.nvars
-            ex = [(s - k, m) for s, m in pairs if s >= k]
-            offsets = {sum(e[s] * m for s, m in ex) for e in self.exts} if ex else {0}
-            self.reads.append((first, tuple((s, m) for s, m in pairs if s < k), tuple(sorted(offsets))))
+            offset = sum(self.bound[s] * m for s, m in pairs if s in self.bound)
+            self.reads.add((first + offset, tuple((s, m) for s, m in pairs if s not in self.bound)))
         else:
             self.static.update(range(first, first + n ** arity))
         index = [str(first)] if first else []
@@ -169,7 +169,7 @@ def _compile(orbits: Orbits, imp: Implication):
         "        return True\n"
         "    return None if p is None or c is None else False\n"
     )
-    namespace: Dict[str, object] = {"U": range(orbits.n)}
+    namespace: Dict[str, object] = {}
     exec(compile(source, "<implication>", "exec"), namespace)
     return namespace["status"], comp
 
@@ -329,17 +329,19 @@ def find_models(
     seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]] = None,
     seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]] = None,
     seed_constants: Optional[Mapping[str, str]] = None,
+    fixed: Optional[Mapping[int, object]] = None,
 ) -> Iterator[FiniteStructure]:
     """All total interpretations on `universe` satisfying the implications.
 
     Seeded relation facts are fixed true, and every other relation fact
-    stays free.  Seeded function entries and constants are fixed.
-    Deterministic order; raises BudgetExceeded past node_cap assignments.
+    stays free.  Seeded function entries and constants are fixed, and so
+    are the `fixed` cells, given as `_search` takes them.  Deterministic
+    order; raises BudgetExceeded past node_cap assignments.
     """
     orbits = Orbits(sig, len(universe))
-    fixed = _seeded(orbits, universe, seed_true_relations, seed_functions, seed_constants)
+    cells = {**_seeded(orbits, universe, seed_true_relations, seed_functions, seed_constants), **(fixed or {})}
     build = orbits.builder(universe)
-    for val in _search(orbits, implications, fixed, node_cap):
+    for val in _search(orbits, implications, cells, node_cap):
         yield build(val)
 
 
@@ -363,29 +365,6 @@ def _seeded(
     for name, e in (seed_constants or {}).items():
         fixed[orbits.blocks[name][0]] = index(e)
     return fixed
-
-
-def least_completion(
-    sig: Signature,
-    universe: Tuple[str, ...],
-    node_cap: Optional[int] = None,
-    seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]] = None,
-    seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]] = None,
-    seed_constants: Optional[Mapping[str, str]] = None,
-) -> Optional[FiniteStructure]:
-    """The seeds with every free cell at its least value: each unseeded
-    fact false, each unseeded entry the first element.  When that structure
-    satisfies the implications, it is the first that `find_models` with the
-    same seeds yields, after one node per free cell; None when those nodes
-    exceed node_cap, as that search would raise BudgetExceeded first."""
-    orbits = Orbits(sig, len(universe))
-    fixed = _seeded(orbits, universe, seed_true_relations, seed_functions, seed_constants)
-    if node_cap is not None and orbits.size - len(fixed) > node_cap:
-        return None
-    val: List = [False] * orbits.offsets[-1] + [0] * orbits.digits
-    for c, v in fixed.items():
-        val[c] = v
-    return orbits.builder(universe)(val)
 
 
 def _first_in_cell_order(codes: Sequence[int]) -> int:

@@ -72,7 +72,13 @@ The amalgamation-solver reference is the solver as it was before it
 rejected candidates from their out-maps alone: it completes every quotient
 and lists every out-map pair, and leaves the strong-immersion kinds and the
 strong condition to the certificate check.  `solve_amalgamation` must give
-the same status and notes, or the same apex and out-maps.
+the same status and notes, or the same apex and out-maps.  Its quotient
+phase glues the wings with the union-find keyed by (side, element) pairs
+that the solver used before it glued on integer indices.
+
+The basis reference solves every (B, f, C, g) instance of a basis check
+on its own, as `check_basis` did before it solved one instance per
+symmetry class.  The reports must be equal.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from posmt.corpus import (
     CORPUS_CAP, DEFAULT_MAX_ATOMS_CQ, DEFAULT_MAX_ATOMS_IMPL, AtomCode, AtomPool,
@@ -98,7 +104,7 @@ from posmt.morphisms import (
 )
 from posmt import corpus
 from posmt.finder import find_models
-from posmt.structures import FiniteStructure, Signature, element_names, enumerate_structures
+from posmt.structures import FiniteStructure, Signature, UnionFind, element_names, enumerate_structures
 from posmt.records import replace
 from posmt.theories import (
     Budget, DiagramSet, Theory, Verdict, _continuation_verdict, _pc_models, models, no,
@@ -1056,8 +1062,59 @@ def apex_candidates_reference(theory, sig: Signature, cap: int, node_cap: int) -
 # Amalgamation solver, certifying every candidate it builds
 
 
+def _quotient_seed(p):
+    """Glue f(a) ~ g(a) in B |_| C and close under function congruence and
+    constant agreement.  Returns (class-of dict, class names, seeds)."""
+    b, c = p.f.target, p.g.target
+    sig = b.signature
+    elems = [("B", e) for e in b.universe] + [("C", e) for e in c.universe]
+    uf = UnionFind(elems)
+    find, union = uf.find, uf.union
+    for a in p.base.universe:
+        union(("B", p.f(a)), ("C", p.g(a)))
+    for cn in sig.constants:
+        union(("B", b.const(cn)), ("C", c.const(cn)))
+    # function congruence: equal argument classes force equal value classes
+    changed = True
+    while changed:
+        changed = False
+        for name, _ in sig.functions:
+            cells: Dict[Tuple, Tuple] = {}
+            for side, s in (("B", b), ("C", c)):
+                for args, val in s.functions.get(name, {}).items():
+                    key = (name,) + tuple(find((side, e)) for e in args)
+                    v = find((side, val))
+                    if key in cells:
+                        if cells[key] != v:
+                            union(cells[key], v)
+                            changed = True
+                    else:
+                        cells[key] = v
+    classes: Dict[Tuple, List[Tuple]] = {}
+    for e in elems:
+        classes.setdefault(find(e), []).append(e)
+    order = sorted(classes, key=lambda r: min(classes[r]))
+    name_of = {root: f"q{i}" for i, root in enumerate(order)}
+    cls = {e: name_of[find(e)] for e in elems}
+    universe = tuple(name_of[r] for r in order)
+
+    seed_rels: Dict[str, Set[Tuple[str, ...]]] = {name: set() for name, _ in sig.relations}
+    seed_funcs: Dict[str, Dict[Tuple[str, ...], str]] = {name: {} for name, _ in sig.functions}
+    seed_consts: Dict[str, str] = {}
+    for side, s in (("B", b), ("C", c)):
+        for name, _ in sig.relations:
+            for tup in s.rel(name):
+                seed_rels[name].add(tuple(cls[(side, e)] for e in tup))
+        for name, entries in s.functions.items():
+            for args, val in entries.items():
+                seed_funcs[name][tuple(cls[(side, e)] for e in args)] = cls[(side, val)]
+        for cn in sig.constants:
+            seed_consts[cn] = cls[(side, s.const(cn))]
+    return cls, universe, seed_rels, seed_funcs, seed_consts
+
+
 def _solve_quotient_reference(p):
-    from posmt.amalgamation import QUOTIENT_COMPLETION_LIMIT, _certify, _quotient_seed
+    from posmt.amalgamation import QUOTIENT_COMPLETION_LIMIT, _certify
     cls, universe, seed_rels, seed_funcs, seed_consts = _quotient_seed(p)
     if len(universe) > p.budget.N:
         return None
@@ -1133,6 +1190,52 @@ def solve_amalgamation_reference(p):
         return no(p.budget, notes=("exhaustive apex search below N completed empty",))
     except BudgetExceeded as exc:
         return unknown(p.budget, notes=(str(exc),))
+
+
+def check_basis_reference(a, kinds, theory, b, strong=False, strict_strong=False):
+    """Iterate all wings B, C in the class (size <= n, up to iso) and all
+    maps of the required in-kinds from a; report solvability of each."""
+    from posmt.amalgamation import (
+        AmalgamationProblem, AmalgamationSolution, BasisReport, parse_kinds, solve_amalgamation,
+    )
+    from posmt.morphisms import enumerate_homs
+    from posmt.theories import is_model
+    kinds = parse_kinds(kinds)
+    alpha, beta = kinds[0], kinds[1]
+    if theory is not None:
+        if not is_model(a, theory):
+            raise StructureError("the base is not a model of the theory")
+        wings = models(theory, b)
+    else:
+        wings = list(enumerate_structures(a.signature, b.n))
+    # each wing's maps are listed once; the beta lists only if some alpha
+    # list is not empty, as no instance reads them otherwise
+    left = [enumerate_homs(a, w, kind=alpha, node_cap=b.node_cap) for w in wings]
+    right = left if beta == alpha or not any(left) else [
+        enumerate_homs(a, w, kind=beta, node_cap=b.node_cap) for w in wings]
+    instances: List[Dict] = []
+    statuses: List[str] = []
+    for bw, fs in zip(wings, left):
+        for cw, gs in zip(wings, right):
+            for f in fs:
+                for g in gs:
+                    problem = AmalgamationProblem(f, g, kinds, theory, strong, strict_strong, b)
+                    result = solve_amalgamation(problem)
+                    solved = isinstance(result, AmalgamationSolution)
+                    status = "yes" if solved else result.status
+                    statuses.append(status)
+                    instances.append({
+                        "B": bw, "C": cw, "f": dict(f.map), "g": dict(g.map),
+                        "status": status,
+                        "apex_size": result.apex.size() if solved else None,
+                    })
+    if all(s == "yes" for s in statuses):
+        agg = Verdict("yes", b, {"instances": len(statuses)})
+    elif any(s == "no" for s in statuses):
+        agg = Verdict("no", b, {"failing": statuses.count("no")})
+    else:
+        agg = Verdict("unknown", b, {"unknown": statuses.count("unknown")})
+    return BasisReport(a, kinds, theory.name if theory else "all-structures", tuple(instances), agg)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,16 @@ from posmt.morphisms import (
 )
 from posmt.records import replace
 from posmt.structures import FiniteStructure, Signature, enumerate_structures
-from posmt.theories import Budget, models
+from posmt.theories import Budget, is_model, models
 
-from conftest import SIG_LE, run_optimised
-from oracles import _solve_quotient_reference, apex_candidates_reference, solve_amalgamation_reference
+from conftest import POSET_AXIOMS, SIG_LE, make_theory, run_optimised
+from oracles import (
+    _solve_quotient_reference, apex_candidates_reference, check_basis_reference,
+    solve_amalgamation_reference,
+)
 
 SIG_R = Signature.make(relations={"R": 2})
+SIG_P = Signature.make(relations={"P": 1})
 
 
 def test_strict_mode_needs_a_strong_problem(point):
@@ -653,6 +657,110 @@ def test_check_basis_without_theory_pairs_every_wing(point):
     homs = [len(enumerate_homs(point, w)) for w in enumerate_structures(SIG_LE, 2)]
     assert len(report.instances) == sum(homs) ** 2 == 121
     assert len({inst["B"].key() for inst in report.instances}) == sum(1 for h in homs if h)
+
+
+# ---------------------------------------------------------------------------
+# basis reports, one solve per symmetry class
+
+
+def _solves(monkeypatch) -> list:
+    """The problems check_basis solves, one entry per solve."""
+    calls = []
+    real = amalgamation.solve_amalgamation
+    monkeypatch.setattr(amalgamation, "solve_amalgamation", lambda p: calls.append(p) or real(p))
+    return calls
+
+
+@pytest.mark.parametrize("structure,kinds,n,instances,classes", [
+    ("point", "hhhh", 3, 400, 120),
+    ("chain2", "hhhh", 3, 841, 253),
+    ("point", "iihh", 4, 7056, 1953),
+])
+def test_check_basis_solves_one_instance_per_symmetry_class(
+        monkeypatch, request, t_pos, structure, kinds, n, instances, classes):
+    # up to automorphisms of each wing and the B/C swap; every class ends
+    # "yes", so none is solved member by member
+    solves = _solves(monkeypatch)
+    report = check_basis(request.getfixturevalue(structure), kinds, t_pos, Budget(n=n))
+    assert report.verdict.is_yes
+    assert (len(report.instances), len(solves)) == (instances, classes)
+
+
+@pytest.mark.parametrize("kinds", ["hhhe", "iiih", "eeii", "ssss"])
+def test_check_basis_solves_every_instance_unless_both_out_kinds_are_h(monkeypatch, point, t_pos, kinds):
+    solves = _solves(monkeypatch)
+    report = check_basis(point, kinds, t_pos, Budget(n=2, N=4))
+    assert len(solves) == len(report.instances) > 0
+
+
+# small classes for the basis differential: signature, theory, largest wing
+BASIS_CLASSES = {
+    "digraphs": (SIG_R, None, 2),
+    "unary": (SIG_P, None, 3),
+    "posets": (SIG_LE, POSET_AXIOMS, 3),
+    "strict orders": (SIG_R, "hinductive: forall x y z. R(x,y) & R(y,z) -> R(x,z); "
+                             "hinductive: forall x. R(x,x) -> false;", 3),
+    "symmetric": (SIG_R, "hinductive: forall x y. R(x,y) -> R(y,x);", 2),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BASIS_CLASSES)),
+    base=st.integers(0, 20),
+    in_kinds=st.text("heis", min_size=2, max_size=2),
+    # every kind pair, and the one that shares answers about half the time
+    out_kinds=st.one_of(st.just("hh"), st.text("heis", min_size=2, max_size=2)),
+    mode=st.sampled_from(["plain", "strong", "strict"]),
+    N=st.integers(2, 3),
+)
+def test_check_basis_reports_as_the_reference_that_solves_every_instance(
+        name, base, in_kinds, out_kinds, mode, N):
+    sig, axioms, n = BASIS_CLASSES[name]
+    theory = make_theory(sig, axioms, name) if axioms else None
+    bases = [s for s in enumerate_structures(sig, 2) if theory is None or is_model(s, theory)]
+    args = (bases[base % len(bases)], in_kinds + out_kinds, theory, Budget(n=n, N=N),
+            mode != "plain", mode == "strict")
+    report, expected = check_basis(*args), check_basis_reference(*args)
+    assert (report, report.verdict.certificate) == (expected, expected.verdict.certificate)
+
+
+@pytest.mark.parametrize("N,node_cap,settled", [(2, 6, {"yes": 23, "no": 72}), (3, 21, {"yes": 46, "no": 0})])
+def test_a_shared_answer_only_settles_instances_that_ran_out_of_nodes(N, node_cap, settled):
+    # phase 2 lists B's out-maps before C's, so a tiny node cap stops some
+    # instances and not their swaps; the class's answer may settle an
+    # instance whose own solve ran out of nodes, never unsettle one (at
+    # N = 3 some classes meet an instance that runs out of nodes first)
+    bare = FiniteStructure(SIG_P, ("a",), {"P": frozenset()})
+    args = (bare, "hhhh", None, Budget(n=3, N=N, node_cap=node_cap), True)
+    report, expected = check_basis(*args), check_basis_reference(*args)
+    changed = {"yes": 0, "no": 0}
+    for got, ref in zip(report.instances, expected.instances):
+        assert [got[k] for k in "BCfg"] == [ref[k] for k in "BCfg"]
+        if (got["status"], got["apex_size"]) != (ref["status"], ref["apex_size"]):
+            assert ref["status"] == "unknown"
+            changed[got["status"]] += 1
+    assert len(report.instances) == len(expected.instances) == 400
+    assert changed == settled
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    strict=st.booleans(),
+    makers=st.tuples(st.sampled_from(sorted(WING_MAKERS)), st.sampled_from(sorted(WING_MAKERS))),
+    size=st.integers(1, 3),
+    rng=st.randoms(use_true_random=False),
+)
+def test_strong_condition_is_symmetric_under_the_wing_swap(strict, makers, size, rng):
+    # so a strong basis check may share one answer between (B, f, C, g)
+    # and (C, g, B, f); out-maps are drawn as any maps into the apex
+    p = _random_problem("hhhh", False, "strict" if strict else "strong", makers, 3, rng)
+    apex = FiniteStructure(POSET_SIG, ("a", "b", "c")[:size], {"le": frozenset()})
+    for _ in range(20):
+        out_b, out_c = (Morphism(w, apex, {e: rng.choice(apex.universe) for e in w.universe})
+                        for w in (p.f.target, p.g.target))
+        assert (check_strong_condition(out_b, out_c, p.f, p.g, strict)
+                == check_strong_condition(out_c, out_b, p.g, p.f, strict))
 
 
 def test_verify_theorem_small():

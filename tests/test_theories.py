@@ -776,8 +776,9 @@ def _drained(run):
 
 def test_node_counts_pinned(monkeypatch, t_pos, chain2):
     # node counts as _search returned them before the ground program; the
-    # finder search is the last chain2 quotient's, with its seeds, and only
-    # 235 of the 841 quotients are searched, as the rest certify their glued sum
+    # finder search is the last chain2 quotient's, with the cells its gluing
+    # fixes; one instance per symmetry class is solved, 253 of 841, and only
+    # 80 of those quotients are searched, as the rest certify their glued sum
     quotient, seeds = [], []
     real_find, real_seed = amalgamation.find_models, amalgamation._quotient_seed
 
@@ -788,12 +789,10 @@ def test_node_counts_pinned(monkeypatch, t_pos, chain2):
     monkeypatch.setattr(amalgamation, "_quotient_seed", lambda p: seeds.append(real_seed(p)) or seeds[-1])
     monkeypatch.setattr(amalgamation, "_CANDIDATE_CACHE", {})
     amalgamation.check_basis(chain2, "hhhh", t_pos, Budget())
-    _, universe, rels, funcs, consts = seeds[-1]
-    found, returned = _drained(lambda: list(find_models(
-        SIG_LE, universe, t_pos.implications(),
-        seed_true_relations=rels, seed_functions=funcs, seed_constants=consts)))
+    _, universe, _, _, fixed = seeds[-1]
+    found, returned = _drained(lambda: list(find_models(SIG_LE, universe, t_pos.implications(), fixed=fixed)))
     assert (len(seeds), len(quotient), len(universe), len(found), returned) == (
-        841, 235, 5, 4231, [28304])
+        253, 80, 5, 4231, [28304])
 
     t_fix = make_theory(SIG_F, "positive: exists x. f(x) = x;")
     found, returned = _drained(lambda: list(finder._search(Orbits(SIG_F, 4), t_fix.implications(), {})))
@@ -806,7 +805,7 @@ def test_node_counts_pinned(monkeypatch, t_pos, chain2):
 
 
 def test_check_basis_compiles_each_size_once(monkeypatch, t_pos, chain2):
-    # 841 quotients (235 of them searched) and the wing lists, sizes 1 to 5: each
+    # 253 quotients (80 of them searched) and the wing lists, sizes 1 to 5: each
     # (size, implication) is compiled once, not once per search
     compiled = _count_compiles(monkeypatch)
     monkeypatch.setattr(amalgamation, "_CANDIDATE_CACHE", {})
