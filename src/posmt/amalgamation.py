@@ -20,7 +20,9 @@ to a strong problem).
 
 A basis check (`check_basis`) solves one instance per symmetry class when
 both out-kinds are h: instances that differ by wing automorphisms or by the
-B/C swap share a "yes" or an exhaustive "no".
+B/C swap share a "yes", an exhaustive "no" or an "unknown" from a truncated
+apex search.  The theorem harness (`verify_theorem`) solves each distinct
+generated problem once and re-checks every instance's certificate.
 
 Every candidate is certified in full (`_certify`), but the conditions that
 the out-maps alone settle are decided before any search: the quotient
@@ -264,6 +266,7 @@ def _solve_quotient(p: AmalgamationProblem) -> Optional[AmalgamationSolution]:
 
 MAX_ENUM_APEX = len(ELEMENT_NAMES)  # enumerated universes use the default names
 ENUM_RAW_LIMIT = 10 ** 6  # raw interpretation count beyond which a size is skipped
+TRUNCATED = ("apex enumeration truncated below N",)  # notes of an "unknown" that stopped below N
 
 
 def _enum_sizes(p: AmalgamationProblem) -> Tuple[int, bool]:
@@ -369,7 +372,7 @@ def solve_amalgamation(p: AmalgamationProblem) -> Union[AmalgamationSolution, Ve
         if sol is not None:
             return sol
         if not exhaustive:
-            return unknown(p.budget, notes=("apex enumeration truncated below N",))
+            return unknown(p.budget, notes=TRUNCATED)
         return no(p.budget, notes=("exhaustive apex search below N completed empty",))
     except BudgetExceeded as exc:
         return unknown(p.budget, notes=(str(exc),))
@@ -413,10 +416,11 @@ def check_basis(
     every completion of the glued quotient certifies or none does, and the
     apex pool is searched a whole size at a time.  So instances that differ
     by wing automorphisms, or by swapping (B, f) with (C, g) when alpha =
-    beta, share a "yes" or an exhaustive "no"; an "unknown" depends on the
-    labelling under the node cap.  Under out-kinds e, i and s the first
-    completion that certifies (of QUOTIENT_COMPLETION_LIMIT) depends on the
-    labelling, so each instance is solved on its own."""
+    beta, share a "yes", an exhaustive "no" or an "unknown" from a
+    truncated apex search, which stops below N whatever the labelling; one
+    from the node cap depends on the labelling.  Under out-kinds e, i and s
+    the first completion that certifies (of QUOTIENT_COMPLETION_LIMIT)
+    depends on the labelling, so each instance is solved on its own."""
     kinds = parse_kinds(kinds)
     alpha, beta = kinds[0], kinds[1]
     if theory is not None:
@@ -445,7 +449,7 @@ def check_basis(
                         result = solve_amalgamation(AmalgamationProblem(f, g, kinds, theory, strong, strict_strong, b))
                         solved = isinstance(result, AmalgamationSolution)
                         answer = ("yes", result.apex.size()) if solved else (result.status, None)
-                        if shared and answer[0] != "unknown":
+                        if shared and (answer[0] != "unknown" or result.notes == TRUNCATED):
                             answers[key] = answer
                     instances.append({"B": bw, "C": cw, "f": dict(f.map), "g": dict(g.map),
                                       "status": answer[0], "apex_size": answer[1]})
@@ -666,6 +670,26 @@ def _gen_instance(
     raise ValueError(f"unknown theorem id {theorem!r}")
 
 
+def _solver():
+    """`solve_amalgamation` for the problems of one harness run, which share
+    signature, kinds, class and budget: each distinct problem, by its
+    universes, facts and wing maps, is solved once."""
+    answers: Dict[Tuple, Union[AmalgamationSolution, Verdict]] = {}
+
+    def facts(s: FiniteStructure) -> Tuple:
+        return (s.universe, tuple(map(s.rel, s.signature.relation_arities)),
+                tuple(tuple(table.items()) for table in s.functions.values()), tuple(s.constants.items()))
+
+    def solve(p: AmalgamationProblem) -> Union[AmalgamationSolution, Verdict]:
+        base = p.base.universe
+        key = (facts(p.base), facts(p.f.target), facts(p.g.target),
+               tuple(map(p.f.map.__getitem__, base)), tuple(map(p.g.map.__getitem__, base)))
+        if key not in answers:
+            answers[key] = solve_amalgamation(p)
+        return answers[key]
+    return solve
+
+
 def verify_theorem(
     theorem: str, seed: int, b: Budget, instances: int = 50
 ) -> Dict:
@@ -683,6 +707,7 @@ def verify_theorem(
     t_pos = poset_theory()
     if theorem == "inheritance":
         return _verify_inheritance(rng, b, instances, t_pos)
+    solve = _solver()
     rows = []
     witnessed = 0
     red_flags = []
@@ -692,7 +717,7 @@ def verify_theorem(
         if p is None:
             continue
         done += 1
-        result = solve_amalgamation(p)
+        result = solve(p)
         if isinstance(result, AmalgamationSolution):
             if not verify_solution(p, result):
                 raise PosmtError("a solver solution failed its certificate re-check")
@@ -721,6 +746,7 @@ def _verify_inheritance(rng: random.Random, b: Budget, instances: int, t: Theory
     instances should be solvable at bound too."""
     if b.n < 2:
         raise PosmtError("the inheritance harness needs n >= 2: B is A plus one point")
+    solve = _solver()
     rows = []
     witnessed = 0
     red_flags = []
@@ -739,9 +765,9 @@ def _verify_inheritance(rng: random.Random, b: Budget, instances: int, t: Theory
         premise_ok = True
         if fb is not None and gb is not None:
             pb = AmalgamationProblem(fb, gb, parse_kinds("hhhh"), t, strong=True, budget=b)
-            premise_ok = isinstance(solve_amalgamation(pb), AmalgamationSolution)
+            premise_ok = isinstance(solve(pb), AmalgamationSolution)
         p = AmalgamationProblem(f, g, parse_kinds("hhhh"), t, strong=True, budget=b)
-        result = solve_amalgamation(p)
+        result = solve(p)
         ok = isinstance(result, AmalgamationSolution)
         if ok:
             if not verify_solution(p, result):

@@ -1,5 +1,10 @@
 """Homomorphism search and classification into the four-kind hierarchy.
 
+`search_homs` is plain backtracking (Ullmann, J. ACM 23, 1976), one loop
+over the source universe whose levels check the facts they complete.  The
+checks on a given map read its images off the map, whose keys must be
+exactly the source universe.
+
 Kind chain: Hom < Embedding < Immersion < StrongImmersion, decided in one
 place, `classify_morphism`: it checks for a homomorphism once, then goes up
 the chain only as far as its caller needs.  Immersion is decided exactly by
@@ -17,7 +22,7 @@ parameter inequalities.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .errors import BudgetExceeded, SignatureError, StructureError
 from .records import record
@@ -57,12 +62,11 @@ class Morphism:
                 raise StructureError(f"map not total at {e}")
             if self.map[e] not in tgt:
                 raise StructureError(f"map sends {e} outside the target universe")
+        if len(self.map) != len(self.source.universe):
+            raise StructureError(f"map keys outside the source: {sorted(self.map.keys() - self.source.universe)}")
 
     def __call__(self, e: str) -> str:
         return self.map[e]
-
-    def apply(self, tup: Sequence[str]) -> Tuple[str, ...]:
-        return tuple(self.map[e] for e in tup)
 
     def map_key(self) -> Tuple[Tuple[str, str], ...]:
         return tuple((e, self.map[e]) for e in self.source.universe)
@@ -89,19 +93,19 @@ class Morphism:
 
 
 def is_homomorphism(m: Morphism) -> bool:
-    a, b = m.source, m.target
+    a, b, image = m.source, m.target, m.map.__getitem__
     for name, _ in a.signature.relations:
         brel = b.rel(name)
         for tup in a.rel(name):
-            if m.apply(tup) not in brel:
+            if tuple(map(image, tup)) not in brel:
                 return False
     for name, _ in a.signature.functions:
         btab = b.functions[name]
         for args, val in a.functions[name].items():
-            if btab[m.apply(args)] != m.map[val]:
+            if btab[tuple(map(image, args))] != image(val):
                 return False
     for c in a.signature.constants:
-        if m.map[a.const(c)] != b.const(c):
+        if image(a.const(c)) != b.const(c):
             return False
     return True
 
@@ -116,28 +120,18 @@ def _embeds(m: Morphism) -> bool:
     if not m.is_injective():
         return False
     a, b = m.source, m.target
-    inverse = {m.map[e]: e for e in a.universe}
+    preimage = {m.map[e]: e for e in a.universe}.get
     for name, _ in a.signature.relations:
         arel = a.rel(name)
         for tup in b.rel(name):
-            if all(e in inverse for e in tup) and tuple(inverse[e] for e in tup) not in arel:
+            back = tuple(map(preimage, tup))
+            if None not in back and back not in arel:
                 return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # Backtracking hom search
-
-
-def _source_facts(a: FiniteStructure):
-    facts = []
-    for name, _ in a.signature.relations:
-        for tup in sorted(a.rel(name)):
-            facts.append(("rel", name, tup))
-    for name, _ in a.signature.functions:
-        for args, val in sorted(a.functions[name].items()):
-            facts.append(("func", name, args + (val,)))
-    return facts
 
 
 def search_homs(
@@ -152,64 +146,62 @@ def search_homs(
     value and no other element into `forbidden`, by backtracking in universe
     order; with `injective`, only the injective ones, each image taken at
     most once along a branch.  Deterministic: images tried in target
-    universe order."""
+    universe order, each map a dict in source universe order.  A level
+    checks the relation tuples and function entries (in the target's
+    graph) whose last element it assigns."""
     if a.signature != b.signature:
         raise SignatureError("hom search across different signatures")
     pinned = required or {}
     required = dict(pinned)
-    free = [e for e in b.universe if e not in forbidden] if forbidden else list(b.universe)
+    free = tuple(e for e in b.universe if e not in forbidden) if forbidden else b.universe
     for c in a.signature.constants:
         src = a.const(c)
         tgt = b.const(c)
         if required.get(src, tgt) != tgt or (src not in pinned and tgt not in free):
             return
         required[src] = tgt
-    facts = _source_facts(a)
-    order = list(a.universe)
-    pos = {e: i for i, e in enumerate(order)}
-    # facts checkable once all their elements are assigned; index by last element
-    facts_by_last: List[List[Tuple]] = [[] for _ in order]
-    for kind, name, tup in facts:
-        last = max(pos[e] for e in tup)
-        facts_by_last[last].append((kind, name, tup))
-
+    order = a.universe
+    level = {e: i for i, e in enumerate(order)}.__getitem__
+    checks: List[List[Tuple[FrozenSet, Tuple[str, ...]]]] = [[] for _ in order]
+    for name, _ in a.signature.relations:
+        brel = b.rel(name)
+        for t in a.rel(name):
+            checks[max(map(level, t))].append((brel, t))
+    for name, _ in a.signature.functions:
+        graph = frozenset(args + (v,) for args, v in b.functions[name].items())
+        for t in (args + (v,) for args, v in a.functions[name].items()):
+            checks[max(map(level, t))].append((graph, t))
+    choices = [(required[e],) if e in required else free for e in order]
     assignment: Dict[str, str] = {}
-    used: Set[str] = set()  # the images taken, for an injective search
-    nodes = 0
-
-    def ok_at(i: int) -> bool:
-        for kind, name, tup in facts_by_last[i]:
-            img = tuple(assignment[e] for e in tup)
-            if kind == "rel":
-                if img not in b.rel(name):
-                    return False
-            else:
-                if b.functions[name][img[:-1]] != img[-1]:
-                    return False
-        return True
-
-    def dfs(i: int) -> Iterator[Dict[str, str]]:
-        nonlocal nodes
-        if i == len(order):
-            yield dict(assignment)
-            return
-        e = order[i]
-        candidates = [required[e]] if e in required else free
-        for cand in candidates:
+    image = assignment.__getitem__
+    used: Set[str] = set()  # the images taken above the current level, for an injective search
+    nodes, cap = 0, float("inf") if node_cap is None else node_cap
+    stack = [iter(choices[0])]
+    while stack:
+        i = len(stack) - 1
+        e, last = order[i], i + 1 == len(order)
+        for cand in stack[i]:
             if cand in used:
                 continue
             nodes += 1
-            if node_cap is not None and nodes > node_cap:
+            if nodes > cap:
                 raise BudgetExceeded(f"hom search exceeded node cap {node_cap}")
             assignment[e] = cand
-            if injective:
-                used.add(cand)
-            if ok_at(i):
-                yield from dfs(i + 1)
-            used.discard(cand)
-            del assignment[e]
-
-    yield from dfs(0)
+            for target, t in checks[i]:
+                if tuple(map(image, t)) not in target:
+                    break
+            else:
+                if last:
+                    yield dict(assignment)
+                    continue
+                if injective:
+                    used.add(cand)
+                stack.append(iter(choices[i + 1]))
+                break
+        else:
+            stack.pop()
+            if injective and stack:
+                used.discard(assignment[order[i - 1]])
 
 
 def find_hom(
@@ -298,7 +290,7 @@ def classify_morphism(m: Morphism, need: MorphismKind = MorphismKind.STRONG_IMME
         return MorphismKind.HOM
     if need == MorphismKind.EMBEDDING:
         return need
-    if len(set(m.map.values())) == len(m.target.universe):
+    if len(set(map(m.map.__getitem__, m.source.universe))) == len(m.target.universe):
         return need
     return MorphismKind.IMMERSION if retraction(m) is not None else MorphismKind.EMBEDDING
 
@@ -311,15 +303,17 @@ def enumerate_homs(
     node_cap: Optional[int] = None,
     forbidden: Optional[Collection[str]] = None,
 ) -> List[Morphism]:
-    """All morphisms of at least the requested kind, sorted by map encoding;
-    `required` and `forbidden` restrict the maps as in `search_homs`.  From
-    kind e up only injective maps are searched, and kind s, a bijection in
-    the chain, needs equal sizes."""
+    """All morphisms of at least the requested kind, sorted by map encoding
+    (the image tuple in source universe order); `required` and `forbidden`
+    restrict the maps as in `search_homs`.  From kind e up only injective
+    maps are searched, and kind s, a bijection in the chain, needs equal
+    sizes."""
     if kind == MorphismKind.STRONG_IMMERSION and len(a.universe) != len(b.universe):
         return []
     injective = kind >= MorphismKind.EMBEDDING
-    out = [Morphism(a, b, mp) for mp in search_homs(a, b, required, node_cap, forbidden, injective)]
+    maps = sorted(search_homs(a, b, required, node_cap, forbidden, injective),
+                  key=lambda mp: tuple(map(mp.__getitem__, a.universe)))
+    out = [Morphism(a, b, mp) for mp in maps]
     if kind > MorphismKind.HOM:
         out = [m for m in out if classify_morphism(m, kind) >= kind]
-    out.sort(key=lambda m: m.map_key())
     return out

@@ -189,6 +189,8 @@ def _parse_morphism(p: Parser, ws: Workspace) -> None:
     missing = [e for e in source.universe if e not in mapping]
     if missing:
         raise StructureError(f"morphism {name!r} misses elements {missing}")
+    if mapping.keys() - source.universe:
+        raise StructureError(f"morphism {name!r} maps {sorted(mapping.keys() - source.universe)}, not in {src}")
     bad = [v for v in mapping.values() if v not in target.universe]
     if bad:
         raise StructureError(f"morphism {name!r} maps outside the target: {bad}")

@@ -389,28 +389,23 @@ def _pc_models(ms: Sequence[FiniteStructure], b: Budget) -> List[FiniteStructure
 # Joint continuation / T-completeness
 
 
-def _common_continuation(
-    a: FiniteStructure, bst: FiniteStructure, candidates: Sequence[FiniteStructure], node_cap: int
-) -> Optional[Tuple[FiniteStructure, Dict[str, str], Dict[str, str]]]:
-    for d in candidates:
-        fa = None
-        for h in search_homs(a, d, node_cap=node_cap):
-            fa = h
-            break
-        if fa is None:
-            continue
-        for h in search_homs(bst, d, node_cap=node_cap):
-            return d, fa, h
-    return None
-
-
 def _continuation_verdict(
     b: Budget, pairs: Sequence[Tuple], candidates: Sequence[FiniteStructure]
 ) -> Verdict:
     """yes iff every pair has a common continuation among `candidates`, the
-    models of t of size <= N; no with the first pair, in order, that has none."""
+    models of t of size <= N; no with the first pair, in order, that has none.
+    The first hom from a structure into each candidate is searched once,
+    when a pair first asks for it."""
+    first: Dict[FiniteStructure, list] = {}  # per candidate: a hom, None, or False if not searched
+
+    def hom(s: FiniteStructure, row: list, i: int) -> Optional[Dict[str, str]]:
+        if row[i] is False:
+            row[i] = next(search_homs(s, candidates[i], node_cap=b.node_cap), None)
+        return row[i]
+
     for a, bst in pairs:
-        if _common_continuation(a, bst, candidates, b.node_cap) is None:
+        ra, rb = (first.get(s) or first.setdefault(s, [False] * len(candidates)) for s in (a, bst))
+        if not any(hom(a, ra, i) is not None and hom(bst, rb, i) is not None for i in range(len(candidates))):
             return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
     return yes(b, {"pairs_checked": len(pairs)})
 

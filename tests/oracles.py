@@ -34,6 +34,18 @@ The evaluation reference walks the formula tree per assignment, copying
 the environment at every quantifier.  The compiled evaluator behind
 `formulas.eval_formula` must return the same truth value.
 
+The hom-search reference is the recursive generator that
+`morphisms.search_homs` replaced, with the map checks and the retraction
+built on it as they were; the immersion, strong-immersion, kind and hom
+enumeration references run it, not the kernel.  The kernel must yield the
+same maps in the same order and run out of nodes at the same cap.
+
+The continuation reference decides joint continuation pair by pair,
+searching each pair's first homomorphisms afresh, as
+`theories._continuation_verdict` did before it kept the first hom into
+each candidate.  Verdicts, first failing pairs and budget exhaustion must
+be the same.
+
 The kind references decide the four-kind chain as it was decided before
 `morphisms.classify_morphism` became the one place: embedding, then a
 retraction, then the bounded strong immersion at k.  They keep the bound
@@ -92,16 +104,13 @@ from posmt.corpus import (
     CORPUS_CAP, DEFAULT_MAX_ATOMS_CQ, DEFAULT_MAX_ATOMS_IMPL, AtomCode, AtomPool,
     BoundedImplication, CQSentence, atom_pool,
 )
-from posmt.errors import BudgetExceeded, FormulaError, StructureError
+from posmt.errors import BudgetExceeded, FormulaError, SignatureError, StructureError
 from posmt.formulas import (
     And, Atom, Const, EqAtom, Exists, Falsum, Forall, Formula, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
     PosEx, PosQF, RelAtom, Term, Truth, Var, free_vars,
 )
-from posmt.morphisms import (
-    Morphism, MorphismKind, is_embedding, is_homomorphism, is_immersion,
-    is_strong_immersion, retraction, search_homs,
-)
+from posmt.morphisms import Morphism, MorphismKind, is_strong_immersion
 from posmt import corpus
 from posmt.finder import find_models
 from posmt.structures import FiniteStructure, Signature, UnionFind, element_names, enumerate_structures
@@ -110,6 +119,137 @@ from posmt.theories import (
     Budget, DiagramSet, Theory, Verdict, _continuation_verdict, _pc_models, models, no,
     ti_star_set, tu_star_set, yes,
 )
+
+
+# ---------------------------------------------------------------------------
+# Hom search and the map checks, as they were before the iterative kernel
+
+
+def _source_facts(a: FiniteStructure):
+    facts = []
+    for name, _ in a.signature.relations:
+        for tup in sorted(a.rel(name)):
+            facts.append(("rel", name, tup))
+    for name, _ in a.signature.functions:
+        for args, val in sorted(a.functions[name].items()):
+            facts.append(("func", name, args + (val,)))
+    return facts
+
+
+def search_homs_reference(
+    a: FiniteStructure,
+    b: FiniteStructure,
+    required: Optional[Mapping[str, str]] = None,
+    node_cap: Optional[int] = None,
+    forbidden: Optional[Collection[str]] = None,
+    injective: bool = False,
+) -> Iterator[Dict[str, str]]:
+    """All homomorphisms a -> b that send each key of `required` to its
+    value and no other element into `forbidden`, by backtracking in universe
+    order; with `injective`, only the injective ones, each image taken at
+    most once along a branch.  Deterministic: images tried in target
+    universe order.  The recursive generator that `morphisms.search_homs`
+    replaced; it yields the same maps in the same order, counting nodes the
+    same way."""
+    if a.signature != b.signature:
+        raise SignatureError("hom search across different signatures")
+    pinned = required or {}
+    required = dict(pinned)
+    free = [e for e in b.universe if e not in forbidden] if forbidden else list(b.universe)
+    for c in a.signature.constants:
+        src = a.const(c)
+        tgt = b.const(c)
+        if required.get(src, tgt) != tgt or (src not in pinned and tgt not in free):
+            return
+        required[src] = tgt
+    facts = _source_facts(a)
+    order = list(a.universe)
+    pos = {e: i for i, e in enumerate(order)}
+    # facts checkable once all their elements are assigned; index by last element
+    facts_by_last: List[List[Tuple]] = [[] for _ in order]
+    for kind, name, tup in facts:
+        last = max(pos[e] for e in tup)
+        facts_by_last[last].append((kind, name, tup))
+
+    assignment: Dict[str, str] = {}
+    used: Set[str] = set()  # the images taken, for an injective search
+    nodes = 0
+
+    def ok_at(i: int) -> bool:
+        for kind, name, tup in facts_by_last[i]:
+            img = tuple(assignment[e] for e in tup)
+            if kind == "rel":
+                if img not in b.rel(name):
+                    return False
+            else:
+                if b.functions[name][img[:-1]] != img[-1]:
+                    return False
+        return True
+
+    def dfs(i: int) -> Iterator[Dict[str, str]]:
+        nonlocal nodes
+        if i == len(order):
+            yield dict(assignment)
+            return
+        e = order[i]
+        candidates = [required[e]] if e in required else free
+        for cand in candidates:
+            if cand in used:
+                continue
+            nodes += 1
+            if node_cap is not None and nodes > node_cap:
+                raise BudgetExceeded(f"hom search exceeded node cap {node_cap}")
+            assignment[e] = cand
+            if injective:
+                used.add(cand)
+            if ok_at(i):
+                yield from dfs(i + 1)
+            used.discard(cand)
+            del assignment[e]
+
+    yield from dfs(0)
+
+
+def is_homomorphism_reference(m: Morphism) -> bool:
+    a, b = m.source, m.target
+    for name, _ in a.signature.relations:
+        brel = b.rel(name)
+        for tup in a.rel(name):
+            if tuple(m.map[e] for e in tup) not in brel:
+                return False
+    for name, _ in a.signature.functions:
+        btab = b.functions[name]
+        for args, val in a.functions[name].items():
+            if btab[tuple(m.map[e] for e in args)] != m.map[val]:
+                return False
+    for c in a.signature.constants:
+        if m.map[a.const(c)] != b.const(c):
+            return False
+    return True
+
+
+def is_embedding_reference(m: Morphism) -> bool:
+    """A homomorphism that is injective and pulls back every target tuple
+    inside its image."""
+    if not is_homomorphism_reference(m) or not m.is_injective():
+        return False
+    a, b = m.source, m.target
+    inverse = {m.map[e]: e for e in a.universe}
+    for name, _ in a.signature.relations:
+        arel = a.rel(name)
+        for tup in b.rel(name):
+            if all(e in inverse for e in tup) and tuple(inverse[e] for e in tup) not in arel:
+                return False
+    return True
+
+
+def retraction_reference(m: Morphism) -> Optional[Morphism]:
+    """A homomorphism r: target -> source with r . m = id, if one exists."""
+    if not m.is_injective():
+        return None
+    required = {m.map[e]: e for e in m.source.universe}
+    r = next(search_homs_reference(m.target, m.source, required), None)
+    return Morphism(m.target, m.source, r) if r is not None else None
 
 
 class ImmersionOracle:
@@ -123,7 +263,7 @@ class ImmersionOracle:
     def homs(self, a: FiniteStructure, b: FiniteStructure) -> List[Dict[str, str]]:
         key = (a.key(), b.key())
         if key not in self._homs:
-            self._homs[key] = [dict(m) for m in search_homs(a, b)]
+            self._homs[key] = [dict(m) for m in search_homs_reference(a, b)]
         return self._homs[key]
 
     def sat(self, d: FiniteStructure, x: FiniteStructure,
@@ -161,7 +301,7 @@ def strong_immersion_reference(m: Morphism, k: Optional[int] = None) -> bool:
     a, b = m.source, m.target
     if k is None:
         k = len(b.universe)
-    if not is_homomorphism(m):
+    if not is_homomorphism_reference(m):
         return False
     preimages: Dict[str, List[str]] = {}
     for e in a.universe:
@@ -198,11 +338,11 @@ def strong_immersion_reference(m: Morphism, k: Optional[int] = None) -> bool:
 def classify_morphism_reference(m: Morphism, k: Optional[int] = None) -> MorphismKind:
     """Strongest kind in the chain that holds (strong immersion at bound k,
     defaulting to the target size)."""
-    if not is_homomorphism(m):
+    if not is_homomorphism_reference(m):
         raise StructureError("not a homomorphism")
-    if not is_embedding(m):
+    if not is_embedding_reference(m):
         return MorphismKind.HOM
-    if not is_immersion(m):
+    if retraction_reference(m) is None:
         return MorphismKind.EMBEDDING
     strong, _ = is_strong_immersion(m, k)
     return MorphismKind.STRONG_IMMERSION if strong else MorphismKind.IMMERSION
@@ -219,12 +359,12 @@ def enumerate_homs_reference(
     """All morphisms of at least the requested kind, sorted by map encoding,
     filtered kind by kind: embedding, retraction, strong immersion at k."""
     out = []
-    for mp in search_homs(a, b, required, node_cap=node_cap):
+    for mp in search_homs_reference(a, b, required, node_cap=node_cap):
         m = Morphism(a, b, mp)
-        if kind >= MorphismKind.EMBEDDING and not is_embedding(m):
+        if kind >= MorphismKind.EMBEDDING and not is_embedding_reference(m):
             continue
         if kind >= MorphismKind.IMMERSION:
-            r = retraction(m)
+            r = retraction_reference(m)
             if r is None:
                 continue
         if kind >= MorphismKind.STRONG_IMMERSION:
@@ -735,6 +875,31 @@ def jc_characterization_report_reference(t: Theory, b: Budget) -> Dict:
         "agreement": {name: (value == jc.is_yes) for name, value in conditions.items()},
         "budget": b.as_dict(),
     }
+
+
+def _common_continuation(
+    a: FiniteStructure, bst: FiniteStructure, candidates: Sequence[FiniteStructure], node_cap: int
+) -> Optional[Tuple[FiniteStructure, Dict[str, str], Dict[str, str]]]:
+    for d in candidates:
+        fa = None
+        for h in search_homs_reference(a, d, node_cap=node_cap):
+            fa = h
+            break
+        if fa is None:
+            continue
+        for h in search_homs_reference(bst, d, node_cap=node_cap):
+            return d, fa, h
+    return None
+
+
+def continuation_verdict_reference(
+    b: Budget, pairs: Sequence[Tuple], candidates: Sequence[FiniteStructure]
+) -> Verdict:
+    """`theories._continuation_verdict` searching each pair's homs afresh."""
+    for a, bst in pairs:
+        if _common_continuation(a, bst, candidates, b.node_cap) is None:
+            return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
+    return yes(b, {"pairs_checked": len(pairs)})
 
 
 def tu_ti_extremality_check(t: Theory, b: Budget) -> Verdict:

@@ -13,7 +13,7 @@ from posmt.amalgamation import (
     check_strong_condition, disjoint_poset_extension, embedding_extension, inflate,
     iso_copy, parse_kinds, poset_theory, random_hom_wing, random_poset, random_structure,
     solve_amalgamation, verify_solution, verify_theorem, THEOREM_IDS,
-    _solve_enumeration, _solve_quotient,
+    _gen_instance, _solve_enumeration, _solve_quotient,
 )
 from posmt.errors import BudgetExceeded, StructureError
 from posmt.morphisms import (
@@ -428,11 +428,26 @@ def test_glued_sum_is_taken_only_within_the_node_cap(monkeypatch, point, chain2,
 @pytest.mark.parametrize("theorem,searched", [("ii-hh-strong", 0), ("h-strong-pc", 21)])
 def test_quotient_searches_pinned(monkeypatch, theorem, searched):
     # of the 200 quotients at seed 0, all but `searched` certify their
-    # glued sum and list no completion
+    # glued sum and list no completion; the harness solves each distinct
+    # problem once, so it lists the completions of each distinct one once
+    rng, b, t_pos = random.Random(0), Budget(N=8), poset_theory()
+    problems = []
+    while len(problems) < 200:  # as verify_theorem draws them
+        p = _gen_instance(theorem, rng, b, t_pos)
+        if p is not None:
+            problems.append(p)
     searches = _searches(monkeypatch)
-    report = verify_theorem(theorem, 0, Budget(N=8), instances=200)
-    assert report["witnessed"] == 200
+    listed = set()
+    for p in problems:
+        before = len(searches)
+        assert _solve_quotient(p) is not None
+        if len(searches) > before:
+            listed.add((p.f, p.g))
     assert len(searches) == searched
+    del searches[:]
+    report = verify_theorem(theorem, 0, b, instances=200)
+    assert report["witnessed"] == 200
+    assert len(searches) == len(listed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -693,6 +708,21 @@ def test_check_basis_solves_every_instance_unless_both_out_kinds_are_h(monkeypat
     assert len(solves) == len(report.instances) > 0
 
 
+def test_check_basis_shares_an_unknown_from_a_truncated_apex_search(monkeypatch):
+    # strict orders from a two-point antichain: at N = 5 the apex search
+    # lists sizes 1-4 only, whatever the labelling, so the 882 "unknown"
+    # instances are settled class by class, as the "no"s are at N = 4
+    strict = make_theory(SIG_R, BASIS_CLASSES["strict orders"][1], "strict orders")
+    antichain = FiniteStructure(SIG_R, ("a", "b"), {"R": frozenset()})
+    solves = _solves(monkeypatch)
+    args = (antichain, "hhhh", strict, Budget(n=3, N=5))
+    report = check_basis(*args)
+    assert (report.verdict.status, report.verdict.certificate) == ("unknown", {"unknown": 882})
+    assert len(solves) == 703
+    expected = check_basis_reference(*args)
+    assert (report, report.verdict.certificate) == (expected, expected.verdict.certificate)
+
+
 # small classes for the basis differential: signature, theory, largest wing
 BASIS_CLASSES = {
     "digraphs": (SIG_R, None, 2),
@@ -761,6 +791,27 @@ def test_strong_condition_is_symmetric_under_the_wing_swap(strict, makers, size,
                         for w in (p.f.target, p.g.target))
         assert (check_strong_condition(out_b, out_c, p.f, p.g, strict)
                 == check_strong_condition(out_c, out_b, p.g, p.f, strict))
+
+
+@pytest.mark.parametrize("theorem,distinct", [
+    ("si-si-strong", 121), ("ii-hh-strong", 52), ("ih-ih-strong", 120), ("h-strong-pc", 105),
+    ("inheritance", 318), ("example-2", 94), ("example-3", 140), ("example-4", 167),
+    ("example-5", 105), ("example-7", 76),
+])
+def test_verify_solves_each_distinct_problem_once(monkeypatch, theorem, distinct):
+    # of the 200 generated instances at seed 0 (400 problems for
+    # inheritance, premise and conclusion), `distinct` differ in universes,
+    # facts or wing maps; the report is the one that solves every instance,
+    # and every witnessed instance has its certificate re-checked
+    solves = _solves(monkeypatch)
+    checks = []
+    real_check = amalgamation.verify_solution
+    monkeypatch.setattr(amalgamation, "verify_solution", lambda p, sol: checks.append(p) or real_check(p, sol))
+    report = verify_theorem(theorem, 0, Budget(N=8), instances=200)
+    assert len(solves) == distinct
+    assert len(checks) == report["witnessed"]
+    monkeypatch.setattr(amalgamation, "_solver", lambda: amalgamation.solve_amalgamation)
+    assert verify_theorem(theorem, 0, Budget(N=8), instances=200) == report
 
 
 def test_verify_theorem_small():

@@ -128,6 +128,19 @@ def test_classify_labels_an_isomorphism_strong_immersion_without_a_bound(tmp_pat
     assert code == 0 and json.loads(out)["kind"] == "s"
 
 
+def test_classify_rejects_map_keys_outside_the_source(tmp_path, capsys):
+    # `zz` is no element of point; its image b must not make the map look
+    # onto chain2, which would label the inclusion a strong immersion
+    data = Path(__file__).resolve().parents[1] / "data" / "posets.posmt"
+    path = tmp_path / "junk.posmt"
+    path.write_text("morphism junk from point to chain2 { map: a -> a, zz -> b; }\n")
+    code = main(["classify", str(data), str(path), "--morphism", "junk", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "junk" in captured.err and "zz" in captured.err
+    assert run(capsys, "classify", str(data), "--morphism", "include_bottom", "--json")[0] == 0
+
+
 def test_pc_exit_codes(ws_file, capsys):
     assert main(["pc", ws_file, "--structure", "point", "--theory", "T_pos", "--n", "3"]) == 0
     capsys.readouterr()

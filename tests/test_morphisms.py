@@ -19,7 +19,7 @@ from posmt.structures import FiniteStructure, Signature, enumerate_structures
 from conftest import SIG_F, SIG_LE
 from oracles import (
     ImmersionOracle, classify_morphism_reference, enumerate_homs_reference,
-    strong_immersion_reference,
+    search_homs_reference, strong_immersion_reference,
 )
 
 
@@ -50,6 +50,14 @@ def test_non_hom_rejected(chain2, antichain2):
     assert not is_homomorphism(m)
     with pytest.raises(StructureError):
         classify_morphism(m)
+
+
+def test_map_keys_outside_the_source_are_rejected(chain2, point):
+    # a stray key's image once counted toward surjectivity, so this
+    # inclusion of a point into a chain read as a strong immersion
+    with pytest.raises(StructureError, match="zz"):
+        Morphism(point, chain2, {"a": "a", "zz": "b"})
+    assert classify_morphism(Morphism(point, chain2, {"a": "a"})) == MorphismKind.IMMERSION
 
 
 def test_hom_enumeration_complete_vs_naive():
@@ -233,6 +241,29 @@ def _least_cap(search) -> int:
 
 
 SIG_MIXED = Signature.make(relations={"R": 2}, functions={"f": 1}, constants=["c"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sig=st.sampled_from(DIFF_SIGS + (SIG_MIXED,)),
+    pinned=st.floats(0, 0.5),
+    barred=st.floats(0, 0.5),
+    injective=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_search_kernel_matches_the_recursive_reference(sig, pinned, barred, injective, rng):
+    # the same maps in the same order, and out of nodes at the same cap
+    a, b = random_structure(rng, sig, 3), random_structure(rng, sig, 3)
+    required = {e: rng.choice(b.universe) for e in a.universe if rng.random() < pinned}
+    forbidden = {e for e in b.universe if rng.random() < barred}
+    args = (a, b, required)
+    options = {"forbidden": forbidden, "injective": injective}
+    cap = _least_cap(lambda cap: list(search_homs_reference(*args, node_cap=cap, **options)))
+    expected = list(search_homs_reference(*args, **options))
+    assert _least_cap(lambda cap: list(search_homs(*args, node_cap=cap, **options))) == cap
+    got = list(search_homs(*args, **options))
+    assert got == expected
+    assert [list(h) for h in got] == [list(a.universe)] * len(got)
 
 
 @settings(max_examples=200, deadline=None)

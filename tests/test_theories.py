@@ -18,8 +18,9 @@ from posmt.morphisms import Morphism, search_homs
 from posmt.structures import (
     ELEMENT_NAMES, FiniteStructure, Orbits, Signature, enumerate_structures,
 )
+from posmt.records import replace
 from posmt.theories import (
-    Budget, Theory, bounded_pc_models, companion_check_bounded, diagram,
+    Budget, Theory, _continuation_verdict, bounded_pc_models, companion_check_bounded, diagram,
     expand_with_constants, is_T_complete_pair, is_jc_bounded, is_model,
     is_pc_within, jc_characterization_report, joint_consistency_bounded,
     kaiser_hull_bounded, kaiser_hull_set, models, pair_diagrams, theory_from_diagram,
@@ -30,7 +31,8 @@ from posmt.textio import load_workspace
 
 from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory, run_optimised
 from oracles import (
-    UNKNOWN, _hull_of_pc_models_reference, _Instance, _Partial, class_key, diag_plus_star_set,
+    UNKNOWN, _hull_of_pc_models_reference, _Instance, _Partial, class_key,
+    continuation_verdict_reference, diag_plus_star_set,
     enumerate_structures_reference, eval_formula_reference, find_models_reference,
     jc_characterization_report_reference, kaiser_hull_bounded_reference, models_up_to_size_reference,
     tu_ti_extremality_check,
@@ -480,6 +482,38 @@ def test_fragment_masks_match_frozenset_reference(t, n, extra, k):
     assert kaiser_hull_set(t, b) == _hull_of_pc_models_reference(t, bounded_pc_models(t, b), b)
     assert kaiser_hull_bounded(t, b) == kaiser_hull_bounded_reference(t, b)
     assert jc_characterization_report(t, b) == jc_characterization_report_reference(t, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_universal_theories(), st.integers(1, 2), st.integers(0, 1), st.sampled_from([2, 5, 20, 10 ** 6]))
+@example(T_SPLIT, 1, 0, 10 ** 6)
+@example(T_SPLIT, 1, 1, 10 ** 6)
+@example(T_SPLIT, 2, 1, 5)
+def test_continuation_verdict_matches_the_loop_that_searches_afresh(t, n, extra, node_cap):
+    # each first hom is searched once, yet the verdict, its first pair
+    # without a continuation and the search that runs out of nodes are the
+    # same as when every pair searches its own
+    b = Budget(n=n, N=n + extra, node_cap=node_cap)
+    pairs = list(itertools.combinations_with_replacement(models(t, replace(b, node_cap=10 ** 6)), 2))
+    candidates = models(t, Budget(n=b.N))
+
+    def outcome(verdict):
+        try:
+            v = verdict(b, pairs, candidates)
+        except BudgetExceeded as exc:
+            return str(exc)
+        return v.status, v.certificate, v.notes
+    assert outcome(_continuation_verdict) == outcome(continuation_verdict_reference)
+
+
+def test_continuation_verdict_names_the_first_pair_without_one():
+    # the one-point models are empty, r(a, a) and p(a); the last two meet
+    # only in a model of two points
+    b = Budget(n=1, N=1)
+    ms = models(T_SPLIT, b)
+    verdict = _continuation_verdict(b, list(itertools.combinations_with_replacement(ms, 2)), ms)
+    assert verdict.status == "no" and verdict.certificate == {"pair": (ms[1], ms[2])}
+    assert _continuation_verdict(replace(b, N=2), [(ms[1], ms[2])], models(T_SPLIT, Budget(n=2))).is_yes
 
 
 # ---------------------------------------------------------------------------
