@@ -40,7 +40,7 @@ import itertools
 import random
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import BudgetExceeded, PosmtError, StructureError
+from .errors import BudgetExceeded, PosmtError, SignatureError, StructureError
 from .finder import find_models
 from .morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
@@ -78,6 +78,8 @@ class AmalgamationProblem:
     def __post_init__(self):
         if self.f.source is not self.g.source and self.f.source.key() != self.g.source.key():
             raise StructureError("the two wing maps must share their source")
+        if self.theory is not None and self.theory.signature != self.f.source.signature:
+            raise SignatureError(f"theory {self.theory.name!r} is not over the base's signature")
         if self.strict_strong and not self.strong:
             raise StructureError("strict mode refines strong amalgamation; the problem is not strong")
 

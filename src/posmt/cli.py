@@ -35,7 +35,7 @@ from .amalgamation import (
     AmalgamationProblem, AmalgamationSolution, THEOREM_IDS, check_basis,
     parse_kinds, solve_amalgamation, verify_theorem,
 )
-from .errors import BudgetExceeded, ParseError, PosmtError
+from .errors import BudgetExceeded, ParseError, PosmtError, StructureError
 from .formulas import pp_formula
 from .morphisms import MorphismKind, classify_morphism, enumerate_homs
 from .records import replace
@@ -143,6 +143,8 @@ def _print_structure(s: FiniteStructure, indent: str = "  ") -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     ws = _workspace(args)
+    for name in ws.problems:
+        _problem_from_workspace(ws, name, Budget(), False).validate_in_kinds()
     kinds = (
         ("signature", ws.signatures), ("structure", ws.structures),
         ("morphism", ws.morphisms), ("theory", ws.theories),
@@ -151,15 +153,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     for label, table in kinds:
         for name in table:
             print(f"OK {label} {name}")
-    for raw in ws.problems.values():
-        # cross-references only resolve at use time; validate them here
-        base = ws.structure(raw.base)
-        f = ws.morphism(raw.left)
-        g = ws.morphism(raw.right)
-        if f.source.key() != base.key() or g.source.key() != base.key():
-            raise PosmtError(f"problem {raw.name!r}: wings do not start at the base")
-        if raw.theory is not None:
-            ws.theory(raw.theory)
     return EXIT_YES
 
 
@@ -270,18 +263,24 @@ def cmd_hull(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-def _problem_from_workspace(ws: Workspace, name: str, args: argparse.Namespace,
-                            b: Budget) -> AmalgamationProblem:
+def _problem_from_workspace(ws: Workspace, name: str, b: Budget,
+                            strict_strong: bool) -> AmalgamationProblem:
+    """The problem `name` of the workspace, its wings checked against its
+    base."""
     if name not in ws.problems:
         raise PosmtError(f"unknown amalgamation problem {name!r}")
     raw = ws.problems[name]
+    base = ws.structure(raw.base)
+    f, g = ws.morphism(raw.left), ws.morphism(raw.right)
+    if f.source.key() != base.key() or g.source.key() != base.key():
+        raise StructureError(f"problem {name!r}: wings do not start at the base")
     return AmalgamationProblem(
-        f=ws.morphism(raw.left),
-        g=ws.morphism(raw.right),
+        f=f,
+        g=g,
         kinds=parse_kinds(raw.kinds),
         theory=ws.theory(raw.theory) if raw.theory else None,
         strong=raw.strong,
-        strict_strong=raw.strict_strong or args.strict_strong,
+        strict_strong=raw.strict_strong or strict_strong,
         budget=replace(b, **raw.budget_overrides),
     )
 
@@ -289,7 +288,7 @@ def _problem_from_workspace(ws: Workspace, name: str, args: argparse.Namespace,
 def cmd_amalgamate(args: argparse.Namespace) -> int:
     ws = _workspace(args)
     b = _budget(args)
-    p = _problem_from_workspace(ws, args.problem, args, b)
+    p = _problem_from_workspace(ws, args.problem, b, args.strict_strong)
     result = solve_amalgamation(p)
     if isinstance(result, AmalgamationSolution):
         if args.json:

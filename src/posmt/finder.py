@@ -13,8 +13,8 @@ the implication holds, False once it fails, None while unknown.  A ground
 instance is the status function with one `env`, and it watches a static
 superset of the cells it can read: the exact cell where a symbol is applied
 to variables only, every cell of the symbol where a constant or a function
-term is an argument.  None of that depends on a search's seeds, so it is
-done once per (signature, size, implications) into a ground program
+term is an argument.  None of that depends on a search's fixed cells, so
+it is done once per (signature, size, implications) into a ground program
 (`_ground`) that every search of that size shares.  Assigning a cell
 re-checks only the still-unknown instances that watch it.  One that is
 definitely false prunes the branch; one that is definitely true stays
@@ -24,10 +24,9 @@ One cell-level search, `_search`, takes fixed cells: a map from a cell to
 its preset value (true, false, or an element index) that the DFS never
 assigns.  It first re-checks the instances that watch a fixed cell: a
 false one leaves no model, and a true one stays satisfied for the whole
-search.  `find_models` turns its seeds (facts fixed true, function entries
-and constants) into fixed cells, or takes fixed cells as they are, and
-builds a structure per model; the quotient phase of amalgamation passes
-the cells its gluing fixes.
+search.  `find_models` passes its fixed cells on and builds a structure per
+model; the quotient phase of amalgamation passes the cells its gluing
+fixes.
 `models_up_to_size` codes the models it meets and builds only each class's
 representative; for a universal relational theory it fixes a smaller
 model's cells, true and false, and searches only a new element's cells.
@@ -35,6 +34,7 @@ model's cells, true and false, and searches only a new element's cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -181,7 +181,8 @@ class _Program:
     instance order: implication order, then `itertools.product` order of
     `env`.  Instances already true with no cell assigned are left out, and
     `count` is the number of the rest.  `watch` is None when an instance is
-    false with no cell assigned: that size has no model, for any seed."""
+    false with no cell assigned: that size has no model, whatever cells are
+    fixed."""
 
     __slots__ = ("count", "watch")
 
@@ -206,22 +207,11 @@ class _Program:
         self.count, self.watch = count, watch
 
 
-# Ground programs by (signature, size, implications), emptied in one go
-# when full.
-_PROGRAMS: Dict[Tuple, _Program] = {}
-
-
-def _ground(orbits: Orbits, implications: Sequence[Implication]) -> _Program:
-    """The ground program of `implications` over `orbits`' layout, made
-    once per (signature, size, implications)."""
-    implications = tuple(implications)
-    key = (orbits.sig, orbits.n, implications)
-    program = _PROGRAMS.get(key)
-    if program is None:
-        if len(_PROGRAMS) >= 64:
-            _PROGRAMS.clear()
-        program = _PROGRAMS[key] = _Program(orbits, implications)
-    return program
+@functools.lru_cache(maxsize=64)
+def _ground(sig: Signature, n: int, implications: Tuple[Implication, ...]) -> _Program:
+    """The ground program of `implications` over (sig, n), made once per
+    (signature, size, implications)."""
+    return _Program(Orbits(sig, n), implications)
 
 
 def _search(
@@ -242,7 +232,7 @@ def _search(
     Counts assignments on from `spent` and returns the count, so that
     consecutive searches can share one cap; raises BudgetExceeded past
     node_cap."""
-    program = _ground(orbits, implications)
+    program = _ground(orbits.sig, orbits.n, tuple(implications))
     watch = program.watch
     if watch is None:
         return spent
@@ -326,50 +316,21 @@ def find_models(
     universe: Tuple[str, ...],
     implications: Sequence[Implication],
     node_cap: Optional[int] = None,
-    seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]] = None,
-    seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]] = None,
-    seed_constants: Optional[Mapping[str, str]] = None,
     fixed: Optional[Mapping[int, object]] = None,
 ) -> Iterator[FiniteStructure]:
-    """All total interpretations on `universe` satisfying the implications.
-
-    Seeded relation facts are fixed true, and every other relation fact
-    stays free.  Seeded function entries and constants are fixed, and so
-    are the `fixed` cells, given as `_search` takes them.  Deterministic
-    order; raises BudgetExceeded past node_cap assignments.
+    """All total interpretations on `universe` satisfying the implications,
+    with the `fixed` cells preset, given as `_search` takes them.
+    Deterministic order; raises BudgetExceeded past node_cap assignments.
     """
     orbits = Orbits(sig, len(universe))
-    cells = {**_seeded(orbits, universe, seed_true_relations, seed_functions, seed_constants), **(fixed or {})}
     build = orbits.builder(universe)
-    for val in _search(orbits, implications, cells, node_cap):
+    for val in _search(orbits, implications, fixed or {}, node_cap):
         yield build(val)
-
-
-def _seeded(
-    orbits: Orbits,
-    universe: Tuple[str, ...],
-    seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]],
-    seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]],
-    seed_constants: Optional[Mapping[str, str]],
-) -> Dict[int, object]:
-    """The cells the seeds fix: facts true, entries and constants at the
-    index of their element."""
-    index = {e: i for i, e in enumerate(universe)}.__getitem__
-    fixed: Dict[int, object] = {}
-    for name, tuples in (seed_true_relations or {}).items():
-        first = orbits.blocks[name][0]
-        fixed.update((first + orbits.cell(map(index, t)), True) for t in tuples)
-    for name, table in (seed_functions or {}).items():
-        first = orbits.blocks[name][0]
-        fixed.update((first + orbits.cell(map(index, args)), index(e)) for args, e in table.items())
-    for name, e in (seed_constants or {}).items():
-        fixed[orbits.blocks[name][0]] = index(e)
-    return fixed
 
 
 def _first_in_cell_order(codes: Sequence[int]) -> int:
     """The relation-only code whose cell values come first in cell order,
-    false before true: the first of them an unseeded search meets."""
+    false before true: the first of them a search with no fixed cell meets."""
     best = codes[0]
     for code in codes:
         diff = code ^ best
@@ -404,8 +365,8 @@ def models_up_to_size(
 ) -> List[FiniteStructure]:
     """Models with |universe| <= max_size, one per isomorphism class,
     sorted by (size, canonical key).  A class is represented by its least
-    image in search order, the first of its models an unseeded search on
-    that size meets.
+    image in search order, the first of its models a search with no fixed
+    cell on that size meets.
 
     Each model met is coded (`Orbits.code`); the first met in a class has
     its whole orbit of codes marked and is keyed once, by the least of the

@@ -195,60 +195,6 @@ class FiniteStructure:
         )
 
 
-def induced_substructure(s: FiniteStructure, subset: Sequence[str]) -> FiniteStructure:
-    """Substructure on `subset`, which must be closed under functions and
-    contain all constant interpretations."""
-    sub = tuple(e for e in s.universe if e in set(subset))
-    subset_set = set(sub)
-    functions = {}
-    for name, arity in s.signature.functions:
-        table = {}
-        for args in itertools.product(sub, repeat=arity):
-            val = s.func(name, args)
-            if val not in subset_set:
-                raise StructureError(f"subset not closed under {name} at {args}")
-            table[args] = val
-        functions[name] = table
-    for c in s.signature.constants:
-        if s.const(c) not in subset_set:
-            raise StructureError(f"subset misses interpretation of constant {c}")
-    return FiniteStructure(
-        signature=s.signature,
-        universe=sub,
-        relations={
-            n: frozenset(t for t in s.rel(n) if set(t) <= subset_set)
-            for n, _ in s.signature.relations
-        },
-        functions=functions,
-        constants=dict(s.constants),
-    )
-
-
-def generated_substructure(
-    s: FiniteStructure, seed: Sequence[str]
-) -> Tuple[FiniteStructure, Dict[str, str]]:
-    """Least substructure containing `seed` and all constants, closed under
-    all functions.  Returns the structure and its inclusion map."""
-    elems = set(seed)
-    for e in elems:
-        if e not in set(s.universe):
-            raise StructureError(f"seed element {e} not in universe")
-    elems |= {s.const(c) for c in s.signature.constants}
-    if not elems:
-        raise StructureError("empty seed over a constant-free signature")
-    changed = True
-    while changed:
-        changed = False
-        for name, arity in s.signature.functions:
-            for args in itertools.product(sorted(elems), repeat=arity):
-                val = s.func(name, args)
-                if val not in elems:
-                    elems.add(val)
-                    changed = True
-    sub = induced_substructure(s, sorted(elems, key=s.universe.index))
-    return sub, {e: e for e in sub.universe}
-
-
 class Orbits:
     """Structures of one signature over n elements packed into int codes,
     and each code's images under the n! permutations of the elements.
@@ -456,13 +402,6 @@ def enumerate_structures(sig: Signature, max_size: int) -> Iterator[FiniteStruct
             yield build(orbits.values(code))
             for image in orbits.images(code):
                 marked[image] = 1
-
-
-def are_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
-    if a.signature != b.signature or a.size() != b.size():
-        return False
-    orbits = Orbits(a.signature, a.size())
-    return orbits.pack(b) in orbits.images(orbits.pack(a))
 
 
 def disjoint_rename(a: FiniteStructure, b: FiniteStructure) -> Tuple[FiniteStructure, FiniteStructure]:

@@ -333,28 +333,6 @@ def signature_to_json(sig: Signature) -> Dict:
     }
 
 
-def signature_from_json(data: Dict) -> Signature:
-    return Signature.make(
-        relations=data.get("relations", {}),
-        functions=data.get("functions", {}),
-        constants=data.get("constants", []),
-    )
-
-
-def structure_from_json(data: Dict) -> FiniteStructure:
-    sig = signature_from_json(data["signature"])
-    return FiniteStructure(
-        sig,
-        tuple(data["universe"]),
-        {name: frozenset(map(tuple, table)) for name, table in data["relations"].items()},
-        {
-            name: {tuple(args): val for args, val in entries}
-            for name, entries in data["functions"].items()
-        },
-        dict(data["constants"]),
-    )
-
-
 def jsonable(value, seen: Optional[Dict[int, Dict]] = None):
     """`value` as plain JSON data.  `seen` keeps each structure's JSON by
     identity, so a structure that a report names many times (a basis

@@ -435,18 +435,10 @@ def tu_star_set(a: FiniteStructure, k: int) -> FrozenSet:
     return frozenset(corpus.tu_star(a, k))
 
 
-def ti_star_set(a: FiniteStructure, k: int) -> FrozenSet:
-    return frozenset(corpus.ti_star(a, k))
-
-
-def tu_of_theory_set(t: Theory, b: Budget) -> FrozenSet:
-    """Bounded T_u(T): CQ sentences refuted by every model of size <= n.
-    This overapproximates true h-universal consequence (documented)."""
-    return _tu_of_models(t, models(t, b), b)
-
-
 def _tu_of_models(t: Theory, ms: Sequence[FiniteStructure], b: Budget) -> FrozenSet:
-    """`tu_of_theory_set` over the listed models `ms` of t."""
+    """Bounded T_u(T) over the listed models `ms` of t: CQ sentences refuted
+    by every one of them.  Over the models of size <= n this
+    overapproximates true h-universal consequence (documented)."""
     out: Optional[FrozenSet] = None
     for m in ms:
         s = tu_star_set(m, b.k)

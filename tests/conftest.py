@@ -63,10 +63,3 @@ def antichain2() -> FiniteStructure:
 @pytest.fixture(scope="session")
 def loop() -> FiniteStructure:
     return FiniteStructure(SIG_F, ("a",), functions={"f": {("a",): "a"}})
-
-
-@pytest.fixture(scope="session")
-def swap2() -> FiniteStructure:
-    return FiniteStructure(
-        SIG_F, ("a", "b"), functions={"f": {("a",): "b", ("b",): "a"}}
-    )

@@ -113,11 +113,13 @@ from posmt.formulas import (
 from posmt.morphisms import Morphism, MorphismKind, is_strong_immersion
 from posmt import corpus
 from posmt.finder import find_models
-from posmt.structures import FiniteStructure, Signature, UnionFind, element_names, enumerate_structures
+from posmt.structures import (
+    FiniteStructure, Orbits, Signature, UnionFind, element_names, enumerate_structures,
+)
 from posmt.records import replace
 from posmt.theories import (
     Budget, DiagramSet, Theory, Verdict, _continuation_verdict, _pc_models, models, no,
-    ti_star_set, tu_star_set, yes,
+    tu_star_set, yes,
 )
 
 
@@ -540,6 +542,30 @@ class _Instance:
 
 
 
+def seeded_cells(
+    sig: Signature,
+    universe: Tuple[str, ...],
+    seed_true_relations: Optional[Mapping[str, Sequence[Tuple[str, ...]]]] = None,
+    seed_functions: Optional[Mapping[str, Mapping[Tuple[str, ...], str]]] = None,
+    seed_constants: Optional[Mapping[str, str]] = None,
+) -> Dict[int, object]:
+    """The cells of `Orbits(sig, len(universe))` that name-keyed seeds fix,
+    as `find_models` takes them: facts true, function entries and constants
+    at the index of their element."""
+    orbits = Orbits(sig, len(universe))
+    index = {e: i for i, e in enumerate(universe)}.__getitem__
+    fixed: Dict[int, object] = {}
+    for name, tuples in (seed_true_relations or {}).items():
+        first = orbits.blocks[name][0]
+        fixed.update((first + orbits.cell(map(index, t)), True) for t in tuples)
+    for name, table in (seed_functions or {}).items():
+        first = orbits.blocks[name][0]
+        fixed.update((first + orbits.cell(map(index, args)), index(e)) for args, e in table.items())
+    for name, e in (seed_constants or {}).items():
+        fixed[orbits.blocks[name][0]] = index(e)
+    return fixed
+
+
 def find_models_reference(
     sig: Signature,
     universe: Tuple[str, ...],
@@ -789,7 +815,8 @@ def diag_plus_star_set(a: FiniteStructure, k: int) -> FrozenSet:
 
 
 def _tu_of_models_reference(t: Theory, ms: Sequence[FiniteStructure], b: Budget) -> FrozenSet:
-    """`tu_of_theory_set` over the listed models `ms` of t."""
+    """Bounded T_u(T) over the listed models `ms` of t: the CQ sentences
+    refuted by every one of them (`theories._tu_of_models`)."""
     out: Optional[FrozenSet] = None
     for m in ms:
         s = tu_star_set(m, b.k)
@@ -805,7 +832,7 @@ def _hull_of_pc_models_reference(t: Theory, pcs: Sequence[FiniteStructure], b: B
     """`kaiser_hull_set` over the listed bounded-pc models `pcs` of t."""
     out: Optional[FrozenSet] = None
     for m in pcs:
-        s = ti_star_set(m, b.k)
+        s = frozenset(corpus.ti_star(m, b.k))
         out = s if out is None else (out & s)
     if out is None:
         return frozenset(corpus.implication_corpus(t.signature, b.k))
@@ -863,7 +890,7 @@ def jc_characterization_report_reference(t: Theory, b: Budget) -> Dict:
     # (4) some model attains the bounded Kaiser hull
     pcs = _pc_models(ms_n, b)
     hull = _hull_of_pc_models_reference(t, pcs, b)
-    cond4 = any(ti_star_set(m, b.k) == hull for m in ms_n) if ms_n else True
+    cond4 = any(frozenset(corpus.ti_star(m, b.k)) == hull for m in ms_n) if ms_n else True
     # (5) bounded-pc models share T_u*
     tu_sets = {tu_star_set(m, b.k) for m in pcs}
     cond5 = len(tu_sets) <= 1
@@ -909,12 +936,12 @@ def tu_ti_extremality_check(t: Theory, b: Budget) -> Verdict:
     pcs = _pc_models(ms, b)
     for a in pcs:
         tu_a = tu_star_set(a, b.k)
-        ti_a = ti_star_set(a, b.k)
+        ti_a = frozenset(corpus.ti_star(a, b.k))
         for other in ms:
             tu_b = tu_star_set(other, b.k)
             if tu_b <= tu_a and tu_a != tu_b:
                 return no(b, {"pc": a, "model": other, "violated": "Tu* minimality"})
-            ti_b = ti_star_set(other, b.k)
+            ti_b = frozenset(corpus.ti_star(other, b.k))
             if ti_a <= ti_b and ti_a != ti_b:
                 return no(b, {"pc": a, "model": other, "violated": "Ti* maximality"})
     return yes(b, {"pc_models": len(pcs), "models": len(ms)})
@@ -1297,9 +1324,7 @@ def _solve_quotient_reference(p):
     for d in find_models(
         sig, universe, implications,
         node_cap=p.budget.node_cap,
-        seed_true_relations={k: sorted(v) for k, v in seed_rels.items()},
-        seed_functions=seed_funcs,
-        seed_constants=seed_consts,
+        fixed=seeded_cells(sig, universe, seed_rels, seed_funcs, seed_consts),
     ):
         sol = _certify(p, d, Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map))
         if sol is not None:

@@ -11,7 +11,8 @@ import pytest
 
 from posmt import cli
 from posmt.cli import main
-from posmt.textio import load_workspace, structure_from_json, structure_to_json
+from posmt.structures import FiniteStructure, Signature
+from posmt.textio import load_workspace, structure_to_json
 
 DATA = """
 signature S { relations: le/2; }
@@ -36,6 +37,18 @@ amalgamation glue {
   budget: { N: 6; };
 }
 """
+
+
+def structure_from_json(data) -> FiniteStructure:
+    """The structure a `--json` report wrote (`textio.structure_to_json`)."""
+    sig = data["signature"]
+    return FiniteStructure(
+        Signature.make(sig["relations"], sig["functions"], sig["constants"]),
+        tuple(data["universe"]),
+        {name: frozenset(map(tuple, table)) for name, table in data["relations"].items()},
+        {name: {tuple(args): val for args, val in entries} for name, entries in data["functions"].items()},
+        dict(data["constants"]),
+    )
 
 
 @pytest.fixture()
@@ -316,6 +329,33 @@ def test_malformed_problem_kinds_is_a_parse_error(tmp_path, capsys, command, kin
     out, err = capsys.readouterr()
     assert f"parse error: {line}:{col + kinds.index(at)}:" in err
     assert "OK" not in out
+
+
+TWO_SIGNATURES = """
+signature S { relations: le/2; }
+signature S2 { relations: p/1; }
+structure A over S { universe: a; le: (a,a); }
+structure B over S { universe: a, b; le: (a,a), (a,b), (b,b); }
+morphism m from A to B { map: a -> a; }
+theory T over S2 { hinductive: forall x. p(x) -> p(x); }
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "amalgamate"])
+@pytest.mark.parametrize("fields, error", [
+    ("base: B; kinds: [h,h,h,h];", "wings do not start at the base"),
+    ("base: Nope; kinds: [h,h,h,h];", "unknown structure 'Nope'"),
+    ("base: A; kinds: [s,h,h,h];", "left map is not a s-hom"),
+    ("base: A; kinds: [h,h,h,h]; class: theory T;", "theory 'T' is not over the base's signature"),
+], ids=["wrong-base", "unknown-base", "in-kind", "theory-signature"])
+def test_malformed_problem_is_rejected_by_check_and_amalgamate(tmp_path, capsys, command, fields, error):
+    # check used to say OK to each of these; amalgamate answered "yes" to the
+    # first two, ignoring the base
+    path = tmp_path / "ws.posmt"
+    path.write_text(TWO_SIGNATURES + f"amalgamation P {{ left: m; right: m; {fields} }}\n")
+    assert main([command, str(path)] + (["--problem", "P"] if command == "amalgamate" else [])) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and error in err
 
 
 @pytest.mark.parametrize("budget, at", [("{ M: 2; }", "M"), ("{ N: 0; }", "0")],

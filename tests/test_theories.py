@@ -35,7 +35,7 @@ from oracles import (
     continuation_verdict_reference, diag_plus_star_set,
     enumerate_structures_reference, eval_formula_reference, find_models_reference,
     jc_characterization_report_reference, kaiser_hull_bounded_reference, models_up_to_size_reference,
-    tu_ti_extremality_check,
+    seeded_cells, tu_ti_extremality_check,
 )
 
 SMALL = Budget(n=2, N=2, k=2)
@@ -373,8 +373,8 @@ def test_kaiser_hull_contains_reflexivity(t_pos):
 
 
 def test_kaiser_hull_computes_each_fragment_once(t_pos, monkeypatch):
-    # one kaiser_hull_set (models once, then once per pc check) and one
-    # tu_of_theory_set (models once), not one of each per corpus entry
+    # the hull and its T_u(T) are read off one listing of the models, not
+    # one listing per corpus entry
     from posmt import theories
 
     b = Budget(n=2, N=2, k=2)
@@ -594,11 +594,12 @@ def assert_matches_reference(sig, universe, implications, **seeds):
     spends the same number of nodes: it finishes within that many and
     raises BudgetExceeded one node short of it."""
     ref, nodes = find_models_reference(sig, universe, implications, **seeds)
-    got = list(find_models(sig, universe, implications, node_cap=nodes, **seeds))
+    fixed = seeded_cells(sig, universe, **seeds)
+    got = list(find_models(sig, universe, implications, node_cap=nodes, fixed=fixed))
     assert [m.key() for m in got] == [m.key() for m in ref]
     if nodes:
         with pytest.raises(BudgetExceeded):
-            list(find_models(sig, universe, implications, node_cap=nodes - 1, **seeds))
+            list(find_models(sig, universe, implications, node_cap=nodes - 1, fixed=fixed))
 
 
 def _test_theories():
@@ -708,7 +709,8 @@ def test_find_models_fully_seeded(c):
     seeds = dict(seed_functions={"f": {("a",): "b", ("b",): "a"}},
                  seed_constants={"c": c, "d": "b"})
     assert_matches_reference(sig, ("a", "b"), t.implications(), **seeds)
-    got = list(find_models(sig, ("a", "b"), t.implications(), node_cap=0, **seeds))
+    got = list(find_models(sig, ("a", "b"), t.implications(), node_cap=0,
+                           fixed=seeded_cells(sig, ("a", "b"), **seeds)))
     assert len(got) == (c == "a")
 
 
@@ -717,7 +719,7 @@ def test_find_models_fully_seeded(c):
 
 def _count_compiles(monkeypatch):
     """Start with an empty program cache and count `finder._compile` calls."""
-    monkeypatch.setattr(finder, "_PROGRAMS", {})
+    finder._ground.cache_clear()
     calls = []
     compile_ = finder._compile
 
@@ -768,25 +770,27 @@ def test_instance_false_on_the_bare_universe(size, seeded):
     universe = ELEMENT_NAMES[:size]
     seeds = {"seed_true_relations": {"le": [(universe[-1], universe[0])]}} if seeded else {}
     assert_matches_reference(SIG_LE, universe, t.implications(), **seeds)
-    assert len(list(find_models(SIG_LE, universe, t.implications(), **seeds))) == (size == 1)
-    assert (finder._ground(Orbits(SIG_LE, size), t.implications()).watch is None) == (size > 1)
+    fixed = seeded_cells(SIG_LE, universe, **seeds)
+    assert len(list(find_models(SIG_LE, universe, t.implications(), fixed=fixed))) == (size == 1)
+    assert (finder._ground(SIG_LE, size, t.implications()).watch is None) == (size > 1)
 
 
-def test_search_again_after_the_cache_was_emptied(monkeypatch, t_pos):
-    monkeypatch.setattr(finder, "_PROGRAMS", {})
+def test_search_again_after_the_cache_was_emptied(t_pos):
+    finder._ground.cache_clear()
     imps = t_pos.implications()
     seeds = {"seed_true_relations": {"le": [("a", "b")]}}
     expected, _ = find_models_reference(SIG_LE, ELEMENT_NAMES[:3], imps, **seeds)
-    first = [m.key() for m in find_models(SIG_LE, ELEMENT_NAMES[:3], imps, **seeds)]
-    key = (SIG_LE, 3, imps)
-    assert key in finder._PROGRAMS
-    # fill the cache with other programs until it empties itself
-    for copies in range(2, 1000):
-        finder._ground(Orbits(SIG_LE, 1), imps * copies)
-        if key not in finder._PROGRAMS:
-            break
-    assert key not in finder._PROGRAMS and len(finder._PROGRAMS) < copies
-    again = [m.key() for m in find_models(SIG_LE, ELEMENT_NAMES[:3], imps, **seeds)]
+    fixed = seeded_cells(SIG_LE, ELEMENT_NAMES[:3], **seeds)
+    first = [m.key() for m in find_models(SIG_LE, ELEMENT_NAMES[:3], imps, fixed=fixed)]
+    assert finder._ground.cache_info().currsize == 1
+    # fill the cache with other programs until the first one is evicted
+    maxsize = finder._ground.cache_info().maxsize
+    for copies in range(2, maxsize + 2):
+        finder._ground(SIG_LE, 1, imps * copies)
+    assert finder._ground.cache_info().currsize == maxsize
+    misses = finder._ground.cache_info().misses
+    again = [m.key() for m in find_models(SIG_LE, ELEMENT_NAMES[:3], imps, fixed=fixed)]
+    assert finder._ground.cache_info().misses == misses + 1
     assert first == again == [m.key() for m in expected]
 
 
