@@ -23,13 +23,12 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--n", type=int, default=3, help="max generated wing core size")
     ap.add_argument("--N", type=int, default=8, help="max apex size")
-    ap.add_argument("--k", type=int, default=3)
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--theorem", action="append", choices=THEOREM_IDS,
                     help="restrict to the named statement(s)")
     args = ap.parse_args()
 
-    b = Budget(n=args.n, N=args.N, k=args.k)
+    b = Budget(n=args.n, N=args.N)
     reports = []
     for theorem in args.theorem or THEOREM_IDS:
         rep = verify_theorem(theorem, seed=args.seed, b=b, instances=args.instances)

@@ -426,6 +426,8 @@ def check_basis(
     kinds = parse_kinds(kinds)
     alpha, beta = kinds[0], kinds[1]
     if theory is not None:
+        if theory.signature != a.signature:
+            raise SignatureError(f"theory {theory.name!r} is not over the base's signature")
         if not is_model(a, theory):
             raise StructureError("the base is not a model of the theory")
         wings = models(theory, b)

@@ -18,10 +18,9 @@ Exit codes: 0 yes/success, 1 no/counterexample, 2 parse error,
 3 semantic error, 4 unknown/budget-exhausted, 5 internal error (with its
 traceback on stderr, so that no crash reads as "no"); a reader that closes stdout
 early ends the process by SIGPIPE, as it ends other Unix filters.
-Budgets default to (n=3, N=6, k=3, node cap 10^6); `POSMT_NODE_CAP`
-overrides the cap default.
-All work runs in a single process; `--jobs` is accepted for interface
-stability and does not affect output.
+Budgets default to (n=3, N=6, k=3, node cap 10^6).  A subcommand takes
+only the flags it reads (its row of `_COMMANDS`): any other flag is a
+usage error (exit 2), so no answer is printed beside a bound it ignored.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .amalgamation import (
     AmalgamationProblem, AmalgamationSolution, THEOREM_IDS, check_basis,
@@ -38,7 +37,6 @@ from .amalgamation import (
 from .errors import BudgetExceeded, ParseError, PosmtError, StructureError
 from .formulas import pp_formula
 from .morphisms import MorphismKind, classify_morphism, enumerate_homs
-from .records import replace
 from .structures import FiniteStructure, element_names
 from .theories import (
     Budget, Verdict, companion_check_bounded, is_jc_bounded, is_pc_within,
@@ -57,49 +55,25 @@ EXIT_INTERNAL = 5
 _STATUS_CODE = {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 
 
-def _default_node_cap() -> int:
-    raw = os.environ.get("POSMT_NODE_CAP")
-    if raw is None:
-        return Budget().node_cap
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise PosmtError(f"POSMT_NODE_CAP must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        raise PosmtError("POSMT_NODE_CAP must be positive")
-    return cap
+# each `Budget` field's help line; its flag is `--` and the name, `_` as `-`
+_BOUND_HELP = {"n": "model-size bound", "N": "continuation-size bound",
+               "k": "cq-size bound", "node_cap": "search node cap"}
 
 
-def _add_common(p: argparse.ArgumentParser, files: bool = True, k: bool = True) -> None:
-    """The flags every subcommand shares.  With `k` false, `--k` is left
-    out and so a usage error: no bound k enters a morphism's kind.  A flag
-    only some subcommands read (`--seed`, `--strict-strong`) is added by
-    those alone (see `_COMMANDS`), so that elsewhere it is a usage error,
-    not ignored."""
-    if files:
-        p.add_argument("files", nargs="+", help="workspace files to load")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--jobs", type=int, default=1, help="worker count (output-invariant)")
-    p.add_argument("--n", type=int, default=None, help="model-size bound")
-    p.add_argument("--N", type=int, default=None, help="continuation-size bound")
-    if k:
-        p.add_argument("--k", type=int, default=None, help="cq-size bound")
-    p.add_argument("--node-cap", type=int, default=None, help="search node cap")
+def _bounds(args: argparse.Namespace) -> Dict[str, int]:
+    """The budget fields the command line sets, each checked positive."""
+    bounds = {f: getattr(args, f) for f in _BOUND_HELP if getattr(args, f, None) is not None}
+    for field, value in bounds.items():
+        if value <= 0:
+            raise PosmtError(f"budget field {field} must be positive")
+    return bounds
 
 
 def _budget(args: argparse.Namespace, *sizes: str) -> Budget:
-    """The budget the flags ask for.  `sizes` names the fields the command
-    uses as sizes of enumerated universes; they are checked against the
-    element-name pool before any search starts."""
-    b = Budget(node_cap=_default_node_cap())
-    updates = {}
-    for flag, attr in (("n", "n"), ("N", "N"), ("k", "k"), ("node_cap", "node_cap")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            if value <= 0:
-                raise PosmtError(f"budget field {flag} must be positive")
-            updates[attr] = value
-    b = replace(b, **updates) if updates else b
+    """The budget the flags ask for, the defaults where none is taken.
+    `sizes` names the fields the command uses as sizes of enumerated
+    universes, checked against the element-name pool before any search."""
+    b = Budget(**_bounds(args))
     for attr in sizes:
         element_names(getattr(b, attr))
     return b
@@ -144,7 +118,7 @@ def _print_structure(s: FiniteStructure, indent: str = "  ") -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     ws = _workspace(args)
     for name in ws.problems:
-        _problem_from_workspace(ws, name, Budget(), False).validate_in_kinds()
+        _problem_from_workspace(ws, name, {}, False).validate_in_kinds()
     kinds = (
         ("signature", ws.signatures), ("structure", ws.structures),
         ("morphism", ws.morphisms), ("theory", ws.theories),
@@ -193,7 +167,6 @@ def cmd_homs(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
     m = ws.morphism(args.morphism)
     kind = classify_morphism(m)
     names = {
@@ -203,7 +176,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         MorphismKind.STRONG_IMMERSION: "strong immersion",
     }
     if args.json:
-        budget = {key: v for key, v in b.as_dict().items() if key != "k"}
+        budget = {key: v for key, v in Budget().as_dict().items() if key != "k"}
         print(report_to_json({"command": "classify", "morphism": args.morphism,
                               "kind": kind.letter, "budget": budget}))
     else:
@@ -224,6 +197,8 @@ def cmd_jc(args: argparse.Namespace) -> int:
     theories = [ws.theory(name) for name in args.theory]
     if len(theories) == 1:
         v = is_jc_bounded(theories[0], b)
+    elif args.n is not None:
+        raise PosmtError("jc of several theories searches one joint model up to size N; it reads no --n")
     else:
         v = joint_consistency_bounded(theories, b)
     return _emit_verdict(v, args)
@@ -263,13 +238,17 @@ def cmd_hull(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-def _problem_from_workspace(ws: Workspace, name: str, b: Budget,
+def _problem_from_workspace(ws: Workspace, name: str, bounds: Dict[str, int],
                             strict_strong: bool) -> AmalgamationProblem:
     """The problem `name` of the workspace, its wings checked against its
-    base."""
+    base, at the bounds of its budget block and of `bounds`, the command
+    line's.  A bound set in both is an error: one of them would be dropped."""
     if name not in ws.problems:
         raise PosmtError(f"unknown amalgamation problem {name!r}")
     raw = ws.problems[name]
+    twice = sorted(bounds.keys() & raw.budget_overrides.keys())
+    if twice:
+        raise PosmtError(f"problem {name!r} sets {twice[0]} both in its budget block and on the command line")
     base = ws.structure(raw.base)
     f, g = ws.morphism(raw.left), ws.morphism(raw.right)
     if f.source.key() != base.key() or g.source.key() != base.key():
@@ -281,14 +260,13 @@ def _problem_from_workspace(ws: Workspace, name: str, b: Budget,
         theory=ws.theory(raw.theory) if raw.theory else None,
         strong=raw.strong,
         strict_strong=raw.strict_strong or strict_strong,
-        budget=replace(b, **raw.budget_overrides),
+        budget=Budget(**bounds, **raw.budget_overrides),
     )
 
 
 def cmd_amalgamate(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    b = _budget(args)
-    p = _problem_from_workspace(ws, args.problem, b, args.strict_strong)
+    p = _problem_from_workspace(ws, args.problem, _bounds(args), args.strict_strong)
     result = solve_amalgamation(p)
     if isinstance(result, AmalgamationSolution):
         if args.json:
@@ -366,35 +344,33 @@ _REQUIRED = {"required": True}
 _STRICT_STRONG = ("--strict-strong", {"action": "store_true",
                                       "help": "require a common base preimage at strong collisions"})
 
-# Each subcommand: its help line, the switches of its parser (`files` and
-# `k` of `_add_common`, `abbrev` for argparse's allow_abbrev) and the
-# arguments it adds after the common ones, in order.  Subcommand x runs
+# Each subcommand: its help line, the `Budget` fields it reads (a flag
+# each; it takes no other bound, so that elsewhere a bound is a usage
+# error, not ignored) and its other arguments, in order.  Subcommand x runs
 # `cmd_x`, looked up when the parser is built.
 _COMMANDS = {
-    "check": ("parse and validate workspace files", {}, ()),
-    "models": ("models of a theory up to size n", {}, (("--theory", _REQUIRED),)),
-    # no abbreviations, so that `--k` cannot pass for `--kind`
-    "homs": ("enumerate morphisms between two structures", {"k": False, "abbrev": False}, (
+    "check": ("parse and validate workspace files", (), ()),
+    "models": ("models of a theory up to size n", ("n", "node_cap"), (("--theory", _REQUIRED),)),
+    "homs": ("enumerate morphisms between two structures", ("node_cap",), (
         ("--from", {"dest": "src", "required": True}),
         ("--to", {"dest": "tgt", "required": True}),
         ("--kind", {"default": "h", "choices": ["h", "e", "i", "s"]}),
     )),
-    "classify": ("classify a morphism in the kind chain", {"k": False},
-                 (("--morphism", _REQUIRED),)),
-    "pc": ("is the structure bounded-pc for the theory?", {},
+    "classify": ("classify a morphism in the kind chain", (), (("--morphism", _REQUIRED),)),
+    "pc": ("is the structure bounded-pc for the theory?", ("n", "node_cap"),
            (("--structure", _REQUIRED), ("--theory", _REQUIRED))),
-    "jc": ("bounded joint consistency", {}, (
+    "jc": ("bounded joint consistency", ("n", "N", "node_cap"), (
         ("--theory", {"action": "append", "required": True,
                       "help": "repeat to test joint consistency of several theories"}),
     )),
-    "tcomplete": ("bounded T-completeness of a theory pair", {},
+    "tcomplete": ("bounded T-completeness of a theory pair", ("n", "N", "node_cap"),
                   (("--t1", _REQUIRED), ("--t2", _REQUIRED), ("--theory", _REQUIRED))),
-    "companion": ("bounded companionship of two theories", {},
+    "companion": ("bounded companionship of two theories", ("n", "node_cap"),
                   (("--t1", _REQUIRED), ("--t2", _REQUIRED))),
-    "hull": ("bounded Kaiser hull of a theory", {}, (("--theory", _REQUIRED),)),
-    "amalgamate": ("solve a declared amalgamation problem", {},
+    "hull": ("bounded Kaiser hull of a theory", ("n", "k", "node_cap"), (("--theory", _REQUIRED),)),
+    "amalgamate": ("solve a declared amalgamation problem", ("N", "node_cap"),
                    (_STRICT_STRONG, ("--problem", _REQUIRED))),
-    "basis": ("is the structure a basis for the given kinds?", {}, (
+    "basis": ("is the structure a basis for the given kinds?", ("n", "N", "node_cap"), (
         ("--structure", _REQUIRED),
         ("--kinds", {"required": True, "type": parse_kinds,
                      "help": "4 letters from {h,e,i,s}, e.g. iihh"}),
@@ -402,12 +378,13 @@ _COMMANDS = {
         ("--strong", {"action": "store_true"}),
         _STRICT_STRONG,
     )),
-    "verify": ("run the theorem-verification harness", {"files": False}, (
+    "verify": ("run the theorem-verification harness", ("n", "N", "node_cap"), (
         ("--theorem", {"required": True, "choices": list(THEOREM_IDS)}),
         ("--instances", {"type": int, "default": 50}),
         ("--seed", {"type": int, "default": 0, "help": "rng seed"}),
     )),
-    "report": ("JC characterization report for a theory", {}, (("--theory", _REQUIRED),)),
+    "report": ("JC characterization report for a theory", ("n", "N", "k", "node_cap"),
+               (("--theory", _REQUIRED),)),
 }
 
 
@@ -419,9 +396,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
-        summary, switches, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=summary, allow_abbrev=switches.get("abbrev", True))
-        _add_common(p, files=switches.get("files", True), k=switches.get("k", True))
+        summary, bounds, arguments = _COMMANDS[name]
+        # no abbreviations, so that a flag a subcommand does not take cannot
+        # pass for one it does (`--n` for `--node-cap`, `--k` for `--kind`)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if name != "verify":
+            p.add_argument("files", nargs="+", help="workspace files to load")
+        if name != "check":  # it prints one OK line per declaration
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        for field in bounds:
+            p.add_argument("--" + field.replace("_", "-"), type=int, default=None, help=_BOUND_HELP[field])
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
         p.set_defaults(fn=globals()[f"cmd_{name}"])
@@ -452,7 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise  # only where there is no SIGPIPE
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
-        if args.json:
+        if getattr(args, "json", False):  # `check` takes no --json
             _emit_verdict(unknown(_budget(args), notes=(str(exc),)), args)
         return EXIT_UNKNOWN
     except ParseError as exc:

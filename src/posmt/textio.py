@@ -258,7 +258,7 @@ def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
             p.expect("{")
             budget: Dict[str, int] = {}
             while not p.at("}"):
-                if p.peek().text not in ("n", "N", "k", "node_cap"):
+                if p.peek().text not in ("N", "node_cap"):  # the solver reads no n or k
                     raise p.error(f"unknown budget field {p.peek().text!r}")
                 if p.peek().text in budget:
                     raise p.error(f"repeated budget field {p.peek().text!r}")

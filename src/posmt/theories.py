@@ -355,6 +355,8 @@ def pair_diagrams(
 def is_pc_within(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
     """Bounded pc check: every hom from m into a model of t of size <= n
     must be an immersion.  Counterexamples carry the offending hom."""
+    if m.signature != t.signature:
+        raise SignatureError(f"theory {t.name!r} is not over the structure's signature")
     if not is_model(m, t):
         raise StructureError("structure is not a model of the theory")
     return _pc_within(m, models(t, b), b)

@@ -13,6 +13,7 @@ from posmt import cli
 from posmt.cli import main
 from posmt.structures import FiniteStructure, Signature
 from posmt.textio import load_workspace, structure_to_json
+from posmt.theories import Budget
 
 DATA = """
 signature S { relations: le/2; }
@@ -205,7 +206,7 @@ def test_unknown_name_is_semantic_error(ws_file, capsys):
 
 def test_report_schema(ws_file, capsys):
     code, out = run(capsys, "jc", ws_file, "--theory", "T_pos",
-                    "--n", "2", "--N", "1", "--k", "2", "--json")
+                    "--n", "2", "--N", "1", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["schema"] == "posmt-report/1"
@@ -232,13 +233,6 @@ def test_models_past_node_cap_prints_unknown(ws_file, capsys):
     assert code == 4
     assert captured.err == "unknown: model search exceeded node cap 20\n"
     assert json.loads(captured.out)["verdict"] == "unknown"
-
-
-def test_jobs_flag_does_not_change_output(ws_file, capsys):
-    _, out1 = run(capsys, "models", ws_file, "--theory", "T_pos", "--n", "2", "--json")
-    _, out2 = run(capsys, "models", ws_file, "--theory", "T_pos", "--n", "2",
-                  "--jobs", "4", "--json")
-    assert out1 == out2
 
 
 def test_verify_subcommand(capsys):
@@ -358,10 +352,12 @@ def test_malformed_problem_is_rejected_by_check_and_amalgamate(tmp_path, capsys,
     assert out == "" and error in err
 
 
-@pytest.mark.parametrize("budget, at", [("{ M: 2; }", "M"), ("{ N: 0; }", "0")],
-                         ids=["unknown-key", "zero"])
+@pytest.mark.parametrize("budget, at", [
+    ("{ M: 2; }", "M"), ("{ N: 0; }", "0"), ("{ n: 2; }", "n"), ("{ k: 2; }", "k"),
+], ids=["unknown-key", "zero", "n", "k"])
 def test_problem_budget_rejects_unknown_keys_and_zero(tmp_path, capsys, budget, at):
-    # an unknown key would otherwise run at the default budget, and 0 crashed
+    # an unknown key would otherwise run at the default budget, and 0 crashed;
+    # the solver reads no n or k, so a block may not set them either
     path, line, col = _with_problem_line(tmp_path, "{ N: 6; }", budget)
     assert main(["amalgamate", path, "--problem", "glue", "--json"]) == 2
     out, err = capsys.readouterr()
@@ -441,18 +437,104 @@ def test_sentence_outside_a_theory_is_rejected_at_load(tmp_path, capsys, sentenc
     assert f"error: theory 'T': sentence 2 {why}" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("models", "--theory", "T_pos", "--seed", "3"),
-    ("pc", "--structure", "point", "--theory", "T_pos", "--strict-strong"),
-    ("jc", "--theory", "T_pos", "--seed", "3"),
-    ("basis", "--structure", "point", "--kinds", "hhhh", "--theory", "T_pos", "--seed", "3"),
-], ids=["models-seed", "pc-strict-strong", "jc-seed", "basis-seed"])
-def test_flags_are_taken_only_where_they_are_read(ws_file, capsys, argv):
+# Each subcommand's required arguments, and the flags it takes none of: the
+# bounds it does not read, --jobs, which none reads, and check's --json.
+FLAGS_NOT_READ = {
+    "check": ((), ("--json", "--jobs", "--n", "--N", "--k", "--node-cap")),
+    "classify": (("--morphism", "inc"), ("--jobs", "--n", "--N", "--node-cap")),
+    "homs": (("--from", "point", "--to", "chain2"), ("--jobs", "--n", "--N")),
+    "models": (("--theory", "T_pos"), ("--jobs", "--N", "--k")),
+    "pc": (("--structure", "point", "--theory", "T_pos"), ("--jobs", "--N", "--k")),
+    "companion": (("--t1", "T_pos", "--t2", "T_pos"), ("--jobs", "--N", "--k")),
+    "hull": (("--theory", "T_pos"), ("--jobs", "--N")),
+    "jc": (("--theory", "T_pos"), ("--jobs", "--k")),
+    "tcomplete": (("--t1", "T_pos", "--t2", "T_pos", "--theory", "T_pos"), ("--jobs", "--k")),
+    "basis": (("--structure", "point", "--kinds", "hhhh", "--theory", "T_pos"), ("--jobs", "--k")),
+    "verify": (("--theorem", "example-7"), ("--jobs", "--k")),
+    "amalgamate": (("--problem", "glue"), ("--jobs", "--n", "--k")),
+    "report": (("--theory", "T_pos"), ("--jobs",)),
+}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(("models", "--theory", "T_pos", "--seed", "3"), "--seed", id="models-seed"),
+    pytest.param(("pc", "--structure", "point", "--theory", "T_pos", "--strict-strong"),
+                 "--strict-strong", id="pc-strict-strong"),
+    pytest.param(("jc", "--theory", "T_pos", "--seed", "3"), "--seed", id="jc-seed"),
+    pytest.param(("basis", "--structure", "point", "--kinds", "hhhh", "--theory", "T_pos", "--seed", "3"),
+                 "--seed", id="basis-seed"),
+    *(pytest.param((name, *required, flag, *(() if flag == "--json" else ("2",))), flag,
+                   id=f"{name}-{flag[2:]}")
+      for name, (required, flags) in FLAGS_NOT_READ.items() for flag in flags),
+])
+def test_flags_are_taken_only_where_they_are_read(ws_file, capsys, argv, flag):
+    # each of these was accepted and then ignored, while a --json verdict
+    # printed the ignored bound as the one it was computed under
+    files = [] if argv[0] == "verify" else [ws_file]
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], ws_file, *argv[1:]])
+        main([argv[0], *files, *argv[1:]])
     assert exc.value.code == 2
-    flag = next(a for a in argv if a in ("--seed", "--strict-strong"))
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+SMALL = {"n": 2, "N": 3, "k": 2, "node_cap": 99_999}
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (("models", "--theory", "T_pos"), ("n", "node_cap")),
+    (("pc", "--structure", "point", "--theory", "T_pos"), ("n", "node_cap")),
+    (("jc", "--theory", "T_pos"), ("n", "N", "node_cap")),
+    (("jc", "--theory", "T_pos", "--theory", "T_pos"), ("N", "node_cap")),
+    (("tcomplete", "--t1", "T_pos", "--t2", "T_pos", "--theory", "T_pos"), ("n", "N", "node_cap")),
+    (("companion", "--t1", "T_pos", "--t2", "T_pos"), ("n", "node_cap")),
+    (("hull", "--theory", "T_pos"), ("n", "k", "node_cap")),
+    (("amalgamate", "--problem", "glue"), ("N", "node_cap")),
+    (("basis", "--structure", "point", "--kinds", "hhhh", "--theory", "T_pos"), ("n", "N", "node_cap")),
+    (("verify", "--theorem", "example-7", "--instances", "1"), ("n", "N", "node_cap")),
+    (("report", "--theory", "T_pos"), ("n", "N", "k", "node_cap")),
+], ids=["models", "pc", "jc", "jc-joint", "tcomplete", "companion", "hull", "amalgamate", "basis",
+        "verify", "report"])
+def test_every_bound_a_subcommand_takes_reaches_its_printed_budget(tmp_path, capsys, argv, fields):
+    # a bound parsed and then dropped would print its default here; the
+    # problem has no budget block, so that its flags alone set its bounds
+    path = tmp_path / "ws.posmt"
+    path.write_text(DATA.replace("  budget: { N: 6; };\n", ""))
+    files = [] if argv[0] == "verify" else [str(path)]
+    bounds = [a for f in fields for a in ("--" + f.replace("_", "-"), str(SMALL[f]))]
+    code, out = run(capsys, argv[0], *files, *argv[1:], *bounds, "--json")
+    assert code in (0, 1)
+    data = json.loads(out)
+    budget = data["verdict"]["budget"] if argv[0] == "basis" else data["budget"]
+    assert budget == {**Budget().as_dict(), **{f: SMALL[f] for f in fields}}
+
+
+@pytest.mark.parametrize("flag, field", [("--N", "N"), ("--node-cap", "node_cap")])
+def test_a_bound_set_by_flag_and_problem_block_is_a_semantic_error(tmp_path, capsys, flag, field):
+    # the block's N: 6 won over --N 3 without a word, and the verdict printed N = 6
+    path, _, _ = _with_problem_line(tmp_path, "{ N: 6; }", "{ N: 6; node_cap: 99999; }")
+    assert main(["amalgamate", path, "--problem", "glue", flag, "3", "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"sets {field} both in its budget block and on the command line" in err
+
+
+def test_jc_of_several_theories_takes_no_n(ws_file, capsys):
+    # it searches one joint model up to size N, so an --n would be ignored
+    assert main(["jc", ws_file, "--theory", "T_pos", "--theory", "T_pos", "--n", "2"]) == 3
+    assert "reads no --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("pc", "--structure", "A", "--theory", "T"), "theory 'T' is not over the structure's signature"),
+    (("basis", "--structure", "A", "--kinds", "hhhh", "--theory", "T"),
+     "theory 'T' is not over the base's signature"),
+], ids=["pc", "basis"])
+def test_theory_over_another_signature_is_named(tmp_path, capsys, argv, error):
+    # the evaluator used to report "unknown relation symbol p" instead
+    path = tmp_path / "ws.posmt"
+    path.write_text(TWO_SIGNATURES)
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and error in err
 
 
 def test_strict_strong_is_taken_by_amalgamate_and_basis(ws_file, capsys):

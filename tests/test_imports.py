@@ -20,8 +20,10 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "posmt"
 
 
-def unused_imports(path: Path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def unused_imports(source: Path | str):
+    """The (line, name) of each name `source`, a file or its text, imports
+    and never reads."""
+    tree = ast.parse(source.read_text(encoding="utf-8") if isinstance(source, Path) else source)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -105,6 +107,7 @@ def test_readme_library_example_runs():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("## Library use"):]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert unused_imports(code) == []
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
