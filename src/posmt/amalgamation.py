@@ -52,6 +52,8 @@ from .structures import (
 )
 from .theories import Budget, Theory, Verdict, is_model, models, no, unknown
 
+NOT_STRONG = "strict mode refines strong amalgamation; the problem is not strong"
+
 
 def parse_kinds(spec: Union[str, Sequence]) -> Tuple[MorphismKind, ...]:
     """Kind 4-tuple from letters like "iihh" / ["i","i","h","h"]."""
@@ -81,7 +83,7 @@ class AmalgamationProblem:
         if self.theory is not None and self.theory.signature != self.f.source.signature:
             raise SignatureError(f"theory {self.theory.name!r} is not over the base's signature")
         if self.strict_strong and not self.strong:
-            raise StructureError("strict mode refines strong amalgamation; the problem is not strong")
+            raise StructureError(NOT_STRONG)
 
     @property
     def base(self) -> FiniteStructure:
@@ -423,6 +425,8 @@ def check_basis(
     from the node cap depends on the labelling.  Under out-kinds e, i and s
     the first completion that certifies (of QUOTIENT_COMPLETION_LIMIT)
     depends on the labelling, so each instance is solved on its own."""
+    if strict_strong and not strong:  # even where no instance would say so
+        raise StructureError(NOT_STRONG)
     kinds = parse_kinds(kinds)
     alpha, beta = kinds[0], kinds[1]
     if theory is not None:

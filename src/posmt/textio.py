@@ -9,24 +9,28 @@ Block formats (whitespace-insensitive, `#` line comments):
     amalgamation P { base: A; left: m1; right: m2; kinds: [i,i,h,h];
                      class: theory T; strong: true; budget: { N: 6; }; }
 
+A block key, symbol, function entry or map entry written twice is a parse error.
+
 Verdicts and reports serialize to JSON as
     {"schema": "posmt-report/1", "verdict": ..., "budget": {...},
      "certificate": {...}, "notes": [...]}
+in one pass over what the report holds: str, bool, int, float, None, dicts
+with str keys, lists, tuples and structures, each as {"structure": ...}.
+Anything else is a TypeError, never a silent repr.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Set, Tuple
 
 from .errors import ParseError, StructureError
-from .formulas import pp_formula
-from .morphisms import Morphism, MorphismKind
+from .morphisms import Morphism
 from .parser import Parser
 from .records import field, record
 from .structures import FiniteStructure, Signature
-from .theories import Budget, Theory, Verdict
+from .theories import Theory, Verdict
 
 SCHEMA = "posmt-report/1"
 
@@ -78,10 +82,20 @@ class Workspace:
         return next(iter(self.signatures.values()))
 
 
-def _name_arity(p: Parser) -> Tuple[str, int]:
-    name = p.expect_name()
-    p.expect("/")
-    return name, p.expect_number()
+def _keys(p: Parser, what: str, known: Optional[Container[str]] = None) -> Iterator[str]:
+    """Each key of a `{ key ...; }` block, up to its `}`: the loop body reads
+    the key's value, and the `;` after it is read here.  A key given twice
+    is a parse error at the second, as is one outside `known` if given."""
+    seen: Set[str] = set()
+    while not p.at("}"):
+        text = p.peek().text
+        if text in seen:
+            raise p.error(f"repeated {what} {text!r}")
+        if known is not None and text not in known:
+            raise p.error(f"unknown {what} {text!r}")
+        seen.add(p.expect_name())
+        yield text
+        p.expect(";")
 
 
 def _parse_signature(p: Parser, ws: Workspace) -> None:
@@ -90,18 +104,29 @@ def _parse_signature(p: Parser, ws: Workspace) -> None:
     relations: Dict[str, int] = {}
     functions: Dict[str, int] = {}
     constants: List[str] = []
-    while not p.at("}"):
-        key = p.expect_name()
+    declared: Set[str] = set()
+
+    def symbol() -> str:
+        if p.peek().text in declared:
+            raise p.error(f"symbol {p.peek().text!r} declared twice")
+        declared.add(p.peek().text)
+        return p.expect_name()
+
+    def symbol_arity() -> Tuple[str, int]:
+        sym = symbol()
+        p.expect("/")
+        return sym, p.expect_number()
+
+    for key in _keys(p, "signature field"):
         p.expect(":")
         if key == "relations":
-            relations.update(p.sep_by(lambda: _name_arity(p), ","))
+            relations.update(p.sep_by(symbol_arity, ","))
         elif key == "functions":
-            functions.update(p.sep_by(lambda: _name_arity(p), ","))
+            functions.update(p.sep_by(symbol_arity, ","))
         elif key == "constants":
-            constants.extend(p.sep_by(p.expect_name, ","))
+            constants.extend(p.sep_by(symbol, ","))
         else:
             raise p.error(f"unknown signature field {key!r}")
-        p.expect(";")
     p.expect("}")
     if name in ws.signatures:
         raise StructureError(f"duplicate signature name {name!r}")
@@ -117,12 +142,15 @@ def _parse_tuple(p: Parser) -> Tuple[str, ...]:
     return tuple(items)
 
 
-def _function_cell(p: Parser, name: str, arity: int) -> Tuple[Tuple[str, ...], str]:
+def _function_cell(p: Parser, name: str, arity: int, entries: Dict[Tuple[str, ...], str]) -> None:
+    t = p.peek()
     args = _parse_tuple(p) if p.at("(") else (p.expect_name(),)
     if len(args) != arity:
         raise p.error(f"arity mismatch for function {name!r}")
+    if args in entries:
+        raise ParseError(f"function {name!r} given twice at ({', '.join(args)})", t.line, t.col)
     p.expect("->")
-    return args, p.expect_name()
+    entries[args] = p.expect_name()
 
 
 def _parse_structure(p: Parser, ws: Workspace) -> None:
@@ -136,8 +164,7 @@ def _parse_structure(p: Parser, ws: Workspace) -> None:
     functions: Dict[str, Dict[Tuple[str, ...], str]] = {fn: {} for fn, _ in sig.functions}
     constants: Dict[str, str] = {}
     func_arity = sig.function_arities
-    while not p.at("}"):
-        key = p.expect_name()
+    for key in _keys(p, "structure field"):
         if key == "universe":
             p.expect(":")
             universe = tuple(p.sep_by(p.expect_name, ","))
@@ -147,13 +174,12 @@ def _parse_structure(p: Parser, ws: Workspace) -> None:
                 relations[key].update(p.sep_by(lambda: _parse_tuple(p), ","))
         elif key in functions:
             p.expect(":")
-            functions[key].update(p.sep_by(lambda: _function_cell(p, key, func_arity[key]), ","))
+            p.sep_by(lambda: _function_cell(p, key, func_arity[key], functions[key]), ",")
         elif key in sig.constants:
             p.expect("=")
             constants[key] = p.expect_name()
         else:
             raise p.error(f"{key!r} is not a symbol of signature {signame!r}")
-        p.expect(";")
     p.expect("}")
     if name in ws.structures:
         raise StructureError(f"duplicate structure name {name!r}")
@@ -162,10 +188,12 @@ def _parse_structure(p: Parser, ws: Workspace) -> None:
     )
 
 
-def _map_pair(p: Parser) -> Tuple[str, str]:
+def _map_pair(p: Parser, mapping: Dict[str, str]) -> None:
+    if p.peek().text in mapping:
+        raise p.error(f"element {p.peek().text!r} mapped twice")
     e = p.expect_name()
     p.expect("->")
-    return e, p.expect_name()
+    mapping[e] = p.expect_name()
 
 
 def _parse_morphism(p: Parser, ws: Workspace) -> None:
@@ -176,13 +204,11 @@ def _parse_morphism(p: Parser, ws: Workspace) -> None:
     tgt = p.expect_name()
     p.expect("{")
     mapping: Dict[str, str] = {}
-    while not p.at("}"):
-        key = p.expect_name()
+    for key in _keys(p, "morphism field"):
         if key != "map":
             raise p.error(f"unknown morphism field {key!r}")
         p.expect(":")
-        mapping.update(p.sep_by(lambda: _map_pair(p), ","))
-        p.expect(";")
+        p.sep_by(lambda: _map_pair(p, mapping), ",")
     p.expect("}")
     source = ws.structure(src)
     target = ws.structure(tgt)
@@ -228,12 +254,7 @@ def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
         "base": None, "left": None, "right": None, "kinds": None,
         "theory": None, "strong": False, "strict_strong": False, "budget": {},
     }
-    seen = set()  # a repeated key would silently overwrite the first
-    while not p.at("}"):
-        if p.peek().text in seen:
-            raise p.error(f"repeated amalgamation field {p.peek().text!r}")
-        key = p.expect_name()
-        seen.add(key)
+    for key in _keys(p, "amalgamation field"):
         p.expect(":")
         if key in ("base", "left", "right"):
             fields[key] = p.expect_name()
@@ -257,22 +278,15 @@ def _parse_amalgamation(p: Parser, ws: Workspace) -> None:
         elif key == "budget":
             p.expect("{")
             budget: Dict[str, int] = {}
-            while not p.at("}"):
-                if p.peek().text not in ("N", "node_cap"):  # the solver reads no n or k
-                    raise p.error(f"unknown budget field {p.peek().text!r}")
-                if p.peek().text in budget:
-                    raise p.error(f"repeated budget field {p.peek().text!r}")
-                bkey = p.expect_name()
+            for bkey in _keys(p, "budget field", ("N", "node_cap")):  # the solver reads no n or k
                 p.expect(":")
                 if p.peek().kind == "number" and int(p.peek().text) < 1:
                     raise p.error(f"budget field {bkey} must be positive")
                 budget[bkey] = p.expect_number()
-                p.expect(";")
             p.expect("}")
             fields["budget"] = budget
         else:
             raise p.error(f"unknown amalgamation field {key!r}")
-        p.expect(";")
     for required in ("base", "left", "right", "kinds"):
         if fields[required] is None:
             raise p.error(f"amalgamation block misses {required!r}")
@@ -333,74 +347,37 @@ def signature_to_json(sig: Signature) -> Dict:
     }
 
 
-def jsonable(value, seen: Optional[Dict[int, Dict]] = None):
-    """`value` as plain JSON data.  `seen` keeps each structure's JSON by
-    identity, so a structure that a report names many times (a basis
-    report's wings) is converted once; the output shares that dict."""
-    if seen is None:
-        seen = {}
-    if isinstance(value, FiniteStructure):
-        if id(value) not in seen:
-            seen[id(value)] = {"structure": structure_to_json(value)}
-        return seen[id(value)]
-    if isinstance(value, Morphism):
-        return {"map": dict(value.map)}
-    if isinstance(value, MorphismKind):
-        return value.letter
-    if isinstance(value, Verdict):
-        return verdict_to_json(value, seen)
-    if isinstance(value, Budget):
-        return value.as_dict()
-    if isinstance(value, dict):
-        return {str(k): jsonable(v, seen) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [jsonable(v, seen) for v in items]
-    if hasattr(value, "conjuncts") or hasattr(value, "inner") or hasattr(value, "matrix"):
-        try:
-            return pp_formula(value)
-        except Exception:
-            return repr(value)
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return repr(value)
-
-
-def verdict_to_json(v: Verdict, seen: Optional[Dict[int, Dict]] = None) -> Dict:
+def verdict_to_json(v: Verdict) -> Dict:
     return {
         "schema": SCHEMA,
         "verdict": v.status,
         "budget": v.budget.as_dict(),
-        "certificate": jsonable(v.certificate, seen),
+        "certificate": v.certificate,
         "notes": list(v.notes),
     }
 
 
-def _write(value, head: str, indent: str, out: List[str], shared: Dict[int, Dict[str, str]]) -> None:
+def _write(value, head: str, indent: str, out: List[str], rendered: Dict[Tuple[int, str], str]) -> None:
     """Append `value` to `out` as `json.dumps(indent=2, sort_keys=True)`
-    prints it: `head` is what precedes it, `indent` the newline and
-    indentation of its own nesting level.  Each scalar is one chunk with its
-    separators and key before it, each closing bracket a chunk of its own.
-    `shared` maps the id of a dict that the report holds many times to its
-    text by indent, so that it is rendered once per nesting depth."""
+    prints its plain JSON form: `head` is what precedes it, `indent` the
+    newline and indentation of its own nesting level.  Each scalar is one
+    chunk with its separators and key before it, each closing bracket a
+    chunk of its own.  A structure prints as {"structure": ...}; `rendered`
+    keeps its text by (id, indent), so it is rendered once per depth."""
     if isinstance(value, str):
         out.append(head + encode_basestring_ascii(value))
+    elif isinstance(value, FiniteStructure):
+        text = rendered.get((id(value), indent))
+        if text is None:
+            chunks: List[str] = []
+            _write_dict({"structure": structure_to_json(value)}, "", indent, chunks, rendered)
+            text = rendered[id(value), indent] = "".join(chunks)
+        out.append(head + text)
     elif isinstance(value, dict):
-        if not value:
+        if value:
+            _write_dict(value, head, indent, out, rendered)
+        else:
             out.append(head + "{}")
-            return
-        texts = shared.get(id(value))
-        if texts is not None:
-            text = texts.get(indent)
-            if text is None:
-                chunks: List[str] = []
-                _write_dict(value, "", indent, chunks, shared)
-                text = texts[indent] = "".join(chunks)
-            out.append(head + text)
-            return
-        _write_dict(value, head, indent, out, shared)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append(head + "[]")
@@ -408,30 +385,27 @@ def _write(value, head: str, indent: str, out: List[str], shared: Dict[int, Dict
         inner = indent + "  "
         sep = head + "[" + inner
         for item in value:
-            _write(item, sep, inner, out, shared)
+            _write(item, sep, inner, out, rendered)
             sep = "," + inner
         out.append(indent + "]")
-    else:
+    else:  # bool, int, float or None; anything else is a TypeError
         out.append(head + json.dumps(value))
 
 
 def _write_dict(value: Dict, head: str, indent: str, out: List[str],
-                shared: Dict[int, Dict[str, str]]) -> None:
+                rendered: Dict[Tuple[int, str], str]) -> None:
     inner = indent + "  "
     sep = head + "{" + inner
     for key, item in sorted(value.items()):
-        _write(item, sep + encode_basestring_ascii(key) + ": ", inner, out, shared)
+        _write(item, sep + encode_basestring_ascii(key) + ": ", inner, out, rendered)
         sep = "," + inner
     out.append(indent + "}")
 
 
 def report_to_json(report: Dict) -> str:
     """The report as `json.dumps(..., indent=2, sort_keys=True)` prints it,
-    byte for byte; that encoder is pure Python whenever `indent` is set.
-    Each structure's JSON, which `jsonable` shares, is rendered once per
-    nesting depth it occurs at."""
-    seen: Dict[int, Dict] = {}
-    data = {"schema": SCHEMA, **jsonable(report, seen)}
+    byte for byte, in one pass over the report; that encoder is pure Python
+    whenever `indent` is set."""
     out: List[str] = []
-    _write(data, "", "\n", out, {id(d): {} for d in seen.values()})
+    _write({"schema": SCHEMA, **report}, "", "\n", out, {})
     return "".join(out)

@@ -91,6 +91,11 @@ that the solver used before it glued on integer indices.
 The basis reference solves every (B, f, C, g) instance of a basis check
 on its own, as `check_basis` did before it solved one instance per
 symmetry class.  The reports must be equal.
+
+The JSON reference copies a report into plain dicts and lists first, as
+`textio.jsonable` did before the writer printed reports straight from the
+objects the commands build: `json.dumps` of that copy must give the bytes
+of `textio.report_to_json`.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ from posmt.errors import BudgetExceeded, FormulaError, SignatureError, Structure
 from posmt.formulas import (
     And, Atom, Const, EqAtom, Exists, Falsum, Forall, Formula, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
-    PosEx, PosQF, RelAtom, Term, Truth, Var, free_vars,
+    PosEx, PosQF, RelAtom, Term, Truth, Var, free_vars, pp_formula,
 )
 from posmt.morphisms import Morphism, MorphismKind, is_strong_immersion
 from posmt import corpus
@@ -117,6 +122,7 @@ from posmt.structures import (
     FiniteStructure, Orbits, Signature, UnionFind, element_names, enumerate_structures,
 )
 from posmt.records import replace
+from posmt.textio import structure_to_json, verdict_to_json
 from posmt.theories import (
     Budget, DiagramSet, Theory, Verdict, _continuation_verdict, _pc_models, models, no,
     tu_star_set, yes,
@@ -1498,3 +1504,37 @@ def classify_sentence_reference(f: Formula) -> str:
     if _is_hinductive(f):
         return "h-inductive"
     return "outside"
+
+
+# ---------------------------------------------------------------------------
+# Report JSON, as a copy into plain data before it is printed
+
+
+def plain_json(value):
+    """`value` as plain JSON data; a set is sorted by `repr`, and anything
+    else that JSON has no form for prints as its `repr`."""
+    if isinstance(value, FiniteStructure):
+        return {"structure": structure_to_json(value)}
+    if isinstance(value, Morphism):
+        return {"map": dict(value.map)}
+    if isinstance(value, MorphismKind):
+        return value.letter
+    if isinstance(value, Verdict):
+        return plain_json(verdict_to_json(value))
+    if isinstance(value, Budget):
+        return value.as_dict()
+    if isinstance(value, dict):
+        return {str(k): plain_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = list(value)
+        if isinstance(value, (set, frozenset)):
+            items = sorted(items, key=repr)
+        return [plain_json(v) for v in items]
+    if hasattr(value, "conjuncts") or hasattr(value, "inner") or hasattr(value, "matrix"):
+        try:
+            return pp_formula(value)
+        except Exception:
+            return repr(value)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return repr(value)

@@ -12,8 +12,10 @@ import pytest
 from posmt import cli
 from posmt.cli import main
 from posmt.structures import FiniteStructure, Signature
-from posmt.textio import load_workspace, structure_to_json
+from posmt.textio import SCHEMA, load_workspace, structure_to_json
 from posmt.theories import Budget
+
+from oracles import plain_json
 
 DATA = """
 signature S { relations: le/2; }
@@ -379,6 +381,39 @@ def test_repeated_problem_key_is_a_parse_error(tmp_path, capsys, old, new, at):
     assert out == "" and f"parse error: {line}:{col + new.index(at)}: repeated" in err
 
 
+REPEAT_SIG = "signature S { relations: le/2; functions: f/1; constants: c; }\n"
+REPEAT_A = "structure A over S { universe: a, b; le: (a,b); f: a->a, b->b; c = a; }\n"
+
+
+@pytest.mark.parametrize("text, name", [
+    ("signature S { relations: le/2, @le/1; }", "'le'"),
+    ("signature S { relations: le/2; functions: f/1; @functions: f/2; }", "'functions'"),
+    ("signature S { relations: le/2; functions: @le/1; }", "'le'"),
+    ("signature S { constants: c, @c; }", "'c'"),
+    (REPEAT_SIG + "structure A over S { universe: a, b; @universe: a; le: (a,b); f: a->a, b->b; c = a; }",
+     "'universe'"),
+    (REPEAT_SIG + "structure A over S { universe: a, b; le: (a,b); @le: (b,b); f: a->a, b->b; c = a; }",
+     "'le'"),
+    (REPEAT_SIG + "structure A over S { universe: a, b; le: (a,b); f: a->a, b->b, @a->b; c = a; }",
+     "'f'"),
+    (REPEAT_SIG + "structure A over S { universe: a, b; le: (a,b); f: a->a, b->b; c = a; @c = a; }",
+     "'c'"),
+    (REPEAT_SIG + REPEAT_A + "morphism m from A to A { map: a -> a, b -> b; @map: a -> b; }", "'map'"),
+    (REPEAT_SIG + REPEAT_A + "morphism m from A to A { map: a -> a, b -> b, @a -> b; }", "'a'"),
+], ids=["relation", "field", "relation-and-function", "constant", "universe", "relation-line",
+        "function-entry", "constant-value", "map-line", "map-entry"])
+def test_repeated_declaration_is_a_parse_error(tmp_path, capsys, text, name):
+    # the reader kept the last of each without a word (the function entry
+    # gave f(a) = b, the morphism mapped a to b); `@` marks the error's token
+    before = text[:text.index("@")]
+    path = tmp_path / "ws.posmt"
+    path.write_text(text.replace("@", ""))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+    assert out == "" and f"parse error: {line}:{col}: " in err and name in err
+
+
 # ---------------------------------------------------------------------------
 # general: sentences are accepted exactly when they encode as h-inductive
 
@@ -558,6 +593,15 @@ def test_strict_strong_on_a_problem_that_is_not_strong_is_a_semantic_error(ws_fi
     assert out == "" and "not strong" in err
 
 
+def test_strict_strong_basis_without_instances_is_a_semantic_error(ws_file, capsys):
+    # with no s-maps into the one-point wings there is no instance, and the
+    # check said "yes" where the same flags with instances exit 3
+    assert main(["basis", ws_file, "--structure", "chain2", "--kinds", "ssss", "--theory", "T_pos",
+                 "--n", "1", "--strict-strong"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "not strong" in err
+
+
 def test_reader_closing_the_pipe_is_not_a_parse_error():
     # `posmt models ... | head -1`: 0.5 MB of JSON fills the pipe, so the
     # writer meets the closed pipe; that is no parse error (exit 2)
@@ -618,6 +662,60 @@ def test_crash_in_a_subcommand_is_an_internal_error(ws_file, capsys, monkeypatch
     assert main(["check", ws_file]) == 5
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# the pc models of T_pos (the point) and T_none (the loopless point) differ
+MORE_THEORIES = """
+theory T_refl over S { hinductive: forall x. true -> le(x,x); }
+theory T_none over S { hinductive: forall x y. le(x,y) -> false; }
+"""
+
+EVERY_REPORT = [
+    ("models", "--theory", "T_pos", "--n", "2"),
+    ("models", "--theory", "T_pos", "--n", "4", "--node-cap", "5"),
+    ("homs", "--from", "point", "--to", "chain2"),
+    ("classify", "--morphism", "inc"),
+    ("pc", "--structure", "point", "--theory", "T_pos", "--n", "2"),
+    ("pc", "--structure", "chain2", "--theory", "T_pos", "--n", "2"),
+    ("jc", "--theory", "T_pos", "--n", "2", "--N", "3"),
+    ("jc", "--theory", "T_pos", "--theory", "T_refl", "--N", "2"),
+    ("tcomplete", "--t1", "T_pos", "--t2", "T_pos", "--theory", "T_pos", "--n", "2", "--N", "3"),
+    ("companion", "--t1", "T_pos", "--t2", "T_none", "--n", "2"),
+    ("hull", "--theory", "T_pos", "--n", "2", "--k", "2"),
+    ("amalgamate", "--problem", "glue"),
+    ("basis", "--structure", "point", "--kinds", "hhhh", "--theory", "T_pos", "--n", "2", "--N", "3"),
+    ("verify", "--theorem", "ii-hh-strong", "--instances", "2", "--N", "4"),
+    ("verify", "--theorem", "inheritance", "--instances", "2", "--N", "4"),
+    ("report", "--theory", "T_pos", "--n", "2", "--N", "3", "--k", "2"),
+]
+
+
+def test_every_report_a_command_builds_prints_as_its_plain_json(tmp_path, capsys, monkeypatch):
+    # the writer takes the objects a report holds as they are; the reference
+    # copies the report into plain data first, with a form for types no
+    # report should hold, which the writer rejects
+    path = tmp_path / "ws.posmt"
+    path.write_text(DATA + MORE_THEORIES)
+    reports = []
+    real = cli.report_to_json
+    monkeypatch.setattr(cli, "report_to_json", lambda report: reports.append(report) or real(report))
+    printed = {}
+    for argv in EVERY_REPORT:
+        files = [] if argv[0] == "verify" else [str(path)]
+        assert main([argv[0], *files, *argv[1:], "--json"]) in (0, 1, 4)
+        printed[argv] = json.loads(capsys.readouterr().out)
+        assert real(reports[-1]) == json.dumps({"schema": SCHEMA, **plain_json(reports[-1])},
+                                               indent=2, sort_keys=True)
+    assert len(reports) == len(EVERY_REPORT)
+    assert {argv[0] for argv in EVERY_REPORT} == set(cli._COMMANDS) - {"check"}
+    # the "no" certificates that hold structures
+    pc_no = printed[EVERY_REPORT[5]]["certificate"]
+    assert pc_no["hom"] == {"a": "a", "b": "a"} and "structure" in pc_no["target"]
+    assert "structure" in printed[EVERY_REPORT[7]]["certificate"]["model"]
+    companion = printed[EVERY_REPORT[9]]
+    assert companion["verdict"] == "no"
+    assert all("structure" in m for side in ("only_first", "only_second") for m in companion["certificate"][side])
+    assert companion["certificate"]["only_first"] and companion["certificate"]["only_second"]
 
 
 # ---------------------------------------------------------------------------

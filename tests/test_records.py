@@ -1,16 +1,14 @@
 """`posmt.records` against the stdlib `dataclasses` it stands in for.
 
 Every record class in `src/posmt` is checked on a sample instance against
-a dataclass twin with the same fields and flags: `repr` (which
-`textio.jsonable` sorts sets by), `hash` (which orders sets and dicts),
-`==`, and frozen-ness.
+a dataclass twin with the same fields and flags: `repr`, `hash` (which
+orders sets and dicts), `==`, and frozen-ness.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
-import json
 import os
 import pathlib
 import subprocess
@@ -208,14 +206,6 @@ def test_record_decorator_forms():
     assert Plain(1, [2]) == Plain(1) and Plain.__hash__ is None
     assert repr(Empty()) == "test_record_decorator_forms.<locals>.Empty()"
     assert hash(Empty()) == hash(()) and Empty() == Empty()
-
-
-def test_records_serialize_as_before():
-    from posmt.textio import report_to_json
-
-    v = Verdict("yes", Budget(n=2), {"pairs": {Var("y"), Var("x")}, "s": SIG_LE})
-    data = json.loads(report_to_json({"verdict": v.status, "certificate": v.certificate}))
-    assert data["certificate"]["pairs"] == ["Var(name='x')", "Var(name='y')"]
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from posmt import textio
 from posmt.cli import main
 from posmt.structures import FiniteStructure, Signature
-from posmt.textio import SCHEMA, jsonable, report_to_json
+from posmt.textio import SCHEMA, report_to_json
+
+from oracles import plain_json
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -50,7 +52,7 @@ deep = st.builds(nest, st.one_of(values, st.just({}), st.just([])),
 @example({"f": [-0.0, 1e-7, 1e300, float("nan"), float("inf"), float("-inf")]})
 @example({"s": ['"\\\n\x00é∀', {"é": {"\n": "\U0001f600"}}]})
 def test_report_writer_prints_the_bytes_of_json_dumps(report):
-    expected = json.dumps({"schema": SCHEMA, **jsonable(report)}, indent=2, sort_keys=True)
+    expected = json.dumps({"schema": SCHEMA, **plain_json(report)}, indent=2, sort_keys=True)
     assert report_to_json(report) == expected
 
 
@@ -66,11 +68,11 @@ keys = st.lists(st.one_of(st.none(), texts), max_size=4)
 @given(st.sampled_from(SHARED), keys, keys, st.dictionaries(texts, values, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_report_writer_prints_a_structure_shared_at_two_depths(structure, outer, inner, rest):
-    # jsonable shares one dict per structure; the writer renders it once
-    # per depth and reuses that text wherever it meets the dict again
+    # the writer renders each structure once per depth and reuses that
+    # text wherever it meets the structure again
     report = {**rest, "x": nest(structure, outer), "y": nest([structure, nest(structure, inner)], outer),
               "z": [nest(structure, inner), structure]}
-    expected = json.dumps({"schema": SCHEMA, **jsonable(report)}, indent=2, sort_keys=True)
+    expected = json.dumps({"schema": SCHEMA, **plain_json(report)}, indent=2, sort_keys=True)
     assert report_to_json(report) == expected
 
 
