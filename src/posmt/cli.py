@@ -35,7 +35,6 @@ from .amalgamation import (
     parse_kinds, solve_amalgamation, verify_theorem,
 )
 from .errors import BudgetExceeded, ParseError, PosmtError, StructureError
-from .formulas import pp_formula
 from .morphisms import MorphismKind, classify_morphism, enumerate_homs
 from .structures import FiniteStructure, element_names
 from .theories import (
@@ -225,16 +224,11 @@ def cmd_hull(args: argparse.Namespace) -> int:
     if args.json:
         print(report_to_json({
             "command": "hull", "theory": args.theory, "budget": b.as_dict(),
-            "hull": [pp_formula(s) for s in hull.sentences],
-            "tu": [pp_formula(s) for s in tu.sentences],
+            "hull": hull, "tu": tu,
         }))
     else:
-        print(f"bounded Kaiser hull of {args.theory}: {len(hull.sentences)} sentence(s)")
-        for s in hull.sentences:
-            print(f"  {pp_formula(s)}")
-        print(f"bounded Tu(T): {len(tu.sentences)} sentence(s)")
-        for s in tu.sentences:
-            print(f"  {pp_formula(s)}")
+        for title, sentences in ((f"bounded Kaiser hull of {args.theory}", hull), ("bounded Tu(T)", tu)):
+            print(f"{title}: {len(sentences)} sentence(s)", *(f"  {s}" for s in sentences), sep="\n")
     return EXIT_YES
 
 

@@ -12,7 +12,10 @@ a walk down a stabilizer chain that emits each corpus in order.
 The implication corpus is kept as one integer table per (signature, k):
 each entry's premise rank, conclusion rank (-1 for falsum) and free-set
 rank.  The records of `implication_corpus` are built from it only when a
-caller lists entries.
+caller lists entries.  Entries are printed straight from atom codes, in
+the concrete syntax the parser reads, with no formula tree: `hull_texts`
+prints each (side, free set) of the table once and joins the two strings
+of each row, and `cq_text` prints a CQ's h-universal negation.
 
 Satisfaction is columnar: one int bitset per pool atom over the n^k total
 assignments of the pool.  A CQ holds when the AND of its atoms' bitsets is
@@ -26,7 +29,7 @@ int equality.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
@@ -65,7 +68,12 @@ class AtomPool:
         atoms += [("eq",) + tuple(sorted(p)) for p in pairs if "v" in (p[0][0], p[1][0])]
         self.atoms: Tuple[AtomCode, ...] = tuple(sorted(atoms))
         self.index: Dict[AtomCode, int] = {a: i for i, a in enumerate(self.atoms)}
-        self.asts: Dict[AtomCode, Atom] = {a: self.atom_ast(a) for a in self.atoms}  # shared by every sentence
+        self.texts: Dict[AtomCode, str] = {a: _atom_text(a) for a in self.atoms}
+
+    @cached_property
+    def asts(self) -> Dict[AtomCode, Atom]:
+        """Each atom's tree, shared by every sentence built over the pool."""
+        return {a: self.atom_ast(a) for a in self.atoms}
 
     # -- permutation action -----------------------------------------------
 
@@ -93,13 +101,44 @@ def _args(code: AtomCode) -> Tuple:
     return code[1:] if code[0] == "eq" else code[2] + code[3:]
 
 
+def _bound(codes: Tuple[AtomCode, ...], free: Sequence[int]) -> List[str]:
+    """The names of the variables of `codes` outside `free`, in order."""
+    return [f"v{i}" for i in sorted({a[1] for c in codes for a in _args(c) if a[0] == "v"}.difference(free))]
+
+
+def _arg_text(arg) -> str:
+    return f"v{arg[1]}" if arg[0] == "v" else arg[1]
+
+
+def _atom_text(code: AtomCode) -> str:
+    """An atom as the parser reads it: `r(v0, c)`, `f(v0) = v1` or `v0 = c`."""
+    if code[0] == "eq":
+        return f"{_arg_text(code[1])} = {_arg_text(code[2])}"
+    app = f"{code[1]}({', '.join(map(_arg_text, code[2]))})"
+    return app if code[0] == "rel" else f"{app} = {_arg_text(code[3])}"
+
+
+def _side_text(pool: AtomPool, codes: Tuple[AtomCode, ...], free: Sequence[int] = ()) -> str:
+    """The conjunction of `codes` closed existentially over its variables
+    outside `free` (`_posex`), printed as the parser reads it:
+    `exists v.. . atom & atom`, `atom` or `true`."""
+    bound = _bound(codes, free)
+    matrix = " & ".join(map(pool.texts.__getitem__, codes)) or "true"
+    return f"exists {' '.join(bound)}. {matrix}" if bound else matrix
+
+
+def cq_text(pool: AtomPool, codes: Tuple[AtomCode, ...]) -> str:
+    """The h-universal negation of the CQ over `codes`, as the parser reads
+    it: `huniversal: ! side`."""
+    return "huniversal: ! " + _side_text(pool, codes)
+
+
 def _posex(pool: AtomPool, codes: Tuple[AtomCode, ...], free: Sequence[int] = ()) -> PosEx:
     """The conjunction of `codes` closed existentially over its variables
     outside `free`."""
-    used = {a[1] for c in codes for a in _args(c) if a[0] == "v"}
     atoms = tuple(pool.asts[c] for c in codes)
     matrix = Truth() if not atoms else (atoms[0] if len(atoms) == 1 else And(atoms))
-    return PosEx(tuple(f"v{i}" for i in sorted(used.difference(free))), matrix)
+    return PosEx(tuple(_bound(codes, free)), matrix)
 
 
 @record(frozen=True)
@@ -226,6 +265,22 @@ def implication_corpus(sig: Signature, k: int) -> Tuple[BoundedImplication, ...]
 def compress(entries: Sequence, mask: int) -> Tuple:
     """The entries whose bit is set in `mask` (bit i for entry i), in order."""
     return tuple(itertools.compress(entries, map("1".__eq__, reversed(bin(mask)))))
+
+
+def hull_texts(sig: Signature, k: int, mask: int) -> Tuple[str, ...]:
+    """The rows of `implication_table` whose bit is set in `mask`, in order,
+    each printed as the parser reads it: `hinductive: forall F. (P) -> (Q)`,
+    with `false` for a falsum conclusion.  Each (side, free set) is printed
+    once and each row joins two of those strings."""
+    pool = atom_pool(sig, k)
+    codes, frees, rows = implication_table(sig, k)
+    heads = [f"hinductive: forall {' '.join(f'v{i}' for i in f)}. (" if f else "hinductive: (" for f in frees]
+
+    @lru_cache(maxsize=None)
+    def side(r: int, f: int) -> str:
+        return "false" if r < 0 else _side_text(pool, codes[r], frees[f])
+
+    return tuple(f"{heads[f]}{side(p, f)}) -> ({side(q, f)})" for p, q, f in compress(rows, mask))
 
 
 @lru_cache(maxsize=64)

@@ -1,4 +1,4 @@
-"""Formula ASTs, one normal form, evaluation and printing.
+"""Formula ASTs, one normal form and evaluation.
 
 The positive fragment: atoms (relation, equality, falsum, truth) combined
 with AND/OR, existentially quantified (PosEx).  H-inductive sentences are
@@ -464,54 +464,3 @@ def classify_sentence(f: Formula) -> str:
     except FormulaError:
         return "outside"
     return "h-inductive"
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (inverse of the parser on ASTs)
-
-
-def _pp_term(t: Term) -> str:
-    if isinstance(t, Var) or isinstance(t, Const):
-        return t.name
-    return f"{t.func}({', '.join(_pp_term(a) for a in t.args)})"
-
-
-def _pp_qf(f: PosQF, prec: int = 0) -> str:
-    # prec 0 = or-level, 1 = and-level, 2 = atom
-    if isinstance(f, Truth):
-        return "true"
-    if isinstance(f, Falsum):
-        return "false"
-    if isinstance(f, RelAtom):
-        return f"{f.name}({', '.join(_pp_term(a) for a in f.args)})"
-    if isinstance(f, EqAtom):
-        return f"{_pp_term(f.left)} = {_pp_term(f.right)}"
-    if isinstance(f, And):
-        body = " & ".join(_pp_qf(p, 2) for p in f.parts)
-        return f"({body})" if prec >= 2 else body
-    if isinstance(f, Or):
-        body = " | ".join(_pp_qf(p, 1) for p in f.parts)
-        return f"({body})" if prec >= 1 else body
-    raise FormulaError(f"cannot print {f!r}")
-
-
-def _pp_posex(f: PosEx) -> str:
-    if f.vars:
-        return f"exists {' '.join(f.vars)}. {_pp_qf(f.matrix)}"
-    return _pp_qf(f.matrix)
-
-
-def pp_formula(f: Formula) -> str:
-    if isinstance(f, HInductiveSentence):
-        parts = []
-        for c in f.conjuncts:
-            head = f"forall {' '.join(c.vars)}. " if c.vars else ""
-            parts.append(f"{head}({_pp_posex(c.premise)}) -> ({_pp_posex(c.conclusion)})")
-        return "hinductive: " + "; ".join(parts)
-    if isinstance(f, Implication):
-        return pp_formula(HInductiveSentence((f,)))
-    if isinstance(f, HUniversalSentence):
-        return f"huniversal: ! {_pp_posex(f.inner)}"
-    if isinstance(f, PosEx):
-        return f"positive: {_pp_posex(f)}"
-    return f"positive: {_pp_qf(f)}"

@@ -248,8 +248,8 @@ class Parser:
         return PosEx((), self.parse_or())
 
     def parse_posex_opt_parens(self) -> PosEx:
-        """A posex, possibly wrapped in one pair of parentheses (the printer
-        emits `(premise) -> (conclusion)`)."""
+        """A posex, possibly wrapped in one pair of parentheses (the hull is
+        printed as `(premise) -> (conclusion)`)."""
         if self.at("("):
             save = self.pos
             try:

@@ -113,7 +113,9 @@ def unknown(b: Budget, certificate: Optional[Dict] = None, notes: Tuple[str, ...
 
 @record(frozen=True)
 class DiagramSet:
-    kind: str  # Diag | Diag+ | Diag+* | Tu | Ti | Tu* | Ti* | Tu(A|B) | Ti(A|B) | Tk | Tu(T)
+    # Diag | Diag+ | Diag+* | Tu | Ti | Tu* | Ti* | Tu(A|B) | Ti(A|B); the bounded
+    # Kaiser hull and T_u(T) are printed strings (`kaiser_hull_bounded`)
+    kind: str
     signature: Signature
     sentences: Tuple[Formula, ...]
     bound: Optional[int] = None
@@ -474,24 +476,18 @@ def _hull_of_pc_models(t: Theory, masks: Iterable[int], b: Budget) -> int:
     return out
 
 
-def kaiser_hull_bounded(t: Theory, b: Budget) -> Tuple[DiagramSet, DiagramSet]:
+def kaiser_hull_bounded(t: Theory, b: Budget) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """The bounded Kaiser hull T_k(T) (h-inductive sentences of size <= k
-    true in every bounded-pc model), together with the bounded T_u(T)."""
+    true in every bounded-pc model), together with the bounded T_u(T),
+    each sentence printed as the parser reads it (`corpus.hull_texts`,
+    `corpus.cq_text`)."""
     pool = corpus.atom_pool(t.signature, b.k)
     ms = models(t, b)
     hull_mask = _hull_of_pc_models(t, (_ti_mask(m, b.k) for m in _pc_models(ms, b)), b)
     tu_set = _tu_of_models(t, ms, b)
-    hull = tuple(
-        HInductiveSentence((imp.to_implication(pool),))
-        for imp in corpus.compress(corpus.implication_corpus(t.signature, b.k), hull_mask)
-    )
-    tu = tuple(
-        c.negation(pool) for c in corpus.cq_corpus(t.signature, b.k) if c in tu_set
-    )
-    return (
-        DiagramSet("Tk", t.signature, hull, b.k),
-        DiagramSet("Tu(T)", t.signature, tu, b.k),
-    )
+    hull = corpus.hull_texts(t.signature, b.k, hull_mask)
+    tu = tuple(corpus.cq_text(pool, c.codes) for c in corpus.cq_corpus(t.signature, b.k) if c in tu_set)
+    return hull, tu
 
 
 # ---------------------------------------------------------------------------

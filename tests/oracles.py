@@ -75,8 +75,9 @@ only on reaching it.  Verdicts and first-found apexes must not change.
 The theory-fragment references hold each bounded fragment as a frozenset
 of corpus entries, as `theories` did before it held T_i* as a mask over
 the implication corpus: the Kaiser hull is an intersection of sets and
-report condition 4 an equality of sets.  `kaiser_hull_bounded` and
-`jc_characterization_report` must give the same sentences and conditions.
+report condition 4 an equality of sets.  `kaiser_hull_bounded` must print
+sentences that parse back to the reference's trees, and
+`jc_characterization_report` must give the same conditions.
 The extremality check and `diag_plus_star_set`, which only tests call,
 live here too.
 
@@ -91,6 +92,11 @@ that the solver used before it glued on integer indices.
 The basis reference solves every (B, f, C, g) instance of a basis check
 on its own, as `check_basis` did before it solved one instance per
 symmetry class.  The reports must be equal.
+
+The reference printer is the tree printer that `hull` ran on each of its
+sentences before it printed them from the rows of the integer implication
+table (`corpus.hull_texts`, `corpus.cq_text`): every hull and T_u(T) line must be its output
+on the sentence's tree, and it inverts the parser on the trees it prints.
 
 The JSON reference copies a report into plain dicts and lists first, as
 `textio.jsonable` did before the writer printed reports straight from the
@@ -113,7 +119,7 @@ from posmt.errors import BudgetExceeded, FormulaError, SignatureError, Structure
 from posmt.formulas import (
     And, Atom, Const, EqAtom, Exists, Falsum, Forall, Formula, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
-    PosEx, PosQF, RelAtom, Term, Truth, Var, free_vars, pp_formula,
+    PosEx, PosQF, RelAtom, Term, Truth, Var, free_vars,
 )
 from posmt.morphisms import Morphism, MorphismKind, is_strong_immersion
 from posmt import corpus
@@ -1504,6 +1510,57 @@ def classify_sentence_reference(f: Formula) -> str:
     if _is_hinductive(f):
         return "h-inductive"
     return "outside"
+
+
+# ---------------------------------------------------------------------------
+# Sentences printed by walking their trees (inverse of the parser on ASTs)
+
+
+def _pp_term(t: Term) -> str:
+    if isinstance(t, Var) or isinstance(t, Const):
+        return t.name
+    return f"{t.func}({', '.join(_pp_term(a) for a in t.args)})"
+
+
+def _pp_qf(f: PosQF, prec: int = 0) -> str:
+    # prec 0 = or-level, 1 = and-level, 2 = atom
+    if isinstance(f, Truth):
+        return "true"
+    if isinstance(f, Falsum):
+        return "false"
+    if isinstance(f, RelAtom):
+        return f"{f.name}({', '.join(_pp_term(a) for a in f.args)})"
+    if isinstance(f, EqAtom):
+        return f"{_pp_term(f.left)} = {_pp_term(f.right)}"
+    if isinstance(f, And):
+        body = " & ".join(_pp_qf(p, 2) for p in f.parts)
+        return f"({body})" if prec >= 2 else body
+    if isinstance(f, Or):
+        body = " | ".join(_pp_qf(p, 1) for p in f.parts)
+        return f"({body})" if prec >= 1 else body
+    raise FormulaError(f"cannot print {f!r}")
+
+
+def _pp_posex(f: PosEx) -> str:
+    if f.vars:
+        return f"exists {' '.join(f.vars)}. {_pp_qf(f.matrix)}"
+    return _pp_qf(f.matrix)
+
+
+def pp_formula(f: Formula) -> str:
+    if isinstance(f, HInductiveSentence):
+        parts = []
+        for c in f.conjuncts:
+            head = f"forall {' '.join(c.vars)}. " if c.vars else ""
+            parts.append(f"{head}({_pp_posex(c.premise)}) -> ({_pp_posex(c.conclusion)})")
+        return "hinductive: " + "; ".join(parts)
+    if isinstance(f, Implication):
+        return pp_formula(HInductiveSentence((f,)))
+    if isinstance(f, HUniversalSentence):
+        return f"huniversal: ! {_pp_posex(f.inner)}"
+    if isinstance(f, PosEx):
+        return f"positive: {_pp_posex(f)}"
+    return f"positive: {_pp_qf(f)}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -751,3 +752,12 @@ def test_main_builds_the_named_subparser_alone(monkeypatch, capsys, argv, built)
     assert "{" + ",".join(built) + "}" in parser.format_usage()
     if argv == ["--help"]:
         assert capsys.readouterr().out == real().format_help()
+
+
+def test_hull_k3_json_is_the_recorded_output(capsys):
+    # the bytes `hull --k 3 --json` printed when each hull sentence was
+    # built as a formula tree and printed by walking it
+    code, out = run(capsys, "hull", str(REPO / "data" / "posets.posmt"), "--theory", "T_pos", "--k", "3", "--json")
+    assert code == 0 and len(json.loads(out)["hull"]) == 8360
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2843d28563b3419a584dfd4846d2bd009308077c05c5f75e4952537b93b9317c")

@@ -5,17 +5,20 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from posmt import corpus
 from posmt.errors import BudgetExceeded
+from posmt.formulas import HInductiveSentence
 from posmt.structures import FiniteStructure, Signature, element_names
 from posmt.textio import load_workspace
 from posmt.theories import Budget, jc_characterization_report, kaiser_hull_bounded
 
-from conftest import SIG_F, SIG_LE
-from oracles import corpus_evaluator_reference, cq_corpus_reference, implication_corpus_reference
+from conftest import SIG_F, SIG_LE, make_theory
+from oracles import (
+    corpus_evaluator_reference, cq_corpus_reference, implication_corpus_reference, pp_formula,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -120,12 +123,15 @@ def test_corpora_match_reference_on_random_signatures(sig, k):
 
 
 def test_each_corpus_built_once_per_hull(t_pos):
-    # the hull's fragments and the corpus listing share one cache entry
+    # the hull's fragments and its printed rows share one integer table, and
+    # the hull builds no implication records
     corpus.cq_corpus.cache_clear()
+    corpus.implication_table.cache_clear()
     corpus.implication_corpus.cache_clear()
     kaiser_hull_bounded(t_pos, Budget(k=2))
     assert corpus.cq_corpus.cache_info().misses == 1
-    assert corpus.implication_corpus.cache_info().misses == 1
+    assert corpus.implication_table.cache_info().misses == 1
+    assert corpus.implication_corpus.cache_info().misses == 0
 
 
 def test_report_lists_no_implication_corpus(t_pos, monkeypatch):
@@ -165,6 +171,43 @@ def test_equal_entries_hash_equal():
         )
         assert twin is not b and twin == b and hash(twin) == hash(b)
         assert twin in fragment
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the printed hull rows against the tree printer
+
+# the tree printer builds a tree per row, so k is lowered until the
+# implication corpus has at most this many candidates
+RENDER_LIMIT = 20_000
+
+
+def _candidates(sig: Signature, k: int) -> int:
+    atoms = len(corpus.atom_pool(sig, k).atoms)
+    return (1 + atoms + comb(atoms, 2)) ** 2 * 2 ** k
+
+
+@st.composite
+def signatures_at_k(draw):
+    sig, k = draw(signatures()), draw(st.integers(1, 2))
+    if k > 1 and _candidates(sig, k) > RENDER_LIMIT:
+        k = 1
+    assume(_candidates(sig, k) <= RENDER_LIMIT)
+    return sig, k
+
+
+@settings(max_examples=30, deadline=None)
+@given(signatures_at_k())
+@example((Signature.make({"r0": 2}, {"f": 1, "g": 2}, ["c"]), 1))
+@example((SIG_F, 2))
+def test_hull_rows_print_as_their_trees(case):
+    # a theory without models keeps every corpus entry in its hull and its
+    # T_u(T), so every row of the integer table and every CQ is printed
+    sig, k = case
+    pool = corpus.atom_pool(sig, k)
+    hull, tu = kaiser_hull_bounded(make_theory(sig, "hinductive: forall x. true -> false;"), Budget(n=1, k=k))
+    assert hull == tuple(
+        pp_formula(HInductiveSentence((imp.to_implication(pool),))) for imp in corpus.implication_corpus(sig, k))
+    assert tu == tuple(pp_formula(c.negation(pool)) for c in corpus.cq_corpus(sig, k))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from posmt.formulas import (
     And, App, Const, EqAtom, Exists, Falsum, Forall, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
     PosEx, RelAtom, Truth, Var, as_implications, classify_sentence,
-    eval_formula, free_vars, pp_formula,
+    eval_formula, free_vars,
 )
 from posmt.parser import parse_formula, parse_sentences
 from posmt.structures import FiniteStructure, Signature
 from posmt.textio import load_workspace
 
 from conftest import SIG_LE
-from oracles import classify_sentence_reference, eval_formula_reference
+from oracles import classify_sentence_reference, eval_formula_reference, pp_formula
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,14 @@ def test_report_writer_prints_bools_as_json_literals():
 def test_a_basis_report_converts_each_structure_once(monkeypatch):
     # the 841 wing instances of chain2 name 8 structures; each is
     # converted to JSON once, not twice per instance, and rendered once, as
-    # every wing sits at the same depth
+    # every wing sits at the same depth: a render is counted by its
+    # (structure, indent), not by the address of a dict that lives only for it
     calls, rendered = [], []
     real, real_write = textio.structure_to_json, textio._write_dict
     monkeypatch.setattr(textio, "structure_to_json", lambda s: calls.append(s) or real(s))
-    monkeypatch.setattr(textio, "_write_dict", lambda value, *rest: (
-        list(value) == ["structure"] and rendered.append(id(value)), real_write(value, *rest)))
+    monkeypatch.setattr(textio, "_write_dict", lambda value, head, indent, *rest: (
+        list(value) == ["structure"] and rendered.append((json.dumps(value["structure"], sort_keys=True), indent)),
+        real_write(value, head, indent, *rest)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["basis", str(REPO / "data" / "posets.posmt"), "--structure", "chain2",

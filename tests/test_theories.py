@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import pathlib
 
@@ -15,6 +16,7 @@ from posmt.formulas import (
     Implication, Or, PosEx, RelAtom, Truth, Var,
 )
 from posmt.morphisms import Morphism, search_homs
+from posmt.parser import parse_formula
 from posmt.structures import (
     ELEMENT_NAMES, FiniteStructure, Orbits, Signature, enumerate_structures,
 )
@@ -358,17 +360,28 @@ def test_companionship_lemma_instance(loop):
     assert companion_check_bounded(tu, ti, b).is_yes
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(line: str, sig: Signature):
+    return parse_formula(line, sig)  # hulls over a signature repeat their lines
+
+
+def _parsed(lines, sig: Signature) -> tuple:
+    """The hull's (or T_u(T)'s) printed sentences, parsed back into trees."""
+    return tuple(_parse(line, sig) for line in lines)
+
+
 def test_kaiser_hull_contains_reflexivity(t_pos):
     from posmt.formulas import eval_formula
 
     b = Budget(n=2, N=2, k=2)
-    hull, _tu = kaiser_hull_bounded(t_pos, b)
+    hull = _parsed(kaiser_hull_bounded(t_pos, b)[0], SIG_LE)
+    assert hull == kaiser_hull_bounded_reference(t_pos, b)[0].sentences
     refl = make_theory(SIG_LE, "hinductive: forall x. true -> le(x,x);").sentences[0].sentence
     probe = list(enumerate_structures(SIG_LE, 2))
     # some hull sentence is semantically reflexivity on the probe corpus
     assert any(
         all(eval_formula(x, s, {}) == eval_formula(x, refl, {}) for x in probe)
-        for s in hull.sentences
+        for s in hull
     )
 
 
@@ -436,9 +449,10 @@ def test_kaiser_hull_at_five_lists_the_models_once(t_pos, listed):
 def test_kaiser_hull_self_consistency():
     t = make_theory(SIG_F, "positive: exists x. f(x) = x;", "T_fix")
     b = Budget(n=2, N=2, k=2)
-    hull, _ = kaiser_hull_bounded(t, b)
+    hull = _parsed(kaiser_hull_bounded(t, b)[0], SIG_F)
+    assert hull == kaiser_hull_bounded_reference(t, b)[0].sentences
     for m in bounded_pc_models(t, b):
-        assert all(is_model(m, Theory.make(SIG_F, [s], "s")) for s in hull.sentences)
+        assert all(is_model(m, Theory.make(SIG_F, [s], "s")) for s in hull)
 
 
 SIG_PR = Signature.make(relations={"p": 1, "r": 2})
@@ -480,7 +494,9 @@ def test_fragment_masks_match_frozenset_reference(t, n, extra, k):
     # sentences and conditions of the frozenset fragments
     b = Budget(n=n, N=min(n + extra, 3), k=k)
     assert kaiser_hull_set(t, b) == _hull_of_pc_models_reference(t, bounded_pc_models(t, b), b)
-    assert kaiser_hull_bounded(t, b) == kaiser_hull_bounded_reference(t, b)
+    hull, tu = kaiser_hull_bounded(t, b)
+    reference = kaiser_hull_bounded_reference(t, b)
+    assert (_parsed(hull, t.signature), _parsed(tu, t.signature)) == tuple(ds.sentences for ds in reference)
     assert jc_characterization_report(t, b) == jc_characterization_report_reference(t, b)
 
 
