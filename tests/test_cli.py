@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -279,13 +280,18 @@ def test_classify_rejects_k_and_reports_no_k(ws_file, capsys):
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _env() -> dict:
+    """The environment of a fresh process that imports this checkout's posmt."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def _cli(*argv, timeout: float = 60) -> subprocess.CompletedProcess:
     """`posmt argv` in a fresh process, so that a crash shows as a traceback
     and a search that never ends fails the test instead of hanging the suite."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "posmt.cli", *argv],
-                          cwd=REPO, env=env, capture_output=True, text=True, timeout=timeout)
+                          cwd=REPO, env=_env(), capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -606,12 +612,10 @@ def test_strict_strong_basis_without_instances_is_a_semantic_error(ws_file, caps
 def test_reader_closing_the_pipe_is_not_a_parse_error():
     # `posmt models ... | head -1`: 0.5 MB of JSON fills the pipe, so the
     # writer meets the closed pipe; that is no parse error (exit 2)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "posmt.cli", "models", "data/posets.posmt", "--theory", "T_pos",
          "--n", "6", "--json"],
-        cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        cwd=REPO, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
@@ -627,6 +631,37 @@ def test_missing_file_is_still_exit_2():
     proc = _cli("models", "data/no-such-file.posmt", "--theory", "T_pos")
     assert proc.returncode == 2
     assert "No such file" in proc.stderr
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(ws_file, capsys):
+    # a freeze here would pin every later test's garbage for the session
+    before = gc.get_freeze_count()
+    assert main(["check", ws_file]) == 0
+    assert main(["models", "data/no-such-file.posmt", "--theory", "T_pos"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+# `posmt` as the program: main() reads sys.argv, then the freeze count is printed
+PROGRAM = ("import gc, sys\nfrom posmt.cli import main\ncode = main()\n"
+           "print('frozen', gc.get_freeze_count(), file=sys.stderr)\nsys.exit(code)\n")
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["hull", "data/posets.posmt", "--theory", "T_pos", "--k", "2", "--json"]),
+    (1, ["pc", "data/posets.posmt", "--structure", "chain2", "--theory", "T_pos", "--json"]),
+    (2, ["models", "data/no-such-file.posmt", "--theory", "T_pos"]),
+    (3, ["models", "data/posets.posmt", "--theory", "Nope"]),
+    (4, ["models", "data/posets.posmt", "--theory", "T_pos", "--n", "4", "--node-cap", "5", "--json"]),
+], ids=["yes", "no", "missing-file", "unknown-theory", "budget"])
+def test_program_run_freezes_the_heap_and_answers_as_in_process(code, argv, capsys, monkeypatch):
+    proc = subprocess.run([sys.executable, "-c", PROGRAM, *argv], cwd=REPO, env=_env(),
+                          capture_output=True, timeout=60)
+    monkeypatch.chdir(REPO)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    *err_lines, frozen = proc.stderr.decode().splitlines(keepends=True)
+    assert (proc.returncode, proc.stdout, "".join(err_lines)) == (code, out.encode(), err)
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
 
 
 def _nested_positive(tmp_path, depth: int) -> str:
