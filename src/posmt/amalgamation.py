@@ -206,7 +206,7 @@ def _quotient_seed(p: AmalgamationProblem):
                 changed = True
     number: Dict[int, int] = {}
     cls = [number.setdefault(find(i), len(number)) for i in range(len(uf.parent))]
-    orbits = Orbits(sig, len(number))
+    orbits = Orbits.of(sig, len(number))
     universe = tuple(f"q{i}" for i in range(len(number)))
     fixed: Dict[int, object] = {}
     for s, index in sides:
@@ -279,7 +279,7 @@ def _enum_sizes(p: AmalgamationProblem) -> Tuple[int, bool]:
     sig = p.f.target.signature
     top = 0
     for size in range(1, min(p.budget.N, MAX_ENUM_APEX) + 1):
-        if Orbits(sig, size).count > ENUM_RAW_LIMIT:
+        if Orbits.of(sig, size).count > ENUM_RAW_LIMIT:
             break
         top = size
     return top, top == p.budget.N

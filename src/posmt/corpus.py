@@ -178,9 +178,10 @@ def _subsets(n: int, most: int) -> List[Tuple[int, ...]]:
 def _image_ranks(sets: Sequence[Tuple[int, ...]], maps: Sequence[Sequence[int]]) -> List[List[int]]:
     """Per map (a list giving each member's image), the rank of each set's
     image, where `sets` are sorted tuples listed in rank order and closed
-    under every map."""
-    rank = {s: r for r, s in enumerate(sets)}
-    return [[rank[tuple(sorted(m[i] for i in s))] for s in sets] for m in maps]
+    under every map.  A set is keyed by its bits, the sum of 1 << member."""
+    rank = {sum(1 << i for i in s): r for r, s in enumerate(sets)}
+    images = [[1 << i for i in m] for m in maps]
+    return [[rank[sum(map(bits.__getitem__, s))] for s in sets] for bits in images]
 
 
 def _atom_maps(pool: AtomPool) -> List[List[int]]:

@@ -211,7 +211,7 @@ class _Program:
 def _ground(sig: Signature, n: int, implications: Tuple[Implication, ...]) -> _Program:
     """The ground program of `implications` over (sig, n), made once per
     (signature, size, implications)."""
-    return _Program(Orbits(sig, n), implications)
+    return _Program(Orbits.of(sig, n), implications)
 
 
 def _search(
@@ -322,38 +322,33 @@ def find_models(
     with the `fixed` cells preset, given as `_search` takes them.
     Deterministic order; raises BudgetExceeded past node_cap assignments.
     """
-    orbits = Orbits(sig, len(universe))
+    orbits = Orbits.of(sig, len(universe))
     build = orbits.builder(universe)
     for val in _search(orbits, implications, fixed or {}, node_cap):
         yield build(val)
 
 
-def _first_in_cell_order(codes: Sequence[int]) -> int:
-    """The relation-only code whose cell values come first in cell order,
-    false before true: the first of them a search with no fixed cell meets."""
-    best = codes[0]
-    for code in codes:
-        diff = code ^ best
-        if diff & -diff & best:  # they first differ at a cell true in best
-            best = code
-    return best
-
-
-def _extensions(
-    orbits: Orbits, implications: Sequence[Implication], reps: Sequence[int],
-    node_cap: Optional[int],
-) -> Iterator[List]:
-    """The models on n elements whose first n - 1 carry one of `reps`
-    (codes of relation-only structures on n - 1 elements): one search per
-    code, with its cells fixed, true and false, and one node cap over all
-    of them, as over one search of every cell."""
-    below = Orbits(orbits.sig, orbits.n - 1)
+def _lift(orbits: Orbits, reps: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The relation cells on the first n - 1 elements, and per code of
+    `reps` (relation-only, on n - 1 elements) the code on n elements that
+    sets the same of those cells and no other."""
+    below = Orbits.of(orbits.sig, orbits.n - 1)
     lift = [(orbits.offsets[j] + orbits.cell(t), below.offsets[j] + below.cell(t))
             for j, (_, arity) in enumerate(orbits.sig.relations)
             for t in itertools.product(range(below.n), repeat=arity)]
+    return [c for c, _ in lift], [sum(1 << c for c, d in lift if code >> d & 1) for code in reps]
+
+
+def _extensions(
+    orbits: Orbits, implications: Sequence[Implication], cells: Sequence[int],
+    seeds: Sequence[int], node_cap: Optional[int],
+) -> Iterator[List]:
+    """The models on n elements that agree with one of `seeds` on `cells`:
+    one search per seed, with those cells fixed, true and false, and one
+    node cap over all of them, as over one search of every cell."""
     spent = 0
-    for code in reps:
-        fixed = {c: bool(code >> d & 1) for c, d in lift}
+    for seed in seeds:
+        fixed = {c: bool(seed >> c & 1) for c in cells}
         spent = yield from _search(orbits, implications, fixed, node_cap, spent)
 
 
@@ -369,14 +364,16 @@ def models_up_to_size(
     cell on that size meets.
 
     Each model met is coded (`Orbits.code`); the first met in a class has
-    its whole orbit of codes marked and is keyed once, by the least of the
-    same images (`Orbits.least`), and only representatives are built.
+    the codes of its orbit that a later search may meet marked, and is
+    keyed once, by its least image (`Orbits.least`); only representatives
+    are built.
 
     A universal relational theory (relations only, and no conclusion with
     an existential quantifier) is closed under induced substructures, so
     every model on n elements extends a representative on the first n - 1.
     Size n is then searched once per representative of size n - 1, with
-    its cells fixed (true and false) and only the new element's free.  Any
+    its cells fixed (true and false) and only the new element's free, and
+    only the images that carry a representative there are marked.  Any
     other theory gets one search over every cell per size."""
     names = element_names(max_size)
     extend = not sig.functions and not sig.constants and all(
@@ -384,9 +381,12 @@ def models_up_to_size(
     out: List[FiniteStructure] = []
     reps: List[int] = []
     for size in range(1, max_size + 1):
-        orbits = Orbits(sig, size)
+        orbits = Orbits.of(sig, size)
+        mask, heads = 0, {0}  # every image may be met
         if extend and size > 1:
-            found = _extensions(orbits, implications, reps, node_cap)
+            cells, seeds = _lift(orbits, reps)
+            mask, heads = sum(1 << c for c in cells), set(seeds)
+            found = _extensions(orbits, implications, cells, seeds, node_cap)
         else:
             found = _search(orbits, implications, {}, node_cap)
         marked: Set[int] = set()
@@ -395,9 +395,9 @@ def models_up_to_size(
             code = orbits.code(val)
             if code in marked:
                 continue
-            images = list(orbits.images(code))
-            marked.update(images)
-            classes.append((orbits.least(images), _first_in_cell_order(images) if extend else code))
+            images = orbits.images(code)
+            marked.update(itertools.compress(images, map(heads.__contains__, map(mask.__and__, images))))
+            classes.append((orbits.least(code), orbits.first_in_cell_order(code) if extend else code))
         classes.sort()
         reps = [code for _, code in classes]
         build = orbits.builder(names[:size])

@@ -37,14 +37,16 @@ class MorphismKind(IntEnum):
 
     @classmethod
     def from_letter(cls, letter: str) -> "MorphismKind":
-        table = {"h": cls.HOM, "e": cls.EMBEDDING, "i": cls.IMMERSION, "s": cls.STRONG_IMMERSION}
-        if letter not in table:
+        if letter not in _KINDS:
             raise ValueError(f"unknown morphism kind letter {letter!r}")
-        return table[letter]
+        return _KINDS[letter]
 
     @property
     def letter(self) -> str:
         return "heis"[int(self)]
+
+
+_KINDS = {kind.letter: kind for kind in MorphismKind}
 
 
 @record(frozen=True, eq=False)

@@ -4,27 +4,32 @@ Universes are nonempty, finite and ordered.  Element identifiers are opaque
 strings.  All types are immutable after construction and safe to share for
 concurrent reads.
 
-`Orbits` is the one encoding of a structure over (signature, n): it lays
-the structure out in cells, packs it into an int code, builds structures
-back from cell values and lists a code's images under the n! permutations
-of the elements.  Enumeration and the model lists mark the whole orbit of
-the first structure met in each class, so every later member is skipped.
-The least image of a code (`Orbits.least`) orders the model lists; `key()`
-and `canonical_key()` are read off the same codes.
+`Orbits.of(signature, n)` is the one encoding of a structure over n
+elements: it lays the structure out in cells, packs it into an int code,
+builds structures back from cell values, and reads a code's images under
+the n! permutations of the elements off one sum of big ints with a field
+per permutation (SWAR lanes).  Enumeration and the model lists mark the
+orbit of the first structure met in each class (the lists only the codes a
+later search can meet), so later members are skipped.  The least image (`Orbits.least`, one `min` over a lane sum)
+orders the model lists; `key()` and `canonical_key()` read the codes.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
-from operator import getitem
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+import sys
+from functools import cached_property, lru_cache
+from operator import getitem, mul
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import SignatureError, StructureError
 from .records import field, record
 
 # Default element names used by enumeration, large enough for size <= 12.
 ELEMENT_NAMES = tuple("abcdefghijkl")
+
+# memoryview formats of the lane fields that fit a word, in the lanes' byte order
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 def element_names(size: int) -> Tuple[str, ...]:
@@ -156,7 +161,7 @@ class FiniteStructure:
         """Hashable encoding of the labelled structure (not iso-invariant):
         the universe and the structure's `Orbits` code over it."""
         if "_key" not in self.__dict__:
-            self.__dict__["_key"] = (self.universe, Orbits(self.signature, len(self.universe)).pack(self))
+            self.__dict__["_key"] = (self.universe, Orbits.of(self.signature, len(self.universe)).pack(self))
         return self.__dict__["_key"]
 
     def __eq__(self, other) -> bool:
@@ -170,8 +175,8 @@ class FiniteStructure:
     def canonical_key(self):
         """Iso-invariant encoding: the size and the least image of the
         structure's code (`Orbits.least`)."""
-        orbits = Orbits(self.signature, len(self.universe))
-        return len(self.universe), orbits.least(orbits.images(orbits.pack(self)))
+        orbits = Orbits.of(self.signature, len(self.universe))
+        return len(self.universe), orbits.least(orbits.pack(self))
 
     def rename(self, mapping: Mapping[str, str]) -> "FiniteStructure":
         """Relabel elements injectively."""
@@ -219,6 +224,15 @@ class Orbits:
         self.size = self.offsets[-1] + self.digits
         self.tail = n ** self.digits
         self.count = self.tail << self.offsets[-1]
+        # the code weight of each cell: of a relation cell's truth, of a digit's value
+        self.weights = [self.tail << c for c in range(self.offsets[-1])] + [
+            n ** (self.digits - 1 - i) for i in range(self.digits)]
+
+    @classmethod
+    @lru_cache(maxsize=64)
+    def of(cls, sig: Signature, n: int) -> "Orbits":
+        """The one `Orbits` of (sig, n), so its lanes are built once."""
+        return cls(sig, n)
 
     @cached_property
     def blocks(self) -> Dict[str, Tuple[int, int]]:
@@ -262,9 +276,7 @@ class Orbits:
     def code(self, values) -> int:
         """The code of a list of cell values (the inverse of `values`):
         relation cells true or false, then element indices."""
-        nrel = self.offsets[-1]
-        bits = sum(1 << c for c, v in enumerate(values[:nrel]) if v)
-        return bits * self.tail + self.cell(values[nrel:])
+        return sum(map(mul, self.weights, values))
 
     def builder(self, universe: Tuple[str, ...]):
         """The function from a list of cell values (relation cells true or
@@ -305,77 +317,85 @@ class Orbits:
             range(b * tail, (b + 1) * tail) for b in (walk(0, 0) if self.cells else [0])
         )
 
-    def images(self, code: int) -> Iterator[int]:
+    def images(self, code: int) -> List[int]:
         """The code of the structure relabelled by each permutation of the
-        elements, repeated once per automorphism."""
-        bits, values = self.unpack(code)
-        ones = [i for i in range(bits.bit_length()) if bits >> i & 1]
-        for bit_images, digit_images in self._tables:
-            yield sum(map(bit_images.__getitem__, ones)) + sum(map(getitem, digit_images, values))
+        elements, in `itertools.permutations` order, so repeated once per
+        automorphism."""
+        return self._fields(sum(self._sums(code, self._lanes[0])))
 
-    def least(self, images: Iterable[int]):
-        """The least of a code's images (`images(code)`), read as (each
-        relation's set cells, the digits).  Cells order as their index
-        tuples in product order, and a function table lists every argument
-        tuple, so this orders codes as the least relabelling's sorted tuples
-        and tables would.
+    def least(self, code: int):
+        """The least image of a code, read as (each relation's set cells,
+        the digits).  Cells order as their index tuples in product order,
+        and a function table lists every argument tuple, so this orders
+        codes as the least relabelling's sorted tuples and tables would.
 
-        Codes are compared before they are read.  Where two first differ
-        in a relation cell, the one with the cell set reads first, unless
-        the other has a later set cell of the same relation (then its
-        tuples run out first); equal relation bits compare by the digits."""
-        tail, ends = self.tail, self._ends
-        images = iter(images)
-        best = next(images)
-        best_bits, best_digits = divmod(best, tail)
-        for code in images:
-            bits, digits = divmod(code, tail)
-            diff = bits ^ best_bits
-            if diff:
-                low = diff & -diff
-                later = ends[low.bit_length() - 1] - (low << 1)
-                before = best_bits & later if bits & low else not bits & later
-            else:
-                before = digits < best_digits
-            if before:
-                best, best_bits, best_digits = code, bits, digits
-        return self._read(best)
+        Every image sets as many cells of each relation as the code, so the
+        image whose set cells read first has the largest relation bits read
+        from cell 0, and equal relation bits compare by the digits: the
+        least image is the least field of `const - reversed + digits`."""
+        reversed_sum, digit_sum = self._sums(code, self._lanes[1])
+        high, low = divmod(min(self._fields(self._lanes[3] - reversed_sum + digit_sum)), self.tail)
+        unset = f"{high:0{self.offsets[-1]}b}"  # cell 0 first, "0" where the image sets it
+        return tuple(tuple(i for i in range(cells) if unset[offset + i] == "0")
+                     for cells, offset in zip(self.cells, self.offsets)), tuple(self.unpack(low)[1])
 
-    @cached_property
-    def _ends(self):
-        """Per relation cell: the relation bit just past its relation's cells."""
-        return [1 << end for cells, end in zip(self.cells, self.offsets[1:]) for _ in range(cells)]
+    def first_in_cell_order(self, code: int) -> int:
+        """The image of a relation-only code whose cell values come first in
+        cell order, false before true: the first of its class a search with
+        no fixed cell meets, and the least field of the reversed sum."""
+        reversed_sum, _ = self._sums(code, self._lanes[1])
+        return int(f"{min(self._fields(reversed_sum)):0{self.offsets[-1]}b}"[::-1], 2)
 
-    def _read(self, code: int):
+    def _sums(self, code: int, lanes: List[int]) -> Tuple[int, int]:
+        """The sum of `lanes` (the cell lanes or the reversed) at the
+        code's set cells, and the sum of its digits' lanes."""
         bits, digits = self.unpack(code)
-        return tuple(
-            tuple(i for i in range(cells) if bits >> (offset + i) & 1)
-            for cells, offset in zip(self.cells, self.offsets)
-        ), tuple(digits)
+        ones = [c for c in range(bits.bit_length()) if bits >> c & 1]
+        return sum(map(lanes.__getitem__, ones)), sum(map(getitem, self._lanes[2], digits))
+
+    def _fields(self, lane: int) -> List[int]:
+        """The fields of a lane, one per permutation in order."""
+        width, length = self._lanes[4:]
+        raw = lane.to_bytes(length, "little")
+        if width in _FORMATS:
+            return memoryview(raw).cast(_FORMATS[width]).tolist()
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, length, width)]
 
     @cached_property
-    def _tables(self):
-        """Per permutation p: the code weight of the image of each relation
-        bit, and per digit the code weight of p[v] at the digit's image
-        position, for each value v."""
-        n, tail = self.n, self.tail
-        weights = [n ** (self.digits - 1 - i) for i in range(self.digits)]
-        tables = []
-        for p in itertools.permutations(range(n)):
-            bit_images = tuple(
-                tail << (offset + self.cell(p[e] for e in t))
-                for (_, arity), offset in zip(self.sig.relations, self.offsets)
-                for t in itertools.product(range(n), repeat=arity)
-            )
-            positions, start = [], 0
-            for _, arity in self.sig.functions:
-                positions += [start + self.cell(p[e] for e in args)
-                              for args in itertools.product(range(n), repeat=arity)]
-                start += n ** arity
-            positions += range(start, self.digits)
-            digit_images = [tuple(weights[q] * v for v in p) for q in positions]
-            tables.append((bit_images, digit_images))
-        return tables
+    def _lanes(self):
+        """Ints with one field per permutation p, in `itertools.permutations`
+        order, each of the fewest of 1, 2, 4 or 8 bytes, else of whole
+        bytes, that hold `count - 1`.  Per relation cell, field p holds the
+        code weight of the cell's image under p; in the second list, the
+        weight with the relation bits read backwards (cell 0 highest); per
+        digit position, per value v, the code weight of p[v] at the
+        position's image.  Then the lane with the largest relation bits in
+        every field, the field width and the lane length in bytes.  The
+        fields of the sum of a code's set cells' and digits' lanes are its
+        images."""
+        n, nrel, weights = self.n, self.offsets[-1], self.weights
+        need = -(-(self.count - 1).bit_length() // 8)
+        width = next((w for w in (1, 2, 4, 8) if w >= need), need)
+        perms = list(itertools.permutations(range(n)))
+
+        def block(p, first, arity):
+            """The image under p of each cell of a block, in cell order."""
+            scaled = ([v * n ** i for v in p] for i in reversed(range(arity)))
+            return map(sum, itertools.product(*scaled), itertools.repeat(first))
+
+        def lane(fields) -> int:
+            fields = map(int.to_bytes, fields, itertools.repeat(width), itertools.repeat("little"))
+            return int.from_bytes(b"".join(fields), "little")
+        rows = [list(itertools.chain.from_iterable(block(p, *b) for b in self.blocks.values())) for p in perms]
+        columns = list(zip(*rows))
+        return (
+            [lane(map(weights.__getitem__, column)) for column in columns[:nrel]],
+            [lane(map((self.count >> 1).__rshift__, column)) for column in columns[:nrel]],
+            [[lane(weights[q] * p[v] for q, p in zip(column, perms)) for v in range(n)]
+             for column in columns[nrel:]],
+            lane([self.count - self.tail] * len(perms)),
+            width, width * len(perms),
+        )
 
 
 def enumerate_structures(sig: Signature, max_size: int) -> Iterator[FiniteStructure]:
@@ -393,7 +413,7 @@ def enumerate_structures(sig: Signature, max_size: int) -> Iterator[FiniteStruct
         raise StructureError("max_size must be >= 1")
     names = element_names(max_size)
     for size in range(1, max_size + 1):
-        orbits = Orbits(sig, size)
+        orbits = Orbits.of(sig, size)
         build = orbits.builder(names[:size])
         marked = bytearray(orbits.count)
         for code in orbits.codes():

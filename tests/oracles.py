@@ -56,6 +56,12 @@ its elements, encodes each image as sorted tuples of element indices and
 keeps the least.  `FiniteStructure.canonical_key`, the least image of an
 `Orbits` code, must order every pair of structures as it does.
 
+The orbit references compute a code's images one permutation at a time,
+from per-permutation tables of image weights, and compare codes pairwise
+for the least image and the first in cell order, as `Orbits` did before it
+summed lanes with one field per permutation.  `Orbits.images`, `least` and
+`first_in_cell_order` must give the same lists and the same answers.
+
 The deduplication references build every labelled structure (or take
 every model the finder yields) and group them by `class_key`, a complete
 isomorphism invariant computed per structure by colour refinement and a
@@ -1065,6 +1071,83 @@ def canonical_key_reference(s: FiniteStructure):
         )
         if best is None or enc < best:
             best = enc
+    return best
+
+
+def _orbit_tables(orbits: Orbits):
+    """Per permutation p: the code weight of the image of each relation
+    bit, and per digit the code weight of p[v] at the digit's image
+    position, for each value v."""
+    n, tail = orbits.n, orbits.tail
+    weights = [n ** (orbits.digits - 1 - i) for i in range(orbits.digits)]
+    tables = []
+    for p in itertools.permutations(range(n)):
+        bit_images = tuple(
+            tail << (offset + orbits.cell(p[e] for e in t))
+            for (_, arity), offset in zip(orbits.sig.relations, orbits.offsets)
+            for t in itertools.product(range(n), repeat=arity)
+        )
+        positions, start = [], 0
+        for _, arity in orbits.sig.functions:
+            positions += [start + orbits.cell(p[e] for e in args)
+                          for args in itertools.product(range(n), repeat=arity)]
+            start += n ** arity
+        positions += range(start, orbits.digits)
+        digit_images = [tuple(weights[q] * v for v in p) for q in positions]
+        tables.append((bit_images, digit_images))
+    return tables
+
+
+def orbit_images_reference(orbits: Orbits, code: int) -> List[int]:
+    """The code of the structure relabelled by each permutation of the
+    elements, one permutation at a time, in `itertools.permutations` order."""
+    bits, values = orbits.unpack(code)
+    ones = [i for i in range(bits.bit_length()) if bits >> i & 1]
+    return [sum(bit_images[i] for i in ones) + sum(d[v] for d, v in zip(digit_images, values))
+            for bit_images, digit_images in _orbit_tables(orbits)]
+
+
+def read_code(orbits: Orbits, code: int):
+    """A code read as (each relation's set cells, the digits)."""
+    bits, digits = orbits.unpack(code)
+    return tuple(
+        tuple(i for i in range(cells) if bits >> (offset + i) & 1)
+        for cells, offset in zip(orbits.cells, orbits.offsets)
+    ), tuple(digits)
+
+
+def least_reference(orbits: Orbits, codes: Sequence[int]):
+    """The least of `codes` as `read_code` reads them, compared without
+    reading each.  Where two first differ in a relation cell, the one with
+    the cell set reads first, unless the other has a later set cell of the
+    same relation (then its tuples run out first); equal relation bits
+    compare by the digits."""
+    tail = orbits.tail
+    ends = [1 << end for cells, end in zip(orbits.cells, orbits.offsets[1:]) for _ in range(cells)]
+    best = codes[0]
+    best_bits, best_digits = divmod(best, tail)
+    for code in codes:
+        bits, digits = divmod(code, tail)
+        diff = bits ^ best_bits
+        if diff:
+            low = diff & -diff
+            later = ends[low.bit_length() - 1] - (low << 1)
+            before = best_bits & later if bits & low else not bits & later
+        else:
+            before = digits < best_digits
+        if before:
+            best, best_bits, best_digits = code, bits, digits
+    return read_code(orbits, best)
+
+
+def first_in_cell_order_reference(codes: Sequence[int]) -> int:
+    """The relation-only code whose cell values come first in cell order,
+    false before true."""
+    best = codes[0]
+    for code in codes:
+        diff = code ^ best
+        if diff & -diff & best:  # they first differ at a cell true in best
+            best = code
     return best
 
 

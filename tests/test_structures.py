@@ -18,7 +18,10 @@ from posmt.structures import (
 from posmt.theories import Budget, Theory, joint_consistency_bounded, models
 
 from conftest import SIG_F, SIG_LE, make_theory
-from oracles import canonical_key_reference, class_key, enumerate_structures_reference
+from oracles import (
+    canonical_key_reference, class_key, enumerate_structures_reference,
+    first_in_cell_order_reference, least_reference, orbit_images_reference, read_code,
+)
 
 
 def test_signature_rejects_duplicate_symbols():
@@ -140,7 +143,8 @@ def test_enumeration_matches_class_key_reference(case):
 
 def test_permutation_tables_built_only_for_sizes_with_models(monkeypatch):
     # every model has one element, so no size from 2 to 9 may build the
-    # tables of its n! element permutations
+    # lanes of its n! element permutations; every size starts unbuilt
+    Orbits.of.cache_clear()
     theory = make_theory(SIG_LE, "hinductive: forall x y. true -> x = y;")
     real, lengths = itertools.permutations, []
 
@@ -306,13 +310,48 @@ def test_orbit_codes_round_trip_through_builder(sig, n):
 @settings(max_examples=100, deadline=None)
 @given(enumeration_cases(), st.randoms(use_true_random=False))
 def test_orbit_codes_compare_and_round_trip_as_their_values(case, rng):
-    # `least` compares codes without reading each; it must pick the code
-    # whose reading is least, for any set of codes, not only an orbit
+    # `least` reads the least field of a lane sum; it must be the least
+    # reading of the code's images, as the reference's pairwise comparison
+    # of codes (which, over any set of codes, picks the least reading) finds
     sig, n = case
     orbits = Orbits(sig, n)
     codes = [rng.randrange(orbits.count) for _ in range(rng.randint(1, 8))]
-    assert orbits.least(codes) == min(map(orbits._read, codes))
+    assert least_reference(orbits, codes) == min(read_code(orbits, c) for c in codes)
+    for code in codes:
+        images = orbit_images_reference(orbits, code)
+        assert orbits.least(code) == min(read_code(orbits, c) for c in images)
     assert [orbits.code(orbits.values(c)) for c in codes] == codes
+
+
+@st.composite
+def orbit_cases(draw):
+    """A signature of relations of arity 1-3, unary and binary functions and
+    constants, a size of 1-5 at which no symbol has more than 75 cells, and
+    a code."""
+    relations = draw(st.lists(st.integers(1, 3), max_size=2))
+    functions = draw(st.lists(st.integers(1, 2), max_size=2))
+    sig = Signature.make(
+        relations={f"r{i}": a for i, a in enumerate(relations)},
+        functions={f"f{i}": a for i, a in enumerate(functions)},
+        constants=[f"c{i}" for i in range(draw(st.integers(0, 2)))],
+    )
+    n = draw(st.integers(1, 5).filter(lambda n: n ** max(relations + functions, default=0) <= 75))
+    orbits = Orbits.of(sig, n)
+    return orbits, draw(st.integers(0, orbits.count - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_cases())
+def test_orbit_lanes_match_the_per_permutation_reference(case):
+    # the lane sums give every image in permutation order, the least image
+    # and (for relation-only codes) the first in cell order, as one
+    # permutation at a time does; wide relations exercise fields past 8 bytes
+    orbits, code = case
+    images = orbit_images_reference(orbits, code)
+    assert orbits.images(code) == images
+    assert orbits.least(code) == least_reference(orbits, images)
+    if orbits.digits == 0:
+        assert orbits.first_in_cell_order(code) == first_in_cell_order_reference(images)
 
 
 def test_signature_arities_computed_once():

@@ -91,6 +91,25 @@ def test_models_key_each_class_once(t_pos, monkeypatch):
     assert len(calls) == 24
 
 
+def test_one_size_builds_its_lanes_once(t_pos, monkeypatch):
+    # `Orbits.of` keeps one layout per (signature, size), so two model lists
+    # and a canonical key of the same sizes share its lanes
+    Orbits.of.cache_clear()
+    real, built = Orbits._lanes.func, []
+
+    def counting(self):
+        built.append((self.sig, self.n))
+        return real(self)
+    lanes = functools.cached_property(counting)
+    lanes.__set_name__(Orbits, "_lanes")
+    monkeypatch.setattr(Orbits, "_lanes", lanes)
+    first = models_up_to_size(SIG_LE, t_pos.implications(), 4)
+    again = models_up_to_size(SIG_LE, t_pos.implications(), 4)
+    assert [m.key() for m in again] == [m.key() for m in first]
+    assert len({m.canonical_key() for m in first}) == len(first) == 24
+    assert built == [(SIG_LE, n) for n in range(1, 5)]
+
+
 def _first_of_each(items, key):
     """The items whose key has not occurred before, in order."""
     seen, out = set(), []
@@ -129,7 +148,7 @@ def test_representative_is_the_first_model_the_full_search_meets(t_pos, name):
     for size in range(1, 6):
         orbits, first = Orbits(t.signature, size), {}
         for m in find_models(t.signature, ELEMENT_NAMES[:size], t.implications()):
-            first.setdefault(orbits.least(orbits.images(orbits.pack(m))), m)
+            first.setdefault(orbits.least(orbits.pack(m)), m)
         assert [m.key() for m in got if m.size() == size] == [first[k].key() for k in sorted(first)]
 
 
