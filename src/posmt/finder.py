@@ -3,8 +3,9 @@
 A DFS over interpretation cells: the free constants, then the function
 entries (higher arity first), then the relation entries, each tried in
 universe order (relations false before true).  The cells are numbered as
-`Orbits` lays a structure out; each has a slot in one flat value list,
-`None` while unassigned, and elements are their indices in the universe.
+`Orbits` lays a structure out, whose codes order relation-only models as
+this search meets them; each has a slot in one flat value list, `None`
+while unassigned, and elements are their indices in the universe.
 
 Each implication is generated into one Python function, `status(env,
 val)` (`_compile`): `env` holds the element indices of the universal
@@ -329,14 +330,14 @@ def find_models(
 
 
 def _lift(orbits: Orbits, reps: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """The relation cells on the first n - 1 elements, and per code of
-    `reps` (relation-only, on n - 1 elements) the code on n elements that
-    sets the same of those cells and no other."""
-    below = Orbits.of(orbits.sig, orbits.n - 1)
-    lift = [(orbits.offsets[j] + orbits.cell(t), below.offsets[j] + below.cell(t))
-            for j, (_, arity) in enumerate(orbits.sig.relations)
-            for t in itertools.product(range(below.n), repeat=arity)]
-    return [c for c, _ in lift], [sum(1 << c for c, d in lift if code >> d & 1) for code in reps]
+    """The relation cells on the first n - 1 elements, in the order of the
+    cells on n - 1 elements, and per code of `reps` (relation-only, on n - 1
+    elements) the code on n elements that sets the same of those cells and
+    no other."""
+    cells = [orbits.offsets[j] + orbits.cell(t) for j, (_, arity) in enumerate(orbits.sig.relations)
+             for t in itertools.product(range(orbits.n - 1), repeat=arity)]
+    weights, below = [orbits.weights[c] for c in cells], Orbits.of(orbits.sig, orbits.n - 1)
+    return cells, [sum(itertools.compress(weights, below.values(code))) for code in reps]
 
 
 def _extensions(
@@ -348,7 +349,8 @@ def _extensions(
     node cap over all of them, as over one search of every cell."""
     spent = 0
     for seed in seeds:
-        fixed = {c: bool(seed >> c & 1) for c in cells}
+        values = orbits.values(seed)
+        fixed = {c: bool(values[c]) for c in cells}
         spent = yield from _search(orbits, implications, fixed, node_cap, spent)
 
 
@@ -361,7 +363,8 @@ def models_up_to_size(
     """Models with |universe| <= max_size, one per isomorphism class,
     sorted by (size, canonical key).  A class is represented by its least
     image in search order, the first of its models a search with no fixed
-    cell on that size meets.
+    cell on that size meets; for a relation-only code that is the least of
+    its images as ints.
 
     Each model met is coded (`Orbits.code`); the first met in a class has
     the codes of its orbit that a later search may meet marked, and is
@@ -385,7 +388,7 @@ def models_up_to_size(
         mask, heads = 0, {0}  # every image may be met
         if extend and size > 1:
             cells, seeds = _lift(orbits, reps)
-            mask, heads = sum(1 << c for c in cells), set(seeds)
+            mask, heads = sum(map(orbits.weights.__getitem__, cells)), set(seeds)
             found = _extensions(orbits, implications, cells, seeds, node_cap)
         else:
             found = _search(orbits, implications, {}, node_cap)
@@ -397,7 +400,7 @@ def models_up_to_size(
                 continue
             images = orbits.images(code)
             marked.update(itertools.compress(images, map(heads.__contains__, map(mask.__and__, images))))
-            classes.append((orbits.least(code), orbits.first_in_cell_order(code) if extend else code))
+            classes.append((orbits.least(code), min(images) if extend else code))
         classes.sort()
         reps = [code for _, code in classes]
         build = orbits.builder(names[:size])

@@ -8,10 +8,13 @@ concurrent reads.
 elements: it lays the structure out in cells, packs it into an int code,
 builds structures back from cell values, and reads a code's images under
 the n! permutations of the elements off one sum of big ints with a field
-per permutation (SWAR lanes).  Enumeration and the model lists mark the
-orbit of the first structure met in each class (the lists only the codes a
-later search can meet), so later members are skipped.  The least image (`Orbits.least`, one `min` over a lane sum)
-orders the model lists; `key()` and `canonical_key()` read the codes.
+per permutation (SWAR lanes).  Relation cell 0 is a code's most
+significant bit, so codes order as their cell values do, which is the
+finder's search order.  Enumeration and the model lists mark the orbit of
+the first structure met in each class (the lists only the codes a later
+search can meet), so later members are skipped.  The least image
+(`Orbits.least`, one `min` over a lane sum) orders the model lists;
+`key()` and `canonical_key()` read the codes.
 """
 
 from __future__ import annotations
@@ -209,11 +212,11 @@ class Orbits:
     relation's cells come in `itertools.product` order.  Each function's
     entries in product order, then the constants, follow as the digits;
     `blocks` maps every symbol to its (first cell, arity).  A code is
-    `bits * tail + digits`: `bits` has bit c set when relation cell c is
-    true, and the digits are base-n element indices, the first most
-    significant.  So counting through `range(tail)` walks them in
-    `itertools.product` order of their values, and there are `count` codes
-    in all.
+    `bits * tail + digits`: `bits` holds the relation cells' truth values,
+    cell 0 most significant, and the digits are base-n element indices, the
+    first most significant.  So codes order as the lists of their cell
+    values (`values`) do, and there are `count` codes in all; `weights`
+    holds each cell's place value, and only this class applies it.
     """
 
     def __init__(self, sig: Signature, n: int):
@@ -225,7 +228,7 @@ class Orbits:
         self.tail = n ** self.digits
         self.count = self.tail << self.offsets[-1]
         # the code weight of each cell: of a relation cell's truth, of a digit's value
-        self.weights = [self.tail << c for c in range(self.offsets[-1])] + [
+        self.weights = [self.tail << c for c in reversed(range(self.offsets[-1]))] + [
             n ** (self.digits - 1 - i) for i in range(self.digits)]
 
     @classmethod
@@ -251,27 +254,20 @@ class Orbits:
 
     def pack(self, s: FiniteStructure) -> int:
         index = {e: i for i, e in enumerate(s.universe)}.__getitem__
-        bits = 0
-        for (name, _), offset in zip(self.sig.relations, self.offsets):
-            for t in s.rel(name):
-                bits |= 1 << (offset + self.cell(map(index, t)))
+        bits = sum(self.weights[offset + self.cell(map(index, t))]
+                   for (name, _), offset in zip(self.sig.relations, self.offsets) for t in s.rel(name))
         values = [index(s.functions[name][args]) for name, arity in self.sig.functions
                   for args in itertools.product(s.universe, repeat=arity)]
         values += [index(s.constants[c]) for c in self.sig.constants]
-        return bits * self.tail + self.cell(values)
-
-    def unpack(self, code: int) -> Tuple[int, list]:
-        """The relation bits and the list of digits of a code."""
-        bits, rest = divmod(code, self.tail)
-        values = [0] * self.digits
-        for i in reversed(range(self.digits)):
-            rest, values[i] = divmod(rest, self.n)
-        return bits, values
+        return bits + self.cell(values)
 
     def values(self, code: int) -> list:
         """The cell values of a code: relation cells 0 or 1, then the digits."""
-        bits, digits = self.unpack(code)
-        return [bits >> c & 1 for c in range(self.offsets[-1])] + digits
+        bits, rest = divmod(code, self.tail)
+        values = [bits >> c & 1 for c in reversed(range(self.offsets[-1]))] + [0] * self.digits
+        for i in reversed(range(self.offsets[-1], self.size)):
+            rest, values[i] = divmod(rest, self.n)
+        return values
 
     def code(self, values) -> int:
         """The code of a list of cell values (the inverse of `values`):
@@ -303,25 +299,26 @@ class Orbits:
         """Every code in enumeration order: each relation's cell sets by
         size, then as `itertools.combinations` of its cells (the first
         relation outermost), then the digits counting up."""
-        last, tail = len(self.cells) - 1, self.tail
+        last = len(self.cells) - 1
 
         def walk(j: int, bits: int) -> Iterator[int]:
-            cells = [1 << (self.offsets[j] + i) for i in range(self.cells[j])]
+            cells = self.weights[self.offsets[j]:self.offsets[j + 1]]
             for r in range(len(cells) + 1):
                 for combo in itertools.combinations(cells, r):
                     if j < last:
-                        yield from walk(j + 1, bits | sum(combo))
+                        yield from walk(j + 1, bits + sum(combo))
                     else:
-                        yield bits | sum(combo)
+                        yield bits + sum(combo)
         return itertools.chain.from_iterable(
-            range(b * tail, (b + 1) * tail) for b in (walk(0, 0) if self.cells else [0])
+            range(b, b + self.tail) for b in (walk(0, 0) if self.cells else [0])
         )
 
     def images(self, code: int) -> List[int]:
         """The code of the structure relabelled by each permutation of the
         elements, in `itertools.permutations` order, so repeated once per
-        automorphism."""
-        return self._fields(sum(self._sums(code, self._lanes[0])))
+        automorphism.  For a relation-only code, the least image is the
+        first of its class that a search with no fixed cell meets."""
+        return self._fields(sum(self._sums(code)))
 
     def least(self, code: int):
         """The least image of a code, read as (each relation's set cells,
@@ -330,32 +327,25 @@ class Orbits:
         codes as the least relabelling's sorted tuples and tables would.
 
         Every image sets as many cells of each relation as the code, so the
-        image whose set cells read first has the largest relation bits read
-        from cell 0, and equal relation bits compare by the digits: the
-        least image is the least field of `const - reversed + digits`."""
-        reversed_sum, digit_sum = self._sums(code, self._lanes[1])
-        high, low = divmod(min(self._fields(self._lanes[3] - reversed_sum + digit_sum)), self.tail)
+        image whose set cells read first has the largest relation bits, and
+        equal relation bits compare by the digits: the least image is the
+        least field of `const - relations + digits`."""
+        relation_sum, digit_sum = self._sums(code)
+        high, low = divmod(min(self._fields(self._lanes[2] - relation_sum + digit_sum)), self.tail)
         unset = f"{high:0{self.offsets[-1]}b}"  # cell 0 first, "0" where the image sets it
         return tuple(tuple(i for i in range(cells) if unset[offset + i] == "0")
-                     for cells, offset in zip(self.cells, self.offsets)), tuple(self.unpack(low)[1])
+                     for cells, offset in zip(self.cells, self.offsets)), tuple(self.values(low)[self.offsets[-1]:])
 
-    def first_in_cell_order(self, code: int) -> int:
-        """The image of a relation-only code whose cell values come first in
-        cell order, false before true: the first of its class a search with
-        no fixed cell meets, and the least field of the reversed sum."""
-        reversed_sum, _ = self._sums(code, self._lanes[1])
-        return int(f"{min(self._fields(reversed_sum)):0{self.offsets[-1]}b}"[::-1], 2)
-
-    def _sums(self, code: int, lanes: List[int]) -> Tuple[int, int]:
-        """The sum of `lanes` (the cell lanes or the reversed) at the
-        code's set cells, and the sum of its digits' lanes."""
-        bits, digits = self.unpack(code)
-        ones = [c for c in range(bits.bit_length()) if bits >> c & 1]
-        return sum(map(lanes.__getitem__, ones)), sum(map(getitem, self._lanes[2], digits))
+    def _sums(self, code: int) -> Tuple[int, int]:
+        """The sum of the relation lanes at the code's set cells, and the
+        sum of its digits' lanes."""
+        values = self.values(code)
+        relations, digits = self._lanes[:2]
+        return sum(itertools.compress(relations, values)), sum(map(getitem, digits, values[self.offsets[-1]:]))
 
     def _fields(self, lane: int) -> List[int]:
         """The fields of a lane, one per permutation in order."""
-        width, length = self._lanes[4:]
+        width, length = self._lanes[3:]
         raw = lane.to_bytes(length, "little")
         if width in _FORMATS:
             return memoryview(raw).cast(_FORMATS[width]).tolist()
@@ -366,13 +356,11 @@ class Orbits:
         """Ints with one field per permutation p, in `itertools.permutations`
         order, each of the fewest of 1, 2, 4 or 8 bytes, else of whole
         bytes, that hold `count - 1`.  Per relation cell, field p holds the
-        code weight of the cell's image under p; in the second list, the
-        weight with the relation bits read backwards (cell 0 highest); per
-        digit position, per value v, the code weight of p[v] at the
-        position's image.  Then the lane with the largest relation bits in
-        every field, the field width and the lane length in bytes.  The
-        fields of the sum of a code's set cells' and digits' lanes are its
-        images."""
+        code weight of the cell's image under p; per digit position, per
+        value v, the code weight of p[v] at the position's image.  Then the
+        lane with the largest relation bits in every field, the field width
+        and the lane length in bytes.  The fields of the sum of a code's set
+        cells' and digits' lanes are its images."""
         n, nrel, weights = self.n, self.offsets[-1], self.weights
         need = -(-(self.count - 1).bit_length() // 8)
         width = next((w for w in (1, 2, 4, 8) if w >= need), need)
@@ -390,7 +378,6 @@ class Orbits:
         columns = list(zip(*rows))
         return (
             [lane(map(weights.__getitem__, column)) for column in columns[:nrel]],
-            [lane(map((self.count >> 1).__rshift__, column)) for column in columns[:nrel]],
             [[lane(weights[q] * p[v] for q, p in zip(column, perms)) for v in range(n)]
              for column in columns[nrel:]],
             lane([self.count - self.tail] * len(perms)),

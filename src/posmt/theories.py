@@ -414,11 +414,17 @@ def _continuation_verdict(
     return yes(b, {"pairs_checked": len(pairs)})
 
 
+def _models_n_and_N(t: Theory, b: Budget) -> Tuple[List[FiniteStructure], List[FiniteStructure]]:
+    """The models of t of size <= n and those of size <= N, listed once."""
+    ms = models(t, replace(b, n=max(b.n, b.N)))
+    return [m for m in ms if m.size() <= b.n], [m for m in ms if m.size() <= b.N]
+
+
 def is_jc_bounded(t: Theory, b: Budget) -> Verdict:
     """yes iff every pair of models of size <= n has a common continuation
     that is a model of t of size <= N."""
-    pairs = list(itertools.combinations_with_replacement(models(t, b), 2))
-    return _continuation_verdict(b, pairs, models(t, replace(b, n=b.N)))
+    ms_n, ms_big = _models_n_and_N(t, b)
+    return _continuation_verdict(b, list(itertools.combinations_with_replacement(ms_n, 2)), ms_big)
 
 
 def is_T_complete_pair(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
@@ -499,8 +505,7 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
     report agreement with is_jc_bounded.  The conditions are equivalent in
     the unbounded theory; at finite bounds they may disagree, which the
     report records rather than hides."""
-    ms_n = models(t, b)
-    ms_big = models(t, replace(b, n=b.N))
+    ms_n, ms_big = _models_n_and_N(t, b)
     cqs = corpus.cq_corpus(t.signature, b.k)
 
     def realized(structures: Sequence[FiniteStructure]) -> Dict:

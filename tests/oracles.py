@@ -57,10 +57,12 @@ keeps the least.  `FiniteStructure.canonical_key`, the least image of an
 `Orbits` code, must order every pair of structures as it does.
 
 The orbit references compute a code's images one permutation at a time,
-from per-permutation tables of image weights, and compare codes pairwise
-for the least image and the first in cell order, as `Orbits` did before it
-summed lanes with one field per permutation.  `Orbits.images`, `least` and
-`first_in_cell_order` must give the same lists and the same answers.
+from per-permutation tables of image weights, compare codes pairwise for
+the least image, and read each code's cells for the first in cell order, as
+`Orbits` did before it summed lanes with one field per permutation.  They
+lay codes out on their own (relation cell 0 the most significant bit),
+without `Orbits.weights`, `values` or `code`.  `Orbits.images`, `least` and
+the least image as an int must give the same lists and the same answers.
 
 The deduplication references build every labelled structure (or take
 every model the finder yields) and group them by `class_key`, a complete
@@ -1076,14 +1078,14 @@ def canonical_key_reference(s: FiniteStructure):
 
 def _orbit_tables(orbits: Orbits):
     """Per permutation p: the code weight of the image of each relation
-    bit, and per digit the code weight of p[v] at the digit's image
-    position, for each value v."""
-    n, tail = orbits.n, orbits.tail
+    cell (cell 0 the most significant relation bit), and per digit the code
+    weight of p[v] at the digit's image position, for each value v."""
+    n, tail, nrel = orbits.n, orbits.tail, orbits.offsets[-1]
     weights = [n ** (orbits.digits - 1 - i) for i in range(orbits.digits)]
     tables = []
     for p in itertools.permutations(range(n)):
         bit_images = tuple(
-            tail << (offset + orbits.cell(p[e] for e in t))
+            tail << (nrel - 1 - offset - orbits.cell(p[e] for e in t))
             for (_, arity), offset in zip(orbits.sig.relations, orbits.offsets)
             for t in itertools.product(range(n), repeat=arity)
         )
@@ -1098,41 +1100,53 @@ def _orbit_tables(orbits: Orbits):
     return tables
 
 
+def _read_cells(orbits: Orbits, code: int):
+    """A code's relation cell values, cell 0 first, and its digits."""
+    nrel = orbits.offsets[-1]
+    bits, rest = divmod(code, orbits.tail)
+    digits = []
+    for _ in range(orbits.digits):
+        rest, d = divmod(rest, orbits.n)
+        digits.append(d)
+    return [bits >> (nrel - 1 - c) & 1 for c in range(nrel)], digits[::-1]
+
+
 def orbit_images_reference(orbits: Orbits, code: int) -> List[int]:
     """The code of the structure relabelled by each permutation of the
     elements, one permutation at a time, in `itertools.permutations` order."""
-    bits, values = orbits.unpack(code)
-    ones = [i for i in range(bits.bit_length()) if bits >> i & 1]
-    return [sum(bit_images[i] for i in ones) + sum(d[v] for d, v in zip(digit_images, values))
+    cells, values = _read_cells(orbits, code)
+    ones = [c for c, v in enumerate(cells) if v]
+    return [sum(bit_images[c] for c in ones) + sum(d[v] for d, v in zip(digit_images, values))
             for bit_images, digit_images in _orbit_tables(orbits)]
 
 
 def read_code(orbits: Orbits, code: int):
     """A code read as (each relation's set cells, the digits)."""
-    bits, digits = orbits.unpack(code)
+    cells, digits = _read_cells(orbits, code)
     return tuple(
-        tuple(i for i in range(cells) if bits >> (offset + i) & 1)
-        for cells, offset in zip(orbits.cells, orbits.offsets)
+        tuple(i for i in range(count) if cells[offset + i])
+        for count, offset in zip(orbits.cells, orbits.offsets)
     ), tuple(digits)
 
 
 def least_reference(orbits: Orbits, codes: Sequence[int]):
     """The least of `codes` as `read_code` reads them, compared without
-    reading each.  Where two first differ in a relation cell, the one with
-    the cell set reads first, unless the other has a later set cell of the
-    same relation (then its tuples run out first); equal relation bits
-    compare by the digits."""
-    tail = orbits.tail
-    ends = [1 << end for cells, end in zip(orbits.cells, orbits.offsets[1:]) for _ in range(cells)]
+    reading each.  Where two first differ in a relation cell (the highest
+    bit that differs), the one with the cell set reads first if the other
+    has a later set cell of the same relation, and last if not (the other's
+    tuples then run out first); equal relation bits compare by the digits."""
+    tail, nrel = orbits.tail, orbits.offsets[-1]
+    # per relation bit, the lowest bit of its relation
+    ends = [nrel - end for cells, end in zip(orbits.cells, orbits.offsets[1:]) for _ in range(cells)][::-1]
     best = codes[0]
     best_bits, best_digits = divmod(best, tail)
     for code in codes:
         bits, digits = divmod(code, tail)
         diff = bits ^ best_bits
         if diff:
-            low = diff & -diff
-            later = ends[low.bit_length() - 1] - (low << 1)
-            before = best_bits & later if bits & low else not bits & later
+            high = diff.bit_length() - 1
+            later = (1 << high) - (1 << ends[high])
+            before = best_bits & later if bits >> high & 1 else not bits & later
         else:
             before = digits < best_digits
         if before:
@@ -1140,15 +1154,10 @@ def least_reference(orbits: Orbits, codes: Sequence[int]):
     return read_code(orbits, best)
 
 
-def first_in_cell_order_reference(codes: Sequence[int]) -> int:
+def first_in_cell_order_reference(orbits: Orbits, codes: Sequence[int]) -> int:
     """The relation-only code whose cell values come first in cell order,
     false before true."""
-    best = codes[0]
-    for code in codes:
-        diff = code ^ best
-        if diff & -diff & best:  # they first differ at a cell true in best
-            best = code
-    return best
+    return min(codes, key=lambda code: _read_cells(orbits, code)[0])
 
 
 def class_key(s: FiniteStructure):

@@ -796,3 +796,15 @@ def test_hull_k3_json_is_the_recorded_output(capsys):
     assert code == 0 and len(json.loads(out)["hull"]) == 8360
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2843d28563b3419a584dfd4846d2bd009308077c05c5f75e4952537b93b9317c")
+
+
+@pytest.mark.parametrize("path, theory, digest", [
+    ("posets.posmt", "T_pos", "e68af4cc61b34bfb3b8731a61261991161f4c95c5f2dee88f56be7e75a603c51"),
+    ("unary.posmt", "T_fix", "3b4a8af62b49350a3d93b8aac23d77966af284440f609d53ba1ec8bbd9c89bf9"),
+])
+def test_models_n6_json_is_the_recorded_output(capsys, path, theory, digest):
+    # the bytes `models --n 6 --json` printed when each class's representative
+    # was read off the codes with relation cell 0 the least significant bit
+    code, out = run(capsys, "models", str(REPO / "data" / path), "--theory", theory, "--n", "6", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -324,16 +324,16 @@ def test_orbit_codes_compare_and_round_trip_as_their_values(case, rng):
 
 
 @st.composite
-def orbit_cases(draw):
+def orbit_cases(draw, relations_only=False):
     """A signature of relations of arity 1-3, unary and binary functions and
-    constants, a size of 1-5 at which no symbol has more than 75 cells, and
-    a code."""
+    constants (relations only if asked), a size of 1-5 at which no symbol
+    has more than 75 cells, and a code."""
     relations = draw(st.lists(st.integers(1, 3), max_size=2))
-    functions = draw(st.lists(st.integers(1, 2), max_size=2))
+    functions = [] if relations_only else draw(st.lists(st.integers(1, 2), max_size=2))
     sig = Signature.make(
         relations={f"r{i}": a for i, a in enumerate(relations)},
         functions={f"f{i}": a for i, a in enumerate(functions)},
-        constants=[f"c{i}" for i in range(draw(st.integers(0, 2)))],
+        constants=[f"c{i}" for i in range(0 if relations_only else draw(st.integers(0, 2)))],
     )
     n = draw(st.integers(1, 5).filter(lambda n: n ** max(relations + functions, default=0) <= 75))
     orbits = Orbits.of(sig, n)
@@ -344,14 +344,26 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_orbit_lanes_match_the_per_permutation_reference(case):
     # the lane sums give every image in permutation order, the least image
-    # and (for relation-only codes) the first in cell order, as one
-    # permutation at a time does; wide relations exercise fields past 8 bytes
+    # and (for relation-only codes, as the least image as an int) the first
+    # in cell order, as one permutation at a time does; wide relations
+    # exercise fields past 8 bytes
     orbits, code = case
     images = orbit_images_reference(orbits, code)
     assert orbits.images(code) == images
     assert orbits.least(code) == least_reference(orbits, images)
     if orbits.digits == 0:
-        assert orbits.first_in_cell_order(code) == first_in_cell_order_reference(images)
+        assert min(orbits.images(code)) == first_in_cell_order_reference(orbits, images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_cases(relations_only=True), st.data())
+def test_relation_only_codes_order_as_their_cell_values(case, data):
+    # cell 0 is the most significant bit, so ints order as the finder's
+    # search meets the cell values (cell 0 first, false before true)
+    orbits, a = case
+    b = data.draw(st.integers(0, orbits.count - 1))
+    assert (a < b) == (orbits.values(a) < orbits.values(b))
+    assert (a == b) == (orbits.values(a) == orbits.values(b))
 
 
 def test_signature_arities_computed_once():
@@ -368,8 +380,9 @@ def test_structure_key_built_once_per_instance():
     parts = (("a", "b"), {"r": frozenset({("b", "a"), ("a", "a")})}, {"f": {("b",): "a", ("a",): "b"}},
              {"c": "b"})
     s, twin = FiniteStructure(sig, *parts), FiniteStructure(sig, *parts)
-    # r's cells (a,a), (b,a) are bits 0 and 2; the digits f(a), f(b), c read 1, 0, 1
-    expected = (("a", "b"), 0b101 * 2 ** 3 + 0b101)
+    # r's cells (a,a), (b,a) are cells 0 and 2 of four, cell 0 the most
+    # significant bit; the digits f(a), f(b), c read 1, 0, 1
+    expected = (("a", "b"), 0b1010 * 2 ** 3 + 0b101)
     assert s.key() == expected and s.key() is s.key()
     # equality and hashing see the same key whether or not it was built yet
     assert s == twin and twin == s and hash(s) == hash(twin) == hash((sig, expected))

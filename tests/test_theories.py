@@ -152,6 +152,25 @@ def test_representative_is_the_first_model_the_full_search_meets(t_pos, name):
         assert [m.key() for m in got if m.size() == size] == [first[k].key() for k in sorted(first)]
 
 
+@pytest.mark.parametrize("theory, counts", [
+    pytest.param(make_theory(SIG_LE, POSET_AXIOMS), [1, 2, 5, 16], id="T_pos"),
+    pytest.param(Theory.make(Signature.make(relations={"R": 2}), [], "T"), [2, 10, 104, 3044], id="empty-R2"),
+])
+def test_least_image_is_the_first_code_the_full_search_meets(theory, counts):
+    # codes order as the search meets them, so the first model met in each
+    # class (OEIS A000112 posets, A000595 binary relations) is its least image
+    for size, count in enumerate(counts, 1):
+        orbits, marked, classes = Orbits.of(theory.signature, size), set(), 0
+        for val in finder._search(orbits, theory.implications(), {}):
+            code = orbits.code(val)
+            if code not in marked:
+                images = orbits.images(code)
+                assert min(images) == code
+                marked.update(images)
+                classes += 1
+        assert classes == count
+
+
 def test_tiny_node_cap_raises(t_pos):
     with pytest.raises(BudgetExceeded):
         models_up_to_size(SIG_LE, t_pos.implications(), 3, node_cap=5)
@@ -424,13 +443,14 @@ def test_kaiser_hull_computes_each_fragment_once(t_pos, monkeypatch):
 
 
 # each verdict lists each model set it needs once: (call, listings); a pc
-# check used to list the models again for every model it checked
+# check used to list the models again for every model it checked, and jc
+# and report listed sizes up to n again when they listed up to N
 LISTINGS = [
     (lambda t, n: kaiser_hull_bounded(t, Budget(n=n, k=2)), 1),
     (lambda t, n: companion_check_bounded(t, t, Budget(n=n, k=2)), 2),
     (lambda t, n: tu_ti_extremality_check(t, Budget(n=n, k=2)), 1),
-    (lambda t, n: is_jc_bounded(t, Budget(n=n - 1, N=n)), 2),
-    (lambda t, n: jc_characterization_report(t, Budget(n=n - 1, N=n, k=2)), 2),
+    (lambda t, n: is_jc_bounded(t, Budget(n=n - 1, N=n)), 1),
+    (lambda t, n: jc_characterization_report(t, Budget(n=n - 1, N=n, k=2)), 1),
 ]
 
 
