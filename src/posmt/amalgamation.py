@@ -285,25 +285,15 @@ def _enum_sizes(p: AmalgamationProblem) -> Tuple[int, bool]:
     return top, top == p.budget.N
 
 
-_CANDIDATE_CACHE: Dict[Tuple, Tuple[FiniteStructure, ...]] = {}
-
-
 def _apex_candidates(p: AmalgamationProblem, cap: int) -> Iterator[FiniteStructure]:
     """The apex pool up to size `cap` in order: the models of the problem's
-    theory, or every structure, up to isomorphism.  Each size is listed
-    only when the solver reads that far, and kept per size."""
-    sig = p.f.target.signature
+    theory, or every structure, up to isomorphism.  Each size is read only
+    when the solver reads that far, from the list each size is kept in
+    (`finder.models_of_size`, `structures.enumerate_structures`)."""
     for size in range(1, cap + 1):
-        key = (p.theory, sig, size, p.budget.node_cap)
-        if key not in _CANDIDATE_CACHE:
-            if len(_CANDIDATE_CACHE) > 64:
-                _CANDIDATE_CACHE.clear()
-            if p.theory is not None:
-                found = models(p.theory, Budget(n=size, N=size, k=p.budget.k, node_cap=p.budget.node_cap))
-            else:
-                found = enumerate_structures(sig, size)
-            _CANDIDATE_CACHE[key] = tuple(d for d in found if d.size() == size)
-        yield from _CANDIDATE_CACHE[key]
+        found = (enumerate_structures(p.f.target.signature, size) if p.theory is None
+                 else models(p.theory, Budget(n=size, N=size, k=p.budget.k, node_cap=p.budget.node_cap)))
+        yield from (d for d in found if d.size() == size)
 
 
 def _tuple_counts(s: FiniteStructure) -> Tuple[int, ...]:

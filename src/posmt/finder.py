@@ -28,9 +28,10 @@ false one leaves no model, and a true one stays satisfied for the whole
 search.  `find_models` passes its fixed cells on and builds a structure per
 model; the quotient phase of amalgamation passes the cells its gluing
 fixes.
-`models_up_to_size` codes the models it meets and builds only each class's
-representative; for a universal relational theory it fixes a smaller
-model's cells, true and false, and searches only a new element's cells.
+`models_of_size` lists one size once per process, codes the models it
+meets and builds only each class's representative; for a universal
+relational theory it fixes a smaller model's cells, true and false, and
+searches only a new element's cells.
 """
 
 from __future__ import annotations
@@ -354,17 +355,14 @@ def _extensions(
         spent = yield from _search(orbits, implications, fixed, node_cap, spent)
 
 
-def models_up_to_size(
-    sig: Signature,
-    implications: Sequence[Implication],
-    max_size: int,
-    node_cap: Optional[int] = None,
-) -> List[FiniteStructure]:
-    """Models with |universe| <= max_size, one per isomorphism class,
-    sorted by (size, canonical key).  A class is represented by its least
-    image in search order, the first of its models a search with no fixed
-    cell on that size meets; for a relation-only code that is the least of
-    its images as ints.
+@functools.lru_cache(maxsize=64)
+def models_of_size(sig: Signature, implications: Tuple[Implication, ...], size: int,
+                   node_cap: Optional[int] = None) -> Tuple[Tuple[int, ...], Tuple[FiniteStructure, ...]]:
+    """The models on `size` elements, one per isomorphism class, sorted by
+    canonical key, as codes and as structures; one node cap over the size.
+    A class is represented by its least image in search order, the first of
+    its models a search with no fixed cell on that size meets; for a
+    relation-only code that is the least of its images as ints.
 
     Each model met is coded (`Orbits.code`); the first met in a class has
     the codes of its orbit that a later search may meet marked, and is
@@ -374,35 +372,39 @@ def models_up_to_size(
     A universal relational theory (relations only, and no conclusion with
     an existential quantifier) is closed under induced substructures, so
     every model on n elements extends a representative on the first n - 1.
-    Size n is then searched once per representative of size n - 1, with
-    its cells fixed (true and false) and only the new element's free, and
-    only the images that carry a representative there are marked.  Any
-    other theory gets one search over every cell per size."""
-    names = element_names(max_size)
+    Size n is then searched once per representative of size n - 1, read
+    from this list, with its cells fixed (true and false) and only the new
+    element's free, and only the images that carry a representative there
+    are marked.  Any other theory gets one search over every cell."""
+    orbits = Orbits.of(sig, size)
     extend = not sig.functions and not sig.constants and all(
         not imp.conclusion.vars for imp in implications)
-    out: List[FiniteStructure] = []
-    reps: List[int] = []
-    for size in range(1, max_size + 1):
-        orbits = Orbits.of(sig, size)
-        mask, heads = 0, {0}  # every image may be met
-        if extend and size > 1:
-            cells, seeds = _lift(orbits, reps)
-            mask, heads = sum(map(orbits.weights.__getitem__, cells)), set(seeds)
-            found = _extensions(orbits, implications, cells, seeds, node_cap)
-        else:
-            found = _search(orbits, implications, {}, node_cap)
-        marked: Set[int] = set()
-        classes = []
-        for val in found:
-            code = orbits.code(val)
-            if code in marked:
-                continue
-            images = orbits.images(code)
-            marked.update(itertools.compress(images, map(heads.__contains__, map(mask.__and__, images))))
-            classes.append((orbits.least(code), min(images) if extend else code))
-        classes.sort()
-        reps = [code for _, code in classes]
-        build = orbits.builder(names[:size])
-        out.extend(build(orbits.values(code)) for code in reps)
-    return out
+    mask, heads = 0, {0}  # every image may be met
+    if extend and size > 1:
+        cells, seeds = _lift(orbits, models_of_size(sig, implications, size - 1, node_cap)[0])
+        mask, heads = sum(map(orbits.weights.__getitem__, cells)), set(seeds)
+        found = _extensions(orbits, implications, cells, seeds, node_cap)
+    else:
+        found = _search(orbits, implications, {}, node_cap)
+    marked: Set[int] = set()
+    classes = []
+    for val in found:
+        code = orbits.code(val)
+        if code in marked:
+            continue
+        images = orbits.images(code)
+        marked.update(itertools.compress(images, map(heads.__contains__, map(mask.__and__, images))))
+        classes.append((orbits.least(code), min(images) if extend else code))
+    classes.sort()
+    reps = tuple(code for _, code in classes)
+    build = orbits.builder(element_names(size))
+    return reps, tuple(build(orbits.values(code)) for code in reps)
+
+
+def models_up_to_size(sig: Signature, implications: Sequence[Implication], max_size: int,
+                      node_cap: Optional[int] = None) -> List[FiniteStructure]:
+    """Models with |universe| <= max_size, one per isomorphism class,
+    sorted by (size, canonical key): the lists of `models_of_size`."""
+    element_names(max_size)  # a size past the name pool fails before any search
+    implications = tuple(implications)
+    return [m for size in range(1, max_size + 1) for m in models_of_size(sig, implications, size, node_cap)[1]]

@@ -390,25 +390,31 @@ def enumerate_structures(sig: Signature, max_size: int) -> Iterator[FiniteStruct
     max_size, in deterministic order: by size, then each relation's tuple
     sets by size and then as combinations of its tuples (the first relation
     outermost), then the function tables and constants in
-    `itertools.product` order.
-
-    Codes (`Orbits`) are walked in that order, one byte per code marks the
-    orbit of each structure yielded, and a structure is built only for an
-    unmarked code.
+    `itertools.product` order.  Each size is read from `_classes_of_size`.
     """
     if max_size < 1:
         raise StructureError("max_size must be >= 1")
-    names = element_names(max_size)
+    element_names(max_size)
     for size in range(1, max_size + 1):
-        orbits = Orbits.of(sig, size)
-        build = orbits.builder(names[:size])
-        marked = bytearray(orbits.count)
-        for code in orbits.codes():
-            if marked[code]:
-                continue
-            yield build(orbits.values(code))
-            for image in orbits.images(code):
-                marked[image] = 1
+        yield from _classes_of_size(sig, size)
+
+
+@lru_cache(maxsize=64)
+def _classes_of_size(sig: Signature, size: int) -> Tuple[FiniteStructure, ...]:
+    """`enumerate_structures` on one size, once per process: codes are walked
+    in order, one byte per code marks the orbit of each structure listed,
+    and a structure is built only for an unmarked code."""
+    orbits = Orbits.of(sig, size)
+    build = orbits.builder(element_names(size))
+    marked = bytearray(orbits.count)
+    out = []
+    for code in orbits.codes():
+        if marked[code]:
+            continue
+        out.append(build(orbits.values(code)))
+        for image in orbits.images(code):
+            marked[image] = 1
+    return tuple(out)
 
 
 def disjoint_rename(a: FiniteStructure, b: FiniteStructure) -> Tuple[FiniteStructure, FiniteStructure]:

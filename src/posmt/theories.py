@@ -2,15 +2,18 @@
 
 All notions here are explicitly bounded relaxations: every verdict records
 its budget and a "yes" never claims the unbounded property.  Model search
-delegates to the DFS finder; diagram fragments delegate to the bounded
-sentence corpora.
+delegates to the DFS finder, which lists each size once in a process
+(`finder.models_of_size`), so verdicts that read the same models share one
+listing; the continuation verdicts read them a size at a time and stop at
+the first size that serves every pair.  Diagram fragments delegate to the
+bounded sentence corpora.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import corpus
 from .errors import FormulaError, SignatureError, StructureError
@@ -361,14 +364,9 @@ def is_pc_within(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
         raise SignatureError(f"theory {t.name!r} is not over the structure's signature")
     if not is_model(m, t):
         raise StructureError("structure is not a model of the theory")
-    return _pc_within(m, models(t, b), b)
-
-
-def _pc_within(m: FiniteStructure, candidates: Sequence[FiniteStructure], b: Budget) -> Verdict:
-    """`is_pc_within` over the listed models `candidates` of t."""
     checked_models = 0
     checked_homs = 0
-    for other in candidates:
+    for other in models(t, b):
         checked_models += 1
         for hmap in search_homs(m, other, node_cap=b.node_cap):
             checked_homs += 1
@@ -380,51 +378,53 @@ def _pc_within(m: FiniteStructure, candidates: Sequence[FiniteStructure], b: Bud
 
 def bounded_pc_models(t: Theory, b: Budget) -> List[FiniteStructure]:
     """Models of t (size <= n, up to iso) that are pc within the bound."""
-    return _pc_models(models(t, b), b)
-
-
-def _pc_models(ms: Sequence[FiniteStructure], b: Budget) -> List[FiniteStructure]:
-    """The members of `ms`, the listed models of a theory, that are pc
-    within the bound: each one checked against the same list."""
-    return [m for m in ms if _pc_within(m, ms, b).is_yes]
+    return [m for m in models(t, b) if is_pc_within(m, t, b).is_yes]
 
 
 # ---------------------------------------------------------------------------
 # Joint continuation / T-completeness
 
 
-def _continuation_verdict(
-    b: Budget, pairs: Sequence[Tuple], candidates: Sequence[FiniteStructure]
-) -> Verdict:
-    """yes iff every pair has a common continuation among `candidates`, the
-    models of t of size <= N; no with the first pair, in order, that has none.
-    The first hom from a structure into each candidate is searched once,
-    when a pair first asks for it."""
-    first: Dict[FiniteStructure, list] = {}  # per candidate: a hom, None, or False if not searched
+def _continuation_verdict(t: Theory, b: Budget, pairs: Sequence[Tuple]) -> Verdict:
+    """yes iff every pair has a common continuation among the models of t of
+    size <= N; no with the first pair, in order, that has none.  The models
+    are listed a size at a time, as the pairs read them, so "yes" comes at
+    the first size that serves every pair.  The first hom from a structure
+    into each model is searched once, when a pair first asks for it."""
+    candidates: List[FiniteStructure] = []
+    size = 0
+    first: Dict[FiniteStructure, list] = {}  # per structure and model: a hom, None, or False if not searched
+
+    def listed() -> Iterator[int]:  # the indices of the models, each size listed when first read
+        nonlocal candidates, size
+        i = 0
+        while True:
+            while i == len(candidates):
+                if size == b.N:
+                    return
+                size += 1
+                candidates = models(t, replace(b, n=size))
+            yield i
+            i += 1
 
     def hom(s: FiniteStructure, row: list, i: int) -> Optional[Dict[str, str]]:
+        if i >= len(row):
+            row.extend([False] * (len(candidates) - len(row)))
         if row[i] is False:
             row[i] = next(search_homs(s, candidates[i], node_cap=b.node_cap), None)
         return row[i]
 
     for a, bst in pairs:
-        ra, rb = (first.get(s) or first.setdefault(s, [False] * len(candidates)) for s in (a, bst))
-        if not any(hom(a, ra, i) is not None and hom(bst, rb, i) is not None for i in range(len(candidates))):
+        ra, rb = (first.setdefault(s, []) for s in (a, bst))
+        if not any(hom(a, ra, i) is not None and hom(bst, rb, i) is not None for i in listed()):
             return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
     return yes(b, {"pairs_checked": len(pairs)})
-
-
-def _models_n_and_N(t: Theory, b: Budget) -> Tuple[List[FiniteStructure], List[FiniteStructure]]:
-    """The models of t of size <= n and those of size <= N, listed once."""
-    ms = models(t, replace(b, n=max(b.n, b.N)))
-    return [m for m in ms if m.size() <= b.n], [m for m in ms if m.size() <= b.N]
 
 
 def is_jc_bounded(t: Theory, b: Budget) -> Verdict:
     """yes iff every pair of models of size <= n has a common continuation
     that is a model of t of size <= N."""
-    ms_n, ms_big = _models_n_and_N(t, b)
-    return _continuation_verdict(b, list(itertools.combinations_with_replacement(ms_n, 2)), ms_big)
+    return _continuation_verdict(t, b, list(itertools.combinations_with_replacement(models(t, b), 2)))
 
 
 def is_T_complete_pair(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
@@ -432,8 +432,7 @@ def is_T_complete_pair(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
     common continuation modelling t with size <= N."""
     if not (t1.signature == t2.signature == t.signature):
         raise SignatureError("T-completeness requires a shared signature")
-    pairs = list(itertools.product(models(t1, b), models(t2, b)))
-    return _continuation_verdict(b, pairs, models(t, replace(b, n=b.N)))
+    return _continuation_verdict(t, b, list(itertools.product(models(t1, b), models(t2, b))))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +487,8 @@ def kaiser_hull_bounded(t: Theory, b: Budget) -> Tuple[Tuple[str, ...], Tuple[st
     each sentence printed as the parser reads it (`corpus.hull_texts`,
     `corpus.cq_text`)."""
     pool = corpus.atom_pool(t.signature, b.k)
-    ms = models(t, b)
-    hull_mask = _hull_of_pc_models(t, (_ti_mask(m, b.k) for m in _pc_models(ms, b)), b)
-    tu_set = _tu_of_models(t, ms, b)
+    hull_mask = _hull_of_pc_models(t, (_ti_mask(m, b.k) for m in bounded_pc_models(t, b)), b)
+    tu_set = _tu_of_models(t, models(t, b), b)
     hull = corpus.hull_texts(t.signature, b.k, hull_mask)
     tu = tuple(corpus.cq_text(pool, c.codes) for c in corpus.cq_corpus(t.signature, b.k) if c in tu_set)
     return hull, tu
@@ -505,7 +503,7 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
     report agreement with is_jc_bounded.  The conditions are equivalent in
     the unbounded theory; at finite bounds they may disagree, which the
     report records rather than hides."""
-    ms_n, ms_big = _models_n_and_N(t, b)
+    ms_n, ms_big = models(t, b), models(t, replace(b, n=b.N))
     cqs = corpus.cq_corpus(t.signature, b.k)
 
     def realized(structures: Sequence[FiniteStructure]) -> Dict:
@@ -531,7 +529,7 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
     tu_t = _tu_of_models(t, ms_n, b)
     cond3 = any(tu_star_set(m, b.k) == tu_t for m in ms_n) if ms_n else True
     # (4) some model attains the bounded Kaiser hull
-    pcs = _pc_models(ms_n, b)
+    pcs = bounded_pc_models(t, b)
     ti = {m: _ti_mask(m, b.k) for m in pcs}  # each model's mask once
     hull = _hull_of_pc_models(t, ti.values(), b)
     cond4 = not ms_n or hull in ti.values() or any(
@@ -539,7 +537,7 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
     # (5) bounded-pc models share T_u*
     tu_sets = {tu_star_set(m, b.k) for m in pcs}
     cond5 = len(tu_sets) <= 1
-    jc = _continuation_verdict(b, list(itertools.combinations_with_replacement(ms_n, 2)), ms_big)
+    jc = _continuation_verdict(t, b, list(itertools.combinations_with_replacement(ms_n, 2)))
     conditions = {"cond1": cond1, "cond2": cond2, "cond3": cond3, "cond4": cond4, "cond5": cond5}
     return {
         "conditions": conditions,

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from posmt import finder, structures
 from posmt.parser import parse_sentences
 from posmt.structures import FiniteStructure, Signature
 from posmt.theories import Theory
@@ -34,6 +35,14 @@ def run_optimised(script: str, *args: str) -> subprocess.CompletedProcess:
         [sys.executable, "-O", "-c", script, *args],
         cwd=repo, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_listings():
+    """Every test lists its models and structures afresh: a size listed by
+    an earlier test is not read from the process's listing caches."""
+    finder.models_of_size.cache_clear()
+    structures._classes_of_size.cache_clear()
 
 
 @pytest.fixture(scope="session")

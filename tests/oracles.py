@@ -43,8 +43,12 @@ same maps in the same order and run out of nodes at the same cap.
 The continuation reference decides joint continuation pair by pair,
 searching each pair's first homomorphisms afresh, as
 `theories._continuation_verdict` did before it kept the first hom into
-each candidate.  Verdicts, first failing pairs and budget exhaustion must
-be the same.
+each candidate, over every model of size <= N listed before the first
+pair, as `is_jc_bounded` and `is_T_complete_pair` did before they listed a
+size at a time.  Wherever the reference decides, the verdicts, their
+certificates and notes must be the same; where it runs out of nodes, the
+fast verdicts run out with the same message or say "yes" at a size below
+the one that ran out.
 
 The kind references decide the four-kind chain as it was decided before
 `morphisms.classify_morphism` became the one place: embedding, then a
@@ -138,8 +142,7 @@ from posmt.structures import (
 from posmt.records import replace
 from posmt.textio import structure_to_json, verdict_to_json
 from posmt.theories import (
-    Budget, DiagramSet, Theory, Verdict, _continuation_verdict, _pc_models, models, no,
-    tu_star_set, yes,
+    Budget, DiagramSet, Theory, Verdict, bounded_pc_models, models, no, tu_star_set, yes,
 )
 
 
@@ -862,9 +865,8 @@ def _hull_of_pc_models_reference(t: Theory, pcs: Sequence[FiniteStructure], b: B
 def kaiser_hull_bounded_reference(t: Theory, b: Budget) -> Tuple[DiagramSet, DiagramSet]:
     """`theories.kaiser_hull_bounded` over frozenset fragments."""
     pool = atom_pool(t.signature, b.k)
-    ms = models(t, b)
-    hull_set = _hull_of_pc_models_reference(t, _pc_models(ms, b), b)
-    tu_set = _tu_of_models_reference(t, ms, b)
+    hull_set = _hull_of_pc_models_reference(t, bounded_pc_models(t, b), b)
+    tu_set = _tu_of_models_reference(t, models(t, b), b)
     hull = tuple(
         HInductiveSentence((imp.to_implication(pool),))
         for imp in corpus.implication_corpus(t.signature, b.k)
@@ -908,13 +910,13 @@ def jc_characterization_report_reference(t: Theory, b: Budget) -> Dict:
     tu_t = _tu_of_models_reference(t, ms_n, b)
     cond3 = any(tu_star_set(m, b.k) == tu_t for m in ms_n) if ms_n else True
     # (4) some model attains the bounded Kaiser hull
-    pcs = _pc_models(ms_n, b)
+    pcs = bounded_pc_models(t, b)
     hull = _hull_of_pc_models_reference(t, pcs, b)
     cond4 = any(frozenset(corpus.ti_star(m, b.k)) == hull for m in ms_n) if ms_n else True
     # (5) bounded-pc models share T_u*
     tu_sets = {tu_star_set(m, b.k) for m in pcs}
     cond5 = len(tu_sets) <= 1
-    jc = _continuation_verdict(b, list(itertools.combinations_with_replacement(ms_n, 2)), ms_big)
+    jc = continuation_verdict_reference(b, list(itertools.combinations_with_replacement(ms_n, 2)), ms_big)
     conditions = {"cond1": cond1, "cond2": cond2, "cond3": cond3, "cond4": cond4, "cond5": cond5}
     return {
         "conditions": conditions,
@@ -942,18 +944,34 @@ def _common_continuation(
 def continuation_verdict_reference(
     b: Budget, pairs: Sequence[Tuple], candidates: Sequence[FiniteStructure]
 ) -> Verdict:
-    """`theories._continuation_verdict` searching each pair's homs afresh."""
+    """Joint continuation over the listed models `candidates` of size <= N,
+    searching each pair's homs afresh."""
     for a, bst in pairs:
         if _common_continuation(a, bst, candidates, b.node_cap) is None:
             return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
     return yes(b, {"pairs_checked": len(pairs)})
 
 
+def is_jc_bounded_reference(t: Theory, b: Budget) -> Verdict:
+    """`theories.is_jc_bounded` with the models of t listed up to max(n, N)
+    before the first pair is decided."""
+    ms = models(t, replace(b, n=max(b.n, b.N)))
+    pairs = list(itertools.combinations_with_replacement([m for m in ms if m.size() <= b.n], 2))
+    return continuation_verdict_reference(b, pairs, [m for m in ms if m.size() <= b.N])
+
+
+def is_T_complete_pair_reference(t1: Theory, t2: Theory, t: Theory, b: Budget) -> Verdict:
+    """`theories.is_T_complete_pair` with the models of t listed up to N
+    before the first pair is decided."""
+    pairs = list(itertools.product(models(t1, b), models(t2, b)))
+    return continuation_verdict_reference(b, pairs, models(t, replace(b, n=b.N)))
+
+
 def tu_ti_extremality_check(t: Theory, b: Budget) -> Verdict:
     """For every bounded-pc model A and model B of t: T_u*(A) is minimal
     and T_i*(A) is maximal among the bounded fragments of models of t."""
     ms = models(t, b)
-    pcs = _pc_models(ms, b)
+    pcs = bounded_pc_models(t, b)
     for a in pcs:
         tu_a = tu_star_set(a, b.k)
         ti_a = frozenset(corpus.ti_star(a, b.k))

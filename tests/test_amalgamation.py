@@ -542,7 +542,7 @@ def test_inheritance_certifies_no_out_map_pair_that_breaks_disjointness(monkeypa
 
 @pytest.fixture()
 def pool_sizes(monkeypatch):
-    """The size bound of every apex-pool listing, from an empty pool cache."""
+    """The size bound of every apex-pool listing."""
     from posmt import amalgamation
     sizes = []
     real_enumerate, real_models = amalgamation.enumerate_structures, amalgamation.models
@@ -557,7 +557,6 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(amalgamation, "enumerate_structures", enumerating)
     monkeypatch.setattr(amalgamation, "models", listing)
-    monkeypatch.setattr(amalgamation, "_CANDIDATE_CACHE", {})
     return sizes
 
 
@@ -595,7 +594,6 @@ def test_lazy_pool_answers_as_the_eager_pool(monkeypatch, theorem):
             return result
         with monkeypatch.context() as m:
             m.setattr(amalgamation, "solve_amalgamation", recording)
-            m.setattr(amalgamation, "_CANDIDATE_CACHE", {})
             verify_theorem(theorem, 0, Budget(N=8), instances=25)
         return seen
 

@@ -219,15 +219,27 @@ def test_report_schema(ws_file, capsys):
 
 
 def test_budget_exhaustion_prints_unknown_verdict_with_json(ws_file, capsys):
-    code = main(["jc", ws_file, "--theory", "T_pos", "--N", "4", "--node-cap", "200", "--json"])
+    # listing the pairs' posets up to n = 3 spends 72 nodes on size 3
+    code = main(["jc", ws_file, "--theory", "T_pos", "--N", "4", "--node-cap", "50", "--json"])
     captured = capsys.readouterr()
     assert code == 4
-    assert captured.err == "unknown: model search exceeded node cap 200\n"
+    assert captured.err == "unknown: model search exceeded node cap 50\n"
     data = json.loads(captured.out)
     assert data["schema"] == "posmt-report/1"
     assert data["verdict"] == "unknown"
-    assert data["budget"] == {"n": 3, "N": 4, "k": 3, "node_cap": 200}
-    assert data["notes"] == ["model search exceeded node cap 200"]
+    assert data["budget"] == {"n": 3, "N": 4, "k": 3, "node_cap": 50}
+    assert data["notes"] == ["model search exceeded node cap 50"]
+
+
+@pytest.mark.parametrize("flags", [["--N", "4", "--node-cap", "200"], ["--N", "8"]])
+def test_jc_says_yes_at_the_first_size_that_serves_every_pair(ws_file, capsys, flags):
+    # the one-point poset continues all 36 pairs of posets up to 3 points,
+    # so no size past 1 is listed: not the posets on 4 points, which run
+    # out of 200 nodes, nor the 2,045 on 7 points
+    code = main(["jc", ws_file, "--theory", "T_pos", *flags, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (data["verdict"], data["certificate"]) == ("yes", {"pairs_checked": 36})
 
 
 def test_models_past_node_cap_prints_unknown(ws_file, capsys):

@@ -20,9 +20,8 @@ from posmt.parser import parse_formula
 from posmt.structures import (
     ELEMENT_NAMES, FiniteStructure, Orbits, Signature, enumerate_structures,
 )
-from posmt.records import replace
 from posmt.theories import (
-    Budget, Theory, _continuation_verdict, bounded_pc_models, companion_check_bounded, diagram,
+    Budget, Theory, bounded_pc_models, companion_check_bounded, diagram,
     expand_with_constants, is_T_complete_pair, is_jc_bounded, is_model,
     is_pc_within, jc_characterization_report, joint_consistency_bounded,
     kaiser_hull_bounded, kaiser_hull_set, models, pair_diagrams, theory_from_diagram,
@@ -34,8 +33,9 @@ from posmt.textio import load_workspace
 from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory, run_optimised
 from oracles import (
     UNKNOWN, _hull_of_pc_models_reference, _Instance, _Partial, class_key,
-    continuation_verdict_reference, diag_plus_star_set,
+    diag_plus_star_set,
     enumerate_structures_reference, eval_formula_reference, find_models_reference,
+    is_T_complete_pair_reference, is_jc_bounded_reference,
     jc_characterization_report_reference, kaiser_hull_bounded_reference, models_up_to_size_reference,
     seeded_cells, tu_ti_extremality_check,
 )
@@ -442,47 +442,57 @@ def test_kaiser_hull_computes_each_fragment_once(t_pos, monkeypatch):
     assert len(calls) <= bound
 
 
-# each verdict lists each model set it needs once: (call, listings); a pc
-# check used to list the models again for every model it checked, and jc
-# and report listed sizes up to n again when they listed up to N
+# each verdict lists each (theory, size) it needs once: (call, the largest
+# size listed, less n); a pc check used to list the models again for every
+# model it checked, and jc and report listed sizes up to n again when they
+# listed up to N; jc stops at size 1, where the one-point poset continues
+# every pair
 LISTINGS = [
-    (lambda t, n: kaiser_hull_bounded(t, Budget(n=n, k=2)), 1),
-    (lambda t, n: companion_check_bounded(t, t, Budget(n=n, k=2)), 2),
-    (lambda t, n: tu_ti_extremality_check(t, Budget(n=n, k=2)), 1),
-    (lambda t, n: is_jc_bounded(t, Budget(n=n - 1, N=n)), 1),
-    (lambda t, n: jc_characterization_report(t, Budget(n=n - 1, N=n, k=2)), 1),
+    (lambda t, n: kaiser_hull_bounded(t, Budget(n=n, k=2)), 0),
+    (lambda t, n: companion_check_bounded(t, t, Budget(n=n, k=2)), 0),
+    (lambda t, n: tu_ti_extremality_check(t, Budget(n=n, k=2)), 0),
+    (lambda t, n: is_jc_bounded(t, Budget(n=n - 1, N=n)), -1),
+    (lambda t, n: jc_characterization_report(t, Budget(n=n - 1, N=n, k=2)), 0),
 ]
 
 
 @pytest.fixture()
-def listed(monkeypatch):
-    """The size bound of every `models_up_to_size` call from `theories`."""
-    from posmt import theories
-
-    real = theories.models_up_to_size
+def searched(monkeypatch):
+    """The (implications, size) of every size `finder.models_of_size`
+    searches, behind an empty cache of its own."""
+    real = finder.models_of_size.__wrapped__
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
+    @functools.lru_cache(maxsize=64)
+    def counting(sig, implications, size, node_cap=None):
+        calls.append((implications, size))
+        return real(sig, implications, size, node_cap)
 
-    monkeypatch.setattr(theories, "models_up_to_size", counting)
+    monkeypatch.setattr(finder, "models_of_size", counting)
     return calls
 
 
-@pytest.mark.parametrize("verdict, listings", LISTINGS,
+@pytest.mark.parametrize("verdict, top", LISTINGS,
                          ids=["hull", "companion", "extremality", "jc", "report"])
 @pytest.mark.parametrize("n", [2, 4])
-def test_each_verdict_lists_each_model_set_once(t_pos, listed, verdict, listings, n):
+def test_each_verdict_lists_each_model_set_once(t_pos, searched, verdict, top, n):
     verdict(t_pos, n)
-    assert len(listed) == listings
+    assert sorted(size for _, size in searched) == list(range(1, n + top + 1))
 
 
-def test_kaiser_hull_at_five_lists_the_models_once(t_pos, listed):
-    # 89 listings before: one, then one per pc check of the 87 classes and
-    # one more for the bounded T_u(T)
+@pytest.mark.parametrize("n", [2, 4])
+def test_verdicts_in_one_process_list_each_size_once(t_pos, searched, n):
+    for verdict, _ in LISTINGS:
+        verdict(t_pos, n)
+    assert sorted(size for _, size in searched) == list(range(1, n + 1))
+
+
+def test_kaiser_hull_at_five_lists_the_models_once(t_pos, searched):
+    # 89 listings of sizes 1 to 5 once: one, then one per pc check of the
+    # 87 classes and one more for the bounded T_u(T); each size is now
+    # searched once
     kaiser_hull_bounded(t_pos, Budget(n=5, k=2))
-    assert listed == [5]
+    assert [size for _, size in searched] == [1, 2, 3, 4, 5]
 
 
 def test_kaiser_hull_self_consistency():
@@ -539,36 +549,55 @@ def test_fragment_masks_match_frozenset_reference(t, n, extra, k):
     assert jc_characterization_report(t, b) == jc_characterization_report_reference(t, b)
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_universal_theories(), st.integers(1, 2), st.integers(0, 1), st.sampled_from([2, 5, 20, 10 ** 6]))
-@example(T_SPLIT, 1, 0, 10 ** 6)
-@example(T_SPLIT, 1, 1, 10 ** 6)
-@example(T_SPLIT, 2, 1, 5)
-def test_continuation_verdict_matches_the_loop_that_searches_afresh(t, n, extra, node_cap):
-    # each first hom is searched once, yet the verdict, its first pair
-    # without a continuation and the search that runs out of nodes are the
-    # same as when every pair searches its own
-    b = Budget(n=n, N=n + extra, node_cap=node_cap)
-    pairs = list(itertools.combinations_with_replacement(models(t, replace(b, node_cap=10 ** 6)), 2))
-    candidates = models(t, Budget(n=b.N))
+SIG_PQ = Signature.make(relations={"p": 1, "q": 1})
+# the models p(a) and q(a) meet in no model: jc says "no" at the first pair
+# that has p true and q true apart
+T_APART = make_theory(SIG_PQ, "huniversal: ! exists x y. p(x) & q(y);", "T_apart")
 
-    def outcome(verdict):
-        try:
-            v = verdict(b, pairs, candidates)
-        except BudgetExceeded as exc:
-            return str(exc)
-        return v.status, v.certificate, v.notes
-    assert outcome(_continuation_verdict) == outcome(continuation_verdict_reference)
+
+def _outcome(verdict):
+    """A verdict's (status, certificate, notes), or the message of the
+    BudgetExceeded it raised."""
+    try:
+        v = verdict()
+    except BudgetExceeded as exc:
+        return str(exc)
+    return v.status, v.certificate, v.notes
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_universal_theories(), st.integers(1, 2), st.integers(1, 3), st.sampled_from([2, 5, 20, 10 ** 6]))
+@example(T_SPLIT, 1, 1, 10 ** 6)
+@example(T_SPLIT, 1, 2, 10 ** 6)
+@example(T_SPLIT, 2, 3, 5)
+@example(T_APART, 1, 1, 10 ** 6)
+@example(T_APART, 2, 3, 10 ** 6)
+def test_continuation_verdict_matches_the_loop_that_searches_afresh(t, n, N, node_cap):
+    # the models of size <= N listed a size at a time, and each first hom
+    # searched once: wherever the loop that lists every size first and
+    # searches every pair's homs afresh decides, the verdict, its first
+    # pair without a continuation and its notes are the same; where that
+    # loop runs out of nodes, the verdict runs out with the same message or
+    # says "yes" at a size below the listing that ran out
+    b = Budget(n=n, N=N, node_cap=node_cap)
+    for fast, reference in (
+        (lambda: is_jc_bounded(t, b), lambda: is_jc_bounded_reference(t, b)),
+        (lambda: is_T_complete_pair(t, t, t, b), lambda: is_T_complete_pair_reference(t, t, t, b)),
+    ):
+        expected, got = _outcome(reference), _outcome(fast)
+        if isinstance(expected, str) and got != expected:
+            assert got[0] == "yes"
+        else:
+            assert got == expected
 
 
 def test_continuation_verdict_names_the_first_pair_without_one():
     # the one-point models are empty, r(a, a) and p(a); the last two meet
     # only in a model of two points
-    b = Budget(n=1, N=1)
-    ms = models(T_SPLIT, b)
-    verdict = _continuation_verdict(b, list(itertools.combinations_with_replacement(ms, 2)), ms)
+    ms = models(T_SPLIT, Budget(n=1))
+    verdict = is_jc_bounded(T_SPLIT, Budget(n=1, N=1))
     assert verdict.status == "no" and verdict.certificate == {"pair": (ms[1], ms[2])}
-    assert _continuation_verdict(replace(b, N=2), [(ms[1], ms[2])], models(T_SPLIT, Budget(n=2))).is_yes
+    assert is_jc_bounded(T_SPLIT, Budget(n=1, N=2)).is_yes
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +909,6 @@ def test_node_counts_pinned(monkeypatch, t_pos, chain2):
         return real_find(*args, **kwargs)
     monkeypatch.setattr(amalgamation, "find_models", spy)
     monkeypatch.setattr(amalgamation, "_quotient_seed", lambda p: seeds.append(real_seed(p)) or seeds[-1])
-    monkeypatch.setattr(amalgamation, "_CANDIDATE_CACHE", {})
     amalgamation.check_basis(chain2, "hhhh", t_pos, Budget())
     _, universe, _, _, fixed = seeds[-1]
     found, returned = _drained(lambda: list(find_models(SIG_LE, universe, t_pos.implications(), fixed=fixed)))
@@ -901,7 +929,6 @@ def test_check_basis_compiles_each_size_once(monkeypatch, t_pos, chain2):
     # 253 quotients (80 of them searched) and the wing lists, sizes 1 to 5: each
     # (size, implication) is compiled once, not once per search
     compiled = _count_compiles(monkeypatch)
-    monkeypatch.setattr(amalgamation, "_CANDIDATE_CACHE", {})
     amalgamation.check_basis(chain2, "hhhh", t_pos, Budget())
     assert len(compiled) == len(set(compiled)) == 3 * 5
 
