@@ -31,7 +31,8 @@ fixes.
 `models_of_size` lists one size once per process, codes the models it
 meets and builds only each class's representative; for a universal
 relational theory it fixes a smaller model's cells, true and false, and
-searches only a new element's cells.
+searches only a new element's cells.  `models_by_size` reads the sizes one
+at a time, so a verdict settled at a small size lists no larger one.
 """
 
 from __future__ import annotations
@@ -401,10 +402,20 @@ def models_of_size(sig: Signature, implications: Tuple[Implication, ...], size: 
     return reps, tuple(build(orbits.values(code)) for code in reps)
 
 
+def models_by_size(sig: Signature, implications: Sequence[Implication], max_size: int,
+                   node_cap: Optional[int] = None) -> Iterator[Tuple[FiniteStructure, ...]]:
+    """The lists of `models_of_size` for sizes 1, 2, ..., max_size, one at a
+    time: a size is listed when it is first read, so a caller that stops
+    early searches no larger size."""
+    implications = tuple(implications)
+    for size in range(1, max_size + 1):
+        element_names(size)  # a size past the name pool fails before its search
+        yield models_of_size(sig, implications, size, node_cap)[1]
+
+
 def models_up_to_size(sig: Signature, implications: Sequence[Implication], max_size: int,
                       node_cap: Optional[int] = None) -> List[FiniteStructure]:
     """Models with |universe| <= max_size, one per isomorphism class,
-    sorted by (size, canonical key): the lists of `models_of_size`."""
+    sorted by (size, canonical key): the lists of `models_by_size`."""
     element_names(max_size)  # a size past the name pool fails before any search
-    implications = tuple(implications)
-    return [m for size in range(1, max_size + 1) for m in models_of_size(sig, implications, size, node_cap)[1]]
+    return list(itertools.chain.from_iterable(models_by_size(sig, implications, max_size, node_cap)))

@@ -21,8 +21,7 @@ Anything else is a TypeError, never a silent repr.
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # the C encoder of json.encoder, without the json package
 from typing import Container, Dict, Iterator, List, Optional, Set, Tuple
 
 from .errors import ParseError, StructureError
@@ -33,6 +32,7 @@ from .structures import FiniteStructure, Signature
 from .theories import Theory, Verdict
 
 SCHEMA = "posmt-report/1"
+_INF = float("inf")
 
 
 @record
@@ -388,8 +388,28 @@ def _write(value, head: str, indent: str, out: List[str], rendered: Dict[Tuple[i
             _write(item, sep, inner, out, rendered)
             sep = "," + inner
         out.append(indent + "]")
-    else:  # bool, int, float or None; anything else is a TypeError
-        out.append(head + json.dumps(value))
+    else:
+        out.append(head + _scalar(value))
+
+
+def _scalar(value) -> str:
+    """A bool, None, int or float as `json.dumps` prints it; anything else
+    is a TypeError."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_dict(value: Dict, head: str, indent: str, out: List[str],

@@ -4,9 +4,10 @@ All notions here are explicitly bounded relaxations: every verdict records
 its budget and a "yes" never claims the unbounded property.  Model search
 delegates to the DFS finder, which lists each size once in a process
 (`finder.models_of_size`), so verdicts that read the same models share one
-listing; the continuation verdicts read them a size at a time and stop at
-the first size that serves every pair.  Diagram fragments delegate to the
-bounded sentence corpora.
+listing.  The continuation verdicts, the pc check and the characterization
+report read them a size at a time (`_sizes`) and stop at the size that
+settles their answer.  Diagram fragments delegate to the bounded sentence
+corpora.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .formulas import (
     TRUE_POSEX, And, App, Const, EqAtom, Falsum, Formula, HInductiveSentence, HUniversalSentence,
     Implication, PosEx, RelAtom, as_implications, compile_formula, free_vars,
 )
-from .finder import find_models, models_up_to_size
+from .finder import find_models, models_by_size, models_up_to_size
 from .morphisms import Morphism, is_immersion, search_homs
-from .records import field, record, replace
+from .records import field, record
 from .structures import FiniteStructure, Signature, UnionFind, disjoint_rename, element_names
 
 
@@ -135,6 +136,12 @@ def models(t: Theory, b: Budget) -> List[FiniteStructure]:
     """All models of t with universe size <= b.n, up to isomorphism,
     deterministic order."""
     return models_up_to_size(t.signature, t.implications(), b.n, node_cap=b.node_cap)
+
+
+def _sizes(t: Theory, b: Budget, top: int) -> Iterator[Tuple[FiniteStructure, ...]]:
+    """The models of t on 1, 2, ..., top elements, in `models` order, one
+    size at a time: a size is listed when it is first read."""
+    return models_by_size(t.signature, t.implications(), top, b.node_cap)
 
 
 def is_model(s: FiniteStructure, t: Theory) -> bool:
@@ -359,14 +366,16 @@ def pair_diagrams(
 
 def is_pc_within(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
     """Bounded pc check: every hom from m into a model of t of size <= n
-    must be an immersion.  Counterexamples carry the offending hom."""
+    must be an immersion.  Counterexamples carry the offending hom.  The
+    models are read a size at a time, so a "no" lists no size past its
+    counterexample's; a "yes" reads every size up to n."""
     if m.signature != t.signature:
         raise SignatureError(f"theory {t.name!r} is not over the structure's signature")
     if not is_model(m, t):
         raise StructureError("structure is not a model of the theory")
     checked_models = 0
     checked_homs = 0
-    for other in models(t, b):
+    for other in itertools.chain.from_iterable(_sizes(t, b, b.n)):
         checked_models += 1
         for hmap in search_homs(m, other, node_cap=b.node_cap):
             checked_homs += 1
@@ -392,18 +401,17 @@ def _continuation_verdict(t: Theory, b: Budget, pairs: Sequence[Tuple]) -> Verdi
     the first size that serves every pair.  The first hom from a structure
     into each model is searched once, when a pair first asks for it."""
     candidates: List[FiniteStructure] = []
-    size = 0
+    sizes = _sizes(t, b, b.N)
     first: Dict[FiniteStructure, list] = {}  # per structure and model: a hom, None, or False if not searched
 
     def listed() -> Iterator[int]:  # the indices of the models, each size listed when first read
-        nonlocal candidates, size
         i = 0
         while True:
             while i == len(candidates):
-                if size == b.N:
+                ms = next(sizes, None)
+                if ms is None:
                     return
-                size += 1
-                candidates = models(t, replace(b, n=size))
+                candidates.extend(ms)
             yield i
             i += 1
 
@@ -502,41 +510,44 @@ def jc_characterization_report(t: Theory, b: Budget) -> Dict:
     """Evaluate the five bounded conditions of the JC characterization and
     report agreement with is_jc_bounded.  The conditions are equivalent in
     the unbounded theory; at finite bounds they may disagree, which the
-    report records rather than hides."""
-    ms_n, ms_big = models(t, b), models(t, replace(b, n=b.N))
+    report records rather than hides.  The models of size <= N are read a
+    size at a time, up to the first that decides condition 2."""
+    ms_n = models(t, b)
     cqs = corpus.cq_corpus(t.signature, b.k)
 
-    def realized(structures: Sequence[FiniteStructure]) -> Dict:
-        evs = [corpus.evaluator(t.signature, b.k, m) for m in structures]
-        sat: Dict = {}
-        for c in cqs:
-            who = frozenset(i for i, ev in enumerate(evs) if ev.cq_true(c))
-            if who:
-                sat[c] = who
-        return sat
+    def realized_sets_meet(sizes: Iterable[Sequence[FiniteStructure]]) -> bool:
+        """The sets of models realizing each CQ, over the models listed a
+        size at a time, meet pairwise.  A model satisfying every CQ lies in
+        each set, so reading stops there with True."""
+        evs: List[corpus.CorpusEvaluator] = []
+        for ms in sizes:
+            new = [corpus.evaluator(t.signature, b.k, m) for m in ms]
+            if any(all(map(ev.cq_true, cqs)) for ev in new):
+                return True
+            evs += new
+        sat = [who for who in (frozenset(i for i, ev in enumerate(evs) if ev.cq_true(c)) for c in cqs) if who]
+        return all(s1 & s2 for s1, s2 in itertools.combinations(sat, 2))
 
     # (1) prime disjunction over models of size <= n
-    sat_n = realized(ms_n)
-    cond1 = all(
-        s1 & s2 for s1, s2 in itertools.combinations(sat_n.values(), 2)
-    ) if len(sat_n) > 1 else True
+    cond1 = realized_sets_meet([ms_n])
     # (2) pairwise consistency of positive extensions, at bound N
-    sat_big = realized(ms_big)
-    cond2 = all(
-        s1 & s2 for s1, s2 in itertools.combinations(sat_big.values(), 2)
-    ) if len(sat_big) > 1 else True
+    cond2 = realized_sets_meet(_sizes(t, b, b.N))
     # (3) some model attains the bounded T_u(T)
     tu_t = _tu_of_models(t, ms_n, b)
     cond3 = any(tu_star_set(m, b.k) == tu_t for m in ms_n) if ms_n else True
-    # (4) some model attains the bounded Kaiser hull
     pcs = bounded_pc_models(t, b)
-    ti = {m: _ti_mask(m, b.k) for m in pcs}  # each model's mask once
-    hull = _hull_of_pc_models(t, ti.values(), b)
-    cond4 = not ms_n or hull in ti.values() or any(
-        _ti_mask(m, b.k) == hull for m in ms_n if m not in ti)
-    # (5) bounded-pc models share T_u*
-    tu_sets = {tu_star_set(m, b.k) for m in pcs}
-    cond5 = len(tu_sets) <= 1
+    if len(pcs) == 1:
+        # (4) and (5) hold: the hull is the one bounded-pc model's T_i*,
+        # which that model attains, and it has one T_u*
+        cond4 = cond5 = True
+    else:
+        # (4) some model attains the bounded Kaiser hull
+        ti = {m: _ti_mask(m, b.k) for m in pcs}  # each model's mask once
+        hull = _hull_of_pc_models(t, ti.values(), b)
+        cond4 = not ms_n or hull in ti.values() or any(
+            _ti_mask(m, b.k) == hull for m in ms_n if m not in ti)
+        # (5) bounded-pc models share T_u*
+        cond5 = len({tu_star_set(m, b.k) for m in pcs}) <= 1
     jc = _continuation_verdict(t, b, list(itertools.combinations_with_replacement(ms_n, 2)))
     conditions = {"cond1": cond1, "cond2": cond2, "cond3": cond3, "cond4": cond4, "cond5": cond5}
     return {

@@ -26,6 +26,11 @@ def make_theory(sig: Signature, text: str, name: str = "T") -> Theory:
     return Theory.make(sig, parse_sentences(text, sig), name)
 
 
+# the models p(a) and q(a) meet in no model: jc says "no" at the first pair
+# that has p true and q true apart, and they are its two bounded-pc models
+T_APART = make_theory(Signature.make(relations={"p": 1, "q": 1}), "huniversal: ! exists x y. p(x) & q(y);", "T_apart")
+
+
 def run_optimised(script: str, *args: str) -> subprocess.CompletedProcess:
     """`python -O -c script args` in a fresh process, with the package on its path."""
     repo = pathlib.Path(__file__).resolve().parent.parent

@@ -133,7 +133,7 @@ from posmt.formulas import (
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
     PosEx, PosQF, RelAtom, Term, Truth, Var, free_vars,
 )
-from posmt.morphisms import Morphism, MorphismKind, is_strong_immersion
+from posmt.morphisms import Morphism, MorphismKind, is_immersion, is_strong_immersion, search_homs
 from posmt import corpus
 from posmt.finder import find_models
 from posmt.structures import (
@@ -142,7 +142,7 @@ from posmt.structures import (
 from posmt.records import replace
 from posmt.textio import structure_to_json, verdict_to_json
 from posmt.theories import (
-    Budget, DiagramSet, Theory, Verdict, bounded_pc_models, models, no, tu_star_set, yes,
+    Budget, DiagramSet, Theory, Verdict, bounded_pc_models, is_model, models, no, tu_star_set, yes,
 )
 
 
@@ -833,6 +833,30 @@ def corpus_evaluator_reference(sig: Signature, k: int, structure: FiniteStructur
 # Theory fragments as frozensets of corpus entries
 
 
+def is_pc_within_reference(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
+    """`theories.is_pc_within` as it was before it read the models a size
+    at a time: every model of t of size <= n is listed before the first hom
+    is searched."""
+    if m.signature != t.signature:
+        raise SignatureError(f"theory {t.name!r} is not over the structure's signature")
+    if not is_model(m, t):
+        raise StructureError("structure is not a model of the theory")
+    targets = models(t, b)
+    checked_models = checked_homs = 0
+    for other in targets:
+        checked_models += 1
+        for hmap in search_homs(m, other, node_cap=b.node_cap):
+            checked_homs += 1
+            if not is_immersion(Morphism(m, other, hmap)):
+                return no(b, {"target": other, "hom": hmap})
+    return yes(b, {"models_checked": checked_models, "homs_checked": checked_homs})
+
+
+def bounded_pc_models_reference(t: Theory, b: Budget) -> List[FiniteStructure]:
+    """`theories.bounded_pc_models` through `is_pc_within_reference`."""
+    return [m for m in models(t, b) if is_pc_within_reference(m, t, b).is_yes]
+
+
 def diag_plus_star_set(a: FiniteStructure, k: int) -> FrozenSet:
     return frozenset(corpus.diag_plus_star(a, k))
 
@@ -865,7 +889,7 @@ def _hull_of_pc_models_reference(t: Theory, pcs: Sequence[FiniteStructure], b: B
 def kaiser_hull_bounded_reference(t: Theory, b: Budget) -> Tuple[DiagramSet, DiagramSet]:
     """`theories.kaiser_hull_bounded` over frozenset fragments."""
     pool = atom_pool(t.signature, b.k)
-    hull_set = _hull_of_pc_models_reference(t, bounded_pc_models(t, b), b)
+    hull_set = _hull_of_pc_models_reference(t, bounded_pc_models_reference(t, b), b)
     tu_set = _tu_of_models_reference(t, models(t, b), b)
     hull = tuple(
         HInductiveSentence((imp.to_implication(pool),))
@@ -882,7 +906,9 @@ def kaiser_hull_bounded_reference(t: Theory, b: Budget) -> Tuple[DiagramSet, Dia
 
 
 def jc_characterization_report_reference(t: Theory, b: Budget) -> Dict:
-    """`theories.jc_characterization_report` over frozenset fragments."""
+    """`theories.jc_characterization_report` over frozenset fragments, with
+    every model of size <= N listed and every condition computed over all
+    of them."""
     ms_n = models(t, b)
     ms_big = models(t, replace(b, n=b.N))
     cqs = corpus.cq_corpus(t.signature, b.k)
@@ -910,7 +936,7 @@ def jc_characterization_report_reference(t: Theory, b: Budget) -> Dict:
     tu_t = _tu_of_models_reference(t, ms_n, b)
     cond3 = any(tu_star_set(m, b.k) == tu_t for m in ms_n) if ms_n else True
     # (4) some model attains the bounded Kaiser hull
-    pcs = bounded_pc_models(t, b)
+    pcs = bounded_pc_models_reference(t, b)
     hull = _hull_of_pc_models_reference(t, pcs, b)
     cond4 = any(frozenset(corpus.ti_star(m, b.k)) == hull for m in ms_n) if ms_n else True
     # (5) bounded-pc models share T_u*

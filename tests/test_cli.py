@@ -242,6 +242,43 @@ def test_jc_says_yes_at_the_first_size_that_serves_every_pair(ws_file, capsys, f
     assert (data["verdict"], data["certificate"]) == ("yes", {"pairs_checked": 36})
 
 
+@pytest.mark.parametrize("flags", [["--N", "8"], ["--k", "5"]])
+def test_report_answers_at_the_size_that_settles_it(ws_file, capsys, flags):
+    # the one-point poset satisfies every CQ, which settles condition 2 at
+    # size 1 (listing the posets up to 8 points runs out of nodes), and it
+    # is the one bounded-pc poset, which settles conditions 4 and 5 with no
+    # implication corpus (at k = 5 it exceeds its candidate cap)
+    code = main(["report", ws_file, "--theory", "T_pos", *flags, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["is_jc"] == "yes" and list(data["conditions"].values()) == [True] * 5
+
+
+def test_pc_says_no_at_its_first_counterexample(ws_file, capsys):
+    # chain2 collapses onto the one-point poset, a hom that is not an
+    # immersion: no size past 1 is listed, so n = 7 names the same
+    # counterexample as n = 3 without listing the 2,450 posets up to 7 points
+    reports = []
+    for n in ("3", "7"):
+        assert main(["pc", ws_file, "--structure", "chain2", "--theory", "T_pos", "--n", n, "--json"]) == 1
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["certificate"] == reports[1]["certificate"]
+    assert reports[1]["certificate"]["hom"] == {"a": "a", "b": "a"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--theory", "T_pos", "--N", "4"],
+    ["pc", "--structure", "point", "--theory", "T_pos", "--n", "4"],
+], ids=["report", "pc-yes"])
+def test_a_size_still_read_runs_out_of_nodes(ws_file, capsys, argv):
+    # report reads the posets up to n = 3 for conditions 1 and 3, and a pc
+    # "yes" reads every size up to n: 20 nodes do not list 3 points
+    code = main([argv[0], ws_file, *argv[1:], "--node-cap", "20", "--json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "unknown: model search exceeded node cap 20\n"
+
+
 def test_models_past_node_cap_prints_unknown(ws_file, capsys):
     # one size's one-point extensions share the cap, as one search would
     code = main(["models", ws_file, "--theory", "T_pos", "--n", "4", "--node-cap", "20", "--json"])

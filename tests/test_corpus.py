@@ -15,7 +15,7 @@ from posmt.structures import FiniteStructure, Signature, element_names
 from posmt.textio import load_workspace
 from posmt.theories import Budget, jc_characterization_report, kaiser_hull_bounded
 
-from conftest import SIG_F, SIG_LE, make_theory
+from conftest import SIG_F, SIG_LE, T_APART, make_theory
 from oracles import (
     corpus_evaluator_reference, cq_corpus_reference, implication_corpus_reference, pp_formula,
 )
@@ -134,9 +134,8 @@ def test_each_corpus_built_once_per_hull(t_pos):
     assert corpus.implication_corpus.cache_info().misses == 0
 
 
-def test_report_lists_no_implication_corpus(t_pos, monkeypatch):
-    # report compares T_i* masks over the integer table: it builds no
-    # implication records and computes each model's mask once
+def _counting_ti_masks(monkeypatch):
+    """The structures whose T_i* mask is computed from here on."""
     real = corpus.CorpusEvaluator.ti_mask
     evaluated = []
 
@@ -145,11 +144,29 @@ def test_report_lists_no_implication_corpus(t_pos, monkeypatch):
         return real(ev)
 
     monkeypatch.setattr(corpus.CorpusEvaluator, "ti_mask", counting)
+    return evaluated
+
+
+def test_report_lists_no_implication_corpus(monkeypatch):
+    # with two bounded-pc models, p(a) and q(a), report compares T_i* masks
+    # over the integer table: it builds no implication records and computes
+    # each model's mask once
+    evaluated = _counting_ti_masks(monkeypatch)
     corpus.implication_corpus.cache_clear()
-    rep = jc_characterization_report(t_pos, Budget(N=4))
-    assert all(rep["conditions"].values())
+    rep = jc_characterization_report(T_APART, Budget(N=4))
+    assert not any(rep["conditions"].values())
     assert corpus.implication_corpus.cache_info().misses == 0
     assert evaluated and len(evaluated) == len(set(evaluated))
+
+
+def test_report_with_one_pc_model_computes_no_ti_mask(t_pos, monkeypatch):
+    # the one-point poset is the one bounded-pc poset: the hull is its T_i*,
+    # which it attains, so conditions 4 and 5 hold with no mask and no table
+    evaluated = _counting_ti_masks(monkeypatch)
+    corpus.implication_table.cache_clear()
+    rep = jc_characterization_report(t_pos, Budget(N=4))
+    assert all(rep["conditions"].values())
+    assert evaluated == [] and corpus.implication_table.cache_info().misses == 0
 
 
 def test_implication_corpus_cap_advises_lowering_k():

@@ -3,8 +3,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from enum import IntEnum
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +84,39 @@ def test_report_writer_prints_a_structure_shared_at_two_depths(structure, outer,
 def test_report_writer_prints_bools_as_json_literals():
     assert report_to_json({"b": True, "n": 1}) == (
         '{\n  "b": true,\n  "n": 1,\n  "schema": "posmt-report/1"\n}')
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+class _Ratio(float):
+    pass
+
+
+def test_report_writer_prints_scalar_subclasses_and_rejects_what_json_dumps_rejects():
+    # the scalars are printed without the json package, as its encoder
+    # prints them: int and float subclasses by the base type's repr
+    for value in (_Level.ONE, _Ratio(0.5), _Ratio("nan"), 2 ** 70, -0.0):
+        assert report_to_json({"x": value}) == json.dumps({"schema": SCHEMA, "x": value}, indent=2, sort_keys=True)
+    for value in ({1}, b"x", 1j, object()):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            report_to_json({"x": value})
+
+
+def test_cli_import_loads_no_json_package():
+    # the report writer takes its string encoder from `_json`, the C module
+    # that json.encoder wraps; importing the json package would cost every
+    # posmt process its start-up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    # -S: no site hooks, which may import json before posmt runs
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, posmt.cli; print('json' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_a_basis_report_converts_each_structure_once(monkeypatch):

@@ -17,6 +17,7 @@ from posmt.formulas import (
 )
 from posmt.morphisms import Morphism, search_homs
 from posmt.parser import parse_formula
+from posmt.records import replace
 from posmt.structures import (
     ELEMENT_NAMES, FiniteStructure, Orbits, Signature, enumerate_structures,
 )
@@ -30,12 +31,12 @@ from posmt.theories import (
 
 from posmt.textio import load_workspace
 
-from conftest import POSET_AXIOMS, SIG_F, SIG_LE, make_theory, run_optimised
+from conftest import POSET_AXIOMS, SIG_F, SIG_LE, T_APART, make_theory, run_optimised
 from oracles import (
     UNKNOWN, _hull_of_pc_models_reference, _Instance, _Partial, class_key,
     diag_plus_star_set,
     enumerate_structures_reference, eval_formula_reference, find_models_reference,
-    is_T_complete_pair_reference, is_jc_bounded_reference,
+    is_T_complete_pair_reference, is_jc_bounded_reference, is_pc_within_reference,
     jc_characterization_report_reference, kaiser_hull_bounded_reference, models_up_to_size_reference,
     seeded_cells, tu_ti_extremality_check,
 )
@@ -443,16 +444,20 @@ def test_kaiser_hull_computes_each_fragment_once(t_pos, monkeypatch):
 
 
 # each verdict lists each (theory, size) it needs once: (call, the largest
-# size listed, less n); a pc check used to list the models again for every
+# size listed, given n); a pc check used to list the models again for every
 # model it checked, and jc and report listed sizes up to n again when they
-# listed up to N; jc stops at size 1, where the one-point poset continues
-# every pair
+# listed up to N.  jc stops at size 1, where the one-point poset continues
+# every pair, and so does report, whose condition 2 that poset settles (it
+# satisfies every CQ); a pc "no" stops at its counterexample, the one-point
+# poset that the 2-chain collapses onto
+CHAIN2 = FiniteStructure(SIG_LE, ("a", "b"), {"le": frozenset({("a", "a"), ("a", "b"), ("b", "b")})})
 LISTINGS = [
-    (lambda t, n: kaiser_hull_bounded(t, Budget(n=n, k=2)), 0),
-    (lambda t, n: companion_check_bounded(t, t, Budget(n=n, k=2)), 0),
-    (lambda t, n: tu_ti_extremality_check(t, Budget(n=n, k=2)), 0),
-    (lambda t, n: is_jc_bounded(t, Budget(n=n - 1, N=n)), -1),
-    (lambda t, n: jc_characterization_report(t, Budget(n=n - 1, N=n, k=2)), 0),
+    (lambda t, n: kaiser_hull_bounded(t, Budget(n=n, k=2)), lambda n: n),
+    (lambda t, n: companion_check_bounded(t, t, Budget(n=n, k=2)), lambda n: n),
+    (lambda t, n: tu_ti_extremality_check(t, Budget(n=n, k=2)), lambda n: n),
+    (lambda t, n: is_jc_bounded(t, Budget(n=n - 1, N=n)), lambda n: n - 1),
+    (lambda t, n: jc_characterization_report(t, Budget(n=n - 1, N=n, k=2)), lambda n: n - 1),
+    (lambda t, n: is_pc_within(CHAIN2, t, Budget(n=n)), lambda n: 1),
 ]
 
 
@@ -473,11 +478,11 @@ def searched(monkeypatch):
 
 
 @pytest.mark.parametrize("verdict, top", LISTINGS,
-                         ids=["hull", "companion", "extremality", "jc", "report"])
+                         ids=["hull", "companion", "extremality", "jc", "report", "pc-no"])
 @pytest.mark.parametrize("n", [2, 4])
 def test_each_verdict_lists_each_model_set_once(t_pos, searched, verdict, top, n):
     verdict(t_pos, n)
-    assert sorted(size for _, size in searched) == list(range(1, n + top + 1))
+    assert sorted(size for _, size in searched) == list(range(1, top(n) + 1))
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -513,10 +518,13 @@ T_SPLIT = make_theory(SIG_PR, "hinductive: forall x y. p(x) & r(x,y) -> false;",
 
 
 @st.composite
-def small_universal_theories(draw):
+def small_universal_theories(draw, apart=False):
     """Up to three sentences `forall x y. premise -> conclusion` over {le/2}
-    or {p/1, r/2}, the conclusion an atom, `x = y` or `false`."""
-    sig = draw(st.sampled_from([SIG_LE, SIG_PR]))
+    or {p/1, r/2}, the conclusion an atom, `x = y` or `false`.  With
+    `apart`, over {p/1, r/2} and with `p(x) & r(y,y) -> false` added: a
+    model of p(a) and one of r(a,a) then meet in no model, so there are
+    often two bounded-pc models and a CQ-realizing model for neither."""
+    sig = SIG_PR if apart else draw(st.sampled_from([SIG_LE, SIG_PR]))
 
     def atom():
         name, arity = draw(st.sampled_from(sig.relations))
@@ -527,6 +535,8 @@ def small_universal_theories(draw):
         premise = " & ".join(atom() for _ in range(draw(st.integers(0, 2)))) or "true"
         conclusion = draw(st.sampled_from([atom(), "x = y", "false"]))
         sentences.append(f"hinductive: forall x y. {premise} -> {conclusion};")
+    if apart:
+        sentences.append("hinductive: forall x y. p(x) & r(y,y) -> false;")
     return make_theory(sig, "\n".join(sentences), "T_random")
 
 
@@ -549,20 +559,14 @@ def test_fragment_masks_match_frozenset_reference(t, n, extra, k):
     assert jc_characterization_report(t, b) == jc_characterization_report_reference(t, b)
 
 
-SIG_PQ = Signature.make(relations={"p": 1, "q": 1})
-# the models p(a) and q(a) meet in no model: jc says "no" at the first pair
-# that has p true and q true apart
-T_APART = make_theory(SIG_PQ, "huniversal: ! exists x y. p(x) & q(y);", "T_apart")
-
-
 def _outcome(verdict):
-    """A verdict's (status, certificate, notes), or the message of the
-    BudgetExceeded it raised."""
+    """A verdict's (status, certificate, notes), or a report as it is, or
+    the message of the BudgetExceeded it raised."""
     try:
         v = verdict()
     except BudgetExceeded as exc:
         return str(exc)
-    return v.status, v.certificate, v.notes
+    return v if isinstance(v, dict) else (v.status, v.certificate, v.notes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -587,6 +591,61 @@ def test_continuation_verdict_matches_the_loop_that_searches_afresh(t, n, N, nod
         expected, got = _outcome(reference), _outcome(fast)
         if isinstance(expected, str) and got != expected:
             assert got[0] == "yes"
+        else:
+            assert got == expected
+
+
+T_POSETS = make_theory(SIG_LE, POSET_AXIOMS, "T_pos")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_universal_theories(), small_universal_theories(apart=True)), st.integers(1, 2), st.integers(0, 2), st.integers(1, 2),
+       st.sampled_from([5, 20, 10 ** 6]))
+@example(T_EMPTY, 2, 2, 2, 10 ** 6)  # no model, so no bounded-pc model
+@example(T_POSETS, 2, 2, 2, 10 ** 6)  # one bounded-pc model, the one-point poset
+@example(T_POSETS, 1, 2, 2, 5)
+@example(T_SPLIT, 1, 2, 1, 10 ** 6)  # two, p(a) and r(a, a)
+@example(T_APART, 2, 2, 2, 10 ** 6)  # two, and no model satisfies every CQ
+@example(T_APART, 1, 2, 1, 20)
+def test_report_matches_the_reference_that_lists_everything(t, n, extra, k, node_cap):
+    # the models of size <= N read a size at a time, up to the first that
+    # satisfies every CQ, and conditions 4 and 5 taken as true with one
+    # bounded-pc model: wherever the report that lists every model up to N
+    # and computes every condition over all of them decides, the report is
+    # the same; where it runs out of nodes, the report runs out with the
+    # same message or is the one that reference gives without a node cap.
+    # {p/1, r/2} has 46,752 structures up to 4 points, so N stays <= 3 there
+    N = min(n + extra, 3 if t.signature == SIG_PR else 4)
+    b = Budget(n=n, N=N, k=k, node_cap=node_cap)
+    expected, got = (_outcome(lambda: f(t, b)) for f in (jc_characterization_report_reference,
+                                                         jc_characterization_report))
+    if isinstance(expected, str) and got != expected:
+        uncapped = jc_characterization_report_reference(t, replace(b, node_cap=10 ** 6))
+        assert got == {**uncapped, "budget": b.as_dict()}
+    else:
+        assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_universal_theories(), small_universal_theories(apart=True)), st.integers(1, 3),
+       st.sampled_from([2, 5, 20, 10 ** 6]))
+@example(T_POSETS, 3, 10 ** 6)
+@example(T_POSETS, 3, 5)
+@example(T_APART, 3, 10 ** 6)
+def test_pc_check_matches_the_reference_that_lists_everything(t, n, node_cap):
+    # the models of size <= n read a size at a time, up to the first hom
+    # that is not an immersion: wherever the check that lists them all
+    # first decides, the verdict, its counterexample or its counts are the
+    # same; where it runs out of nodes, the check runs out with the same
+    # message or says "no" as it does without a node cap.  The sources are
+    # the models of size <= 2 ({p/1, r/2} has 832 structures on 3 points,
+    # so n stays <= 2 there)
+    n = min(n, 2) if t.signature == SIG_PR else n
+    b = Budget(n=n, node_cap=node_cap)
+    for m in models(t, Budget(n=min(n, 2))):
+        expected, got = (_outcome(lambda: f(m, t, b)) for f in (is_pc_within_reference, is_pc_within))
+        if isinstance(expected, str) and got != expected:
+            assert got[0] == "no" and got == _outcome(lambda: is_pc_within_reference(m, t, replace(b, node_cap=10 ** 6)))
         else:
             assert got == expected
 
