@@ -41,7 +41,7 @@ import random
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BudgetExceeded, PosmtError, SignatureError, StructureError
-from .finder import find_models
+from .finder import find_models, models_by_size
 from .morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
 )
@@ -287,13 +287,13 @@ def _enum_sizes(p: AmalgamationProblem) -> Tuple[int, bool]:
 
 def _apex_candidates(p: AmalgamationProblem, cap: int) -> Iterator[FiniteStructure]:
     """The apex pool up to size `cap` in order: the models of the problem's
-    theory, or every structure, up to isomorphism.  Each size is read only
-    when the solver reads that far, from the list each size is kept in
-    (`finder.models_of_size`, `structures.enumerate_structures`)."""
-    for size in range(1, cap + 1):
-        found = (enumerate_structures(p.f.target.signature, size) if p.theory is None
-                 else models(p.theory, Budget(n=size, N=size, k=p.budget.k, node_cap=p.budget.node_cap)))
-        yield from (d for d in found if d.size() == size)
+    theory, or every structure, up to isomorphism.  Each size is read once,
+    and only when the solver reads that far (`finder.models_by_size`,
+    `structures.enumerate_structures`)."""
+    if p.theory is None:
+        return enumerate_structures(p.f.target.signature, cap)
+    return itertools.chain.from_iterable(
+        models_by_size(p.theory.signature, p.theory.implications(), cap, p.budget.node_cap))
 
 
 def _tuple_counts(s: FiniteStructure) -> Tuple[int, ...]:

@@ -21,15 +21,25 @@ early ends the process by SIGPIPE, as it ends other Unix filters.
 Budgets default to (n=3, N=6, k=3, node cap 10^6).  A subcommand takes
 only the flags it reads (its row of `_COMMANDS`): any other flag is a
 usage error (exit 2), so no answer is printed beside a bound it ignored.
+
+How a command line is read (this paragraph is left out of `posmt --help`):
+`_parse_plain` reads it off `_COMMANDS` when it is plain, that is the
+subcommand, its files, then its flags, each flag a whole token and each
+value the next token, which does not start with "-" and passes the flag's
+type and choices, with every required flag given.  Any other line (`-h`,
+an unknown flag, `--flag=value`, a file after a flag, a missing or bad
+value) goes to the argparse parser `build_parser` makes from the same
+table, which prints the help or the usage error and exits.  Only then is
+argparse imported: with gettext it costs a start-up about 5 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
-from typing import Dict, List, Optional
+from types import SimpleNamespace
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .amalgamation import (
     AmalgamationProblem, AmalgamationSolution, THEOREM_IDS, check_basis,
@@ -60,7 +70,7 @@ _BOUND_HELP = {"n": "model-size bound", "N": "continuation-size bound",
                "k": "cq-size bound", "node_cap": "search node cap"}
 
 
-def _bounds(args: argparse.Namespace) -> Dict[str, int]:
+def _bounds(args: SimpleNamespace) -> Dict[str, int]:
     """The budget fields the command line sets, each checked positive."""
     bounds = {f: getattr(args, f) for f in _BOUND_HELP if getattr(args, f, None) is not None}
     for field, value in bounds.items():
@@ -69,7 +79,7 @@ def _bounds(args: argparse.Namespace) -> Dict[str, int]:
     return bounds
 
 
-def _budget(args: argparse.Namespace, *sizes: str) -> Budget:
+def _budget(args: SimpleNamespace, *sizes: str) -> Budget:
     """The budget the flags ask for, the defaults where none is taken.
     `sizes` names the fields the command uses as sizes of enumerated
     universes, checked against the element-name pool before any search."""
@@ -79,7 +89,7 @@ def _budget(args: argparse.Namespace, *sizes: str) -> Budget:
     return b
 
 
-def _workspace(args: argparse.Namespace) -> Workspace:
+def _workspace(args: SimpleNamespace) -> Workspace:
     texts = []
     for path in args.files:
         with open(path, "r", encoding="utf-8") as fh:
@@ -87,7 +97,7 @@ def _workspace(args: argparse.Namespace) -> Workspace:
     return load_workspace(texts)
 
 
-def _emit_verdict(v: Verdict, args: argparse.Namespace) -> int:
+def _emit_verdict(v: Verdict, args: SimpleNamespace) -> int:
     if args.json:
         print(report_to_json(verdict_to_json(v)))
     else:
@@ -115,7 +125,7 @@ def _print_structure(s: FiniteStructure, indent: str = "  ") -> None:
 # subcommands
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     for name in ws.problems:
         _problem_from_workspace(ws, name, {}, False).validate_in_kinds()
@@ -130,7 +140,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-def cmd_models(args: argparse.Namespace) -> int:
+def cmd_models(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args, "n")
     t = ws.theory(args.theory)
@@ -146,7 +156,7 @@ def cmd_models(args: argparse.Namespace) -> int:
     return EXIT_YES if ms else EXIT_NO
 
 
-def cmd_homs(args: argparse.Namespace) -> int:
+def cmd_homs(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args)
     src = ws.structure(args.src)
@@ -165,7 +175,7 @@ def cmd_homs(args: argparse.Namespace) -> int:
     return EXIT_YES if homs else EXIT_NO
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     m = ws.morphism(args.morphism)
     kind = classify_morphism(m)
@@ -184,14 +194,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-def cmd_pc(args: argparse.Namespace) -> int:
+def cmd_pc(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args, "n")
     v = is_pc_within(ws.structure(args.structure), ws.theory(args.theory), b)
     return _emit_verdict(v, args)
 
 
-def cmd_jc(args: argparse.Namespace) -> int:
+def cmd_jc(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args, "n", "N")
     theories = [ws.theory(name) for name in args.theory]
@@ -204,21 +214,21 @@ def cmd_jc(args: argparse.Namespace) -> int:
     return _emit_verdict(v, args)
 
 
-def cmd_tcomplete(args: argparse.Namespace) -> int:
+def cmd_tcomplete(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args, "n", "N")
     v = is_T_complete_pair(ws.theory(args.t1), ws.theory(args.t2), ws.theory(args.theory), b)
     return _emit_verdict(v, args)
 
 
-def cmd_companion(args: argparse.Namespace) -> int:
+def cmd_companion(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args, "n")
     v = companion_check_bounded(ws.theory(args.t1), ws.theory(args.t2), b)
     return _emit_verdict(v, args)
 
 
-def cmd_hull(args: argparse.Namespace) -> int:
+def cmd_hull(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args, "n")
     hull, tu = kaiser_hull_bounded(ws.theory(args.theory), b)
@@ -259,7 +269,7 @@ def _problem_from_workspace(ws: Workspace, name: str, bounds: Dict[str, int],
     )
 
 
-def cmd_amalgamate(args: argparse.Namespace) -> int:
+def cmd_amalgamate(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     p = _problem_from_workspace(ws, args.problem, _bounds(args), args.strict_strong)
     result = solve_amalgamation(p)
@@ -286,7 +296,7 @@ def cmd_amalgamate(args: argparse.Namespace) -> int:
     return _emit_verdict(result, args)
 
 
-def cmd_basis(args: argparse.Namespace) -> int:
+def cmd_basis(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args, "n")
     theory = ws.theory(args.theory) if args.theory else None
@@ -305,7 +315,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     return _STATUS_CODE[report.verdict.status]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     b = _budget(args, "n")
     report = verify_theorem(args.theorem, args.seed, b, args.instances)
     ok = report["rate"] == 1.0 and not report["red_flags"]
@@ -318,7 +328,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_YES if ok else EXIT_UNKNOWN
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     b = _budget(args, "n", "N")
     rep = jc_characterization_report(ws.theory(args.theory), b)
@@ -383,28 +393,81 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, when `command` names one, of
-    that one alone: it parses that subcommand's command lines as the full
-    parser does."""
-    ap = argparse.ArgumentParser(prog="posmt", description=__doc__,
+def _arguments(name: str) -> Iterator[Tuple[str, Dict]]:
+    """Subcommand `name`'s arguments, in order, as (flag or "files",
+    `add_argument` keywords)."""
+    _, bounds, arguments = _COMMANDS[name]
+    if name != "verify":
+        yield "files", {"nargs": "+", "help": "workspace files to load"}
+    if name != "check":  # it prints one OK line per declaration
+        yield "--json", {"action": "store_true", "help": "machine-readable output"}
+    for field in bounds:
+        yield "--" + field.replace("_", "-"), {"type": int, "default": None, "help": _BOUND_HELP[field]}
+    yield from arguments
+
+
+def build_parser(command: Optional[str] = None):
+    """The argparse parser of every subcommand, or, when `command` names
+    one, of that one alone: it parses that subcommand's command lines as the
+    full parser does."""
+    import argparse  # here: a plain command line never needs it
+
+    description = __doc__.partition("\n\nHow a command line")[0] + "\n"
+    ap = argparse.ArgumentParser(prog="posmt", description=description,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
-        summary, bounds, arguments = _COMMANDS[name]
         # no abbreviations, so that a flag a subcommand does not take cannot
         # pass for one it does (`--n` for `--node-cap`, `--k` for `--kind`)
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        if name != "verify":
-            p.add_argument("files", nargs="+", help="workspace files to load")
-        if name != "check":  # it prints one OK line per declaration
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-        for field in bounds:
-            p.add_argument("--" + field.replace("_", "-"), type=int, default=None, help=_BOUND_HELP[field])
-        for flag, keywords in arguments:
+        p = sub.add_parser(name, help=_COMMANDS[name][0], allow_abbrev=False)
+        for flag, keywords in _arguments(name):
             p.add_argument(flag, **keywords)
         p.set_defaults(fn=globals()[f"cmd_{name}"])
     return ap
+
+
+def _parse_plain(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace `build_parser().parse_args(argv)` returns, read off
+    `_COMMANDS` when argv is plain (see the module docstring), else None.
+    It never prints and never exits."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name, rest = argv[0], argv[1:]
+    args: Dict = {"command": name, "fn": globals()[f"cmd_{name}"]}
+    flags = {}
+    for flag, keywords in _arguments(name):
+        if flag == "files":
+            count = next((i for i, token in enumerate(rest) if token.startswith("-")), len(rest))
+            if not count:
+                return None
+            args["files"], rest = rest[:count], rest[count:]
+            continue
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        args[dest] = False if keywords.get("action") == "store_true" else keywords.get("default")
+        flags[flag] = dest, keywords
+    tokens, given = iter(rest), set()
+    for flag in tokens:
+        if flag not in flags:
+            return None
+        dest, keywords = flags[flag]
+        given.add(flag)
+        action = keywords.get("action")
+        if action == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value fails as one starting with "-"
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[dest] = (args[dest] or []) + [value] if action == "append" else value
+    if any(keywords.get("required") and flag not in given for flag, (_, keywords) in flags.items()):
+        return None
+    return SimpleNamespace(**args)
 
 
 def _die_by_sigpipe() -> None:
@@ -433,7 +496,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(argv: List[str]) -> int:
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_plain(argv) or SimpleNamespace(
+        **vars(build_parser(argv[0] if argv else None).parse_args(argv)))
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

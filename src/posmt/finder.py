@@ -367,8 +367,9 @@ def models_of_size(sig: Signature, implications: Tuple[Implication, ...], size: 
 
     Each model met is coded (`Orbits.code`); the first met in a class has
     the codes of its orbit that a later search may meet marked, and is
-    keyed once, by its least image (`Orbits.least`); only representatives
-    are built.
+    keyed once, by its least image; both its images and that key are read
+    off one sum of its lanes (`Orbits.orbit`).  Only representatives are
+    built.
 
     A universal relational theory (relations only, and no conclusion with
     an existential quantifier) is closed under induced substructures, so
@@ -393,9 +394,9 @@ def models_of_size(sig: Signature, implications: Tuple[Implication, ...], size: 
         code = orbits.code(val)
         if code in marked:
             continue
-        images = orbits.images(code)
+        images, least = orbits.orbit(code)
         marked.update(itertools.compress(images, map(heads.__contains__, map(mask.__and__, images))))
-        classes.append((orbits.least(code), min(images) if extend else code))
+        classes.append((least, min(images) if extend else code))
     classes.sort()
     reps = tuple(code for _, code in classes)
     build = orbits.builder(element_names(size))

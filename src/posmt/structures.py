@@ -330,7 +330,15 @@ class Orbits:
         image whose set cells read first has the largest relation bits, and
         equal relation bits compare by the digits: the least image is the
         least field of `const - relations + digits`."""
-        relation_sum, digit_sum = self._sums(code)
+        return self._least(*self._sums(code))
+
+    def orbit(self, code: int):
+        """`(images(code), least(code))`, from one sum of the code's lanes."""
+        sums = self._sums(code)
+        return self._fields(sum(sums)), self._least(*sums)
+
+    def _least(self, relation_sum: int, digit_sum: int):
+        """`least`, from the code's two lane sums (`_sums`)."""
         high, low = divmod(min(self._fields(self._lanes[2] - relation_sum + digit_sum)), self.tail)
         unset = f"{high:0{self.offsets[-1]}b}"  # cell 0 first, "0" where the image sets it
         return tuple(tuple(i for i in range(cells) if unset[offset + i] == "0")

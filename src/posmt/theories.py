@@ -563,7 +563,9 @@ def companion_check_bounded(t1: Theory, t2: Theory, b: Budget) -> Verdict:
     if t1.signature != t2.signature:
         raise SignatureError("companionship requires a shared signature")
     pc1 = {m.canonical_key(): m for m in bounded_pc_models(t1, b)}
-    pc2 = {m.canonical_key(): m for m in bounded_pc_models(t2, b)}
+    # theories with the same implications have the same models, so the same list
+    pc2 = pc1 if t2.implications() == t1.implications() else {
+        m.canonical_key(): m for m in bounded_pc_models(t2, b)}
     if set(pc1) == set(pc2):
         return yes(b, {"pc_models": len(pc1)})
     only1 = [pc1[key] for key in sorted(set(pc1) - set(pc2))]

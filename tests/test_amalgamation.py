@@ -542,22 +542,45 @@ def test_inheritance_certifies_no_out_map_pair_that_breaks_disjointness(monkeypa
 
 @pytest.fixture()
 def pool_sizes(monkeypatch):
-    """The size bound of every apex-pool listing."""
+    """Each size an apex pool reads, in order, as it starts reading it."""
     from posmt import amalgamation
     sizes = []
-    real_enumerate, real_models = amalgamation.enumerate_structures, amalgamation.models
+    real_enumerate, real_by_size = amalgamation.enumerate_structures, amalgamation.models_by_size
 
     def enumerating(sig, max_size):
-        sizes.append(max_size)
-        return real_enumerate(sig, max_size)
+        size = 0
+        for d in real_enumerate(sig, max_size):
+            if d.size() != size:
+                size = d.size()
+                sizes.append(size)
+            yield d
 
-    def listing(t, b):
-        sizes.append(b.n)
-        return real_models(t, b)
+    def listing(sig, implications, max_size, node_cap=None):
+        for size, ms in enumerate(real_by_size(sig, implications, max_size, node_cap), 1):
+            sizes.append(size)
+            yield ms
 
     monkeypatch.setattr(amalgamation, "enumerate_structures", enumerating)
-    monkeypatch.setattr(amalgamation, "models", listing)
+    monkeypatch.setattr(amalgamation, "models_by_size", listing)
     return sizes
+
+
+@pytest.mark.parametrize("theory", [None, "T_pos"])
+def test_the_apex_pool_reads_each_size_once(monkeypatch, theory):
+    # the pool walks one listing up to the cap, in the order and with the
+    # node cap of the listing of every size at once
+    from posmt import amalgamation
+    t = make_theory(SIG_LE, POSET_AXIOMS, "T_pos") if theory else None
+    point = FiniteStructure(SIG_LE, ("a",), {"le": frozenset({("a", "a")})})
+    p = AmalgamationProblem(Morphism(point, point, {"a": "a"}), Morphism(point, point, {"a": "a"}),
+                            parse_kinds("hhhh"), theory=t, budget=Budget(N=4, node_cap=10 ** 5))
+    yielded = []
+    real = amalgamation.enumerate_structures
+    monkeypatch.setattr(amalgamation, "enumerate_structures",
+                        lambda sig, max_size: (yielded.append(d) or d for d in real(sig, max_size)))
+    pool = list(amalgamation._apex_candidates(p, 3))
+    assert tuple(pool) == apex_candidates_reference(t, SIG_LE, 3, 10 ** 5)
+    assert yielded == ([] if theory else pool)
 
 
 @pytest.mark.parametrize("seed", [0, 20])

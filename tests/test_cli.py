@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import contextlib
+import functools
 import gc
 import hashlib
+import importlib.util
+import io
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posmt import cli
 from posmt.cli import main
@@ -836,6 +843,132 @@ def test_main_builds_the_named_subparser_alone(monkeypatch, capsys, argv, built)
     assert "{" + ",".join(built) + "}" in parser.format_usage()
     if argv == ["--help"]:
         assert capsys.readouterr().out == real().format_help()
+
+
+# ---------------------------------------------------------------------------
+# the table parser, against argparse
+
+
+@functools.lru_cache(maxsize=None)
+def _full_parser():
+    return cli.build_parser()
+
+
+def _argparse_vars(argv):
+    """vars() of the namespace argparse builds for argv, None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_full_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _values(keywords, bad: bool):
+    """Values to try after a flag: its own good ones, or ones that fail its
+    type or choices or start with "-"."""
+    if "choices" in keywords:
+        good, wrong = list(keywords["choices"]), ["q", "H", "1"]
+    elif keywords.get("type") is int:
+        good, wrong = ["3", "0", " 7", "1_0", "12"], ["x", "1.5", "", "-2"]
+    elif "type" in keywords:  # --kinds
+        good, wrong = ["iihh", "hhhh", "shei"], ["hhx", "hh", "HHHH", ""]
+    else:
+        good, wrong = ["T_pos", "a", "x=y", ""], []
+    if not bad:
+        return st.sampled_from(good)
+    return st.one_of(*(st.sampled_from(v) for v in (wrong, ["-", "--", "--json", "-h", "-a b"]) if v))
+
+
+_EVERY_FLAG = sorted({flag for name in cli._COMMANDS for flag, _ in cli._arguments(name)} - {"files"})
+
+
+@st.composite
+def command_lines(draw):
+    """Command lines drawn from `_COMMANDS`: files then flags, with every
+    required flag and now and then a bad value, and others with files after
+    the flags, repeated, missing and foreign flags, `--flag=value`, help
+    flags and `--`."""
+    plain = draw(st.booleans())
+    names = list(cli._COMMANDS) + ([] if plain else ["no-such", "-h", "--he"])
+    name = draw(st.sampled_from(names))
+    own = dict(cli._arguments(name)) if name in cli._COMMANDS else {}
+    files = ["a.posmt", "b", ""] + ([] if plain else ["-", "-x"])
+    many = 2 if "files" in own or not plain else 0  # verify takes none
+    argv = [name] + draw(st.lists(st.sampled_from(files), min_size=min(many, int(plain)), max_size=many))
+    flags = [f for f, k in own.items() if k.get("required")] if plain or draw(st.booleans()) else []
+    flags += draw(st.lists(st.sampled_from(sorted(set(own) - {"files"}) or ["--json"]), max_size=4))
+    forms = ["plain"] * 4 + ["bad"] + ([] if plain else ["foreign", "equals", "help", "dashes", "file", "none"])
+    for flag in draw(st.permutations(flags)):
+        keywords, form = own.get(flag, {}), draw(st.sampled_from(forms))
+        if form == "foreign":
+            flag = draw(st.sampled_from(_EVERY_FLAG + ["--no-such", "-n", "--node"]))
+        elif form == "equals":
+            argv.append(f"{flag}={draw(_values(keywords, False))}")
+            continue
+        elif form in ("help", "dashes", "file"):
+            argv.append({"help": draw(st.sampled_from(["-h", "--help"])), "dashes": "--", "file": "late.posmt"}[form])
+        argv.append(flag)
+        if keywords.get("action") != "store_true" and form != "none":
+            argv.append(draw(_values(keywords, form == "bad")))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["homs", "a", "--from", "x", "--to", "y", "--kind", "q"])
+@example(["verify", "--theorem", "q"])
+@example(["verify", "--theorem", "inheritance", "--seed", "1.5"])
+@example(["basis", "a", "--structure", "s", "--kinds", "hhx"])
+@example(["models", "a", "--theory", "-h"])
+@example(["jc", "a", "--theory", "T", "--json", "--theory", "U", "--json"])
+def test_the_table_parser_builds_what_argparse_builds(argv):
+    # wherever the table parser reads a line, argparse reads it to the same
+    # namespace; where argparse would print help or a usage error, the
+    # table parser leaves the line to it
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_vars(argv)
+
+
+def _quick_start_lines():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line.split("#")[0])[1:] for line in readme.splitlines() if line.startswith("posmt ")]
+
+
+def _benchmark_lines():
+    spec = importlib.util.spec_from_file_location("posmtbench", REPO / "perfbench" / "posmtbench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    setup = [["check", *(str(bench.DATA / f) for f in w["files"])] for w in bench.WORKLOADS.values()]
+    return setup + [bench.question_argv(q, seed) for w in bench.WORKLOADS.values()
+                    for q in w["questions"] for seed in (0, 20)]
+
+
+def test_benchmark_and_quick_start_lines_take_the_table_path():
+    quick, bench = _quick_start_lines(), _benchmark_lines()
+    assert len(quick) >= 12 and len(bench) == 3 + 2 * 19  # set-up checks, 19 questions at two seeds
+    for argv in quick + [argv + ["--json"] for argv in quick if argv[0] != "check"] + bench:
+        plain = cli._parse_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == _argparse_vars(argv)
+
+
+def test_a_plain_run_loads_neither_argparse_nor_gettext():
+    # argparse and the gettext it imports cost every posmt process about
+    # 5 ms; a plain command line never loads them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    data = str(REPO / "data" / "posets.posmt")
+    script = (
+        "import sys\n"
+        "from posmt.cli import main\n"
+        f"codes = [main(['check', {data!r}]), main(['models', {data!r}, '--theory', 'T_pos', '--n', '2']),\n"
+        "         main(['verify', '--theorem', 'ii-hh-strong', '--instances', '2', '--N', '4', '--json'])]\n"
+        "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    # -S: no site hooks, which may import either before posmt runs
+    err = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stderr
+    assert err.strip() == "[0, 0, 0] []"
 
 
 def test_hull_k3_json_is_the_recorded_output(capsys):

@@ -346,11 +346,12 @@ def test_orbit_lanes_match_the_per_permutation_reference(case):
     # the lane sums give every image in permutation order, the least image
     # and (for relation-only codes, as the least image as an int) the first
     # in cell order, as one permutation at a time does; wide relations
-    # exercise fields past 8 bytes
+    # exercise fields past 8 bytes; `orbit` gives both from one lane sum
     orbits, code = case
     images = orbit_images_reference(orbits, code)
     assert orbits.images(code) == images
     assert orbits.least(code) == least_reference(orbits, images)
+    assert orbits.orbit(code) == (images, least_reference(orbits, images))
     if orbits.digits == 0:
         assert min(orbits.images(code)) == first_in_cell_order_reference(orbits, images)
 

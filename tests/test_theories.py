@@ -77,17 +77,18 @@ def test_models_agree_with_enumeration_filter(t_pos):
 def test_models_key_each_class_once(t_pos, monkeypatch):
     # 242 labelled posets of size <= 4 in 1 + 2 + 5 + 16 classes: the least
     # image of a code is computed once per class, not once per labelled model
+    # (`Orbits._least` reads it for `Orbits.least` and `Orbits.orbit`)
     labelled = sum(len(list(find_models(SIG_LE, ELEMENT_NAMES[:n], t_pos.implications())))
                    for n in range(1, 5))
     assert labelled == 242
-    real = Orbits.least
+    real = Orbits._least
     calls = []
 
-    def counting(self, code):
-        calls.append(code)
-        return real(self, code)
+    def counting(self, *sums):
+        calls.append(sums)
+        return real(self, *sums)
 
-    monkeypatch.setattr(Orbits, "least", counting)
+    monkeypatch.setattr(Orbits, "_least", counting)
     assert len(models(t_pos, Budget(n=4))) == 24
     assert len(calls) == 24
 
@@ -170,6 +171,17 @@ def test_least_image_is_the_first_code_the_full_search_meets(theory, counts):
                 marked.update(images)
                 classes += 1
         assert classes == count
+
+
+@pytest.mark.parametrize("name", ["T_pos", "T_fix"])
+def test_each_new_class_sums_its_lanes_once(monkeypatch, t_pos, name):
+    # a class's images and its canonical key are read off one lane sum
+    t = t_pos if name == "T_pos" else make_theory(SIG_F, "positive: exists x. f(x) = x;")
+    finder.models_of_size(t.signature, t.implications(), 3, None)  # listed before counting
+    real, calls = Orbits._sums, []
+    monkeypatch.setattr(Orbits, "_sums", lambda self, code: calls.append(code) or real(self, code))
+    reps, _ = finder.models_of_size(t.signature, t.implications(), 4)
+    assert len(calls) == len(reps) == {"T_pos": 16, "T_fix": 13}[name]
 
 
 def test_tiny_node_cap_raises(t_pos):
@@ -384,6 +396,27 @@ def test_companion_redundant_axiom(t_pos):
         "T_pos2",
     )
     assert companion_check_bounded(t_pos, t2, SMALL).is_yes
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_companion_checks_each_model_once_when_the_implications_agree(monkeypatch, t_pos, n):
+    # a copy of the theory under another name has the same implications, so
+    # the same bounded-pc models: one pc check per model, and the verdict two
+    # lists give; a redundant axiom changes the implications, and each
+    # theory's models are checked
+    from posmt import theories
+    b = Budget(n=n, k=2)
+    copy = replace(t_pos, name="T_copy")
+    redundant = make_theory(SIG_LE, POSET_AXIOMS + "hinductive: forall x. true -> le(x,x);", "T_pos2")
+    pcs = {m.canonical_key(): m for m in bounded_pc_models(t_pos, b)}
+    calls = []
+    real = theories.is_pc_within
+    monkeypatch.setattr(theories, "is_pc_within", lambda m, t, b: calls.append(t) or real(m, t, b))
+    for t2, checks in ((copy, 1), (redundant, 2)):
+        calls.clear()
+        v = companion_check_bounded(t_pos, t2, b)
+        assert (v.status, v.certificate) == ("yes", {"pc_models": len(pcs)})
+        assert len(calls) == checks * len(models(t_pos, b))
 
 
 def test_companion_signature_mismatch(t_pos):
