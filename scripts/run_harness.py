@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from posmt.amalgamation import THEOREM_IDS, verify_theorem
+from posmt.harness import THEOREM_IDS, verify_theorem
 from posmt.theories import Budget
 
 

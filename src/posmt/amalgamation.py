@@ -21,8 +21,7 @@ to a strong problem).
 A basis check (`check_basis`) solves one instance per symmetry class when
 both out-kinds are h: instances that differ by wing automorphisms or by the
 B/C swap share a "yes", an exhaustive "no" or an "unknown" from a truncated
-apex search.  The theorem harness (`verify_theorem`) solves each distinct
-generated problem once and re-checks every instance's certificate.
+apex search.  The randomized theorem harness lives in `harness`.
 
 Every candidate is certified in full (`_certify`), but the conditions that
 the out-maps alone settle are decided before any search: the quotient
@@ -37,19 +36,13 @@ maps that send C outside g(A) off out_b's image.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import BudgetExceeded, PosmtError, SignatureError, StructureError
+from .errors import BudgetExceeded, SignatureError, StructureError
 from .finder import find_models, models_by_size
-from .morphisms import (
-    Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
-)
+from .morphisms import Morphism, MorphismKind, classify_morphism, enumerate_homs
 from .records import record
-from .structures import (
-    ELEMENT_NAMES, FiniteStructure, Orbits, Signature, UnionFind, element_names,
-    enumerate_structures,
-)
+from .structures import ELEMENT_NAMES, FiniteStructure, Orbits, UnionFind, enumerate_structures
 from .theories import Budget, Theory, Verdict, is_model, models, no, unknown
 
 NOT_STRONG = "strict mode refines strong amalgamation; the problem is not strong"
@@ -459,365 +452,3 @@ def check_basis(
     else:
         agg = Verdict("unknown", b, {"unknown": statuses.count("unknown")})
     return BasisReport(a, kinds, theory.name if theory else "all-structures", tuple(instances), agg)
-
-
-# ---------------------------------------------------------------------------
-# Theorem-verification harness
-
-
-def _rand_subuniverse(rng: random.Random, max_size: int) -> Tuple[str, ...]:
-    return element_names(max_size)[: rng.randint(1, max_size)]
-
-
-def random_structure(rng: random.Random, sig: Signature, max_size: int) -> FiniteStructure:
-    universe = _rand_subuniverse(rng, max_size)
-    relations = {}
-    for name, arity in sig.relations:
-        table = {
-            tup for tup in itertools.product(universe, repeat=arity) if rng.random() < 0.4
-        }
-        relations[name] = frozenset(table)
-    functions = {}
-    for name, arity in sig.functions:
-        functions[name] = {
-            args: rng.choice(universe) for args in itertools.product(universe, repeat=arity)
-        }
-    constants = {c: rng.choice(universe) for c in sig.constants}
-    return FiniteStructure(sig, universe, relations, functions, constants)
-
-
-POSET_SIG = Signature.make(relations={"le": 2})
-
-
-def random_poset(rng: random.Random, max_size: int) -> FiniteStructure:
-    universe = _rand_subuniverse(rng, max_size)
-    n = len(universe)
-    pairs = set()
-    for i in range(n):
-        pairs.add((universe[i], universe[i]))
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                pairs.add((universe[i], universe[j]))
-    # transitive closure of a DAG respecting the index order stays a poset
-    changed = True
-    while changed:
-        changed = False
-        for (x, y), (y2, z) in itertools.product(list(pairs), repeat=2):
-            if y == y2 and (x, z) not in pairs:
-                pairs.add((x, z))
-                changed = True
-    return FiniteStructure(POSET_SIG, universe, {"le": frozenset(pairs)}, {}, {})
-
-
-def poset_theory() -> Theory:
-    from .parser import parse_formula
-    sig = POSET_SIG
-    return Theory.make(sig, [
-        parse_formula("hinductive: forall x. true -> le(x,x)", sig),
-        parse_formula("hinductive: forall x y. le(x,y) & le(y,x) -> x=y", sig),
-        parse_formula("hinductive: forall x y z. le(x,y) & le(y,z) -> le(x,z)", sig),
-    ], "T_pos")
-
-
-def inflate(rng: random.Random, a: FiniteStructure, extra: int) -> Morphism:
-    """Immersion a -> b where b adds `extra` clones of elements of a; facts
-    on clones mirror their representatives, so collapsing them back is a
-    retraction."""
-    universe = list(a.universe)
-    rep = {e: e for e in a.universe}
-    for i in range(extra):
-        fresh = f"x{i}"
-        rep[fresh] = rng.choice(list(a.universe))
-        universe.append(fresh)
-    relations = {}
-    for name, arity in a.signature.relations:
-        table = a.rel(name)
-        relations[name] = frozenset(
-            tup for tup in itertools.product(universe, repeat=arity)
-            if tuple(rep[e] for e in tup) in table
-        )
-    functions = {}
-    for name, entries in a.functions.items():
-        functions[name] = {
-            args: a.func(name, tuple(rep[e] for e in args))
-            for args in itertools.product(universe, repeat=a.signature.function_arities[name])
-        }
-    b = FiniteStructure(a.signature, tuple(universe), relations, functions, dict(a.constants))
-    return Morphism(a, b, {e: e for e in a.universe})
-
-
-def disjoint_poset_extension(rng: random.Random, a: FiniteStructure, max_extra: int) -> Morphism:
-    """Immersion a -> b within posets: b = a plus a disjoint random poset
-    (the retraction collapses the new part onto one element of a)."""
-    extra = random_poset(rng, max(1, max_extra))
-    extra = extra.rename({e: f"x.{e}" for e in extra.universe})
-    universe = a.universe + extra.universe
-    pairs = set(a.rel("le")) | set(extra.rel("le"))
-    b = FiniteStructure(POSET_SIG, universe, {"le": frozenset(pairs)}, {}, {})
-    return Morphism(a, b, {e: e for e in a.universe})
-
-
-def iso_copy(a: FiniteStructure) -> Morphism:
-    renamed = a.rename({e: f"y.{e}" for e in a.universe})
-    return Morphism(a, renamed, {e: f"y.{e}" for e in a.universe})
-
-
-def random_hom_wing(rng: random.Random, a: FiniteStructure, wing: FiniteStructure) -> Optional[Morphism]:
-    homs = list(itertools.islice(search_homs(a, wing), 20))
-    if not homs:
-        return None
-    return Morphism(a, wing, rng.choice(homs))
-
-
-def embedding_extension(rng: random.Random, a: FiniteStructure, extra: int) -> Morphism:
-    """Embedding a -> b: add fresh elements and random facts that involve at
-    least one fresh element (facts among a-elements are reflected exactly)."""
-    universe = list(a.universe)
-    fresh = [f"x{i}" for i in range(extra)]
-    universe.extend(fresh)
-    relations = {}
-    for name, arity in a.signature.relations:
-        table = set(a.rel(name))
-        for tup in itertools.product(universe, repeat=arity):
-            if any(e in fresh for e in tup) and rng.random() < 0.3:
-                table.add(tup)
-        relations[name] = frozenset(table)
-    functions = {}
-    for name, arity in a.signature.functions:
-        entries = {}
-        for args in itertools.product(universe, repeat=arity):
-            if all(e in a.universe for e in args):
-                entries[args] = a.func(name, args)
-            else:
-                entries[args] = rng.choice(universe)
-        functions[name] = entries
-    b = FiniteStructure(a.signature, tuple(universe), relations, functions, dict(a.constants))
-    return Morphism(a, b, {e: e for e in a.universe})
-
-
-THEOREM_IDS = (
-    "si-si-strong", "ii-hh-strong", "ih-ih-strong", "h-strong-pc", "inheritance",
-    "example-1", "example-2", "example-3", "example-4", "example-5",
-    "example-6", "example-7",
-)
-
-
-def _gen_instance(
-    theorem: str, rng: random.Random, b: Budget, t_pos: Theory
-) -> Optional[AmalgamationProblem]:
-    if theorem == "si-si-strong":
-        # A immersed in B, strongly immersed in C (finite: an isomorphism)
-        a = random_structure(rng, POSET_SIG, b.n)
-        return AmalgamationProblem(
-            inflate(rng, a, rng.randint(1, 2)), iso_copy(a),
-            parse_kinds("issi"), None, strong=True, budget=b,
-        )
-    if theorem == "ii-hh-strong":
-        a = random_poset(rng, b.n)
-        f = disjoint_poset_extension(rng, a, 2)
-        g = disjoint_poset_extension(rng, a, 2)
-        return AmalgamationProblem(f, g, parse_kinds("iihh"), t_pos, strong=True, budget=b)
-    if theorem == "ih-ih-strong":
-        # per the proof: A immersed in B, continued in C; apex models
-        # T_i(C) u Diag+(B), i.e. C lands by an immersion, B by a hom
-        a = random_poset(rng, b.n)
-        f = disjoint_poset_extension(rng, a, 2)
-        g = random_hom_wing(rng, a, random_poset(rng, b.n))
-        if g is None:
-            return None
-        return AmalgamationProblem(f, g, parse_kinds("ihhi"), t_pos, strong=True, budget=b)
-    if theorem in ("h-strong-pc", "example-5"):
-        # the point is pc for T_pos; example 5 is the non-strong statement
-        point = FiniteStructure(POSET_SIG, ("a",), {"le": frozenset({("a", "a")})}, {}, {})
-        f = random_hom_wing(rng, point, random_poset(rng, b.n))
-        g = random_hom_wing(rng, point, random_poset(rng, b.n))
-        if f is None or g is None:
-            return None
-        return AmalgamationProblem(
-            f, g, parse_kinds("hhhh"), t_pos, strong=(theorem == "h-strong-pc"), budget=b
-        )
-    if theorem == "example-1":
-        # [i,h,s,h]: the immersed wing absorbs the hom wing through its
-        # retraction, so the hom wing's apex copy lands by a strong map
-        a = random_structure(rng, POSET_SIG, b.n)
-        f = random_hom_wing(rng, a, random_structure(rng, POSET_SIG, b.n))
-        if f is None:
-            return None
-        return AmalgamationProblem(f, inflate(rng, a, 1), parse_kinds("hish"), None, budget=b)
-    if theorem == "example-2":
-        # the non-strong form of the [s,i,s,i] theorem: same orientation
-        a = random_structure(rng, POSET_SIG, b.n)
-        return AmalgamationProblem(inflate(rng, a, 1), iso_copy(a), parse_kinds("issi"), None, budget=b)
-    if theorem == "example-3":
-        # [e,s]-asymmetric: the strong wing is a copy of the base, the
-        # embedded wing is carried into the apex by the embedding itself
-        a = random_structure(rng, POSET_SIG, b.n)
-        return AmalgamationProblem(
-            iso_copy(a), embedding_extension(rng, a, 1), parse_kinds("sees"), None, budget=b
-        )
-    if theorem == "example-4":
-        # non-strong [i,h]-asymmetric, oriented as in the ih-ih proof
-        a = random_structure(rng, POSET_SIG, b.n)
-        g = random_hom_wing(rng, a, random_structure(rng, POSET_SIG, b.n))
-        if g is None:
-            return None
-        return AmalgamationProblem(inflate(rng, a, 1), g, parse_kinds("ihhi"), None, budget=b)
-    if theorem == "example-7":
-        a = random_structure(rng, POSET_SIG, b.n)
-        return AmalgamationProblem(iso_copy(a), iso_copy(a), parse_kinds("ssss"), None, budget=b)
-    raise ValueError(f"unknown theorem id {theorem!r}")
-
-
-def _solver():
-    """`solve_amalgamation` for the problems of one harness run, which share
-    signature, kinds, class and budget: each distinct problem, by its
-    universes, facts and wing maps, is solved once."""
-    answers: Dict[Tuple, Union[AmalgamationSolution, Verdict]] = {}
-
-    def facts(s: FiniteStructure) -> Tuple:
-        return (s.universe, tuple(map(s.rel, s.signature.relation_arities)),
-                tuple(tuple(table.items()) for table in s.functions.values()), tuple(s.constants.items()))
-
-    def solve(p: AmalgamationProblem) -> Union[AmalgamationSolution, Verdict]:
-        base = p.base.universe
-        key = (facts(p.base), facts(p.f.target), facts(p.g.target),
-               tuple(map(p.f.map.__getitem__, base)), tuple(map(p.g.map.__getitem__, base)))
-        if key not in answers:
-            answers[key] = solve_amalgamation(p)
-        return answers[key]
-    return solve
-
-
-def verify_theorem(
-    theorem: str, seed: int, b: Budget, instances: int = 50
-) -> Dict:
-    """Run `instances` generated instances of the named statement.  Outcomes
-    are "witnessed" or "budget-exhausted"; a verified counterexample would be
-    reported as a red flag, never as a refutation (the guaranteed apexes may
-    be infinite)."""
-    if theorem not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    if instances < 1:
-        raise PosmtError("the instance count must be positive")
-    if theorem == "example-6":
-        return _verify_local_ring(b)
-    rng = random.Random(seed)
-    t_pos = poset_theory()
-    if theorem == "inheritance":
-        return _verify_inheritance(rng, b, instances, t_pos)
-    solve = _solver()
-    rows = []
-    witnessed = 0
-    red_flags = []
-    done = 0
-    while done < instances:
-        p = _gen_instance(theorem, rng, b, t_pos)
-        if p is None:
-            continue
-        done += 1
-        result = solve(p)
-        if isinstance(result, AmalgamationSolution):
-            if not verify_solution(p, result):
-                raise PosmtError("a solver solution failed its certificate re-check")
-            witnessed += 1
-            rows.append({"outcome": "witnessed", "apex_size": result.apex.size()})
-        else:
-            outcome = "budget-exhausted"
-            if result.status == "no":
-                # exhaustive miss below N: a red flag, not a refutation
-                red_flags.append({"instance": done, "notes": result.notes})
-            rows.append({"outcome": outcome})
-    return {
-        "theorem": theorem,
-        "instances": done,
-        "witnessed": witnessed,
-        "rate": witnessed / done,
-        "red_flags": red_flags,
-        "rows": rows,
-        "budget": b.as_dict(),
-        "seed": seed,
-    }
-
-
-def _verify_inheritance(rng: random.Random, b: Budget, instances: int, t: Theory) -> Dict:
-    """B an [h]-strong basis at bound and A immersed in B: A's [h]-strong
-    instances should be solvable at bound too."""
-    if b.n < 2:
-        raise PosmtError("the inheritance harness needs n >= 2: B is A plus one point")
-    solve = _solver()
-    rows = []
-    witnessed = 0
-    red_flags = []
-    done = 0
-    while done < instances:
-        a = random_poset(rng, b.n - 1)
-        big = disjoint_poset_extension(rng, a, 1).target
-        done += 1
-        f = random_hom_wing(rng, a, random_poset(rng, b.n))
-        g = random_hom_wing(rng, a, random_poset(rng, b.n))
-        if f is None or g is None:
-            continue
-        # premise: the corresponding instances of big are solvable
-        fb = random_hom_wing(rng, big, random_poset(rng, b.n))
-        gb = random_hom_wing(rng, big, random_poset(rng, b.n))
-        premise_ok = True
-        if fb is not None and gb is not None:
-            pb = AmalgamationProblem(fb, gb, parse_kinds("hhhh"), t, strong=True, budget=b)
-            premise_ok = isinstance(solve(pb), AmalgamationSolution)
-        p = AmalgamationProblem(f, g, parse_kinds("hhhh"), t, strong=True, budget=b)
-        result = solve(p)
-        ok = isinstance(result, AmalgamationSolution)
-        if ok:
-            if not verify_solution(p, result):
-                raise PosmtError("a solver solution failed its certificate re-check")
-            witnessed += 1
-        elif premise_ok and result.status == "no":
-            red_flags.append({"instance": done, "notes": result.notes})
-        rows.append({"outcome": "witnessed" if ok else "budget-exhausted", "premise_ok": premise_ok})
-    return {
-        "theorem": "inheritance", "instances": done, "witnessed": witnessed,
-        "rate": witnessed / done, "red_flags": red_flags,
-        "rows": rows, "budget": b.as_dict(),
-    }
-
-
-def ring_theory() -> Theory:
-    from .parser import parse_formula
-    sig = Signature.make(functions={"add": 2, "mul": 2, "neg": 1}, constants=["zero", "one"])
-    axioms = [
-        "hinductive: forall x y z. true -> add(add(x,y),z) = add(x,add(y,z))",
-        "hinductive: forall x y. true -> add(x,y) = add(y,x)",
-        "hinductive: forall x. true -> add(x,zero) = x",
-        "hinductive: forall x. true -> add(x,neg(x)) = zero",
-        "hinductive: forall x y z. true -> mul(mul(x,y),z) = mul(x,mul(y,z))",
-        "hinductive: forall x y. true -> mul(x,y) = mul(y,x)",
-        "hinductive: forall x. true -> mul(x,one) = x",
-        "hinductive: forall x y z. true -> mul(x,add(y,z)) = add(mul(x,y),mul(x,z))",
-    ]
-    return Theory.make(sig, [parse_formula(s, sig) for s in axioms], "T_ring")
-
-
-def _verify_local_ring(b: Budget) -> Dict:
-    """Desk-scale instance of the local-ring fact: Z/2 (a local ring) is an
-    [h]-amalgamation basis within the bounded class of rings."""
-    t = ring_theory()
-    sig = t.signature
-    z2 = FiniteStructure(
-        sig, ("a", "b"), {},
-        {
-            "add": {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "a"},
-            "mul": {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "a", ("b", "b"): "b"},
-            "neg": {("a",): "a", ("b",): "b"},
-        },
-        {"zero": "a", "one": "b"},
-    )
-    report = check_basis(z2, "hhhh", t, Budget(n=2, N=min(b.N, 4), k=b.k, node_cap=b.node_cap))
-    return {
-        "theorem": "example-6",
-        "instances": len(report.instances),
-        "witnessed": sum(1 for i in report.instances if i["status"] == "yes"),
-        "rate": 1.0 if report.verdict.is_yes else 0.0,
-        "red_flags": [] if report.verdict.status != "no" else [{"verdict": "no"}],
-        "rows": [{"outcome": "witnessed" if i["status"] == "yes" else "budget-exhausted"} for i in report.instances],
-        "budget": b.as_dict(),
-    }

@@ -42,10 +42,10 @@ from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .amalgamation import (
-    AmalgamationProblem, AmalgamationSolution, THEOREM_IDS, check_basis,
-    parse_kinds, solve_amalgamation, verify_theorem,
+    AmalgamationProblem, AmalgamationSolution, check_basis, parse_kinds, solve_amalgamation,
 )
 from .errors import BudgetExceeded, ParseError, PosmtError, StructureError
+from .harness import THEOREM_IDS, verify_theorem
 from .morphisms import MorphismKind, classify_morphism, enumerate_homs
 from .structures import FiniteStructure, element_names
 from .theories import (

@@ -125,10 +125,3 @@ def record(cls=None, *, frozen: bool = False, eq: bool = True):
         cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
-
-def replace(obj, **changes):
-    """A new record like `obj` with the given fields changed; `__init__`
-    and `__post_init__` run again, so the new record is checked."""
-    values = {name: getattr(obj, name) for name in type(obj).__record_fields__}
-    values.update(changes)
-    return type(obj)(**values)

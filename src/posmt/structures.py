@@ -173,7 +173,8 @@ class FiniteStructure:
         return self.signature == other.signature and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash((self.signature, self.key()))
+        # equal structures have equal keys; `__eq__` also compares signatures
+        return hash(self.key())
 
     def canonical_key(self):
         """Iso-invariant encoding: the size and the least image of the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import corpus
 from .errors import FormulaError, SignatureError, StructureError
@@ -271,67 +271,57 @@ def _merge_signatures(sigs: Sequence[Signature]) -> Signature:
 def _ground_refutation(sig: Signature, implications: Sequence[Implication]) -> Optional[Dict]:
     """Congruence closure over ground constant facts: detect an atomic clash
     between unconditional positive facts and ground h-universal constraints.
-    Returns a refutation certificate or None (inconclusive)."""
-
-    def ground_const(t) -> Optional[str]:
-        return t.name if isinstance(t, Const) else None
-
+    Returns a refutation certificate or None (inconclusive).  Only
+    implications without variables count: one with premise `true` asserts
+    the ground atoms of its conclusion's conjunction, and one with a falsum
+    conclusion (`exists x. false` too) over exactly one ground atom denies
+    that atom."""
     uf = UnionFind(sig.constants)
-    find, union = uf.find, uf.union
-    facts: Set[Tuple[str, Tuple[str, ...]]] = set()
-    forbidden: List[Tuple] = []  # ("rel", name, consts) or ("eq", c1, c2)
+    facts: List[Tuple[str, Tuple[str, ...]]] = []
+    denials: List[Tuple] = []  # (atom, its constants)
     for imp in implications:
-        trivial_premise = not imp.vars and not imp.premise.vars and _is_truth(imp.premise)
-        if trivial_premise and not imp.conclusion.vars:
-            for atom in _conj_atoms(imp.conclusion.matrix):
+        if imp.vars or imp.premise.vars:
+            continue
+        asserted = imp.premise == TRUE_POSEX and not imp.conclusion.vars
+        if not asserted and not isinstance(imp.conclusion.matrix, Falsum):
+            continue
+        atoms, parts = [], [imp.conclusion.matrix if asserted else imp.premise.matrix]
+        while parts:
+            part = parts.pop()
+            if isinstance(part, And):
+                parts.extend(part.parts)
+            else:
+                atoms.append(part)
+        ground = [(atom, names) for atom in atoms if (names := _constants(atom)) is not None]
+        if asserted:
+            for atom, names in ground:
                 if isinstance(atom, EqAtom):
-                    c1, c2 = ground_const(atom.left), ground_const(atom.right)
-                    if c1 and c2:
-                        union(c1, c2)
-                elif isinstance(atom, RelAtom):
-                    cs = tuple(ground_const(t) for t in atom.args)
-                    if all(cs):
-                        facts.add((atom.name, cs))
-        if _is_falsum_conclusion(imp) and not imp.vars and not imp.premise.vars:
-            atoms = _conj_atoms(imp.premise.matrix)
-            if len(atoms) == 1:
-                atom = atoms[0]
-                if isinstance(atom, EqAtom):
-                    c1, c2 = ground_const(atom.left), ground_const(atom.right)
-                    if c1 and c2:
-                        forbidden.append(("eq", c1, c2))
-                elif isinstance(atom, RelAtom):
-                    cs = tuple(ground_const(t) for t in atom.args)
-                    if all(cs):
-                        forbidden.append(("rel", atom.name, cs))
-    closed = {(name, tuple(find(c) for c in cs)) for name, cs in facts}
-    for item in forbidden:
-        if item[0] == "eq":
-            if find(item[1]) == find(item[2]):
-                return {"clash": f"{item[1]} = {item[2]} is both asserted and forbidden"}
-        else:
-            _, name, cs = item
-            if (name, tuple(find(c) for c in cs)) in closed:
-                args = ", ".join(cs)
-                return {"clash": f"{name}({args}) is both asserted and forbidden"}
+                    uf.union(*names)
+                else:
+                    facts.append((atom.name, names))
+        elif len(atoms) == 1 and ground:
+            denials.append(ground[0])
+    find = uf.find
+    closed = {(name, tuple(map(find, names))) for name, names in facts}
+    for atom, names in denials:
+        if isinstance(atom, EqAtom):
+            if find(names[0]) == find(names[1]):
+                return {"clash": f"{names[0]} = {names[1]} is both asserted and forbidden"}
+        elif (atom.name, tuple(map(find, names))) in closed:
+            return {"clash": f"{atom.name}({', '.join(names)}) is both asserted and forbidden"}
     return None
 
 
-def _is_truth(p: PosEx) -> bool:
-    return p == TRUE_POSEX
-
-
-def _is_falsum_conclusion(imp: Implication) -> bool:
-    return isinstance(imp.conclusion.matrix, Falsum)  # `exists x. false` counts too
-
-
-def _conj_atoms(matrix) -> List:
-    if isinstance(matrix, And):
-        out = []
-        for p in matrix.parts:
-            out.extend(_conj_atoms(p))
-        return out
-    return [matrix]
+def _constants(atom) -> Optional[Tuple[str, ...]]:
+    """The constant names of an EqAtom's two sides or a RelAtom's arguments
+    when all of them are constants, else None."""
+    if isinstance(atom, EqAtom):
+        terms = (atom.left, atom.right)
+    elif isinstance(atom, RelAtom):
+        terms = atom.args
+    else:
+        return None
+    return tuple(t.name for t in terms) if all(isinstance(t, Const) for t in terms) else None
 
 
 def joint_consistency_bounded(sets: Sequence[Union[DiagramSet, Theory]], b: Budget) -> Verdict:

@@ -93,6 +93,11 @@ sentences that parse back to the reference's trees, and
 The extremality check and `diag_plus_star_set`, which only tests call,
 live here too.
 
+The ground-refutation reference is `theories._ground_refutation` as it
+was before it became one loop with one helper: it tests each implication
+once as a fact and once as a denial.  The two must return the same
+certificate, or None, on every set of ground facts and denials.
+
 The amalgamation-solver reference is the solver as it was before it
 rejected candidates from their out-maps alone: it completes every quotient
 and lists every out-map pair, and leaves the strong-immersion kinds and the
@@ -131,7 +136,7 @@ from posmt.errors import BudgetExceeded, FormulaError, SignatureError, Structure
 from posmt.formulas import (
     And, Atom, Const, EqAtom, Exists, Falsum, Forall, Formula, GAnd, GOr,
     HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
-    PosEx, PosQF, RelAtom, Term, Truth, Var, free_vars,
+    PosEx, PosQF, RelAtom, TRUE_POSEX, Term, Truth, Var, free_vars,
 )
 from posmt.morphisms import Morphism, MorphismKind, is_immersion, is_strong_immersion, search_homs
 from posmt import corpus
@@ -139,11 +144,18 @@ from posmt.finder import find_models
 from posmt.structures import (
     FiniteStructure, Orbits, Signature, UnionFind, element_names, enumerate_structures,
 )
-from posmt.records import replace
 from posmt.textio import structure_to_json, verdict_to_json
 from posmt.theories import (
     Budget, DiagramSet, Theory, Verdict, bounded_pc_models, is_model, models, no, tu_star_set, yes,
 )
+
+
+def replace(obj, **changes):
+    """A new record like `obj` with the given fields changed; `__init__`
+    and `__post_init__` run again, so the new record is checked."""
+    values = {name: getattr(obj, name) for name in type(obj).__record_fields__}
+    values.update(changes)
+    return type(obj)(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1021,61 @@ def tu_ti_extremality_check(t: Theory, b: Budget) -> Verdict:
             if ti_a <= ti_b and ti_a != ti_b:
                 return no(b, {"pc": a, "model": other, "violated": "Ti* maximality"})
     return yes(b, {"pc_models": len(pcs), "models": len(ms)})
+
+
+def ground_refutation_reference(sig: Signature, implications: Sequence[Implication]) -> Optional[Dict]:
+    """Congruence closure over ground constant facts: detect an atomic clash
+    between unconditional positive facts and ground h-universal constraints.
+    Returns a refutation certificate or None (inconclusive)."""
+
+    def ground_const(t) -> Optional[str]:
+        return t.name if isinstance(t, Const) else None
+
+    def conj_atoms(matrix) -> List:
+        if isinstance(matrix, And):
+            return [atom for p in matrix.parts for atom in conj_atoms(p)]
+        return [matrix]
+
+    uf = UnionFind(sig.constants)
+    find, union = uf.find, uf.union
+    facts: Set[Tuple[str, Tuple[str, ...]]] = set()
+    forbidden: List[Tuple] = []  # ("rel", name, consts) or ("eq", c1, c2)
+    for imp in implications:
+        trivial_premise = not imp.vars and not imp.premise.vars and imp.premise == TRUE_POSEX
+        if trivial_premise and not imp.conclusion.vars:
+            for atom in conj_atoms(imp.conclusion.matrix):
+                if isinstance(atom, EqAtom):
+                    c1, c2 = ground_const(atom.left), ground_const(atom.right)
+                    if c1 and c2:
+                        union(c1, c2)
+                elif isinstance(atom, RelAtom):
+                    cs = tuple(ground_const(t) for t in atom.args)
+                    if all(cs):
+                        facts.add((atom.name, cs))
+        # `exists x. false` counts as a falsum conclusion too
+        if isinstance(imp.conclusion.matrix, Falsum) and not imp.vars and not imp.premise.vars:
+            atoms = conj_atoms(imp.premise.matrix)
+            if len(atoms) == 1:
+                atom = atoms[0]
+                if isinstance(atom, EqAtom):
+                    c1, c2 = ground_const(atom.left), ground_const(atom.right)
+                    if c1 and c2:
+                        forbidden.append(("eq", c1, c2))
+                elif isinstance(atom, RelAtom):
+                    cs = tuple(ground_const(t) for t in atom.args)
+                    if all(cs):
+                        forbidden.append(("rel", atom.name, cs))
+    closed = {(name, tuple(find(c) for c in cs)) for name, cs in facts}
+    for item in forbidden:
+        if item[0] == "eq":
+            if find(item[1]) == find(item[2]):
+                return {"clash": f"{item[1]} = {item[2]} is both asserted and forbidden"}
+        else:
+            _, name, cs = item
+            if (name, tuple(find(c) for c in cs)) in closed:
+                args = ", ".join(cs)
+                return {"clash": f"{name}({args}) is both asserted and forbidden"}
+    return None
 
 
 # ---------------------------------------------------------------------------

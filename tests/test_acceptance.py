@@ -12,11 +12,11 @@ import time
 
 from posmt import corpus
 from posmt.amalgamation import (
-    AmalgamationProblem, AmalgamationSolution, _gen_instance,
-    _solve_enumeration, _solve_quotient, parse_kinds, poset_theory,
+    AmalgamationProblem, AmalgamationSolution, _solve_enumeration, _solve_quotient, parse_kinds,
     solve_amalgamation, verify_solution,
 )
 from posmt.errors import StructureError
+from posmt.harness import _gen_instance, poset_theory
 from posmt.morphisms import (
     Morphism, MorphismKind, classify_morphism, find_hom, is_embedding,
     is_homomorphism, is_immersion, is_strong_immersion, search_homs,
@@ -30,7 +30,7 @@ from posmt.theories import (
 )
 
 from conftest import SIG_F, make_theory
-from oracles import ImmersionOracle, diag_plus_star_set
+from oracles import ImmersionOracle, diag_plus_star_set, replace
 
 
 def criterion(n: int):
@@ -127,7 +127,7 @@ def test_criterion_5_kind_chain(point, chain2):
 
 @criterion(6)
 def test_criterion_6_remark_suite():
-    from posmt.amalgamation import random_structure
+    from posmt.harness import random_structure
 
     rng = random.Random(2024)
     k = 3
@@ -186,17 +186,16 @@ def test_criterion_8_companionship_lemma(loop):
 @criterion(9)
 def test_criterion_9_amalgamation_theorems():
     start = time.monotonic()
-    from posmt.records import replace
-
     t_pos = poset_theory()
     for theorem in ("si-si-strong", "ii-hh-strong"):
         rng = random.Random(7)
         done = 0
         while done < 50:
-            p = _gen_instance(theorem, rng, Budget(n=3), t_pos)
-            if p is None:
+            drawn = _gen_instance(theorem, rng, Budget(n=3), t_pos)
+            if drawn is None:
                 continue
             done += 1
+            p = drawn[0]
             wings = p.f.target.size() + p.g.target.size()
             p = replace(p, budget=replace(p.budget, N=2 * wings))
             result = solve_amalgamation(p)

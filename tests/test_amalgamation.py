@@ -7,25 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posmt import amalgamation, morphisms
+from posmt import amalgamation, harness, morphisms
 from posmt.amalgamation import (
-    POSET_SIG, AmalgamationProblem, AmalgamationSolution, check_basis,
-    check_strong_condition, disjoint_poset_extension, embedding_extension, inflate,
-    iso_copy, parse_kinds, poset_theory, random_hom_wing, random_poset, random_structure,
-    solve_amalgamation, verify_solution, verify_theorem, THEOREM_IDS,
-    _gen_instance, _solve_enumeration, _solve_quotient,
+    AmalgamationProblem, AmalgamationSolution, check_basis, check_strong_condition, parse_kinds,
+    solve_amalgamation, verify_solution, _solve_enumeration, _solve_quotient,
 )
 from posmt.errors import BudgetExceeded, StructureError
+from posmt.harness import (
+    POSET_SIG, disjoint_poset_extension, embedding_extension, inflate, iso_copy, poset_theory,
+    random_hom_wing, random_poset, random_structure, verify_theorem, _gen_instance,
+)
 from posmt.morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, search_homs,
 )
-from posmt.records import replace
 from posmt.structures import FiniteStructure, Signature, enumerate_structures
 from posmt.theories import Budget, is_model, models
 
 from conftest import POSET_AXIOMS, SIG_LE, make_theory, run_optimised
 from oracles import (
-    _solve_quotient_reference, apex_candidates_reference, check_basis_reference,
+    _solve_quotient_reference, apex_candidates_reference, check_basis_reference, replace,
     solve_amalgamation_reference,
 )
 
@@ -174,8 +174,8 @@ def test_certificate_rejects_an_out_map_that_is_no_homomorphism(point, chain2, a
                    "reports the budget it was asked for; the fix changes pinned benchmark bytes")
 def test_example_6_reports_the_budget_it_checked_at(monkeypatch):
     used = []
-    real = amalgamation.check_basis
-    monkeypatch.setattr(amalgamation, "check_basis", lambda *a: used.append(a[3]) or real(*a))
+    real = harness.check_basis
+    monkeypatch.setattr(harness, "check_basis", lambda *a: used.append(a[3]) or real(*a))
     report = verify_theorem("example-6", 0, Budget(n=5, N=8))
     assert [b.as_dict() for b in used] == [report["budget"]]
 
@@ -433,9 +433,9 @@ def test_quotient_searches_pinned(monkeypatch, theorem, searched):
     rng, b, t_pos = random.Random(0), Budget(N=8), poset_theory()
     problems = []
     while len(problems) < 200:  # as verify_theorem draws them
-        p = _gen_instance(theorem, rng, b, t_pos)
-        if p is not None:
-            problems.append(p)
+        drawn = _gen_instance(theorem, rng, b, t_pos)
+        if drawn is not None:
+            problems.append(drawn[0])
     searches = _searches(monkeypatch)
     listed = set()
     for p in problems:
@@ -606,17 +606,15 @@ def test_unsolved_problem_lists_every_pool_size(pool_sizes, N, status, cap):
 
 @pytest.mark.parametrize("theorem", ["example-1", "inheritance"])
 def test_lazy_pool_answers_as_the_eager_pool(monkeypatch, theorem):
-    from posmt import amalgamation
-
     def outcomes():
-        real, seen = amalgamation.solve_amalgamation, []
+        real, seen = harness.solve_amalgamation, []
 
         def recording(p):
             result = real(p)
             seen.append(_outcome(result))
             return result
         with monkeypatch.context() as m:
-            m.setattr(amalgamation, "solve_amalgamation", recording)
+            m.setattr(harness, "solve_amalgamation", recording)
             verify_theorem(theorem, 0, Budget(N=8), instances=25)
         return seen
 
@@ -633,35 +631,16 @@ def test_lazy_pool_answers_as_the_eager_pool(monkeypatch, theorem):
 
 @pytest.mark.parametrize("theorem", ["ii-hh-strong", "ih-ih-strong", "h-strong-pc", "inheritance"])
 def test_verify_builds_poset_theory_once(monkeypatch, theorem):
-    from posmt import amalgamation
-    real, calls = amalgamation.poset_theory, []
+    real, calls = harness.poset_theory, []
 
     def counting():
         calls.append(theorem)
         return real()
 
-    monkeypatch.setattr(amalgamation, "poset_theory", counting)
+    monkeypatch.setattr(harness, "poset_theory", counting)
     report = verify_theorem(theorem, 0, Budget(n=3, N=6), instances=5)
     assert report["instances"] == 5
     assert len(calls) == 1
-
-
-def test_random_poset_is_model():
-    t = poset_theory()
-    rng = random.Random(3)
-    for _ in range(10):
-        s = random_poset(rng, 4)
-        from posmt.theories import is_model
-        assert is_model(s, t)
-
-
-def test_inflate_is_immersion():
-    rng = random.Random(5)
-    s = random_poset(rng, 3)
-    m = inflate(rng, s, extra=2)
-    from posmt.morphisms import is_immersion
-    assert m.source.key() == s.key()
-    assert is_immersion(m)
 
 
 def test_check_basis_point_hhhh(point, t_pos):
@@ -699,11 +678,12 @@ def test_check_basis_without_theory_pairs_every_wing(point):
 # basis reports, one solve per symmetry class
 
 
-def _solves(monkeypatch) -> list:
-    """The problems check_basis solves, one entry per solve."""
+def _solves(monkeypatch, module=amalgamation) -> list:
+    """The problems check_basis (or, through `module`, the harness) solves,
+    one entry per solve."""
     calls = []
-    real = amalgamation.solve_amalgamation
-    monkeypatch.setattr(amalgamation, "solve_amalgamation", lambda p: calls.append(p) or real(p))
+    real = module.solve_amalgamation
+    monkeypatch.setattr(module, "solve_amalgamation", lambda p: calls.append(p) or real(p))
     return calls
 
 
@@ -824,40 +804,27 @@ def test_verify_solves_each_distinct_problem_once(monkeypatch, theorem, distinct
     # inheritance, premise and conclusion), `distinct` differ in universes,
     # facts or wing maps; the report is the one that solves every instance,
     # and every witnessed instance has its certificate re-checked
-    solves = _solves(monkeypatch)
+    solves = _solves(monkeypatch, harness)
     checks = []
-    real_check = amalgamation.verify_solution
-    monkeypatch.setattr(amalgamation, "verify_solution", lambda p, sol: checks.append(p) or real_check(p, sol))
+    real_check = harness.verify_solution
+    monkeypatch.setattr(harness, "verify_solution", lambda p, sol: checks.append(p) or real_check(p, sol))
     report = verify_theorem(theorem, 0, Budget(N=8), instances=200)
     assert len(solves) == distinct
     assert len(checks) == report["witnessed"]
-    monkeypatch.setattr(amalgamation, "_solver", lambda: amalgamation.solve_amalgamation)
+    monkeypatch.setattr(harness, "_solver", lambda: harness.solve_amalgamation)
     assert verify_theorem(theorem, 0, Budget(N=8), instances=200) == report
-
-
-def test_verify_theorem_small():
-    report = verify_theorem("si-si-strong", seed=11, b=Budget(N=8), instances=4)
-    assert report["instances"] == 4
-    assert report["rate"] == 1.0
-    assert report["red_flags"] == []
-
-
-def test_verify_theorem_ids_known():
-    with pytest.raises(ValueError):
-        verify_theorem("no-such-theorem", seed=0, b=Budget(), instances=1)
-    assert "ii-hh-strong" in THEOREM_IDS
 
 
 # Under `python -O` a failed certificate re-check must still stop the
 # harness: the child exits 0 only if verify_theorem raises.
 RECHECK_UNDER_O = """
 import sys
-import posmt.amalgamation as am
+from posmt import harness
 from posmt.errors import PosmtError
 from posmt.theories import Budget
-am.verify_solution = lambda p, sol: False
+harness.verify_solution = lambda p, sol: False
 try:
-    am.verify_theorem(sys.argv[1], seed=11, b=Budget(N=8), instances=4)
+    harness.verify_theorem(sys.argv[1], seed=11, b=Budget(N=8), instances=4)
 except PosmtError as exc:
     print(exc)
     sys.exit(0)

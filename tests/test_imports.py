@@ -114,3 +114,12 @@ def test_readme_library_example_runs():
     sig = Signature.make(relations={"le": 2})
     one_point_poset = FiniteStructure(sig, ("a",), {"le": frozenset({("a", "a")})})
     assert out.getvalue() == f"{[one_point_poset]}\n"
+
+
+def test_the_solver_does_not_depend_on_the_harness():
+    # the harness draws random problems and calls the solver; the solver
+    # module neither draws nor calls back
+    path = SRC / "amalgamation.py"
+    relative = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module is None for alias in node.names}
+    assert not {"random", "harness", "posmt.harness"} & (set(imported_modules(path)) | relative)

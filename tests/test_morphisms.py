@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posmt import morphisms
-from posmt.amalgamation import random_structure
 from posmt.errors import BudgetExceeded, StructureError
+from posmt.harness import random_structure
 from posmt.morphisms import (
     Morphism, MorphismKind, classify_morphism, enumerate_homs, find_hom,
     is_embedding, is_homomorphism, is_immersion, is_strong_immersion,

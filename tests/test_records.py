@@ -27,12 +27,13 @@ from posmt.formulas import (
 )
 from posmt.morphisms import Morphism, MorphismKind
 from posmt.parser import Token
-from posmt.records import FrozenInstanceError, field, record, replace
+from posmt.records import FrozenInstanceError, field, record
 from posmt.structures import FiniteStructure, Signature
 from posmt.textio import RawProblem, Workspace
 from posmt.theories import Budget, DiagramSet, Verdict
 
 from conftest import POSET_AXIOMS, SIG_LE, make_theory
+from oracles import replace
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "posmt"
 

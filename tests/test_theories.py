@@ -12,12 +12,11 @@ from posmt import amalgamation, corpus, finder
 from posmt.errors import BudgetExceeded, SignatureError
 from posmt.finder import find_models, models_up_to_size
 from posmt.formulas import (
-    And, App, Const, EqAtom, Falsum, HInductiveSentence, HUniversalSentence,
+    FALSE_POSEX, TRUE_POSEX, And, App, Const, EqAtom, Falsum, HInductiveSentence, HUniversalSentence,
     Implication, Or, PosEx, RelAtom, Truth, Var,
 )
 from posmt.morphisms import Morphism, search_homs
 from posmt.parser import parse_formula
-from posmt.records import replace
 from posmt.structures import (
     ELEMENT_NAMES, FiniteStructure, Orbits, Signature, enumerate_structures,
 )
@@ -26,17 +25,17 @@ from posmt.theories import (
     expand_with_constants, is_T_complete_pair, is_jc_bounded, is_model,
     is_pc_within, jc_characterization_report, joint_consistency_bounded,
     kaiser_hull_bounded, kaiser_hull_set, models, pair_diagrams, theory_from_diagram,
-    tu_star_set,
+    tu_star_set, _ground_refutation,
 )
 
 from posmt.textio import load_workspace
 
 from conftest import POSET_AXIOMS, SIG_F, SIG_LE, T_APART, make_theory, run_optimised
 from oracles import (
-    UNKNOWN, _hull_of_pc_models_reference, _Instance, _Partial, class_key,
+    UNKNOWN, replace, _hull_of_pc_models_reference, _Instance, _Partial, class_key,
     diag_plus_star_set,
     enumerate_structures_reference, eval_formula_reference, find_models_reference,
-    is_T_complete_pair_reference, is_jc_bounded_reference, is_pc_within_reference,
+    ground_refutation_reference, is_T_complete_pair_reference, is_jc_bounded_reference, is_pc_within_reference,
     jc_characterization_report_reference, kaiser_hull_bounded_reference, models_up_to_size_reference,
     seeded_cells, tu_ti_extremality_check,
 )
@@ -321,6 +320,47 @@ def test_jc_atomic_contradiction(chain2):
     v = joint_consistency_bounded([full, clash], SMALL)
     assert v.status == "no"
     assert v.certificate  # ground refutation
+
+
+# random ground facts and denials over the constants a and b, with nested
+# conjunctions, Truth, falsum and `exists x. false`; function terms,
+# variables and multi-atom premises are drawn too, and each makes an atom
+# or an implication count for nothing
+GROUND_SIG = Signature.make(relations={"R": 1, "S": 2}, functions={"f": 1}, constants=["a", "b", "c"])
+_CONSTS = st.sampled_from("ab").map(Const)
+_TERMS = st.one_of(_CONSTS, _CONSTS, _CONSTS, _CONSTS.map(lambda c: App("f", (c,))))
+_ATOMS = st.one_of(_TERMS.map(lambda t: RelAtom("R", (t,))), st.builds(lambda s, t: RelAtom("S", (s, t)), _TERMS, _TERMS),
+                   st.builds(EqAtom, _TERMS, _TERMS), st.just(Truth()), st.just(Falsum()))
+_MATRICES = st.recursive(_ATOMS, lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+    lambda parts: And(tuple(parts))), max_leaves=4)
+_FALSUMS = st.sampled_from([FALSE_POSEX, PosEx(("x",), Falsum())])
+_VARS = st.sampled_from([(), (), (), ("x",)])  # mostly none, as only ground implications count
+_GROUND_IMPLICATIONS = st.one_of(
+    st.builds(Implication, _VARS, st.sampled_from([TRUE_POSEX, TRUE_POSEX, PosEx(("x",), Truth())]),
+              st.builds(PosEx, _VARS, _MATRICES)),  # facts
+    st.builds(Implication, _VARS, st.builds(PosEx, _VARS, st.one_of(_ATOMS, _MATRICES)), _FALSUMS),  # denials
+    st.builds(Implication, _VARS, st.builds(PosEx, _VARS, _MATRICES), st.builds(PosEx, _VARS, _MATRICES)))
+
+
+_R_A, _A_B = RelAtom("R", (Const("a"),)), EqAtom(Const("a"), Const("b"))
+
+
+def _ground(*texts):
+    return [imp for text in texts for imp in parse_formula(text, GROUND_SIG).conjuncts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_GROUND_IMPLICATIONS, max_size=8))
+@example(_ground("hinductive: true -> a = b", "hinductive: true -> S(a, c) & R(f(a))",
+                 "hinductive: S(b, c) -> false"))
+@example(_ground("hinductive: true -> (a = b & R(c)) & b = c", "hinductive: a = c -> exists x. false"))
+@example(_ground("hinductive: true -> R(a)", "hinductive: R(a) & R(f(a)) -> false"))  # two atoms deny nothing
+@example([  # an atom asserted or denied under a variable counts for nothing
+    Implication(("y",), TRUE_POSEX, PosEx((), _R_A)), Implication((), TRUE_POSEX, PosEx(("x",), _R_A)),
+    Implication((), PosEx((), _R_A), FALSE_POSEX), Implication((), TRUE_POSEX, PosEx((), _A_B)),
+    Implication(("y",), PosEx((), _A_B), FALSE_POSEX), Implication((), PosEx(("x",), _A_B), FALSE_POSEX)])
+def test_ground_refutation_matches_the_reference(implications):
+    assert _ground_refutation(GROUND_SIG, implications) == ground_refutation_reference(GROUND_SIG, implications)
 
 
 def test_is_jc_bounded(t_pos):
