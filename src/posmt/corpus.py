@@ -1,6 +1,7 @@
 """Bounded corpora of positive and h-inductive sentences.
 
-A corpus is parameterized by a variable pool v0..v(k-1) and an atom-count
+A corpus is parameterized by a variable pool v0..v(k-1) (a name that a
+constant has gets "_" appended, as `AtomPool` says) and an atom-count
 cap per side; CQ size is measured in variables, and the atom cap keeps the
 corpora finite at desk scale.  Each corpus lists the least member of each
 orbit under variable permutations.  Sides and free sets are numbered in
@@ -33,8 +34,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
-    FALSE_POSEX, And, App, Atom, Const, EqAtom, HUniversalSentence,
-    Implication, PosEx, RelAtom, Truth, Var,
+    FALSE_POSEX, And, App, Atom, Const, EqAtom, Implication, Not, PosEx,
+    RelAtom, Truth, Var,
 )
 from .errors import BudgetExceeded
 from .records import record
@@ -55,6 +56,13 @@ class AtomPool:
     def __init__(self, sig: Signature, k: int):
         self.sig = sig
         self.k = k
+        # variable i is named v<i>, with "_" appended while a constant has that name
+        self.names: List[str] = []
+        for i in range(k):
+            name = f"v{i}"
+            while name in sig.constants:
+                name += "_"
+            self.names.append(name)
         args: List[Tuple] = [("v", i) for i in range(k)]
         args += [("c", c) for c in sig.constants]
         atoms = [
@@ -68,7 +76,7 @@ class AtomPool:
         atoms += [("eq",) + tuple(sorted(p)) for p in pairs if "v" in (p[0][0], p[1][0])]
         self.atoms: Tuple[AtomCode, ...] = tuple(sorted(atoms))
         self.index: Dict[AtomCode, int] = {a: i for i, a in enumerate(self.atoms)}
-        self.texts: Dict[AtomCode, str] = {a: _atom_text(a) for a in self.atoms}
+        self.texts: Dict[AtomCode, str] = {a: self._atom_text(a) for a in self.atoms}
 
     @cached_property
     def asts(self) -> Dict[AtomCode, Atom]:
@@ -86,7 +94,17 @@ class AtomPool:
         return code[:2] + (tuple(pa(a) for a in code[2]),) + tuple(pa(a) for a in code[3:])
 
     def _term(self, arg) -> "Var | Const":
-        return Var(f"v{arg[1]}") if arg[0] == "v" else Const(arg[1])
+        return Var(self.names[arg[1]]) if arg[0] == "v" else Const(arg[1])
+
+    def _arg_text(self, arg) -> str:
+        return self.names[arg[1]] if arg[0] == "v" else arg[1]
+
+    def _atom_text(self, code: AtomCode) -> str:
+        """An atom as the parser reads it: `r(v0, c)`, `f(v0) = v1` or `v0 = c`."""
+        if code[0] == "eq":
+            return f"{self._arg_text(code[1])} = {self._arg_text(code[2])}"
+        app = f"{code[1]}({', '.join(map(self._arg_text, code[2]))})"
+        return app if code[0] == "rel" else f"{app} = {self._arg_text(code[3])}"
 
     def atom_ast(self, code: AtomCode) -> Atom:
         if code[0] == "rel":
@@ -101,28 +119,16 @@ def _args(code: AtomCode) -> Tuple:
     return code[1:] if code[0] == "eq" else code[2] + code[3:]
 
 
-def _bound(codes: Tuple[AtomCode, ...], free: Sequence[int]) -> List[str]:
+def _bound(pool: AtomPool, codes: Tuple[AtomCode, ...], free: Sequence[int]) -> List[str]:
     """The names of the variables of `codes` outside `free`, in order."""
-    return [f"v{i}" for i in sorted({a[1] for c in codes for a in _args(c) if a[0] == "v"}.difference(free))]
-
-
-def _arg_text(arg) -> str:
-    return f"v{arg[1]}" if arg[0] == "v" else arg[1]
-
-
-def _atom_text(code: AtomCode) -> str:
-    """An atom as the parser reads it: `r(v0, c)`, `f(v0) = v1` or `v0 = c`."""
-    if code[0] == "eq":
-        return f"{_arg_text(code[1])} = {_arg_text(code[2])}"
-    app = f"{code[1]}({', '.join(map(_arg_text, code[2]))})"
-    return app if code[0] == "rel" else f"{app} = {_arg_text(code[3])}"
+    return [pool.names[i] for i in sorted({a[1] for c in codes for a in _args(c) if a[0] == "v"}.difference(free))]
 
 
 def _side_text(pool: AtomPool, codes: Tuple[AtomCode, ...], free: Sequence[int] = ()) -> str:
     """The conjunction of `codes` closed existentially over its variables
     outside `free` (`_posex`), printed as the parser reads it:
     `exists v.. . atom & atom`, `atom` or `true`."""
-    bound = _bound(codes, free)
+    bound = _bound(pool, codes, free)
     matrix = " & ".join(map(pool.texts.__getitem__, codes)) or "true"
     return f"exists {' '.join(bound)}. {matrix}" if bound else matrix
 
@@ -138,7 +144,7 @@ def _posex(pool: AtomPool, codes: Tuple[AtomCode, ...], free: Sequence[int] = ()
     outside `free`."""
     atoms = tuple(pool.asts[c] for c in codes)
     matrix = Truth() if not atoms else (atoms[0] if len(atoms) == 1 else And(atoms))
-    return PosEx(tuple(_bound(codes, free)), matrix)
+    return PosEx(tuple(_bound(pool, codes, free)), matrix)
 
 
 @record(frozen=True)
@@ -150,8 +156,8 @@ class CQSentence:
     def to_posex(self, pool: AtomPool) -> PosEx:
         return _posex(pool, self.codes)
 
-    def negation(self, pool: AtomPool) -> HUniversalSentence:
-        return HUniversalSentence(self.to_posex(pool))
+    def negation(self, pool: AtomPool) -> Not:
+        return Not(self.to_posex(pool))
 
 
 @record(frozen=True)
@@ -167,7 +173,8 @@ class BoundedImplication:
 
     def to_implication(self, pool: AtomPool) -> Implication:
         concl = FALSE_POSEX if self.conclusion is None else _posex(pool, self.conclusion, self.free)
-        return Implication(tuple(f"v{i}" for i in sorted(self.free)), _posex(pool, self.premise, self.free), concl)
+        names = tuple(pool.names[i] for i in sorted(self.free))
+        return Implication(names, _posex(pool, self.premise, self.free), concl)
 
 
 def _subsets(n: int, most: int) -> List[Tuple[int, ...]]:
@@ -275,7 +282,7 @@ def hull_texts(sig: Signature, k: int, mask: int) -> Tuple[str, ...]:
     once and each row joins two of those strings."""
     pool = atom_pool(sig, k)
     codes, frees, rows = implication_table(sig, k)
-    heads = [f"hinductive: forall {' '.join(f'v{i}' for i in f)}. (" if f else "hinductive: (" for f in frees]
+    heads = [f"hinductive: forall {' '.join(pool.names[i] for i in f)}. (" if f else "hinductive: (" for f in frees]
 
     @lru_cache(maxsize=None)
     def side(r: int, f: int) -> str:

@@ -1,16 +1,17 @@
 """Formula ASTs, one normal form and evaluation.
 
-The positive fragment: atoms (relation, equality, falsum, truth) combined
-with AND/OR, existentially quantified (PosEx).  H-inductive sentences are
-conjunctions of universally closed implications between positive formulas;
-h-universal sentences are negations of positive sentences.  The general
-fragment (Not / Implies / Forall / Exists / GAnd / GOr over anything) holds
-what a `general:` sentence parses to.  One normal form decides what a
-theory may hold: `_positive_form` turns a formula into one positive
-existential formula or None, `as_implications` builds on it to encode every
-h-inductive shape as implications (and rejects any other), and
-`classify_sentence` reads a sentence's class off the same two.  Evaluation
-generates one Python function per formula and compiles it once
+One node class per connective: atoms (relation, equality, falsum, truth),
+And, Or, PosEx (exists), Implication (a universally closed positive
+premise -> positive conclusion), Not, Implies and Forall.  A node's class
+names its connective and nothing more: `hinductive:` sentences parse to an
+And of Implications, `huniversal:` ones to a Not over a PosEx, and a
+`general:` sentence to any of them.  One normal form decides what a theory
+may hold: `_positive_form` turns a formula into one positive existential
+formula or None (positive: exists over and/or of atoms), `as_implications`
+builds on it to encode every h-inductive shape as implications (and
+rejects any other), and `classify_sentence` reads a sentence's class
+(positive, h-universal: a negated positive, h-inductive) off the same two.
+Evaluation generates one Python function per formula and compiles it once
 (`compile_formula`): one `for` loop per quantified variable, each bound to
 a local of its own, and each premise conjunct tested as soon as its last
 variable is bound.  It is independent of the model finder and of the
@@ -92,12 +93,12 @@ Atom = Union[RelAtom, EqAtom, Falsum, Truth]
 
 @record(frozen=True)
 class And:
-    parts: Tuple["PosQF", ...]
+    parts: Tuple["Formula", ...]
 
 
 @record(frozen=True)
 class Or:
-    parts: Tuple["PosQF", ...]
+    parts: Tuple["Formula", ...]
 
 
 PosQF = Union[RelAtom, EqAtom, Falsum, Truth, And, Or]
@@ -105,10 +106,10 @@ PosQF = Union[RelAtom, EqAtom, Falsum, Truth, And, Or]
 
 @record(frozen=True)
 class PosEx:
-    """Existentially quantified positive formula exists x... . matrix."""
+    """exists vars. matrix; positive when its matrix is."""
 
     vars: Tuple[str, ...]
-    matrix: PosQF
+    matrix: "Formula"
 
 
 @record(frozen=True)
@@ -129,25 +130,6 @@ Implication.__hash__ = lambda self: self._hash
 
 
 @record(frozen=True)
-class HInductiveSentence:
-    conjuncts: Tuple[Implication, ...]
-
-    def __post_init__(self):
-        if not self.conjuncts:
-            raise FormulaError("h-inductive sentence needs at least one conjunct")
-
-
-@record(frozen=True)
-class HUniversalSentence:
-    """Negation of a closed positive formula."""
-
-    inner: PosEx
-
-
-# General fragment, for classification only.
-
-
-@record(frozen=True)
 class Not:
     sub: "Formula"
 
@@ -164,27 +146,7 @@ class Forall:
     sub: "Formula"
 
 
-@record(frozen=True)
-class Exists:
-    vars: Tuple[str, ...]
-    sub: "Formula"
-
-
-@record(frozen=True)
-class GAnd:
-    parts: Tuple["Formula", ...]
-
-
-@record(frozen=True)
-class GOr:
-    parts: Tuple["Formula", ...]
-
-
-Formula = Union[
-    RelAtom, EqAtom, Falsum, Truth, And, Or, PosEx, Implication,
-    HInductiveSentence, HUniversalSentence, Not, Implies, Forall, Exists,
-    GAnd, GOr,
-]
+Formula = Union[RelAtom, EqAtom, Falsum, Truth, And, Or, PosEx, Implication, Not, Implies, Forall]
 
 TRUE_POSEX = PosEx((), Truth())
 FALSE_POSEX = PosEx((), Falsum())
@@ -197,21 +159,17 @@ def free_vars(f: Formula) -> frozenset:
         return frozenset(term_vars(f.left) + term_vars(f.right))
     if isinstance(f, (Falsum, Truth)):
         return frozenset()
-    if isinstance(f, (And, Or, GAnd, GOr)):
+    if isinstance(f, (And, Or)):
         return frozenset().union(*(free_vars(p) for p in f.parts)) if f.parts else frozenset()
     if isinstance(f, PosEx):
         return free_vars(f.matrix) - frozenset(f.vars)
     if isinstance(f, Implication):
         return (free_vars(f.premise) | free_vars(f.conclusion)) - frozenset(f.vars)
-    if isinstance(f, HInductiveSentence):
-        return frozenset().union(*(free_vars(c) for c in f.conjuncts))
-    if isinstance(f, HUniversalSentence):
-        return free_vars(f.inner)
     if isinstance(f, Not):
         return free_vars(f.sub)
     if isinstance(f, Implies):
         return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, Forall):
         return free_vars(f.sub) - frozenset(f.vars)
     raise FormulaError(f"unknown formula node {f!r}")
 
@@ -278,19 +236,17 @@ class _Source:
             return f"({self.term(f.left)} == {self.term(f.right)})"
         if isinstance(f, RelAtom):
             return f"({self.args(f.args)} in {self.table('relation symbol', f.name, len(f.args))})"
-        if isinstance(f, (And, GAnd, HInductiveSentence, Or, GOr)):
-            parts = f.conjuncts if isinstance(f, HInductiveSentence) else f.parts
-            disjunction = isinstance(f, (Or, GOr))
-            if not parts:
+        if isinstance(f, (And, Or)):
+            disjunction = isinstance(f, Or)
+            if not f.parts:
                 return str(not disjunction)
-            return f"({(' or ' if disjunction else ' and ').join(map(self.expr, parts))})"
-        if isinstance(f, (Not, HUniversalSentence)):
-            return f"(not {self.expr(f.sub if isinstance(f, Not) else f.inner)})"
+            return f"({(' or ' if disjunction else ' and ').join(map(self.expr, f.parts))})"
+        if isinstance(f, Not):
+            return f"(not {self.expr(f.sub)})"
         if isinstance(f, Implies):
             return f"(not {self.expr(f.left)} or {self.expr(f.right)})"
-        if isinstance(f, (PosEx, Exists)):  # as not forall x. (body -> false), to share its loops
-            body = f.matrix if isinstance(f, PosEx) else f.sub
-            return f"(not {self.forall(f.vars, PosEx((), body), Falsum())})" if f.vars else self.expr(body)
+        if isinstance(f, PosEx):  # as not forall x. (matrix -> false), to share its loops
+            return f"(not {self.forall(f.vars, PosEx((), f.matrix), Falsum())})" if f.vars else self.expr(f.matrix)
         if isinstance(f, Forall):
             return self.forall(f.vars, None, f.sub)
         if isinstance(f, Implication):
@@ -321,8 +277,8 @@ class _Source:
         """Statements that return False when f is false: the conjuncts of a
         conjunction one after the other, and a universal closure as one
         `for` loop per variable with each guard at its depth."""
-        if isinstance(f, HInductiveSentence) or isinstance(f, (And, GAnd)) and f.parts:
-            for p in f.conjuncts if isinstance(f, HInductiveSentence) else f.parts:
+        if isinstance(f, And) and f.parts:
+            for p in f.parts:
                 self.require(p, depth)
             return
         if not isinstance(f, (Implication, Forall)):
@@ -393,24 +349,17 @@ def eval_formula(
 
 def _positive_form(f: Formula) -> Optional[PosEx]:
     """f as one positive existential formula `exists xs. matrix`, or None.
-    Quantifiers may only lead (a connective over a quantified part is not
-    positive here), and GAnd / GOr become And / Or."""
-    if isinstance(f, (PosEx, Exists)):
-        body = _positive_form(f.matrix if isinstance(f, PosEx) else f.sub)
+    Quantifiers may only lead: a connective over a quantified part is not
+    positive here."""
+    if isinstance(f, PosEx):
+        body = _positive_form(f.matrix)
         return None if body is None else PosEx(f.vars + body.vars, body.matrix)
-    if isinstance(f, (And, Or, GAnd, GOr)):
-        parts = [None if isinstance(p, (PosEx, Exists)) else _positive_form(p) for p in f.parts]
+    if isinstance(f, (And, Or)):
+        parts = [None if isinstance(p, PosEx) else _positive_form(p) for p in f.parts]
         if any(p is None for p in parts):
             return None
-        return PosEx((), (And if isinstance(f, (And, GAnd)) else Or)(tuple(p.matrix for p in parts)))
+        return PosEx((), type(f)(tuple(p.matrix for p in parts)))
     return PosEx((), f) if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)) else None
-
-
-def _negated(f: Formula) -> Optional[PosEx]:
-    """phi in positive form when f is the negation of a positive phi."""
-    if isinstance(f, HUniversalSentence):
-        return _positive_form(f.inner)
-    return _positive_form(f.sub) if isinstance(f, Not) else None
 
 
 def _universal(vs: Tuple[str, ...], f: Formula) -> Optional[Tuple[Implication, ...]]:
@@ -422,13 +371,13 @@ def _universal(vs: Tuple[str, ...], f: Formula) -> Optional[Tuple[Implication, .
     if isinstance(f, Implies):
         premise, conclusion = _positive_form(f.left), _positive_form(f.right)
         return None if premise is None or conclusion is None else (Implication(vs, premise, conclusion),)
-    inner = _negated(f)
+    inner = _positive_form(f.sub) if isinstance(f, Not) else None  # f is !phi, phi positive
     if inner is not None:
         return (Implication(vs + inner.vars, PosEx((), inner.matrix), FALSE_POSEX),)
     conclusion = _positive_form(f)
     if conclusion is not None:
         return (Implication(vs, TRUE_POSEX, conclusion),)
-    if isinstance(f, (And, GAnd)):
+    if isinstance(f, And):
         parts = [_universal(vs, p) for p in f.parts]
         return None if None in parts else tuple(i for p in parts for i in p)
     return None
@@ -438,14 +387,12 @@ def as_implications(f: Formula) -> Tuple[Implication, ...]:
     """The implications an h-inductive sentence encodes as: those of
     `_universal`, and a conjunction of h-inductive parts the implications of
     its parts.  Any other shape is a FormulaError."""
-    if isinstance(f, HInductiveSentence):
-        return f.conjuncts
     if isinstance(f, Implication):
         return (f,)
     imps = _universal((), f)
     if imps is not None:
         return imps
-    if isinstance(f, (And, GAnd)):
+    if isinstance(f, And):
         return tuple(i for p in f.parts for i in as_implications(p))
     raise FormulaError(f"not encodable as h-inductive: {f!r}")
 
@@ -457,7 +404,7 @@ def classify_sentence(f: Formula) -> str:
         raise FormulaError("classification requires a closed formula")
     if _positive_form(f) is not None:
         return "positive"
-    if _negated(f) is not None:
+    if isinstance(f, Not) and _positive_form(f.sub) is not None:
         return "h-universal"
     try:
         as_implications(f)

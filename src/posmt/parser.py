@@ -1,9 +1,10 @@
 """Tokenizer and recursive-descent parser for the formula grammar.
 
-Grammar sketch:
+Grammar sketch, each connective read into its one node class
+(`quantified` reads every prefix, `joined` every "&" and "|" level):
     sentences := ";"* [sentence (";"+ sentence)* ";"*]   (ends at "}" or eof)
-    sentence  := "hinductive:" impl (";" impl)*
-               | "huniversal:" "!" posex
+    sentence  := "hinductive:" impl (";" impl)*          (an And of Implications)
+               | "huniversal:" "!" posex                 (a Not)
                | "positive:" posex
                | "general:" general
     impl      := ["forall" names "."] posex "->" posex
@@ -12,6 +13,9 @@ Grammar sketch:
     and_f     := atom ("&" atom)*
     atom      := "true" | "false" | "(" or_f ")" | term ["=" term]
     term      := NAME ["(" term ("," term)* ")"]
+    general   := ("forall" | "exists") names "." general | or_g ["->" general]
+    or_g      := and_g ("|" and_g)*;   and_g := unary ("&" unary)*
+    unary     := "!" unary | "(" general ")" | general (at a quantifier) | atom
 
 Names are [a-z][a-zA-Z0-9_]*; user variables may not begin with "_".
 "#" starts a line comment.  Formulas nest at most MAX_DEPTH levels deep
@@ -25,8 +29,7 @@ from typing import Callable, List, Optional, Tuple, TypeVar
 
 from .errors import ParseError
 from .formulas import (
-    And, App, Const, EqAtom, Exists, Falsum, Forall, GAnd, GOr,
-    HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
+    And, App, Const, EqAtom, Falsum, Forall, Implication, Implies, Not, Or,
     PosEx, RelAtom, Truth, Var, Formula, Term,
 )
 from .records import record
@@ -169,6 +172,29 @@ class Parser:
             out.append(item())
         return out
 
+    def joined(self, item: Callable[[], Formula], sep: str, node: Callable) -> Formula:
+        """item (sep item)*, two or more items joined under `node`.  It
+        loops itself rather than through `sep_by`: each nesting level pays
+        its Python frames here."""
+        parts = [item()]
+        while self.at(sep):
+            self.next()
+            parts.append(item())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
+
+    def quantified(self, keyword: str, body: Callable[[], T]) -> Tuple[Tuple[str, ...], T]:
+        """[keyword names "."] body: the names, none without the prefix, and
+        body() read with them bound."""
+        if not self.at(keyword):
+            return (), body()
+        self.next()
+        names = self.parse_names()
+        self.expect(".")
+        self.bound.extend(names)
+        out = body()
+        del self.bound[-len(names):]
+        return names, out
+
     # -- grammar ----------------------------------------------------------
 
     def parse_names(self) -> Tuple[str, ...]:
@@ -229,23 +255,13 @@ class Parser:
         raise ParseError(f"a bare term {t.text!r} is not an atom", t.line, t.col)
 
     def parse_and(self):
-        parts = self.sep_by(self.parse_atom, "&")
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+        return self.joined(self.parse_atom, "&", And)
 
     def parse_or(self):
-        parts = self.sep_by(self.parse_and, "|")
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+        return self.joined(self.parse_and, "|", Or)
 
     def parse_posex(self) -> PosEx:
-        if self.at("exists"):
-            self.next()
-            names = self.parse_names()
-            self.expect(".")
-            self.bound.extend(names)
-            matrix = self.parse_or()
-            del self.bound[-len(names):]
-            return PosEx(names, matrix)
-        return PosEx((), self.parse_or())
+        return PosEx(*self.quantified("exists", self.parse_or))
 
     def parse_posex_opt_parens(self) -> PosEx:
         """A posex, possibly wrapped in one pair of parentheses (the hull is
@@ -261,68 +277,44 @@ class Parser:
             self.pos = save
         return self.parse_posex()
 
-    def parse_implication(self) -> Implication:
-        if self.at("forall"):
-            self.next()
-            names = self.parse_names()
-            self.expect(".")
-        else:
-            names = ()
-        self.bound.extend(names)
+    def parse_premise_and_conclusion(self) -> Tuple[PosEx, PosEx]:
         premise = self.parse_posex_opt_parens()
         self.expect("->")
-        conclusion = self.parse_posex_opt_parens()
-        if names:
-            del self.bound[-len(names):]
+        return premise, self.parse_posex_opt_parens()
+
+    def parse_implication(self) -> Implication:
+        names, (premise, conclusion) = self.quantified("forall", self.parse_premise_and_conclusion)
         return Implication(names, premise, conclusion)
 
-    def parse_hinductive(self) -> HInductiveSentence:
-        """Conjuncts separated by `;`; the list ends after a `;` that is
-        followed by another `;`, by `}`, by the end of input or by the next
-        class-prefixed sentence."""
+    def parse_hinductive(self) -> And:
+        """The conjunction of implications separated by `;`; the list ends
+        after a `;` that is followed by another `;`, by `}`, by the end of
+        input or by the next class-prefixed sentence."""
         conjuncts = [self.parse_implication()]
         while self.at(";"):
             self.next()
             if self.at(";") or self.at("}") or self.at_eof() or self.at_sentence():
                 break
             conjuncts.append(self.parse_implication())
-        return HInductiveSentence(tuple(conjuncts))
+        return And(tuple(conjuncts))
 
-    def parse_huniversal(self) -> HUniversalSentence:
+    def parse_huniversal(self) -> Not:
         self.expect("!")
-        return HUniversalSentence(self.parse_posex())
+        return Not(self.parse_posex())
 
     # general fragment: implication over quantified boolean combinations
     def parse_general(self) -> Formula:
-        if self.at("forall"):
-            self.next()
-            names = self.parse_names()
-            self.expect(".")
-            self.bound.extend(names)
-            sub = self.nested(self.parse_general)
-            del self.bound[-len(names):]
-            return Forall(names, sub)
-        if self.at("exists"):
-            self.next()
-            names = self.parse_names()
-            self.expect(".")
-            self.bound.extend(names)
-            sub = self.nested(self.parse_general)
-            del self.bound[-len(names):]
-            return Exists(names, sub)
-        left = self.parse_general_or()
+        for keyword, node in (("forall", Forall), ("exists", PosEx)):
+            if self.at(keyword):
+                return node(*self.quantified(keyword, lambda: self.nested(self.parse_general)))
+        left = self.joined(self.parse_general_and, "|", Or)
         if self.at("->"):
             self.next()
             return Implies(left, self.nested(self.parse_general))
         return left
 
-    def parse_general_or(self) -> Formula:
-        parts = self.sep_by(self.parse_general_and, "|")
-        return parts[0] if len(parts) == 1 else GOr(tuple(parts))
-
     def parse_general_and(self) -> Formula:
-        parts = self.sep_by(self.parse_general_unary, "&")
-        return parts[0] if len(parts) == 1 else GAnd(tuple(parts))
+        return self.joined(self.parse_general_unary, "&", And)
 
     def parse_general_unary(self) -> Formula:
         if self.at("!"):

@@ -19,8 +19,8 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from . import corpus
 from .errors import FormulaError, SignatureError, StructureError
 from .formulas import (
-    TRUE_POSEX, And, App, Const, EqAtom, Falsum, Formula, HInductiveSentence, HUniversalSentence,
-    Implication, PosEx, RelAtom, as_implications, compile_formula, free_vars,
+    TRUE_POSEX, And, App, Const, EqAtom, Falsum, Formula, Implication,
+    Not, PosEx, RelAtom, as_implications, compile_formula, free_vars,
 )
 from .finder import find_models, models_by_size, models_up_to_size
 from .morphisms import Morphism, is_immersion, search_homs
@@ -226,7 +226,7 @@ def diagram(
         true_atoms, false_atoms = _atomic_sentences(a, a2)
         if kind == "Diag+":
             return DiagramSet("Diag+", sig2, tuple(true_atoms))
-        negs: List[Formula] = [HUniversalSentence(PosEx((), f)) for f in false_atoms]
+        negs: List[Formula] = [Not(PosEx((), f)) for f in false_atoms]
         return DiagramSet("Diag", sig2, tuple(true_atoms) + tuple(negs))
     # the unstarred kinds are the starred fragments of an expansion
     if kind in ("Tu", "Ti"):
@@ -243,7 +243,7 @@ def diagram(
     elif kind.startswith("Tu"):
         sents = tuple(c.negation(pool) for c in corpus.tu_star(a, b.k))
     else:
-        sents = tuple(HInductiveSentence((imp.to_implication(pool),)) for imp in corpus.ti_star(a, b.k))
+        sents = tuple(And((imp.to_implication(pool),)) for imp in corpus.ti_star(a, b.k))
     return DiagramSet(kind, a.signature, sents, b.k)
 
 

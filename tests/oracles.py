@@ -134,9 +134,8 @@ from posmt.corpus import (
 )
 from posmt.errors import BudgetExceeded, FormulaError, SignatureError, StructureError
 from posmt.formulas import (
-    And, Atom, Const, EqAtom, Exists, Falsum, Forall, Formula, GAnd, GOr,
-    HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
-    PosEx, PosQF, RelAtom, TRUE_POSEX, Term, Truth, Var, free_vars,
+    And, Atom, Const, EqAtom, Falsum, Forall, Formula, Implication, Implies,
+    Not, Or, PosEx, PosQF, RelAtom, TRUE_POSEX, Term, Truth, Var, free_vars,
 )
 from posmt.morphisms import Morphism, MorphismKind, is_immersion, is_strong_immersion, search_homs
 from posmt import corpus
@@ -904,7 +903,7 @@ def kaiser_hull_bounded_reference(t: Theory, b: Budget) -> Tuple[DiagramSet, Dia
     hull_set = _hull_of_pc_models_reference(t, bounded_pc_models_reference(t, b), b)
     tu_set = _tu_of_models_reference(t, models(t, b), b)
     hull = tuple(
-        HInductiveSentence((imp.to_implication(pool),))
+        And((imp.to_implication(pool),))
         for imp in corpus.implication_corpus(t.signature, b.k)
         if imp in hull_set
     )
@@ -1119,18 +1118,17 @@ def eval_formula_reference(
     env = env or {}
     if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)):
         return _eval_atom(s, f, env)
-    if isinstance(f, (And, GAnd)):
+    if isinstance(f, And):
         return all(eval_formula_reference(s, p, env) for p in f.parts)
-    if isinstance(f, (Or, GOr)):
+    if isinstance(f, Or):
         return any(eval_formula_reference(s, p, env) for p in f.parts)
-    if isinstance(f, (PosEx, Exists)):
-        body = f.matrix if isinstance(f, PosEx) else f.sub
+    if isinstance(f, PosEx):
         if not f.vars:
-            return eval_formula_reference(s, body, env)
+            return eval_formula_reference(s, f.matrix, env)
         for vals in itertools.product(s.universe, repeat=len(f.vars)):
             e2 = dict(env)
             e2.update(zip(f.vars, vals))
-            if eval_formula_reference(s, body, e2):
+            if eval_formula_reference(s, f.matrix, e2):
                 return True
         return False
     if isinstance(f, Implication):
@@ -1140,10 +1138,6 @@ def eval_formula_reference(
             if eval_formula_reference(s, f.premise, e2) and not eval_formula_reference(s, f.conclusion, e2):
                 return False
         return True
-    if isinstance(f, HInductiveSentence):
-        return all(eval_formula_reference(s, c, env) for c in f.conjuncts)
-    if isinstance(f, HUniversalSentence):
-        return not eval_formula_reference(s, f.inner, env)
     if isinstance(f, Not):
         return not eval_formula_reference(s, f.sub, env)
     if isinstance(f, Implies):
@@ -1650,7 +1644,7 @@ def check_basis_reference(a, kinds, theory, b, strong=False, strict_strong=False
 def _is_posqf(f: Formula) -> bool:
     if isinstance(f, (RelAtom, EqAtom, Falsum, Truth)):
         return True
-    if isinstance(f, (And, Or, GAnd, GOr)):
+    if isinstance(f, (And, Or)):
         return all(_is_posqf(p) for p in f.parts)
     return False
 
@@ -1658,18 +1652,13 @@ def _is_posqf(f: Formula) -> bool:
 def _is_positive(f: Formula) -> bool:
     if _is_posqf(f):
         return True
-    if isinstance(f, (PosEx, Exists)):
-        body = f.matrix if isinstance(f, PosEx) else f.sub
-        return _is_positive(body)
+    if isinstance(f, PosEx):
+        return _is_positive(f.matrix)
     # nested quantifiers inside connectives are outside our fragment
     return False
 
 
 def _is_hinductive(f: Formula) -> bool:
-    if isinstance(f, HInductiveSentence):
-        return True
-    if isinstance(f, HUniversalSentence):
-        return True
     if _is_positive(f):
         return True
     if isinstance(f, Not):
@@ -1680,7 +1669,7 @@ def _is_hinductive(f: Formula) -> bool:
         return _is_positive(f.left) and _is_positive(f.right)
     if isinstance(f, Forall):
         return _is_hinductive_body(f.sub)
-    if isinstance(f, (GAnd, And)):
+    if isinstance(f, And):
         return all(_is_hinductive(p) for p in f.parts)
     return False
 
@@ -1692,9 +1681,7 @@ def _is_hinductive_body(f: Formula) -> bool:
         return _is_hinductive_body(f.sub)
     if isinstance(f, Not):
         return _is_positive(f.sub)
-    if isinstance(f, HUniversalSentence):
-        return True
-    if isinstance(f, (GAnd, And)):
+    if isinstance(f, And):
         return all(_is_hinductive_body(p) for p in f.parts)
     return _is_positive(f)
 
@@ -1706,8 +1693,6 @@ def classify_sentence_reference(f: Formula) -> str:
         raise FormulaError("classification requires a closed formula")
     if _is_positive(f):
         return "positive"
-    if isinstance(f, HUniversalSentence):
-        return "h-universal"
     if isinstance(f, Not) and _is_positive(f.sub):
         return "h-universal"
     if _is_hinductive(f):
@@ -1751,16 +1736,16 @@ def _pp_posex(f: PosEx) -> str:
 
 
 def pp_formula(f: Formula) -> str:
-    if isinstance(f, HInductiveSentence):
+    if isinstance(f, And) and f.parts and all(isinstance(c, Implication) for c in f.parts):
         parts = []
-        for c in f.conjuncts:
+        for c in f.parts:
             head = f"forall {' '.join(c.vars)}. " if c.vars else ""
             parts.append(f"{head}({_pp_posex(c.premise)}) -> ({_pp_posex(c.conclusion)})")
         return "hinductive: " + "; ".join(parts)
     if isinstance(f, Implication):
-        return pp_formula(HInductiveSentence((f,)))
-    if isinstance(f, HUniversalSentence):
-        return f"huniversal: ! {_pp_posex(f.inner)}"
+        return pp_formula(And((f,)))
+    if isinstance(f, Not):
+        return f"huniversal: ! {_pp_posex(f.sub)}"
     if isinstance(f, PosEx):
         return f"positive: {_pp_posex(f)}"
     return f"positive: {_pp_qf(f)}"
@@ -1790,7 +1775,7 @@ def plain_json(value):
         if isinstance(value, (set, frozenset)):
             items = sorted(items, key=repr)
         return [plain_json(v) for v in items]
-    if hasattr(value, "conjuncts") or hasattr(value, "inner") or hasattr(value, "matrix"):
+    if isinstance(value, (And, Not, PosEx)):
         try:
             return pp_formula(value)
         except Exception:

@@ -743,6 +743,40 @@ def test_formula_within_the_depth_bound_still_parses(tmp_path, capsys):
     assert "OK theory T" in capsys.readouterr().out
 
 
+NESTING_FORMS = {
+    "negations": lambda d: f"general: {'!' * d}p(c)",
+    "parentheses": lambda d: f"general: {'(' * d}p(c){')' * d}",
+    "forall": lambda d: f"general: {'forall x. ' * d}p(x)",
+    "exists": lambda d: f"general: {'exists x. ' * d}p(x)",
+    "implies": lambda d: f"general: {'p(c) -> ' * d}p(c)",
+    "hinductive-premise": lambda d: f"hinductive: {'(' * d}p(c){')' * d} -> p(c)",
+}
+TOO_DEEP = "parse error: 3:{}: formula nested more than 100 levels deep"
+NOT_H_INDUCTIVE = "error: theory 'T': sentence 1 is not h-inductive"
+# (exit code, last stderr line) of `posmt check` at depths 99, 100, 101 and
+# 300; the argument parentheses of p(c) are one level more
+NESTING_OUTCOMES = {
+    "negations": [(3, NOT_H_INDUCTIVE)] + [(2, TOO_DEEP.format(113))] * 3,
+    "parentheses": [(0, ""), (2, TOO_DEEP.format(113))] + [(2, TOO_DEEP.format(112))] * 2,
+    "forall": [(0, ""), (2, TOO_DEEP.format(1013))] + [(2, TOO_DEEP.format(1022))] * 2,
+    "exists": [(0, ""), (2, TOO_DEEP.format(1013))] + [(2, TOO_DEEP.format(1022))] * 2,
+    "implies": [(3, NOT_H_INDUCTIVE)] + [(2, TOO_DEEP.format(813))] * 3,
+    "hinductive-premise": [(0, ""), (2, TOO_DEEP.format(116))] + [(2, TOO_DEEP.format(115))] * 2,
+}
+
+
+@pytest.mark.parametrize("form, depth, outcome", [
+    pytest.param(form, depth, outcome, id=f"{form}-{depth}")
+    for form, outcomes in NESTING_OUTCOMES.items() for depth, outcome in zip((99, 100, 101, 300), outcomes)
+])
+def test_every_nesting_form_is_bounded_at_100_levels(tmp_path, form, depth, outcome):
+    path = tmp_path / f"{form}{depth}.posmt"
+    path.write_text("signature S { relations: p/1; constants: c; }\n"
+                    f"theory T over S {{\n  {NESTING_FORMS[form](depth)};\n}}\n")
+    proc = _cli("check", str(path))
+    assert (proc.returncode, (proc.stderr.splitlines() or [""])[-1]) == outcome, proc.stderr[-500:]
+
+
 def test_crash_in_a_subcommand_is_an_internal_error(ws_file, capsys, monkeypatch):
     # any exception but the four handled ones exits 5, never 1 ("no")
     import posmt.cli

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from posmt import corpus
 from posmt.errors import BudgetExceeded
-from posmt.formulas import HInductiveSentence
+from posmt.formulas import And
+from posmt.parser import parse_formula
 from posmt.structures import FiniteStructure, Signature, element_names
 from posmt.textio import load_workspace
 from posmt.theories import Budget, jc_characterization_report, kaiser_hull_bounded
@@ -223,8 +224,44 @@ def test_hull_rows_print_as_their_trees(case):
     pool = corpus.atom_pool(sig, k)
     hull, tu = kaiser_hull_bounded(make_theory(sig, "hinductive: forall x. true -> false;"), Budget(n=1, k=k))
     assert hull == tuple(
-        pp_formula(HInductiveSentence((imp.to_implication(pool),))) for imp in corpus.implication_corpus(sig, k))
+        pp_formula(And((imp.to_implication(pool),))) for imp in corpus.implication_corpus(sig, k))
     assert tu == tuple(pp_formula(c.negation(pool)) for c in corpus.cq_corpus(sig, k))
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: printed sentences parse back to their trees, also when a
+# constant has the name a pool variable would otherwise get
+
+# each hull row is parsed, so k is lowered until there are at most this many
+PARSE_LIMIT = 2_000
+
+
+@st.composite
+def signatures_with_variable_named_constants(draw):
+    constants = draw(st.lists(st.sampled_from(["v0", "v1", "v1_", "c"]), min_size=1, max_size=2, unique=True))
+    functions = draw(st.sampled_from([{}, {"f": 1}]))
+    sig = Signature.make({"r": draw(st.integers(1, 2))}, functions, constants)
+    k = draw(st.integers(1, 2))
+    if k > 1 and _candidates(sig, k) > PARSE_LIMIT:
+        k = 1
+    assume(_candidates(sig, k) <= PARSE_LIMIT)
+    return sig, k
+
+
+@settings(max_examples=15, deadline=None)
+@given(signatures_with_variable_named_constants())
+@example((Signature.make({"r": 1}, {}, ["v1"]), 2))
+@example((Signature.make({"r": 1}, {"f": 1}, ["v0"]), 1))
+def test_printed_sentences_parse_back_to_their_trees(case):
+    sig, k = case
+    pool = corpus.atom_pool(sig, k)
+    for c in corpus.cq_corpus(sig, k):
+        assert parse_formula(corpus.cq_text(pool, c.codes), sig) == c.negation(pool)
+    entries = corpus.implication_corpus(sig, k)
+    texts = corpus.hull_texts(sig, k, (1 << len(entries)) - 1)
+    assert len(texts) == len(entries)
+    for text, entry in zip(texts, entries):
+        assert parse_formula(text, sig) == And((entry.to_implication(pool),)), text
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from posmt.errors import FormulaError, ParseError
 from posmt.finder import find_models
 from posmt.formulas import (
-    And, App, Const, EqAtom, Exists, Falsum, Forall, GAnd, GOr,
-    HInductiveSentence, HUniversalSentence, Implication, Implies, Not, Or,
+    And, App, Const, EqAtom, Falsum, Forall, Implication, Implies, Not, Or,
     PosEx, RelAtom, Truth, Var, as_implications, classify_sentence,
     eval_formula, free_vars,
 )
@@ -60,14 +59,14 @@ def test_parse_print_round_trip(p):
 @given(posexes, posexes, st.lists(st.sampled_from(VARS), unique=True, max_size=2).map(tuple))
 @settings(max_examples=100)
 def test_parse_print_round_trip_implication(prem, conc, names):
-    s = HInductiveSentence((Implication(names, prem, conc),))
+    s = And((Implication(names, prem, conc),))
     assert parse_formula(pp_formula(s), SIG_LE) == s
 
 
 @given(posexes)
 @settings(max_examples=100)
 def test_parse_print_round_trip_huniversal(p):
-    s = HUniversalSentence(p)
+    s = Not(p)
     assert parse_formula(pp_formula(s), SIG_LE) == s
 
 
@@ -76,10 +75,10 @@ def test_parse_print_round_trip_huniversal(p):
 closed_posexes = matrices.map(lambda m: PosEx(VARS, m))
 sentences = st.one_of(
     closed_posexes,
-    closed_posexes.map(HUniversalSentence),
+    closed_posexes.map(Not),
     st.lists(
         st.builds(Implication, st.just(VARS), posexes, posexes), min_size=1, max_size=3
-    ).map(lambda cs: HInductiveSentence(tuple(cs))),
+    ).map(lambda cs: And(tuple(cs))),
 )
 
 
@@ -119,7 +118,7 @@ def test_parse_sentences_splits_on_class_keywords():
         SIG_LE,
     )
     assert len(out) == 2
-    assert isinstance(out[0], HInductiveSentence)
+    assert isinstance(out[0], And) and isinstance(out[0].parts[0], Implication)
     assert isinstance(out[1], PosEx)
 
 
@@ -266,15 +265,15 @@ def general(sub):
         st.builds(Not, sub),
         st.builds(Implies, sub, sub),
         st.builds(Forall, binders, sub),
-        st.builds(Exists, binders, sub),
-        st.lists(sub, max_size=2).map(lambda xs: GAnd(tuple(xs))),
-        st.lists(sub, max_size=2).map(lambda xs: GOr(tuple(xs))),
+        st.builds(PosEx, binders, sub),
+        st.lists(sub, max_size=2).map(lambda xs: And(tuple(xs))),
+        st.lists(sub, max_size=2).map(lambda xs: Or(tuple(xs))),
     )
 
 
 mixed_formulas = general(general(st.one_of(
-    mixed_qf, mixed_posex, mixed_implications, st.builds(HUniversalSentence, mixed_posex),
-    st.lists(mixed_implications, min_size=1, max_size=2).map(lambda cs: HInductiveSentence(tuple(cs))),
+    mixed_qf, mixed_posex, mixed_implications, st.builds(Not, mixed_posex),
+    st.lists(mixed_implications, min_size=1, max_size=2).map(lambda cs: And(tuple(cs))),
 )))
 
 
@@ -347,9 +346,8 @@ def awkward(f):
         return EqAtom(awkward(f.left), awkward(f.right))
     if isinstance(f, (Truth, Falsum)):
         return f
-    fields = {And: "parts", Or: "parts", GAnd: "parts", GOr: "parts", Not: "sub", Implies: "left right",
-              PosEx: "vars matrix", Exists: "vars sub", Forall: "vars sub", HUniversalSentence: "inner",
-              Implication: "vars premise conclusion", HInductiveSentence: "conjuncts"}[type(f)]
+    fields = {And: "parts", Or: "parts", Not: "sub", Implies: "left right", PosEx: "vars matrix",
+              Forall: "vars sub", Implication: "vars premise conclusion"}[type(f)]
     return type(f)(*(awkward(getattr(f, name)) for name in fields.split()))
 
 
@@ -396,7 +394,7 @@ def le(a: str, b: str) -> RelAtom:
 
 def test_existential_shadows_universal():
     # the inner y ranges anew; the outer y is back for the last conjunct
-    f = Forall(("x", "y"), Implies(le("x", "y"), GAnd((Exists(("y",), le("y", "x")), le("x", "y")))))
+    f = Forall(("x", "y"), Implies(le("x", "y"), And((PosEx(("y",), le("y", "x")), le("x", "y")))))
     g = Implication(("x", "y"), PosEx((), le("x", "y")), PosEx(("y",), le("y", "x")))
     edge = FiniteStructure(SIG_LE, ("a", "b"), {"le": frozenset({("a", "b"), ("b", "b")})})
     assert not eval_formula(edge, f, {}) and not eval_formula(edge, g, {})
@@ -404,7 +402,7 @@ def test_existential_shadows_universal():
     loop = FiniteStructure(SIG_LE, ("a",), {"le": frozenset({("a", "a")})})
     assert eval_formula(loop, f, {}) and eval_formula(loop, g, {})
     # the witness y = b of the inner exists must not leak into le(x, y)
-    h = GAnd((Exists(("y",), le("y", "x")), le("x", "y")))
+    h = And((PosEx(("y",), le("y", "x")), le("x", "y")))
     s = FiniteStructure(SIG_LE, ("a", "b", "c"), {"le": frozenset({("a", "c"), ("b", "a")})})
     assert eval_formula(s, h, {"x": "a", "y": "c"})
 

@@ -70,21 +70,28 @@ SURFACE_ALLOWED = {
     "is_embedding": "the acceptance suite checks the README's diagram API through it",
     "eval_formula": "the formula layer's public evaluator",
     "classify_sentence": "the formula layer's public sentence classes",
+    "parse_sentences": "the README's library example",
 }
 
 
+MODULES = {path.stem for path in SRC.glob("*.py")}
+TRACER = REPO / "perfbench" / "traced.py"
+
+
 def referenced_names(path: Path):
-    """Every name `path` reads, imports, reads as an attribute, or spells as
-    a whole string (as perfbench/traced.py names its targets)."""
+    """Every name `path` reads or imports, every attribute it reads off a
+    posmt module name (`corpus.evaluator`), and in perfbench/traced.py every
+    whole string (it names its targets so).  A method or a string spelled
+    like a public name elsewhere is no caller of it."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in MODULES:
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif path == TRACER and isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     return names
 

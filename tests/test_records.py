@@ -20,10 +20,10 @@ from posmt.amalgamation import (
     AmalgamationProblem, AmalgamationSolution, BasisReport, parse_kinds,
 )
 from posmt.corpus import BoundedImplication, CQSentence
-from posmt.errors import FormulaError, SignatureError
+from posmt.errors import SignatureError
 from posmt.formulas import (
-    And, App, Const, EqAtom, Exists, Falsum, Forall, GAnd, GOr, HInductiveSentence,
-    HUniversalSentence, Implication, Implies, Not, Or, PosEx, RelAtom, Truth, Var,
+    And, App, Const, EqAtom, Falsum, Forall, Implication, Implies, Not, Or, PosEx,
+    RelAtom, Truth, Var,
 )
 from posmt.morphisms import Morphism, MorphismKind
 from posmt.parser import Token
@@ -59,11 +59,10 @@ def _samples():
     return [
         SIG_LE, point, inc,
         x, Const("c"), App("f", (x, Const("c"))), le, EqAtom(x, y), Falsum(), Truth(),
-        And((le, Truth())), Or((le, Falsum())), body, imp, HInductiveSentence((imp,)),
-        HUniversalSentence(body), Not(le), Implies(le, Falsum()), Forall(("x",), le),
-        Exists(("x",), le), GAnd((le,)), GOr((le,)),
+        And((le, Truth())), Or((le, Falsum())), body, imp, Not(le), Implies(le, Falsum()),
+        Forall(("x",), le),
         t_pos.sentences[0], t_pos, Budget(n=4, N=5), yes,
-        DiagramSet("Tk", SIG_LE, (HInductiveSentence((imp,)),), 2),
+        DiagramSet("Tk", SIG_LE, (And((imp,)),), 2),
         CQSentence((("rel", "le", (0, 1)),)),
         BoundedImplication((("rel", "le", (0, 1)),), None, (0, 1)),
         AmalgamationProblem(inc, top, kinds, t_pos, True),
@@ -107,7 +106,7 @@ def _values(x):
 
 def test_every_record_class_has_a_sample():
     classes = set(_record_classes())
-    assert len(classes) == 35
+    assert len(classes) == 30
     assert classes == {type(x) for x in SAMPLES}
 
 
@@ -147,7 +146,7 @@ def test_record_matches_its_dataclass_twin(x):
 
 @pytest.mark.parametrize("a, b", [
     (Var("x"), Const("x")), (Falsum(), Truth()), (And(()), Or(())),
-    (GAnd(()), GOr(())), (Forall(("x",), Truth()), Exists(("x",), Truth())),
+    (Forall(("x",), Truth()), PosEx(("x",), Truth())),
 ], ids=lambda x: type(x).__name__)
 def test_records_of_two_classes_with_equal_fields_differ(a, b):
     assert _values(a) == _values(b)
@@ -181,8 +180,6 @@ def test_init_binds_keywords_defaults_and_factories_as_dataclasses_do():
 
 
 def test_post_init_runs_on_construction_and_replace():
-    with pytest.raises(FormulaError):
-        HInductiveSentence(())
     with pytest.raises(SignatureError):
         Signature(relations=(("r", 1), ("r", 2)))
     b = Budget(n=2, N=3)

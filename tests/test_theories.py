@@ -12,7 +12,7 @@ from posmt import amalgamation, corpus, finder
 from posmt.errors import BudgetExceeded, SignatureError
 from posmt.finder import find_models, models_up_to_size
 from posmt.formulas import (
-    FALSE_POSEX, TRUE_POSEX, And, App, Const, EqAtom, Falsum, HInductiveSentence, HUniversalSentence,
+    FALSE_POSEX, TRUE_POSEX, And, App, Const, EqAtom, Falsum, Not,
     Implication, Or, PosEx, RelAtom, Truth, Var,
 )
 from posmt.morphisms import Morphism, search_homs
@@ -284,7 +284,7 @@ def test_diag_plus_of_chain(chain2):
 
 def test_diag_contains_negated_atoms(chain2):
     ds = diagram(chain2, "Diag", SMALL)
-    negated = [s for s in ds.sentences if isinstance(s, HUniversalSentence)]
+    negated = [s for s in ds.sentences if isinstance(s, Not)]
     assert negated  # le(cb,ca) and ca=cb are denied
     assert len(ds.sentences) == 3 + 2
 
@@ -346,7 +346,7 @@ _R_A, _A_B = RelAtom("R", (Const("a"),)), EqAtom(Const("a"), Const("b"))
 
 
 def _ground(*texts):
-    return [imp for text in texts for imp in parse_formula(text, GROUND_SIG).conjuncts]
+    return [imp for text in texts for imp in parse_formula(text, GROUND_SIG).parts]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1146,7 +1146,7 @@ def test_find_models_matches_reference(case):
 @given(finder_cases())
 def test_find_models_matches_brute_force(case):
     sig, universe, implications, _ = case
-    t = Theory.make(sig, [HInductiveSentence(implications)])
+    t = Theory.make(sig, [And(implications)])
     expected = {
         s.key() for s in enumerate_structures_reference(sig, len(universe), up_to_iso=False)
         if s.universe == universe and is_model(s, t)
