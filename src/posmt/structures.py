@@ -10,11 +10,12 @@ builds structures back from cell values, and reads a code's images under
 the n! permutations of the elements off one sum of big ints with a field
 per permutation (SWAR lanes).  Relation cell 0 is a code's most
 significant bit, so codes order as their cell values do, which is the
-finder's search order.  Enumeration and the model lists mark the orbit of
-the first structure met in each class (the lists only the codes a later
-search can meet), so later members are skipped.  The least image
-(`Orbits.least`, one `min` over a lane sum) orders the model lists;
-`key()` and `canonical_key()` read the codes.
+finder's search order.  Every list up to isomorphism is a model list of
+the finder, which marks the orbit of the first model met in each class
+(only the codes a later search can meet), so later members are skipped;
+all structures are the empty theory's models (`enumerate_structures`).
+The least image (`Orbits.least`, one `min` over a lane sum) orders the
+lists; `key()` and `canonical_key()` read the codes.
 """
 
 from __future__ import annotations
@@ -296,24 +297,6 @@ class Orbits:
             )
         return build
 
-    def codes(self) -> Iterator[int]:
-        """Every code in enumeration order: each relation's cell sets by
-        size, then as `itertools.combinations` of its cells (the first
-        relation outermost), then the digits counting up."""
-        last = len(self.cells) - 1
-
-        def walk(j: int, bits: int) -> Iterator[int]:
-            cells = self.weights[self.offsets[j]:self.offsets[j + 1]]
-            for r in range(len(cells) + 1):
-                for combo in itertools.combinations(cells, r):
-                    if j < last:
-                        yield from walk(j + 1, bits + sum(combo))
-                    else:
-                        yield bits + sum(combo)
-        return itertools.chain.from_iterable(
-            range(b, b + self.tail) for b in (walk(0, 0) if self.cells else [0])
-        )
-
     def images(self, code: int) -> List[int]:
         """The code of the structure relabelled by each permutation of the
         elements, in `itertools.permutations` order, so repeated once per
@@ -395,35 +378,16 @@ class Orbits:
 
 
 def enumerate_structures(sig: Signature, max_size: int) -> Iterator[FiniteStructure]:
-    """The first structure of each isomorphism class with |universe| <=
-    max_size, in deterministic order: by size, then each relation's tuple
-    sets by size and then as combinations of its tuples (the first relation
-    outermost), then the function tables and constants in
-    `itertools.product` order.  Each size is read from `_classes_of_size`.
-    """
+    """One structure of each isomorphism class with |universe| <= max_size:
+    the models of the empty theory, as `finder.models_by_size` lists them
+    (by size, then by canonical key; each class's least relabelling in
+    search order)."""
+    from .finder import models_by_size  # finder imports this module
     if max_size < 1:
         raise StructureError("max_size must be >= 1")
     element_names(max_size)
-    for size in range(1, max_size + 1):
-        yield from _classes_of_size(sig, size)
-
-
-@lru_cache(maxsize=64)
-def _classes_of_size(sig: Signature, size: int) -> Tuple[FiniteStructure, ...]:
-    """`enumerate_structures` on one size, once per process: codes are walked
-    in order, one byte per code marks the orbit of each structure listed,
-    and a structure is built only for an unmarked code."""
-    orbits = Orbits.of(sig, size)
-    build = orbits.builder(element_names(size))
-    marked = bytearray(orbits.count)
-    out = []
-    for code in orbits.codes():
-        if marked[code]:
-            continue
-        out.append(build(orbits.values(code)))
-        for image in orbits.images(code):
-            marked[image] = 1
-    return tuple(out)
+    for models in models_by_size(sig, (), max_size):
+        yield from models
 
 
 def disjoint_rename(a: FiniteStructure, b: FiniteStructure) -> Tuple[FiniteStructure, FiniteStructure]:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from posmt import finder, structures
+from posmt import finder
 from posmt.parser import parse_sentences
 from posmt.structures import FiniteStructure, Signature
 from posmt.theories import Theory
@@ -47,7 +47,6 @@ def fresh_listings():
     """Every test lists its models and structures afresh: a size listed by
     an earlier test is not read from the process's listing caches."""
     finder.models_of_size.cache_clear()
-    structures._classes_of_size.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -72,8 +72,12 @@ The deduplication references build every labelled structure (or take
 every model the finder yields) and group them by `class_key`, a complete
 isomorphism invariant computed per structure by colour refinement and a
 least encoding over the relabellings that keep each colour class
-together.  The orbit-marking enumeration and model lists must equal them
-tuple for tuple.
+together.  The finder's model lists must equal the model reference tuple
+for tuple, and so must the list of all structures, which is the empty
+theory's model list.  The structure reference keeps the order that the
+list of all structures had before it became a model list (tuple sets by
+size, then as combinations), so that list must hold the same classes at
+each size.
 
 The sentence-class reference is the classifier that decided which
 sentences a theory accepts before `formulas._positive_form` and
@@ -1351,7 +1355,10 @@ def enumerate_structures_reference(
     up_to_iso: bool = True,
     cap: Optional[int] = None,
 ) -> Iterator[FiniteStructure]:
-    """All structures with |universe| <= max_size, in deterministic order.
+    """All structures with |universe| <= max_size, in deterministic order:
+    by size, then each relation's tuple sets by size and then as
+    combinations of its tuples (the first relation outermost), then the
+    function tables and constants in `itertools.product` order.
 
     With up_to_iso, the first structure of each isomorphism class (exact
     deduplication by `class_key`).  Raises BudgetExceeded

@@ -750,11 +750,13 @@ NESTING_FORMS = {
     "exists": lambda d: f"general: {'exists x. ' * d}p(x)",
     "implies": lambda d: f"general: {'p(c) -> ' * d}p(c)",
     "hinductive-premise": lambda d: f"hinductive: {'(' * d}p(c){')' * d} -> p(c)",
+    "function-terms": lambda d: f"general: p({'f(' * d}c{')' * (d + 1)}",
 }
 TOO_DEEP = "parse error: 3:{}: formula nested more than 100 levels deep"
 NOT_H_INDUCTIVE = "error: theory 'T': sentence 1 is not h-inductive"
 # (exit code, last stderr line) of `posmt check` at depths 99, 100, 101 and
-# 300; the argument parentheses of p(c) are one level more
+# 300; each argument list of an application is one level more, so p(c)
+# nests one level and p(f(c)) two
 NESTING_OUTCOMES = {
     "negations": [(3, NOT_H_INDUCTIVE)] + [(2, TOO_DEEP.format(113))] * 3,
     "parentheses": [(0, ""), (2, TOO_DEEP.format(113))] + [(2, TOO_DEEP.format(112))] * 2,
@@ -762,6 +764,7 @@ NESTING_OUTCOMES = {
     "exists": [(0, ""), (2, TOO_DEEP.format(1013))] + [(2, TOO_DEEP.format(1022))] * 2,
     "implies": [(3, NOT_H_INDUCTIVE)] + [(2, TOO_DEEP.format(813))] * 3,
     "hinductive-premise": [(0, ""), (2, TOO_DEEP.format(116))] + [(2, TOO_DEEP.format(115))] * 2,
+    "function-terms": [(0, "")] + [(2, TOO_DEEP.format(213))] * 3,
 }
 
 
@@ -771,7 +774,7 @@ NESTING_OUTCOMES = {
 ])
 def test_every_nesting_form_is_bounded_at_100_levels(tmp_path, form, depth, outcome):
     path = tmp_path / f"{form}{depth}.posmt"
-    path.write_text("signature S { relations: p/1; constants: c; }\n"
+    path.write_text("signature S { relations: p/1; functions: f/1; constants: c; }\n"
                     f"theory T over S {{\n  {NESTING_FORMS[form](depth)};\n}}\n")
     proc = _cli("check", str(path))
     assert (proc.returncode, (proc.stderr.splitlines() or [""])[-1]) == outcome, proc.stderr[-500:]

@@ -8,7 +8,11 @@ import random
 import pytest
 
 from posmt.cli import main
-from posmt.harness import THEOREM_IDS, inflate, poset_theory, random_poset, verify_theorem
+from posmt.harness import (
+    POSET_SIG, THEOREM_IDS, inflate, poset_theory, random_hom_wing, random_poset, verify_theorem,
+)
+from posmt.morphisms import is_homomorphism
+from posmt.structures import FiniteStructure
 from posmt.theories import Budget
 
 # sha256 of the stdout of `verify --theorem T --seed 3 --instances 60 --N 6
@@ -48,6 +52,21 @@ def test_random_poset_is_model():
         s = random_poset(rng, 4)
         from posmt.theories import is_model
         assert is_model(s, t)
+
+
+def test_a_poset_always_has_a_hom_wing_into_a_poset():
+    # a constant map is a homomorphism between posets, so the poset
+    # theorems' draws never miss a wing, one-point targets included
+    rng = random.Random(7)
+    point = FiniteStructure(POSET_SIG, ("a",), {"le": frozenset({("a", "a")})})
+    sizes = set()
+    for _ in range(300):
+        source = point if rng.random() < 0.3 else random_poset(rng, 4)
+        target = random_poset(rng, 4)
+        sizes.add(target.size())
+        wing = random_hom_wing(rng, source, target)
+        assert wing is not None and is_homomorphism(wing)
+    assert sizes == {1, 2, 3, 4}
 
 
 def test_inflate_is_immersion():

@@ -20,7 +20,8 @@ from posmt.theories import Budget, Theory, joint_consistency_bounded, models
 from conftest import SIG_F, SIG_LE, make_theory
 from oracles import (
     canonical_key_reference, class_key, enumerate_structures_reference,
-    first_in_cell_order_reference, least_reference, orbit_images_reference, read_code,
+    first_in_cell_order_reference, least_reference, models_up_to_size_reference, orbit_images_reference,
+    read_code,
 )
 
 
@@ -136,9 +137,14 @@ def enumeration_cases(draw):
 @settings(max_examples=30, deadline=None)
 @given(enumeration_cases())
 def test_enumeration_matches_class_key_reference(case):
+    # all structures are the empty theory's models, in the model lists'
+    # order, and each size holds the classes the class-key reference finds
+    # (a canonical key starts with the size)
     sig, max_size = case
-    got = [s.key() for s in enumerate_structures(sig, max_size)]
-    assert got == [s.key() for s in enumerate_structures_reference(sig, max_size)]
+    got = list(enumerate_structures(sig, max_size))
+    assert [s.key() for s in got] == [s.key() for s in models_up_to_size_reference(sig, (), max_size)]
+    assert {s.canonical_key() for s in got} == {
+        s.canonical_key() for s in enumerate_structures_reference(sig, max_size)}
 
 
 def test_permutation_tables_built_only_for_sizes_with_models(monkeypatch):
