@@ -6,12 +6,22 @@ every instance's certificate.  Outcomes are "witnessed" or
 "budget-exhausted"; an exhaustive "no" below the bound is reported as a
 red flag, never as a refutation (the guaranteed apexes may be infinite).
 Example 6 is a basis check of Z/2 within the bounded class of rings.
+
+Each generator but `embedding_extension` first draws from the RNG, call
+for call as it did when it built every draw afresh, into a hashable tuple,
+then builds from that tuple behind a bounded `lru_cache`.  So each random
+structure, poset, inflation, disjoint extension, isomorphic copy and list
+of hom wings a draw repeats is built, validated and packed once per process
+and shared; structures are immutable, and every instance's certificate is
+still re-checked.  An embedding extension repeats in about 3 draws of 10 at
+`verify`'s default sizes, too few to pay for a cache.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .amalgamation import (
@@ -44,8 +54,20 @@ def _rand_subuniverse(rng: random.Random, max_size: int) -> Tuple[str, ...]:
 
 def random_structure(rng: random.Random, sig: Signature, max_size: int) -> FiniteStructure:
     universe = _rand_subuniverse(rng, max_size)
-    return _build(sig, universe, lambda name, t: rng.random() < 0.4,
-                  lambda name, args: rng.choice(universe), lambda c: rng.choice(universe))
+    n = len(universe)
+    # what `_build` asks, in its order: a bit per relation tuple, then an
+    # element per function entry and per constant
+    bits = tuple(rng.random() < 0.4 for _ in range(sum(n ** arity for _, arity in sig.relations)))
+    cells = sum(n ** arity for _, arity in sig.functions) + len(sig.constants)
+    return _structure(sig, universe, bits, tuple(rng.choice(universe) for _ in range(cells)))
+
+
+@lru_cache(maxsize=1024)
+def _structure(sig: Signature, universe: Tuple[str, ...], bits: Tuple[bool, ...],
+               values: Tuple[str, ...]) -> FiniteStructure:
+    bit, value = iter(bits), iter(values)
+    return _build(sig, universe, lambda name, t: next(bit), lambda name, args: next(value),
+                  lambda c: next(value))
 
 
 POSET_SIG = Signature.make(relations={"le": 2})
@@ -61,8 +83,18 @@ def random_poset(rng: random.Random, max_size: int) -> FiniteStructure:
         for i in range(n):
             if rows[i] >> k & 1:
                 rows[i] |= rows[k]
+    return _poset(universe, tuple(rows))
+
+
+@lru_cache(maxsize=1024)
+def _poset(universe: Tuple[str, ...], rows: Tuple[int, ...]) -> FiniteStructure:
+    """The poset over `universe` whose row i holds the elements above the i-th."""
     le = {(x, y) for x, row in zip(universe, rows) for j, y in enumerate(universe) if row >> j & 1}
     return FiniteStructure(POSET_SIG, universe, {"le": frozenset(le)}, {}, {})
+
+
+# the one-point poset: while `_poset` holds it, a drawn one-point poset is this object
+_POINT = _poset(element_names(1), (1,))
 
 
 def poset_theory() -> Theory:
@@ -76,9 +108,14 @@ def inflate(rng: random.Random, a: FiniteStructure, extra: int) -> Morphism:
     """Immersion a -> b where b adds `extra` clones of elements of a; facts
     on clones mirror their representatives, so collapsing them back is a
     retraction."""
-    fresh = tuple(f"x{i}" for i in range(extra))
+    return _inflate(a, tuple(rng.choice(a.universe) for _ in range(extra)))
+
+
+@lru_cache(maxsize=1024)
+def _inflate(a: FiniteStructure, reps: Tuple[str, ...]) -> Morphism:
+    fresh = tuple(f"x{i}" for i in range(len(reps)))
     rep = {e: e for e in a.universe}
-    rep.update((e, rng.choice(a.universe)) for e in fresh)
+    rep.update(zip(fresh, reps))
 
     def back(t: Tuple[str, ...]) -> Tuple[str, ...]:
         return tuple(map(rep.__getitem__, t))
@@ -90,7 +127,11 @@ def inflate(rng: random.Random, a: FiniteStructure, extra: int) -> Morphism:
 def disjoint_poset_extension(rng: random.Random, a: FiniteStructure, max_extra: int) -> Morphism:
     """Immersion a -> b within posets: b = a plus a disjoint random poset
     (the retraction collapses the new part onto one element of a)."""
-    extra = random_poset(rng, max(1, max_extra))
+    return _disjoint_extension(a, random_poset(rng, max(1, max_extra)))
+
+
+@lru_cache(maxsize=1024)
+def _disjoint_extension(a: FiniteStructure, extra: FiniteStructure) -> Morphism:
     extra = extra.rename({e: f"x.{e}" for e in extra.universe})
     universe = a.universe + extra.universe
     pairs = set(a.rel("le")) | set(extra.rel("le"))
@@ -98,16 +139,21 @@ def disjoint_poset_extension(rng: random.Random, a: FiniteStructure, max_extra: 
     return Morphism(a, b, {e: e for e in a.universe})
 
 
+@lru_cache(maxsize=1024)
 def iso_copy(a: FiniteStructure) -> Morphism:
     renamed = a.rename({e: f"y.{e}" for e in a.universe})
     return Morphism(a, renamed, {e: f"y.{e}" for e in a.universe})
 
 
 def random_hom_wing(rng: random.Random, a: FiniteStructure, wing: FiniteStructure) -> Optional[Morphism]:
-    homs = list(itertools.islice(search_homs(a, wing), 20))
-    if not homs:
-        return None
-    return Morphism(a, wing, rng.choice(homs))
+    homs = _hom_wings(a, wing)
+    return rng.choice(homs) if homs else None
+
+
+@lru_cache(maxsize=1024)
+def _hom_wings(a: FiniteStructure, wing: FiniteStructure) -> Tuple[Morphism, ...]:
+    """The wings a -> wing of the first 20 homomorphisms `search_homs` yields."""
+    return tuple(Morphism(a, wing, h) for h in itertools.islice(search_homs(a, wing), 20))
 
 
 def embedding_extension(rng: random.Random, a: FiniteStructure, extra: int) -> Morphism:
@@ -121,6 +167,8 @@ def embedding_extension(rng: random.Random, a: FiniteStructure, extra: int) -> M
                a.constants.__getitem__)
     return Morphism(a, b, {e: e for e in a.universe})
 
+
+_KINDS = {kinds: parse_kinds(kinds) for kinds in ("hhhh", "issi", "iihh", "ihhi", "hish", "sees", "ssss")}
 
 THEOREM_IDS = (
     "si-si-strong", "ii-hh-strong", "ih-ih-strong", "h-strong-pc", "inheritance",
@@ -144,34 +192,33 @@ def _gen_instance(theorem: str, rng: random.Random, b: Budget, t_pos: Theory) ->
         g = random_hom_wing(rng, a, random_poset(rng, b.n))
         fb = random_hom_wing(rng, big, random_poset(rng, b.n))
         gb = random_hom_wing(rng, big, random_poset(rng, b.n))
-        premise = AmalgamationProblem(fb, gb, parse_kinds("hhhh"), t_pos, strong=True, budget=b)
-        return AmalgamationProblem(f, g, parse_kinds("hhhh"), t_pos, strong=True, budget=b), premise
+        premise = AmalgamationProblem(fb, gb, _KINDS["hhhh"], t_pos, strong=True, budget=b)
+        return AmalgamationProblem(f, g, _KINDS["hhhh"], t_pos, strong=True, budget=b), premise
     if theorem == "si-si-strong":
         # A immersed in B, strongly immersed in C (finite: an isomorphism)
         a = random_structure(rng, POSET_SIG, b.n)
         p = AmalgamationProblem(
             inflate(rng, a, rng.randint(1, 2)), iso_copy(a),
-            parse_kinds("issi"), None, strong=True, budget=b,
+            _KINDS["issi"], None, strong=True, budget=b,
         )
     elif theorem == "ii-hh-strong":
         a = random_poset(rng, b.n)
         f = disjoint_poset_extension(rng, a, 2)
         g = disjoint_poset_extension(rng, a, 2)
-        p = AmalgamationProblem(f, g, parse_kinds("iihh"), t_pos, strong=True, budget=b)
+        p = AmalgamationProblem(f, g, _KINDS["iihh"], t_pos, strong=True, budget=b)
     elif theorem == "ih-ih-strong":
         # per the proof: A immersed in B, continued in C; apex models
         # T_i(C) u Diag+(B), i.e. C lands by an immersion, B by a hom
         a = random_poset(rng, b.n)
         f = disjoint_poset_extension(rng, a, 2)
         g = random_hom_wing(rng, a, random_poset(rng, b.n))
-        p = AmalgamationProblem(f, g, parse_kinds("ihhi"), t_pos, strong=True, budget=b)
+        p = AmalgamationProblem(f, g, _KINDS["ihhi"], t_pos, strong=True, budget=b)
     elif theorem in ("h-strong-pc", "example-5"):
         # the point is pc for T_pos; example 5 is the non-strong statement
-        point = FiniteStructure(POSET_SIG, ("a",), {"le": frozenset({("a", "a")})}, {}, {})
-        f = random_hom_wing(rng, point, random_poset(rng, b.n))
-        g = random_hom_wing(rng, point, random_poset(rng, b.n))
+        f = random_hom_wing(rng, _POINT, random_poset(rng, b.n))
+        g = random_hom_wing(rng, _POINT, random_poset(rng, b.n))
         p = AmalgamationProblem(
-            f, g, parse_kinds("hhhh"), t_pos, strong=(theorem == "h-strong-pc"), budget=b
+            f, g, _KINDS["hhhh"], t_pos, strong=(theorem == "h-strong-pc"), budget=b
         )
     elif theorem == "example-1":
         # [i,h,s,h]: the immersed wing absorbs the hom wing through its
@@ -180,17 +227,17 @@ def _gen_instance(theorem: str, rng: random.Random, b: Budget, t_pos: Theory) ->
         f = random_hom_wing(rng, a, random_structure(rng, POSET_SIG, b.n))
         if f is None:
             return None
-        p = AmalgamationProblem(f, inflate(rng, a, 1), parse_kinds("hish"), None, budget=b)
+        p = AmalgamationProblem(f, inflate(rng, a, 1), _KINDS["hish"], None, budget=b)
     elif theorem == "example-2":
         # the non-strong form of the [s,i,s,i] theorem: same orientation
         a = random_structure(rng, POSET_SIG, b.n)
-        p = AmalgamationProblem(inflate(rng, a, 1), iso_copy(a), parse_kinds("issi"), None, budget=b)
+        p = AmalgamationProblem(inflate(rng, a, 1), iso_copy(a), _KINDS["issi"], None, budget=b)
     elif theorem == "example-3":
         # [e,s]-asymmetric: the strong wing is a copy of the base, the
         # embedded wing is carried into the apex by the embedding itself
         a = random_structure(rng, POSET_SIG, b.n)
         p = AmalgamationProblem(
-            iso_copy(a), embedding_extension(rng, a, 1), parse_kinds("sees"), None, budget=b
+            iso_copy(a), embedding_extension(rng, a, 1), _KINDS["sees"], None, budget=b
         )
     elif theorem == "example-4":
         # non-strong [i,h]-asymmetric, oriented as in the ih-ih proof
@@ -198,10 +245,10 @@ def _gen_instance(theorem: str, rng: random.Random, b: Budget, t_pos: Theory) ->
         g = random_hom_wing(rng, a, random_structure(rng, POSET_SIG, b.n))
         if g is None:
             return None
-        p = AmalgamationProblem(inflate(rng, a, 1), g, parse_kinds("ihhi"), None, budget=b)
+        p = AmalgamationProblem(inflate(rng, a, 1), g, _KINDS["ihhi"], None, budget=b)
     elif theorem == "example-7":
         a = random_structure(rng, POSET_SIG, b.n)
-        p = AmalgamationProblem(iso_copy(a), iso_copy(a), parse_kinds("ssss"), None, budget=b)
+        p = AmalgamationProblem(iso_copy(a), iso_copy(a), _KINDS["ssss"], None, budget=b)
     else:
         raise ValueError(f"unknown theorem id {theorem!r}")
     return p, None

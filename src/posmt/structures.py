@@ -297,13 +297,6 @@ class Orbits:
             )
         return build
 
-    def images(self, code: int) -> List[int]:
-        """The code of the structure relabelled by each permutation of the
-        elements, in `itertools.permutations` order, so repeated once per
-        automorphism.  For a relation-only code, the least image is the
-        first of its class that a search with no fixed cell meets."""
-        return self._fields(sum(self._sums(code)))
-
     def least(self, code: int):
         """The least image of a code, read as (each relation's set cells,
         the digits).  Cells order as their index tuples in product order,
@@ -317,7 +310,12 @@ class Orbits:
         return self._least(*self._sums(code))
 
     def orbit(self, code: int):
-        """`(images(code), least(code))`, from one sum of the code's lanes."""
+        """The code's images and `least(code)`, from one sum of the code's
+        lanes.  The images are the codes of the structure relabelled by each
+        permutation of the elements, in `itertools.permutations` order, so
+        repeated once per automorphism.  For a relation-only code, the least
+        image is the first of its class that a search with no fixed cell
+        meets."""
         sums = self._sums(code)
         return self._fields(sum(sums)), self._least(*sums)
 

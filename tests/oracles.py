@@ -65,8 +65,9 @@ from per-permutation tables of image weights, compare codes pairwise for
 the least image, and read each code's cells for the first in cell order, as
 `Orbits` did before it summed lanes with one field per permutation.  They
 lay codes out on their own (relation cell 0 the most significant bit),
-without `Orbits.weights`, `values` or `code`.  `Orbits.images`, `least` and
-the least image as an int must give the same lists and the same answers.
+without `Orbits.weights`, `values` or `code`.  The images of `Orbits.orbit`,
+`least` and the least image as an int must give the same lists and the
+same answers.
 
 The deduplication references build every labelled structure (or take
 every model the finder yields) and group them by `class_key`, a complete
@@ -119,6 +120,14 @@ sentences before it printed them from the rows of the integer implication
 table (`corpus.hull_texts`, `corpus.cq_text`): every hull and T_u(T) line must be its output
 on the sentence's tree, and it inverts the parser on the trees it prints.
 
+The harness generator references draw and build every random structure
+and wing afresh, as `harness` did before it built each draw once: the
+structures are built while the RNG is read, and a hom wing is one of the
+first 20 maps of a fresh `search_homs`.  `embedding_extension` still builds
+each draw afresh and has no reference.  The interned generators must
+leave the RNG in the same state and give structures with the same
+`key()` and the same maps.
+
 The JSON reference copies a report into plain dicts and lists first, as
 `textio.jsonable` did before the writer printed reports straight from the
 objects the commands build: `json.dumps` of that copy must give the bytes
@@ -129,6 +138,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -144,6 +154,7 @@ from posmt.formulas import (
 from posmt.morphisms import Morphism, MorphismKind, is_immersion, is_strong_immersion, search_homs
 from posmt import corpus
 from posmt.finder import find_models
+from posmt.harness import POSET_SIG
 from posmt.structures import (
     FiniteStructure, Orbits, Signature, UnionFind, element_names, enumerate_structures,
 )
@@ -1756,6 +1767,68 @@ def pp_formula(f: Formula) -> str:
     if isinstance(f, PosEx):
         return f"positive: {_pp_posex(f)}"
     return f"positive: {_pp_qf(f)}"
+
+
+# ---------------------------------------------------------------------------
+# Harness generators, each draw built afresh
+
+
+def _build_reference(sig: Signature, universe: Tuple[str, ...], holds, value, constant) -> FiniteStructure:
+    relations = {name: frozenset(t for t in itertools.product(universe, repeat=arity) if holds(name, t))
+                 for name, arity in sig.relations}
+    functions = {name: {args: value(name, args) for args in itertools.product(universe, repeat=arity)}
+                 for name, arity in sig.functions}
+    return FiniteStructure(sig, universe, relations, functions, {c: constant(c) for c in sig.constants})
+
+
+def random_structure_reference(rng: random.Random, sig: Signature, max_size: int) -> FiniteStructure:
+    universe = element_names(max_size)[: rng.randint(1, max_size)]
+    return _build_reference(sig, universe, lambda name, t: rng.random() < 0.4,
+                            lambda name, args: rng.choice(universe), lambda c: rng.choice(universe))
+
+
+def random_poset_reference(rng: random.Random, max_size: int) -> FiniteStructure:
+    universe = element_names(max_size)[: rng.randint(1, max_size)]
+    n = len(universe)
+    rows = [1 << i | sum(1 << j for j in range(i + 1, n) if rng.random() < 0.5) for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    le = {(x, y) for x, row in zip(universe, rows) for j, y in enumerate(universe) if row >> j & 1}
+    return FiniteStructure(POSET_SIG, universe, {"le": frozenset(le)}, {}, {})
+
+
+def inflate_reference(rng: random.Random, a: FiniteStructure, extra: int) -> Morphism:
+    fresh = tuple(f"x{i}" for i in range(extra))
+    rep = {e: e for e in a.universe}
+    rep.update((e, rng.choice(a.universe)) for e in fresh)
+
+    def back(t):
+        return tuple(map(rep.__getitem__, t))
+    b = _build_reference(a.signature, a.universe + fresh, lambda name, t: back(t) in a.rel(name),
+                         lambda name, args: a.func(name, back(args)), a.constants.__getitem__)
+    return Morphism(a, b, {e: e for e in a.universe})
+
+
+def disjoint_poset_extension_reference(rng: random.Random, a: FiniteStructure, max_extra: int) -> Morphism:
+    extra = random_poset_reference(rng, max(1, max_extra))
+    extra = extra.rename({e: f"x.{e}" for e in extra.universe})
+    pairs = set(a.rel("le")) | set(extra.rel("le"))
+    b = FiniteStructure(POSET_SIG, a.universe + extra.universe, {"le": frozenset(pairs)}, {}, {})
+    return Morphism(a, b, {e: e for e in a.universe})
+
+
+def iso_copy_reference(a: FiniteStructure) -> Morphism:
+    renamed = a.rename({e: f"y.{e}" for e in a.universe})
+    return Morphism(a, renamed, {e: f"y.{e}" for e in a.universe})
+
+
+def random_hom_wing_reference(rng: random.Random, a: FiniteStructure, wing: FiniteStructure) -> Optional[Morphism]:
+    homs = list(itertools.islice(search_homs(a, wing), 20))
+    if not homs:
+        return None
+    return Morphism(a, wing, rng.choice(homs))
 
 
 # ---------------------------------------------------------------------------

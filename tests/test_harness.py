@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 
 import pytest
 
+from oracles import (
+    disjoint_poset_extension_reference, inflate_reference, iso_copy_reference,
+    random_hom_wing_reference, random_poset_reference, random_structure_reference,
+)
+from posmt import harness
 from posmt.cli import main
 from posmt.harness import (
-    POSET_SIG, THEOREM_IDS, inflate, poset_theory, random_hom_wing, random_poset, verify_theorem,
+    POSET_SIG, THEOREM_IDS, disjoint_poset_extension, inflate, iso_copy, poset_theory,
+    random_hom_wing, random_poset, random_structure, verify_theorem,
 )
-from posmt.morphisms import is_homomorphism
-from posmt.structures import FiniteStructure
+from posmt.morphisms import Morphism, is_homomorphism
+from posmt.structures import FiniteStructure, Orbits, Signature
 from posmt.theories import Budget
 
 # sha256 of the stdout of `verify --theorem T --seed 3 --instances 60 --N 6
@@ -89,3 +96,91 @@ def test_verify_theorem_ids_known():
     with pytest.raises(ValueError):
         verify_theorem("no-such-theorem", seed=0, b=Budget(), instances=1)
     assert "ii-hh-strong" in THEOREM_IDS
+
+
+MIXED_SIG = Signature.make(relations={"p": 1, "le": 2}, functions={"f": 1}, constants=["c"])
+
+INTERNED = {
+    "random_structure": random_structure, "random_poset": random_poset, "inflate": inflate,
+    "disjoint_poset_extension": disjoint_poset_extension, "iso_copy": iso_copy,
+    "random_hom_wing": random_hom_wing,
+}
+REFERENCE = {
+    "random_structure": random_structure_reference, "random_poset": random_poset_reference,
+    "inflate": inflate_reference, "disjoint_poset_extension": disjoint_poset_extension_reference,
+    "iso_copy": iso_copy_reference, "random_hom_wing": random_hom_wing_reference,
+}
+
+
+def hom_wings(g, rng, a, wing):
+    """Eight hom wings a -> wing, one after another: into a poset on up to 6
+    points there are often more than 20 homomorphisms to choose from."""
+    return tuple(g["random_hom_wing"](rng, a, wing) for _ in range(8))
+
+
+# one draw per generator, its base (and wing) drawn by the same family of
+# generators; each takes the generators and the signature of its random
+# structures
+DRAWS = {
+    "random_structure": lambda g, rng, sig: g["random_structure"](rng, sig, 3),
+    "random_poset": lambda g, rng, sig: g["random_poset"](rng, 4),
+    "inflate": lambda g, rng, sig: g["inflate"](rng, g["random_structure"](rng, sig, 3), rng.randint(1, 2)),
+    "disjoint_poset_extension": lambda g, rng, sig: g["disjoint_poset_extension"](rng, g["random_poset"](rng, 3), 2),
+    "iso_copy": lambda g, rng, sig: g["iso_copy"](g["random_structure"](rng, sig, 3)),
+    "random_hom_wing": lambda g, rng, sig: g["random_hom_wing"](
+        rng, g["random_structure"](rng, sig, 3), g["random_structure"](rng, sig, 3)),
+    "poset_hom_wings": lambda g, rng, sig: hom_wings(g, rng, g["random_poset"](rng, 3), g["random_poset"](rng, 6)),
+}
+
+
+def labelled(drawn):
+    """A drawn structure or wing as labelled data: keys and the map."""
+    if isinstance(drawn, tuple):
+        return tuple(map(labelled, drawn))
+    if isinstance(drawn, Morphism):
+        return drawn.source.key(), drawn.target.key(), dict(drawn.map)
+    return drawn if drawn is None else drawn.key()
+
+
+@pytest.mark.parametrize("sig", [POSET_SIG, MIXED_SIG], ids=["poset-sig", "mixed-sig"])
+@pytest.mark.parametrize("name", DRAWS)
+def test_interned_draws_match_the_reference_generators(name, sig):
+    # each generator reads the RNG call for call as the generator that
+    # built every draw afresh, gives the same labelled structures and maps,
+    # and gives the identical object when the same draw repeats
+    draw, misses = DRAWS[name], 0
+    for seed in range(60):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        drawn = draw(INTERNED, rng, sig)
+        expected = draw(REFERENCE, reference_rng, sig)
+        assert rng.getstate() == reference_rng.getstate()
+        assert labelled(drawn) == labelled(expected)
+        repeated = draw(INTERNED, random.Random(seed), sig)
+        assert all(map(operator.is_, repeated, drawn)) if isinstance(drawn, tuple) else repeated is drawn
+        misses += drawn is None
+    assert misses < 60
+
+
+def clear_harness_caches():
+    for build in (harness._structure, harness._poset, harness._inflate, harness._disjoint_extension,
+                  harness.iso_copy, harness._hom_wings):
+        build.cache_clear()
+
+
+def test_h_strong_pc_packs_each_labelled_structure_once(monkeypatch):
+    # 200 instances draw 600 structures, the point and two random posets
+    # each, and packed all 600 when each draw was built afresh; there are
+    # 10 labelled posets up to 3 points among them, each built and packed
+    # once.  The point is built at import and outlives the cache clear, so
+    # it is keyed before counting; a drawn one-point poset is then built anew
+    clear_harness_caches()
+    harness._POINT.key()
+    real, packed = Orbits.pack, []
+
+    def pack(self, s):
+        code = real(self, s)
+        packed.append((s.universe, code))
+        return code
+    monkeypatch.setattr(Orbits, "pack", pack)
+    verify_theorem("h-strong-pc", seed=0, b=Budget(N=8), instances=200)
+    assert len(packed) == len(set(packed)) == 10

@@ -165,7 +165,7 @@ def test_least_image_is_the_first_code_the_full_search_meets(theory, counts):
         for val in finder._search(orbits, theory.implications(), {}):
             code = orbits.code(val)
             if code not in marked:
-                images = orbits.images(code)
+                images = orbits.orbit(code)[0]
                 assert min(images) == code
                 marked.update(images)
                 classes += 1
