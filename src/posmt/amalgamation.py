@@ -23,14 +23,20 @@ both out-kinds are h: instances that differ by wing automorphisms or by the
 B/C swap share a "yes", an exhaustive "no" or an "unknown" from a truncated
 apex search.  The randomized theorem harness lives in `harness`.
 
-Every candidate is certified in full (`_certify`), but the conditions that
-the out-maps alone settle are decided before any search: the quotient
-phase completes no quotient whose fixed out-maps are not injective where
-kind e or more is asked, or not onto where kind s is; the enumeration
-phase skips an apex that is not isomorphic by size and tuple counts to a
-wing asked to be strongly immersed, and, for a strong problem, an out_b
-that already breaks the disjointness condition, and lists out_c only among
-maps that send C outside g(A) off out_b's image.
+A solution's certificate is the apex and its two out-maps.  Every
+candidate is certified in full (`_certify`): the apex is in the class, the
+square commutes, each out-map has its required kind, decided by
+`classify_morphism` (the one kind decider beside the bounded
+`is_strong_immersion`), and a strong problem's out-maps meet only over the
+base, a condition stated once, in `_disjoint_targets`, which
+`check_strong_condition` and the enumeration phase both read.  The
+conditions that the out-maps alone settle are decided before any search:
+the quotient phase completes no quotient whose fixed out-maps are not
+injective where kind e or more is asked, or not onto where kind s is; the
+enumeration phase skips an apex that is not isomorphic by size and tuple
+counts to a wing asked to be strongly immersed, and, for a strong problem,
+an out_b that already breaks the disjointness condition, and lists out_c
+only among maps that send C outside g(A) off out_b's image.
 """
 
 from __future__ import annotations
@@ -95,10 +101,6 @@ class AmalgamationSolution:
     apex: FiniteStructure
     out_b: Morphism  # B -> D
     out_c: Morphism  # C -> D
-    # each out-map's kind decided up to the required one: min(kind, required)
-    kinds: Tuple[MorphismKind, MorphismKind]
-    commutation: Tuple[Tuple[str, str, str], ...]  # (a, via_B, via_C) rows
-    strong_ok: Optional[bool] = None
 
 
 def check_strong_condition(
@@ -106,63 +108,49 @@ def check_strong_condition(
 ) -> bool:
     """True iff out_b(b) = out_c(c) only happens at images of the base:
     b in f(A) and c in g(A) (strict: some a with b = f(a) and c = g(a))."""
-    image_f = set(f.map.values())
     image_g = set(g.map.values())
-    for b_el in out_b.source.universe:
-        for c_el in out_c.source.universe:
-            if out_b(b_el) != out_c(c_el):
-                continue
-            if b_el not in image_f or c_el not in image_g:
-                return False
-            if strict and not any(
-                f(a) == b_el and g(a) == c_el for a in f.source.universe
-            ):
-                return False
-    return True
+    forbidden = _disjoint_targets(f, g, strict, out_b, {c_el: out_c(c_el) for c_el in image_g})
+    return forbidden is not None and not any(
+        out_c(c_el) in forbidden for c_el in out_c.source.universe if c_el not in image_g)
 
 
-def _commutation_table(p: AmalgamationProblem, out_b: Morphism, out_c: Morphism):
-    rows = []
-    for a in p.base.universe:
-        via_b = out_b(p.f(a))
-        via_c = out_c(p.g(a))
-        if via_b != via_c:
+def _disjoint_targets(f: Morphism, g: Morphism, strict: bool, out_b: Morphism,
+                      required: Dict[str, str]) -> Optional[Set[str]]:
+    """The strong condition for out_b and any out_c that sends g(A) to
+    `required`: the targets the C elements outside g(A) must avoid (out_b's
+    image), or None when out_b alone breaks it.  It does when a B element
+    outside f(A) lands on a required image, or, in strict mode, when some
+    b in f(A) and c in g(A) meet without a common preimage in A."""
+    f_image = set(f.map.values())
+    met = set(required.values())
+    if any(out_b(e) in met for e in out_b.source.universe if e not in f_image):
+        return None
+    if strict:
+        pairs = {(f(a), g(a)) for a in f.source.universe}
+        if any((b_el, c_el) not in pairs for c_el, img in required.items()
+               for b_el in f_image if out_b(b_el) == img):
             return None
-        rows.append((a, via_b, via_c))
-    return tuple(rows)
+    return set(out_b.map.values())
 
 
-def _in_class(d: FiniteStructure, p: AmalgamationProblem) -> bool:
-    return p.theory is None or is_model(d, p.theory)
-
-
-def _certify(p: AmalgamationProblem, d: FiniteStructure, out_b: Morphism, out_c: Morphism):
-    """Full re-verification of a candidate solution; None if it fails."""
-    gamma, delta = p.kinds[2], p.kinds[3]
-    if not _in_class(d, p):
-        return None
-    table = _commutation_table(p, out_b, out_c)
-    if table is None:
-        return None
+def _certify(p: AmalgamationProblem, d: FiniteStructure, out_b: Morphism, out_c: Morphism) -> bool:
+    """Full re-verification of a candidate solution: d is in the class, the
+    square commutes, each out-map has its required kind, and in a strong
+    problem the out-maps meet only over the base."""
+    if p.theory is not None and not is_model(d, p.theory):
+        return False
+    if any(out_b(p.f(a)) != out_c(p.g(a)) for a in p.base.universe):
+        return False
     try:  # a map that is no homomorphism rejects the candidate
-        kb = classify_morphism(out_b, gamma)
-        if kb < gamma:
-            return None
-        kc = classify_morphism(out_c, delta)
+        if any(classify_morphism(m, need) < need for m, need in ((out_b, p.kinds[2]), (out_c, p.kinds[3]))):
+            return False
     except StructureError:
-        return None
-    if kc < delta:
-        return None
-    strong_ok = None
-    if p.strong:
-        strong_ok = check_strong_condition(out_b, out_c, p.f, p.g, p.strict_strong)
-        if not strong_ok:
-            return None
-    return AmalgamationSolution(d, out_b, out_c, (kb, kc), table, strong_ok)
+        return False
+    return not p.strong or check_strong_condition(out_b, out_c, p.f, p.g, p.strict_strong)
 
 
 def verify_solution(p: AmalgamationProblem, sol: AmalgamationSolution) -> bool:
-    return _certify(p, sol.apex, sol.out_b, sol.out_c) is not None
+    return _certify(p, sol.apex, sol.out_b, sol.out_c)
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +222,22 @@ def _solve_quotient(p: AmalgamationProblem) -> Optional[AmalgamationSolution]:
         if kind >= MorphismKind.STRONG_IMMERSION and image < len(universe):
             return None
 
-    def certify(d: FiniteStructure) -> Optional[AmalgamationSolution]:
-        return _certify(p, d, Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map))
+    def completions() -> Iterator[FiniteStructure]:
+        # the glued sum, each free cell at its least value (false, or the
+        # first element), is the first completion the search meets whenever
+        # it is in the class, after one node per free cell; past the node
+        # cap the search stops before meeting it
+        if orbits.size - len(fixed) <= p.budget.node_cap:
+            yield orbits.builder(universe)(
+                [fixed.get(c, False if c < orbits.offsets[-1] else 0) for c in range(orbits.size)])
+        yield from itertools.islice(
+            find_models(orbits.sig, universe, implications, node_cap=p.budget.node_cap, fixed=fixed),
+            QUOTIENT_COMPLETION_LIMIT)
 
-    # the glued sum, each free cell at its least value (false, or the first
-    # element), is the first completion the search meets whenever it is in
-    # the class, after one node per free cell; past the node cap the search
-    # stops before meeting it
-    if orbits.size - len(fixed) <= p.budget.node_cap:
-        glued = [fixed.get(c, False if c < orbits.offsets[-1] else 0) for c in range(orbits.size)]
-        sol = certify(orbits.builder(universe)(glued))
-        if sol is not None:
-            return sol
-    tried = 0
-    for d in find_models(orbits.sig, universe, implications, node_cap=p.budget.node_cap, fixed=fixed):
-        sol = certify(d)
-        if sol is not None:
-            return sol
-        tried += 1
-        if tried >= QUOTIENT_COMPLETION_LIMIT:
-            break
+    for d in completions():
+        out_b, out_c = Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map)
+        if _certify(p, d, out_b, out_c):
+            return AmalgamationSolution(d, out_b, out_c)
     return None
 
 
@@ -304,25 +288,6 @@ def _apex_fits(d: FiniteStructure, wing: FiniteStructure, kind: MorphismKind) ->
     return kind < MorphismKind.EMBEDDING or d.size() >= wing.size()
 
 
-def _disjoint_targets(p: AmalgamationProblem, out_b: Morphism,
-                      required: Dict[str, str]) -> Optional[Set[str]]:
-    """The strong condition for out_b and any out_c that sends g(A) to
-    `required`: the targets the C elements outside g(A) must avoid (out_b's
-    image), or None when out_b alone breaks it.  It does when a B element
-    outside f(A) lands on a required image, or, in strict mode, when some
-    b in f(A) and c in g(A) meet without a common preimage in A."""
-    f_image = set(p.f.map.values())
-    met = set(required.values())
-    if any(out_b(e) in met for e in out_b.source.universe if e not in f_image):
-        return None
-    if p.strict_strong:
-        pairs = {(p.f(a), p.g(a)) for a in p.base.universe}
-        if any((b_el, c_el) not in pairs for c_el, img in required.items()
-               for b_el in f_image if out_b(b_el) == img):
-            return None
-    return set(out_b.map.values())
-
-
 def _solve_enumeration(p: AmalgamationProblem) -> Tuple[Optional[AmalgamationSolution], bool]:
     gamma, delta = p.kinds[2], p.kinds[3]
     cap, exhaustive = _enum_sizes(p)
@@ -337,14 +302,13 @@ def _solve_enumeration(p: AmalgamationProblem) -> Tuple[Optional[AmalgamationSol
                 continue  # g identifies base points whose B-images land apart
             forbidden = None
             if p.strong:
-                forbidden = _disjoint_targets(p, out_b, required)
+                forbidden = _disjoint_targets(p.f, p.g, p.strict_strong, out_b, required)
                 if forbidden is None:
                     continue  # out_b alone breaks the strong condition
             for out_c in enumerate_homs(p.g.target, d, required, kind=delta,
                                         node_cap=p.budget.node_cap, forbidden=forbidden):
-                sol = _certify(p, d, out_b, out_c)
-                if sol is not None:
-                    return sol, exhaustive
+                if _certify(p, d, out_b, out_c):
+                    return AmalgamationSolution(d, out_b, out_c), exhaustive
     return None, exhaustive
 
 

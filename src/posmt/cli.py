@@ -42,7 +42,8 @@ from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .amalgamation import (
-    AmalgamationProblem, AmalgamationSolution, check_basis, parse_kinds, solve_amalgamation,
+    AmalgamationProblem, AmalgamationSolution, check_basis, check_strong_condition, parse_kinds,
+    solve_amalgamation,
 )
 from .errors import BudgetExceeded, ParseError, PosmtError, StructureError
 from .harness import THEOREM_IDS, verify_theorem
@@ -283,7 +284,8 @@ def cmd_amalgamate(args: SimpleNamespace) -> int:
                     "out_c": dict(result.out_c.map),
                     # the exact kinds; the solver decides them only up to the required ones
                     "kinds": [classify_morphism(m).letter for m in (result.out_b, result.out_c)],
-                    "strong_ok": result.strong_ok,
+                    "strong_ok": (check_strong_condition(result.out_b, result.out_c, p.f, p.g, p.strict_strong)
+                                  if p.strong else None),
                 },
             }))
         else:

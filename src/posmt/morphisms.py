@@ -112,10 +112,6 @@ def is_homomorphism(m: Morphism) -> bool:
     return True
 
 
-def is_embedding(m: Morphism) -> bool:
-    return is_homomorphism(m) and _embeds(m)
-
-
 def _embeds(m: Morphism) -> bool:
     """Whether homomorphism m is an embedding: injective, and every target
     tuple inside its image pulls back into the source."""
@@ -206,15 +202,6 @@ def search_homs(
                 used.discard(assignment[order[i - 1]])
 
 
-def find_hom(
-    a: FiniteStructure,
-    b: FiniteStructure,
-    required: Optional[Mapping[str, str]] = None,
-    node_cap: Optional[int] = None,
-) -> Optional[Dict[str, str]]:
-    return next(search_homs(a, b, required, node_cap=node_cap), None)
-
-
 # ---------------------------------------------------------------------------
 # Immersions
 
@@ -224,13 +211,8 @@ def retraction(m: Morphism) -> Optional[Morphism]:
     if not m.is_injective():
         return None
     required = {m.map[e]: e for e in m.source.universe}
-    r = find_hom(m.target, m.source, required)
+    r = next(search_homs(m.target, m.source, required), None)
     return Morphism(m.target, m.source, r) if r is not None else None
-
-
-def is_immersion(m: Morphism) -> bool:
-    """Exact over finite targets: an immersion iff a retraction exists."""
-    return is_homomorphism(m) and retraction(m) is not None
 
 
 # ---------------------------------------------------------------------------

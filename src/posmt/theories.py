@@ -23,7 +23,7 @@ from .formulas import (
     Not, PosEx, RelAtom, as_implications, compile_formula, free_vars,
 )
 from .finder import find_models, models_by_size, models_up_to_size
-from .morphisms import Morphism, is_immersion, search_homs
+from .morphisms import Morphism, MorphismKind, classify_morphism, search_homs
 from .records import field, record
 from .structures import FiniteStructure, Signature, UnionFind, disjoint_rename, element_names
 
@@ -369,8 +369,9 @@ def is_pc_within(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
         checked_models += 1
         for hmap in search_homs(m, other, node_cap=b.node_cap):
             checked_homs += 1
-            mor = Morphism(m, other, hmap)
-            if not is_immersion(mor):
+            # exact: a hom with a retraction is an embedding, so the
+            # embedding test turns away only homs that have no retraction
+            if classify_morphism(Morphism(m, other, hmap), MorphismKind.IMMERSION) < MorphismKind.IMMERSION:
                 return no(b, {"target": other, "hom": hmap})
     return yes(b, {"models_checked": checked_models, "homs_checked": checked_homs})
 

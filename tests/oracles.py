@@ -40,12 +40,12 @@ built on it as they were; the immersion, strong-immersion, kind and hom
 enumeration references run it, not the kernel.  The kernel must yield the
 same maps in the same order and run out of nodes at the same cap.
 
-The continuation reference decides joint continuation pair by pair,
-searching each pair's first homomorphisms afresh, as
-`theories._continuation_verdict` did before it kept the first hom into
-each candidate, over every model of size <= N listed before the first
-pair, as `is_jc_bounded` and `is_T_complete_pair` did before they listed a
-size at a time.  Wherever the reference decides, the verdicts, their
+The continuation reference decides joint continuation pair by pair, over
+every model of size <= N listed before the first pair, as `is_jc_bounded`
+and `is_T_complete_pair` did before they listed a size at a time.  It
+keeps the first homomorphism from a structure into a candidate in a dict
+of its own call, not in `theories`' memo, and runs the same searches at
+the same node cap as when it searched each pair's homs afresh.  Wherever the reference decides, the verdicts, their
 certificates and notes must be the same; where it runs out of nodes, the
 fast verdicts run out with the same message or say "yes" at a size below
 the one that ran out.
@@ -111,6 +111,10 @@ the same status and notes, or the same apex and out-maps.  Its quotient
 phase glues the wings with the union-find keyed by (side, element) pairs
 that the solver used before it glued on integer indices.
 
+The strong-condition reference weighs every pair (b, c) that the
+out-maps identify, as `check_strong_condition` did before it read the
+enumeration phase's `_disjoint_targets`; the two must agree on any maps.
+
 The basis reference solves every (B, f, C, g) instance of a basis check
 on its own, as `check_basis` did before it solved one instance per
 symmetry class.  The reports must be equal.
@@ -151,7 +155,7 @@ from posmt.formulas import (
     And, Atom, Const, EqAtom, Falsum, Forall, Formula, Implication, Implies,
     Not, Or, PosEx, PosQF, RelAtom, TRUE_POSEX, Term, Truth, Var, free_vars,
 )
-from posmt.morphisms import Morphism, MorphismKind, is_immersion, is_strong_immersion, search_homs
+from posmt.morphisms import Morphism, MorphismKind, is_strong_immersion, search_homs
 from posmt import corpus
 from posmt.finder import find_models
 from posmt.harness import POSET_SIG
@@ -862,7 +866,8 @@ def corpus_evaluator_reference(sig: Signature, k: int, structure: FiniteStructur
 def is_pc_within_reference(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
     """`theories.is_pc_within` as it was before it read the models a size
     at a time: every model of t of size <= n is listed before the first hom
-    is searched."""
+    is searched.  A hom is an immersion iff it has a retraction, found by
+    the reference search."""
     if m.signature != t.signature:
         raise SignatureError(f"theory {t.name!r} is not over the structure's signature")
     if not is_model(m, t):
@@ -873,7 +878,7 @@ def is_pc_within_reference(m: FiniteStructure, t: Theory, b: Budget) -> Verdict:
         checked_models += 1
         for hmap in search_homs(m, other, node_cap=b.node_cap):
             checked_homs += 1
-            if not is_immersion(Morphism(m, other, hmap)):
+            if retraction_reference(Morphism(m, other, hmap)) is None:  # hmap is a hom
                 return no(b, {"target": other, "hom": hmap})
     return yes(b, {"models_checked": checked_models, "homs_checked": checked_homs})
 
@@ -978,28 +983,23 @@ def jc_characterization_report_reference(t: Theory, b: Budget) -> Dict:
     }
 
 
-def _common_continuation(
-    a: FiniteStructure, bst: FiniteStructure, candidates: Sequence[FiniteStructure], node_cap: int
-) -> Optional[Tuple[FiniteStructure, Dict[str, str], Dict[str, str]]]:
-    for d in candidates:
-        fa = None
-        for h in search_homs_reference(a, d, node_cap=node_cap):
-            fa = h
-            break
-        if fa is None:
-            continue
-        for h in search_homs_reference(bst, d, node_cap=node_cap):
-            return d, fa, h
-    return None
-
-
 def continuation_verdict_reference(
     b: Budget, pairs: Sequence[Tuple], candidates: Sequence[FiniteStructure]
 ) -> Verdict:
-    """Joint continuation over the listed models `candidates` of size <= N,
-    searching each pair's homs afresh."""
+    """Joint continuation over the listed models `candidates` of size <= N:
+    a pair has one when some candidate receives a hom from each side.  The
+    first hom from a structure into a candidate is searched once per call
+    and kept in a dict of this call, apart from `theories`' own memo."""
+    first: Dict[Tuple, Optional[Dict[str, str]]] = {}
+
+    def hom(s: FiniteStructure, i: int) -> Optional[Dict[str, str]]:
+        key = (s.key(), i)
+        if key not in first:
+            first[key] = next(search_homs_reference(s, candidates[i], node_cap=b.node_cap), None)
+        return first[key]
+
     for a, bst in pairs:
-        if _common_continuation(a, bst, candidates, b.node_cap) is None:
+        if not any(hom(a, i) is not None and hom(bst, i) is not None for i in range(len(candidates))):
             return no(b, {"pair": (a, bst)}, notes=("no common continuation of size <= N",))
     return yes(b, {"pairs_checked": len(pairs)})
 
@@ -1532,8 +1532,29 @@ def _quotient_seed(p):
     return cls, universe, seed_rels, seed_funcs, seed_consts
 
 
+def check_strong_condition_reference(
+    out_b: Morphism, out_c: Morphism, f: Morphism, g: Morphism, strict: bool = False
+) -> bool:
+    """`amalgamation.check_strong_condition` over every pair (b, c) that
+    the out-maps identify: b in f(A) and c in g(A) (strict: some a with
+    b = f(a) and c = g(a))."""
+    image_f = set(f.map.values())
+    image_g = set(g.map.values())
+    for b_el in out_b.source.universe:
+        for c_el in out_c.source.universe:
+            if out_b(b_el) != out_c(c_el):
+                continue
+            if b_el not in image_f or c_el not in image_g:
+                return False
+            if strict and not any(
+                f(a) == b_el and g(a) == c_el for a in f.source.universe
+            ):
+                return False
+    return True
+
+
 def _solve_quotient_reference(p):
-    from posmt.amalgamation import QUOTIENT_COMPLETION_LIMIT, _certify
+    from posmt.amalgamation import QUOTIENT_COMPLETION_LIMIT, AmalgamationSolution, _certify
     cls, universe, seed_rels, seed_funcs, seed_consts = _quotient_seed(p)
     if len(universe) > p.budget.N:
         return None
@@ -1553,9 +1574,9 @@ def _solve_quotient_reference(p):
         node_cap=p.budget.node_cap,
         fixed=seeded_cells(sig, universe, seed_rels, seed_funcs, seed_consts),
     ):
-        sol = _certify(p, d, Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map))
-        if sol is not None:
-            return sol
+        out_b, out_c = Morphism(p.f.target, d, out_b_map), Morphism(p.g.target, d, out_c_map)
+        if _certify(p, d, out_b, out_c):
+            return AmalgamationSolution(d, out_b, out_c)
         tried += 1
         if tried >= QUOTIENT_COMPLETION_LIMIT:
             break
@@ -1563,7 +1584,7 @@ def _solve_quotient_reference(p):
 
 
 def _solve_enumeration_reference(p):
-    from posmt.amalgamation import _apex_candidates, _certify, _enum_sizes
+    from posmt.amalgamation import AmalgamationSolution, _apex_candidates, _certify, _enum_sizes
     from posmt.morphisms import enumerate_homs
     gamma, delta = p.kinds[2], p.kinds[3]
     cap, exhaustive = _enum_sizes(p)
@@ -1585,9 +1606,8 @@ def _solve_enumeration_reference(p):
             if any(required[p.g(a)] != out_b(p.f(a)) for a in p.base.universe):
                 continue  # g identifies base points whose B-images land apart
             for out_c in enumerate_homs(p.g.target, d, required, kind=delta, node_cap=p.budget.node_cap):
-                sol = _certify(p, d, out_b, out_c)
-                if sol is not None:
-                    return sol, exhaustive
+                if _certify(p, d, out_b, out_c):
+                    return AmalgamationSolution(d, out_b, out_c), exhaustive
     return None, exhaustive
 
 

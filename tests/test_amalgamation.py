@@ -25,8 +25,8 @@ from posmt.theories import Budget, is_model, models
 
 from conftest import POSET_AXIOMS, SIG_LE, make_theory, run_optimised
 from oracles import (
-    _solve_quotient_reference, apex_candidates_reference, check_basis_reference, replace,
-    solve_amalgamation_reference,
+    _solve_quotient_reference, apex_candidates_reference, check_basis_reference,
+    check_strong_condition_reference, replace, solve_amalgamation_reference,
 )
 
 SIG_R = Signature.make(relations={"R": 2})
@@ -75,7 +75,6 @@ def test_glued_legs_strong(point, chain2, t_pos):
     )
     sol = solve_amalgamation(p)
     assert isinstance(sol, AmalgamationSolution)
-    assert sol.strong_ok
     # strongness: the two chain copies only meet at the shared base point
     assert check_strong_condition(sol.out_b, sol.out_c, f, g)
 
@@ -142,7 +141,8 @@ def test_certificate_checks_each_out_map_for_a_homomorphism_once(monkeypatch, po
         monkeypatch.setattr(amalgamation, "is_homomorphism", counted)
     assert verify_solution(p, sol)
     assert calls == [sol.out_b, sol.out_c]
-    assert sol.kinds == (MorphismKind.IMMERSION, MorphismKind.IMMERSION)
+    for m in (sol.out_b, sol.out_c):
+        assert classify_morphism(m, MorphismKind.IMMERSION) == MorphismKind.IMMERSION
 
 
 def test_certificate_decides_out_map_kinds_only_up_to_the_required_ones(monkeypatch, point, chain2, t_pos):
@@ -156,7 +156,6 @@ def test_certificate_decides_out_map_kinds_only_up_to_the_required_ones(monkeypa
     sol = solve_amalgamation(p)
     assert isinstance(sol, AmalgamationSolution) and verify_solution(p, sol)
     assert calls == []
-    assert sol.kinds == (MorphismKind.HOM, MorphismKind.HOM)
     assert classify_morphism(sol.out_b, MorphismKind.EMBEDDING) == MorphismKind.EMBEDDING
     assert classify_morphism(sol.out_c, MorphismKind.EMBEDDING) == MorphismKind.EMBEDDING
     assert sol.apex.size() > chain2.size()
@@ -166,8 +165,7 @@ def test_certificate_rejects_an_out_map_that_is_no_homomorphism(point, chain2, a
     inclusion = Morphism(point, chain2, {"a": "a"})
     p = AmalgamationProblem(inclusion, inclusion, parse_kinds("hhhh"))
     flat = Morphism(chain2, antichain2, {"a": "a", "b": "b"})
-    assert not verify_solution(p, AmalgamationSolution(
-        antichain2, flat, flat, (MorphismKind.HOM,) * 2, (("a", "a", "a"),)))
+    assert not verify_solution(p, AmalgamationSolution(antichain2, flat, flat))
 
 
 @pytest.mark.xfail(strict=True, reason="example-6 checks at Budget(n=2, N=min(N, 4)) but "
@@ -300,8 +298,7 @@ def _random_problem(kinds, theory, mode, makers, N, rng, node_cap=None, sig=POSE
 
 def _outcome(result):
     if isinstance(result, AmalgamationSolution):
-        return ("yes", result.apex.key(), result.out_b.map_key(), result.out_c.map_key(),
-                result.kinds, result.commutation, result.strong_ok)
+        return "yes", result.apex.key(), result.out_b.map_key(), result.out_c.map_key()
     return result.status, result.notes
 
 
@@ -470,7 +467,7 @@ def test_disjoint_targets_keep_exactly_the_out_maps_that_meet_the_strong_conditi
             continue
         meeting = [out_c for out_c in enumerate_homs(p.g.target, full, required)
                    if check_strong_condition(out_b, out_c, p.f, p.g, strict)]
-        forbidden = amalgamation._disjoint_targets(p, out_b, required)
+        forbidden = amalgamation._disjoint_targets(p.f, p.g, strict, out_b, required)
         if forbidden is None:
             assert meeting == []
         else:
@@ -791,7 +788,8 @@ def test_strong_condition_is_symmetric_under_the_wing_swap(strict, makers, size,
         out_b, out_c = (Morphism(w, apex, {e: rng.choice(apex.universe) for e in w.universe})
                         for w in (p.f.target, p.g.target))
         assert (check_strong_condition(out_b, out_c, p.f, p.g, strict)
-                == check_strong_condition(out_c, out_b, p.g, p.f, strict))
+                == check_strong_condition(out_c, out_b, p.g, p.f, strict)
+                == check_strong_condition_reference(out_b, out_c, p.f, p.g, strict))
 
 
 @pytest.mark.parametrize("theorem,distinct", [

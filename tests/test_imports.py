@@ -67,7 +67,6 @@ def test_no_dataclasses(path):
 SURFACE_ALLOWED = {
     "pair_diagrams": "the acceptance suite checks the README's diagram API through it",
     "theory_from_diagram": "the acceptance suite checks the paper's change of constants through it",
-    "is_embedding": "the acceptance suite checks the README's diagram API through it",
     "eval_formula": "the formula layer's public evaluator",
     "classify_sentence": "the formula layer's public sentence classes",
     "parse_sentences": "the README's library example",

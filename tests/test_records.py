@@ -25,7 +25,7 @@ from posmt.formulas import (
     And, App, Const, EqAtom, Falsum, Forall, Implication, Implies, Not, Or, PosEx,
     RelAtom, Truth, Var,
 )
-from posmt.morphisms import Morphism, MorphismKind
+from posmt.morphisms import Morphism
 from posmt.parser import Token
 from posmt.records import FrozenInstanceError, field, record
 from posmt.structures import FiniteStructure, Signature
@@ -67,8 +67,7 @@ def _samples():
         BoundedImplication((("rel", "le", (0, 1)),), None, (0, 1)),
         AmalgamationProblem(inc, top, kinds, t_pos, True),
         AmalgamationSolution(chain2, Morphism(chain2, chain2, {"a": "a", "b": "b"}),
-                             Morphism(chain2, chain2, {"a": "a", "b": "b"}),
-                             (MorphismKind.HOM, MorphismKind.EMBEDDING), (("a", "a", "b"),)),
+                             Morphism(chain2, chain2, {"a": "a", "b": "b"})),
         BasisReport(point, kinds, "T_pos", ({"outcome": "yes"},), yes),
         RawProblem("glue", "point", "inc", "top", "iihh", "T_pos", True, False, {"N": 6}),
         Workspace({"S": SIG_LE}, {"point": point}),
